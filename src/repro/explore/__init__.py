@@ -13,7 +13,7 @@ from repro.explore.plan import (
     generate_plan,
     validate_plan,
 )
-from repro.explore.runner import ExploreResult, RunOutcome, explore, replay, run_plan
+from repro.explore.runner import ExploreResult, RunOutcome, explore, run_plan
 from repro.explore.shrink import (
     load_artifact,
     shrink_plan,
@@ -32,7 +32,6 @@ __all__ = [
     "explore",
     "generate_plan",
     "load_artifact",
-    "replay",
     "run_plan",
     "shrink_plan",
     "validate_plan",

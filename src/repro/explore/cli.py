@@ -7,14 +7,16 @@ found (explore writes the shrunk repro artifact), 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
-from repro.explore.plan import FaultPlan
-from repro.explore.runner import explore, replay
+from repro.explore.interpreter import SHARDED, SINGLE, unsupported_kinds
+from repro.explore.plan import DESTRUCTION_KINDS, IMPLEMENTATION_KINDS, OVERLOAD_KINDS
+from repro.explore.runner import PLANTS, explore, run_plan
 from repro.explore.shrink import load_artifact, write_artifact
-from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS
+from repro.soak.runner import is_soak_artifact, load_soak_artifact, run_soak
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -38,7 +40,7 @@ def _explore_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--plant",
-        choices=sorted(set(PLANTED_BUGS) | set(SHARDED_PLANTED_BUGS)),
+        choices=sorted(set(PLANTS[SINGLE]) | set(PLANTS[SHARDED])),
         default=None,
         help="plant a known protocol regression (exploration should find it)",
     )
@@ -94,8 +96,8 @@ def _explore_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: BFTConfig overrides applied by ``--fast-path`` (kept in one place so
-#: explore and replay exercise the identical configuration).
+#: BFTConfig overrides applied by ``--fast-path`` (recorded in the artifact,
+#: so replay exercises the identical configuration).
 FAST_PATH_OVERRIDES = {
     "pipeline_depth": 8,
     "speculative_execution": True,
@@ -114,64 +116,50 @@ def explore_main(argv: List[str]) -> int:
     if args.shards < 1:
         print("explore: --shards must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    log = None if args.quiet else print
-    if args.shards > 1:
-        if args.impl_faults or args.overload or args.fast_path:
-            print(
-                "explore: --impl-faults/--overload/--fast-path are "
-                "single-group features; not supported with --shards",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if args.plant is not None and args.plant not in SHARDED_PLANTED_BUGS:
-            print(
-                f"explore: plant {args.plant!r} targets a single group; "
-                f"sharded plants: {sorted(SHARDED_PLANTED_BUGS)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        from repro.explore.sharded import explore_sharded
-
-        result = explore_sharded(
-            budget=args.budget,
-            seed=args.seed,
-            requests=args.requests,
-            max_steps=args.max_steps,
-            num_shards=args.shards,
-            plant=args.plant,
-            check_interval=args.check_interval,
-            shrink=not args.no_shrink,
-            destruction=args.destroy_group,
-            log=log,
+    # What the flags ask for is checked against the interpreter's support
+    # matrix, the same one run_plan applies to every generated plan.
+    deployment = SHARDED if args.shards > 1 else SINGLE
+    asked = {
+        "--impl-faults": IMPLEMENTATION_KINDS if args.impl_faults else (),
+        "--overload": OVERLOAD_KINDS if args.overload else (),
+        "--destroy-group": DESTRUCTION_KINDS if args.destroy_group else (),
+    }
+    rejected = [
+        flag for flag, kinds in asked.items() if unsupported_kinds(kinds, deployment)
+    ]
+    if args.fast_path and deployment == SHARDED:
+        rejected.append("--fast-path")
+    if rejected:
+        print(
+            f"explore: {'/'.join(rejected)} not supported on a {deployment} "
+            f"deployment (--shards {args.shards}); see the support matrix in "
+            f"docs/simulation.md",
+            file=sys.stderr,
         )
-    else:
-        if args.destroy_group:
-            print(
-                "explore: --destroy-group needs a fused-backup tier over "
-                "several groups; pass --shards 2 (or more)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if args.plant is not None and args.plant not in PLANTED_BUGS:
-            print(
-                f"explore: plant {args.plant!r} needs a sharded deployment; "
-                f"pass --shards 2 (or more)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        result = explore(
-            budget=args.budget,
-            seed=args.seed,
-            requests=args.requests,
-            max_steps=args.max_steps,
-            plant=args.plant,
-            check_interval=args.check_interval,
-            shrink=not args.no_shrink,
-            implementation_faults=args.impl_faults,
-            overload=args.overload,
-            log=log,
-            config_overrides=FAST_PATH_OVERRIDES if args.fast_path else None,
+        return EXIT_USAGE
+    if args.plant is not None and args.plant not in PLANTS[deployment]:
+        print(
+            f"explore: plant {args.plant!r} does not apply to a {deployment} "
+            f"deployment; its plants: {sorted(PLANTS[deployment])}",
+            file=sys.stderr,
         )
+        return EXIT_USAGE
+    overrides = FAST_PATH_OVERRIDES if args.fast_path else None
+    result = explore(
+        budget=args.budget,
+        seed=args.seed,
+        requests=args.requests,
+        max_steps=args.max_steps,
+        plant=args.plant,
+        check_interval=args.check_interval,
+        shrink=not args.no_shrink,
+        implementation_faults=args.impl_faults,
+        overload=args.overload,
+        log=None if args.quiet else print,
+        config_overrides=overrides,
+        shards=args.shards,
+        destruction=args.destroy_group,
+    )
     if not result.found:
         print(
             f"explore: {result.plans_run} plans (seed {result.seed}) "
@@ -188,6 +176,8 @@ def explore_main(argv: List[str]) -> int:
         plant=args.plant,
         original_plan=result.plan if result.shrunk_plan else None,
         shards=args.shards,
+        check_interval=args.check_interval,
+        config_overrides=overrides,
     )
     print(
         f"explore: VIOLATION [{final_violation.oracle}] after "
@@ -205,22 +195,10 @@ def _replay_parser() -> argparse.ArgumentParser:
         prog="repro replay",
         description=(
             "Deterministically re-execute a saved exploration repro artifact "
-            "or a soak-run artifact."
+            "or a soak-run artifact, under the configuration it recorded."
         ),
     )
     parser.add_argument("artifact", help="path to a JSON repro artifact")
-    parser.add_argument(
-        "--check-interval",
-        type=int,
-        default=10,
-        help="events between oracle sweeps (default 10; must match the artifact run)",
-    )
-    parser.add_argument(
-        "--fast-path",
-        action="store_true",
-        help="replay under the fast-path configuration (must match the "
-        "configuration the artifact was recorded with)",
-    )
     return parser
 
 
@@ -234,40 +212,13 @@ def replay_main(argv: List[str]) -> int:
         print(f"replay: no such artifact: {path}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        import json
-
-        raw = json.loads(path.read_text())
-        if raw.get("format") == "soak":
+        if is_soak_artifact(json.loads(path.read_text())):
             return _replay_soak(path)
-        shards = int(raw.get("shards", 1))
-    except (ValueError, OSError) as exc:
+        plan, recorded, plant, options = load_artifact(path)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"replay: malformed artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        plan, recorded, plant = load_artifact(path)
-    except (ValueError, KeyError) as exc:
-        print(f"replay: malformed artifact: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if shards > 1:
-        if args.fast_path:
-            print(
-                "replay: --fast-path is a single-group feature; this artifact "
-                "was recorded against a sharded deployment",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        from repro.explore.sharded import replay_sharded
-
-        outcome = replay_sharded(
-            plan, num_shards=shards, plant=plant, check_interval=args.check_interval
-        )
-    else:
-        outcome = replay(
-            plan,
-            plant=plant,
-            check_interval=args.check_interval,
-            config_overrides=FAST_PATH_OVERRIDES if args.fast_path else None,
-        )
+    outcome = run_plan(plan, plant=plant, **options)
     if outcome.violation is None:
         print(
             f"replay: no violation (recorded run saw [{recorded.get('oracle')}]); "
@@ -275,38 +226,24 @@ def replay_main(argv: List[str]) -> int:
         )
         return EXIT_OK
     observed = outcome.violation
-    matches = (
-        observed.oracle == recorded.get("oracle")
-        and observed.detail == recorded.get("detail")
-    )
     print(
         f"replay: VIOLATION [{observed.oracle}] at t={observed.time:.4f} "
         f"(event {observed.event_index}): {observed.detail}"
     )
     print(
         "replay: reproduces the recorded violation exactly"
-        if matches
+        if observed.to_dict() == recorded
         else "replay: WARNING - violation differs from the recorded one"
     )
     return EXIT_VIOLATION
 
 
 def _replay_soak(path: Path) -> int:
-    """Re-execute a soak artifact and compare against the recorded verdict."""
-    from repro.soak.runner import load_soak_artifact, run_soak
-
-    try:
-        plan, slo, recorded = load_soak_artifact(path)
-    except (ValueError, KeyError) as exc:
-        print(f"replay: malformed soak artifact: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    """Re-execute a soak artifact and compare against the recorded report;
+    a replay that does not reproduce it fails even when its own SLO held."""
+    plan, slo, recorded = load_soak_artifact(path)
     report = run_soak(plan, slo=slo)
-    matches = (
-        report.ok == recorded.get("ok")
-        and report.slo_violations == recorded.get("slo_violations")
-        and report.safety_violations == recorded.get("safety_violations")
-        and report.events == recorded.get("events")
-    )
+    matches = report.to_dict() == recorded
     status = "SLO held" if report.ok else (
         f"{len(report.slo_violations)} SLO + "
         f"{len(report.safety_violations)} safety violations"
@@ -320,10 +257,4 @@ def _replay_soak(path: Path) -> int:
         if matches
         else "replay: WARNING - soak verdict differs from the recorded one"
     )
-    return EXIT_OK if report.ok else EXIT_VIOLATION
-
-
-def plan_from_artifact(path) -> FaultPlan:
-    """Convenience accessor used by tests and tooling."""
-    plan, _violation, _plant = load_artifact(path)
-    return plan
+    return EXIT_OK if report.ok and matches else EXIT_VIOLATION

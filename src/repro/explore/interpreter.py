@@ -1,0 +1,542 @@
+"""The fault-plan interpreter: one step table, one support matrix, one session.
+
+Every way of running a :class:`~repro.explore.plan.FaultPlan` goes through
+this module.  ``STEP_TABLE`` maps each step kind to the function that applies
+it *and* to the deployments it is valid on (``single``: one BASE group under
+the explore workload; ``sharded``: several groups plus the 2PC layer, fault
+steps landing on shard 0; ``soak``: one group under the availability probe);
+:func:`check_supported` rejects a plan a deployment cannot run before any
+cluster is built; and a :class:`Session` installs the oracle suite, schedules
+the plan's steps onto the deployment's simulator, and runs the heal-and-sweep
+epilogue.  What differs per entry point is only what is built and what is
+measured: ``run_plan`` builds one cluster or a sharded one and drives an
+N-request workload followed by a liveness probe, ``run_soak`` drives the
+availability probe to the campaign horizon (docs/simulation.md has the
+support matrix).
+
+Everything is deterministic: storm geometry derives arithmetically from the
+plan seed and the step's own fields (no wall clock, no builtin ``hash``), so
+an artifact replays byte-identically.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+from repro.bft.client import InvocationTimeout
+from repro.bft.config import BFTConfig
+from repro.bft.messages import CheckpointCert
+from repro.bft.overload import OpenLoopLoadGenerator
+from repro.bft.testing import encode_set
+from repro.crypto.digest import digest
+from repro.explore.oracles import OracleSuite, ShardedOracleSuite
+from repro.explore.plan import CAMPAIGN_KINDS, FaultPlan, FaultStep
+from repro.faults import (
+    POISON,
+    drop_fraction_from,
+    make_equivocating_primary,
+    make_lying_checkpointer,
+    make_result_corruptor,
+    make_vote_corruptor,
+)
+from repro.faults.aging import DEFAULT_PER_OP_STALL, FragmentationAging
+from repro.net.network import NetworkConfig
+from repro.net.topology import PlacedTopology, topology_preset
+
+SINGLE, SHARDED, SOAK = "single", "sharded", "soak"
+
+# Single-group slot layout (32 cells): the explore workload writes 0..7,
+# corrupt_object maps its index into 8..23 so the corruption stays silent
+# instead of being overwritten by the workload, overload and flash-crowd
+# swarms write 24..29 (each op's value embeds the swarm client id and a
+# per-client sequence number so the prefix oracle's per-client-unique-op
+# requirement holds), the poison request is a SET of slot 30, and the
+# liveness / availability probe owns slot 31.
+_CORRUPT_SLOT_BASE = 8
+_CORRUPT_SLOT_SPAN = 16
+_SWARM_SLOT_BASE = 24
+_SWARM_SLOT_SPAN = 6
+_POISON_SLOT = 30
+PROBE_SLOT = 31
+
+#: Sharded slot layout (objects_per_shard = 8, slot 8 of each shard being the
+#: reserved participant table): singles write slots 0..5, cross-shard
+#: transactions write slot 6, liveness and alignment probes slot 7.
+OBJECTS_PER_SHARD = 8
+SHARD_TXN_SLOT = 6
+SHARD_PROBE_SLOT = 7
+
+#: WAN-tuned protocol timers: inter-region one-way latencies approach 0.1s,
+#: so the LAN defaults (250ms view-change patience, 50ms gossip) would turn
+#: ordinary cross-region commits into view-change churn.  Applied whenever
+#: the plan names a topology; a flat plan's configuration is untouched.
+WAN_CONFIG_OVERRIDES: Dict[str, object] = {
+    "view_change_timeout": 1.5,
+    "status_interval": 0.5,
+    "client_retry": 0.5,
+    "client_retry_max": 2.0,
+    "pending_ttl": 5.0,
+}
+
+#: Rate multipliers over a flash crowd's duration (equal-width segments): the
+#: swarm ramps to the step's peak ``rate`` at the midpoint and back down —
+#: the diurnal-burst shape, discretised.
+FLASH_RAMP: Tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.0, 0.75, 0.5, 0.25)
+
+
+def deployment_configs(
+    plan: FaultPlan, fields: Dict, overrides: Optional[Dict] = None
+) -> Tuple[BFTConfig, NetworkConfig]:
+    """The protocol and network configuration a plan's clusters are built
+    with: the entry point's base ``fields``, the plan's own parameters, the
+    WAN timers iff it names a topology, then the caller's ``overrides``."""
+    merged = dict(fields, recovery_period=plan.recovery_period)
+    if plan.topology:
+        merged.update(WAN_CONFIG_OVERRIDES)
+    merged.update(overrides or {})
+    return BFTConfig(**merged), NetworkConfig(
+        delay=0.0005, jitter=0.0005, drop_rate=plan.drop_rate
+    )
+
+
+class Session:
+    """One plan on one deployment: oracles installed, steps schedulable.
+
+    ``system`` is the caller-built deployment (a ``Cluster`` or, for
+    ``SHARDED``, a ``ShardedCluster``) and ``recorders`` its history
+    recorders in group order.  The session owns everything the appliers
+    share: drop interceptors, open-loop swarms, the placed topology, storm
+    cuts, the aging model, flagged destroy steps and the fused-backup tier.
+    """
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        system,
+        recorders: List,
+        deployment: str,
+        check_interval: int,
+        poisoned: Optional[Set[str]] = None,
+    ) -> None:
+        self.plan = plan
+        self.system = system
+        self.sim = system.sim
+        self.clusters = system.clusters if deployment == SHARDED else [system]
+        # Fault steps land on group 0; the other shards stay fault-free,
+        # which is exactly what makes cross-shard violations attributable.
+        self.cluster = self.clusters[0]
+        self.placed: Optional[PlacedTopology] = None
+        if plan.topology:
+            self.placed = PlacedTopology(
+                topology_preset(plan.topology), self.cluster.network
+            )
+            self.placed.compile()
+        if deployment == SHARDED:
+            self.suite = ShardedOracleSuite(
+                system, recorders, plan.byzantine_targets(), check_interval
+            )
+        else:
+            self.suite = OracleSuite(
+                system, recorders[0], plan.byzantine_targets(), check_interval
+            )
+        self.suite.install()
+        if plan.perturb_seed is not None:
+            self.sim.set_tiebreak(random.Random(plan.perturb_seed), window=4)
+        self.poisoned = poisoned  # armed implementations (poison_request)
+        self.poison_requests = 0
+        self.drop_removers: List[Callable[[], None]] = []
+        self.swarms: List[OpenLoopLoadGenerator] = []
+        # (region_a, region_b, links) for cuts currently held by storms.
+        self.storm_cuts: List[Tuple[str, str, List[Tuple[str, str]]]] = []
+        self.aging: Optional[FragmentationAging] = None
+        self.pending_destroys: List[FaultStep] = []
+        self.tier = None  # the FusedBackupTier, attached by arm() when needed
+
+    def client(self, client_id: str):
+        """Get-or-create a client, placed into the topology when there is one."""
+        if self.placed is not None:
+            self.placed.place_client(client_id)
+        return self.system.client(client_id)
+
+    def new_swarm(self, prefix: str, step: FaultStep, rate: float):
+        """An open-loop swarm of ``step.clients`` fresh clients, not yet started."""
+        index = len(self.swarms)
+        clients = [self.client(f"{prefix}{index}-{i}") for i in range(step.clients)]
+        swarm = OpenLoopLoadGenerator(self.sim, clients, rate, _swarm_op)
+        self.swarms.append(swarm)
+        return swarm
+
+    def offered(self) -> int:
+        return sum(swarm.offered for swarm in self.swarms)
+
+    def completed(self) -> int:
+        return sum(swarm.completed for swarm in self.swarms)
+
+    def arm(self) -> None:
+        """Schedule every step of the plan at its fire time; a destruction
+        plan then gets its fused-backup tier (steps timed inside the parity
+        bootstrap fire during it)."""
+        for step in self.plan.steps:
+            apply = STEP_TABLE[step.kind].apply
+            self.sim.schedule(max(0.0, step.at), lambda s=step, a=apply: a(self, s))
+        if self.plan.has_destruction():
+            # Imported here: only destruction plans pay for loading the codec.
+            from repro.bft.fusion import FusedBackupTier
+
+            self.tier = FusedBackupTier(self.system)
+            self.tier.attach()
+            self.system.settle(0.5)  # let the parity bootstrap finish before load
+
+    def start_rotation(self) -> None:
+        """Arm the staggered proactive-recovery watchdogs (plan permitting)."""
+        if self.plan.recovery_period > 0:
+            for cluster in self.clusters:
+                cluster.start_proactive_recovery()
+
+    def drain_destroys(self, client) -> None:
+        """Execute the ``destroy_group`` steps that have fired: align, wipe,
+        await the rebuild.  Called between requests, never mid-invocation."""
+        while self.pending_destroys:
+            shard = self.pending_destroys.pop(0).index % len(self.clusters)
+            if not self._align_for_destroy(client, shard):
+                self.tier.counters.add("fusion_destroys_skipped")
+                continue
+            self.system.destroy_group(shard)
+            self.sim.run_until_condition(self.tier.idle, timeout=60.0)
+            self.system.settle(0.5)
+
+    def _align_for_destroy(self, client, shard: int) -> bool:
+        """Drive the victim group to a quiescent stable-checkpoint boundary
+        with the fused tier fully current, so the loss destroys no
+        acknowledged state (RPO = 0) and every safety oracle keeps holding
+        unconditionally through the rebuild.  Pads with probe writes until
+        all replicas of the group sit at the same ``last_executed`` which is
+        stable and on a checkpoint boundary, and the tier's parity has
+        absorbed that checkpoint.  Returns False when alignment cannot be
+        reached inside the attempt budget (an active fault kept the group
+        from settling); the destroy is then skipped rather than tolerate data
+        loss the oracles would have to excuse.
+        """
+        cluster = self.clusters[shard]
+        interval = cluster.config.checkpoint_interval
+        probe = self.system.shardmap.global_index(shard, SHARD_PROBE_SLOT)
+        for _ in range(6 * interval):
+            self.system.settle(0.25)
+            states = [
+                (host.replica.last_executed, host.replica.stable_seqno)
+                for _rid, host in sorted(cluster.hosts.items())
+            ]
+            executed, stable = states[0]
+            if (
+                all(s == states[0] for s in states)
+                and executed > 0
+                and executed % interval == 0
+                and stable == executed
+                and all(node.applied.get(shard) == stable for node in self.tier.nodes)
+            ):
+                return True
+            try:
+                client.invoke(encode_set(probe, b"align"), timeout=8.0)
+            except InvocationTimeout:
+                client.cancel()
+        return False
+
+    def heal_and_sweep(self, settle: float) -> None:
+        """The epilogue: stop the plan's load, heal every fault it may have
+        left behind, let the system settle, and sweep the oracles once."""
+        for swarm in self.swarms:
+            swarm.stop()
+        for _a, _b, links in self.storm_cuts:
+            self.cluster.network.restore_links(links)
+        self.storm_cuts = []
+        if self.aging is not None:
+            self.aging.disarm()
+        self.system.heal()
+        self.system.restart_all_down()
+        for remove in list(self.drop_removers):
+            remove()
+        for cluster in self.clusters:
+            cluster.network.config.drop_rate = 0.0
+        self.system.settle(settle)
+        self.suite.check_now()
+
+
+# -- appliers -------------------------------------------------------------------
+
+
+def _swarm_op(client_id: str, seq: int) -> bytes:
+    return encode_set(
+        _SWARM_SLOT_BASE + seq % _SWARM_SLOT_SPAN, f"{client_id}:{seq}".encode()
+    )
+
+
+def _drop(session: Session, step: FaultStep) -> None:
+    remove = drop_fraction_from(session.cluster.network, step.target, step.fraction)
+    session.drop_removers.append(remove)
+
+    def expire() -> None:
+        remove()
+        if remove in session.drop_removers:
+            session.drop_removers.remove(remove)
+
+    session.sim.schedule(step.duration, expire)
+
+
+def _arm_byzantine(make: Callable) -> Callable[[Session, FaultStep], None]:
+    return lambda session, step: make(session.cluster.replica(step.target))
+
+
+def _fabricate_cert(session: Session, step: FaultStep) -> None:
+    """Byzantine step: send one victim a certificate with a garbage digest
+    (no valid proof quorum — only an implementation that skips verification
+    will believe it).
+
+    Prefer a sequence number some replica has already checkpointed honestly
+    but the victim has not yet stabilized: a victim that swallows the lie
+    then conflicts with existing honest evidence and the checkpoint-stability
+    oracle fires at once.  Otherwise aim at the next checkpoint boundary.
+    """
+    cluster = session.cluster
+    victims = [rid for rid in sorted(cluster.hosts) if rid != step.target]
+    if not victims:
+        return
+    victim = victims[0]
+    victim_stable = cluster.replica(victim).stable_seqno
+    checkpointed = [
+        seqno
+        for host in cluster.hosts.values()
+        for seqno in host.replica.own_checkpoints
+        if seqno > victim_stable
+    ]
+    if checkpointed:
+        target = max(checkpointed)
+    else:
+        interval = cluster.config.checkpoint_interval
+        base = max(host.replica.last_executed for host in cluster.hosts.values())
+        target = (base // interval + 1) * interval
+    cert = CheckpointCert(
+        seqno=target, state_digest=digest(b"fabricated-checkpoint"), proof=[]
+    )
+    cluster.replica(step.target).send(victim, cert)
+
+
+def _poison_request(session: Session, step: FaultStep) -> None:
+    # Arm the target's implementation, then drive the poisonous request
+    # through a dedicated client; the other replicas execute it fine (the
+    # client gets its reply quorum) while the target crashes.
+    session.poisoned.add(step.target)
+    session.poison_requests += 1
+    client = session.client(f"P{session.poison_requests}")
+    client.invoke_async(encode_set(_POISON_SLOT, POISON), lambda _reply: None)
+
+
+def _corrupt_object(session: Session, step: FaultStep) -> None:
+    # Flip a value in the target's concrete state *without* a modify()
+    # upcall: the partition tree keeps the stale digest, so checkpoints stay
+    # honest and only the scrubber can notice.
+    cells = session.cluster.service(step.target).cells
+    if len(cells) >= _CORRUPT_SLOT_BASE + _CORRUPT_SLOT_SPAN:
+        index = _CORRUPT_SLOT_BASE + step.index % _CORRUPT_SLOT_SPAN
+    else:
+        index = step.index % len(cells)
+    cells[index] = cells[index] + b"\xff<bitrot>"
+
+
+def _overload(session: Session, step: FaultStep) -> None:
+    swarm = session.new_swarm("L", step, step.rate)
+    net_config = session.cluster.network.config
+    previous_bandwidth = net_config.bandwidth
+    if step.bandwidth > 0:
+        net_config.bandwidth = step.bandwidth
+    session.suite.begin_overload(strict=session.plan.pure_overload())
+    swarm.start()
+
+    def end_overload() -> None:
+        swarm.stop()
+        if step.bandwidth > 0:
+            net_config.bandwidth = previous_bandwidth
+        session.suite.end_overload()
+
+    session.sim.schedule(step.duration, end_overload)
+
+
+def _region_outage(session: Session, step: FaultStep) -> None:
+    cluster = session.cluster
+    victims = session.placed.region_replicas(step.region)
+    cluster.network.counters.add("region_outages")
+    for replica_id in victims:
+        cluster.crash(replica_id)
+
+    def restore() -> None:
+        for replica_id in victims:
+            cluster.restart(replica_id)
+
+    session.sim.schedule(step.duration, restore)
+
+
+def storm_rng(plan_seed: int, step: FaultStep) -> random.Random:
+    """Seeded RNG for one storm's geometry: a pure arithmetic mix of the
+    plan seed and the step's fields, so the same plan always produces the
+    same correlated cuts (and two storms in one plan produce different
+    ones)."""
+    mix = (
+        plan_seed * 1_000_003
+        + step.count * 8_191
+        + int(round(step.at * 10_000))
+        + int(round(step.duration * 100))
+    ) % (2**31)
+    return random.Random(mix)
+
+
+def _partition_storm(session: Session, step: FaultStep) -> None:
+    placed, network = session.placed, session.cluster.network
+    rng = storm_rng(session.plan.seed, step)
+    boundaries = placed.boundaries()
+    for _ in range(step.count):
+        region_a, region_b = boundaries[rng.randrange(len(boundaries))]
+        start = round(rng.uniform(0.0, 0.7) * step.duration, 4)
+        length = round(rng.uniform(0.1, 0.3) * step.duration, 4)
+        end = min(step.duration, start + length)
+
+        def cut(a: str = region_a, b: str = region_b) -> None:
+            # Cut sets are computed at cut time so clients placed after
+            # the storm was scheduled are severed too.
+            links = placed.boundary_links(a, b)
+            network.counters.add("storm_cuts")
+            network.cut_links(links)
+            session.storm_cuts.append((a, b, links))
+
+        def heal(a: str = region_a, b: str = region_b) -> None:
+            for index, (ra, rb, links) in enumerate(session.storm_cuts):
+                if (ra, rb) == (a, b):
+                    network.restore_links(links)
+                    del session.storm_cuts[index]
+                    return
+
+        session.sim.schedule(start, cut)
+        session.sim.schedule(end, heal)
+
+
+def _latency_spike(session: Session, step: FaultStep) -> None:
+    placed, network = session.placed, session.cluster.network
+    pairs = placed.spike_pairs(step.region)
+    network.counters.add("latency_spikes")
+    for src, dst in pairs:
+        spec = placed.current_spec(src, dst).scaled(step.factor)
+        network.set_link(src, dst, spec.to_config())
+
+    def restore() -> None:
+        for src, dst in pairs:
+            network.set_link(src, dst, placed.current_spec(src, dst).to_config())
+
+    session.sim.schedule(step.duration, restore)
+
+
+def _flash_crowd(session: Session, step: FaultStep) -> None:
+    swarm = session.new_swarm("F", step, FLASH_RAMP[0] * step.rate)
+    session.cluster.network.counters.add("flash_crowds")
+    swarm.start()
+    segment = step.duration / len(FLASH_RAMP)
+    for i, multiplier in enumerate(FLASH_RAMP[1:], start=1):
+        session.sim.schedule(
+            i * segment, lambda m=multiplier: swarm.set_rate(m * step.rate)
+        )
+    session.sim.schedule(step.duration, swarm.stop)
+
+
+def _age_replicas(session: Session, step: FaultStep) -> None:
+    if session.aging is None:
+        per_op = step.fraction if step.fraction > 0 else DEFAULT_PER_OP_STALL
+        session.aging = FragmentationAging(session.cluster, per_op_stall=per_op)
+    if step.target:
+        session.aging.arm(step.target)
+    else:
+        session.aging.arm()
+
+
+# -- the step table and the support matrix ------------------------------------------
+
+
+@dataclass(frozen=True)
+class StepKind:
+    """How one step kind is applied, and the deployments it is valid on."""
+
+    apply: Callable[[Session, FaultStep], None]
+    deployments: FrozenSet[str]
+    needs_topology: bool = False  # speaks in regions of the plan's preset
+
+
+_ANYWHERE = frozenset({SINGLE, SHARDED, SOAK})
+# Campaign steps speak in regions, swarms and aging of *one* group's network.
+_ONE_GROUP = frozenset({SINGLE, SOAK})
+# Implementation faults need the containment supervisor and poisonable
+# implementations, overload the strict goodput oracle: only run_plan's
+# single-group cluster is built with them.
+_SINGLE_ONLY = frozenset({SINGLE})
+# Destroying a group is survivable only with sibling groups to rebuild from.
+_SHARDED_ONLY = frozenset({SHARDED})
+
+STEP_TABLE: Dict[str, StepKind] = {
+    "crash": StepKind(lambda s, step: s.cluster.crash(step.target), _ANYWHERE),
+    "restart": StepKind(lambda s, step: s.cluster.restart(step.target), _ANYWHERE),
+    "partition": StepKind(
+        lambda s, step: s.cluster.network.partition(*step.groups), _ANYWHERE
+    ),
+    "heal": StepKind(lambda s, step: s.cluster.heal(), _ANYWHERE),
+    "drop": StepKind(_drop, _ANYWHERE),
+    "recover": StepKind(lambda s, step: s.cluster.recover(step.target), _ANYWHERE),
+    "equivocate": StepKind(_arm_byzantine(make_equivocating_primary), _ANYWHERE),
+    "lie_checkpoint": StepKind(_arm_byzantine(make_lying_checkpointer), _ANYWHERE),
+    "corrupt_votes": StepKind(_arm_byzantine(make_vote_corruptor), _ANYWHERE),
+    "corrupt_results": StepKind(_arm_byzantine(make_result_corruptor), _ANYWHERE),
+    "fabricate_cert": StepKind(_fabricate_cert, _ANYWHERE),
+    "poison_request": StepKind(_poison_request, _SINGLE_ONLY),
+    "corrupt_object": StepKind(_corrupt_object, _SINGLE_ONLY),
+    "overload": StepKind(_overload, _SINGLE_ONLY),
+    "region_outage": StepKind(_region_outage, _ONE_GROUP, needs_topology=True),
+    "partition_storm": StepKind(_partition_storm, _ONE_GROUP, needs_topology=True),
+    "latency_spike": StepKind(_latency_spike, _ONE_GROUP, needs_topology=True),
+    "flash_crowd": StepKind(_flash_crowd, _ONE_GROUP),
+    "age_replicas": StepKind(_age_replicas, _ONE_GROUP),
+    # Destruction is not a per-group fault: it needs checkpoint alignment and
+    # a blocking rebuild, so the step only *flags* itself at its fire time
+    # and the workload loop executes it between requests (drain_destroys).
+    "destroy_group": StepKind(
+        lambda s, step: s.pending_destroys.append(step), _SHARDED_ONLY
+    ),
+}
+
+
+def unsupported_kinds(kinds: Iterable[str], deployment: str) -> List[str]:
+    """The ``kinds`` (sorted) that ``deployment`` cannot run — the one place
+    that decides; a kind missing from the table is supported nowhere."""
+    return sorted(
+        {
+            kind
+            for kind in kinds
+            if kind not in STEP_TABLE
+            or deployment not in STEP_TABLE[kind].deployments
+        }
+    )
+
+
+def check_supported(plan: FaultPlan, deployment: str) -> None:
+    """Raise ``ValueError`` if ``deployment`` cannot run ``plan``; every
+    entry point calls this before it builds a cluster."""
+    unsupported = unsupported_kinds((step.kind for step in plan.steps), deployment)
+    if plan.topology and unsupported_kinds(CAMPAIGN_KINDS, deployment):
+        # Presets are compiled by the campaign machinery: same support.
+        unsupported.append(f"topology {plan.topology!r}")
+    if unsupported:
+        raise ValueError(
+            f"a {deployment} deployment does not support {unsupported} "
+            f"(see the support matrix in docs/simulation.md)"
+        )
+    if not plan.topology:
+        regional = sorted(
+            {s.kind for s in plan.steps if STEP_TABLE[s.kind].needs_topology}
+        )
+        if regional:
+            raise ValueError(f"{regional} require a plan topology")

@@ -324,7 +324,7 @@ class ShardedOracleSuite:
         check_interval: int = 10,
     ) -> None:
         self.sharded = sharded
-        # Fault steps target shard 0 (see explore/sharded.py), so only its
+        # Fault steps target shard 0 (see explore/interpreter.py), so only its
         # suite excludes the plan's byzantine replicas.
         self.suites: List[OracleSuite] = [
             OracleSuite(

@@ -1,59 +1,50 @@
 """Budgeted exploration of fault schedules, and deterministic replay.
 
 ``explore`` derives a stream of fault plans from one master seed, executes
-each against a fresh recording cluster with every safety oracle installed as
-a continuous simulator hook, optionally perturbs event ordering with the
+each against a fresh recording deployment with every safety oracle installed
+as a continuous simulator hook, optionally perturbs event ordering with the
 seeded tie-break shuffle, and stops at the first violation — which it then
 shrinks to a minimal plan and packages as a replayable artifact.
 
 ``run_plan`` is the single-run primitive shared by exploration, shrinking,
 replay, and the tests: one plan in, one verdict out, byte-deterministic.
+``shards=1`` runs the plan against one BASE group; ``shards=N`` against N
+groups with a cross-shard transactional workload, the plan's fault steps
+landing on shard 0 (the other shards stay fault-free), so crash/partition
+windows there overlap in-flight 2PC.  Either way the steps are applied by
+the shared interpreter (:mod:`repro.explore.interpreter`); this module only
+builds the deployment, drives the workload, and demands liveness afterwards.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from typing import Set
-
 from repro.bft.client import InvocationTimeout
-from repro.bft.cluster import Cluster
-from repro.bft.config import BFTConfig
-from repro.bft.messages import CheckpointCert
-from repro.bft.overload import OpenLoopLoadGenerator
 from repro.bft.repair import RepairPolicy
+from repro.bft.sharding import sharded_recording_cluster
 from repro.bft.testing import canonical_committed_history, encode_set, recording_cluster
-from repro.crypto.digest import digest
-from repro.explore.oracles import OracleSuite, OracleViolation, Violation
+from repro.explore.interpreter import (
+    OBJECTS_PER_SHARD,
+    PROBE_SLOT,
+    SHARD_PROBE_SLOT,
+    SHARD_TXN_SLOT,
+    SHARDED,
+    SINGLE,
+    Session,
+    check_supported,
+    deployment_configs,
+)
+from repro.explore.oracles import OracleViolation, Violation
 from repro.explore.plan import CAMPAIGN_KINDS, FaultPlan, generate_plan
 from repro.explore.shrink import shrink_plan
-from repro.faults import (
-    POISON,
-    drop_fraction_from,
-    make_equivocating_primary,
-    make_lying_checkpointer,
-    make_result_corruptor,
-    make_vote_corruptor,
-)
-from repro.faults.plant import PLANTED_BUGS
-from repro.net.network import NetworkConfig
+from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS
 
-# Runner conventions for implementation-fault steps: the poison request is a
-# SET of this slot (outside both the workload's slots 0..7 and the liveness
-# probe's slot 31), and corrupt_object maps its index into slots 8..23 so the
-# corruption stays silent instead of being overwritten by the workload.
-_POISON_SLOT = 30
-_CORRUPT_SLOT_BASE = 8
-_CORRUPT_SLOT_SPAN = 16
-
-# The overload swarm writes slots 24..29 (disjoint from the workload, the
-# poison/corruption slots, and the liveness probe); each op's value embeds
-# the swarm client id and a per-client sequence number so the prefix oracle's
-# per-client-unique-op requirement holds.
-_OVERLOAD_SLOT_BASE = 24
-_OVERLOAD_SLOT_SPAN = 6
+#: The planted regressions each deployment understands.
+PLANTS = {SINGLE: PLANTED_BUGS, SHARDED: SHARDED_PLANTED_BUGS}
 
 #: Cross-replica counters surfaced in every run verdict (all zero on plans
 #: that never saturate anything, which is itself evidence).
@@ -89,13 +80,6 @@ _CAMPAIGN_COUNTERS = (
     "aging_stalls",
     "aging_stall_us",
 )
-
-
-def _swarm_op(client_id: str, seq: int) -> bytes:
-    return encode_set(
-        _OVERLOAD_SLOT_BASE + seq % _OVERLOAD_SLOT_SPAN,
-        f"{client_id}:{seq}".encode(),
-    )
 
 
 @dataclass
@@ -154,110 +138,123 @@ class ExploreResult:
         }
 
 
-# -- applying one fault step ----------------------------------------------------
+#: Transaction-layer counters surfaced in every sharded verdict.
+_TXN_COUNTERS = (
+    "txns_started",
+    "txns_committed",
+    "txns_aborted",
+    "txns_abandoned",
+    "txn_commits_applied",
+    "txn_aborts_applied",
+    "txn_lock_conflicts",
+    "txn_decides_rejected",
+)
+
+#: Fused-backup counters, surfaced only when the plan destroyed a group.
+_FUSION_COUNTERS = (
+    "fusion_reconstructions_started",
+    "fusion_reconstructions_completed",
+    "fusion_reconstructions_failed",
+    "fusion_replicas_seeded",
+    "fusion_updates_applied",
+    "fusion_destroys_skipped",
+)
 
 
-def _fabricate_checkpoint_cert(cluster: Cluster, sender_id: str) -> None:
-    """Byzantine step: send one victim a certificate with a garbage digest
-    (no valid proof quorum — only an implementation that skips verification
-    will believe it).
-
-    Prefer a sequence number some replica has already checkpointed honestly
-    but the victim has not yet stabilized: a victim that swallows the lie
-    then conflicts with existing honest evidence and the checkpoint-stability
-    oracle fires at once.  Otherwise aim at the next checkpoint boundary.
-    """
-    victims = [rid for rid in sorted(cluster.hosts) if rid != sender_id]
-    if not victims:
-        return
-    victim = victims[0]
-    victim_stable = cluster.replica(victim).stable_seqno
-    checkpointed = [
-        seqno
-        for host in cluster.hosts.values()
-        for seqno in host.replica.own_checkpoints
-        if seqno > victim_stable
-    ]
-    if checkpointed:
-        target = max(checkpointed)
-    else:
-        interval = cluster.config.checkpoint_interval
-        base = max(host.replica.last_executed for host in cluster.hosts.values())
-        target = (base // interval + 1) * interval
-    cert = CheckpointCert(
-        seqno=target, state_digest=digest(b"fabricated-checkpoint"), proof=[]
-    )
-    cluster.replica(sender_id).send(victim, cert)
+# -- the two workloads ----------------------------------------------------------------
 
 
-def _apply_step(
-    cluster: Cluster,
-    step,
-    drop_removers: List[Callable[[], None]],
-    impl_ctx: Optional[Dict] = None,
-) -> None:
-    kind = step.kind
-    if kind == "crash":
-        cluster.crash(step.target)
-    elif kind == "restart":
-        cluster.restart(step.target)
-    elif kind == "partition":
-        cluster.network.partition(*step.groups)
-    elif kind == "heal":
-        cluster.heal()
-    elif kind == "drop":
-        remove = drop_fraction_from(cluster.network, step.target, step.fraction)
-        drop_removers.append(remove)
+class _Workload:
+    """The closed-loop client ``C0`` and how to ask it for one operation."""
 
-        def expire() -> None:
-            remove()
-            if remove in drop_removers:
-                drop_removers.remove(remove)
+    #: Per-request replies (None = timed out); differential evidence the
+    #: single-group workload collects.
+    replies: Optional[List[Optional[bytes]]] = None
 
-        cluster.sim.schedule(step.duration, expire)
-    elif kind == "recover":
-        cluster.recover(step.target)
-    elif kind == "equivocate":
-        make_equivocating_primary(cluster.replica(step.target))
-    elif kind == "lie_checkpoint":
-        make_lying_checkpointer(cluster.replica(step.target))
-    elif kind == "corrupt_votes":
-        make_vote_corruptor(cluster.replica(step.target))
-    elif kind == "corrupt_results":
-        make_result_corruptor(cluster.replica(step.target))
-    elif kind == "fabricate_cert":
-        _fabricate_checkpoint_cert(cluster, step.target)
-    elif kind == "poison_request":
-        if impl_ctx is None:
-            raise ValueError(
-                "poison_request requires a cluster built with implementation faults"
+    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
+        self.client = session.client("C0")
+        self.plan = plan
+        self.liveness_timeout = liveness_timeout
+
+    def invoke(self, op: bytes, timeout: float = 8.0) -> Optional[bytes]:
+        try:
+            return self.client.invoke(op, timeout=timeout)
+        except InvocationTimeout:
+            self.client.cancel()
+            return None
+
+
+class _SingleWorkload(_Workload):
+    """Sequential SETs over slots 0..7 of one group, then one liveness probe."""
+
+    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
+        super().__init__(session, plan, liveness_timeout)
+        self.replies = []
+
+    def request(self, i: int) -> bool:
+        reply = self.invoke(encode_set(i % 8, bytes([i % 251, self.plan.seed % 251])))
+        self.replies.append(reply)
+        return reply == b"OK"
+
+    def liveness(self) -> Optional[str]:
+        """Why the healed system is not live (None when it is): a correct
+        implementation must answer once faults stop and <= f replicas are
+        Byzantine."""
+        probe = encode_set(PROBE_SLOT, b"liveness-probe")
+        if self.invoke(probe, self.liveness_timeout) is None:
+            return (
+                f"no reply quorum within {self.liveness_timeout}s of virtual "
+                f"time after all faults were healed"
             )
-        # Arm the target's implementation, then drive the poisonous request
-        # through a dedicated client; the other replicas execute it fine
-        # (the client gets its reply quorum) while the target crashes.
-        impl_ctx["poisoned"].add(step.target)
-        impl_ctx["poison_count"] += 1
-        client = cluster.client(f"P{impl_ctx['poison_count']}")
-        client.invoke_async(encode_set(_POISON_SLOT, POISON), lambda _reply: None)
-    elif kind == "corrupt_object":
-        if impl_ctx is None:
-            raise ValueError(
-                "corrupt_object requires a cluster built with implementation faults"
+        return None
+
+
+class _ShardedWorkload(_Workload):
+    """Single-shard writes interleaved across all shards with cross-shard
+    transactions; liveness is demanded from every shard *and* from the
+    cross-shard layer."""
+
+    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
+        super().__init__(session, plan, liveness_timeout)
+        self.shardmap = session.system.shardmap
+        self.shards = len(session.clusters)
+
+    def _txn_writes(self, i: int) -> List:
+        home = i % self.shards
+        value = bytes([i % 251, self.plan.seed % 251, 0x54])
+        first = self.shardmap.global_index(home, SHARD_TXN_SLOT)
+        other = self.shardmap.global_index((home + 1) % self.shards, SHARD_TXN_SLOT)
+        return [(first, value), (other, value + b"'")]
+
+    def request(self, i: int) -> bool:
+        if i % 4 == 3:
+            # Every fourth request is a cross-shard transaction, so 2PC is
+            # always in flight across the plan's fault windows.
+            return self.client.invoke_txn(self._txn_writes(i), timeout=8.0) is not None
+        index = self.shardmap.global_index(i % self.shards, i % SHARD_TXN_SLOT)
+        value = bytes([i % 251, self.plan.seed % 251])
+        return self.invoke(encode_set(index, value)) == b"OK"
+
+    def liveness(self) -> Optional[str]:
+        for shard in range(self.shards):
+            probe = self.shardmap.global_index(shard, SHARD_PROBE_SLOT)
+            op = encode_set(probe, b"liveness-probe")
+            if self.invoke(op, self.liveness_timeout) is None:
+                return (
+                    f"shard{shard}: no reply quorum within "
+                    f"{self.liveness_timeout}s of virtual time after all "
+                    f"faults were healed"
+                )
+        # A cross-shard decision (commit or abort, either is live) must also
+        # be reachable once the world is healed.
+        writes = self._txn_writes(self.plan.requests)
+        if self.client.invoke_txn(writes, timeout=self.liveness_timeout) is None:
+            return (
+                f"cross-shard transaction reached no decision within "
+                f"{self.liveness_timeout}s of virtual time after all faults "
+                f"were healed"
             )
-        # Flip a value in the target's concrete state *without* a modify()
-        # upcall: the partition tree keeps the stale digest, so checkpoints
-        # stay honest and only the scrubber can notice.
-        service = cluster.service(step.target)
-        cells = getattr(service, "cells", None)
-        if cells is None:
-            raise ValueError("corrupt_object requires a KV-style service")
-        if len(cells) >= _CORRUPT_SLOT_BASE + _CORRUPT_SLOT_SPAN:
-            index = _CORRUPT_SLOT_BASE + step.index % _CORRUPT_SLOT_SPAN
-        else:
-            index = step.index % len(cells)
-        cells[index] = cells[index] + b"\xff<bitrot>"
-    else:
-        raise ValueError(f"unknown fault step kind {kind!r}")
+        return None
 
 
 # -- one plan, one verdict --------------------------------------------------------
@@ -265,13 +262,15 @@ def _apply_step(
 
 def run_plan(
     plan: FaultPlan,
+    shards: int = 1,
     plant: Optional[str] = None,
     check_interval: int = 10,
     liveness_timeout: float = 30.0,
     overload_damping: bool = True,
     config_overrides: Optional[Dict] = None,
 ) -> RunOutcome:
-    """Execute one fault plan against a fresh cluster; fully deterministic.
+    """Execute one fault plan against a fresh deployment; fully deterministic:
+    (plan, shards, plant, configuration) determine the verdict.
 
     ``overload_damping=False`` disables the anti-view-change-storm damping —
     used by the acceptance tests to demonstrate that without it, a pure
@@ -280,196 +279,119 @@ def run_plan(
     ``config_overrides`` merges extra :class:`BFTConfig` fields into the run
     configuration — the differential harness uses it to replay one fault plan
     under baseline and fast-path configurations and compare the outcomes."""
-    if plant is not None and plant not in PLANTED_BUGS:
-        raise ValueError(f"unknown planted bug {plant!r}")
-    if plan.has_destruction():
-        # Group destruction only makes sense where a fused-backup tier can
-        # rebuild the lost group: sharded runs (repro explore --shards).
-        raise ValueError("destroy_group requires a sharded exploration run")
-    impl_ctx: Optional[Dict] = None
-    repair: Optional[RepairPolicy] = None
-    poisoned: Optional[Set[str]] = None
-    if plan.has_implementation_faults():
-        # Implementation-fault steps need the containment machinery: an
-        # armable poisonable implementation per replica plus a clean failover
-        # version, a supervisor to repair crashes, and (when state corruption
-        # is in the plan) a running scrubber.
-        poisoned = set()
-        impl_ctx = {"poisoned": poisoned, "poison_count": 0}
-        scrubbing = any(step.kind == "corrupt_object" for step in plan.steps)
-        repair = RepairPolicy(
-            backoff_initial=0.02,
-            backoff_max=0.3,
-            deterministic_after=2,
-            failover_after=3,
-            scrub_interval=0.08 if scrubbing else 0.0,
-            scrub_batch=12,
+    deployment = SHARDED if shards > 1 else SINGLE
+    check_supported(plan, deployment)
+    if plant is not None and plant not in PLANTS[deployment]:
+        raise ValueError(f"unknown {deployment} planted bug {plant!r}")
+    if config_overrides and deployment == SHARDED:
+        raise ValueError("config overrides (the fast path) are a single-group feature")
+    config, net_config = deployment_configs(
+        plan,
+        {"checkpoint_interval": 8, "log_window": 16, "overload_damping": overload_damping},
+        config_overrides,
+    )
+    poisoned = None
+    if deployment == SHARDED:
+        system, recorders = sharded_recording_cluster(
+            shards,
+            config=config,
+            seed=plan.seed,
+            objects_per_shard=OBJECTS_PER_SHARD,
+            net_config=net_config,
         )
-    config_fields: Dict = {
-        "checkpoint_interval": 8,
-        "log_window": 16,
-        "recovery_period": plan.recovery_period,
-        "overload_damping": overload_damping,
-    }
-    if plan.topology:
-        # Geo-scale plans need WAN-tuned timers; the default (no-topology)
-        # configuration is byte-identical to what it always was.
-        from repro.soak.runner import WAN_CONFIG_OVERRIDES
-
-        config_fields.update(WAN_CONFIG_OVERRIDES)
-    config_fields.update(config_overrides or {})
-    cluster, recorder = recording_cluster(
-        config=BFTConfig(**config_fields),
-        net_config=NetworkConfig(delay=0.0005, jitter=0.0005, drop_rate=plan.drop_rate),
-        seed=plan.seed,
-        repair=repair,
-        poisoned=poisoned,
-    )
-    campaign_ctx = None
-    if plan.has_campaign():
-        # Campaign plans (geo-scale steps and/or a topology preset) share
-        # the appliers with the soak harness; the import stays lazy so the
-        # default explore path's import graph is unchanged.
-        from repro.soak.campaign import CampaignContext
-
-        campaign_ctx = CampaignContext(cluster, plan)
-        campaign_ctx.place("C0")
-    suite = OracleSuite(
-        cluster,
-        recorder,
-        byzantine=plan.byzantine_targets(),
-        check_interval=check_interval,
-    )
-    suite.install()
+    else:
+        repair = None
+        if plan.has_implementation_faults():
+            # Implementation-fault steps need the containment machinery: an
+            # armable poisonable implementation per replica plus a clean
+            # failover version, a supervisor to repair crashes, and (when
+            # state corruption is in the plan) a running scrubber.
+            poisoned = set()
+            scrubbing = any(step.kind == "corrupt_object" for step in plan.steps)
+            repair = RepairPolicy(
+                backoff_initial=0.02,
+                backoff_max=0.3,
+                deterministic_after=2,
+                failover_after=3,
+                scrub_interval=0.08 if scrubbing else 0.0,
+                scrub_batch=12,
+            )
+        system, recorder = recording_cluster(
+            config=config,
+            net_config=net_config,
+            seed=plan.seed,
+            repair=repair,
+            poisoned=poisoned,
+        )
+        recorders = [recorder]
+    session = Session(plan, system, recorders, deployment, check_interval, poisoned)
+    sim = system.sim
     if plant is not None:
         # Re-apply each event so the bug survives reboots (recovery swaps
-        # the replica objects the sabotage was patched onto).
-        cluster.sim.add_step_hook(PLANTED_BUGS[plant](cluster))
-    if plan.perturb_seed is not None:
-        cluster.sim.set_tiebreak(random.Random(plan.perturb_seed), window=4)
-
-    drop_removers: List[Callable[[], None]] = []
-    strict_overload = plan.pure_overload()
-    swarms: List[OpenLoopLoadGenerator] = []
-
-    def _begin_overload(step) -> None:
-        swarm_index = len(swarms)
-        clients = [
-            cluster.client(f"L{swarm_index}-{i}") for i in range(step.clients)
-        ]
-        swarm = OpenLoopLoadGenerator(cluster.sim, clients, step.rate, _swarm_op)
-        swarms.append(swarm)
-        previous_bandwidth = cluster.network.config.bandwidth
-        if step.bandwidth > 0:
-            cluster.network.config.bandwidth = step.bandwidth
-        suite.begin_overload(strict=strict_overload)
-        swarm.start()
-
-        def _end_overload() -> None:
-            swarm.stop()
-            if step.bandwidth > 0:
-                cluster.network.config.bandwidth = previous_bandwidth
-            suite.end_overload()
-
-        cluster.sim.schedule(step.duration, _end_overload)
-
-    for step in plan.steps:
-        if step.kind == "overload":
-            cluster.sim.schedule(max(0.0, step.at), lambda s=step: _begin_overload(s))
-        elif step.kind in CAMPAIGN_KINDS:
-            if campaign_ctx is None:
-                raise ValueError(f"{step.kind} step requires a campaign context")
-            cluster.sim.schedule(
-                max(0.0, step.at), lambda s=step: campaign_ctx.apply(s)
-            )
-        else:
-            cluster.sim.schedule(
-                max(0.0, step.at),
-                lambda s=step: _apply_step(cluster, s, drop_removers, impl_ctx),
-            )
-    if plan.recovery_period > 0:
-        cluster.start_proactive_recovery()
-
-    client = cluster.client("C0")
-    completed = 0
-    client_replies: List[Optional[bytes]] = []
-    violation: Optional[Violation] = None
+        # the replica and service objects the sabotage was patched onto).
+        sim.add_step_hook(PLANTS[deployment][plant](system))
+    # Steps before rotation: a destruction plan's parity bootstrap (inside
+    # arm) takes 0.5 vsec and the rotation timers count from after it.
+    session.arm()
+    session.start_rotation()
+    workload = (_ShardedWorkload if deployment == SHARDED else _SingleWorkload)(
+        session, plan, liveness_timeout
+    )
+    outcome = RunOutcome(violation=None, completed=0, events=0)
     try:
         for i in range(plan.requests):
-            op = encode_set(i % 8, bytes([i % 251, plan.seed % 251]))
-            try:
-                reply = client.invoke(op, timeout=8.0)
-                client_replies.append(reply)
-                if reply == b"OK":
-                    completed += 1
-            except InvocationTimeout:
-                client_replies.append(None)
-                client.cancel()
+            session.drain_destroys(workload.client)
+            if workload.request(i):
+                outcome.completed += 1
         # Let any fault steps scheduled past the workload's end still fire
         # (overload and campaign episodes occupy [at, at + duration]).
-        horizon = (
-            max(
-                (
-                    s.at
-                    + (
-                        s.duration
-                        if s.kind == "overload" or s.kind in CAMPAIGN_KINDS
-                        else 0.0
-                    )
-                    for s in plan.steps
-                ),
-                default=0.0,
-            )
-            + 0.5
+        horizon = 0.5 + max(
+            (
+                s.at
+                + (
+                    s.duration
+                    if s.kind == "overload" or s.kind in CAMPAIGN_KINDS
+                    else 0.0
+                )
+                for s in plan.steps
+            ),
+            default=0.0,
         )
-        if cluster.sim.now() < horizon:
-            cluster.sim.run_until(horizon)
-        # Heal the world, then demand liveness: a correct implementation
-        # must answer once faults stop and <= f replicas are Byzantine.
-        if campaign_ctx is not None:
-            campaign_ctx.stop()
-        cluster.heal()
-        cluster.restart_all_down()
-        for remove in list(drop_removers):
-            remove()
-        cluster.network.config.drop_rate = 0.0
-        cluster.settle(2.0)
-        suite.check_now()
-        try:
-            client.invoke(encode_set(31, b"liveness-probe"), timeout=liveness_timeout)
-        except InvocationTimeout:
-            client.cancel()
-            violation = Violation(
+        if sim.now() < horizon:
+            sim.run_until(horizon)
+        # A destroy step timed after the workload finished fires during the
+        # horizon run; execute it before judging liveness.
+        session.drain_destroys(workload.client)
+        # Heal the world, then demand liveness.
+        session.heal_and_sweep(settle=2.0)
+        stalled = workload.liveness()
+        if stalled is None:
+            session.suite.check_now()
+        else:
+            outcome.violation = Violation(
                 oracle="liveness",
-                detail=(
-                    f"no reply quorum within {liveness_timeout}s of virtual time "
-                    f"after all faults were healed"
-                ),
-                time=cluster.sim.now(),
-                event_index=cluster.sim.events_processed,
+                detail=stalled,
+                time=sim.now(),
+                event_index=sim.events_processed,
             )
-            suite.violations.append(violation)
-        if violation is None:
-            suite.check_now()
     except OracleViolation as caught:
-        violation = caught.violation
-    totals = cluster.total_counters()
-    counters = {name: totals.get(name) for name in _VERDICT_COUNTERS}
-    counters["offered"] = sum(s.offered for s in swarms)
-    counters["swarm_completed"] = sum(s.completed for s in swarms)
-    if campaign_ctx is not None:
-        counters["offered"] += campaign_ctx.offered()
-        counters["swarm_completed"] += campaign_ctx.completed()
-        for name in _CAMPAIGN_COUNTERS:
-            counters[name] = totals.get(name)
-    return RunOutcome(
-        violation=violation,
-        completed=completed,
-        events=cluster.sim.events_processed,
-        counters=counters,
-        client_replies=client_replies,
-        committed_history=canonical_committed_history(recorder),
-    )
+        outcome.violation = caught.violation
+    totals = system.total_counters()
+    names = _VERDICT_COUNTERS
+    if deployment == SHARDED:
+        names += _TXN_COUNTERS
+    if session.tier is not None:
+        names += _FUSION_COUNTERS
+    if plan.has_campaign():
+        names += _CAMPAIGN_COUNTERS
+    outcome.counters = {name: totals.get(name) for name in names}
+    if deployment == SINGLE:
+        outcome.counters["offered"] = session.offered()
+        outcome.counters["swarm_completed"] = session.completed()
+        outcome.committed_history = canonical_committed_history(recorders[0])
+    outcome.events = sim.events_processed
+    outcome.client_replies = workload.replies
+    return outcome
 
 
 # -- exploration sessions -----------------------------------------------------------
@@ -488,6 +410,8 @@ def explore(
     overload: bool = False,
     log: Optional[Callable[[str], None]] = None,
     config_overrides: Optional[Dict] = None,
+    shards: int = 1,
+    destruction: bool = False,
 ) -> ExploreResult:
     """Run up to ``budget`` seeded random plans; stop at the first violation.
 
@@ -498,8 +422,18 @@ def explore(
     generates pure-overload saturation plans judged strictly by the
     goodput-under-overload oracle.  ``config_overrides`` (extra
     :class:`BFTConfig` fields, e.g. the fast-path flags) apply to every plan
-    run, including shrinking.
+    run, including shrinking.  ``shards=N`` executes the same plan stream
+    against N groups with the cross-shard workload and oracles, and there
+    ``destruction=True`` makes every generated plan end in a
+    ``destroy_group`` catastrophe that the fused-backup tier must survive.
     """
+    run = partial(
+        run_plan,
+        shards=shards,
+        plant=plant,
+        check_interval=check_interval,
+        config_overrides=config_overrides,
+    )
     master = random.Random(seed)
     result = ExploreResult(seed=seed, budget=budget, plans_run=0)
     for index in range(budget):
@@ -509,13 +443,9 @@ def explore(
             max_steps=max_steps,
             implementation_faults=implementation_faults,
             overload=overload,
+            destruction=destruction,
         )
-        outcome = run_plan(
-            plan,
-            plant=plant,
-            check_interval=check_interval,
-            config_overrides=config_overrides,
-        )
+        outcome = run(plan)
         result.plans_run += 1
         result.verdicts.append(
             {"index": index, "plan": plan.to_dict(), "outcome": outcome.to_dict()}
@@ -536,12 +466,7 @@ def explore(
                 shrunk = shrink_plan(
                     plan,
                     outcome.violation,
-                    lambda p: run_plan(
-                        p,
-                        plant=plant,
-                        check_interval=check_interval,
-                        config_overrides=config_overrides,
-                    ).violation,
+                    lambda p: run(p).violation,
                     max_runs=max_shrink_runs,
                 )
                 result.shrunk_plan = shrunk.plan
@@ -554,18 +479,3 @@ def explore(
                     )
             break
     return result
-
-
-def replay(
-    plan: FaultPlan,
-    plant: Optional[str] = None,
-    check_interval: int = 10,
-    config_overrides: Optional[Dict] = None,
-) -> RunOutcome:
-    """Re-execute a saved plan exactly (same seeds, same verdict)."""
-    return run_plan(
-        plan,
-        plant=plant,
-        check_interval=check_interval,
-        config_overrides=config_overrides,
-    )

@@ -123,7 +123,12 @@ def artifact_dict(
     plant: Optional[str] = None,
     original_plan: Optional[FaultPlan] = None,
     shards: int = 1,
+    check_interval: int = 10,
+    config_overrides: Optional[Dict] = None,
 ) -> Dict:
+    """``shards`` / ``check_interval`` / ``config_overrides`` are the
+    ``run_plan`` options the recording run used; replay needs them to
+    reproduce it."""
     data: Dict = {
         "version": ARTIFACT_VERSION,
         "plan": plan.to_dict(),
@@ -132,32 +137,35 @@ def artifact_dict(
     }
     if original_plan is not None:
         data["original_plan"] = original_plan.to_dict()
+    # Run options are emitted only when non-default, so default artifacts
+    # stay byte-identical to version-1 files written before the options
+    # existed (which therefore load with the defaults).
     if shards != 1:
-        # Emitted only for sharded runs: single-group artifacts stay
-        # byte-identical to version-1 files written before sharding existed.
         data["shards"] = shards
+    if check_interval != 10:
+        data["check_interval"] = check_interval
+    if config_overrides:
+        data["config_overrides"] = dict(config_overrides)
     return data
 
 
-def write_artifact(
-    path,
-    plan: FaultPlan,
-    violation: Violation,
-    plant: Optional[str] = None,
-    original_plan: Optional[FaultPlan] = None,
-    shards: int = 1,
-) -> None:
-    data = artifact_dict(
-        plan, violation, plant=plant, original_plan=original_plan, shards=shards
-    )
+def write_artifact(path, plan: FaultPlan, violation: Violation, **recorded) -> None:
+    """Write :func:`artifact_dict` (same keyword arguments) as JSON."""
+    data = artifact_dict(plan, violation, **recorded)
     Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def load_artifact(path) -> Tuple[FaultPlan, Dict, Optional[str]]:
-    """Returns ``(plan, recorded_violation_dict, plant_name)``."""
+def load_artifact(path) -> Tuple[FaultPlan, Dict, Optional[str], Dict]:
+    """Returns ``(plan, recorded_violation_dict, plant_name, run_options)``;
+    ``run_plan(plan, plant=plant_name, **run_options)`` is the replay."""
     data = json.loads(Path(path).read_text())
     version = data.get("version")
     if version != ARTIFACT_VERSION:
         raise ValueError(f"unsupported artifact version {version!r}")
     plan = FaultPlan.from_dict(data["plan"])
-    return plan, data["violation"], data.get("plant")
+    options = {
+        "shards": int(data.get("shards", 1)),
+        "check_interval": int(data.get("check_interval", 10)),
+        "config_overrides": data.get("config_overrides"),
+    }
+    return plan, data["violation"], data.get("plant"), options

@@ -1,10 +1,6 @@
 """Long-horizon soak harness: geo-scale campaigns judged by availability SLOs."""
 
-from repro.soak.campaign import (
-    CampaignContext,
-    campaign_horizon,
-    generate_campaign,
-)
+from repro.soak.campaign import campaign_horizon, generate_campaign
 from repro.soak.runner import (
     SoakReport,
     SoakSLO,
@@ -15,7 +11,6 @@ from repro.soak.runner import (
 )
 
 __all__ = [
-    "CampaignContext",
     "campaign_horizon",
     "generate_campaign",
     "SoakReport",

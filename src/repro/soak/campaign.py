@@ -1,219 +1,21 @@
-"""Correlated fault campaigns: appliers and the seeded campaign generator.
+"""Correlated fault campaigns: the seeded campaign generator.
 
 A *campaign* is a :class:`~repro.explore.plan.FaultPlan` whose steps use the
 geo-scale kinds (``region_outage``, ``partition_storm``, ``latency_spike``,
 ``flash_crowd``, ``age_replicas``) against a named topology preset.  The
-:class:`CampaignContext` turns one such step into concrete simulator actions
-at fire time — region-boundary cut sets stacked via ``Network.cut_links``,
-per-pair latency inflation, open-loop flash-crowd swarms with a ramped rate,
-and the fragmentation aging model — and is shared by the explore runner
-(campaign plans replay through ``run_plan`` like any other plan) and the
-long-horizon soak harness.
-
-Everything is deterministic: storm geometry derives arithmetically from the
-plan seed and the step's own fields (no wall clock, no builtin ``hash``), so
-an artifact replays byte-identically.
+shared interpreter (:mod:`repro.explore.interpreter`) turns each such step
+into concrete simulator actions at fire time, for ``run_plan`` and the
+long-horizon soak harness alike; this module composes campaigns from a seed
+and says how long one runs.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
-from repro.bft.overload import OpenLoopLoadGenerator
-from repro.bft.testing import encode_set
-from repro.explore.plan import CAMPAIGN_KINDS, FaultPlan, FaultStep
-from repro.faults.aging import DEFAULT_PER_OP_STALL, FragmentationAging
-from repro.net.topology import PlacedTopology, topology_preset
-
-# Flash-crowd swarm ops reuse the overload swarm's slot band (24..29),
-# disjoint from the explore workload (0..7), the corruption band (8..23),
-# the poison slot (30), and the liveness/probe slot (31).
-_FLASH_SLOT_BASE = 24
-_FLASH_SLOT_SPAN = 6
-
-#: Rate multipliers over the crowd's duration (equal-width segments): the
-#: swarm ramps to the step's peak ``rate`` at the midpoint and back down —
-#: the diurnal-burst shape, discretised.
-FLASH_RAMP: Tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.0, 0.75, 0.5, 0.25)
-
-
-def _flash_op(client_id: str, seq: int) -> bytes:
-    return encode_set(
-        _FLASH_SLOT_BASE + seq % _FLASH_SLOT_SPAN, f"{client_id}:{seq}".encode()
-    )
-
-
-def storm_rng(plan_seed: int, step: FaultStep) -> random.Random:
-    """Seeded RNG for one storm's geometry: a pure arithmetic mix of the
-    plan seed and the step's fields, so the same plan always produces the
-    same correlated cuts (and two storms in one plan produce different
-    ones)."""
-    mix = (
-        plan_seed * 1_000_003
-        + step.count * 8_191
-        + int(round(step.at * 10_000))
-        + int(round(step.duration * 100))
-    ) % (2**31)
-    return random.Random(mix)
-
-
-class CampaignContext:
-    """Applies campaign steps to one live cluster.
-
-    Owns the client placement (``place``), the flash-crowd swarms, and the
-    lazily-armed fragmentation aging model; ``stop`` tears all of it down
-    (end-of-run cleanup before the liveness probe)."""
-
-    def __init__(self, cluster, plan: FaultPlan) -> None:
-        self.cluster = cluster
-        self.plan = plan
-        self.placed: Optional[PlacedTopology] = None
-        if plan.topology:
-            self.placed = PlacedTopology(
-                topology_preset(plan.topology), cluster.network
-            )
-            self.placed.compile()
-        self.aging: Optional[FragmentationAging] = None
-        self.swarms: List[OpenLoopLoadGenerator] = []
-        # (region_a, region_b, links) for cuts currently held by storms.
-        self._storm_restores: List[Tuple[str, str, List[Tuple[str, str]]]] = []
-
-    def place(self, client_id: str, region: str = "") -> None:
-        """Place a client into the topology (no-op on flat networks)."""
-        if self.placed is not None:
-            self.placed.place_client(client_id, region or None)
-
-    def apply(self, step: FaultStep) -> None:
-        """Apply one campaign step at its fire time."""
-        kind = step.kind
-        if kind not in CAMPAIGN_KINDS:
-            raise ValueError(f"not a campaign step kind: {kind!r}")
-        if kind == "region_outage":
-            self._region_outage(step)
-        elif kind == "partition_storm":
-            self._partition_storm(step)
-        elif kind == "latency_spike":
-            self._latency_spike(step)
-        elif kind == "flash_crowd":
-            self._flash_crowd(step)
-        elif kind == "age_replicas":
-            self._age_replicas(step)
-
-    def offered(self) -> int:
-        return sum(swarm.offered for swarm in self.swarms)
-
-    def completed(self) -> int:
-        return sum(swarm.completed for swarm in self.swarms)
-
-    def stop(self) -> None:
-        """Stop all swarms, release any still-held storm cuts, and stop
-        re-arming the aging model (end-of-run heal)."""
-        for swarm in self.swarms:
-            swarm.stop()
-        for _a, _b, links in self._storm_restores:
-            self.cluster.network.restore_links(links)
-        self._storm_restores = []
-        if self.aging is not None:
-            self.aging.disarm()
-
-    # -- appliers -------------------------------------------------------------
-
-    def _require_placed(self, kind: str) -> PlacedTopology:
-        if self.placed is None:
-            raise ValueError(f"{kind} requires a plan topology")
-        return self.placed
-
-    def _region_outage(self, step: FaultStep) -> None:
-        placed = self._require_placed(step.kind)
-        victims = placed.region_replicas(step.region)
-        self.cluster.network.counters.add("region_outages")
-        for replica_id in victims:
-            self.cluster.crash(replica_id)
-
-        def restore() -> None:
-            for replica_id in victims:
-                self.cluster.restart(replica_id)
-
-        self.cluster.sim.schedule(step.duration, restore)
-
-    def _partition_storm(self, step: FaultStep) -> None:
-        placed = self._require_placed(step.kind)
-        network = self.cluster.network
-        rng = storm_rng(self.plan.seed, step)
-        boundaries = placed.boundaries()
-        for _ in range(step.count):
-            region_a, region_b = boundaries[rng.randrange(len(boundaries))]
-            start = round(rng.uniform(0.0, 0.7) * step.duration, 4)
-            length = round(rng.uniform(0.1, 0.3) * step.duration, 4)
-            end = min(step.duration, start + length)
-
-            def cut(a: str = region_a, b: str = region_b) -> None:
-                # Cut sets are computed at cut time so clients placed after
-                # the storm was scheduled are severed too.
-                links = placed.boundary_links(a, b)
-                network.counters.add("storm_cuts")
-                network.cut_links(links)
-                self._storm_restores.append((a, b, links))
-
-            def heal(a: str = region_a, b: str = region_b) -> None:
-                for index, (ra, rb, links) in enumerate(self._storm_restores):
-                    if (ra, rb) == (a, b):
-                        network.restore_links(links)
-                        del self._storm_restores[index]
-                        return
-
-            self.cluster.sim.schedule(start, cut)
-            self.cluster.sim.schedule(end, heal)
-
-    def _latency_spike(self, step: FaultStep) -> None:
-        placed = self._require_placed(step.kind)
-        network = self.cluster.network
-        pairs = placed.spike_pairs(step.region)
-        network.counters.add("latency_spikes")
-        for src, dst in pairs:
-            spec = placed.current_spec(src, dst).scaled(step.factor)
-            network.set_link(src, dst, spec.to_config())
-
-        def restore() -> None:
-            for src, dst in pairs:
-                network.set_link(src, dst, placed.current_spec(src, dst).to_config())
-
-        self.cluster.sim.schedule(step.duration, restore)
-
-    def _flash_crowd(self, step: FaultStep) -> None:
-        sim = self.cluster.sim
-        index = len(self.swarms)
-        clients = []
-        for i in range(step.clients):
-            client_id = f"F{index}-{i}"
-            client = self.cluster.client(client_id)
-            self.place(client_id)
-            clients.append(client)
-        self.cluster.network.counters.add("flash_crowds")
-        swarm = OpenLoopLoadGenerator(
-            sim, clients, FLASH_RAMP[0] * step.rate, _flash_op
-        )
-        self.swarms.append(swarm)
-        swarm.start()
-        segment = step.duration / len(FLASH_RAMP)
-        for i, multiplier in enumerate(FLASH_RAMP[1:], start=1):
-            sim.schedule(
-                i * segment, lambda m=multiplier: swarm.set_rate(m * step.rate)
-            )
-        sim.schedule(step.duration, swarm.stop)
-
-    def _age_replicas(self, step: FaultStep) -> None:
-        if self.aging is None:
-            per_op = step.fraction if step.fraction > 0 else DEFAULT_PER_OP_STALL
-            self.aging = FragmentationAging(self.cluster, per_op_stall=per_op)
-        if step.target:
-            self.aging.arm(step.target)
-        else:
-            self.aging.arm()
-
-
-# -- seeded campaign generation ---------------------------------------------------
+from repro.explore.plan import FaultPlan, FaultStep
+from repro.net.topology import topology_preset
 
 
 def campaign_horizon(plan: FaultPlan, tail: float = 60.0) -> float:

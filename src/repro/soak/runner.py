@@ -24,35 +24,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_set, recording_cluster
-from repro.explore.oracles import OracleSuite, OracleViolation
-from repro.explore.plan import (
-    CAMPAIGN_KINDS,
-    FaultPlan,
-    beyond_assumption_windows,
-    validate_plan,
+from repro.explore.interpreter import (
+    PROBE_SLOT,
+    SOAK,
+    Session,
+    check_supported,
+    deployment_configs,
 )
+from repro.explore.oracles import OracleViolation
+from repro.explore.plan import FaultPlan, beyond_assumption_windows, validate_plan
 from repro.faults.scenarios import AvailabilityProbe
-from repro.net.network import NetworkConfig
-from repro.soak.campaign import CampaignContext, campaign_horizon
+from repro.soak.campaign import campaign_horizon
 
 SOAK_ARTIFACT_VERSION = 1
-
-#: The probe writes the liveness slot, disjoint from every campaign band.
-_PROBE_SLOT = 31
-
-#: WAN-tuned protocol timers: inter-region one-way latencies approach 0.1s,
-#: so the LAN defaults (250ms view-change patience, 50ms gossip) would turn
-#: ordinary cross-region commits into view-change churn.  Applied by
-#: ``run_soak`` whenever the plan names a topology.
-WAN_CONFIG_OVERRIDES: Dict[str, object] = {
-    "view_change_timeout": 1.5,
-    "status_interval": 0.5,
-    "client_retry": 0.5,
-    "client_retry_max": 2.0,
-    "pending_ttl": 5.0,
-}
 
 
 @dataclass(frozen=True)
@@ -192,55 +177,25 @@ def run_soak(
     problems = validate_plan(plan)
     if problems:
         raise ValueError(f"invalid campaign plan: {problems}")
-    if plan.has_destruction():
-        # Soak drives one BASE group; destroy_group needs the fused-backup
-        # tier over several (repro explore --shards N --destroy-group).
-        raise ValueError("destroy_group requires a sharded exploration run")
-    overrides: Dict = {}
-    if plan.topology:
-        overrides.update(WAN_CONFIG_OVERRIDES)
-    overrides.update(config_overrides or {})
-    cluster, recorder = recording_cluster(
-        config=BFTConfig(
-            checkpoint_interval=16,
-            log_window=64,
-            recovery_period=plan.recovery_period,
-            **overrides,
-        ),
-        net_config=NetworkConfig(
-            delay=0.0005, jitter=0.0005, drop_rate=plan.drop_rate
-        ),
-        seed=plan.seed,
+    check_supported(plan, SOAK)
+    config, net_config = deployment_configs(
+        plan, {"checkpoint_interval": 16, "log_window": 64}, config_overrides
     )
-    context = CampaignContext(cluster, plan)
-    suite = OracleSuite(cluster, recorder, check_interval=check_interval)
-    suite.install()
-
-    if plan.recovery_period > 0:
-        cluster.start_proactive_recovery()
-
-    # Non-campaign steps (plain crashes, drops, Byzantine arming) reuse the
-    # explore runner's applier, so a campaign may mix in classic faults.
-    from repro.explore.runner import _apply_step
-
-    drop_removers: List[Callable[[], None]] = []
-    for step in plan.steps:
-        if step.kind in CAMPAIGN_KINDS:
-            cluster.sim.schedule(
-                max(0.0, step.at), lambda s=step: context.apply(s)
-            )
-        else:
-            cluster.sim.schedule(
-                max(0.0, step.at),
-                lambda s=step: _apply_step(cluster, s, drop_removers),
-            )
-
-    client = cluster.client("S0")
-    context.place("S0")
+    # Looked up at call time: the perf harness captures the deployment by
+    # rebinding this module's ``recording_cluster``.
+    cluster, recorder = recording_cluster(
+        config=config, net_config=net_config, seed=plan.seed
+    )
+    session = Session(plan, cluster, [recorder], SOAK, check_interval)
+    # Rotation before steps: the simulator breaks same-instant ties by
+    # scheduling order, and the wan baselines pin a rotation and a flash
+    # crowd that share t=30 in this order.
+    session.start_rotation()
+    session.arm()
     probe = AvailabilityProbe(
         cluster.sim,
-        client,
-        make_op=lambda n: encode_set(_PROBE_SLOT, b"soak:%d" % n),
+        session.client("S0"),
+        make_op=lambda n: encode_set(PROBE_SLOT, b"soak:%d" % n),
         op_timeout=op_timeout,
         gap=gap,
         window=slo.window,
@@ -248,38 +203,32 @@ def run_soak(
     )
 
     horizon = campaign_horizon(plan)
+    if log is not None:
+        # Logging is a pure observer — a step hook, no events of its own — so
+        # a logged run makes exactly the probe calls a quiet one does and its
+        # artifact replays (quietly) to the identical report.
+        next_mark = segment = max(slo.window, 1.0)
+
+        def progress() -> None:
+            nonlocal next_mark
+            now = cluster.sim.now()
+            if next_mark <= now < horizon:
+                done = probe.summary()
+                log(
+                    f"t={now:8.1f}/{horizon:.0f}  "
+                    f"ops={done.total}  avail={done.availability:.4f}"
+                )
+                while next_mark <= now:
+                    next_mark += segment
+
+        cluster.sim.add_step_hook(progress)
     safety_violations: List[Dict] = []
     try:
-        if log is not None:
-            segment = max(slo.window, 1.0)
-            next_mark = segment
-            while cluster.sim.now() < horizon:
-                probe.run_until(min(next_mark, horizon), ops_per_segment=16)
-                if cluster.sim.now() >= next_mark:
-                    done = probe.summary()
-                    log(
-                        f"t={cluster.sim.now():8.1f}/{horizon:.0f}  "
-                        f"ops={done.total}  avail={done.availability:.4f}"
-                    )
-                    next_mark += segment
-        else:
-            probe.run_until(horizon, ops_per_segment=32)
+        probe.run_until(horizon, ops_per_segment=32)
+        # Heal everything, then sweep the oracles one final time.
+        session.heal_and_sweep(settle=5.0)
     except OracleViolation as caught:
         safety_violations.append(caught.violation.to_dict())
-    finally:
-        context.stop()
-
-    if not safety_violations:
-        # Heal everything, then sweep the oracles one final time.
-        cluster.heal()
-        cluster.restart_all_down()
-        for remove in drop_removers:
-            remove()
-        cluster.settle(5.0)
-        try:
-            suite.check_now()
-        except OracleViolation as caught:
-            safety_violations.append(caught.violation.to_dict())
 
     summary = probe.summary()
     excluded = beyond_assumption_windows(plan, margin=slo.assumption_margin)
@@ -351,8 +300,8 @@ def run_soak(
         safety_violations=safety_violations,
         mttr=mttr,
         counters=counters,
-        swarm_offered=context.offered(),
-        swarm_completed=context.completed(),
+        swarm_offered=session.offered(),
+        swarm_completed=session.completed(),
     )
 
 

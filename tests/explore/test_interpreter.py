@@ -1,0 +1,207 @@
+"""The one fault-plan interpreter: its step-kind x deployment support matrix
+(every rejection any entry point makes, as one table) and cross-commit pins
+proving the unified interpreter reproduces the three it replaced."""
+
+import pytest
+
+import repro.explore.runner as explore_runner
+import repro.soak.runner as soak_runner
+from repro.explore.interpreter import (
+    SHARDED,
+    SINGLE,
+    SOAK,
+    STEP_TABLE,
+    check_supported,
+    unsupported_kinds,
+)
+from repro.explore.plan import STEP_KINDS, FaultPlan, FaultStep, generate_plan
+from repro.explore.runner import run_plan
+from repro.soak.campaign import generate_campaign
+from repro.soak.runner import SoakSLO, run_soak
+
+EVERYWHERE = {SINGLE, SHARDED, SOAK}
+ONE_GROUP = {SINGLE, SOAK}
+
+#: The support matrix, stated independently of the code's table (it is also
+#: the table in docs/simulation.md): step kind -> deployments that run it.
+#: ``client_swarm`` is no step kind at all and must be refused everywhere.
+MATRIX = {
+    "crash": EVERYWHERE,
+    "restart": EVERYWHERE,
+    "partition": EVERYWHERE,
+    "heal": EVERYWHERE,
+    "drop": EVERYWHERE,
+    "recover": EVERYWHERE,
+    "equivocate": EVERYWHERE,
+    "lie_checkpoint": EVERYWHERE,
+    "corrupt_votes": EVERYWHERE,
+    "corrupt_results": EVERYWHERE,
+    "fabricate_cert": EVERYWHERE,
+    "poison_request": {SINGLE},
+    "corrupt_object": {SINGLE},
+    "overload": {SINGLE},
+    "region_outage": ONE_GROUP,
+    "partition_storm": ONE_GROUP,
+    "latency_spike": ONE_GROUP,
+    "flash_crowd": ONE_GROUP,
+    "age_replicas": ONE_GROUP,
+    "destroy_group": {SHARDED},
+    "client_swarm": set(),
+}
+
+
+def test_matrix_covers_exactly_the_dsl():
+    assert set(STEP_TABLE) == set(STEP_KINDS) == set(MATRIX) - {"client_swarm"}
+
+
+def plan_with(kind: str, deployment: str) -> FaultPlan:
+    """A structurally valid plan (validate_plan-clean for every kind a soak
+    run refuses) whose one step has the given kind."""
+    step = FaultStep(
+        at=1.0,
+        kind=kind,
+        target="R1",
+        fraction=0.2,
+        duration=2.0,
+        rate=100.0,
+        clients=2,
+        region="us-east",
+        count=1,
+        factor=2.0,
+    )
+    return FaultPlan(
+        seed=1,
+        requests=0 if deployment == SOAK else 4,
+        steps=(step,),
+        topology="" if deployment == SHARDED else "wan3",
+    )
+
+
+def run_on(deployment: str, plan: FaultPlan):
+    if deployment == SOAK:
+        return run_soak(plan)
+    return run_plan(plan, shards=2 if deployment == SHARDED else 1)
+
+
+@pytest.fixture
+def no_clusters(monkeypatch):
+    """Rejection must come before any cluster is built, let alone before the
+    simulator advances: make building one a test failure."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a cluster was built for an unsupported plan")
+
+    monkeypatch.setattr(explore_runner, "recording_cluster", forbidden)
+    monkeypatch.setattr(explore_runner, "sharded_recording_cluster", forbidden)
+    monkeypatch.setattr(soak_runner, "recording_cluster", forbidden)
+
+
+@pytest.mark.parametrize("deployment", [SINGLE, SHARDED, SOAK])
+@pytest.mark.parametrize("kind", sorted(MATRIX))
+def test_support_matrix(kind, deployment, no_clusters):
+    plan = plan_with(kind, deployment)
+    if deployment in MATRIX[kind]:
+        assert unsupported_kinds([kind], deployment) == []
+        check_supported(plan, deployment)
+        return
+    assert unsupported_kinds([kind], deployment) == [kind]
+    if kind == "client_swarm" and deployment == SOAK:
+        with pytest.raises(ValueError, match="unknown kind"):  # validate_plan's
+            run_on(deployment, plan)
+        return
+    with pytest.raises(
+        ValueError, match=f"a {deployment} deployment does not support .*{kind}"
+    ):
+        run_on(deployment, plan)
+
+
+def test_topology_presets_need_a_single_group(no_clusters):
+    with pytest.raises(ValueError, match="sharded deployment does not support .*wan3"):
+        run_plan(FaultPlan(seed=1, requests=8, topology="wan3"), shards=2)
+
+
+def test_region_steps_need_a_topology(no_clusters):
+    plan = FaultPlan(
+        seed=1,
+        requests=4,
+        steps=(FaultStep(at=1.0, kind="region_outage", region="us-east", duration=2.0),),
+    )
+    with pytest.raises(ValueError, match="require a plan topology"):
+        run_plan(plan)
+
+
+def test_unknown_plants_and_sharded_overrides_are_rejected(no_clusters):
+    plan = FaultPlan(seed=1, requests=8)
+    with pytest.raises(ValueError, match="planted bug"):
+        run_plan(plan, plant="no-such-bug")
+    with pytest.raises(ValueError, match="planted bug"):
+        run_plan(plan, shards=2, plant="weak-prepare-quorum")  # a single-group plant
+    with pytest.raises(ValueError, match="single-group"):
+        run_plan(plan, shards=2, config_overrides={"pipeline_depth": 8})
+
+
+# -- cross-commit pins ---------------------------------------------------------------
+# Captured at the parent commit (24db597) from its three hand-written
+# interpreters: the single-group runner, the sharded runner (two shards) and
+# run_soak.
+# Each entry is (completed, events, non-zero counters) for
+# generate_plan(seed, requests=12).
+
+SINGLE_PINS = {
+    11: (12, 1644, {}),
+    12: (12, 2009, {"view_changes_started": 4}),
+    13: (12, 1694, {}),
+}
+_TXNS = {"txns_started": 4, "txns_committed": 4}
+SHARDED_PINS = {
+    11: (12, 3388, {**_TXNS, "txn_commits_applied": 32}),
+    12: (12, 4206, {**_TXNS, "txn_commits_applied": 15, "view_changes_started": 8}),
+    13: (12, 3442, {**_TXNS, "txn_commits_applied": 32}),
+}
+_REBUILT = {
+    **_TXNS,
+    "fusion_reconstructions_started": 1,
+    "fusion_reconstructions_completed": 1,
+    "fusion_replicas_seeded": 4,
+    "fusion_updates_applied": 3,
+}
+DESTROY_PINS = {
+    11: (12, 9862, {**_REBUILT, "txn_commits_applied": 11, "view_changes_started": 32}),
+    12: (12, 5820, {**_REBUILT, "txn_commits_applied": 20}),
+    13: (12, 6030, {**_REBUILT, "txn_commits_applied": 20}),
+}
+
+
+def pin(outcome):
+    assert outcome.violation is None
+    nonzero = {name: value for name, value in outcome.counters.items() if value}
+    return (outcome.completed, outcome.events, nonzero)
+
+
+@pytest.mark.parametrize("seed", sorted(SINGLE_PINS))
+def test_single_group_runs_match_the_parent_commit(seed):
+    assert pin(run_plan(generate_plan(seed, requests=12))) == SINGLE_PINS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(SHARDED_PINS))
+def test_sharded_runs_match_the_parent_commit(seed):
+    assert pin(run_plan(generate_plan(seed, requests=12), shards=2)) == SHARDED_PINS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(DESTROY_PINS))
+def test_destruction_runs_match_the_parent_commit(seed):
+    plan = generate_plan(seed, requests=12, destruction=True)
+    assert pin(run_plan(plan, shards=2)) == DESTROY_PINS[seed]
+
+
+def test_soak_matches_the_parent_commit_logged_or_not():
+    """The parent's quiet run gave 61540 events / 256 probe ops; its logged
+    run probed in different segments and gave 58840 / 240, so a logged run's
+    artifact never replayed.  Logging is now a pure observer."""
+    plan = generate_campaign(3, hours=0.1, storms=1, flash_crowds=1)
+    quiet = run_soak(plan, slo=SoakSLO(window=60))
+    assert (quiet.events, quiet.probe_ops) == (61540, 256)
+    lines = []
+    logged = run_soak(plan, slo=SoakSLO(window=60), log=lines.append)
+    assert logged.to_dict() == quiet.to_dict()
+    assert len(lines) == 6 and lines[0].startswith("t=    60.0/392")

@@ -1,16 +1,16 @@
 """Sharded exploration: plans against multi-group deployments, the
 cross-shard atomicity oracle, the planted 2PC regression, and artifacts."""
 
-import pytest
+import json
 
-from repro.explore.plan import FaultPlan, FaultStep, generate_plan
-from repro.explore.sharded import explore_sharded, replay_sharded, run_sharded_plan
+from repro.explore.plan import generate_plan
+from repro.explore.runner import explore, run_plan
 from repro.explore.shrink import artifact_dict, load_artifact, write_artifact
 
 
 def test_benign_plan_holds_all_oracles():
     plan = generate_plan(12345, requests=16)
-    outcome = run_sharded_plan(plan, num_shards=2)
+    outcome = run_plan(plan, shards=2)
     assert outcome.violation is None
     assert outcome.completed > 0
     # The workload exercised the transaction layer.
@@ -19,28 +19,14 @@ def test_benign_plan_holds_all_oracles():
 
 def test_runs_are_deterministic():
     plan = generate_plan(777, requests=12)
-    first = run_sharded_plan(plan, num_shards=2)
-    second = run_sharded_plan(plan, num_shards=2)
+    first = run_plan(plan, shards=2)
+    second = run_plan(plan, shards=2)
     assert first.to_dict() == second.to_dict()
 
 
-def test_single_group_features_are_rejected():
-    overloaded = FaultPlan(
-        seed=1,
-        requests=8,
-        steps=(FaultStep(at=0.1, kind="client_swarm", rate=400.0),),
-    )
-    with pytest.raises(ValueError):
-        run_sharded_plan(overloaded, num_shards=2)
-    with pytest.raises(ValueError):
-        run_sharded_plan(FaultPlan(seed=1, requests=8, topology="wan3"), num_shards=2)
-    with pytest.raises(ValueError):
-        run_sharded_plan(FaultPlan(seed=1, requests=8), num_shards=2, plant="nope")
-
-
 def test_planted_split_brain_is_caught_and_shrunk():
-    result = explore_sharded(
-        budget=5, seed=0, requests=16, num_shards=2, plant="split-brain-decide"
+    result = explore(
+        budget=5, seed=0, requests=16, shards=2, plant="split-brain-decide"
     )
     assert result.found
     assert result.violation.oracle == "cross-shard-atomicity"
@@ -51,26 +37,25 @@ def test_planted_split_brain_is_caught_and_shrunk():
 
 
 def test_shrunk_plan_replays_to_the_same_violation():
-    result = explore_sharded(
-        budget=5, seed=0, requests=16, num_shards=2, plant="split-brain-decide"
+    result = explore(
+        budget=5, seed=0, requests=16, shards=2, plant="split-brain-decide"
     )
-    outcome = replay_sharded(result.shrunk_plan, num_shards=2, plant="split-brain-decide")
+    outcome = run_plan(result.shrunk_plan, shards=2, plant="split-brain-decide")
     assert outcome.violation is not None
     assert outcome.violation.oracle == result.shrunk_violation.oracle
     assert outcome.violation.detail == result.shrunk_violation.detail
 
 
 def test_artifact_records_the_shard_count(tmp_path):
-    result = explore_sharded(
-        budget=5, seed=0, requests=16, num_shards=2, plant="split-brain-decide"
+    result = explore(
+        budget=5, seed=0, requests=16, shards=2, plant="split-brain-decide"
     )
     path = tmp_path / "repro.json"
     write_artifact(path, result.shrunk_plan, result.shrunk_violation, shards=2)
-    plan, recorded, _plant = load_artifact(path)
+    plan, recorded, _plant, options = load_artifact(path)
     assert plan == result.shrunk_plan
     assert recorded["oracle"] == "cross-shard-atomicity"
-    import json
-
+    assert options["shards"] == 2
     assert json.loads(path.read_text())["shards"] == 2
 
 
@@ -78,8 +63,8 @@ def test_forged_decide_is_rejected_not_split_brained():
     """The hardened decide path turns a coordinator forging certificate-less
     commits from a split-brain catastrophe into a non-event: every forged
     decide is refused, nothing applies, and no oracle fires."""
-    result = explore_sharded(
-        budget=3, seed=0, requests=16, num_shards=2, plant="forged-decide", shrink=False
+    result = explore(
+        budget=3, seed=0, requests=16, shards=2, plant="forged-decide", shrink=False
     )
     assert not result.found
     rejected = sum(
@@ -95,7 +80,7 @@ def test_forged_decide_is_rejected_not_split_brained():
 def test_destruction_plan_reconstructs_and_stays_safe():
     plan = generate_plan(1, destruction=True)
     assert plan.has_destruction()
-    outcome = run_sharded_plan(plan, num_shards=2)
+    outcome = run_plan(plan, shards=2)
     assert outcome.violation is None
     assert outcome.counters["fusion_reconstructions_completed"] == 1
     assert outcome.counters["fusion_reconstructions_failed"] == 0
@@ -105,17 +90,9 @@ def test_destruction_plan_reconstructs_and_stays_safe():
 
 def test_destruction_runs_are_deterministic():
     plan = generate_plan(2, destruction=True)
-    first = run_sharded_plan(plan, num_shards=2)
-    second = run_sharded_plan(plan, num_shards=2)
+    first = run_plan(plan, shards=2)
+    second = run_plan(plan, shards=2)
     assert first.to_dict() == second.to_dict()
-
-
-def test_destruction_is_rejected_by_single_group_runs():
-    from repro.explore.runner import run_plan
-
-    plan = generate_plan(3, destruction=True)
-    with pytest.raises(ValueError):
-        run_plan(plan)
 
 
 def test_default_plans_never_destroy():

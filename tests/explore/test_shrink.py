@@ -9,6 +9,7 @@ from repro.explore.oracles import Violation
 from repro.explore.plan import FaultPlan, FaultStep
 from repro.explore.shrink import (
     ShrinkResult,
+    artifact_dict,
     load_artifact,
     shrink_plan,
     write_artifact,
@@ -111,10 +112,28 @@ def test_artifact_roundtrip(tmp_path):
     violation = _violation("commit-agreement")
     path = tmp_path / "repro.json"
     write_artifact(path, plan, violation, plant="weak-prepare-quorum", original_plan=_plan(_steps(5)))
-    loaded_plan, recorded, plant = load_artifact(path)
+    loaded_plan, recorded, plant, options = load_artifact(path)
     assert loaded_plan == plan
     assert recorded == violation.to_dict()
     assert plant == "weak-prepare-quorum"
+    assert options == {"shards": 1, "check_interval": 10, "config_overrides": None}
+
+
+def test_artifact_records_only_non_default_run_options(tmp_path):
+    """Default artifacts stay byte-identical to the files written before the
+    run options existed; non-default options round-trip into run_plan kwargs."""
+    plan, violation = _plan(_steps(2)), _violation()
+    assert set(artifact_dict(plan, violation)) == {"version", "plan", "violation", "plant"}
+    overrides = {"pipeline_depth": 8, "speculative_execution": True}
+    path = tmp_path / "repro.json"
+    write_artifact(
+        path, plan, violation, shards=4, check_interval=3, config_overrides=overrides
+    )
+    assert load_artifact(path)[3] == {
+        "shards": 4,
+        "check_interval": 3,
+        "config_overrides": overrides,
+    }
 
 
 def test_artifact_is_stable_json(tmp_path):

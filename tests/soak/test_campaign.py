@@ -3,6 +3,7 @@ windows, storm-geometry determinism, and the seeded generator."""
 
 import pytest
 
+from repro.explore.interpreter import storm_rng
 from repro.explore.plan import (
     CAMPAIGN_KINDS,
     FaultPlan,
@@ -10,7 +11,7 @@ from repro.explore.plan import (
     beyond_assumption_windows,
     validate_plan,
 )
-from repro.soak.campaign import campaign_horizon, generate_campaign, storm_rng
+from repro.soak.campaign import campaign_horizon, generate_campaign
 
 
 def campaign_plan(**overrides):

@@ -59,20 +59,6 @@ def test_invalid_plan_rejected():
         run_soak(plan)
 
 
-def test_destruction_plan_rejected():
-    # Soak drives a single BASE group; destroying it is unrecoverable (the
-    # fused-backup tier needs surviving sibling groups), so the harness
-    # refuses up front instead of exploding mid-campaign.
-    plan = FaultPlan(
-        seed=1,
-        requests=0,
-        topology="wan3",
-        steps=(FaultStep(at=10.0, kind="destroy_group", index=0),),
-    )
-    with pytest.raises(ValueError, match="sharded"):
-        run_soak(plan)
-
-
 def test_artifact_round_trip_and_replay_equality(tmp_path):
     path = tmp_path / "soak.json"
     plan = small_campaign()
@@ -166,6 +152,24 @@ def test_soak_cli_writes_replayable_artifact(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "reproduces the recorded soak run exactly" in captured.out
+
+
+def test_logged_soak_cli_run_replays_exactly_and_a_mismatch_fails(tmp_path, capsys):
+    """Without --quiet the run logs progress; logging must not change the
+    run, so its artifact replays exactly.  A replay that does not reproduce
+    the recording exits 1 even though its own SLO held."""
+    out = tmp_path / "report.json"
+    argv = ["--seed", "9", "--hours", "0.02", "--window", "30", "--out", str(out)]
+    assert soak_main(argv) == 0
+    assert "t=" in capsys.readouterr().out  # progress lines were printed
+    assert replay_main([str(out)]) == 0
+    assert "reproduces the recorded soak run exactly" in capsys.readouterr().out
+
+    data = json.loads(out.read_text())
+    data["report"]["events"] += 1
+    out.write_text(json.dumps(data))
+    assert replay_main([str(out)]) == 1
+    assert "WARNING - soak verdict differs" in capsys.readouterr().out
 
 
 def test_soak_cli_rejects_bad_usage(capsys):

@@ -107,5 +107,47 @@ def test_replay_malformed_artifact_exits_2(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,plant,seed",
+    [
+        (["--fast-path"], "blind-checkpoint-certs", "1"),
+        (["--check-interval", "7"], "weak-prepare-quorum", "0"),
+    ],
+)
+def test_artifact_replays_under_its_recorded_configuration(
+    flags, plant, seed, tmp_path, capsys
+):
+    """``repro replay`` takes no configuration flags: the artifact records
+    the non-default options of the run that wrote it, and a replay under
+    them reproduces the violation down to the event index."""
+    out = tmp_path / "repro.json"
+    code = main(
+        ["explore", "--budget", "10", "--seed", seed, "--requests", "16",
+         "--plant", plant, "--quiet", "--out", str(out)] + flags
+    )
+    assert code == 1
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert "reproduces the recorded violation exactly" in capsys.readouterr().out
+    assert main(["replay", str(out), "--fast-path"]) == 2  # the flags are gone
+    assert main(["replay", str(out), "--check-interval", "7"]) == 2
+
+
 def test_explore_usage_error_exits_2(capsys):
     assert main(["explore", "--budget", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--shards", "2", "--impl-faults"],
+        ["--shards", "2", "--overload"],
+        ["--shards", "2", "--fast-path"],
+        ["--destroy-group"],
+        ["--plant", "split-brain-decide"],
+        ["--shards", "2", "--plant", "weak-prepare-quorum"],
+    ],
+)
+def test_explore_rejects_what_the_deployment_cannot_run(flags, capsys):
+    assert main(["explore", "--budget", "1"] + flags) == 2
+    assert "deployment" in capsys.readouterr().err
