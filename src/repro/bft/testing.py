@@ -213,6 +213,12 @@ class HistoryRecorder:
     lists of ``(client_id, reqid)`` recorded replies — the at-most-once
     evidence: a reqid recorded twice for a client within one incarnation
     means a request executed twice.
+
+    The evidence contract (the incremental oracles in ``repro.explore``
+    consume each committed entry exactly once and rely on it): committed
+    evidence is append-only; a segment is sealed — never written again —
+    once its replica opens the next incarnation; and only the suffix of a
+    live segment above the speculation watermark may ever be truncated.
     """
 
     def __init__(self) -> None:
@@ -227,14 +233,18 @@ class HistoryRecorder:
         self, replica_id: str
     ) -> Tuple[List[Tuple[str, bytes]], List[Tuple[str, int]]]:
         """Open fresh history/reply segments for a (re)built service."""
+        # A service that died mid-speculation never rolled its frames back:
+        # seal its segments at the committed watermark, so its tentative
+        # suffix never turns into committed evidence, then drop the watermark
+        # (it addressed the old segment and must not truncate the new one).
+        base = self._spec_base.pop(replica_id, None)
+        if base is not None:
+            del self.history_segments[replica_id][-1][base[0]:]
+            del self.reply_logs[replica_id][-1][base[1]:]
         history: List[Tuple[str, bytes]] = []
         replies: List[Tuple[str, int]] = []
         self.history_segments.setdefault(replica_id, []).append(history)
         self.reply_logs.setdefault(replica_id, []).append(replies)
-        # A service that died mid-speculation never rolled its frames back;
-        # the watermark addressed the old segment and must not truncate the
-        # new one.
-        self._spec_base.pop(replica_id, None)
         return history, replies
 
     def set_speculative_base(
@@ -247,6 +257,16 @@ class HistoryRecorder:
     def clear_speculative_base(self, replica_id: str) -> None:
         self._spec_base.pop(replica_id, None)
 
+    def committed_lengths(self, replica_id: str) -> Tuple[int, int]:
+        """How many entries of the replica's live history and reply segments
+        are committed (the rest belongs to an open speculation frame)."""
+        history = len(self.history_segments[replica_id][-1])
+        replies = len(self.reply_logs[replica_id][-1])
+        base = self._spec_base.get(replica_id)
+        if base is None:
+            return history, replies
+        return min(base[0], history), min(base[1], replies)
+
     def committed_history_segments(
         self,
     ) -> Dict[str, List[List[Tuple[str, bytes]]]]:
@@ -255,24 +275,22 @@ class HistoryRecorder:
         a speculated batch may legitimately be rolled back and re-executed
         differently after a view change."""
         return {
-            rid: self._truncated(segments, self._spec_base.get(rid, (None, None))[0])
+            rid: self._truncated(segments, self.committed_lengths(rid)[0])
             for rid, segments in self.history_segments.items()
         }
 
     def committed_reply_logs(self) -> Dict[str, List[List[Tuple[str, int]]]]:
         """Reply logs with tentative entries cut from each live segment."""
         return {
-            rid: self._truncated(
-                segments, self._spec_base.get(rid, (None, None))[1]
-            )
+            rid: self._truncated(segments, self.committed_lengths(rid)[1])
             for rid, segments in self.reply_logs.items()
         }
 
     @staticmethod
-    def _truncated(segments: List[list], base: Optional[int]) -> List[list]:
-        if base is None or not segments or len(segments[-1]) <= base:
+    def _truncated(segments: List[list], committed: int) -> List[list]:
+        if len(segments[-1]) <= committed:
             return segments
-        return segments[:-1] + [segments[-1][:base]]
+        return segments[:-1] + [segments[-1][:committed]]
 
     def cumulative_histories(self) -> Dict[str, List[Tuple[str, bytes]]]:
         """Per-replica histories concatenated across incarnations (only

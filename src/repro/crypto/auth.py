@@ -27,7 +27,7 @@ class MacVerificationError(AuthenticationError):
 
 def mac(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA256 truncated to :data:`MAC_SIZE` bytes."""
-    return hmac.new(key, data, hashlib.sha256).digest()[:MAC_SIZE]
+    return hmac.digest(key, data, "sha256")[:MAC_SIZE]
 
 
 def verify_mac(key: bytes, data: bytes, tag: bytes) -> bool:

@@ -32,7 +32,7 @@ class Signer:
         self._secret = secret
 
     def sign(self, data: bytes) -> bytes:
-        return hmac.new(self._secret, data, hashlib.sha256).digest()
+        return hmac.digest(self._secret, data, "sha256")
 
 
 class SignatureScheme:
@@ -53,7 +53,7 @@ class SignatureScheme:
         return Signer(principal, self._secret_for(principal))
 
     def verify(self, principal: str, data: bytes, signature: bytes) -> bool:
-        expected = hmac.new(self._secret_for(principal), data, hashlib.sha256).digest()
+        expected = hmac.digest(self._secret_for(principal), data, "sha256")
         return hmac.compare_digest(expected, signature)
 
     def check(self, principal: str, data: bytes, signature: bytes) -> None:

@@ -260,7 +260,7 @@ class Session:
         for cluster in self.clusters:
             cluster.network.config.drop_rate = 0.0
         self.system.settle(settle)
-        self.suite.check_now()
+        self.suite.sweep()
 
 
 # -- appliers -------------------------------------------------------------------

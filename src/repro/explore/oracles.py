@@ -28,6 +28,15 @@ checked as the run unfolds (catching violations that later garbage
 collection, state transfer, or recovery would paper over), and raises
 :class:`OracleViolation` at the first offense.  Byzantine replicas named by
 the fault plan are excluded — the guarantees quantify over correct replicas.
+
+A check costs time proportional to the evidence recorded *since the previous
+check*, never to the length of the run: ``prefix`` and ``at-most-once`` keep
+an index over the committed evidence they have consumed (the recorder's
+evidence contract — append-only, sealed per incarnation — is what makes that
+sound).  The full walks, :func:`~repro.bft.testing.order_divergence` and
+:func:`check_reply_segments`, remain the *reference*: tests compare the index
+against them, they describe a violation once the index suspects one, and
+:meth:`OracleSuite.sweep` runs them over all the evidence at the end of a run.
 """
 
 from __future__ import annotations
@@ -87,6 +96,123 @@ def check_reply_segments(
     return None
 
 
+class _EvidenceIndex:
+    """Consumes each replica's committed evidence exactly once.
+
+    Sealed segments never grow, so per replica only the newest segment seen
+    so far and any opened since can hold unconsumed entries.  ``suspect``
+    turns (and stays) true when the consumed evidence holds a violation.
+    """
+
+    def __init__(self) -> None:
+        self.suspect = False
+        self._segments: Dict[str, list] = {}
+
+    def consume(self, replica_id: str, segments: List[list], live_end: int) -> None:
+        """Take in what is new in ``segments``; the last one is live and
+        committed up to ``live_end``."""
+        known = self._segments.setdefault(replica_id, [])
+        for incarnation in range(max(len(known) - 1, 0), len(segments)):
+            if incarnation == len(known):
+                known.append(self._open(replica_id, incarnation))
+            state = known[incarnation]
+            entries = segments[incarnation]
+            end = live_end if incarnation == len(segments) - 1 else len(entries)
+            for pos in range(state.consumed, end):
+                self._append(state, entries[pos], pos)
+                state.consumed = pos + 1
+
+    def _open(self, replica_id: str, incarnation: int):
+        raise NotImplementedError
+
+    def _append(self, state, entry, pos: int) -> None:
+        raise NotImplementedError
+
+
+class _HistorySegment:
+    """The consumed part of one incarnation's history."""
+
+    __slots__ = ("order", "consumed", "first", "last", "fronts")
+
+    def __init__(self, order: Tuple[str, int]) -> None:
+        self.order = order  # sorts like the reference's segment labels
+        self.consumed = 0
+        self.first: Dict[Tuple[str, bytes], int] = {}
+        self.last: Dict[Tuple[str, bytes], int] = {}
+        # Per earlier-ordered segment this one shares operations with: the
+        # positions (there, here) of the last shared operation in this
+        # segment's order.
+        self.fronts: Dict["_HistorySegment", Tuple[int, int]] = {}
+
+
+class _OrderIndex(_EvidenceIndex):
+    """:func:`~repro.bft.testing.order_divergence`, one new entry at a time.
+
+    The reference walks the later-labelled segment ``b`` of each pair against
+    the first-position map of the earlier-labelled ``a`` and demands
+    positions that never fall back.  While that holds, the last shared
+    operation in ``b``'s order carries the largest position in both, so one
+    pair of positions per segment pair decides any single append:
+
+    * an entry appended to ``b`` that ``a`` holds must map at or after the
+      last shared operation's position in ``a``;
+    * an entry new to ``a`` takes ``a``'s largest position, so ``b`` must
+      first hold it after its own last shared operation.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._holders: Dict[Tuple[str, bytes], List[_HistorySegment]] = {}
+
+    def _open(self, replica_id: str, incarnation: int) -> _HistorySegment:
+        return _HistorySegment((replica_id, incarnation))
+
+    def _append(self, segment: _HistorySegment, entry, pos: int) -> None:
+        holders = self._holders.setdefault(entry, [])
+        repeated = entry in segment.first
+        for other in holders:
+            if other is segment:
+                continue
+            if other.order < segment.order:
+                there = other.first[entry]
+                front = segment.fronts.get(other)
+                if front is not None and there < front[0]:
+                    self.suspect = True
+                segment.fronts[other] = (there, pos)
+            elif not repeated:
+                front = other.fronts.get(segment)
+                if front is not None and other.first[entry] < front[1]:
+                    self.suspect = True
+                other.fronts[segment] = (pos, other.last[entry])
+        if not repeated:
+            segment.first[entry] = pos
+            holders.append(segment)
+        segment.last[entry] = pos
+
+
+class _ReplySegment:
+    """The consumed part of one incarnation's reply log."""
+
+    __slots__ = ("consumed", "last_reqid")
+
+    def __init__(self) -> None:
+        self.consumed = 0
+        self.last_reqid: Dict[str, int] = {}
+
+
+class _ReplyIndex(_EvidenceIndex):
+    """:func:`check_reply_segments`, one new reply at a time."""
+
+    def _open(self, replica_id: str, incarnation: int) -> _ReplySegment:
+        return _ReplySegment()
+
+    def _append(self, segment: _ReplySegment, entry, pos: int) -> None:
+        client_id, reqid = entry
+        if reqid <= segment.last_reqid.get(client_id, 0):
+            self.suspect = True
+        segment.last_reqid[client_id] = reqid
+
+
 class OracleSuite:
     """All safety oracles over one recording cluster."""
 
@@ -110,6 +236,8 @@ class OracleSuite:
         self._committed: Dict[int, Tuple[bytes, str]] = {}
         self._checkpoints: Dict[int, Tuple[bytes, str]] = {}
         self._views: Dict[str, Tuple[object, int]] = {}
+        self._order = _OrderIndex()
+        self._replies = _ReplyIndex()
         self._events_since_check = 0
         self._uninstall: Optional[Callable[[], None]] = None
         self._overload: Optional[Dict[str, object]] = None
@@ -149,6 +277,17 @@ class OracleSuite:
         self._check_view_monotonicity()
         self._check_checkpoint_stability()
 
+    def sweep(self) -> None:
+        """The end-of-run check: every oracle once more, then the reference
+        walks over all the evidence (which cross-checks the index)."""
+        self.check_now()
+        self.check_reference()
+
+    def check_reference(self) -> None:
+        """``prefix`` and ``at-most-once`` by their full-history walks."""
+        self._walk_prefix()
+        self._walk_at_most_once()
+
     def record_violation(self, oracle: str, detail: str) -> None:
         violation = Violation(
             oracle=oracle,
@@ -164,6 +303,22 @@ class OracleSuite:
         # frame are tentative and may legitimately be rolled back and
         # re-executed in a different order after a view change — they are not
         # evidence of divergence until promoted.
+        if self._feed(self._order, self.recorder.history_segments, 0):
+            self._walk_prefix()
+
+    def _feed(
+        self, index: _EvidenceIndex, logs: Dict[str, List[list]], which: int
+    ) -> bool:
+        """Hand ``index`` the correct replicas' new committed evidence from
+        ``logs`` (histories: ``which`` 0, replies: 1); true once it suspects."""
+        for rid, segments in logs.items():
+            if rid not in self.byzantine:
+                index.consume(
+                    rid, segments, self.recorder.committed_lengths(rid)[which]
+                )
+        return index.suspect
+
+    def _walk_prefix(self) -> None:
         problem = order_divergence(
             self.recorder.committed_history_segments(), exclude=self.byzantine
         )
@@ -186,6 +341,10 @@ class OracleSuite:
                     )
 
     def _check_at_most_once(self) -> None:
+        if self._feed(self._replies, self.recorder.reply_logs, 1):
+            self._walk_at_most_once()
+
+    def _walk_at_most_once(self) -> None:
         problem = check_reply_segments(
             self.recorder.committed_reply_logs(), exclude=self.byzantine
         )
@@ -377,6 +536,12 @@ class ShardedOracleSuite:
             suite.check_now()
         self._check_cross_shard_atomicity()
         self._check_reconstruction_integrity()
+
+    def sweep(self) -> None:
+        """The end-of-run check (see :meth:`OracleSuite.sweep`)."""
+        self.check_now()
+        for suite in self.suites:
+            suite.check_reference()
 
     def _check_cross_shard_atomicity(self) -> None:
         for shard, suite in enumerate(self.suites):

@@ -8,7 +8,7 @@ reboot).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, Dict, Sequence
 
 from repro.net.network import Network
 from repro.net.simulator import EventHandle, Simulator
@@ -23,7 +23,9 @@ class Node:
         self.node_id = node_id
         self.sim = sim
         self.network = network
-        self._timers: List[EventHandle] = []
+        # Pending timers only, in the order they were set: a handle leaves
+        # when it fires or is cancelled.
+        self._timers: Dict[EventHandle, None] = {}
         self._stopped = False
         if takeover:
             # A rebooted node reclaims its network registration.
@@ -36,9 +38,8 @@ class Node:
     def stop(self) -> None:
         """Cancel all timers and ignore all future deliveries."""
         self._stopped = True
-        for handle in self._timers:
+        for handle in list(self._timers):
             handle.cancel()
-        self._timers.clear()
 
     def restart_as(self, replacement: "Node") -> None:
         """Hand this node's network registration to ``replacement``.
@@ -55,13 +56,13 @@ class Node:
         """Schedule ``callback``; automatically inert once the node stops."""
 
         def guarded() -> None:
+            del self._timers[handle]
             if not self._stopped:
                 callback()
 
         handle = self.sim.schedule(delay, guarded)
-        self._timers.append(handle)
-        if len(self._timers) > 256:
-            self._timers = [h for h in self._timers if not h.cancelled]
+        handle._live = self._timers
+        self._timers[handle] = None
         return handle
 
     def now(self) -> float:

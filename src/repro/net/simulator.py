@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.util.clock import VirtualClock
 
@@ -21,20 +21,30 @@ _COMPACT_MIN_CANCELLED = 64
 
 
 class EventHandle:
-    """Cancellable handle for a scheduled event."""
+    """Cancellable handle for a scheduled event.
 
-    __slots__ = ("cancelled", "fire_at", "_sim")
+    ``_sim`` is set only while the event sits in the simulator's queue: the
+    simulator drops it when the event fires, so cancelling a fired handle
+    never counts towards heap compaction.  ``_live`` is the owner's table of
+    pending handles (see :meth:`repro.net.node.Node.set_timer`); a cancelled
+    handle removes itself from it.
+    """
+
+    __slots__ = ("cancelled", "fire_at", "_sim", "_live")
 
     def __init__(self, fire_at: float, sim: "Optional[Simulator]" = None) -> None:
         self.cancelled = False
         self.fire_at = fire_at
         self._sim = sim
+        self._live: Optional[Dict["EventHandle", None]] = None
 
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
             if self._sim is not None:
                 self._sim._note_cancelled()
+            if self._live is not None:
+                self._live.pop(self, None)
 
 
 class _SimClock(VirtualClock):
@@ -132,6 +142,7 @@ class Simulator:
                 continue
             if self._tiebreak_rng is not None:
                 entry = self._tiebreak(entry)
+            entry[2]._sim = None  # fired: a later cancel() is not heap garbage
             return entry[0], entry[3]
         return None
 

@@ -14,6 +14,8 @@ import pytest
 
 from repro.bft.config import BFTConfig
 from repro.bft.testing import (
+    HistoryRecorder,
+    RecordingKV,
     assert_order_consistent,
     assert_prefix_consistent,
     encode_set,
@@ -129,6 +131,27 @@ def test_order_divergence_tolerates_rollback_but_catches_conflicts():
     assert order_divergence({"R0": [[a, b]], "R1": [[b, a]]}) is not None
     # Excluded (Byzantine) replicas do not count.
     assert order_divergence({"R0": [[a, b]], "R1": [[b, a]]}, exclude=("R1",)) is None
+
+
+def test_reboot_inside_a_speculation_frame_seals_the_segment_at_its_watermark():
+    """Tentative executions of an incarnation that died mid-speculation must
+    never become committed evidence (they were never committed, and a view
+    change may legitimately order that batch differently)."""
+    recorder = HistoryRecorder()
+    service = RecordingKV(recorder, "R0", num_slots=8)
+    service.execute(encode_set(0, b"committed"), "C0", b"")
+    service.record_reply("C0", 1, b"OK")
+    service.begin_speculation()
+    service.execute(encode_set(1, b"tentative"), "C0", b"")
+    service.record_reply("C0", 2, b"OK")
+    assert [len(s) for s in recorder.committed_history_segments()["R0"]] == [1]
+    assert recorder.committed_lengths("R0") == (1, 1)
+
+    RecordingKV(recorder, "R0", num_slots=8)  # the reboot
+    assert [len(s) for s in recorder.committed_history_segments()["R0"]] == [1, 0]
+    assert [len(s) for s in recorder.committed_reply_logs()["R0"]] == [1, 0]
+    assert recorder.history_segments["R0"][0] == [("C0", encode_set(0, b"committed"))]
+    assert recorder.committed_lengths("R0") == (0, 0)
 
 
 def test_is_subsequence():

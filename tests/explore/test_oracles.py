@@ -7,12 +7,14 @@ from repro.bft.config import BFTConfig
 from repro.bft.messages import Checkpoint
 from repro.bft.testing import encode_set, recording_cluster
 from repro.crypto.digest import digest
+from repro.explore.interpreter import SINGLE, Session
 from repro.explore.oracles import (
     OracleSuite,
     OracleViolation,
     Violation,
     check_reply_segments,
 )
+from repro.explore.plan import FaultPlan
 
 
 def _suite(seed=0, byzantine=(), check_interval=10):
@@ -205,9 +207,34 @@ def test_step_hook_checks_periodically():
     client.invoke(encode_set(0, b"x"), timeout=60)
     client.invoke(encode_set(1, b"y"), timeout=60)
     # Poison evidence, then drive the simulator: the hook must catch it
-    # without an explicit check_now().
-    segment = recorder.history_segments["R0"][0]
-    segment[0], segment[1] = segment[1], segment[0]
+    # without an explicit check_now().  The poison is *appended* — the hook
+    # has consumed what is there, and consumed evidence is append-only.
+    first, second = ("CX", b"first"), ("CX", b"second")
+    recorder.history_segments["R0"][-1].extend([first, second])
+    recorder.history_segments["R1"][-1].extend([second, first])
     with pytest.raises(OracleViolation):
         client.invoke(encode_set(2, b"z"), timeout=60)
     assert suite.violations and suite.violations[0].oracle == "prefix"
+
+
+def test_rewrite_of_consumed_evidence_is_caught_by_the_epilogue_sweep():
+    """Breaking the evidence contract (rewriting entries a check has already
+    consumed) escapes the incremental index but not ``heal_and_sweep``, which
+    walks the full evidence with the reference oracles."""
+    cluster, recorder = recording_cluster(
+        config=BFTConfig(checkpoint_interval=8, log_window=16), seed=0
+    )
+    session = Session(
+        FaultPlan(seed=0, requests=2), cluster, [recorder], SINGLE, check_interval=5
+    )
+    client = cluster.client("C0")
+    client.invoke(encode_set(0, b"x"), timeout=60)
+    client.invoke(encode_set(1, b"y"), timeout=60)
+    session.suite.check_now()
+    segment = recorder.history_segments["R0"][0]
+    segment[0], segment[1] = segment[1], segment[0]
+    client.invoke(encode_set(2, b"z"), timeout=60)  # hook checks: nothing new is wrong
+    assert session.suite.violations == []
+    with pytest.raises(OracleViolation) as exc:
+        session.heal_and_sweep(settle=0.5)
+    assert exc.value.violation.oracle == "prefix"
