@@ -30,7 +30,7 @@ Rules:
 The planted regressions in :mod:`repro.faults.plant` are the ground truth:
 weakening ``prepared`` to ``>= f`` must raise QUORUM501/503, weakening
 ``committed_local`` to ``>= f + 1`` must raise QUORUM502, and stubbing out
-``_verify_checkpoint_cert`` must raise QUORUM504 on every cert-carrying
+``verify_checkpoint_cert`` must raise QUORUM504 on every cert-carrying
 message.
 """
 

@@ -180,9 +180,5 @@ def all_rules() -> List[RuleInfo]:
     return sorted(_REGISTRY.values(), key=lambda info: info.id)
 
 
-def known_rule_ids() -> List[str]:
-    return sorted(list(_REGISTRY) + list(META_RULES))
-
-
 def is_known_rule(rule_id: str) -> bool:
     return rule_id in _REGISTRY or rule_id in META_RULES

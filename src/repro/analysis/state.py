@@ -3,9 +3,9 @@
 The BASE library (paper Figure 1) relies on every conformance wrapper
 implementing the full abstraction surface — ``execute`` plus the abstraction
 function and its inverse (``get_obj``/``put_objs``) — and on every state
-machine implementing the complete checkpoint/state-transfer surface.  A
+machine supplying the upcalls its state manager calls back into.  A
 partially-implemented wrapper works in the normal case and then crashes the
-first time a checkpoint is taken or a replica fetches state, which is
+first time a replica fetches state or rolls a speculation back, which is
 exactly when fault tolerance is being relied upon; these rules surface the
 gap at lint time instead.
 """
@@ -22,25 +22,11 @@ from repro.analysis.violations import Violation
 #: has a safe no-op default and is deliberately not required).
 _WRAPPER_REQUIRED = ("execute", "get_obj", "put_objs")
 
-#: The surface concrete StateMachine subclasses must provide: execution,
-#: the replicated client table, checkpointing, and both sides of state
-#: transfer.  propose_nondet/check_nondet have safe defaults.
-_STATE_MACHINE_REQUIRED = (
-    "execute",
-    "record_reply",
-    "last_recorded",
-    "take_checkpoint",
-    "discard_checkpoints_below",
-    "checkpoint_seqnos",
-    "num_levels",
-    "root_digest",
-    "genesis_root_digest",
-    "get_meta",
-    "get_object_at",
-    "current_node",
-    "adopt_leaf_lm",
-    "install_fetched",
-)
+#: What a StateMachine subclass must still write: the base class forwards
+#: checkpointing, the client table, speculation and both sides of state
+#: transfer to its AbstractStateManager, which needs the service's execution,
+#: the inverse abstraction function, and the specification's genesis digest.
+_STATE_MACHINE_REQUIRED = ("execute", "put_objs", "genesis_root_digest")
 
 
 def _defined_methods(cls: ast.ClassDef) -> Set[str]:
@@ -92,8 +78,8 @@ def state200_wrapper_surface(index: ProjectIndex) -> Iterator[Violation]:
 @project_rule(
     "STATE201",
     "state-machine-full-surface",
-    "concrete StateMachine subclasses must implement the checkpoint and "
-    "state-transfer surface",
+    "StateMachine subclasses must implement execute, put_objs and "
+    "genesis_root_digest",
 )
 def state201_machine_surface(index: ProjectIndex) -> Iterator[Violation]:
     for ctx in index.files:
@@ -108,6 +94,6 @@ def state201_machine_surface(index: ProjectIndex) -> Iterator[Violation]:
                     "STATE201",
                     node,
                     f"state machine `{node.name}` is missing "
-                    f"{', '.join(missing)}: the engine calls the full surface "
-                    "during checkpoints, view changes, and state transfer",
+                    f"{', '.join(missing)}: the base class's checkpoint, "
+                    "state-transfer and rollback surface calls back into them",
                 )

@@ -17,7 +17,7 @@ the engine's :class:`~repro.bft.service.StateMachine` interface:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.base.statemgr import AbstractStateManager, genesis_root_digest
 from repro.base.wrapper import ConformanceWrapper
@@ -36,51 +36,21 @@ class BASEService(StateMachine):
         arity: int = 8,
         max_clock_skew: float = 1.0,
     ) -> None:
+        super().__init__(
+            AbstractStateManager(wrapper.spec.num_objects, wrapper.get_obj, arity=arity)
+        )
         self.wrapper = wrapper
         self.arity = arity
-        self.manager = AbstractStateManager(
-            wrapper.spec.num_objects, wrapper.get_obj, arity=arity
-        )
         wrapper.set_modify_callback(self.manager.modify)
         self.timestamps = TimestampAgreement(clock, max_skew=max_clock_skew)
         self._genesis_digest: Optional[bytes] = None
-
-    # -- execution ------------------------------------------------------------------
 
     def execute(self, op: bytes, client_id: str, nondet: bytes, read_only: bool = False) -> bytes:
         timestamp = self.timestamps.accept(nondet) if nondet else 0
         return self.wrapper.execute(op, client_id, timestamp, read_only=read_only)
 
-    def record_reply(self, client_id: str, reqid: int, reply: bytes) -> None:
-        self.manager.record_reply(client_id, reqid, reply)
-
-    def last_recorded(self, client_id: str):
-        return self.manager.last_recorded(client_id)
-
-    def propose_nondet(self) -> bytes:
-        return self.timestamps.propose()
-
-    def check_nondet(self, nondet: bytes) -> bool:
-        return self.timestamps.check(nondet)
-
-    # -- checkpointing ------------------------------------------------------------------
-
-    def take_checkpoint(self, seqno: int) -> bytes:
-        return self.manager.take_checkpoint(seqno)
-
-    def discard_checkpoints_below(self, seqno: int) -> None:
-        self.manager.discard_checkpoints_below(seqno)
-
-    def checkpoint_seqnos(self) -> List[int]:
-        return self.manager.checkpoint_seqnos()
-
-    # -- state transfer -------------------------------------------------------------------
-
-    def num_levels(self) -> int:
-        return self.manager.num_levels()
-
-    def root_digest(self, seqno: int) -> Optional[bytes]:
-        return self.manager.root_digest(seqno)
+    def put_objs(self, objects: Dict[int, bytes]) -> None:
+        self.wrapper.put_objs(objects)
 
     def genesis_root_digest(self) -> bytes:
         if self._genesis_digest is None:
@@ -92,33 +62,11 @@ class BASEService(StateMachine):
             )
         return self._genesis_digest
 
-    def get_meta(self, seqno: int, level: int, index: int) -> Optional[List[Tuple[int, bytes]]]:
-        return self.manager.get_meta(seqno, level, index)
+    def propose_nondet(self) -> bytes:
+        return self.timestamps.propose()
 
-    def get_object_at(self, seqno: int, index: int) -> Optional[bytes]:
-        return self.manager.get_object_at(seqno, index)
-
-    def current_node(self, level: int, index: int) -> Tuple[int, bytes]:
-        return self.manager.current_node(level, index)
-
-    def current_children(self, level: int, index: int) -> List[Tuple[int, bytes]]:
-        return self.manager.current_children(level, index)
-
-    def adopt_leaf_lm(self, index: int, lm: int) -> None:
-        self.manager.set_leaf_lm(index, lm)
-
-    def install_fetched(self, objects: Dict[int, Tuple[bytes, int]], seqno: int) -> bytes:
-        return self.manager.install_fetched(objects, seqno, self.wrapper.put_objs)
-
-    # -- scrubbing ----------------------------------------------------------------
-
-    def scan_corruption(self, start: int, budget: int) -> Tuple[List[int], int]:
-        return self.manager.scan_for_corruption(start, budget)
-
-    def repair_objects(self, objects: Dict[int, Tuple[bytes, int]]) -> None:
-        self.manager.repair_objects(objects, self.wrapper.put_objs)
-
-    # -- proactive recovery -------------------------------------------------------------------
+    def check_nondet(self, nondet: bytes) -> bool:
+        return self.timestamps.check(nondet)
 
     def save_for_recovery(self) -> None:
         self.wrapper.save_for_recovery()

@@ -217,19 +217,6 @@ class AbstractStateManager:
                 frame.new_modified.add(index)
         self._modified.add(index)
 
-    def modified_since_checkpoint(self) -> "frozenset[int]":
-        """Objects modified since the latest checkpoint, as a frozen view.
-
-        The view is a point-in-time copy (O(modified)); hot loops that only
-        need a membership test should call :meth:`is_modified` instead.
-        """
-        return frozenset(self._modified)
-
-    def is_modified(self, index: int) -> bool:
-        """O(1) membership probe: was ``index`` modified since the latest
-        checkpoint?"""
-        return index in self._modified
-
     # -- speculation frames (fast path) ---------------------------------------------
 
     def begin_speculation(self) -> None:
@@ -238,9 +225,6 @@ class AbstractStateManager:
         strictly in order — oldest commits first, newest rolls back first."""
         self._spec_frames.append(_SpecFrame())
         self.counters.add("spec_frames_opened")
-
-    def in_speculation(self) -> bool:
-        return bool(self._spec_frames)
 
     def commit_speculation(self) -> None:
         """Promote the oldest open frame: its mutations become permanent.
@@ -326,11 +310,6 @@ class AbstractStateManager:
 
     def checkpoint_seqnos(self) -> List[int]:
         return list(self._checkpoints)
-
-    def latest_checkpoint(self) -> Optional[int]:
-        if not self._checkpoints:
-            return None
-        return next(reversed(self._checkpoints))
 
     # -- reads at a checkpoint -----------------------------------------------------------
 

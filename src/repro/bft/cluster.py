@@ -111,9 +111,6 @@ class Cluster:
         """Remove any network partition."""
         self.network.heal_partition()
 
-    def down_replicas(self) -> List[str]:
-        return [rid for rid in self.hosts if self.network.is_down(rid)]
-
     def restart_all_down(self) -> None:
         """Bring every crashed replica back (mid-reboot hosts finish on
         their own schedule and are left alone).

@@ -73,6 +73,7 @@ from repro.bft.messages import (
     ParityAck,
     ParityUpdate,
 )
+from repro.bft.replica import verify_checkpoint_cert
 from repro.crypto.auth import MacVerificationError
 from repro.crypto.digest import digest
 from repro.util.stats import Counters
@@ -152,8 +153,7 @@ class FusionFeeder:
         """Replica hook, called inside ``_mark_stable`` *before* checkpoint
         GC — both the previous stable checkpoint and the new one are live."""
         service = replica.service
-        manager = getattr(service, "manager", None)
-        if manager is None or cert.seqno == 0:
+        if cert.seqno == 0:
             return
         seqnos = [s for s in service.checkpoint_seqnos() if s < cert.seqno]
         if not seqnos:
@@ -165,7 +165,7 @@ class FusionFeeder:
         tier = self.tier
         deltas: List[Tuple[int, bytes]] = []
         overflow = False
-        for index in range(manager.total_leaves):
+        for index in range(tier.num_leaves):
             old_leaf = service.get_leaf(base, index)
             new_leaf = service.get_leaf(cert.seqno, index)
             if old_leaf is None or new_leaf is None:
@@ -204,7 +204,7 @@ class FusionFeeder:
             base_seqno=base,
             seqno=cert.seqno,
             slot_width=tier.slot_width,
-            num_leaves=manager.total_leaves,
+            num_leaves=tier.num_leaves,
             deltas=deltas,
             cert=cert,
         )
@@ -219,12 +219,73 @@ class FusionFeeder:
             )
             replica.send(parity_id, update)
 
-    def on_ack(self, replica, message: ParityAck) -> None:
-        if message.parity_id not in self.acked:
+    def on_message(self, replica, message, src: str) -> None:
+        """Fused-tier traffic reaching our replica (it routes here only while
+        a feeder is attached).  Only this tier's own fused nodes are heard:
+        ``KeyTable`` derives a session key for any principal, so a valid MAC
+        alone says nothing about who may read our state."""
+        if not replica.check_auth(message, expected_sender=src):
             return
-        if message.seqno > self.acked[message.parity_id]:
-            self.acked[message.parity_id] = message.seqno
-            replica.counters.add("fusion_acks")
+        known = src == message.parity_id and src in self.acked
+        if isinstance(message, ParityAck):
+            if not known:
+                replica.counters.add("fusion_acks_ignored")
+            elif message.seqno > self.acked[src]:
+                self.acked[src] = message.seqno
+                replica.counters.add("fusion_acks")
+        elif isinstance(message, FusionFetch):
+            if known:
+                self._serve_block(replica, message, src)
+            else:
+                replica.counters.add("fusion_fetches_refused")
+
+    def _serve_block(self, replica, message: FusionFetch, src: str) -> None:
+        """Send a full fixed-width block of our abstract state to a fused
+        node — for bootstrap (seqno 0 = latest stable) or reconstruction
+        (exact pinned seqno)."""
+        service = replica.service
+        seqno = message.seqno
+        cert: Optional[CheckpointCert] = None
+        if seqno == 0:
+            cert = replica.servable_cert()
+            if cert is None:
+                replica.counters.add("fusion_fetches_refused")
+                return
+            seqno = cert.seqno
+        elif seqno == replica.stable_seqno and replica.stable_cert is not None:
+            # Exact fetch at the current stable checkpoint: certified.
+            cert = replica.stable_cert
+        # An exact fetch below the stable checkpoint (GC-pinned) is served
+        # without a certificate: the fused node verifies the block against
+        # the certified root it already holds for that seqno.
+        leaves = []
+        for index in range(self.tier.num_leaves):
+            leaf = service.get_leaf(seqno, index)
+            value = service.get_object_at(seqno, index)
+            if leaf is None or value is None:
+                # We no longer (or never did) hold that checkpoint.
+                replica.counters.add("fusion_fetches_refused")
+                return
+            leaves.append((leaf[0], value))
+        try:
+            block = pack_block(leaves, message.slot_width)
+        except FusionError:
+            replica.counters.add("fusion_serve_overflow")
+            return
+        replica.counters.add("fusion_blocks_served")
+        replica.counters.add("fusion_block_bytes_served", len(block))
+        replica.auth_send(
+            src,
+            FusionBlock(
+                replica_id=replica.node_id,
+                shard=message.shard,
+                seqno=seqno,
+                slot_width=message.slot_width,
+                num_leaves=self.tier.num_leaves,
+                block=block,
+                cert=cert,
+            ),
+        )
 
 
 class FusedNode:
@@ -405,7 +466,6 @@ class FusedNode:
         self._votes = {
             k: v for k, v in self._votes.items() if not (k[0] == shard and k[2] <= message.seqno)
         }
-        self.tier.on_parity_progress()
 
     # -- full blocks (bootstrap / resync / reconstruction) -----------------------------
 
@@ -484,7 +544,6 @@ class FusedNode:
         self._staged.clear()
         self.counters.add("fusion_bootstraps")
         emit(self.tier.tracer, self.node_id, "fusion_parity_ready")
-        self.tier.on_parity_progress()
 
     def collect_survivors(
         self,
@@ -583,29 +642,13 @@ class FusedBackupTier:
     def verify_cert(
         self, shard: int, seqno: int, cert: Optional[CheckpointCert]
     ) -> bool:
-        """Certificate verification, mirrored from the replica: certs ride
-        outside MAC'd payloads because they are self-verifying (2f+1 signed
-        checkpoints; genesis is a pure function of the specification)."""
+        """Certs ride outside MAC'd payloads because they are self-verifying;
+        a fused node checks them exactly as the shard's replicas do."""
         if cert is None or cert.seqno != seqno:
             return False
         cluster = self.cluster(shard)
-        if cert.seqno == 0:
-            service = next(iter(cluster.hosts.values())).service
-            return cert.state_digest == service.genesis_root_digest()
-        senders = set()
-        for checkpoint in cert.proof:
-            if checkpoint.seqno != cert.seqno:
-                return False
-            if checkpoint.state_digest != cert.state_digest:
-                return False
-            if checkpoint.replica_id not in cluster.config.replica_ids:
-                return False
-            if not cluster.sigs.verify(
-                checkpoint.replica_id, checkpoint.signable_bytes(), checkpoint.sig
-            ):
-                return False
-            senders.add(checkpoint.replica_id)
-        return len(senders) >= cluster.config.quorum
+        service = next(iter(cluster.hosts.values())).service
+        return verify_checkpoint_cert(cert, cluster.config, cluster.sigs, service)
 
     def root_of(self, block: bytes) -> bytes:
         """Merkle root of a block's cells (leaf-by-leaf verification)."""
@@ -635,9 +678,6 @@ class FusedBackupTier:
 
     def ready(self) -> bool:
         return all(node.parity is not None for node in self.nodes)
-
-    def on_parity_progress(self) -> None:
-        """Progress hook (kept for symmetry and test introspection)."""
 
     def request_rebuild(self, node: FusedNode) -> None:
         """Full parity rebuild after a currency gap: refetch every shard's

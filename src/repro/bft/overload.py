@@ -1,4 +1,5 @@
-"""Overload robustness: bounded admission in front of ``Replica.pending``.
+"""Overload robustness: bounded admission in front of ``Replica.pending``,
+and the policy a replica follows once it is saturated.
 
 A replica's pending-request queue used to be an unbounded ``OrderedDict``:
 the first saturation event would grow it without bound, stall execution, trip
@@ -21,6 +22,11 @@ liveness but never improves its position, which is what makes batching fair —
 a hot client's back-to-back stream cannot push a slow client's older request
 out of the next batch.
 
+:class:`OverloadPolicy` is the replica's side of the same feature: what it
+tells the client about a shed request (``Busy``), and whether an expired
+request timer means a faulty primary or a busy one (anti-storm damping, the
+request relay).
+
 :class:`OpenLoopLoadGenerator` is the matching traffic source: a swarm of
 clients issuing at a fixed offered rate regardless of completions (open loop),
 used by the ``overload`` explore step and the ``overload`` bench suite to
@@ -30,11 +36,21 @@ actually produce saturation inside the deterministic simulator.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.bft.messages import Busy, Request
 from repro.net.simulator import EventHandle, Simulator
 
+if TYPE_CHECKING:
+    from repro.bft.replica import Replica
+
 Key = Tuple[str, int]
+
+#: How many request-timer periods back a commit may lie and still count as
+#: "the primary is alive, just saturated" for anti-storm damping.  A valid
+#: timer firing proves no commit landed within the current period (execution
+#: re-arms the timer), so the window must exceed one period to be satisfiable.
+DAMPING_WINDOW_FACTOR = 2.0
 
 #: Entries examined from the queue front per admission when looking for
 #: TTL-stale entries; bounds per-message work at O(1).
@@ -246,6 +262,154 @@ class AdmissionQueue:
             self._per_client.pop(client_id, None)
         else:
             self._per_client[client_id] = count
+
+
+class OverloadPolicy:
+    """What a replica does about its :class:`AdmissionQueue` under load: it
+    accounts for what admission shed, answers Busy, and decides whether an
+    expired request timer means a faulty primary or merely a saturated one
+    (docs/overload.md)."""
+
+    def __init__(self, replica: "Replica") -> None:
+        self.replica = replica
+        # Anti-view-change-storm damping state: when this replica last
+        # advanced last_executed and last heard the primary (-inf = never),
+        # and how long the oldest queued request has been starving across
+        # damped firings.
+        self._last_commit_time = float("-inf")
+        self._last_primary_seen = float("-inf")
+        self._damped_streak = 0
+        self._damp_oldest: Optional[tuple] = None
+        self._relayed_once = False
+
+    def heard_primary(self) -> None:
+        """Any traffic from the current primary — pre-prepares, status
+        gossip, checkpoints — is evidence it is alive; damping only holds
+        back a view change while this is fresh."""
+        self._last_primary_seen = self.replica.now()
+
+    def progressed(self) -> None:
+        """``last_executed`` advanced (execution or state transfer)."""
+        self._last_commit_time = self.replica.now()
+        self._relayed_once = False
+
+    def admit(self, request: Request) -> bool:
+        """Offer a client request to the queue; True when the replica should
+        go on to order it.  A shed arrival is answered Busy by the primary:
+        the notice proves it is alive and suggests a retry delay scaled by
+        queue fill (congestion-aware backoff hint)."""
+        replica = self.replica
+        pending = replica.pending
+        outcome = pending.admit(request, replica.now())
+        if outcome.expired:
+            replica.counters.add("pending_expired", len(outcome.expired))
+        if outcome.evicted is not None:
+            replica.counters.add("pending_evicted")
+        if outcome.shed:
+            # Shed arrivals also count as evictions from the bounded queue:
+            # `pending_evicted` is the memory bound at work on any replica,
+            # `requests_shed` breaks out why the arrival was refused.
+            replica.counters.add("pending_evicted")
+            replica.counters.add("requests_shed")
+            replica.counters.add("requests_shed_" + outcome.shed_reason)
+        if replica.view_changes.in_view_change or replica.recovering:
+            return False
+        if not outcome.shed:
+            return True
+        if replica.is_primary():
+            hint = replica.config.client_retry_max * (1.0 + len(pending) / pending.capacity)
+            busy = Busy(
+                view=replica.view,
+                reqid=request.reqid,
+                client_id=request.client_id,
+                replica_id=replica.node_id,
+                retry_after_micros=int(hint * 1_000_000),
+            )
+            replica.counters.add("busy_replies")
+            replica.auth_send(request.client_id, busy)
+        return False
+
+    def keep_waiting(self, stalled: bool) -> bool:
+        """The request timer expired; ``stalled`` says requests are still
+        waiting in a view we could leave.  True re-arms the timer, False
+        blames the primary (the caller starts a view change)."""
+        if stalled:
+            if self._should_damp():
+                self.replica.counters.add("view_changes_damped")
+                return True
+            if self._relay_pending():
+                return True
+        self._damped_streak = 0
+        self._damp_oldest = None
+        return not stalled
+
+    def _relay_pending(self) -> bool:
+        """PBFT request relay (OSDI'99 section 4.4): before blaming the
+        primary, a backup whose timer expired forwards its oldest *abandoned*
+        queued requests — ones whose client has stopped retransmitting, so
+        the primary (which shed them under load, or never saw the multicast)
+        will not hear them from anyone else.  Requests a live client still
+        retransmits are not worth delaying a view change for.  One shot per
+        stall: if relaying does not restore progress by the next firing, the
+        view change proceeds."""
+        replica = self.replica
+        if replica.is_primary() or self._relayed_once or not replica.pending:
+            return False
+        # "Abandoned" = not refreshed within 1.5x the client's *initial* retry
+        # interval: a client that still wants the reply and believes the
+        # primary faulty is in its early, fast retransmission stages, so its
+        # entry stays fresher than this.  (Deep-backoff clients can be
+        # misclassified; a redundant relay is harmless — the primary dedups.)
+        abandoned = replica.pending.abandoned_requests(
+            replica.now(), 1.5 * replica.config.client_retry, replica.config.batch_max
+        )
+        if not abandoned:
+            return False
+        self._relayed_once = True
+        primary = replica.config.primary(replica.view)
+        for request in abandoned:
+            replica.send(primary, request)
+        replica.counters.add("requests_relayed", len(abandoned))
+        return True
+
+    def _should_damp(self) -> bool:
+        """A busy-but-alive cluster is not a faulty one: while commits keep
+        landing (even slower than one timer period apart), stretch our
+        patience instead of starting a view change (anti-storm damping).
+        "Recent" means within ``DAMPING_WINDOW_FACTOR`` timer periods — a
+        valid timer firing already proves no commit landed in the *current*
+        period, so the window must look further back to distinguish a slow
+        primary from a dead one.  The escape hatch: if the *same* oldest
+        queued request starves across ``overload_damping_max`` consecutive
+        damped firings, the primary is making progress while discriminating
+        against someone — view-change anyway."""
+        replica = self.replica
+        pending = replica.pending
+        if not replica.config.overload_damping:
+            return False
+        if 2 * len(pending) < pending.capacity:
+            # No local overload evidence: a near-empty admission queue means
+            # the stall is about one slow request, not saturation — treat the
+            # timeout at face value (a crash-looping primary must not hide
+            # behind damping meant for saturated-but-healthy clusters).
+            return False
+        window = DAMPING_WINDOW_FACTOR * replica.view_changes.current_timeout()
+        if replica.now() - self._last_commit_time > window:
+            return False
+        if not replica.is_primary() and replica.now() - self._last_primary_seen > window:
+            # Commits were recent but the primary has gone silent: that is a
+            # dead primary with residual pipeline drain, not a busy one.
+            return False
+        if pending:
+            marker = ("pending", pending.oldest_key())
+        else:
+            marker = ("in-flight", min(replica.in_flight))
+        if marker == self._damp_oldest:
+            self._damped_streak += 1
+        else:
+            self._damped_streak = 1
+            self._damp_oldest = marker
+        return self._damped_streak <= replica.config.overload_damping_max
 
 
 class OpenLoopLoadGenerator:

@@ -1,30 +1,29 @@
-"""BFT replica: normal-case operation.
+"""BFT replica: the three-phase core.
 
-Implements the three-phase PBFT ordering protocol (pre-prepare / prepare /
-commit) with request batching, at-most-once execution per client, periodic
-checkpoints with 2f+1 certificates, log garbage collection, and a
-status-gossip retransmission channel that lets lagging replicas catch up.
-View changes, state transfer, and proactive recovery live in sibling modules
-and are wired in here as managers.
+Implements PBFT ordering (pre-prepare / prepare / commit) with request
+batching, at-most-once in-order execution per client, periodic checkpoints
+with 2f+1 certificates, log garbage collection and the request timer that
+blames a silent primary.  Every other sub-protocol is a manager built in
+``Replica.__init__`` that owns its state and its messages and reaches the
+core through ``self.replica`` (docs/protocol.md has the module map): view
+changes, state transfer, the fast path, the overload policy, catch-up.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from typing import Set, Tuple
-
+from repro.bft.catchup import CatchUpManager
 from repro.bft.config import BFTConfig
+from repro.bft.fastpath import FastPathManager
 from repro.bft.log import MessageLog, Slot
 from repro.bft.messages import (
-    Busy,
     Checkpoint,
     CheckpointCert,
     Commit,
     FetchMeta,
     FetchObject,
     FetchRoot,
-    FusionBlock,
     FusionFetch,
     Lease,
     LeaseRevoke,
@@ -45,7 +44,7 @@ from repro.bft.messages import (
     TransferRoot,
     ViewChange,
 )
-from repro.bft.overload import AdmissionOutcome, AdmissionQueue
+from repro.bft.overload import AdmissionQueue, OverloadPolicy
 from repro.bft.service import StateMachine
 from repro.bft.statetransfer import StateTransferManager
 from repro.bft.viewchange import ViewChangeManager
@@ -58,11 +57,30 @@ from repro.util.errors import FaultInjected
 from repro.util.stats import Counters
 from repro.util.trace import Tracer, emit
 
-#: How many request-timer periods back a commit may lie and still count as
-#: "the primary is alive, just saturated" for anti-storm damping.  A valid
-#: timer firing proves no commit landed within the current period (execution
-#: re-arms the timer), so the window must exceed one period to be satisfiable.
-DAMPING_WINDOW_FACTOR = 2.0
+
+def verify_checkpoint_cert(
+    cert: CheckpointCert, config: BFTConfig, sigs: SignatureScheme, service: StateMachine
+) -> bool:
+    """Is ``cert`` proof that a quorum checkpointed its digest at its seqno?
+    The one implementation: replicas and fused nodes both call it."""
+    if cert.seqno == 0:
+        # Genesis needs no proof: its digest is a pure function of the
+        # abstract specification, known to every replica a priori.
+        return cert.state_digest == service.genesis_root_digest()
+    senders = set()
+    for checkpoint in cert.proof:
+        if checkpoint.seqno != cert.seqno:
+            return False
+        if checkpoint.state_digest != cert.state_digest:
+            return False
+        if checkpoint.replica_id not in config.replica_ids:
+            return False
+        if not sigs.verify(
+            checkpoint.replica_id, checkpoint.signable_bytes(), checkpoint.sig
+        ):
+            return False
+        senders.add(checkpoint.replica_id)
+    return len(senders) >= config.quorum
 
 
 class Replica(Node):
@@ -109,29 +127,15 @@ class Replica(Node):
         )
         self.in_flight: set = set()  # (client, reqid) already in a pre-prepare
         self.recovering = False
-        # Fused-backup tier hook: host-resident FusionFeeder (survives
-        # reboots; relinked by ReplicaHost).  See repro.bft.fusion.
+        # The one checkpoint subscriber: the host-resident FusionFeeder of an
+        # attached fused-backup tier (survives reboots; relinked by
+        # ReplicaHost).  See repro.bft.fusion.
         self.fusion_feeder = None
         self.on_recovered = None  # hook set by ReplicaHost for WoV accounting
         self.on_crashed = None  # hook set by the fault-containment supervisor
         self.crash_reason = ""
         self.crash_seqno = 0  # ordering position being executed when we died
         self.tracer: Tracer = None  # type: ignore[assignment]  # optional, set by the deployment
-
-        # Fast path: open speculation frames, oldest first — (seqno, keys of
-        # tentatively replied requests, batch digest).  Frames are contiguous
-        # from last_executed + 1; promotion pops the head, rollback clears
-        # all.  _tentative_replies marks (client, reqid) pairs whose recorded
-        # reply is still speculative, so retransmissions are answered with
-        # SpecReply rather than a (false) committed Reply.
-        self.spec_frames: List[Tuple[int, List[Tuple[str, int]], bytes]] = []
-        self._tentative_replies: Set[Tuple[str, int]] = set()
-        # Fast path: read lease held by this replica — (view, epoch, min
-        # executed seqno) — and, at the primary, the epoch currently granted
-        # and not yet revoked.
-        self._lease: Optional[Tuple[int, int, int]] = None
-        self._lease_granted: Optional[int] = None
-        self._lease_epoch = 0
 
         # The genesis state is an implicitly certified checkpoint: label it 0
         # so this replica can serve it to recovering peers before the first
@@ -141,20 +145,15 @@ class Replica(Node):
             if service.current_node(0, 0)[1] == service.genesis_root_digest():
                 service.take_checkpoint(0)
 
-        # Managers.
+        self._request_deadline: Optional[float] = None
+
+        # Managers, one per sub-protocol.  Catch-up goes last: it arms the
+        # only timer a new replica starts with.
         self.view_changes = ViewChangeManager(self)
         self.transfer = StateTransferManager(self)
-
-        self._request_deadline: Optional[float] = None
-        # Anti-view-change-storm damping state (docs/overload.md): when this
-        # replica last advanced last_executed (-inf = never), and how long the
-        # oldest queued request has been starving across damped firings.
-        self._last_commit_time = float("-inf")
-        self._last_primary_seen = float("-inf")
-        self._damped_streak = 0
-        self._damp_oldest: Optional[tuple] = None
-        self._relayed_once = False
-        self._start_status_loop()
+        self.fast_path = FastPathManager(self)
+        self.overload = OverloadPolicy(self)
+        self.catch_up = CatchUpManager(self)
 
     # -- identity helpers ---------------------------------------------------------
 
@@ -211,10 +210,7 @@ class Replica(Node):
 
     def on_message(self, message: Message, src: str) -> None:
         if src == self.config.primary(self.view):
-            # Any traffic from the current primary — pre-prepares, status
-            # gossip, checkpoints — is evidence it is alive; anti-storm
-            # damping only holds back a view change while this is fresh.
-            self._last_primary_seen = self.now()
+            self.overload.heard_primary()
         if isinstance(message, Request):
             self.on_request(message, src)
         elif isinstance(message, PrePrepare):
@@ -225,28 +221,28 @@ class Replica(Node):
             self.on_commit(message, src)
         elif isinstance(message, Checkpoint):
             self.on_checkpoint(message, src)
-        elif isinstance(message, Status):
-            self.on_status(message, src)
         elif isinstance(message, CheckpointCert):
             self.on_checkpoint_cert(message, src)
-        elif isinstance(message, RetransmitCommitted):
-            self.on_retransmit(message, src)
-        elif isinstance(message, Lease):
-            self.on_lease(message, src)
-        elif isinstance(message, LeaseRevoke):
-            self.on_lease_revoke(message, src)
+        elif isinstance(message, (Status, RetransmitCommitted)):
+            self.catch_up.on_message(message, src)
+        elif isinstance(message, (Lease, LeaseRevoke)):
+            self.fast_path.on_message(message, src)
         elif isinstance(message, (ViewChange, NewView)):
             self.view_changes.on_message(message, src)
-        elif isinstance(message, (FetchRoot, FetchMeta, FetchObject)):
-            self.on_fetch(message, src)
-        elif isinstance(message, (TransferRoot, MetaReply, ObjectReply)):
+        elif isinstance(
+            message,
+            (FetchRoot, FetchMeta, FetchObject, TransferRoot, MetaReply, ObjectReply),
+        ):
             self.transfer.on_message(message, src)
         elif isinstance(message, (Recovering, Recovered)):
             self.counters.add(f"peer_{type(message).__name__.lower()}")
-        elif isinstance(message, FusionFetch):
-            self.on_fusion_fetch(message, src)
-        elif isinstance(message, ParityAck):
-            self.on_parity_ack(message, src)
+        elif isinstance(message, (FusionFetch, ParityAck)):
+            if self.fusion_feeder is not None:
+                self.fusion_feeder.on_message(self, message, src)
+            elif self.check_auth(message, expected_sender=src):
+                # No fused tier attached: nobody here speaks this protocol.
+                fetch = isinstance(message, FusionFetch)
+                self.counters.add("fusion_fetches_refused" if fetch else "fusion_acks_ignored")
         else:
             self.counters.add("unknown_message")
 
@@ -264,77 +260,42 @@ class Replica(Node):
                 # by an open speculation frame is NOT committed — claiming so
                 # would let a client accept f+1 "committed" replies for a
                 # batch that only ever prepared, which is unsafe.
-                if key in self._tentative_replies:
-                    self.auth_send(
-                        request.client_id,
-                        SpecReply(
-                            view=self.view,
-                            reqid=request.reqid,
-                            client_id=request.client_id,
-                            replica_id=self.node_id,
-                            result=recorded[1],
-                        ),
-                    )
-                else:
-                    self.auth_send(
-                        request.client_id,
-                        Reply(
-                            view=self.view,
-                            reqid=request.reqid,
-                            client_id=request.client_id,
-                            replica_id=self.node_id,
-                            result=recorded[1],
-                        ),
-                    )
+                self.send_reply(
+                    request,
+                    recorded[1],
+                    tentative=key in self.fast_path.tentative_replies,
+                )
             self.counters.add("duplicate_requests")
             return
         if request.read_only:
-            self._maybe_grant_lease()
             self._execute_read_only(request)
             return
         if key in self.in_flight:
             # Already assigned to a sequence number; the reply will come.
             return
-        outcome = self.pending.admit(request, self.now())
-        self._account_admission(outcome)
-        if self.view_changes.in_view_change or self.recovering:
-            return
-        if outcome.shed:
-            self._send_busy(request)
+        if not self.overload.admit(request):
             return
         self._arm_request_timer()
         if self.is_primary():
             self.try_send_pre_prepare()
 
-    def _account_admission(self, outcome: AdmissionOutcome) -> None:
-        if outcome.expired:
-            self.counters.add("pending_expired", len(outcome.expired))
-        if outcome.evicted is not None:
-            self.counters.add("pending_evicted")
-        if outcome.shed:
-            # Shed arrivals also count as evictions from the bounded queue:
-            # `pending_evicted` is the memory bound at work on any replica,
-            # `requests_shed` breaks out why the arrival was refused.
-            self.counters.add("pending_evicted")
-            self.counters.add("requests_shed")
-            self.counters.add("requests_shed_" + outcome.shed_reason)
-
-    def _send_busy(self, request: Request) -> None:
-        """Primary-only load-shed notice: proves we are alive and suggests a
-        retry delay scaled by queue fill (congestion-aware backoff hint)."""
-        if not self.is_primary():
-            return
-        fill = len(self.pending) / self.pending.capacity
-        hint = self.config.client_retry_max * (1.0 + fill)
-        busy = Busy(
+    def send_reply(
+        self, request: Request, result: bytes, tentative: bool = False, read_only: bool = False
+    ) -> None:
+        """The one place an answer to a client is built: a committed
+        :class:`Reply`, or a :class:`SpecReply` while the execution that
+        produced ``result`` is still speculative."""
+        fields = dict(
             view=self.view,
             reqid=request.reqid,
             client_id=request.client_id,
             replica_id=self.node_id,
-            retry_after_micros=int(hint * 1_000_000),
+            result=result,
         )
-        self.counters.add("busy_replies")
-        self.auth_send(request.client_id, busy)
+        if tentative:
+            self.auth_send(request.client_id, SpecReply(**fields))
+        else:
+            self.auth_send(request.client_id, Reply(read_only=read_only, **fields))
 
     def crash_self(self, reason: str) -> None:
         """The wrapped implementation died (aging, deterministic bug): this
@@ -361,17 +322,8 @@ class Replica(Node):
     def _execute_read_only(self, request: Request) -> None:
         if self.view_changes.in_view_change or self.recovering:
             return
-        if self.spec_frames:
-            # Tentative state must not leak through the read-only path: a
-            # speculated write could still be rolled back.  The client's
-            # read-only timeout falls back to an ordered request.
-            self.counters.add("read_only_deferred")
+        if not self.fast_path.admit_read():
             return
-        if self.config.read_leases:
-            if not self._lease_valid():
-                self.counters.add("leased_reads_refused")
-                return
-            self.counters.add("leased_reads_served")
         try:
             result = self.service.execute(
                 request.op, request.client_id, b"", read_only=True
@@ -379,27 +331,15 @@ class Replica(Node):
         except FaultInjected as fault:
             self.crash_self(str(fault))
             return
-        reply = Reply(
-            view=self.view,
-            reqid=request.reqid,
-            client_id=request.client_id,
-            replica_id=self.node_id,
-            result=result,
-            read_only=True,
-        )
         self.counters.add("read_only_executed")
-        self.auth_send(request.client_id, reply)
+        self.send_reply(request, result, read_only=True)
 
     # -- primary: batching and pre-prepare ---------------------------------------------------
 
     def try_send_pre_prepare(self) -> None:
         if not self.is_primary() or self.view_changes.in_view_change or self.recovering:
             return
-        if self.config.read_leases and self.pending and self._lease_granted is not None:
-            # A write is about to be proposed: kill every outstanding read
-            # lease first, so no replica serves a leased read concurrently
-            # with the mutation it conflicts with.
-            self._revoke_lease()
+        self.fast_path.revoke_for_write()
         while self.pending:
             next_seqno = self.next_seqno + 1
             if not self.in_window(next_seqno):
@@ -477,11 +417,7 @@ class Replica(Node):
                 self.counters.add("conflicting_pre_prepare")
             return
         slot.pre_prepare = pre_prepare
-        if self.config.read_leases and self._lease is not None and pre_prepare.requests:
-            # Seeing a write proposal conflicts with any lease we hold; drop
-            # it locally without waiting for the primary's revocation.
-            self._lease = None
-            self.counters.add("leases_self_revoked")
+        self.fast_path.on_write_proposed(pre_prepare)
         # Remove batched requests from our pending queue; they are in flight.
         # Requests we already executed (e.g. a new-view O re-proposing work
         # from before we were partitioned away) are *not* in flight for us:
@@ -559,7 +495,7 @@ class Replica(Node):
         self.counters.add("commits_sent")
         self.auth_multicast(commit)
         self._maybe_execute(slot)
-        self._try_speculate()
+        self.fast_path.speculate()
 
     def on_commit(self, commit: Commit, src: str) -> None:
         if not self.check_auth(commit):
@@ -610,31 +546,23 @@ class Replica(Node):
         while (self.last_executed + 1) in self.committed:
             seqno = self.last_executed + 1
             pre_prepare = self.committed[seqno]
-            if self.spec_frames and self.spec_frames[0][0] == seqno:
-                if self.spec_frames[0][2] == pre_prepare.batch_digest():
-                    self._promote_speculation()
-                else:
-                    # Divergence: the committed batch is not the one we ran
-                    # tentatively (possible only across view changes).  Undo
-                    # every frame, then execute the committed batch for real.
-                    self._rollback_speculation("divergence")
-                    self._execute_batch(seqno, pre_prepare)
-            else:
+            if not self.fast_path.promote(seqno, pre_prepare):
                 self._execute_batch(seqno, pre_prepare)
             self.last_executed = seqno
-            self._last_commit_time = self.now()
-            self._relayed_once = False
+            self.overload.progressed()
             if seqno % self.config.checkpoint_interval == 0:
                 self._take_checkpoint(seqno)
         self._rearm_request_timer()
-        self._try_speculate()
+        self.fast_path.speculate()
         if self.is_primary():
             self.try_send_pre_prepare()
-            self._maybe_grant_lease()
+            self.fast_path.maybe_grant_lease()
 
-    def _execute_batch(
-        self, seqno: int, pre_prepare: PrePrepare, tentative: bool = False
-    ) -> None:
+    def _execute_batch(self, seqno: int, pre_prepare: PrePrepare, reply=None) -> None:
+        """Run one batch against the service.  ``reply(request, result)``
+        answers each executed request: committed replies by default, the
+        fast path's tentative ones while it speculates."""
+        reply = reply or self.send_reply
         for request in pre_prepare.requests:
             key = (request.client_id, request.reqid)
             recorded = self.service.last_recorded(request.client_id)
@@ -654,178 +582,7 @@ class Replica(Node):
             self.service.record_reply(request.client_id, request.reqid, result)
             self._purge_superseded(request.client_id, request.reqid)
             self.in_flight.discard(key)
-            if tentative:
-                self.spec_frames[-1][1].append(key)
-                self._tentative_replies.add(key)
-                self.counters.add("spec_replies_sent")
-                self.auth_send(
-                    request.client_id,
-                    SpecReply(
-                        view=self.view,
-                        reqid=request.reqid,
-                        client_id=request.client_id,
-                        replica_id=self.node_id,
-                        result=result,
-                    ),
-                )
-            else:
-                self.auth_send(
-                    request.client_id,
-                    Reply(
-                        view=self.view,
-                        reqid=request.reqid,
-                        client_id=request.client_id,
-                        replica_id=self.node_id,
-                        result=result,
-                    ),
-                )
-
-    # -- speculative execution (fast path) -----------------------------------------------
-
-    def _try_speculate(self) -> None:
-        """Run prepared-but-uncommitted batches tentatively, in order.
-
-        Speculation advances a *tentative* execution pointer ahead of
-        ``last_executed``; every speculated batch has an undo frame in the
-        service, popped on promotion (its commit certificate arrived) or
-        unwound on view change, divergence, or state transfer.  Checkpoint
-        boundaries are never speculated: taking a checkpoint freezes state
-        that a rollback would have to repudiate, so boundary batches wait for
-        their commit certificates and execute on the committed path.
-        """
-        if not self.config.speculative_execution:
-            return
-        if self.view_changes.in_view_change or self.recovering or self.transfer.active:
-            return
-        while not self._stopped:
-            seqno = self.last_executed + len(self.spec_frames) + 1
-            if seqno % self.config.checkpoint_interval == 0:
-                return
-            if not self.in_window(seqno):
-                return
-            slot = self.log.get(self.view, seqno)
-            if slot is None or slot.pre_prepare is None:
-                return
-            if slot.executed or slot.spec_executed:
-                return
-            if not self.log.prepared(slot, self.node_id):
-                return
-            slot.spec_executed = True
-            self.spec_frames.append(
-                (seqno, [], slot.pre_prepare.batch_digest())
-            )
-            self.service.begin_speculation()
-            self.counters.add("spec_batches")
-            self._execute_batch(seqno, slot.pre_prepare, tentative=True)
-
-    def _promote_speculation(self) -> None:
-        """The oldest speculated batch gathered its commit certificate: its
-        tentative executions become permanent.  No replies are resent — the
-        client either accepted the 2f+1 tentative quorum already, or its
-        retransmission now hits the recorded-reply path and gets a committed
-        Reply."""
-        _seqno, replied, _digest = self.spec_frames.pop(0)
-        self.service.commit_speculation()
-        for key in replied:
-            self._tentative_replies.discard(key)
-        self.counters.add("spec_promotions")
-
-    def _rollback_speculation(self, reason: str) -> None:
-        """Undo every open speculation frame (newest first, inside the
-        service) and forget their tentative replies.  Requests rolled back
-        here were already purged from pending/in-flight at speculation time;
-        a client that still wants one will retransmit it."""
-        if not self.spec_frames:
-            return
-        rolled = len(self.spec_frames)
-        self.service.rollback_speculation()
-        for _seqno, replied, _digest in self.spec_frames:
-            for key in replied:
-                self._tentative_replies.discard(key)
-        self.spec_frames.clear()
-        self.counters.add("spec_rollbacks")
-        self.counters.add("spec_batches_rolled_back", rolled)
-        emit(
-            self.tracer,
-            self.node_id,
-            "speculation_rolled_back",
-            reason=reason,
-            batches=rolled,
-        )
-
-    # -- read leases (fast path) ----------------------------------------------------------
-
-    def _lease_valid(self) -> bool:
-        lease = self._lease
-        return (
-            lease is not None
-            and lease[0] == self.view
-            and self.last_executed >= lease[2]
-            and not self.view_changes.in_view_change
-        )
-
-    def _maybe_grant_lease(self) -> None:
-        """Primary: grant a read lease to every replica once the write
-        pipeline has fully drained (nothing queued, assigned, or
-        speculated).  The grant carries our executed seqno so holders refuse
-        to serve until they have caught up to the granted state."""
-        if not self.config.read_leases or not self.is_primary():
-            return
-        if self.view_changes.in_view_change or self.recovering or self.transfer.active:
-            return
-        if self._lease_granted is not None:
-            return
-        if self.pending or self.spec_frames or self.next_seqno > self.last_executed:
-            return
-        self._lease_epoch += 1
-        self._lease_granted = self._lease_epoch
-        lease = Lease(
-            view=self.view,
-            epoch=self._lease_epoch,
-            seqno=self.last_executed,
-            primary_id=self.node_id,
-        )
-        self.counters.add("lease_grants")
-        self._lease = (self.view, self._lease_epoch, self.last_executed)
-        self.auth_multicast(lease)
-
-    def _revoke_lease(self) -> None:
-        revoke = LeaseRevoke(
-            view=self.view, epoch=self._lease_granted or 0, primary_id=self.node_id
-        )
-        self._lease_granted = None
-        self._lease = None
-        self.counters.add("lease_revokes")
-        self.auth_multicast(revoke)
-
-    def on_lease(self, lease: Lease, src: str) -> None:
-        if not self.config.read_leases:
-            return
-        if not self.check_auth(lease, expected_sender=lease.primary_id):
-            return
-        if src != lease.primary_id or lease.primary_id != self.config.primary(lease.view):
-            return
-        if lease.view != self.view or self.view_changes.in_view_change:
-            return
-        current = self._lease
-        if current is not None and (current[0], current[1]) >= (lease.view, lease.epoch):
-            return
-        self._lease = (lease.view, lease.epoch, lease.seqno)
-        self.counters.add("leases_held")
-
-    def on_lease_revoke(self, revoke: LeaseRevoke, src: str) -> None:
-        if not self.config.read_leases:
-            return
-        if not self.check_auth(revoke, expected_sender=revoke.primary_id):
-            return
-        if src != revoke.primary_id or revoke.primary_id != self.config.primary(
-            revoke.view
-        ):
-            return
-        lease = self._lease
-        if lease is not None and lease[0] == revoke.view and lease[1] <= revoke.epoch:
-            self._lease = None
-            self.counters.add("leases_revoked")
+            reply(request, result)
 
     def _purge_superseded(self, client_id: str, reqid: int) -> None:
         """Executing reqid ``r`` for a client makes every queued reqid <= r
@@ -916,7 +673,7 @@ class Replica(Node):
         # If the quorum certified state we never executed, we are behind:
         # the ordering messages for it may already be garbage-collected.
         if self.last_executed < cert.seqno:
-            self._rollback_speculation("state-transfer")
+            self.fast_path.rollback("state-transfer")
             self.transfer.start(cert)
         if self.is_primary():
             self.try_send_pre_prepare()
@@ -928,24 +685,19 @@ class Replica(Node):
         self._mark_stable(cert)
 
     def _verify_checkpoint_cert(self, cert: CheckpointCert) -> bool:
-        if cert.seqno == 0:
-            # Genesis needs no proof: its digest is a pure function of the
-            # abstract specification, known to every replica a priori.
-            return cert.state_digest == self.service.genesis_root_digest()
-        senders = set()
-        for checkpoint in cert.proof:
-            if checkpoint.seqno != cert.seqno:
-                return False
-            if checkpoint.state_digest != cert.state_digest:
-                return False
-            if checkpoint.replica_id not in self.config.replica_ids:
-                return False
-            if not self.sigs.verify(
-                checkpoint.replica_id, checkpoint.signable_bytes(), checkpoint.sig
-            ):
-                return False
-            senders.add(checkpoint.replica_id)
-        return len(senders) >= self.config.quorum
+        return verify_checkpoint_cert(cert, self.config, self.sigs, self.service)
+
+    def servable_cert(self) -> Optional[CheckpointCert]:
+        """The certificate of the newest checkpoint a peer may fetch from us:
+        our stable one once we have executed up to it, else — until a first
+        checkpoint stabilizes — the implicit genesis certificate."""
+        if self.stable_cert is not None:
+            return self.stable_cert if self.last_executed >= self.stable_seqno else None
+        if 0 in self.service.checkpoint_seqnos():
+            return CheckpointCert(
+                seqno=0, state_digest=self.service.genesis_root_digest(), proof=[]
+            )
+        return None
 
     # -- liveness timers ---------------------------------------------------------------------------------
 
@@ -975,330 +727,16 @@ class Replica(Node):
             # Abandoned requests (client cancelled, or satisfied via another
             # replica's path) must not pin the timer into a view change.
             self.counters.add("pending_expired", len(expired))
-        stalled = bool(self.pending or self.in_flight)
-        if stalled and not self.view_changes.in_view_change and not self.recovering:
-            if self._should_damp():
-                self.counters.add("view_changes_damped")
-                self._arm_request_timer()
-                return
-            if self._relay_pending():
-                self._arm_request_timer()
-                return
-            self._damped_streak = 0
-            self._damp_oldest = None
+        stalled = (
+            bool(self.pending or self.in_flight)
+            and not self.view_changes.in_view_change
+            and not self.recovering
+        )
+        if self.overload.keep_waiting(stalled):
+            self._arm_request_timer()
+        else:
             self.counters.add("request_timeouts")
             self.view_changes.start(self.view + 1)
-        else:
-            self._damped_streak = 0
-            self._damp_oldest = None
-            self._arm_request_timer()
-
-    def _relay_pending(self) -> bool:
-        """PBFT request relay (OSDI'99 section 4.4): before blaming the
-        primary, a backup whose timer expired forwards its oldest *abandoned*
-        queued requests — ones whose client has stopped retransmitting, so
-        the primary (which shed them under load, or never saw the multicast)
-        will not hear them from anyone else.  Requests a live client still
-        retransmits are not worth delaying a view change for.  One shot per
-        stall: if relaying does not restore progress by the next firing, the
-        view change proceeds."""
-        if self.is_primary() or self._relayed_once or not self.pending:
-            return False
-        # "Abandoned" = not refreshed within 1.5x the client's *initial* retry
-        # interval: a client that still wants the reply and believes the
-        # primary faulty is in its early, fast retransmission stages, so its
-        # entry stays fresher than this.  (Deep-backoff clients can be
-        # misclassified; a redundant relay is harmless — the primary dedups.)
-        abandoned = self.pending.abandoned_requests(
-            self.now(), 1.5 * self.config.client_retry, self.config.batch_max
-        )
-        if not abandoned:
-            return False
-        self._relayed_once = True
-        primary = self.config.primary(self.view)
-        for request in abandoned:
-            self.send(primary, request)
-        self.counters.add("requests_relayed", len(abandoned))
-        return True
-
-    def _should_damp(self) -> bool:
-        """A busy-but-alive cluster is not a faulty one: while commits keep
-        landing (even slower than one timer period apart), stretch our
-        patience instead of starting a view change (anti-storm damping).
-        "Recent" means within ``DAMPING_WINDOW_FACTOR`` timer periods — a
-        valid timer firing already proves no commit landed in the *current*
-        period, so the window must look further back to distinguish a slow
-        primary from a dead one.  The escape hatch: if the *same* oldest
-        queued request starves across ``overload_damping_max`` consecutive
-        damped firings, the primary is making progress while discriminating
-        against someone — view-change anyway."""
-        if not self.config.overload_damping:
-            return False
-        if 2 * len(self.pending) < self.pending.capacity:
-            # No local overload evidence: a near-empty admission queue means
-            # the stall is about one slow request, not saturation — treat the
-            # timeout at face value (a crash-looping primary must not hide
-            # behind damping meant for saturated-but-healthy clusters).
-            return False
-        window = DAMPING_WINDOW_FACTOR * self.view_changes.current_timeout()
-        if self.now() - self._last_commit_time > window:
-            return False
-        if not self.is_primary() and self.now() - self._last_primary_seen > window:
-            # Commits were recent but the primary has gone silent: that is a
-            # dead primary with residual pipeline drain, not a busy one.
-            return False
-        if self.pending:
-            marker = ("pending", self.pending.oldest_key())
-        else:
-            marker = ("in-flight", min(self.in_flight))
-        if marker == self._damp_oldest:
-            self._damped_streak += 1
-        else:
-            self._damped_streak = 1
-            self._damp_oldest = marker
-        return self._damped_streak <= self.config.overload_damping_max
-
-    # -- status gossip and retransmission ---------------------------------------------------------------------
-
-    def _start_status_loop(self) -> None:
-        def tick() -> None:
-            self._send_status()
-            self.set_timer(self.config.status_interval, tick)
-
-        self.set_timer(self.config.status_interval, tick)
-
-    def _send_status(self) -> None:
-        if self.recovering:
-            return
-        status = Status(
-            replica_id=self.node_id,
-            view=self.view,
-            stable_seqno=self.stable_seqno,
-            last_executed=self.last_executed,
-            in_view_change=self.view_changes.in_view_change,
-        )
-        self.counters.add("status_sent")
-        self.auth_multicast(status)
-
-    def on_status(self, status: Status, src: str) -> None:
-        if not self.check_auth(status) or src != status.replica_id:
-            return
-        # Peer is in an older view: help it catch up with our new-view proof.
-        if status.view < self.view:
-            self.view_changes.retransmit_view_proof(src)
-        # Peer's checkpoint lags ours: hand it our stable certificate.
-        if status.stable_seqno < self.stable_seqno and self.stable_cert is not None:
-            self.auth_send(src, self.stable_cert)
-        # We are the primary and the peer may have missed pre-prepares for
-        # slots still being ordered (e.g. it was mid-view-change when they
-        # were multicast): resend them.
-        if (
-            status.view == self.view
-            and self.is_primary()
-            and not self.view_changes.in_view_change
-        ):
-            for slot in self.log.slots_for_view(self.view):
-                if (
-                    slot.pre_prepare is not None
-                    and not slot.executed
-                    and slot.seqno > status.last_executed
-                ):
-                    self.send(src, slot.pre_prepare)
-        # Peer missed executions that are still in our log: retransmit the
-        # committed pre-prepares plus commit certificates.
-        if status.last_executed < self.last_executed:
-            entries = []
-            for seqno in range(status.last_executed + 1, self.last_executed + 1):
-                if len(entries) >= 8:
-                    break
-                pre_prepare = self.committed.get(seqno)
-                if pre_prepare is None:
-                    continue
-                slot = self.log.get(pre_prepare.view, seqno)
-                if slot is None:
-                    continue
-                commits = slot.matching_commits()
-                if len({c.replica_id for c in commits}) >= self.config.quorum:
-                    entries.append(
-                        (pre_prepare, slot.matching_prepares(), commits)
-                    )
-            if entries:
-                self.counters.add("retransmissions")
-                self.auth_send(src, RetransmitCommitted(replica_id=self.node_id, entries=entries))
-
-    def on_retransmit(self, message: RetransmitCommitted, src: str) -> None:
-        if not self.check_auth(message) or src != message.replica_id:
-            return
-        for pre_prepare, prepares, commits in message.entries:
-            if pre_prepare.seqno <= self.last_executed:
-                continue
-            if not self.in_window(pre_prepare.seqno):
-                continue
-            expected_primary = self.config.primary(pre_prepare.view)
-            if pre_prepare.primary_id != expected_primary:
-                continue
-            if not self.sigs.verify(
-                pre_prepare.primary_id, pre_prepare.signable_bytes(), pre_prepare.sig
-            ):
-                continue
-            slot = self.log.slot(pre_prepare.view, pre_prepare.seqno)
-            if slot.pre_prepare is None:
-                slot.pre_prepare = pre_prepare
-            digest = pre_prepare.batch_digest()
-            for prepare in prepares:
-                if prepare.digest != digest or prepare.seqno != pre_prepare.seqno:
-                    continue
-                if prepare.replica_id not in self.config.replica_ids:
-                    continue
-                if prepare.replica_id == pre_prepare.primary_id:
-                    continue
-                # Prepares are signed, so they remain verifiable across
-                # session-key refreshes.
-                if not self.sigs.verify(
-                    prepare.replica_id, prepare.signable_bytes(), prepare.sig
-                ):
-                    continue
-                slot.prepares.setdefault(prepare.replica_id, prepare)
-            for commit in commits:
-                if commit.digest != digest or commit.replica_id not in self.config.replica_ids:
-                    continue
-                # Relayed commits are verified by signature: MAC tags made
-                # for our pre-recovery key epoch would no longer check.
-                if not self.sigs.verify(
-                    commit.replica_id, commit.signable_bytes(), commit.sig
-                ):
-                    continue
-                slot.commits.setdefault(commit.replica_id, commit)
-            self._maybe_execute(slot)
-
-    # -- state transfer donor side -----------------------------------------------------------------------------
-
-    def on_fetch(self, message: Message, src: str) -> None:
-        try:
-            self._serve_fetch(message, src)
-        except FaultInjected as fault:
-            self.crash_self(str(fault))
-
-    def _serve_fetch(self, message: Message, src: str) -> None:
-        if isinstance(message, FetchRoot):
-            if (
-                self.stable_cert is not None
-                and self.stable_cert.seqno >= message.min_seqno
-                and self.last_executed >= self.stable_cert.seqno
-            ):
-                self.send(src, TransferRoot(replica_id=self.node_id, cert=self.stable_cert))
-            elif self.stable_cert is None and 0 in self.service.checkpoint_seqnos():
-                # No certified checkpoint yet: offer the implicit genesis one.
-                genesis = CheckpointCert(
-                    seqno=0, state_digest=self.service.genesis_root_digest(), proof=[]
-                )
-                self.send(src, TransferRoot(replica_id=self.node_id, cert=genesis))
-        elif isinstance(message, FetchMeta):
-            children = self.service.get_meta(message.min_seqno, message.level, message.index)
-            if children is not None:
-                self.counters.add("meta_served")
-                self.send(
-                    src,
-                    MetaReply(
-                        replica_id=self.node_id,
-                        seqno=message.min_seqno,
-                        level=message.level,
-                        index=message.index,
-                        children=children,
-                    ),
-                )
-        elif isinstance(message, FetchObject):
-            data = self.service.get_object_at(message.min_seqno, message.index)
-            if data is not None:
-                self.counters.add("objects_served")
-                self.counters.add("object_bytes_served", len(data))
-                self.send(
-                    src,
-                    ObjectReply(
-                        replica_id=self.node_id,
-                        index=message.index,
-                        seqno=message.min_seqno,
-                        data=data,
-                    ),
-                )
-
-    # -- fused-backup tier (repro.bft.fusion) ------------------------------------------------------------------------
-
-    def on_parity_ack(self, message: ParityAck, src: str) -> None:
-        if not self.check_auth(message, expected_sender=src):
-            return
-        if self.fusion_feeder is None or src != message.parity_id:
-            self.counters.add("fusion_acks_ignored")
-            return
-        self.fusion_feeder.on_ack(self, message)
-
-    def on_fusion_fetch(self, message: FusionFetch, src: str) -> None:
-        """Serve a full fixed-width block of our abstract state to a fused
-        node — for bootstrap (seqno 0 = latest stable) or reconstruction
-        (exact pinned seqno)."""
-        if not self.check_auth(message, expected_sender=src):
-            return
-        if src != message.parity_id:
-            self.counters.add("fusion_fetches_refused")
-            return
-        manager = getattr(self.service, "manager", None)
-        if manager is None:
-            self.counters.add("fusion_fetches_refused")
-            return
-        from repro.base.fusion import FusionError, cell_width_for, pack_block
-
-        seqno = message.seqno
-        cert: Optional[CheckpointCert] = None
-        if seqno == 0:
-            if self.stable_cert is not None and self.last_executed >= self.stable_seqno:
-                seqno = self.stable_seqno
-                cert = self.stable_cert
-            elif self.stable_cert is None and 0 in self.service.checkpoint_seqnos():
-                cert = CheckpointCert(
-                    seqno=0, state_digest=self.service.genesis_root_digest(), proof=[]
-                )
-            else:
-                self.counters.add("fusion_fetches_refused")
-                return
-        elif seqno == self.stable_seqno and self.stable_cert is not None:
-            # Exact fetch at the current stable checkpoint: certified.
-            cert = self.stable_cert
-        elif seqno not in self.service.checkpoint_seqnos():
-            self.counters.add("fusion_fetches_refused")
-            return
-        # An exact fetch below the stable checkpoint (GC-pinned) is served
-        # without a certificate: the fused node verifies the block against
-        # the certified root it already holds for that seqno.
-        leaves = []
-        for index in range(manager.total_leaves):
-            leaf = self.service.get_leaf(seqno, index)
-            value = self.service.get_object_at(seqno, index)
-            if leaf is None or value is None:
-                self.counters.add("fusion_fetches_refused")
-                return
-            if cell_width_for(len(value)) > message.slot_width:
-                self.counters.add("fusion_serve_overflow")
-                return
-            leaves.append((leaf[0], value))
-        try:
-            block = pack_block(leaves, message.slot_width)
-        except FusionError:
-            self.counters.add("fusion_serve_overflow")
-            return
-        self.counters.add("fusion_blocks_served")
-        self.counters.add("fusion_block_bytes_served", len(block))
-        self.auth_send(
-            src,
-            FusionBlock(
-                replica_id=self.node_id,
-                shard=message.shard,
-                seqno=seqno,
-                slot_width=message.slot_width,
-                num_leaves=manager.total_leaves,
-                block=block,
-                cert=cert,
-            ),
-        )
 
     # -- hooks used by managers ------------------------------------------------------------------------------------
 
@@ -1307,12 +745,10 @@ class Replica(Node):
         # Speculation cannot survive an installed checkpoint: frames were
         # rolled back before the transfer began, and install_fetched resets
         # the service wholesale — drop any stale replica-side bookkeeping.
-        self.spec_frames.clear()
-        self._tentative_replies.clear()
+        self.fast_path.discard()
         self.last_executed = max(self.last_executed, seqno)
         self.next_seqno = max(self.next_seqno, seqno)
-        self._last_commit_time = self.now()
-        self._relayed_once = False
+        self.overload.progressed()
         # Requests ordered below the transferred checkpoint were executed by
         # the quorum; our tracking entries for them are stale.  Any client
         # that still wants a reply will retransmit.

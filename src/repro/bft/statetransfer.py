@@ -1,4 +1,4 @@
-"""Hierarchical state transfer: the fetching side (OSDI'00).
+"""Hierarchical state transfer, both sides (OSDI'00).
 
 A transfer session is anchored by a checkpoint certificate (2f+1 signed
 checkpoint messages), which gives a *verified* root digest.  The fetcher
@@ -12,6 +12,10 @@ adopt the donor's verified lm without fetching the value.
 When every missing object has arrived, the whole set is installed atomically
 through the service's ``put_objs`` upcall — the paper's guarantee that
 ``put_objs`` always sees a consistent checkpoint value.
+
+The donor side is stateless: it answers each fetch out of the checkpoints the
+service still holds, and stays silent about anything it cannot serve (the
+fetcher's retry timer moves on to the next donor).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ _RETRY = 0.08  # virtual seconds before re-asking a different donor
 
 
 class StateTransferManager:
-    """Per-replica fetch state machine."""
+    """Per-replica fetch state machine, and the donor that answers it."""
 
     def __init__(self, replica: "Replica") -> None:
         self.replica = replica
@@ -263,6 +267,11 @@ class StateTransferManager:
             self.on_meta_reply(message, src)
         elif isinstance(message, ObjectReply):
             self.on_object_reply(message, src)
+        elif isinstance(message, (FetchRoot, FetchMeta, FetchObject)):
+            try:
+                self._serve_fetch(message, src)
+            except FaultInjected as fault:
+                self.replica.crash_self(str(fault))
 
     def on_transfer_root(self, message: TransferRoot, src: str) -> None:
         if not self._awaiting_root and not self.active:
@@ -285,7 +294,7 @@ class StateTransferManager:
         service = self.replica.service
         leaves_level = service.num_levels()
         child_level = message.level + 1
-        base = message.index * self._arity()
+        base = message.index * service.manager.tree.arity
         # One walk fetches every live child pair; per-child current_node calls
         # would each re-walk the tree spine from the root.
         current_children = service.current_children(message.level, message.index)
@@ -306,14 +315,6 @@ class StateTransferManager:
                 if (current_lm, current_digest) != (lm, child_digest):
                     self._query_meta(child_level, child_index, child_digest)
         self._maybe_complete()
-
-    def _arity(self) -> int:
-        # Derived from the service's live tree: children counts are uniform
-        # except at the right edge, so probe the root's child span.
-        tree = getattr(self.replica.service, "arity", None)
-        if tree is not None:
-            return int(tree)
-        raise AttributeError("service must expose its partition-tree arity")
 
     def on_object_reply(self, message: ObjectReply, src: str) -> None:
         if (
@@ -386,6 +387,46 @@ class StateTransferManager:
             objects=fetched_count,
         )
         replica.after_state_transfer(cert.seqno, cert)
+
+    # -- donor side -----------------------------------------------------------------------------
+
+    def _serve_fetch(self, message, src: str) -> None:
+        replica = self.replica
+        service = replica.service
+        if isinstance(message, FetchRoot):
+            cert = replica.servable_cert()
+            # The implicit genesis certificate is offered whatever the floor:
+            # a replica that holds nothing newer has nothing better to say.
+            if cert is not None and (cert.seqno == 0 or cert.seqno >= message.min_seqno):
+                replica.send(src, TransferRoot(replica_id=replica.node_id, cert=cert))
+        elif isinstance(message, FetchMeta):
+            children = service.get_meta(message.min_seqno, message.level, message.index)
+            if children is not None:
+                replica.counters.add("meta_served")
+                replica.send(
+                    src,
+                    MetaReply(
+                        replica_id=replica.node_id,
+                        seqno=message.min_seqno,
+                        level=message.level,
+                        index=message.index,
+                        children=children,
+                    ),
+                )
+        elif isinstance(message, FetchObject):
+            data = service.get_object_at(message.min_seqno, message.index)
+            if data is not None:
+                replica.counters.add("objects_served")
+                replica.counters.add("object_bytes_served", len(data))
+                replica.send(
+                    src,
+                    ObjectReply(
+                        replica_id=replica.node_id,
+                        index=message.index,
+                        seqno=message.min_seqno,
+                        data=data,
+                    ),
+                )
 
     # -- scrub sessions: targeted partial transfer without reboot ----------------
 

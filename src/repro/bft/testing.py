@@ -55,7 +55,7 @@ class KVStateMachine(StateMachine):
         self.disk = disk if disk is not None else {}
         self.cells: List[bytes] = [self.disk.get(i, b"") for i in range(num_slots)]
         self.arity = arity
-        self.manager = AbstractStateManager(num_slots, self._get_obj, arity=arity)
+        super().__init__(AbstractStateManager(num_slots, self.get_obj, arity=arity))
         self.executed_ops = 0
         # Transactional mode reserves the last cell for the 2PC participant
         # table; data ops then address only [0, num_slots - 1).  Built last:
@@ -70,8 +70,15 @@ class KVStateMachine(StateMachine):
         """Cells addressable by plain SET/GET/APPEND ops."""
         return self.num_slots - 1 if self.participant is not None else self.num_slots
 
-    def _get_obj(self, index: int) -> bytes:
+    def get_obj(self, index: int) -> bytes:
         return self.cells[index]
+
+    def put_objs(self, objects: Dict[int, bytes]) -> None:
+        for index, value in objects.items():
+            self.cells[index] = value
+            self.disk[index] = value
+        if self.participant is not None:
+            self.participant.reload()
 
     # -- execution ---------------------------------------------------------------
 
@@ -107,42 +114,6 @@ class KVStateMachine(StateMachine):
         self.executed_ops += 1
         return b"OK"
 
-    # -- speculative execution: delegate to the manager's undo frames -----------------
-
-    def begin_speculation(self) -> None:
-        self.manager.begin_speculation()
-
-    def commit_speculation(self) -> None:
-        self.manager.commit_speculation()
-
-    def rollback_speculation(self) -> int:
-        def apply(values: Dict[int, bytes]) -> None:
-            for index, value in values.items():
-                self.cells[index] = value
-                self.disk[index] = value
-
-        rolled = self.manager.rollback_speculation(apply)
-        if self.participant is not None:
-            self.participant.reload()
-        return rolled
-
-    # -- checkpointing / state transfer: delegate to the manager ----------------------
-
-    def take_checkpoint(self, seqno: int) -> bytes:
-        return self.manager.take_checkpoint(seqno)
-
-    def discard_checkpoints_below(self, seqno: int) -> None:
-        self.manager.discard_checkpoints_below(seqno)
-
-    def checkpoint_seqnos(self) -> List[int]:
-        return self.manager.checkpoint_seqnos()
-
-    def num_levels(self) -> int:
-        return self.manager.num_levels()
-
-    def root_digest(self, seqno: int) -> Optional[bytes]:
-        return self.manager.root_digest(seqno)
-
     def genesis_root_digest(self) -> bytes:
         return genesis_root_digest(
             self.num_slots,
@@ -150,54 +121,6 @@ class KVStateMachine(StateMachine):
             arity=self.arity,
             client_shards=self.manager.client_shards,
         )
-
-    def record_reply(self, client_id: str, reqid: int, reply: bytes) -> None:
-        self.manager.record_reply(client_id, reqid, reply)
-
-    def last_recorded(self, client_id: str):
-        return self.manager.last_recorded(client_id)
-
-    def get_meta(self, seqno: int, level: int, index: int) -> Optional[List[Tuple[int, bytes]]]:
-        return self.manager.get_meta(seqno, level, index)
-
-    def get_object_at(self, seqno: int, index: int) -> Optional[bytes]:
-        return self.manager.get_object_at(seqno, index)
-
-    def get_leaf(self, seqno: int, index: int) -> Optional[Tuple[int, bytes]]:
-        return self.manager.get_leaf(seqno, index)
-
-    def current_node(self, level: int, index: int) -> Tuple[int, bytes]:
-        return self.manager.current_node(level, index)
-
-    def current_children(self, level: int, index: int) -> List[Tuple[int, bytes]]:
-        return self.manager.current_children(level, index)
-
-    def adopt_leaf_lm(self, index: int, lm: int) -> None:
-        self.manager.set_leaf_lm(index, lm)
-
-    def install_fetched(self, objects: Dict[int, Tuple[bytes, int]], seqno: int) -> bytes:
-        def apply(values: Dict[int, bytes]) -> None:
-            for index, value in values.items():
-                self.cells[index] = value
-                self.disk[index] = value
-
-        root = self.manager.install_fetched(objects, seqno, apply)
-        if self.participant is not None:
-            self.participant.reload()
-        return root
-
-    def scan_corruption(self, start: int, budget: int) -> Tuple[List[int], int]:
-        return self.manager.scan_for_corruption(start, budget)
-
-    def repair_objects(self, objects: Dict[int, Tuple[bytes, int]]) -> None:
-        def apply(values: Dict[int, bytes]) -> None:
-            for index, value in values.items():
-                self.cells[index] = value
-                self.disk[index] = value
-
-        self.manager.repair_objects(objects, apply)
-        if self.participant is not None:
-            self.participant.reload()
 
 
 class HistoryRecorder:

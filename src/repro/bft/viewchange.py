@@ -21,6 +21,7 @@ from repro.bft.messages import (
     PreparedProof,
     ViewChange,
 )
+from repro.util.trace import emit
 
 if TYPE_CHECKING:
     from repro.bft.replica import Replica
@@ -55,8 +56,6 @@ class ViewChangeManager:
         self.in_view_change = True
         self.pending_view = new_view
         replica.counters.add("view_changes_started")
-        from repro.util.trace import emit
-
         emit(replica.tracer, replica.node_id, "view_change_started", new_view=new_view)
 
         view_change = self._build_view_change(new_view)
@@ -302,12 +301,7 @@ class ViewChangeManager:
 
     def _adopt_new_view(self, new_view: NewView, min_s: int) -> None:
         replica = self.replica
-        # The fast path cannot cross a view boundary: tentative executions
-        # were ordered by the old primary and the new view's O set may order
-        # those seqnos differently, and read leases are per-view grants.
-        replica._rollback_speculation("view-change")
-        replica._lease = None
-        replica._lease_granted = None
+        replica.fast_path.end_view()
         replica.view = new_view.view
         replica.next_seqno = max(
             replica.next_seqno,
@@ -322,8 +316,6 @@ class ViewChangeManager:
         # Garbage-collect view-change messages for views we moved past.
         for view in [v for v in self.messages if v <= new_view.view]:
             del self.messages[view]
-        from repro.util.trace import emit
-
         emit(
             replica.tracer,
             replica.node_id,
@@ -356,7 +348,7 @@ class ViewChangeManager:
 
         replica._rearm_request_timer()
         replica.try_send_pre_prepare()
-        replica._maybe_grant_lease()
+        replica.fast_path.maybe_grant_lease()
 
     # -- helping laggards -------------------------------------------------------------------------
 

@@ -196,7 +196,7 @@ SOURCE_MUTATIONS: Dict[str, Dict] = {
         "edits": [
             (
                 "src/repro/bft/replica.py",
-                "return len(senders) >= self.config.quorum",
+                "return len(senders) >= config.quorum",
                 "return True  # BUG: certs trusted blindly",
             ),
         ],

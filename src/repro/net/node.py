@@ -41,15 +41,6 @@ class Node:
         for handle in list(self._timers):
             handle.cancel()
 
-    def restart_as(self, replacement: "Node") -> None:
-        """Hand this node's network registration to ``replacement``.
-
-        Used by simulated reboots: the old instance stops; the fresh instance
-        takes over the same node id.
-        """
-        self.stop()
-        self.network.replace_handler(self.node_id, replacement._receive)
-
     # -- timers --------------------------------------------------------------
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> EventHandle:

@@ -109,12 +109,6 @@ class Topology:
     def replica_ids(self) -> List[str]:
         return [rid for region in self.regions for rid in region.replicas]
 
-    def region_of_replica(self, replica_id: str) -> str:
-        for region in self.regions:
-            if replica_id in region.replicas:
-                return region.name
-        raise KeyError(f"replica {replica_id!r} not placed in topology {self.name!r}")
-
     def link_between(self, src_region: str, dst_region: str) -> LinkSpec:
         """Effective profile for traffic from one region to another."""
         if src_region == dst_region:
@@ -123,17 +117,6 @@ class Topology:
             if pair == (src_region, dst_region):
                 return spec
         return self.default_inter
-
-    def replica_boundary_pairs(
-        self, region_a: str, region_b: str
-    ) -> List[Tuple[str, str]]:
-        """Every directed replica link crossing the a/b boundary (both
-        directions) — the cut set a partition storm severs."""
-        a = self.region(region_a).replicas
-        b = self.region(region_b).replicas
-        pairs = [(src, dst) for src in a for dst in b]
-        pairs += [(src, dst) for src in b for dst in a]
-        return pairs
 
 
 class PlacedTopology:

@@ -139,13 +139,13 @@ def test_state201_incomplete_state_machine(tmp_path):
             def execute(self, op, client_id, nondet, read_only=False):
                 return b""
 
-            def take_checkpoint(self, seqno):
+            def genesis_root_digest(self):
                 return b""
         """
     )
     result = run_lint(tmp_path, {"src/svc.py": source}, det_scope=[])
     assert rules_fired(result) == ["STATE201"]
-    assert "install_fetched" in result.violations[0].message
+    assert "missing put_objs:" in result.violations[0].message
 
 
 def test_unrelated_classes_ignored(tmp_path):

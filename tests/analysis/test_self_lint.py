@@ -62,7 +62,7 @@ def test_wall_clock_seed_mutation_is_caught(tmp_path):
 
 def test_removing_a_dispatch_arm_is_caught(tmp_path):
     replica = (REPO_ROOT / "src/repro/bft/replica.py").read_text(encoding="utf-8")
-    arm = "elif isinstance(message, Status):\n            self.on_status(message, src)\n"
+    arm = "elif isinstance(message, Commit):\n            self.on_commit(message, src)\n"
     assert arm in replica, "replica dispatch changed shape; update this test"
     files = {
         "src/repro/bft/replica.py": replica.replace(arm, ""),
@@ -78,4 +78,4 @@ def test_removing_a_dispatch_arm_is_caught(tmp_path):
         protocol_dispatch=["src/repro/bft"],
     )
     assert "PROTO101" in rules_fired(result)
-    assert any("Status" in v.message for v in result.violations)
+    assert any("`Commit`" in v.message for v in result.violations)

@@ -110,6 +110,62 @@ def test_install_fetched_routes_through_put_objs(service):
     assert service.root_digest(30) == root
 
 
+def _committed_twin():
+    """The state a service reaches by plain (non-speculative) execution."""
+    twin = BASEService(TinyWrapper(), ManualClock(start=5.0), arity=2)
+    twin.execute(op(1, b"kept"), "C0", encode_timestamp(6_000_000))
+    twin.record_reply("C0", 1, b"ok")
+    twin.take_checkpoint(8)
+    return twin
+
+
+def test_speculation_rollback_restores_objects_replies_and_root():
+    service = _committed_twin()
+    before = (
+        list(service.wrapper.values),
+        service.last_recorded("C0"),
+        service.current_node(0, 0),
+    )
+    service.begin_speculation()
+    service.execute(op(1, b"tentative"), "C0", encode_timestamp(6_100_000))
+    service.execute(op(3, b"also"), "C0", encode_timestamp(6_100_000))
+    service.record_reply("C0", 2, b"ok")
+    assert service.wrapper.values[1] == b"tentative"
+
+    assert service.rollback_speculation() == 1
+    after = (
+        list(service.wrapper.values),
+        service.last_recorded("C0"),
+        service.current_node(0, 0),
+    )
+    assert after == before
+    assert [service.wrapper.get_obj(i) for i in range(4)] == [b"", b"kept", b"", b""]
+    # Nothing of the frame is left to leak into the next checkpoint.
+    assert service.take_checkpoint(16) == _committed_twin().take_checkpoint(16)
+
+
+def test_promoted_speculation_equals_plain_execution():
+    service, twin = _committed_twin(), _committed_twin()
+    service.begin_speculation()
+    for machine in (service, twin):
+        machine.execute(op(2, b"new"), "C0", encode_timestamp(6_100_000))
+        machine.record_reply("C0", 2, b"ok")
+    service.commit_speculation()
+    assert service.rollback_speculation() == 0  # no frame left to undo
+    assert service.wrapper.values == twin.wrapper.values
+    assert service.last_recorded("C0") == twin.last_recorded("C0") == (2, b"ok")
+    assert service.take_checkpoint(16) == twin.take_checkpoint(16)
+    assert service.get_object_at(8, 2) == twin.get_object_at(8, 2) == b""
+
+
+def test_get_leaf_is_the_checkpointed_lm_and_digest(service):
+    service.execute(op(1, b"v"), "C0", encode_timestamp(6_000_000))
+    service.take_checkpoint(8)
+    assert service.get_leaf(8, 1) == service.current_node(service.num_levels(), 1)
+    assert service.get_leaf(8, 1)[0] == 8
+    assert service.get_leaf(9, 1) is None
+
+
 def test_record_reply_round_trip(service):
     assert service.last_recorded("C9") is None
     service.record_reply("C9", 4, b"res")

@@ -1,0 +1,158 @@
+"""The replica core's boundary: what ``bft/replica.py`` may not know, and
+that a sub-protocol which is off (or not attached) leaves no trace.
+
+The first half reads source: every sub-protocol besides the three-phase core
+has one owner module (docs/protocol.md, "Module map"), and the core reaches
+an owner only through its public methods.  The second half runs clusters.
+"""
+
+import ast
+from pathlib import Path
+
+from repro.bft.fusion import FusedBackupTier
+from repro.bft.messages import FusionBlock, FusionFetch, ParityAck
+from repro.bft.sharding import sharded_kv_cluster
+from repro.bft.testing import encode_get, encode_set, kv_cluster
+
+BFT = Path(__file__).resolve().parents[2] / "src" / "repro" / "bft"
+
+
+def _tree(name):
+    return ast.parse((BFT / name).read_text(encoding="utf-8"))
+
+
+def _function_local_imports(tree):
+    return [
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_replica_core_has_no_function_local_import():
+    assert _function_local_imports(_tree("replica.py")) == []
+    assert _function_local_imports(_tree("viewchange.py")) == []
+
+
+def test_replica_core_does_not_import_the_fused_tier():
+    imported = set()
+    for node in ast.walk(_tree("replica.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"repro.base.fusion", "repro.bft.fusion"}
+
+
+def test_replica_core_names_no_fast_path_or_damping_state():
+    names = {
+        node.attr for node in ast.walk(_tree("replica.py")) if isinstance(node, ast.Attribute)
+    }
+    leaked = sorted(
+        name
+        for name in names
+        if name.startswith(("_lease", "_damp")) or name == "spec_frames"
+    )
+    assert leaked == []
+
+
+def _is_replica(expr):
+    """``replica`` or ``<anything>.replica``."""
+    return (isinstance(expr, ast.Name) and expr.id == "replica") or (
+        isinstance(expr, ast.Attribute) and expr.attr == "replica"
+    )
+
+
+def test_no_module_writes_a_private_attribute_of_a_replica():
+    for name in ("viewchange.py", "recovery.py", "fusion.py"):
+        writes = []
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            writes += [
+                f"{name}:{target.lineno} {ast.unparse(target)}"
+                for target in targets
+                if isinstance(target, ast.Attribute)
+                and target.attr.startswith("_")
+                and _is_replica(target.value)
+            ]
+        assert writes == []
+
+
+# -- absent when off ------------------------------------------------------------------
+
+
+def test_default_config_creates_no_fast_path_or_fusion_counter():
+    cluster = kv_cluster()
+    client = cluster.client("C0")
+    for i in range(20):
+        assert client.invoke(encode_set(i % 4, b"v%d" % i)) == b"OK"
+        assert client.invoke(encode_get(i % 4), read_only=True) == b"v%d" % i
+    cluster.settle()
+    off = [
+        name
+        for name, _value in cluster.total_counters()
+        if name.startswith(("spec_", "lease", "leased_", "fusion_"))
+    ]
+    assert off == []
+
+
+class _Outsider:
+    """A principal that is neither a replica nor a fused node: ``KeyTable``
+    hands it session keys like anyone else."""
+
+    def __init__(self, cluster, node_id):
+        self.cluster = cluster
+        self.node_id = node_id
+        self.received = []
+        cluster.network.register(node_id, lambda message, src: self.received.append(message))
+
+    def send(self, dst, message):
+        message.auth = self.cluster.keys.make_authenticator(
+            self.node_id, [dst], message.signable_bytes()
+        )
+        self.cluster.network.send(self.node_id, dst, message)
+
+
+def test_fusion_messages_are_refused_without_a_tier():
+    cluster = kv_cluster()
+    assert cluster.client("C0").invoke(encode_set(1, b"secret")) == b"OK"
+    outsider = _Outsider(cluster, "F0")
+    outsider.send("R1", FusionFetch(parity_id="F0", shard=0, seqno=0, slot_width=96))
+    outsider.send("R1", ParityAck(parity_id="F0", shard=0, seqno=8))
+    cluster.settle()
+    counters = cluster.replica("R1").counters
+    assert counters.get("fusion_fetches_refused") == 1
+    assert counters.get("fusion_acks_ignored") == 1
+    assert counters.get("fusion_blocks_served") == 0
+    assert outsider.received == []
+
+
+def test_fusion_fetch_is_served_to_the_tiers_own_nodes_only():
+    sharded = sharded_kv_cluster(2)
+    tier = FusedBackupTier(sharded)
+    tier.attach()
+    sharded.sim.run_for(0.5)
+    assert tier.ready()
+    cluster = sharded.clusters[0]
+    # A replica that served the tier's own bootstrap fetch.
+    replica = next(r for r in cluster.replicas if r.counters.get("fusion_blocks_served"))
+    served = replica.counters.get("fusion_blocks_served")
+
+    outsider = _Outsider(cluster, "X9")
+    outsider.send(replica.node_id, FusionFetch(parity_id="X9", shard=0, seqno=0, slot_width=96))
+    # Claiming a real fused node's id does not help: src must match it.
+    outsider.send(replica.node_id, FusionFetch(parity_id="F0", shard=0, seqno=0, slot_width=96))
+    outsider.send(replica.node_id, ParityAck(parity_id="X9", shard=0, seqno=99))
+    sharded.sim.run_for(0.5)
+    assert replica.counters.get("fusion_fetches_refused") == 2
+    assert replica.counters.get("fusion_acks_ignored") == 1
+    assert replica.counters.get("fusion_blocks_served") == served
+    assert not any(isinstance(message, FusionBlock) for message in outsider.received)
+    assert "X9" not in replica.fusion_feeder.acked

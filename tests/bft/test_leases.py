@@ -139,7 +139,7 @@ def test_leases_die_on_view_change():
     held = [
         rid
         for rid, host in cluster.hosts.items()
-        if host.replica._lease is not None
+        if host.replica.fast_path.lease is not None
     ]
     assert held, "no replica ever held a lease before the crash"
     cluster.crash("R0")
@@ -150,7 +150,7 @@ def test_leases_die_on_view_change():
             continue
         replica = host.replica
         assert replica.view > 0, f"{rid} never left view 0"
-        lease = replica._lease
+        lease = replica.fast_path.lease
         assert lease is None or lease[0] == replica.view, (
             f"{rid} kept a lease from dead view {lease[0]} while in view "
             f"{replica.view}"
