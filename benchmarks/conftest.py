@@ -1,30 +1,59 @@
-"""Shared builders for the experiment benchmarks.
+"""Shared builders for the paper experiments, and the one place their results
+are recorded.
 
-Every benchmark runs a deterministic simulation once (rounds=1 — the
-simulator is seeded, so repetition only measures host noise) and records the
-protocol-level costs in ``benchmark.extra_info``; the printed tables are the
-rows EXPERIMENTS.md documents.
+Every experiment is a plain pytest test that runs a seeded simulation once —
+the numbers are protocol-level and bit-identical across runs and hosts, so
+there is nothing to repeat or time.  Each prints its table through
+:func:`show`, which also records the table's numeric cells; at session end
+they are written to ``BENCH_paper.json`` in the ``repro bench`` report format.
+A full run must reproduce ``benchmarks/baselines/BENCH_paper.json`` byte for
+byte; to re-record after an intended change, run the suite and copy the file.
 """
 
-from typing import Dict, Optional
+from pathlib import Path
+from typing import Dict
 
-import pytest
-
+from repro.bench.cli import write_report
+from repro.bench.metrics import ExperimentTable
 from repro.bft.config import BFTConfig
-from repro.bft.messages import MESSAGE_STATS
-from repro.crypto.digest import DIGEST_STATS
 from repro.net.simulator import Simulator
-from repro.nfs.client import NFSClient
 from repro.nfs.direct import direct_client
-from repro.nfs.fileserver import Ext2FS, FFS, LogFS, MemFS
+from repro.nfs.fileserver import HETEROGENEOUS, MemFS
 from repro.nfs.relay import NFSDeployment
 
-HETERO_FACTORIES = {
-    "R0": lambda disk: MemFS(disk=disk, seed=1, clock_skew=0.5),
-    "R1": lambda disk: Ext2FS(disk=disk, seed=2, clock_skew=-0.3),
-    "R2": lambda disk: FFS(disk=disk, seed=3, clock_skew=0.8),
-    "R3": lambda disk: LogFS(disk=disk, seed=4, clock_skew=0.1),
-}
+#: Table title -> {"<first cell of the row>.<column>": number}, this session.
+PAPER_TABLES: Dict[str, Dict[str, float]] = {}
+
+
+def record(table: ExperimentTable, into: Dict[str, Dict[str, float]]) -> None:
+    """Add ``table``'s numeric cells, as printed, to ``into`` under its title;
+    each is keyed by its row's first cell and its column.  Booleans count as
+    0/1, other cells (labels, "5.00x", lists) are skipped.  Two tables with
+    one title, or two rows with one first cell, would overwrite each other's
+    numbers, so both are refused."""
+    if table.title in into:
+        raise ValueError(f"table {table.title!r} recorded twice")
+    cells = into[table.title] = {}
+    seen = set()
+    for row in table.rows:
+        label = str(row[table.columns[0]])
+        if label in seen:
+            raise ValueError(f"table {table.title!r} has two rows labelled {label!r}")
+        seen.add(label)
+        for column, value in row.items():
+            if isinstance(value, (int, float)):  # bool is an int: True records as 1
+                cells[f"{label}.{column}"] = int(value) if isinstance(value, bool) else value
+
+
+def show(table: ExperimentTable) -> None:
+    """Print ``table`` and record it for ``BENCH_paper.json``."""
+    table.show()
+    record(table, PAPER_TABLES)
+
+
+def pytest_sessionfinish(session) -> None:
+    if PAPER_TABLES:
+        write_report(Path("BENCH_paper.json"), "paper", PAPER_TABLES)
 
 
 def bench_config(**overrides) -> BFTConfig:
@@ -36,7 +65,7 @@ def bench_config(**overrides) -> BFTConfig:
 def hetero_deployment(num_objects: int = 256, **config_overrides) -> NFSDeployment:
     """Four replicas, four distinct vendors (the paper's deployment)."""
     return NFSDeployment(
-        dict(HETERO_FACTORIES),
+        HETEROGENEOUS,
         num_objects=num_objects,
         config=bench_config(**config_overrides),
     )
@@ -59,34 +88,3 @@ def baseline_client(vendor=MemFS, seed: int = 1, round_trip: float = 0.001):
     sim = Simulator(seed=0)
     fs = direct_client(vendor(disk={}, seed=seed), sim=sim, round_trip=round_trip)
     return sim, fs
-
-
-class GlobalStatsProbe:
-    """Snapshot-diff the process-wide encode/hash counters around a scenario.
-
-    ``MESSAGE_STATS`` and ``DIGEST_STATS`` are module-level (messages hash and
-    encode outside any one replica), so benchmarks that assert on them must
-    isolate their own window::
-
-        with GlobalStatsProbe() as probe:
-            ...workload...
-        assert probe.messages.get("message_encodes", 0) < bound
-
-    ``probe.messages`` / ``probe.digests`` are plain delta dicts (only keys
-    touched inside the window appear — use ``.get(key, 0)``).
-    """
-
-    def __enter__(self) -> "GlobalStatsProbe":
-        self._messages = MESSAGE_STATS.snapshot()
-        self._digests = DIGEST_STATS.snapshot()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.messages: Dict[str, int] = MESSAGE_STATS.diff(self._messages)
-        self.digests: Dict[str, int] = DIGEST_STATS.diff(self._digests)
-        return False
-
-
-def run_once(benchmark, fn):
-    """Execute ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -7,67 +7,27 @@ proactive recovery configured for a 17-minute window of vulnerability.
 We run the five Andrew phases against (a) the unreplicated baseline, (b) the
 BASE-replicated heterogeneous service, and (c) the replicated service with a
 proactive-recovery rotation running — and report the virtual-time overhead
-ratios per phase.
+ratios per phase.  The run itself is :func:`repro.bench.andrew.andrew_comparison`,
+the one ``repro andrew`` prints.
 """
 
-import pytest
+from repro.bench.andrew import andrew_comparison
+from repro.bench.metrics import ExperimentTable
 
-from repro.bench.andrew import AndrewBenchmark
-from repro.bench.metrics import ExperimentTable, ratio
-from repro.nfs.client import NFSClient
-
-from benchmarks.conftest import baseline_client, hetero_deployment, run_once
+from benchmarks.conftest import show
 
 SCALE = 2
 
 
-def _run_baseline():
-    sim, fs = baseline_client()
-    return AndrewBenchmark(fs, sim, scale=SCALE).run()
-
-
-def _run_replicated(recovery_period: float = 0.0):
-    dep = hetero_deployment(recovery_period=recovery_period)
-    if recovery_period:
-        dep.cluster.start_proactive_recovery()
-    fs = NFSClient(dep.relay("C0"))
-    result = AndrewBenchmark(fs, dep.sim, scale=SCALE).run()
-    return result, dep
-
-
-def test_andrew_overhead_vs_baseline(benchmark):
-    baseline = _run_baseline()
-
-    def scenario():
-        return _run_replicated()
-
-    replicated, dep = run_once(benchmark, scenario)
-
-    table = ExperimentTable(
-        "E3: Andrew benchmark — replicated vs unreplicated (virtual seconds)"
-    )
-    for base_phase, rep_phase in zip(baseline.phases, replicated.phases):
-        table.add_row(
-            phase=base_phase.name,
-            baseline=round(base_phase.virtual_seconds, 4),
-            replicated=round(rep_phase.virtual_seconds, 4),
-            overhead=round(ratio(rep_phase.virtual_seconds, base_phase.virtual_seconds), 3),
-        )
-    overall = ratio(replicated.total_seconds, baseline.total_seconds)
-    table.add_row(
-        phase="total",
-        baseline=round(baseline.total_seconds, 4),
-        replicated=round(replicated.total_seconds, 4),
-        overhead=round(overall, 3),
-    )
-    table.show()
-    benchmark.extra_info["overhead_ratio"] = round(overall, 4)
-    benchmark.extra_info["paper_claim"] = "≈1.30"
+def test_andrew_overhead_vs_baseline():
+    run = andrew_comparison(SCALE)
+    show(run.table("E3: Andrew benchmark — replicated vs unreplicated (virtual seconds)"))
 
     # Shape assertion: replication costs something, but stays in the same
     # ballpark the paper reports (not 5x).
-    assert 1.0 < overall < 2.5
+    assert 1.0 < run.overhead < 2.5
     # All replicas executed the whole workload identically.
+    dep = run.deployment
     dep.sim.run_for(2.0)
     roots = {
         rid: dep.cluster.service(rid).current_node(0, 0)[1] for rid in dep.cluster.hosts
@@ -75,93 +35,55 @@ def test_andrew_overhead_vs_baseline(benchmark):
     assert len(set(roots.values())) == 1
 
 
-def test_andrew_with_proactive_recovery(benchmark):
+def test_andrew_with_proactive_recovery():
     """The paper's configuration: recoveries running during the benchmark."""
-    baseline = _run_baseline()
+    run = andrew_comparison(SCALE, recovery_period=4.0)
 
-    def scenario():
-        return _run_replicated(recovery_period=4.0)
-
-    replicated, dep = run_once(benchmark, scenario)
-    overall = ratio(replicated.total_seconds, baseline.total_seconds)
-
-    recoveries = sum(
-        host.replica.counters.get("recoveries_completed")
-        for host in dep.cluster.hosts.values()
-    )
     table = ExperimentTable("E3b: Andrew under proactive recovery")
     table.add_row(
         configuration="with recovery rotation",
-        overhead=round(overall, 3),
-        recoveries_completed=recoveries,
+        overhead=round(run.overhead, 3),
+        recoveries_completed=run.deployment.cluster.total_counters().get(
+            "recoveries_completed"
+        ),
     )
-    table.show()
-    benchmark.extra_info["overhead_ratio"] = round(overall, 4)
-    benchmark.extra_info["recoveries"] = recoveries
+    show(table)
 
-    assert overall < 4.0  # service keeps moving while replicas rotate
-    dep.sim.run_for(6.0)
+    assert run.overhead < 4.0  # service keeps moving while replicas rotate
+    run.deployment.sim.run_for(6.0)
 
 
-def test_andrew_scale_sweep(benchmark):
+def test_andrew_scale_sweep():
     """Overhead is flat across workload scale (no super-linear protocol
     costs): the ratio at scale 4 matches the ratio at scale 1."""
-
-    def sweep():
-        rows = []
-        for scale in (1, 2, 4):
-            base_sim, base_fs = baseline_client()
-            baseline = AndrewBenchmark(base_fs, base_sim, scale=scale).run()
-            dep = hetero_deployment()
-            replicated = AndrewBenchmark(
-                NFSClient(dep.relay("C0")), dep.sim, scale=scale
-            ).run()
-            rows.append(
-                {
-                    "scale": scale,
-                    "baseline": baseline.total_seconds,
-                    "replicated": replicated.total_seconds,
-                }
-            )
-        return rows
-
-    rows = run_once(benchmark, sweep)
     table = ExperimentTable("E3d: Andrew overhead across scales")
     ratios = []
-    for row in rows:
-        overhead = ratio(row["replicated"], row["baseline"])
-        ratios.append(overhead)
+    for scale in (1, 2, 4):
+        run = andrew_comparison(scale)
+        ratios.append(run.overhead)
         table.add_row(
-            scale=row["scale"],
-            baseline=round(row["baseline"], 3),
-            replicated=round(row["replicated"], 3),
-            overhead=round(overhead, 3),
+            scale=scale,
+            baseline=round(run.baseline.total_seconds, 3),
+            replicated=round(run.replicated.total_seconds, 3),
+            overhead=round(run.overhead, 3),
         )
-    table.show()
+    show(table)
     assert max(ratios) - min(ratios) < 0.3  # flat, no blow-up with size
-    benchmark.extra_info["ratios"] = [round(r, 3) for r in ratios]
 
 
-def test_andrew_message_costs(benchmark):
+def test_andrew_message_costs():
     """Protocol-level costs behind the overhead: messages and bytes."""
-
-    def scenario():
-        dep = hetero_deployment()
-        fs = NFSClient(dep.relay("C0"))
-        result = AndrewBenchmark(fs, dep.sim, scale=1).run()
-        return result, dep
-
-    result, dep = run_once(benchmark, scenario)
-    counters = dep.cluster.total_counters()
-    per_op = counters.get("messages_sent") / max(result.total_operations, 1)
+    run = andrew_comparison(scale=1)
+    costs = run.protocol_costs()
+    operations = run.replicated.total_operations
+    per_op = costs["messages"] / max(operations, 1)
     table = ExperimentTable("E3c: protocol cost per Andrew operation")
     table.add_row(
-        operations=result.total_operations,
-        messages=counters.get("messages_sent"),
-        bytes=counters.get("bytes_sent"),
+        operations=operations,
+        messages=costs["messages"],
+        bytes=costs["bytes"],
         messages_per_op=round(per_op, 1),
-        mac_ops=counters.get("mac_generate") + counters.get("mac_verify"),
+        mac_ops=costs["mac_ops"],
     )
-    table.show()
-    benchmark.extra_info["messages_per_op"] = round(per_op, 2)
+    show(table)
     assert per_op > 4  # agreement is not free

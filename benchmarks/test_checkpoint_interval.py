@@ -5,13 +5,12 @@ whose value changed (copy-on-write).  We sweep k and measure COW copies,
 checkpoint digest work, and bytes held, plus the batching ablation.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
+from repro.bench.suites import checkpoint_run
 from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_set, kv_cluster
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 OPS = 96
 WIDTH = 8
@@ -35,16 +34,13 @@ def _run_with_k(k: int):
     }
 
 
-def test_checkpoint_interval_sweep(benchmark):
-    def sweep():
-        return [_run_with_k(k) for k in (4, 8, 16, 32)]
-
-    rows = run_once(benchmark, sweep)
+def test_checkpoint_interval_sweep():
+    rows = [_run_with_k(k) for k in (4, 8, 16, 32)]
 
     table = ExperimentTable("E14: checkpoint interval k — COW cost")
     for row in rows:
         table.add_row(**row)
-    table.show()
+    show(table)
 
     # More frequent checkpoints => more checkpoints and more COW copies
     # (each interval re-copies the hot objects).
@@ -57,95 +53,62 @@ def test_checkpoint_interval_sweep(benchmark):
     for row in rows:
         full_copy_cost = row["checkpoints"] * 64
         assert row["cow_copies"] < full_copy_cost
-    benchmark.extra_info["cow_at_k4"] = rows[0]["cow_copies"]
-    benchmark.extra_info["cow_at_k32"] = rows[-1]["cow_copies"]
 
 
-def _hot_set_run(num_slots: int):
-    """Same 8-slot write set against a tree of ``num_slots`` objects; counters
-    are diffed across the workload so one-time tree construction is excluded."""
-    cluster = kv_cluster(
-        config=BFTConfig(checkpoint_interval=8, log_window=32), num_slots=num_slots
-    )
-    baseline = cluster.service("R0").manager.counters.snapshot()
-    client = cluster.client("C0")
-    for i in range(64):
-        client.invoke(encode_set(i % WIDTH, bytes([i % 251]) * 64), timeout=60)
-    cluster.settle(1.0)
-    delta = cluster.service("R0").manager.counters.diff(baseline)
-    checkpoints = max(delta.get("checkpoints_taken", 0), 1)
-    return {
-        "num_slots": num_slots,
-        "checkpoints": delta.get("checkpoints_taken", 0),
-        "digest_updates": delta.get("checkpoint_digests", 0),
-        "tree_nodes_copied": delta.get("tree_nodes_copied", 0),
-        "nodes_per_checkpoint": delta.get("tree_nodes_copied", 0) / checkpoints,
-    }
-
-
-def test_checkpoint_cost_independent_of_state_size(benchmark):
+def test_checkpoint_cost_independent_of_state_size():
     """Checkpoint cost tracks the modified set, not the total object count.
 
     With structure-sharing snapshots, ``take_checkpoint`` path-copies only
     O(modified * log n) tree nodes.  Growing the tree 8x (64 -> 512 objects)
     with an identical hot set must leave digest work unchanged and grow tree
-    copying by at most the extra tree depth — nowhere near 8x.
+    copying by at most the extra tree depth — nowhere near 8x.  The workload
+    is the ``checkpoint_cow`` scenario's :func:`checkpoint_run`.
     """
-
-    def scenario():
-        return [_hot_set_run(n) for n in (64, 512)]
-
-    small, large = run_once(benchmark, scenario)
+    small, large = checkpoint_run(64), checkpoint_run(512)
 
     table = ExperimentTable("E14c: checkpoint cost vs total state size")
-    for row in (small, large):
+    for num_slots, row in ((64, small), (512, large)):
         table.add_row(
-            num_slots=row["num_slots"],
-            checkpoints=row["checkpoints"],
-            digest_updates=row["digest_updates"],
-            nodes_per_checkpoint=round(row["nodes_per_checkpoint"], 1),
+            num_slots=num_slots,
+            checkpoints=row["checkpoints_taken"],
+            digest_updates=row["checkpoint_digests"],
+            nodes_per_checkpoint=round(row["tree_nodes_copied_per_checkpoint"], 1),
         )
-    table.show()
+    show(table)
 
-    assert small["checkpoints"] == large["checkpoints"] > 0
+    assert small["checkpoints_taken"] == large["checkpoints_taken"] > 0
     # Digest work depends only on what changed, never on tree size.
-    assert small["digest_updates"] == large["digest_updates"]
+    assert small["checkpoint_digests"] == large["checkpoint_digests"]
     # Tree copying grows with depth (log n), not with n: the 8x larger tree
     # must cost well under 2x per checkpoint (a full-copy snapshot costs 8x).
-    ratio = large["nodes_per_checkpoint"] / max(small["nodes_per_checkpoint"], 1)
+    ratio = large["tree_nodes_copied_per_checkpoint"] / max(
+        small["tree_nodes_copied_per_checkpoint"], 1
+    )
     assert ratio < 2.0, f"tree copy cost scaled with state size (ratio {ratio:.2f})"
-    benchmark.extra_info["copy_scaling_ratio_8x_state"] = round(ratio, 2)
 
 
-def test_batching_ablation(benchmark):
+def test_batching_ablation():
     """Request batching amortizes protocol cost across concurrent clients."""
-
-    def scenario():
-        results = {}
-        for batch_max in (1, 8):
-            config = BFTConfig(
-                checkpoint_interval=16, log_window=64, batch_max=batch_max
-            )
-            cluster = kv_cluster(config=config)
-            clients = [cluster.client(f"C{i}") for i in range(6)]
-            done = []
-            for round_number in range(5):
-                for client in clients:
-                    client.invoke_async(
-                        encode_set(round_number % 8, client.node_id.encode()),
-                        done.append,
-                    )
-                cluster.sim.run_until_condition(
-                    lambda: len(done) >= (round_number + 1) * 6, timeout=60
+    results = {}
+    for batch_max in (1, 8):
+        config = BFTConfig(checkpoint_interval=16, log_window=64, batch_max=batch_max)
+        cluster = kv_cluster(config=config)
+        clients = [cluster.client(f"C{i}") for i in range(6)]
+        done = []
+        for round_number in range(5):
+            for client in clients:
+                client.invoke_async(
+                    encode_set(round_number % 8, client.node_id.encode()),
+                    done.append,
                 )
-            primary = cluster.replica("R0")
-            results[batch_max] = {
-                "pre_prepares": primary.counters.get("pre_prepares_sent"),
-                "requests": primary.counters.get("batched_requests"),
-            }
-        return results
-
-    results = run_once(benchmark, scenario)
+            cluster.sim.run_until_condition(
+                lambda: len(done) >= (round_number + 1) * 6, timeout=60
+            )
+        primary = cluster.replica("R0")
+        results[batch_max] = {
+            "pre_prepares": primary.counters.get("pre_prepares_sent"),
+            "requests": primary.counters.get("batched_requests"),
+        }
 
     table = ExperimentTable("E14b: batching ablation")
     for batch_max, row in results.items():
@@ -155,6 +118,6 @@ def test_batching_ablation(benchmark):
             requests_ordered=row["requests"],
             requests_per_batch=round(row["requests"] / max(row["pre_prepares"], 1), 2),
         )
-    table.show()
+    show(table)
 
     assert results[8]["pre_prepares"] < results[1]["pre_prepares"]

@@ -12,13 +12,13 @@ Linux 2.2 for the two-orders-of-magnitude framing.
 from repro.bench.codesize import count_semicolon_lines, wrapper_code_size
 from repro.bench.metrics import ExperimentTable
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 LINUX_22_STATEMENTS = 1_700_000  # ~1.7M lines in Linux 2.2, paper's yardstick
 
 
-def test_wrapper_is_small(benchmark):
-    sizes = run_once(benchmark, wrapper_code_size)
+def test_wrapper_is_small():
+    sizes = wrapper_code_size()
 
     table = ExperimentTable("E4: code-size comparison (logical statements)")
     for name, value in sizes.items():
@@ -26,11 +26,9 @@ def test_wrapper_is_small(benchmark):
     table.add_row(
         component="linux-2.2 (paper yardstick)", statements=LINUX_22_STATEMENTS
     )
-    table.show()
+    show(table)
 
     base_glue = sizes["total_base_specific"]
-    benchmark.extra_info["base_specific_statements"] = base_glue
-    benchmark.extra_info["paper_claim"] = "1105 semicolons"
 
     # The wrapper+conversion glue is small in absolute terms (same order as
     # the paper's 1105) and dwarfed by what it reuses.
@@ -40,18 +38,15 @@ def test_wrapper_is_small(benchmark):
     assert base_glue * 100 < LINUX_22_STATEMENTS
 
 
-def test_statement_counter_sanity(benchmark):
-    def count():
-        return count_semicolon_lines(
-            '"""doc"""\n'
-            "import os\n"
-            "x = 1\n"
-            "if x:\n"
-            "    y = 2\n"
-            "def f():\n"
-            "    '''doc'''\n"
-            "    return 3\n"
-        )
-
-    statements = run_once(benchmark, count)
+def test_statement_counter_sanity():
+    statements = count_semicolon_lines(
+        '"""doc"""\n'
+        "import os\n"
+        "x = 1\n"
+        "if x:\n"
+        "    y = 2\n"
+        "def f():\n"
+        "    '''doc'''\n"
+        "    return 3\n"
+    )
     assert statements == 4  # import, x=1, y=2, return — not docstrings/defs

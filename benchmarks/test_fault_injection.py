@@ -7,12 +7,10 @@ We measure availability (fraction of probe operations answered within a
 budget) under a matrix of fault scenarios, on the KV service for speed.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
 from repro.bft.config import BFTConfig
 from repro.bft.repair import RepairPolicy
-from repro.bft.testing import encode_set, recording_cluster
+from repro.bft.testing import encode_set, kv_cluster, recording_cluster
 from repro.faults import (
     POISON,
     AvailabilityProbe,
@@ -21,9 +19,7 @@ from repro.faults import (
     make_result_corruptor,
 )
 
-from repro.bft.testing import kv_cluster
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 PROBE_OPS = 40
 
@@ -57,11 +53,8 @@ SCENARIOS = [
 ]
 
 
-def test_availability_matrix(benchmark):
-    def matrix():
-        return [(name, _availability(prepare)) for name, prepare in SCENARIOS]
-
-    results = run_once(benchmark, matrix)
+def test_availability_matrix():
+    results = [(name, _availability(prepare)) for name, prepare in SCENARIOS]
 
     table = ExperimentTable("E7: availability under injected faults")
     for name, summary in results:
@@ -71,7 +64,7 @@ def test_availability_matrix(benchmark):
             mean_latency=round(summary.mean_latency, 4),
             max_latency=round(summary.max_latency, 4),
         )
-    table.show()
+    show(table)
 
     by_name = dict(results)
     # With at most f faults — crash or Byzantine — availability holds.
@@ -86,22 +79,14 @@ def test_availability_matrix(benchmark):
         assert by_name[tolerated].availability == 1.0, tolerated
     # Beyond f the service must stall (no quorum): availability collapses.
     assert by_name["two crashes (> f)"].availability < 0.2
-    benchmark.extra_info["matrix"] = {
-        name: round(summary.availability, 3) for name, summary in results
-    }
 
 
-def test_latency_under_primary_crash(benchmark):
+def test_latency_under_primary_crash():
     """Fail-over cost: the view change shows up as one latency spike, not as
     an outage."""
-
-    def scenario():
-        return _availability(lambda cluster: cluster.crash("R0"))
-
-    summary = run_once(benchmark, scenario)
+    summary = _availability(lambda cluster: cluster.crash("R0"))
     assert summary.availability == 1.0
     assert summary.max_latency > summary.mean_latency * 2
-    benchmark.extra_info["failover_max_latency"] = round(summary.max_latency, 4)
 
 
 def _mttr_run(poison_persists):
@@ -139,17 +124,13 @@ def _mttr_run(poison_persists):
     return cluster.host("R2").supervisor, cluster.host("R2")
 
 
-def test_mttr_per_host(benchmark):
+def test_mttr_per_host():
     """E7b — per-host MTTR (first crash to order-consistent again) for the
     containment supervisor, transient vs deterministic implementation bugs."""
-
-    def scenarios():
-        return [
-            ("transient crash", *_mttr_run(poison_persists=False)),
-            ("deterministic bug", *_mttr_run(poison_persists=True)),
-        ]
-
-    results = run_once(benchmark, scenarios)
+    results = [
+        ("transient crash", *_mttr_run(poison_persists=False)),
+        ("deterministic bug", *_mttr_run(poison_persists=True)),
+    ]
 
     table = ExperimentTable("E7b: repair time after implementation crashes")
     for name, supervisor, host in results:
@@ -162,7 +143,7 @@ def test_mttr_per_host(benchmark):
             recoveries=len(host.recovery_log),
             mttr=mttr,
         )
-    table.show()
+    show(table)
 
     by_name = {name: (sup, host) for name, sup, host in results}
     transient, _ = by_name["transient crash"]
@@ -178,7 +159,3 @@ def test_mttr_per_host(benchmark):
     assert deterministic.counters.get("supervisor_skip_transfers") >= 1
     mttr_of = lambda sup: sup.mttr_log[0][1] - sup.mttr_log[0][0]
     assert mttr_of(transient) < mttr_of(deterministic)
-    benchmark.extra_info["mttr"] = {
-        name: round(sup.mttr_log[0][1] - sup.mttr_log[0][0], 4)
-        for name, sup, _host in results
-    }

@@ -7,14 +7,12 @@ identical, and the heterogeneous deployment must not cost materially more
 than the slowest homogeneous one.
 """
 
-import pytest
-
 from repro.bench.andrew import AndrewBenchmark
-from repro.bench.metrics import ExperimentTable, ratio
+from repro.bench.metrics import ExperimentTable
 from repro.nfs.client import NFSClient
 from repro.nfs.fileserver import BtrFS, Ext2FS, FFS, LogFS, MemFS
 
-from benchmarks.conftest import hetero_deployment, homo_deployment, run_once
+from benchmarks.conftest import hetero_deployment, homo_deployment, show
 
 
 def _run(dep):
@@ -27,34 +25,30 @@ def _run(dep):
     return result, roots
 
 
-def test_homogeneous_vs_heterogeneous(benchmark):
-    def scenario():
-        rows = []
-        reference_root = None
-        for label, dep in [
-            ("memfs x4", homo_deployment(MemFS)),
-            ("ext2 x4", homo_deployment(Ext2FS)),
-            ("ffs x4", homo_deployment(FFS)),
-            ("logfs x4", homo_deployment(LogFS)),
-            ("btrfs x4", homo_deployment(BtrFS)),
-            ("heterogeneous", hetero_deployment()),
-        ]:
-            result, roots = _run(dep)
-            assert len(set(roots.values())) == 1, f"{label} replicas diverged"
-            root = next(iter(roots.values()))
-            if reference_root is None:
-                reference_root = root
-            rows.append(
-                {
-                    "deployment": label,
-                    "virtual_seconds": result.total_seconds,
-                    "abstract_root": root.hex()[:12],
-                    "matches_reference": root == reference_root,
-                }
-            )
-        return rows
-
-    rows = run_once(benchmark, scenario)
+def test_homogeneous_vs_heterogeneous():
+    rows = []
+    reference_root = None
+    for label, dep in [
+        ("memfs x4", homo_deployment(MemFS)),
+        ("ext2 x4", homo_deployment(Ext2FS)),
+        ("ffs x4", homo_deployment(FFS)),
+        ("logfs x4", homo_deployment(LogFS)),
+        ("btrfs x4", homo_deployment(BtrFS)),
+        ("heterogeneous", hetero_deployment()),
+    ]:
+        result, roots = _run(dep)
+        assert len(set(roots.values())) == 1, f"{label} replicas diverged"
+        root = next(iter(roots.values()))
+        if reference_root is None:
+            reference_root = root
+        rows.append(
+            {
+                "deployment": label,
+                "virtual_seconds": result.total_seconds,
+                "abstract_root": root.hex()[:12],
+                "matches_reference": root == reference_root,
+            }
+        )
 
     table = ExperimentTable("E6: homogeneous vs heterogeneous deployments")
     for row in rows:
@@ -64,7 +58,7 @@ def test_homogeneous_vs_heterogeneous(benchmark):
             abstract_root=row["abstract_root"],
             matches_reference=row["matches_reference"],
         )
-    table.show()
+    show(table)
 
     # Every deployment — whatever the vendors — lands on the same abstract
     # state (timestamps are agreed, so even the roots match across runs).
@@ -73,5 +67,4 @@ def test_homogeneous_vs_heterogeneous(benchmark):
     times = {row["deployment"]: row["virtual_seconds"] for row in rows}
     hetero = times["heterogeneous"]
     slowest_homo = max(v for k, v in times.items() if k != "heterogeneous")
-    benchmark.extra_info["hetero_vs_slowest_homo"] = round(ratio(hetero, slowest_homo), 3)
     assert hetero <= slowest_homo * 1.25

@@ -6,8 +6,6 @@ programming decorrelates the failures.  We inject the poison-write bug into
 vendor A and measure what survives in each deployment.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
 from repro.bft.client import InvocationTimeout
 from repro.bft.config import BFTConfig
@@ -16,7 +14,7 @@ from repro.nfs.client import NFSClient
 from repro.nfs.fileserver import Ext2FS, FFS, LogFS, MemFS
 from repro.nfs.relay import NFSDeployment
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 
 def _deployment(n_version: bool) -> NFSDeployment:
@@ -61,14 +59,11 @@ def _trigger_and_measure(dep: NFSDeployment):
     }
 
 
-def test_common_mode_bug_matrix(benchmark):
-    def scenario():
-        return {
-            "same vendor x4": _trigger_and_measure(_deployment(n_version=False)),
-            "N-version (bug in 1 vendor)": _trigger_and_measure(_deployment(n_version=True)),
-        }
-
-    results = run_once(benchmark, scenario)
+def test_common_mode_bug_matrix():
+    results = {
+        "same vendor x4": _trigger_and_measure(_deployment(n_version=False)),
+        "N-version (bug in 1 vendor)": _trigger_and_measure(_deployment(n_version=True)),
+    }
 
     table = ExperimentTable("E8: deterministic bug — same-version vs N-version")
     for name, row in results.items():
@@ -77,7 +72,7 @@ def test_common_mode_bug_matrix(benchmark):
             crashed_replicas=row["crashed_replicas"],
             service_survived=row["service_survived"],
         )
-    table.show()
+    show(table)
 
     same = results["same vendor x4"]
     nver = results["N-version (bug in 1 vendor)"]
@@ -85,40 +80,30 @@ def test_common_mode_bug_matrix(benchmark):
     assert not same["service_survived"]
     assert nver["crashed_replicas"] == 1
     assert nver["service_survived"]
-    benchmark.extra_info["n_version_survived"] = nver["service_survived"]
 
 
-def test_n_version_plus_recovery_restores_full_strength(benchmark):
+def test_n_version_plus_recovery_restores_full_strength():
     """After the bug fires, proactive recovery rejuvenates the crashed
     replica and the system is back to tolerating a further fault."""
-
-    def scenario():
-        dep = _deployment(n_version=True)
-        fs = NFSClient(dep.relay("C0"))
-        fs.create("/bomb.txt")
-        fs.write("/bomb.txt", POISON)
-        dep.sim.run_for(0.5)
-        # Scrub the poison and let the surviving quorum advance past the
-        # poisoned request: the recovering replica must restart from a
-        # checkpoint whose abstract state no longer triggers the bug (a
-        # deterministic bug fired by at-rest data would re-kill the buggy
-        # vendor during the state install — correctly so).
-        fs.unlink("/bomb.txt")
-        for i in range(20):
-            fs.write_file(f"/progress{i}.txt", bytes([i]) * 32)
-        dep.sim.run_for(1.0)
-        host = dep.cluster.hosts["R0"]
-        recovered = host.recover_now()
-        dep.sim.run_for(5.0)
-        # Now crash a second replica: with R0 restored, still live.
-        dep.cluster.crash("R1")
-        fs.write_file("/final.txt", b"still standing")
-        return {
-            "recovered": recovered
-            and host.replica.counters.get("recoveries_completed") >= 1,
-            "tolerates_second_fault": fs.read_file("/final.txt") == b"still standing",
-        }
-
-    row = run_once(benchmark, scenario)
-    assert row["recovered"]
-    assert row["tolerates_second_fault"]
+    dep = _deployment(n_version=True)
+    fs = NFSClient(dep.relay("C0"))
+    fs.create("/bomb.txt")
+    fs.write("/bomb.txt", POISON)
+    dep.sim.run_for(0.5)
+    # Scrub the poison and let the surviving quorum advance past the
+    # poisoned request: the recovering replica must restart from a
+    # checkpoint whose abstract state no longer triggers the bug (a
+    # deterministic bug fired by at-rest data would re-kill the buggy
+    # vendor during the state install — correctly so).
+    fs.unlink("/bomb.txt")
+    for i in range(20):
+        fs.write_file(f"/progress{i}.txt", bytes([i]) * 32)
+    dep.sim.run_for(1.0)
+    host = dep.cluster.hosts["R0"]
+    assert host.recover_now()
+    dep.sim.run_for(5.0)
+    # Now crash a second replica: with R0 restored, still live.
+    dep.cluster.crash("R1")
+    fs.write_file("/final.txt", b"still standing")
+    assert host.replica.counters.get("recoveries_completed") >= 1
+    assert fs.read_file("/final.txt") == b"still standing"

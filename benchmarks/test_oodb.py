@@ -1,19 +1,15 @@
 """E12 — the object-oriented database (paper abstract's second example):
 same nondeterministic implementation at every replica.
 
-Workload: build and mutate a linked object graph; measure replicated cost vs
-a direct (unreplicated) ThorDB, and verify abstract-state convergence despite
-wildly different concrete heaps.
+Workload: build and mutate a linked object graph on the replicated database
+and verify abstract-state convergence despite wildly different concrete heaps.
 """
 
-import pytest
-
-from repro.bench.metrics import ExperimentTable, ratio
+from repro.bench.metrics import ExperimentTable
 from repro.bft.config import BFTConfig
-from repro.oodb import OODBDeployment, ThorDB
-from repro.oodb.db import Ref
+from repro.oodb import OODBDeployment
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 GRAPH_NODES = 20
 UPDATES = 60
@@ -47,22 +43,8 @@ def _replicated_workload():
     }
 
 
-def _direct_workload():
-    import time
-
-    db = ThorDB(disk={}, seed=7)
-    nodes = [db.allocate("Node") for _ in range(GRAPH_NODES)]
-    for i, node in enumerate(nodes):
-        db.set_attr(node, "value", i)
-        if i:
-            db.set_attr(nodes[i - 1], "next", Ref(node))
-    for i in range(UPDATES):
-        db.set_attr(nodes[i % GRAPH_NODES], "value", i * 31)
-    return {"ops": GRAPH_NODES * 3 + UPDATES}
-
-
-def test_replicated_oodb_workload(benchmark):
-    row = run_once(benchmark, _replicated_workload)
+def test_replicated_oodb_workload():
+    row = _replicated_workload()
 
     table = ExperimentTable("E12: replicated OODB (same nondeterministic impl x4)")
     table.add_row(
@@ -71,41 +53,31 @@ def test_replicated_oodb_workload(benchmark):
         abstract_converged=row["converged"],
         distinct_concrete_handles=row["distinct_concrete_handles"],
     )
-    table.show()
+    show(table)
 
     assert row["converged"]
     # Every replica chose different memory-address handles for object 1 —
     # that is the nondeterminism BASE hides.
     assert row["distinct_concrete_handles"] == 4
-    benchmark.extra_info["virtual_seconds"] = round(row["elapsed"], 4)
 
 
-def test_oodb_recovery_during_updates(benchmark):
-    def scenario():
-        dep = OODBDeployment(
-            config=BFTConfig(checkpoint_interval=8, log_window=16), num_objects=64
-        )
-        db = dep.client("C0")
-        node = db.new("Counter")
-        for i in range(20):
-            db.set(node, "n", i)
-        dep.sim.run_for(1.0)
-        host = dep.cluster.hosts["R2"]
-        assert host.recover_now()
-        for i in range(20, 30):
-            db.set(node, "n", i)
-        dep.sim.run_for(5.0)
-        roots = {
-            rid: dep.cluster.service(rid).current_node(0, 0)[1]
-            for rid in dep.cluster.hosts
-        }
-        return {
-            "recovered": host.replica.counters.get("recoveries_completed") >= 1,
-            "converged": len(set(roots.values())) == 1,
-            "final": db.get(node)["n"],
-        }
-
-    row = run_once(benchmark, scenario)
-    assert row["recovered"]
-    assert row["converged"]
-    assert row["final"] == 29
+def test_oodb_recovery_during_updates():
+    dep = OODBDeployment(
+        config=BFTConfig(checkpoint_interval=8, log_window=16), num_objects=64
+    )
+    db = dep.client("C0")
+    node = db.new("Counter")
+    for i in range(20):
+        db.set(node, "n", i)
+    dep.sim.run_for(1.0)
+    host = dep.cluster.hosts["R2"]
+    assert host.recover_now()
+    for i in range(20, 30):
+        db.set(node, "n", i)
+    dep.sim.run_for(5.0)
+    roots = {
+        rid: dep.cluster.service(rid).current_node(0, 0)[1] for rid in dep.cluster.hosts
+    }
+    assert host.replica.counters.get("recoveries_completed") >= 1
+    assert len(set(roots.values())) == 1
+    assert db.get(node)["n"] == 29

@@ -10,12 +10,10 @@ paths (the paper's client is a real kernel client, which caches handles —
 this quantifies how much that flatters the baseline-vs-replicated ratio).
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable, ratio
 from repro.nfs.client import NFSClient
 
-from benchmarks.conftest import baseline_client, hetero_deployment, run_once
+from benchmarks.conftest import baseline_client, hetero_deployment, show
 
 REPEATS = 10
 
@@ -45,15 +43,11 @@ def _time_ops(fs, sim):
     return results
 
 
-def test_per_operation_latency(benchmark):
-    def scenario():
-        base_sim, base_fs = baseline_client()
-        baseline = _time_ops(base_fs, base_sim)
-        dep = hetero_deployment()
-        replicated = _time_ops(NFSClient(dep.relay("C0")), dep.sim)
-        return baseline, replicated
-
-    baseline, replicated = run_once(benchmark, scenario)
+def test_per_operation_latency():
+    base_sim, base_fs = baseline_client()
+    baseline = _time_ops(base_fs, base_sim)
+    dep = hetero_deployment()
+    replicated = _time_ops(NFSClient(dep.relay("C0")), dep.sim)
 
     table = ExperimentTable("E16a: per-operation latency (virtual ms)")
     for op in baseline:
@@ -63,34 +57,28 @@ def test_per_operation_latency(benchmark):
             replicated_ms=round(replicated[op] * 1000, 3),
             overhead=round(ratio(replicated[op], baseline[op]), 2),
         )
-    table.show()
+    show(table)
 
     # Reads ride the read-only path: their overhead must be well below the
     # mutation overhead.
     read_overhead = ratio(replicated["stat"], baseline["stat"])
     write_overhead = ratio(replicated["write-1k"], baseline["write-1k"])
     assert read_overhead < write_overhead
-    benchmark.extra_info["read_overhead"] = round(read_overhead, 2)
-    benchmark.extra_info["write_overhead"] = round(write_overhead, 2)
 
 
-def test_handle_cache_saves_protocol_calls(benchmark):
-    def scenario():
-        results = {}
-        for cached in (False, True):
-            dep = hetero_deployment()
-            fs = NFSClient(dep.relay("C0"), cache_handles=cached)
-            fs.mkdir("/deep")
-            fs.mkdir("/deep/a")
-            fs.mkdir("/deep/a/b")
-            fs.write_file("/deep/a/b/data", b"payload" * 50)
-            started = dep.sim.now()
-            for _ in range(20):
-                fs.read_file("/deep/a/b/data")
-            results[cached] = dep.sim.now() - started
-        return results
-
-    results = run_once(benchmark, scenario)
+def test_handle_cache_saves_protocol_calls():
+    results = {}
+    for cached in (False, True):
+        dep = hetero_deployment()
+        fs = NFSClient(dep.relay("C0"), cache_handles=cached)
+        fs.mkdir("/deep")
+        fs.mkdir("/deep/a")
+        fs.mkdir("/deep/a/b")
+        fs.write_file("/deep/a/b/data", b"payload" * 50)
+        started = dep.sim.now()
+        for _ in range(20):
+            fs.read_file("/deep/a/b/data")
+        results[cached] = dep.sim.now() - started
 
     table = ExperimentTable("E16b: client handle cache on deep paths")
     for cached, elapsed in results.items():
@@ -100,7 +88,6 @@ def test_handle_cache_saves_protocol_calls(benchmark):
         )
     speedup = ratio(results[False], results[True])
     table.add_row(handle_cache="speedup", virtual_seconds=f"{speedup:.2f}x")
-    table.show()
+    show(table)
 
     assert speedup > 1.5  # three lookups saved per read on a 3-deep path
-    benchmark.extra_info["speedup"] = round(speedup, 2)

@@ -1,4 +1,4 @@
-"""E18 — graceful degradation under overload (the load ladder).
+"""E20 — graceful degradation under overload (the load ladder).
 
 An open-loop swarm offers 0.8x, 2x, and 6x the sustainable request rate
 against bandwidth-capped links.  The shape that matters: goodput (requests
@@ -9,21 +9,16 @@ shedding, not by electing a new primary that would inherit the same queue.
 """
 
 from repro.bench.metrics import ExperimentTable
-from repro.bench.suites import OVERLOAD_LADDER, _overload_rung
-from repro.explore.plan import OVERLOAD_DURATION, OVERLOAD_SUSTAINABLE
+from repro.bench.suites import OVERLOAD_LADDER, overload_rung
+from repro.explore.plan import OVERLOAD_SUSTAINABLE
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 
-def test_goodput_plateaus_under_overload(benchmark):
-    def ladder():
-        return [
-            dict(_overload_rung(rate), rate=rate) for rate in OVERLOAD_LADDER
-        ]
+def test_goodput_plateaus_under_overload():
+    rows = [dict(overload_rung(rate), rate=rate) for rate in OVERLOAD_LADDER]
 
-    rows = run_once(benchmark, ladder)
-
-    table = ExperimentTable("E18: overload ladder (goodput vs offered load)")
+    table = ExperimentTable("E20: overload ladder (goodput vs offered load)")
     for row in rows:
         table.add_row(
             offered_per_vsec=row["rate"],
@@ -33,7 +28,7 @@ def test_goodput_plateaus_under_overload(benchmark):
             view_changes=row["view_changes_started"],
             view_changes_damped=row["view_changes_damped"],
         )
-    table.show()
+    show(table)
 
     sub, mid, deep = rows
     # Below saturation: everything offered is executed, nothing is shed.
@@ -57,9 +52,3 @@ def test_goodput_plateaus_under_overload(benchmark):
         assert row["view_changes_started"] == 0
     assert mid["view_changes_damped"] > 0
     assert deep["view_changes_damped"] > 0
-
-    benchmark.extra_info["goodput_ratio_6x_vs_2x"] = round(
-        deep["goodput_per_vsec"] / mid["goodput_per_vsec"], 3
-    )
-    benchmark.extra_info["shed_at_6x"] = deep["requests_shed"]
-    benchmark.extra_info["episode_vseconds"] = OVERLOAD_DURATION

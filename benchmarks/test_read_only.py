@@ -6,12 +6,10 @@ service with the optimization on and off and compare latency and ordering
 traffic — the justification for keeping reads out of the agreement pipeline.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable, ratio
 from repro.nfs.client import NFSClient
 
-from benchmarks.conftest import hetero_deployment, run_once
+from benchmarks.conftest import hetero_deployment, show
 
 READS = 80
 
@@ -40,11 +38,8 @@ def _read_heavy(read_only_optimization: bool):
     }
 
 
-def test_read_only_optimization_ablation(benchmark):
-    def scenario():
-        return [_read_heavy(True), _read_heavy(False)]
-
-    with_opt, without_opt = run_once(benchmark, scenario)
+def test_read_only_optimization_ablation():
+    with_opt, without_opt = _read_heavy(True), _read_heavy(False)
 
     table = ExperimentTable("E15: read-only optimization ablation")
     for row in (with_opt, without_opt):
@@ -61,7 +56,7 @@ def test_read_only_optimization_ablation(benchmark):
         ordered_batches="",
         read_only_executions="",
     )
-    table.show()
+    show(table)
 
     # Reads bypass ordering entirely with the optimization on...
     assert with_opt["read_only_executions"] >= READS * 3
@@ -69,4 +64,3 @@ def test_read_only_optimization_ablation(benchmark):
     assert with_opt["ordered_batches"] < without_opt["ordered_batches"]
     # Latency benefit is real (one round trip vs three phases).
     assert speedup > 1.2
-    benchmark.extra_info["speedup"] = round(speedup, 3)

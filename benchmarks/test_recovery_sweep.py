@@ -7,13 +7,11 @@ trade-off.  The window of vulnerability is approximated as in OSDI'00:
 roughly two watchdog periods plus the recovery time itself.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
 from repro.bench.workloads import write_heavy
 from repro.nfs.client import NFSClient
 
-from benchmarks.conftest import hetero_deployment, run_once
+from benchmarks.conftest import hetero_deployment, show
 
 OPS = 120
 PERIODS = [0.0, 8.0, 4.0, 2.0]
@@ -43,11 +41,8 @@ def _run_with_period(period: float):
     }
 
 
-def test_recovery_period_sweep(benchmark):
-    def sweep():
-        return [_run_with_period(period) for period in PERIODS]
-
-    rows = run_once(benchmark, sweep)
+def test_recovery_period_sweep():
+    rows = [_run_with_period(period) for period in PERIODS]
 
     baseline_elapsed = rows[0]["elapsed"]
     table = ExperimentTable("E5: recovery period vs overhead and WoV")
@@ -63,7 +58,7 @@ def test_recovery_period_sweep(benchmark):
                 else round(row["window_of_vulnerability"], 2)
             ),
         )
-    table.show()
+    show(table)
 
     # Shape: shorter periods => more recoveries, more overhead.
     recoveries = [row["recoveries"] for row in rows]
@@ -71,17 +66,11 @@ def test_recovery_period_sweep(benchmark):
     assert recoveries[-1] >= recoveries[1]
     overheads = [row["elapsed"] / baseline_elapsed for row in rows]
     assert overheads[-1] >= 1.0
-    benchmark.extra_info["overhead_at_shortest_period"] = round(overheads[-1], 3)
 
 
-def test_recovery_time_is_small_fraction_of_period(benchmark):
+def test_recovery_time_is_small_fraction_of_period():
     """Recoveries must be quick relative to the rotation (that is what makes
     staggering keep the service available)."""
-
-    def scenario():
-        return _run_with_period(4.0)
-
-    row = run_once(benchmark, scenario)
+    row = _run_with_period(4.0)
     assert row["recoveries"] >= 1
     assert row["max_recovery_time"] < 4.0 / 4
-    benchmark.extra_info["max_recovery_time"] = round(row["max_recovery_time"], 4)

@@ -6,8 +6,6 @@ and failure probability.  We run leak-prone implementations under load with
 and without the recovery watchdog and count aging crashes.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
 from repro.bench.workloads import write_heavy
 from repro.bft.config import BFTConfig
@@ -15,7 +13,7 @@ from repro.nfs.client import NFSClient
 from repro.nfs.fileserver import MemFS
 from repro.nfs.relay import NFSDeployment
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 AGING_THRESHOLD = 12_000
 OPS = 250
@@ -65,11 +63,8 @@ def _run(recovery_period: float):
     }
 
 
-def test_rejuvenation_counters_aging(benchmark):
-    def scenario():
-        return [_run(0.0), _run(RECOVERY_PERIOD)]
-
-    rows = run_once(benchmark, scenario)
+def test_rejuvenation_counters_aging():
+    rows = [_run(0.0), _run(RECOVERY_PERIOD)]
 
     table = ExperimentTable("E10: aging crashes with and without rejuvenation")
     for row in rows:
@@ -79,7 +74,7 @@ def test_rejuvenation_counters_aging(benchmark):
             aging_crashes=row["aging_crashes"],
             recoveries=row["recoveries"],
         )
-    table.show()
+    show(table)
 
     without, with_recovery = rows
     # Without rejuvenation every replica eventually ages out and crashes.
@@ -88,5 +83,3 @@ def test_rejuvenation_counters_aging(benchmark):
     assert with_recovery["aging_crashes"] < without["aging_crashes"]
     assert with_recovery["ops_completed"] == OPS
     assert with_recovery["recoveries"] >= 4
-    benchmark.extra_info["crashes_without"] = without["aging_crashes"]
-    benchmark.extra_info["crashes_with"] = with_recovery["aging_crashes"]

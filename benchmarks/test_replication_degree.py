@@ -5,13 +5,11 @@ quadratically with n (all-to-all prepare/commit).  We measure n=4 vs n=7 —
 the trade the paper's deployment makes by picking f=1.
 """
 
-import pytest
-
-from repro.bench.metrics import ExperimentTable, ratio
+from repro.bench.metrics import ExperimentTable
 from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_set, kv_cluster
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 OPS = 40
 
@@ -42,11 +40,8 @@ def _run_with_degree(f: int):
     }
 
 
-def test_replication_degree_costs(benchmark):
-    def sweep():
-        return [_run_with_degree(1), _run_with_degree(2)]
-
-    rows = run_once(benchmark, sweep)
+def test_replication_degree_costs():
+    rows = [_run_with_degree(1), _run_with_degree(2)]
 
     table = ExperimentTable("E19: cost of the replication degree")
     for row in rows:
@@ -57,13 +52,10 @@ def test_replication_degree_costs(benchmark):
             messages_per_op=round(row["messages_per_op"], 1),
             bytes_per_op=int(row["bytes_per_op"]),
         )
-    table.show()
+    show(table)
 
     four, seven = rows
     # Message cost grows superlinearly (quadratic all-to-all phases)...
     assert seven["messages_per_op"] > four["messages_per_op"] * 1.8
     # ...while latency stays roughly flat (same number of rounds).
     assert seven["latency_per_op"] < four["latency_per_op"] * 1.5
-    benchmark.extra_info["message_ratio"] = round(
-        seven["messages_per_op"] / four["messages_per_op"], 2
-    )

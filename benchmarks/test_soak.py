@@ -7,29 +7,22 @@ availability, recoveries, transfers, and final convergence.  This is the
 "leave it running overnight" credibility check, scaled to seconds.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
 from repro.bft.config import BFTConfig
 from repro.net.network import NetworkConfig
 from repro.nfs.audit import diff_wrappers
 from repro.nfs.client import NFSClient, NFSError
-from repro.nfs.fileserver import Ext2FS, FFS, LogFS, MemFS
+from repro.nfs.fileserver import HETEROGENEOUS
 from repro.nfs.relay import NFSDeployment
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 ROUNDS = 30
 
 
 def _soak():
     dep = NFSDeployment(
-        {
-            "R0": lambda disk: MemFS(disk=disk, seed=1),
-            "R1": lambda disk: Ext2FS(disk=disk, seed=2),
-            "R2": lambda disk: FFS(disk=disk, seed=3),
-            "R3": lambda disk: LogFS(disk=disk, seed=4),
-        },
+        HETEROGENEOUS,
         num_objects=192,
         config=BFTConfig(
             checkpoint_interval=16, log_window=64, recovery_period=3.0
@@ -95,8 +88,8 @@ def _soak():
     }
 
 
-def test_soak_run(benchmark):
-    row = run_once(benchmark, _soak)
+def test_soak_run():
+    row = _soak()
 
     table = ExperimentTable("E18: soak — everything enabled")
     table.add_row(
@@ -107,13 +100,10 @@ def test_soak_run(benchmark):
         transfers=row["transfers"],
         abstract_diffs=row["abstract_diffs"],
     )
-    table.show()
+    show(table)
 
     assert row["failures"] == 0
     assert row["recoveries"] >= 8  # several full rotations
     assert row["abstract_diffs"] == 0
     last_writer_round = max(r for r in range(ROUNDS) if r % 12 == 5)
     assert row["final_read"] == bytes([last_writer_round % 251]) * 300
-    benchmark.extra_info.update(
-        {k: v for k, v in row.items() if isinstance(v, (int, float))}
-    )

@@ -6,13 +6,11 @@ actually changed: we sweep the fraction of the object array dirtied while a
 replica is away and compare objects/bytes fetched against a full-state copy.
 """
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
 from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_set, kv_cluster
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 NUM_SLOTS = 64
 PAYLOAD = 128
@@ -47,14 +45,10 @@ def _transfer_with_dirty_fraction(fraction: float):
     }
 
 
-def test_dirty_fraction_sweep(benchmark):
-    def sweep():
-        return [
-            _transfer_with_dirty_fraction(fraction)
-            for fraction in (0.05, 0.25, 0.5, 1.0)
-        ]
-
-    rows = run_once(benchmark, sweep)
+def test_dirty_fraction_sweep():
+    rows = [
+        _transfer_with_dirty_fraction(fraction) for fraction in (0.05, 0.25, 0.5, 1.0)
+    ]
 
     full_copy_bytes = NUM_SLOTS * (PAYLOAD // 2) * 2
     table = ExperimentTable("E9: state-transfer cost vs dirty fraction")
@@ -67,33 +61,27 @@ def test_dirty_fraction_sweep(benchmark):
             meta_queries=row["meta_queries"],
             vs_full_copy=round(row["objects_fetched"] / NUM_SLOTS, 3),
         )
-    table.show()
+    show(table)
 
     # Fetched objects track the dirty set, not the state size.
     assert rows[0]["objects_fetched"] <= rows[0]["dirty_objects"] + 2
     fetched = [row["objects_fetched"] for row in rows]
     assert fetched == sorted(fetched)
     assert rows[-1]["objects_fetched"] <= NUM_SLOTS
-    benchmark.extra_info["fetched_at_5pct"] = rows[0]["objects_fetched"]
-    benchmark.extra_info["fetched_at_100pct"] = rows[-1]["objects_fetched"]
 
 
-def test_up_to_date_replica_transfers_nothing(benchmark):
+def test_up_to_date_replica_transfers_nothing():
     """Root digests match => zero meta/object traffic beyond the anchor."""
-
-    def scenario():
-        config = BFTConfig(checkpoint_interval=8, log_window=16)
-        cluster = kv_cluster(config=config, num_slots=NUM_SLOTS)
-        client = cluster.client("C0")
-        for i in range(20):
-            client.invoke(encode_set(i % 8, bytes([i])), timeout=60)
-        cluster.settle(1.0)
-        replica = cluster.replica("R3")
-        before = replica.counters.snapshot()
-        replica.transfer.begin_from_root(min_seqno=1)
-        cluster.settle(1.0)
-        return replica.counters.diff(before)
-
-    diff = run_once(benchmark, scenario)
+    config = BFTConfig(checkpoint_interval=8, log_window=16)
+    cluster = kv_cluster(config=config, num_slots=NUM_SLOTS)
+    client = cluster.client("C0")
+    for i in range(20):
+        client.invoke(encode_set(i % 8, bytes([i])), timeout=60)
+    cluster.settle(1.0)
+    replica = cluster.replica("R3")
+    before = replica.counters.snapshot()
+    replica.transfer.begin_from_root(min_seqno=1)
+    cluster.settle(1.0)
+    diff = replica.counters.diff(before)
     assert diff.get("objects_fetched", 0) == 0
     assert diff.get("fetch_meta_sent", 0) <= 1

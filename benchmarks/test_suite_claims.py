@@ -1,0 +1,34 @@
+"""The claims made about the ``repro bench`` suites, as assertions.
+
+``repro bench --compare`` holds each scenario to its committed numbers; these
+tests hold the *ratios between* scenarios that the README and docs quote, by
+running the registered scenarios themselves.
+"""
+
+from repro.bench.suites import SCENARIOS
+
+
+def test_fast_path_is_at_least_3x():
+    """Pipelining + speculation must beat the three-phase baseline by >= 3x
+    on closed-loop KV throughput (committed figure: ~5.15x)."""
+    base = SCENARIOS["kv_throughput"]()["ops_per_vsec"]
+    fast = SCENARIOS["kv_throughput_fast"]()["ops_per_vsec"]
+    assert fast >= 3.0 * base, f"fast path {fast:.1f} vs baseline {base:.1f} ops/vsec"
+
+
+def test_eight_shards_scale_goodput():
+    """Aggregate goodput at 8 groups must beat the single group by >= 5x with
+    no cross-shard traffic and >= 2.5x with a 10% transaction mix (committed
+    figures: ~7.6x and ~7.3x)."""
+    one = SCENARIOS["shard_scale_1"]()["goodput_per_vsec"]
+    pure = SCENARIOS["shard_scale_8"]()["goodput_per_vsec"] / one
+    mixed = SCENARIOS["shard_scale_8_mix10"]()["goodput_per_vsec"] / one
+    assert pure >= 5.0 and mixed >= 2.5, f"{pure:.2f}x pure, {mixed:.2f}x at 10% mix"
+
+
+def test_fused_tier_costs_at_most_half_a_replica_and_rebuilds_the_root():
+    """One fused node spanning S groups must cost no more than half of one
+    extra full replica per group (committed figure: ~0.42), and the state it
+    rebuilds must match the destroyed group's checkpoint certificate."""
+    assert SCENARIOS["fusion_overhead"]()["storage_ratio"] <= 0.5
+    assert SCENARIOS["fusion_reconstruction"]()["root_match"] == 1.0

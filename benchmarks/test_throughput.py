@@ -5,41 +5,23 @@ closed-loop clients (each issues its next request when the previous reply
 arrives), throughput grows well past a single client's reciprocal latency.
 """
 
-import pytest
-
-from repro.bench.metrics import ExperimentTable, ratio
+from repro.bench.metrics import ExperimentTable
+from repro.bench.suites import closed_loop, global_stats
 from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_set, kv_cluster
 
-from benchmarks.conftest import GlobalStatsProbe, run_once
+from benchmarks.conftest import show
 
 OPS_PER_CLIENT = 30
 
 
-def _closed_loop(num_clients: int):
+def _scaling_run(num_clients: int):
     cluster = kv_cluster(
         config=BFTConfig(checkpoint_interval=16, log_window=64, batch_max=16)
     )
     clients = [cluster.client(f"C{i}") for i in range(num_clients)]
-    remaining = {client.node_id: OPS_PER_CLIENT for client in clients}
     started = cluster.sim.now()
-
-    def issue(client):
-        def on_reply(_result, client=client):
-            remaining[client.node_id] -= 1
-            if remaining[client.node_id] > 0:
-                issue(client)
-
-        counter = OPS_PER_CLIENT - remaining[client.node_id]
-        client.invoke_async(
-            encode_set(counter % 16, client.node_id.encode()), on_reply
-        )
-
-    for client in clients:
-        issue(client)
-    cluster.sim.run_until_condition(
-        lambda: all(count == 0 for count in remaining.values()), timeout=600
-    )
+    closed_loop(cluster, clients, OPS_PER_CLIENT, width=16)
     elapsed = cluster.sim.now() - started
     total_ops = num_clients * OPS_PER_CLIENT
     primary = cluster.replica("R0")
@@ -51,11 +33,8 @@ def _closed_loop(num_clients: int):
     }
 
 
-def test_throughput_scales_with_clients(benchmark):
-    def sweep():
-        return [_closed_loop(n) for n in (1, 2, 4, 8, 12)]
-
-    rows = run_once(benchmark, sweep)
+def test_throughput_scales_with_clients():
+    rows = [_scaling_run(n) for n in (1, 2, 4, 8, 12)]
 
     table = ExperimentTable("E17: closed-loop throughput scaling")
     for row in rows:
@@ -64,19 +43,16 @@ def test_throughput_scales_with_clients(benchmark):
             ops_per_virtual_second=round(row["throughput"], 0),
             requests_per_batch=round(row["requests_per_batch"], 2),
         )
-    table.show()
+    show(table)
 
     throughputs = [row["throughput"] for row in rows]
     # Monotone-ish growth, and real amortization: 12 clients beat 1 client
     # by far more than 1x, thanks to batching.
     assert throughputs[-1] > throughputs[0] * 3
     assert rows[-1]["requests_per_batch"] > rows[0]["requests_per_batch"]
-    benchmark.extra_info["speedup_12_clients"] = round(
-        throughputs[-1] / throughputs[0], 2
-    )
 
 
-def test_broadcast_serializes_once(benchmark):
+def test_broadcast_serializes_once():
     """Each broadcast message serializes exactly once, not once per recipient.
 
     ``auth_multicast`` computes the signable bytes a single time and reuses
@@ -85,23 +61,20 @@ def test_broadcast_serializes_once(benchmark):
     point-to-point traffic), far below the per-recipient send count.
     """
 
-    def scenario():
-        with GlobalStatsProbe() as probe:
-            cluster = kv_cluster(
-                config=BFTConfig(checkpoint_interval=16, log_window=64, batch_max=16)
-            )
-            client = cluster.client("C0")
-            for i in range(30):
-                client.invoke(encode_set(i % 16, bytes([i % 251]) * 8), timeout=60)
-            cluster.settle(1.0)
-            totals = cluster.total_counters()
-        return {
-            "message_encodes": probe.messages.get("message_encodes", 0),
-            "messages_sent": totals.get("messages_sent"),
-            "auth_broadcasts": totals.get("auth_broadcasts"),
-        }
-
-    row = run_once(benchmark, scenario)
+    with global_stats() as stats:
+        cluster = kv_cluster(
+            config=BFTConfig(checkpoint_interval=16, log_window=64, batch_max=16)
+        )
+        client = cluster.client("C0")
+        for i in range(30):
+            client.invoke(encode_set(i % 16, bytes([i % 251]) * 8), timeout=60)
+        cluster.settle(1.0)
+    totals = cluster.total_counters()
+    row = {
+        "message_encodes": stats.get("message_encodes", 0),
+        "messages_sent": totals.get("messages_sent"),
+        "auth_broadcasts": totals.get("auth_broadcasts"),
+    }
 
     table = ExperimentTable("E17b: one serialization per broadcast")
     table.add_row(
@@ -110,7 +83,7 @@ def test_broadcast_serializes_once(benchmark):
         message_encodes=row["message_encodes"],
         encodes_per_send=round(row["message_encodes"] / row["messages_sent"], 3),
     )
-    table.show()
+    show(table)
 
     assert row["auth_broadcasts"] > 0
     # A replica group of 4 fans each broadcast out to 3 recipients.  One
@@ -124,6 +97,3 @@ def test_broadcast_serializes_once(benchmark):
     # And the aggregate ratio sits well below one encode per send (it exceeded
     # one when wire_size()/auth paths re-encoded).
     assert row["message_encodes"] / row["messages_sent"] < 0.6
-    benchmark.extra_info["encodes_per_send"] = round(
-        row["message_encodes"] / row["messages_sent"], 3
-    )

@@ -1,12 +1,10 @@
 """E13 — view-change cost: fail-over latency and message overhead."""
 
-import pytest
-
 from repro.bench.metrics import ExperimentTable
 from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_set, kv_cluster
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import show
 
 
 def _measure_failover(view_change_timeout: float):
@@ -31,11 +29,8 @@ def _measure_failover(view_change_timeout: float):
     }
 
 
-def test_failover_latency_tracks_timeout(benchmark):
-    def sweep():
-        return [_measure_failover(t) for t in (0.1, 0.25, 0.5)]
-
-    rows = run_once(benchmark, sweep)
+def test_failover_latency_tracks_timeout():
+    rows = [_measure_failover(t) for t in (0.1, 0.25, 0.5)]
 
     table = ExperimentTable("E13: view-change fail-over cost")
     for row in rows:
@@ -45,7 +40,7 @@ def test_failover_latency_tracks_timeout(benchmark):
             messages=row["messages"],
             final_view=row["final_view"],
         )
-    table.show()
+    show(table)
 
     # Fail-over latency is dominated by the request timer, as in PBFT.
     for row in rows:
@@ -53,17 +48,12 @@ def test_failover_latency_tracks_timeout(benchmark):
         assert row["final_view"] == 1  # exactly one view change
     latencies = [row["failover_latency"] for row in rows]
     assert latencies == sorted(latencies)
-    benchmark.extra_info["latency_at_250ms_timer"] = round(rows[1]["failover_latency"], 4)
 
 
-def test_steady_state_has_no_view_changes(benchmark):
-    def scenario():
-        cluster = kv_cluster(config=BFTConfig(checkpoint_interval=16, log_window=64))
-        client = cluster.client("C0")
-        for i in range(60):
-            client.invoke(encode_set(i % 8, bytes([i % 251])), timeout=60)
-        cluster.settle(2.0)
-        return sum(r.counters.get("view_changes_started") for r in cluster.replicas)
-
-    started = run_once(benchmark, scenario)
-    assert started == 0
+def test_steady_state_has_no_view_changes():
+    cluster = kv_cluster(config=BFTConfig(checkpoint_interval=16, log_window=64))
+    client = cluster.client("C0")
+    for i in range(60):
+        client.invoke(encode_set(i % 8, bytes([i % 251])), timeout=60)
+    cluster.settle(2.0)
+    assert sum(r.counters.get("view_changes_started") for r in cluster.replicas) == 0

@@ -7,64 +7,17 @@ Run:  python examples/andrew_benchmark.py [scale]
 
 import sys
 
-from repro.bench.andrew import AndrewBenchmark
-from repro.bench.metrics import ExperimentTable, ratio
-from repro.bft.config import BFTConfig
-from repro.net.simulator import Simulator
-from repro.nfs.client import NFSClient
-from repro.nfs.direct import direct_client
-from repro.nfs.fileserver import Ext2FS, FFS, LogFS, MemFS
-from repro.nfs.relay import NFSDeployment
+from repro.bench.andrew import andrew_comparison
 
 
 def main() -> None:
     scale = int(sys.argv[1]) if len(sys.argv) > 1 else 2
 
-    # Baseline: a client mounted directly on the unreplicated MemFS.
-    baseline_sim = Simulator(seed=0)
-    baseline_fs = direct_client(MemFS(disk={}, seed=1), sim=baseline_sim, round_trip=0.001)
-    baseline = AndrewBenchmark(baseline_fs, baseline_sim, scale=scale).run()
-
-    # Replicated: four vendors behind BASE.
-    deployment = NFSDeployment(
-        {
-            "R0": lambda disk: MemFS(disk=disk, seed=1),
-            "R1": lambda disk: Ext2FS(disk=disk, seed=2),
-            "R2": lambda disk: FFS(disk=disk, seed=3),
-            "R3": lambda disk: LogFS(disk=disk, seed=4),
-        },
-        config=BFTConfig(checkpoint_interval=16, log_window=64),
-        num_objects=max(256, scale * 64),
-    )
-    replicated_fs = NFSClient(deployment.relay("C0"))
-    replicated = AndrewBenchmark(replicated_fs, deployment.sim, scale=scale).run()
-
-    table = ExperimentTable(
-        f"Andrew benchmark, scale={scale} (virtual seconds per phase)"
-    )
-    for base_phase, rep_phase in zip(baseline.phases, replicated.phases):
-        table.add_row(
-            phase=base_phase.name,
-            unreplicated=round(base_phase.virtual_seconds, 4),
-            replicated=round(rep_phase.virtual_seconds, 4),
-            overhead=f"{ratio(rep_phase.virtual_seconds, base_phase.virtual_seconds):.2f}x",
-        )
-    overall = ratio(replicated.total_seconds, baseline.total_seconds)
-    table.add_row(
-        phase="TOTAL",
-        unreplicated=round(baseline.total_seconds, 4),
-        replicated=round(replicated.total_seconds, 4),
-        overhead=f"{overall:.2f}x",
-    )
-    table.show()
-    print(f"\npaper's result: ~1.30x  |  this run: {overall:.2f}x")
-
-    counters = deployment.cluster.total_counters()
-    print(
-        f"protocol costs: {counters.get('messages_sent')} messages, "
-        f"{counters.get('bytes_sent')} bytes, "
-        f"{counters.get('mac_generate') + counters.get('mac_verify')} MAC ops"
-    )
+    # One run on a client mounted directly on the unreplicated MemFS, one on
+    # four vendors behind BASE (the same pair `repro andrew` and E3 measure).
+    run = andrew_comparison(scale)
+    run.table(f"Andrew benchmark, scale={scale} (virtual seconds per phase)").show()
+    print("\n" + run.summary())
 
 
 if __name__ == "__main__":

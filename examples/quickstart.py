@@ -11,21 +11,18 @@ Run:  python examples/quickstart.py
 
 from repro.bft.config import BFTConfig
 from repro.nfs.client import NFSClient
-from repro.nfs.fileserver import Ext2FS, FFS, LogFS, MemFS
+from repro.nfs.fileserver import HETEROGENEOUS
 from repro.nfs.relay import NFSDeployment
 
 
 def main() -> None:
     # One implementation factory per replica: opportunistic N-version
-    # programming (paper section 1).  Each vendor differs in representation,
-    # file-handle scheme, readdir order, and timestamp granularity.
+    # programming (paper section 1).  HETEROGENEOUS puts MemFS, Ext2FS, FFS
+    # and LogFS on R0-R3 with skewed clocks; the vendors differ in
+    # representation, file-handle scheme, readdir order, and timestamp
+    # granularity.
     deployment = NFSDeployment(
-        {
-            "R0": lambda disk: MemFS(disk=disk, seed=1, clock_skew=+0.5),
-            "R1": lambda disk: Ext2FS(disk=disk, seed=2, clock_skew=-0.3),
-            "R2": lambda disk: FFS(disk=disk, seed=3, clock_skew=+0.8),
-            "R3": lambda disk: LogFS(disk=disk, seed=4, clock_skew=+0.1),
-        },
+        HETEROGENEOUS,
         config=BFTConfig(checkpoint_interval=16, log_window=64),
         num_objects=256,
     )

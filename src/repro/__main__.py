@@ -14,24 +14,17 @@
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 
 def _demo() -> None:
     from repro.bft.config import BFTConfig
     from repro.nfs.client import NFSClient
-    from repro.nfs.fileserver import Ext2FS, FFS, LogFS, MemFS
+    from repro.nfs.fileserver import HETEROGENEOUS
     from repro.nfs.relay import NFSDeployment
 
     deployment = NFSDeployment(
-        {
-            "R0": lambda disk: MemFS(disk=disk, seed=1),
-            "R1": lambda disk: Ext2FS(disk=disk, seed=2),
-            "R2": lambda disk: FFS(disk=disk, seed=3),
-            "R3": lambda disk: LogFS(disk=disk, seed=4),
-        },
-        config=BFTConfig(checkpoint_interval=16, log_window=64),
+        HETEROGENEOUS, config=BFTConfig(checkpoint_interval=16, log_window=64)
     )
     fs = NFSClient(deployment.relay("demo"))
     fs.mkdir("/demo")
@@ -49,31 +42,12 @@ def _demo() -> None:
     print("all replicas agree" if len(set(roots.values())) == 1 else "DIVERGED")
 
 
-def _andrew_script_path() -> Path:
-    """Locate ``examples/andrew_benchmark.py`` independent of the cwd.
-
-    The script lives next to the source tree (``src/repro/`` →
-    ``examples/``), so resolve it from this module's location; fall back to
-    the cwd so an installed package still works when run from a checkout.
-    """
-    here = Path(__file__).resolve()
-    candidates = [parent / "examples" / "andrew_benchmark.py" for parent in here.parents]
-    candidates.append(Path.cwd() / "examples" / "andrew_benchmark.py")
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    raise FileNotFoundError(
-        "examples/andrew_benchmark.py not found relative to the repro package "
-        "or the current directory; run from a source checkout"
-    )
-
-
 def _andrew(scale: int) -> None:
-    import runpy
+    from repro.bench.andrew import andrew_comparison
 
-    script = _andrew_script_path()
-    sys.argv = [str(script), str(scale)]
-    runpy.run_path(str(script), run_name="__main__")
+    run = andrew_comparison(scale)
+    run.table(f"Andrew benchmark, scale={scale} (virtual seconds per phase)").show()
+    print("\n" + run.summary())
 
 
 def main(argv: Optional[List[str]] = None) -> int:

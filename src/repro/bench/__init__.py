@@ -2,18 +2,19 @@
 
 * :mod:`repro.bench.andrew`    -- the (scaled) Andrew benchmark: five phases
   (mkdir, copy, scan, read, make) over a synthetic source tree, runnable
-  against any file-service client (replicated or direct baseline);
-* :mod:`repro.bench.workloads` -- micro-operation streams used by several
-  experiments;
-* :mod:`repro.bench.metrics`   -- cost accounting: virtual time, message and
-  byte counts, crypto-operation counts, and table rendering;
+  against any file-service client, and the paper's replicated-vs-unreplicated
+  comparison built on it;
+* :mod:`repro.bench.suites`    -- the scenario registry behind ``repro bench``
+  and the drivers the experiments in ``benchmarks/`` share with it;
+* :mod:`repro.bench.workloads` -- the write-heavy micro-operation stream;
+* :mod:`repro.bench.metrics`   -- table rendering for the experiment reports;
 * :mod:`repro.bench.codesize`  -- the paper's code-size argument (E4):
   logical statements of the conformance wrapper + state conversion vs the
   wrapped implementations.
 """
 
 from repro.bench.andrew import AndrewBenchmark, AndrewResult, synthesize_source_tree
-from repro.bench.metrics import ExperimentTable, measure_virtual_time, ratio
+from repro.bench.metrics import ExperimentTable, ratio
 from repro.bench.codesize import count_semicolon_lines, wrapper_code_size
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "AndrewResult",
     "synthesize_source_tree",
     "ExperimentTable",
-    "measure_virtual_time",
     "ratio",
     "count_semicolon_lines",
     "wrapper_code_size",

@@ -22,8 +22,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.nfs.client import NFSClient
+from repro.bench.metrics import ExperimentTable, ratio
+from repro.bft.config import BFTConfig
 from repro.net.simulator import Simulator
+from repro.nfs.client import NFSClient
+from repro.nfs.direct import direct_client
+from repro.nfs.fileserver import HETEROGENEOUS, MemFS
+from repro.nfs.relay import NFSDeployment
 
 
 def synthesize_source_tree(
@@ -71,23 +76,10 @@ class AndrewResult:
     def total_operations(self) -> int:
         return sum(p.operations for p in self.phases)
 
-    def as_rows(self) -> List[Dict[str, object]]:
-        rows: List[Dict[str, object]] = [
-            {
-                "phase": p.name,
-                "virtual_seconds": round(p.virtual_seconds, 4),
-                "operations": p.operations,
-            }
-            for p in self.phases
-        ]
-        rows.append(
-            {
-                "phase": "total",
-                "virtual_seconds": round(self.total_seconds, 4),
-                "operations": self.total_operations,
-            }
-        )
-        return rows
+    def with_total(self) -> List[PhaseResult]:
+        """The five phases followed by their sum as a sixth, "total"."""
+        total = PhaseResult("total", self.total_seconds, self.total_operations)
+        return self.phases + [total]
 
 
 class AndrewBenchmark:
@@ -180,3 +172,71 @@ class AndrewBenchmark:
         linked = b"".join(objects)
         self.fs.write_file(f"{self.root}/a.out", linked)
         return operations + 1
+
+
+@dataclass
+class AndrewComparison:
+    """The paper's measurement: one Andrew run against the unreplicated
+    server and one against the replicated service that wraps it."""
+
+    baseline: AndrewResult
+    replicated: AndrewResult
+    deployment: NFSDeployment
+
+    @property
+    def overhead(self) -> float:
+        return ratio(self.replicated.total_seconds, self.baseline.total_seconds)
+
+    def table(self, title: str) -> ExperimentTable:
+        """Virtual seconds per phase on both sides, and their ratio."""
+        table = ExperimentTable(title)
+        for base, rep in zip(self.baseline.with_total(), self.replicated.with_total()):
+            table.add_row(
+                phase=base.name,
+                baseline=round(base.virtual_seconds, 4),
+                replicated=round(rep.virtual_seconds, 4),
+                overhead=round(ratio(rep.virtual_seconds, base.virtual_seconds), 3),
+            )
+        return table
+
+    def protocol_costs(self) -> Dict[str, int]:
+        """What the replicated run cost the whole cluster on the wire."""
+        counters = self.deployment.cluster.total_counters()
+        return {
+            "messages": counters.get("messages_sent"),
+            "bytes": counters.get("bytes_sent"),
+            "mac_ops": counters.get("mac_generate") + counters.get("mac_verify"),
+        }
+
+    def summary(self) -> str:
+        """The two lines ``repro andrew`` prints under the table."""
+        costs = self.protocol_costs()
+        return (
+            f"paper's result: ~1.30x  |  this run: {self.overhead:.2f}x\n"
+            f"protocol costs: {costs['messages']} messages, {costs['bytes']} bytes, "
+            f"{costs['mac_ops']} MAC ops"
+        )
+
+
+def andrew_comparison(scale: int, recovery_period: float = 0.0) -> AndrewComparison:
+    """Run the benchmark on a client mounted directly on one MemFS (1 ms
+    round trip) and on the four-vendor deployment behind BASE; a non-zero
+    ``recovery_period`` runs the proactive-recovery rotation during the
+    replicated run (the paper's configuration)."""
+    sim = Simulator(seed=0)
+    direct = direct_client(MemFS(disk={}, seed=1), sim=sim, round_trip=0.001)
+    baseline = AndrewBenchmark(direct, sim, scale=scale).run()
+
+    deployment = NFSDeployment(
+        HETEROGENEOUS,
+        num_objects=max(256, scale * 64),
+        config=BFTConfig(
+            checkpoint_interval=16, log_window=64, recovery_period=recovery_period
+        ),
+    )
+    if recovery_period:
+        deployment.cluster.start_proactive_recovery()
+    replicated = AndrewBenchmark(
+        NFSClient(deployment.relay("C0")), deployment.sim, scale=scale
+    ).run()
+    return AndrewComparison(baseline, replicated, deployment)

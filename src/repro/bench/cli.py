@@ -65,7 +65,6 @@ HIGHER_IS_BETTER = {
     "completed",
     "executed",
     "txns_committed",
-    "within_budget",
     "availability",
     "min_window_availability",
     "probe_ops",
@@ -150,24 +149,37 @@ def _validate_baseline(baseline) -> Optional[str]:
     return None
 
 
-def compare_reports(
-    current: Dict, baseline: Dict, threshold: float
-) -> List[Tuple[str, str, float, float, float]]:
-    """Regressions beyond ``threshold``: (scenario, metric, current, base, frac)."""
-    regressions: List[Tuple[str, str, float, float, float]] = []
+def compare_reports(current: Dict, baseline: Dict, threshold: float) -> List[Tuple[str, str]]:
+    """Regressions against ``baseline``, as (``scenario[.metric]``, what
+    happened) pairs: a compared metric worse by more than ``threshold``, or a
+    baselined scenario or metric this run did not produce — renaming or
+    deleting one must not silently take it out from under the gate."""
+    regressions: List[Tuple[str, str]] = []
     for scenario, base_metrics in baseline.get("scenarios", {}).items():
         current_metrics = current.get("scenarios", {}).get(scenario)
         if current_metrics is None:
+            regressions.append((scenario, "missing from this run"))
             continue
         for metric, base_value in base_metrics.items():
             if metric not in current_metrics:
+                regressions.append((f"{scenario}.{metric}", "missing from this run"))
                 continue
-            frac = _compare_metric(metric, current_metrics[metric], base_value)
+            value = current_metrics[metric]
+            frac = _compare_metric(metric, value, base_value)
             if frac is not None and frac > threshold:
                 regressions.append(
-                    (scenario, metric, current_metrics[metric], base_value, frac)
+                    (f"{scenario}.{metric}", f"{value} vs baseline {base_value} ({frac:+.1%})")
                 )
     return regressions
+
+
+def write_report(path: Path, suite: str, scenarios: Dict[str, Dict[str, float]]) -> Dict:
+    """Write ``scenarios`` as a ``BENCH_<suite>.json`` report and return it.
+    Sorted keys, no timestamp, no host name: the same numbers give the same
+    bytes, so a committed report can be compared exactly."""
+    report = {"schema": SCHEMA_VERSION, "suite": suite, "scenarios": scenarios}
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return report
 
 
 def bench_main(argv: List[str]) -> int:
@@ -208,14 +220,8 @@ def bench_main(argv: List[str]) -> int:
 
     log = None if args.quiet else print
     results = run_suite(args.suite, log=log)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "suite": args.suite,
-        "scenarios": results,
-    }
-
     out_path = Path(args.out) if args.out else Path(f"BENCH_{args.suite}.json")
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report = write_report(out_path, args.suite, results)
     print(f"bench: wrote {out_path} ({len(results)} scenarios)")
 
     if baseline is None:
@@ -227,9 +233,6 @@ def bench_main(argv: List[str]) -> int:
             f"(threshold {args.threshold:.0%})"
         )
         return EXIT_OK
-    for scenario, metric, current_value, base_value, frac in regressions:
-        print(
-            f"bench: REGRESSION {scenario}.{metric}: "
-            f"{current_value} vs baseline {base_value} ({frac:+.1%})"
-        )
+    for name, what in regressions:
+        print(f"bench: REGRESSION {name}: {what}")
     return EXIT_REGRESSION

@@ -8,20 +8,7 @@ ASCII tables that EXPERIMENTS.md records.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
-
-from repro.net.simulator import Simulator
-
-
-@contextmanager
-def measure_virtual_time(sim: Simulator) -> Iterator[Dict[str, float]]:
-    """Context manager yielding a dict whose 'virtual_seconds' is filled on
-    exit."""
-    box: Dict[str, float] = {}
-    started = sim.now()
-    yield box
-    box["virtual_seconds"] = sim.now() - started
+from typing import Dict, List, Optional
 
 
 class ExperimentTable:
@@ -36,10 +23,6 @@ class ExperimentTable:
         if self.columns is None:
             self.columns = list(values)
         self.rows.append(values)
-
-    def extend(self, rows: Iterable[Mapping[str, object]]) -> None:
-        for row in rows:
-            self.add_row(**dict(row))
 
     def render(self) -> str:
         if not self.rows:

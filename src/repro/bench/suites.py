@@ -8,23 +8,22 @@ bit-identical across runs and hosts.  That is what lets ``repro bench
 change in protocol work, never scheduler noise.
 
 A scenario is a zero-argument callable returning a flat ``{metric: number}``
-dict; a suite is a named list of scenarios.  Process-wide hash and encode
-accounting (:data:`repro.crypto.digest.DIGEST_STATS`,
-:data:`repro.bft.messages.MESSAGE_STATS`) is snapshot-diffed around each
-scenario so scenarios compose without contaminating each other.
+dict; a suite is a named list of scenarios.  The drivers the scenarios are
+built from — :func:`closed_loop`, :func:`checkpoint_run`,
+:func:`overload_rung`, :func:`global_stats` — are public: the paper
+experiments in ``benchmarks/`` run on the same ones.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.config import load_config
-from repro.analysis.engine import analyze_project
 from repro.bft.config import BFTConfig
+from repro.bft.fusion import FusedBackupTier
 from repro.bft.messages import MESSAGE_STATS
-from repro.bft.overload import OpenLoopLoadGenerator
+from repro.bft.overload import OpenLoopLoadGenerator, ShardedOpenLoopLoadGenerator
+from repro.bft.sharding import sharded_kv_cluster
 from repro.bft.testing import encode_set, kv_cluster
 from repro.crypto.digest import DIGEST_STATS
 from repro.explore.plan import (
@@ -32,8 +31,11 @@ from repro.explore.plan import (
     OVERLOAD_CLIENTS,
     OVERLOAD_DURATION,
     OVERLOAD_SUSTAINABLE,
+    FaultPlan,
+    FaultStep,
 )
 from repro.net.network import NetworkConfig
+from repro.soak.runner import SoakSLO, run_soak
 
 Metrics = Dict[str, float]
 
@@ -61,7 +63,25 @@ def _round(value: float) -> float:
     return round(float(value), 6)
 
 
-def _closed_loop(cluster, clients, ops_per_client: int, width: int) -> List[float]:
+@contextmanager
+def global_stats() -> Iterator[Dict[str, int]]:
+    """Snapshot-diff the process-wide encode and hash counters around a run.
+
+    :data:`repro.bft.messages.MESSAGE_STATS` and
+    :data:`repro.crypto.digest.DIGEST_STATS` are module-level (messages hash
+    and encode outside any one replica), so a run that reports them must
+    isolate its own window.  The yielded dict is filled on exit with the
+    counters touched inside the window — read it with ``.get(key, 0)``.
+    """
+    messages = MESSAGE_STATS.snapshot()
+    digests = DIGEST_STATS.snapshot()
+    delta: Dict[str, int] = {}
+    yield delta
+    delta.update(MESSAGE_STATS.diff(messages))
+    delta.update(DIGEST_STATS.diff(digests))
+
+
+def closed_loop(cluster, clients, ops_per_client: int, width: int) -> List[float]:
     """Drive closed-loop SET workloads; returns per-request virtual latencies."""
     latencies: List[float] = []
     remaining = {client.node_id: ops_per_client for client in clients}
@@ -89,6 +109,37 @@ def _closed_loop(cluster, clients, ops_per_client: int, width: int) -> List[floa
     return latencies
 
 
+def _kv_throughput(num_clients: int, report: Tuple[str, ...], **fast_path) -> Metrics:
+    """``num_clients`` closed-loop clients, 25 SETs each, on one group.
+    ``report`` names the counters a scenario adds to the common metrics,
+    cluster-wide or process-wide (the two sets share no name)."""
+    with global_stats() as stats:
+        cluster = kv_cluster(
+            config=BFTConfig(
+                checkpoint_interval=16, log_window=64, batch_max=16, **fast_path
+            )
+        )
+        clients = [cluster.client(f"C{i}") for i in range(num_clients)]
+        started = cluster.sim.now()
+        latencies = closed_loop(cluster, clients, ops_per_client=25, width=16)
+        elapsed = cluster.sim.now() - started
+        cluster.settle(1.0)
+    totals = cluster.total_counters()
+    ops = len(latencies)
+    metrics = {
+        "ops": ops,
+        "virtual_seconds": _round(elapsed),
+        "ops_per_vsec": _round(ops / elapsed),
+        "latency_p50_ms": _round(_percentile(latencies, 0.50) * 1000.0),
+        "latency_p99_ms": _round(_percentile(latencies, 0.99) * 1000.0),
+        "messages_sent": totals.get("messages_sent"),
+        "bytes_sent": totals.get("bytes_sent"),
+    }
+    for name in report:
+        metrics[name] = stats.get(name, totals.get(name))
+    return metrics
+
+
 @scenario("kv_throughput")
 def kv_throughput() -> Metrics:
     """Closed-loop agreement throughput: 4 clients, 25 ops each.
@@ -97,40 +148,22 @@ def kv_throughput() -> Metrics:
     serializes once however many recipients its broadcast fans out to, so the
     ratio sits well below 1 (it was > 1 when every send re-encoded).
     """
-    message_stats = MESSAGE_STATS.snapshot()
-    digest_stats = DIGEST_STATS.snapshot()
-    cluster = kv_cluster(
-        config=BFTConfig(checkpoint_interval=16, log_window=64, batch_max=16)
-    )
-    clients = [cluster.client(f"C{i}") for i in range(4)]
-    started = cluster.sim.now()
-    latencies = _closed_loop(cluster, clients, ops_per_client=25, width=16)
-    elapsed = cluster.sim.now() - started
-    cluster.settle(1.0)
-
-    totals = cluster.total_counters()
-    messages = MESSAGE_STATS.diff(message_stats)
-    digests = DIGEST_STATS.diff(digest_stats)
-    ops = len(latencies)
-    return {
-        "ops": ops,
-        "virtual_seconds": _round(elapsed),
-        "ops_per_vsec": _round(ops / elapsed),
-        "latency_p50_ms": _round(_percentile(latencies, 0.50) * 1000.0),
-        "latency_p99_ms": _round(_percentile(latencies, 0.99) * 1000.0),
-        "messages_sent": totals.get("messages_sent"),
-        "bytes_sent": totals.get("bytes_sent"),
-        "message_encodes": messages.get("message_encodes", 0),
-        "message_encode_bytes": messages.get("message_encode_bytes", 0),
-        "encodes_per_send": _round(
-            messages.get("message_encodes", 0) / max(totals.get("messages_sent"), 1)
+    metrics = _kv_throughput(
+        4,
+        (
+            "message_encodes",
+            "message_encode_bytes",
+            "mac_generate",
+            "mac_verify",
+            "key_derivations",
+            "digests",
+            "digest_combines",
         ),
-        "mac_generate": totals.get("mac_generate"),
-        "mac_verify": totals.get("mac_verify"),
-        "key_derivations": totals.get("key_derivations"),
-        "digests": digests.get("digests", 0),
-        "digest_combines": digests.get("digest_combines", 0),
-    }
+    )
+    metrics["encodes_per_send"] = _round(
+        metrics["message_encodes"] / max(metrics["messages_sent"], 1)
+    )
+    return metrics
 
 
 @scenario("kv_throughput_fast")
@@ -143,39 +176,20 @@ def kv_throughput_fast() -> Metrics:
     ``kv_throughput`` figure; ``spec_promotions`` tracking ``spec_batches``
     shows the speculation held (nothing rolled back in a fault-free run).
     """
-    cluster = kv_cluster(
-        config=BFTConfig(
-            checkpoint_interval=16,
-            log_window=64,
-            batch_max=16,
-            pipeline_depth=8,
-            speculative_execution=True,
-        )
+    return _kv_throughput(
+        16,
+        (
+            "spec_batches",
+            "spec_promotions",
+            "spec_rollbacks",
+            "tentative_replies_accepted",
+        ),
+        pipeline_depth=8,
+        speculative_execution=True,
     )
-    clients = [cluster.client(f"C{i}") for i in range(16)]
-    started = cluster.sim.now()
-    latencies = _closed_loop(cluster, clients, ops_per_client=25, width=16)
-    elapsed = cluster.sim.now() - started
-    cluster.settle(1.0)
-
-    totals = cluster.total_counters()
-    ops = len(latencies)
-    return {
-        "ops": ops,
-        "virtual_seconds": _round(elapsed),
-        "ops_per_vsec": _round(ops / elapsed),
-        "latency_p50_ms": _round(_percentile(latencies, 0.50) * 1000.0),
-        "latency_p99_ms": _round(_percentile(latencies, 0.99) * 1000.0),
-        "messages_sent": totals.get("messages_sent"),
-        "bytes_sent": totals.get("bytes_sent"),
-        "spec_batches": totals.get("spec_batches"),
-        "spec_promotions": totals.get("spec_promotions"),
-        "spec_rollbacks": totals.get("spec_rollbacks"),
-        "tentative_replies_accepted": totals.get("tentative_replies_accepted"),
-    }
 
 
-def _checkpoint_run(num_slots: int) -> Metrics:
+def checkpoint_run(num_slots: int) -> Metrics:
     """Fixed write-set workload (8 hot slots) against a tree of num_slots.
 
     Counters are diffed across the workload only, so the one-time O(n) tree
@@ -215,8 +229,8 @@ def checkpoint_cow() -> Metrics:
     modified · log n, so the large-tree/small-tree ratio stays near 1 (a full
     snapshot copy would make it track n: 8x here).
     """
-    small = _checkpoint_run(64)
-    large = _checkpoint_run(512)
+    small = checkpoint_run(64)
+    large = checkpoint_run(512)
     metrics = {f"small_{key}": value for key, value in small.items()}
     metrics.update({f"large_{key}": value for key, value in large.items()})
     metrics["copy_scaling_ratio"] = _round(
@@ -251,67 +265,7 @@ def state_transfer() -> Metrics:
     }
 
 
-@scenario("kv_throughput_wide")
-def kv_throughput_wide() -> Metrics:
-    """Heavier closed-loop run (8 clients, 40 ops each) for the full suite."""
-    cluster = kv_cluster(
-        config=BFTConfig(checkpoint_interval=16, log_window=64, batch_max=16)
-    )
-    clients = [cluster.client(f"C{i}") for i in range(8)]
-    started = cluster.sim.now()
-    latencies = _closed_loop(cluster, clients, ops_per_client=40, width=16)
-    elapsed = cluster.sim.now() - started
-    totals = cluster.total_counters()
-    ops = len(latencies)
-    return {
-        "ops": ops,
-        "virtual_seconds": _round(elapsed),
-        "ops_per_vsec": _round(ops / elapsed),
-        "latency_p50_ms": _round(_percentile(latencies, 0.50) * 1000.0),
-        "latency_p99_ms": _round(_percentile(latencies, 0.99) * 1000.0),
-        "messages_sent": totals.get("messages_sent"),
-        "bytes_sent": totals.get("bytes_sent"),
-    }
-
-
-#: Wall-clock ceiling for one full `repro analyze` pass over this checkout.
-ANALYZE_BUDGET_SECONDS = 30.0
-
-
-@scenario("analyze_timing")
-def analyze_timing() -> Metrics:
-    """Cost of one `repro analyze` pass (call graph + taint + quorum + flow).
-
-    The one deliberate exception to the suite's bit-identical story:
-    ``analyze_seconds`` is host wall-clock and purely informational.  The
-    *compared* metric is ``within_budget`` — 1.0 when the analyzer finishes
-    clean inside :data:`ANALYZE_BUDGET_SECONDS` — so the baseline gate fails
-    only when the analyzer regresses past the budget (or stops being clean),
-    never on machine-to-machine timing noise.  Outside a checkout (no
-    pyproject.toml above the package) the scenario degrades to a pass.
-    """
-    root = Path(__file__).resolve().parents[3]
-    if not (root / "pyproject.toml").is_file():
-        return {
-            "files_checked": 0,
-            "violations": 0,
-            "analyze_seconds": 0.0,
-            "within_budget": 1.0,
-        }
-    started = time.perf_counter()  # repro: allow[DET001] bench harness wall-clock; never replicated
-    config = load_config(project_root=root)  # repro: allow[TAINT401] reads this checkout's lint config; not replica state
-    result = analyze_project(config)
-    elapsed = time.perf_counter() - started  # repro: allow[DET001] bench harness wall-clock; never replicated
-    within = 1.0 if result.clean and elapsed < ANALYZE_BUDGET_SECONDS else 0.0
-    return {
-        "files_checked": result.files_checked,
-        "violations": len(result.violations),
-        "analyze_seconds": _round(elapsed),
-        "within_budget": within,
-    }
-
-
-def _overload_rung(rate: float) -> Metrics:
+def overload_rung(rate: float) -> Metrics:
     """One rung of the overload ladder: an open-loop swarm offers ``rate``
     requests/second for :data:`OVERLOAD_DURATION` virtual seconds against
     links squeezed to :data:`OVERLOAD_BANDWIDTH` bytes/vsec.
@@ -372,7 +326,7 @@ OVERLOAD_LADDER = (
 )
 
 for _rate in OVERLOAD_LADDER:
-    scenario(f"overload_{int(_rate)}")(lambda rate=_rate: _overload_rung(rate))
+    scenario(f"overload_{int(_rate)}")(lambda rate=_rate: overload_rung(rate))
 
 
 #: Seed shared by the three ``wan`` scenarios: identical protocol randomness,
@@ -380,23 +334,17 @@ for _rate in OVERLOAD_LADDER:
 _WAN_SEED = 1202
 
 
-def _wan_storm_steps():
-    """The shared storm schedule for ``wan_storm`` / ``wan_storm_rotation``:
-    a 3-cut partition storm overlapping a ramped flash crowd."""
-    from repro.explore.plan import FaultStep
-
-    return (
-        FaultStep(at=20.0, kind="partition_storm", count=3, duration=60.0),
-        FaultStep(at=30.0, kind="flash_crowd", rate=16.0, clients=4, duration=80.0),
-    )
+#: The shared storm schedule for ``wan_storm`` / ``wan_storm_rotation``: a
+#: 3-cut partition storm overlapping a ramped flash crowd.
+_WAN_STORM_STEPS = (
+    FaultStep(at=20.0, kind="partition_storm", count=3, duration=60.0),
+    FaultStep(at=30.0, kind="flash_crowd", rate=16.0, clients=4, duration=80.0),
+)
 
 
 def _wan_run(steps, recovery_period: float) -> Metrics:
     """One soak-judged campaign on the ``wan3`` preset (probe gap 1s,
     60-second SLO windows so even the short bench horizon yields several)."""
-    from repro.explore.plan import FaultPlan
-    from repro.soak.runner import SoakSLO, run_soak
-
     plan = FaultPlan(
         seed=_WAN_SEED,
         requests=0,
@@ -440,7 +388,7 @@ def wan_storm() -> Metrics:
     Correlated region-boundary cuts land mid flash-crowd; availability dips
     while cuts hold and recovers when they heal.  ``storm_cuts`` and
     ``messages_dropped_cut`` pin the storm geometry byte-exactly."""
-    return _wan_run(_wan_storm_steps(), recovery_period=0.0)
+    return _wan_run(_WAN_STORM_STEPS, recovery_period=0.0)
 
 
 @scenario("wan_storm_rotation")
@@ -451,7 +399,7 @@ def wan_storm_rotation() -> Metrics:
     composition: reboots during partial connectivity must neither wedge the
     protocol (``safety_violations`` stays 0) nor collapse availability
     relative to ``wan_storm``."""
-    return _wan_run(_wan_storm_steps(), recovery_period=120.0)
+    return _wan_run(_WAN_STORM_STEPS, recovery_period=120.0)
 
 
 #: Per-shard slot layout for the ``shard`` suite (objects_per_shard = 34,
@@ -482,9 +430,6 @@ def _shard_rung(num_shards: int, txn_fraction: float = 0.0) -> Metrics:
     prepares/decides consume ordering slots on two groups each, so the curve
     flattens but must stay well above the single-group figure.
     """
-    from repro.bft.overload import ShardedOpenLoopLoadGenerator
-    from repro.bft.sharding import sharded_kv_cluster
-
     sharded = sharded_kv_cluster(
         num_shards,
         config=BFTConfig(checkpoint_interval=16, log_window=64, batch_max=16),
@@ -573,9 +518,6 @@ def _fusion_cluster():
     """Four BASE groups with the fused-backup tier attached and every data
     slot filled with near-slot-width values — the regime the tier's storage
     claim is about (toy values would let fixed per-cell padding dominate)."""
-    from repro.bft.fusion import FusedBackupTier
-    from repro.bft.sharding import sharded_kv_cluster
-
     sharded = sharded_kv_cluster(
         4,
         config=BFTConfig(checkpoint_interval=16, log_window=64),
@@ -665,15 +607,6 @@ SUITES: Dict[str, List[str]] = {
         "kv_throughput_fast",
         "checkpoint_cow",
         "state_transfer",
-        "analyze_timing",
-    ],
-    "full": [
-        "kv_throughput",
-        "kv_throughput_fast",
-        "kv_throughput_wide",
-        "checkpoint_cow",
-        "state_transfer",
-        "analyze_timing",
     ],
     "overload": [f"overload_{int(rate)}" for rate in OVERLOAD_LADDER],
     "wan": [

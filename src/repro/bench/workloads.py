@@ -1,9 +1,8 @@
-"""Micro-operation workload streams shared by several experiments."""
+"""The micro-operation workload stream shared by E5 and E10."""
 
 from __future__ import annotations
 
 import random
-from typing import List
 
 from repro.nfs.client import NFSClient
 
@@ -18,41 +17,4 @@ def write_heavy(fs: NFSClient, ops: int, width: int = 8, payload: int = 256, see
     for i in range(ops):
         target = rng.randrange(width)
         fs.write(f"/wh/f{target}", bytes([i % 251]) * payload, offset=0)
-    return ops
-
-
-def read_heavy(fs: NFSClient, ops: int, width: int = 8, seed: int = 0) -> int:
-    """Mostly reads over a prepared working set (exercises the read-only
-    optimization)."""
-    rng = random.Random(seed)
-    if not fs.exists("/rh"):
-        fs.mkdir("/rh")
-        for i in range(width):
-            fs.write_file(f"/rh/f{i}", bytes([i]) * 512)
-    for i in range(ops):
-        target = rng.randrange(width)
-        fs.read_file(f"/rh/f{target}")
-    return ops
-
-
-def metadata_churn(fs: NFSClient, ops: int, seed: int = 0) -> int:
-    """Create/rename/delete churn (directory-object stress)."""
-    rng = random.Random(seed)
-    if not fs.exists("/mc"):
-        fs.mkdir("/mc")
-    live: List[str] = []
-    for i in range(ops):
-        roll = rng.random()
-        if roll < 0.5 or not live:
-            name = f"/mc/n{i}"
-            fs.create(name)
-            live.append(name)
-        elif roll < 0.75:
-            victim = live.pop(rng.randrange(len(live)))
-            renamed = victim + "r"
-            fs.rename(victim, renamed)
-            live.append(renamed)
-        else:
-            victim = live.pop(rng.randrange(len(live)))
-            fs.unlink(victim)
     return ops

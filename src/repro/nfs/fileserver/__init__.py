@@ -28,4 +28,17 @@ from repro.nfs.fileserver.btrfslike import BtrFS
 
 VENDORS = {"memfs": MemFS, "ext2": Ext2FS, "ffs": FFS, "logfs": LogFS, "btrfs": BtrFS}
 
-__all__ = ["NFSServer", "name_error", "MemFS", "Ext2FS", "FFS", "LogFS", "BtrFS", "VENDORS"]
+#: The paper's deployment, one implementation factory per replica: a different
+#: vendor behind each of R0-R3, each with its own seed and a clock up to 0.8 s
+#: off the others' (the skews E11 reports; the wrapper masks them).
+HETEROGENEOUS = {
+    "R0": lambda disk: MemFS(disk=disk, seed=1, clock_skew=0.5),
+    "R1": lambda disk: Ext2FS(disk=disk, seed=2, clock_skew=-0.3),
+    "R2": lambda disk: FFS(disk=disk, seed=3, clock_skew=0.8),
+    "R3": lambda disk: LogFS(disk=disk, seed=4, clock_skew=0.1),
+}
+
+__all__ = [
+    "NFSServer", "name_error", "MemFS", "Ext2FS", "FFS", "LogFS", "BtrFS",
+    "VENDORS", "HETEROGENEOUS",
+]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench.andrew import AndrewBenchmark, synthesize_source_tree
-from repro.bench.metrics import ExperimentTable, measure_virtual_time, ratio
+from repro.bench.andrew import AndrewBenchmark, andrew_comparison, synthesize_source_tree
+from repro.bench.metrics import ExperimentTable, ratio
 from repro.bench.codesize import count_semicolon_lines
 from repro.net.simulator import Simulator
 from repro.nfs.direct import direct_client
@@ -61,10 +61,16 @@ class TestAndrewPhases:
         assert result.total_operations == sum(p.operations for p in result.phases)
 
     def test_rows_include_total(self):
-        result = self._run()
-        rows = result.as_rows()
-        assert rows[-1]["phase"] == "total"
-        assert len(rows) == 6
+        """The replicated-vs-unreplicated table: five phases and their sum,
+        the replicated side paying a bounded overhead on every row."""
+        run = andrew_comparison(scale=1)
+        rows = run.table("andrew").rows
+        assert [row["phase"] for row in rows] == [
+            "mkdir", "copy", "scan", "read", "make", "total"
+        ]
+        assert all(1.0 < row["overhead"] < 2.5 for row in rows)
+        assert rows[-1]["overhead"] == round(run.overhead, 3)
+        assert run.protocol_costs()["messages"] > run.replicated.total_operations
 
     def test_deterministic_runs(self):
         a = self._run()
@@ -75,13 +81,6 @@ class TestAndrewPhases:
 
 
 class TestMetrics:
-    def test_measure_virtual_time(self):
-        sim = Simulator()
-        with measure_virtual_time(sim) as box:
-            sim.schedule(1.5, lambda: None)
-            sim.run_until_idle()
-        assert box["virtual_seconds"] == pytest.approx(1.5)
-
     def test_table_render(self):
         table = ExperimentTable("demo")
         table.add_row(name="a", value=1)

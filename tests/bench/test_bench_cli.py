@@ -1,6 +1,7 @@
 """The ``repro bench`` CLI: report shape, determinism contract, comparison."""
 
 import json
+from pathlib import Path
 
 from repro.bench.cli import (
     EXIT_OK,
@@ -11,12 +12,23 @@ from repro.bench.cli import (
 )
 from repro.bench.suites import SCENARIOS, SUITES
 
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+
 
 def test_suites_reference_registered_scenarios():
-    assert "smoke" in SUITES and "full" in SUITES
+    assert "smoke" in SUITES
     for suite in SUITES.values():
         for name in suite:
             assert name in SCENARIOS
+
+
+def test_every_suite_has_a_committed_baseline_with_its_scenarios():
+    """A suite nobody gates is a suite nobody runs: each one is pinned by a
+    ``BENCH_<suite>.json`` holding exactly the suite's scenarios."""
+    for suite, names in SUITES.items():
+        baseline = json.loads((BASELINES / f"BENCH_{suite}.json").read_text())
+        assert baseline["suite"] == suite
+        assert set(baseline["scenarios"]) == set(names), suite
 
 
 def _report(**metrics):
@@ -27,14 +39,14 @@ def test_compare_flags_cost_increase():
     regressions = compare_reports(
         _report(messages_sent=120), _report(messages_sent=100), threshold=0.05
     )
-    assert [(r[0], r[1]) for r in regressions] == [("s", "messages_sent")]
+    assert [name for name, _what in regressions] == ["s.messages_sent"]
 
 
 def test_compare_flags_throughput_drop():
     regressions = compare_reports(
         _report(ops_per_vsec=80.0), _report(ops_per_vsec=100.0), threshold=0.05
     )
-    assert [(r[0], r[1]) for r in regressions] == [("s", "ops_per_vsec")]
+    assert [name for name, _what in regressions] == ["s.ops_per_vsec"]
 
 
 def test_compare_respects_direction_and_threshold():
@@ -47,9 +59,15 @@ def test_compare_respects_direction_and_threshold():
     assert compare_reports(barely, _report(messages_sent=100), threshold=0.05) == []
 
 
-def test_compare_ignores_scenarios_missing_from_current():
-    baseline = {"scenarios": {"gone": {"messages_sent": 1}}}
-    assert compare_reports({"scenarios": {}}, baseline, threshold=0.0) == []
+def test_compare_flags_scenarios_and_metrics_missing_from_current():
+    """Renaming or deleting a baselined scenario or metric must not silently
+    take it out from under the gate — even an informational metric."""
+    baseline = {"scenarios": {"gone": {"messages_sent": 1}, "s": {"ops": 1, "bytes_sent": 2}}}
+    current = {"scenarios": {"s": {"bytes_sent": 2}, "new": {"ops": 5}}}
+    assert compare_reports(current, baseline, threshold=0.0) == [
+        ("gone", "missing from this run"),
+        ("s.ops", "missing from this run"),
+    ]
 
 
 def test_usage_errors():
@@ -101,17 +119,10 @@ def test_compare_against_corrupt_baseline_is_usage_error(tmp_path, monkeypatch, 
         assert "Traceback" not in err, name
 
 
-def _without_wall_clock(report):
-    """``analyze_seconds`` is the suite's one deliberate wall-clock
-    (informational-only) metric; everything else must be bit-identical."""
-    scrubbed = json.loads(json.dumps(report))
-    scrubbed["scenarios"].get("analyze_timing", {}).pop("analyze_seconds", None)
-    return scrubbed
-
-
-def test_smoke_suite_end_to_end(tmp_path):
-    """Full CLI round trip: run, self-compare (exit 0), doctored baseline
-    regression (exit 1), deterministic re-run."""
+def test_smoke_suite_end_to_end(tmp_path, capsys):
+    """Full CLI round trip: run, self-compare (exit 0), deterministic re-run,
+    then a doctored baseline: one worse metric and one scenario this run does
+    not have, each a regression line, exit 1."""
     out = tmp_path / "BENCH_smoke.json"
     assert bench_main(["--suite", "smoke", "--out", str(out), "--quiet"]) == EXIT_OK
     report = json.loads(out.read_text())
@@ -125,11 +136,11 @@ def test_smoke_suite_end_to_end(tmp_path):
         )
         == EXIT_OK
     )
-    again = json.loads((tmp_path / "again.json").read_text())
-    assert _without_wall_clock(again) == _without_wall_clock(report)
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
     doctored = json.loads(out.read_text())
     doctored["scenarios"]["kv_throughput"]["messages_sent"] = 1
+    doctored["scenarios"]["renamed_away"] = {"ops": 1}
     baseline = tmp_path / "doctored.json"
     baseline.write_text(json.dumps(doctored))
     assert (
@@ -139,3 +150,7 @@ def test_smoke_suite_end_to_end(tmp_path):
         )
         == EXIT_REGRESSION
     )
+    lines = [l for l in capsys.readouterr().out.splitlines() if "REGRESSION" in l]
+    assert len(lines) == 2
+    assert lines[0].startswith("bench: REGRESSION kv_throughput.messages_sent: ")
+    assert lines[1] == "bench: REGRESSION renamed_away: missing from this run"

@@ -1,8 +1,8 @@
-"""Workload generators drive real operations and are deterministic."""
+"""The workload generator drives real operations and is deterministic."""
 
 import pytest
 
-from repro.bench.workloads import metadata_churn, read_heavy, write_heavy
+from repro.bench.workloads import write_heavy
 from repro.net.simulator import Simulator
 from repro.nfs.direct import direct_client
 from repro.nfs.fileserver import MemFS
@@ -20,24 +20,10 @@ def test_write_heavy_touches_working_set(fs):
     assert any(fs.stat(f"/wh/f{i}").size > 0 for i in range(4))
 
 
-def test_read_heavy_prepares_then_reads(fs):
-    read_heavy(fs, 10, width=3)
-    assert sorted(fs.listdir("/rh")) == ["f0", "f1", "f2"]
-    calls_before = fs.transport.counters.get("nfs_calls")
-    read_heavy(fs, 10, width=3)
-    assert fs.transport.counters.get("nfs_calls") > calls_before
-
-
-def test_metadata_churn_leaves_consistent_tree(fs):
-    metadata_churn(fs, 40, seed=3)
-    for name in fs.listdir("/mc"):
-        assert fs.exists(f"/mc/{name}")
-
-
 def test_workloads_deterministic():
     def run():
         fs = direct_client(MemFS(disk={}, seed=1), sim=Simulator(seed=0))
-        metadata_churn(fs, 30, seed=5)
-        return sorted(fs.listdir("/mc"))
+        write_heavy(fs, 30, width=4, seed=5)
+        return [fs.read_file(f"/wh/f{i}") for i in range(4)]
 
     assert run() == run()
