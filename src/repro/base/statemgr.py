@@ -132,6 +132,9 @@ class AbstractStateManager:
         self._client_table: List[Dict[str, Tuple[int, bytes]]] = [
             {} for _ in range(client_shards)
         ]
+        # client id -> leaf index of its shard (a pure function of the id and
+        # the two sizes above; one entry per client ever looked up).
+        self._shard_memo: Dict[str, int] = {}
         self.counters = Counters()
         self.tree = PartitionTree(self.total_leaves, arity=arity, counters=self.counters)
         self._checkpoints: "OrderedDict[int, _Checkpoint]" = OrderedDict()
@@ -166,10 +169,14 @@ class AbstractStateManager:
     # -- the client table (at-most-once execution state) -----------------------------
 
     def _shard_of(self, client_id: str) -> int:
-        # Stable hash: Python's str hash is per-process randomized, which
-        # would shard clients differently at different replicas.
-        stable = int.from_bytes(digest(client_id.encode())[:4], "big")
-        return self.num_objects + (stable % self.client_shards)
+        shard_index = self._shard_memo.get(client_id)
+        if shard_index is None:
+            # Stable hash: Python's str hash is per-process randomized, which
+            # would shard clients differently at different replicas.
+            stable = int.from_bytes(digest(client_id.encode())[:4], "big")
+            shard_index = self.num_objects + (stable % self.client_shards)
+            self._shard_memo[client_id] = shard_index
+        return shard_index
 
     def record_reply(self, client_id: str, reqid: int, reply: bytes) -> None:
         """Record the latest executed request per client — replicated state,

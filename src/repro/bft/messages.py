@@ -100,7 +100,9 @@ class Message:
         raise NotImplementedError
 
     def wire_size(self) -> int:
-        size = len(self.signable_bytes())
+        # Sized once per recipient: read the cached encoding directly.
+        signable = self.__dict__.get("_signable") or self.signable_bytes()
+        size = len(signable)
         auth: Optional[Authenticator] = getattr(self, "auth", None)
         if auth is not None:
             size += auth.size_bytes()

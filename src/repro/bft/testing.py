@@ -91,9 +91,16 @@ class KVStateMachine(StateMachine):
                 result = self.participant.execute(txn_message, client_id)
                 self.executed_ops += 1
                 return result
-        dec = XdrDecoder(op)
-        command = dec.unpack_string()
-        index = dec.unpack_u32()
+        # Clients are authenticated, not trusted: an op that does not decode
+        # gets an error reply (the same one at every replica) and touches no
+        # abstract object.  ValueError covers XdrError and a non-UTF-8 command.
+        try:
+            dec = XdrDecoder(op)
+            command = dec.unpack_string()
+            index = dec.unpack_u32()
+            value = b"" if command == "GET" else dec.unpack_opaque()
+        except ValueError:
+            return b"ERR malformed"
         if index >= self.data_slots():
             return b"ERR index"
         if command == "GET":
@@ -102,14 +109,10 @@ class KVStateMachine(StateMachine):
             return b"ERR mutation in read-only request"
         if self.participant is not None and self.participant.locked(index):
             return b"ERR locked"
-        value = dec.unpack_opaque()
-        self.manager.modify(index)
-        if command == "SET":
-            self.cells[index] = value
-        elif command == "APPEND":
-            self.cells[index] = self.cells[index] + value
-        else:
+        if command not in ("SET", "APPEND"):
             return b"ERR unknown command"
+        self.manager.modify(index)
+        self.cells[index] = value if command == "SET" else self.cells[index] + value
         self.disk[index] = self.cells[index]
         self.executed_ops += 1
         return b"OK"

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bft.client import Client
 from repro.bft.messages import Message, Reply, TxnDecide, TxnPrepare
 from repro.util.stats import Counters
-from repro.util.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.util.xdr import XdrDecoder, XdrEncoder
 
 #: Participant replies, matched by the coordinator across f+1 replicas.
 VOTE_COMMIT = b"TXN VOTE-COMMIT"
@@ -100,7 +100,7 @@ def decode_txn_op(op: bytes) -> Optional[Message]:
                 votes.append((shard, ids))
             message = TxnDecide(txid=txid, commit=commit, votes=votes)
         dec.done()
-    except XdrError:
+    except ValueError:  # XdrError, or a tag / txid / replica id that is not UTF-8
         return None
     return message
 

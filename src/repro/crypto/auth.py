@@ -51,7 +51,7 @@ class Authenticator:
     tags: Dict[str, Tuple[int, bytes]] = field(default_factory=dict)
 
     def size_bytes(self) -> int:
-        return sum(MAC_SIZE + 4 for _ in self.tags)
+        return (MAC_SIZE + 4) * len(self.tags)
 
 
 class KeyTable:
@@ -102,15 +102,20 @@ class KeyTable:
 
     def make_authenticator(self, sender: str, receivers, data: bytes) -> Authenticator:
         """MAC ``data`` once per receiver under current keys."""
-        auth = Authenticator(sender=sender)
+        # Per tag: one epoch lookup, one key-cache lookup, one HMAC.  key()
+        # derives (and counts) on a miss, so refresh() still invalidates.
+        epochs = self._inbound_epoch
+        keys = self._key_cache
+        tags: Dict[str, Tuple[int, bytes]] = {}
         for receiver in receivers:
             if receiver == sender:
                 continue
-            epoch = self.epoch_of(receiver)
-            tag = mac(self.key(sender, receiver, epoch), data)
-            auth.tags[receiver] = (epoch, tag)
-            self.counters.add("mac_generate")
-        return auth
+            epoch = epochs.get(receiver, 0)
+            key = keys.get((sender, receiver, epoch)) or self.key(sender, receiver, epoch)
+            tags[receiver] = (epoch, hmac.digest(key, data, "sha256")[:MAC_SIZE])
+        if tags:
+            self.counters.add("mac_generate", len(tags))
+        return Authenticator(sender, tags)
 
     def check_authenticator(self, auth: Authenticator, receiver: str, data: bytes) -> None:
         """Verify the receiver's entry; raise :class:`MacVerificationError`
@@ -122,12 +127,12 @@ class KeyTable:
                 f"no MAC for {receiver} in authenticator from {auth.sender}"
             )
         epoch, tag = entry
-        if epoch != self.epoch_of(receiver):
+        current = self._inbound_epoch.get(receiver, 0)
+        if epoch != current:
             raise MacVerificationError(
-                f"stale key epoch {epoch} for {receiver} "
-                f"(current {self.epoch_of(receiver)})"
+                f"stale key epoch {epoch} for {receiver} (current {current})"
             )
-        if not verify_mac(self.key(auth.sender, receiver, epoch), data, tag):
-            raise MacVerificationError(
-                f"bad MAC from {auth.sender} to {receiver}"
-            )
+        sender = auth.sender
+        key = self._key_cache.get((sender, receiver, epoch)) or self.key(sender, receiver, epoch)
+        if not hmac.compare_digest(hmac.digest(key, data, "sha256")[:MAC_SIZE], tag):
+            raise MacVerificationError(f"bad MAC from {sender} to {receiver}")

@@ -175,39 +175,50 @@ class Network:
         """Queue a one-way message from src to dst."""
         if dst not in self._handlers:
             raise KeyError(f"unknown destination {dst!r}")
-        self.counters.add("messages_sent")
-        self.counters.add("bytes_sent", wire_size(message))
+        counters = self.counters
+        counters.add("messages_sent")
+        sent = message
+        size = wire_size(sent)
+        counters.add("bytes_sent", size)
         if src in self._down:
-            self.counters.add("messages_dropped_sender_down")
+            counters.add("messages_dropped_sender_down")
             return
-        if self._partitioned(src, dst):
-            self.counters.add("messages_dropped_partition")
+        # The fault tables are empty on most sends of most runs; each is
+        # consulted only while it holds something.
+        if self._partitions and self._partitioned(src, dst):
+            counters.add("messages_dropped_partition")
             return
-        if (src, dst) in self._cut_links:
-            self.counters.add("messages_dropped_cut")
+        if self._cut_links and (src, dst) in self._cut_links:
+            counters.add("messages_dropped_cut")
             return
-        for interceptor in list(self._interceptors):
-            message = interceptor(src, dst, message)
-            if message is None:
-                self.counters.add("messages_intercepted")
-                return
-        config = self._pair_overrides.get((src, dst), self.config)
-        if config.drop_rate and self.sim.rng.random() < config.drop_rate:
-            self.counters.add("messages_dropped_loss")
+        if self._interceptors:
+            for interceptor in list(self._interceptors):
+                message = interceptor(src, dst, message)
+                if message is None:
+                    counters.add("messages_intercepted")
+                    return
+        config = self.config
+        if self._pair_overrides:
+            config = self._pair_overrides.get((src, dst), config)
+        rng = self.sim.rng
+        if config.drop_rate and rng.random() < config.drop_rate:
+            counters.add("messages_dropped_loss")
             return
         latency = config.delay
         if config.jitter:
-            latency += self.sim.rng.uniform(0.0, config.jitter)
+            # rng.uniform(0.0, jitter), bit for bit, without its frame.
+            latency += config.jitter * rng.random()
         if config.bandwidth > 0.0:
             # Finite link capacity: messages serialize one after another at
             # ``bandwidth`` bytes/vsec; the backlog is the queue.  A bounded
             # queue tail-drops (this is how overload becomes producible).
-            size = wire_size(message)
+            if message is not sent:
+                size = wire_size(message)  # an interceptor replaced it
             now = self.sim.now()
             start = max(now, self._link_busy_until.get((src, dst), now))
             backlog_bytes = (start - now) * config.bandwidth
             if config.queue_bytes and backlog_bytes + size > config.queue_bytes:
-                self.counters.add("messages_dropped_link_overflow")
+                counters.add("messages_dropped_link_overflow")
                 return
             serialization = size / config.bandwidth
             self._link_busy_until[(src, dst)] = start + serialization
@@ -223,10 +234,10 @@ class Network:
         if dst in self._down:
             self.counters.add("messages_dropped_receiver_down")
             return
-        if self._partitioned(src, dst):
+        if self._partitions and self._partitioned(src, dst):
             self.counters.add("messages_dropped_partition")
             return
-        if (src, dst) in self._cut_links:
+        if self._cut_links and (src, dst) in self._cut_links:
             self.counters.add("messages_dropped_cut")
             return
         self.counters.add("messages_delivered")

@@ -81,7 +81,7 @@ class Simulator:
         """Run ``callback`` ``delay`` virtual seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        fire_at = self.now() + delay
+        fire_at = self.clock._now + delay  # type: ignore[attr-defined]
         handle = EventHandle(fire_at, self)
         heapq.heappush(self._queue, (fire_at, self._sequence, handle, callback))
         self._sequence += 1
@@ -173,11 +173,14 @@ class Simulator:
             return False
         fire_at, callback = item
         # Clock never runs backwards; events scheduled "now" keep time still.
-        self.clock._now = max(self.clock._now, fire_at)  # type: ignore[attr-defined]
+        clock = self.clock
+        if fire_at > clock._now:  # type: ignore[attr-defined]
+            clock._now = fire_at  # type: ignore[attr-defined]
         self.events_processed += 1
         callback()
-        for hook in list(self._step_hooks):
-            hook()
+        if self._step_hooks:
+            for hook in list(self._step_hooks):
+                hook()
         return True
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:

@@ -126,7 +126,13 @@ class OODBConformanceWrapper(ConformanceWrapper):
         handler = getattr(self, f"_op_{command.lower()}", None)
         if handler is None:
             return OODBReply(status=OODB_BADOP).encode()
-        return handler(dec, timestamp_micros).encode()
+        # Every handler decodes its arguments before its first ``modify``, so
+        # an op whose arguments are truncated or mistyped (XdrError, bad
+        # UTF-8, unknown value tag: all ValueError) has changed nothing yet.
+        try:
+            return handler(dec, timestamp_micros).encode()
+        except ValueError:
+            return OODBReply(status=OODB_BADOP).encode()
 
     def _op_new(self, dec: XdrDecoder, now: int) -> OODBReply:
         class_name = dec.unpack_string()

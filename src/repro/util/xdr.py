@@ -27,8 +27,10 @@ class XdrError(ValueError):
     """Raised on malformed XDR input or out-of-range values."""
 
 
-def _padding(length: int) -> int:
-    return (4 - (length % 4)) % 4
+# Zero padding to the next 4-byte boundary, indexed by ``length & 3``.
+_PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+_FALSE = _U32.pack(0)
+_TRUE = _U32.pack(1)
 
 
 class XdrEncoder:
@@ -77,24 +79,31 @@ class XdrEncoder:
         return self
 
     def pack_bool(self, value: bool) -> "XdrEncoder":
-        return self.pack_u32(1 if value else 0)
+        self._chunks.append(_TRUE if value else _FALSE)
+        return self
 
     def pack_fixed_opaque(self, data: bytes, size: int) -> "XdrEncoder":
         if len(data) != size:
             raise XdrError(f"fixed opaque: expected {size} bytes, got {len(data)}")
-        self._chunks.append(data)
-        self._chunks.append(b"\x00" * _padding(size))
+        # bytes() copies only what is not already immutable bytes.
+        self._chunks.append(bytes(data) + _PAD[size & 3])
         return self
 
     def pack_opaque(self, data: bytes) -> "XdrEncoder":
         """Variable-length opaque: u32 length, bytes, zero padding to 4."""
-        self.pack_u32(len(data))
-        self._chunks.append(bytes(data))
-        self._chunks.append(b"\x00" * _padding(len(data)))
+        size = len(data)
+        if size > U32_MAX:
+            raise XdrError(f"u32 out of range: {size!r}")
+        self._chunks.append(_U32.pack(size) + data + _PAD[size & 3])
         return self
 
     def pack_string(self, text: str) -> "XdrEncoder":
-        return self.pack_opaque(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        size = len(data)
+        if size > U32_MAX:
+            raise XdrError(f"u32 out of range: {size!r}")
+        self._chunks.append(_U32.pack(size) + data + _PAD[size & 3])
+        return self
 
     def pack_array(self, items: Sequence[T], pack_item: Callable[["XdrEncoder", T], object]) -> "XdrEncoder":
         """Variable-length array: u32 count then each element."""
@@ -124,26 +133,46 @@ class XdrDecoder:
         if self.remaining:
             raise XdrError(f"{self.remaining} trailing bytes in XDR stream")
 
+    def _truncated(self, count: int) -> XdrError:
+        return XdrError(
+            f"truncated XDR stream: wanted {count} bytes, have {self.remaining}"
+        )
+
     def _take(self, count: int) -> bytes:
-        if self.remaining < count:
-            raise XdrError(
-                f"truncated XDR stream: wanted {count} bytes, have {self.remaining}"
-            )
-        chunk = self._data[self._offset : self._offset + count]
-        self._offset += count
-        return chunk
+        offset = self._offset
+        end = offset + count
+        if end > len(self._data):
+            raise self._truncated(count)
+        self._offset = end
+        return self._data[offset:end]
 
     def unpack_u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        offset = self._offset
+        if offset + 4 > len(self._data):
+            raise self._truncated(4)
+        self._offset = offset + 4
+        return _U32.unpack_from(self._data, offset)[0]
 
     def unpack_i32(self) -> int:
-        return _I32.unpack(self._take(4))[0]
+        offset = self._offset
+        if offset + 4 > len(self._data):
+            raise self._truncated(4)
+        self._offset = offset + 4
+        return _I32.unpack_from(self._data, offset)[0]
 
     def unpack_u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        offset = self._offset
+        if offset + 8 > len(self._data):
+            raise self._truncated(8)
+        self._offset = offset + 8
+        return _U64.unpack_from(self._data, offset)[0]
 
     def unpack_i64(self) -> int:
-        return _I64.unpack(self._take(8))[0]
+        offset = self._offset
+        if offset + 8 > len(self._data):
+            raise self._truncated(8)
+        self._offset = offset + 8
+        return _I64.unpack_from(self._data, offset)[0]
 
     def unpack_bool(self) -> bool:
         value = self.unpack_u32()
@@ -153,8 +182,8 @@ class XdrDecoder:
 
     def unpack_fixed_opaque(self, size: int) -> bytes:
         data = self._take(size)
-        pad = self._take(_padding(size))
-        if pad.strip(b"\x00"):
+        pad = _PAD[size & 3]
+        if pad and self._take(len(pad)) != pad:
             raise XdrError("nonzero XDR padding")
         return data
 

@@ -5,6 +5,8 @@ message graph populated) rather than passing vacuously."""
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.config import load_config
 from repro.analysis.engine import analyze_project, collect_files, parse_file
 from repro.analysis.flow import FlowContext
@@ -15,7 +17,10 @@ from repro.analysis.registry import ProjectIndex
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
-def _flow_context() -> FlowContext:
+@pytest.fixture(scope="module")
+def fctx() -> FlowContext:
+    """One parse of ``src/`` plus its call and message graphs (about 3 s),
+    shared by the tests below: they only read it."""
     config = load_config(project_root=REPO_ROOT)
     contexts = []
     for path in collect_files(config, None):
@@ -33,8 +38,7 @@ def test_repository_is_analyze_clean():
     assert result.files_checked > 50
 
 
-def test_quorum_sites_cover_the_bft_core():
-    fctx = _flow_context()
+def test_quorum_sites_cover_the_bft_core(fctx):
     sites = collect_sites(fctx)
     by_class = {}
     for site in sites:
@@ -49,8 +53,7 @@ def test_quorum_sites_cover_the_bft_core():
     assert any(site.kind.cert_param for site in sites)
 
 
-def test_message_graph_covers_the_wire_protocol():
-    fctx = _flow_context()
+def test_message_graph_covers_the_wire_protocol(fctx):
     graph = fctx.message_graph
     assert len(graph.nodes) >= 15
     for name in ("Request", "PrePrepare", "Prepare", "Commit", "Checkpoint"):
@@ -61,8 +64,7 @@ def test_message_graph_covers_the_wire_protocol():
     assert graph.post_freeze_mutable == frozenset({"auth", "sig"})
 
 
-def test_graph_dumps_are_well_formed():
-    fctx = _flow_context()
+def test_graph_dumps_are_well_formed(fctx):
     dot = render_dot(fctx.message_graph)
     assert dot.startswith("digraph message_flow {") and dot.rstrip().endswith("}")
     assert '"PrePrepare" [shape=box' in dot

@@ -12,6 +12,7 @@ import hashlib
 from repro.base.partition import PartitionTree
 from repro.base.statemgr import genesis_root_digest
 from repro.bft.messages import (
+    Busy,
     Checkpoint,
     CheckpointCert,
     Commit,
@@ -39,8 +40,10 @@ from repro.bft.messages import (
     Status,
     TransferRoot,
     TxnDecide,
+    TxnPrepare,
     ViewChange,
 )
+from repro.crypto.auth import Authenticator
 from repro.crypto.digest import digest
 
 D1 = digest(b"golden-digest-1")
@@ -135,6 +138,25 @@ def golden_messages():
             block=b"fusion-block-bytes",
             cert=cert,
         ),
+        # The last two message classes without a pin (recorded before the
+        # per-message primitives were tightened).  Both carry an
+        # authenticator, so their wire sizes also pin 12 bytes per MAC tag.
+        "busy": Busy(
+            view=2,
+            reqid=7,
+            client_id="C1",
+            replica_id="R2",
+            retry_after_micros=2500,
+            auth=Authenticator(sender="R2", tags={"C1": (0, b"m" * 8)}),
+        ),
+        "txn_prepare": TxnPrepare(
+            txid="C1:7",
+            writes=[(3, b"\x01\x02\x03\x04\x05"), (0, b""), (12, b"value-12")],
+            auth=Authenticator(
+                sender="C1",
+                tags={"R0": (0, b"a" * 8), "R1": (1, b"b" * 8), "R2": (0, b"c" * 8)},
+            ),
+        ),
     }
 
 
@@ -167,6 +189,8 @@ SIGNABLE_HEX = {
     "parity_ack": "0000000a5041524954592d41434b00000000000246300000000000010000000000000020",
     "fusion_fetch": "0000000c465553494f4e2d4645544348000000024630000000000001000000000000000000000060",
     "fusion_block": "0000000c465553494f4e2d424c4f434b0000000252320000000000010000000000000010000000600000001400000012667573696f6e2d626c6f636b2d62797465730000",
+    "busy": "0000000442555359000000000000000200000000000000070000000243310000000000025232000000000000000009c4",
+    "txn_prepare": "0000000b54584e2d50524550415245000000000443313a37000000030000000300000005010203040500000000000000000000000000000c0000000876616c75652d3132",
 }
 
 WIRE_SIZES = {
@@ -198,6 +222,8 @@ WIRE_SIZES = {
     "parity_ack": 36,
     "fusion_fetch": 40,
     "fusion_block": 232,
+    "busy": 60,
+    "txn_prepare": 104,
 }
 
 BATCH_DIGEST_HEX = "9b0272ae6e391ff404e816f33ed75948333e7e6d8140953b4a5cdae9ff36ac2f"
