@@ -53,6 +53,7 @@ LOWER_IS_BETTER = {
     "fetch_meta_sent",
     "fetch_object_sent",
     "view_changes_started",
+    "read_only_fallbacks",
     "storage_ratio",
     "fused_storage_bytes",
     "reconstruction_vseconds",

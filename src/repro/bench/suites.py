@@ -16,6 +16,7 @@ experiments in ``benchmarks/`` run on the same ones.
 
 from __future__ import annotations
 
+import random
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -24,7 +25,7 @@ from repro.bft.fusion import FusedBackupTier
 from repro.bft.messages import MESSAGE_STATS
 from repro.bft.overload import OpenLoopLoadGenerator, ShardedOpenLoopLoadGenerator
 from repro.bft.sharding import sharded_kv_cluster
-from repro.bft.testing import encode_set, kv_cluster
+from repro.bft.testing import encode_get, encode_set, kv_cluster
 from repro.crypto.digest import DIGEST_STATS
 from repro.explore.plan import (
     OVERLOAD_BANDWIDTH,
@@ -81,15 +82,24 @@ def global_stats() -> Iterator[Dict[str, int]]:
     delta.update(DIGEST_STATS.diff(digests))
 
 
-def closed_loop(cluster, clients, ops_per_client: int, width: int) -> List[float]:
-    """Drive closed-loop SET workloads; returns per-request virtual latencies."""
+def closed_loop(
+    cluster, clients, ops_per_client: int, width: int, read_every: int = 0
+) -> List[float]:
+    """Drive closed-loop SET workloads; returns per-request virtual latencies.
+    With ``read_every`` = n, every n-th op of a client is instead a read-only
+    GET of a slot drawn from a fixed-seed generator of the workload's own."""
     latencies: List[float] = []
     remaining = {client.node_id: ops_per_client for client in clients}
+    slots = random.Random(0)
 
     def issue(client) -> None:
         sent = cluster.sim.now()
         count = ops_per_client - remaining[client.node_id]
-        op = encode_set(count % width, client.node_id.encode() + bytes([count % 251]))
+        read_only = bool(read_every) and count % read_every == read_every - 1
+        if read_only:
+            op = encode_get(slots.randrange(width))
+        else:
+            op = encode_set(count % width, client.node_id.encode() + bytes([count % 251]))
 
         def on_reply(_result, client=client, sent=sent) -> None:
             latencies.append(cluster.sim.now() - sent)
@@ -97,7 +107,7 @@ def closed_loop(cluster, clients, ops_per_client: int, width: int) -> List[float
             if remaining[client.node_id] > 0:
                 issue(client)
 
-        client.invoke_async(op, on_reply)
+        client.invoke_async(op, on_reply, read_only=read_only)
 
     for client in clients:
         issue(client)
@@ -109,10 +119,17 @@ def closed_loop(cluster, clients, ops_per_client: int, width: int) -> List[float
     return latencies
 
 
-def _kv_throughput(num_clients: int, report: Tuple[str, ...], **fast_path) -> Metrics:
-    """``num_clients`` closed-loop clients, 25 SETs each, on one group.
-    ``report`` names the counters a scenario adds to the common metrics,
-    cluster-wide or process-wide (the two sets share no name)."""
+def _kv_throughput(
+    num_clients: int,
+    report: Tuple[str, ...],
+    ops_per_client: int = 25,
+    read_every: int = 0,
+    **fast_path,
+) -> Metrics:
+    """``num_clients`` closed-loop clients, ``ops_per_client`` ops each, on
+    one group (``read_every``: see :func:`closed_loop`).  ``report`` names
+    the counters a scenario adds to the common metrics, cluster-wide or
+    process-wide (the two sets share no name)."""
     with global_stats() as stats:
         cluster = kv_cluster(
             config=BFTConfig(
@@ -121,7 +138,7 @@ def _kv_throughput(num_clients: int, report: Tuple[str, ...], **fast_path) -> Me
         )
         clients = [cluster.client(f"C{i}") for i in range(num_clients)]
         started = cluster.sim.now()
-        latencies = closed_loop(cluster, clients, ops_per_client=25, width=16)
+        latencies = closed_loop(cluster, clients, ops_per_client, 16, read_every)
         elapsed = cluster.sim.now() - started
         cluster.settle(1.0)
     totals = cluster.total_counters()
@@ -186,6 +203,36 @@ def kv_throughput_fast() -> Metrics:
         ),
         pipeline_depth=8,
         speculative_execution=True,
+    )
+
+
+_READ_PATH = ("read_only_fallbacks", "reads_parked", "leased_reads_served", "lease_grants")
+
+
+@scenario("kv_mixed")
+def kv_mixed() -> Metrics:
+    """Mixed traffic on the slow path: 16 closed-loop clients, 50 ops each,
+    every other op a read-only GET answered outside the ordering path at
+    2f+1 matching replies.  A GET that races a SET of its slot mismatches
+    and waits out ``read_only_timeout`` (``read_only_fallbacks``)."""
+    return _kv_throughput(16, _READ_PATH, ops_per_client=50, read_every=2)
+
+
+@scenario("kv_mixed_fast")
+def kv_mixed_fast() -> Metrics:
+    """The same traffic with the whole fast path on (pipelining, speculation,
+    read leases).  A GET that meets tentative state or a revoked lease is
+    parked at the replica (``reads_parked``) and answered when the state
+    commits, so none may fall back; ``benchmarks/test_suite_claims.py`` holds
+    this scenario level with ``kv_mixed`` in virtual time."""
+    return _kv_throughput(
+        16,
+        _READ_PATH,
+        ops_per_client=50,
+        read_every=2,
+        pipeline_depth=8,
+        speculative_execution=True,
+        read_leases=True,
     )
 
 
@@ -605,6 +652,8 @@ SUITES: Dict[str, List[str]] = {
     "smoke": [
         "kv_throughput",
         "kv_throughput_fast",
+        "kv_mixed",
+        "kv_mixed_fast",
         "checkpoint_cow",
         "state_transfer",
     ],

@@ -68,6 +68,9 @@ class Client(Node):
         self._current: Optional[_Invocation] = None
         self._retry_timer = None  # EventHandle of the armed retransmission
         self._retry_fire_at = 0.0
+        # Whom a leased read asks first (see _demote_unhelpful, which
+        # replaces the list and never mutates it: this one is shared).
+        self._read_order = config.replica_ids
 
     # -- public API (paper: int invoke(req, rep, read_only)) ------------------------
 
@@ -129,13 +132,14 @@ class Client(Node):
         request.auth = self.keys.make_authenticator(
             self.node_id, self.config.replica_ids, request.signable_bytes()
         )
-        if invocation.read_only and self.config.read_leases and invocation.retries == 0:
-            # Leased reads go to just 2f+1 replicas; the safety condition is
-            # unchanged (2f+1 matching results), so this only narrows fan-out.
-            # Retransmissions fall back to full multicast — the lease set may
-            # be partly crashed or lease-less.
+        if invocation.read_only and self.config.read_leases:
+            # Leased reads go to just 2f+1 replicas, the first of our
+            # preference order; the safety condition is unchanged (2f+1
+            # matching results), so this only narrows fan-out.  A read is
+            # never retransmitted: on timeout _retry re-issues it as an
+            # ordered request, which goes to everyone.
             self.counters.add("leased_read_sends")
-            self.multicast(self.config.replica_ids[: self.config.quorum], request)
+            self.multicast(self._read_order[: self.config.quorum], request)
         else:
             self.multicast(self.config.replica_ids, request)
 
@@ -188,6 +192,8 @@ class Client(Node):
         if invocation.read_only:
             # Read-only fallback: reissue as a regular, ordered request.
             self.counters.add("read_only_fallbacks")
+            if self.config.read_leases:
+                self._demote_unhelpful(invocation.replies)
             callback = invocation.callback
             op = invocation.request.op
             self._current = None
@@ -195,6 +201,18 @@ class Client(Node):
             return
         self._transmit()
         self._arm_retry(reqid)
+
+    def _demote_unhelpful(self, replies: Dict[str, bytes]) -> None:
+        """A leased read timed out: of the replicas asked, those outside the
+        largest matching group — silent or deviant — are asked last from now
+        on, so one crashed (or lying) replica among the first 2f+1 costs one
+        timeout, not every read.  Whoever was not asked moves up untested,
+        which is what makes the order self-correcting."""
+        results = list(replies.values())
+        best = max(results, key=results.count, default=None)
+        asked = self._read_order[: self.config.quorum]
+        demoted = [r for r in asked if r not in replies or replies[r] != best]
+        self._read_order = [r for r in self._read_order if r not in demoted] + demoted
 
     # -- replies --------------------------------------------------------------------------
 

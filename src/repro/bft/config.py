@@ -58,9 +58,16 @@ class BFTConfig:
                         confirmed when the commit certificate lands.
     read_leases:        fast path — the primary grants a read lease to all
                         replicas whenever no write is in flight and revokes
-                        it before proposing the next write; replicas serve
-                        read-only requests only while holding a valid lease,
-                        and lease-aware clients read from just 2f+1 replicas.
+                        it before proposing the next write.  A replica
+                        answers a read-only request while it holds a lease
+                        for the current view and has executed up to the
+                        lease's seqno; a request that arrives when it cannot
+                        is parked there and answered when the next lease (or
+                        the execution it was short of) arrives, and is
+                        dropped at a view change.  Lease-aware clients send
+                        a read to just 2f+1 replicas, moving those that let
+                        one time out to the back of their preference order;
+                        a read still needs 2f+1 matching replies.
     """
 
     replica_ids: List[str] = field(default_factory=lambda: ["R0", "R1", "R2", "R3"])

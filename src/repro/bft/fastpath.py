@@ -15,11 +15,17 @@ view change, divergence, or state transfer.  Clients accept 2f+1 matching
 **Read leases** let a replica answer read-only requests alone while the
 primary's write pipeline is drained: the primary grants a lease carrying its
 executed seqno and revokes it before proposing the next write.
+
+**Parked reads**: a read-only request that cannot be answered at the instant
+it arrives (open frames, no lease, lease floor not reached) is held here and
+answered, through the same admission check, when a frame promotes or a lease
+arrives.  To the client that is a request the network delivered later, so it
+adds no interleaving the asynchronous network could not already produce.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.bft.messages import Lease, LeaseRevoke, PrePrepare, Request
 from repro.util.trace import emit
@@ -48,6 +54,12 @@ class FastPathManager:
         self.lease: Optional[Tuple[int, int, int]] = None
         self.lease_granted: Optional[int] = None
         self.lease_epoch = 0
+        # Read-only requests admit_read() refused on arrival, by client id.
+        # A client has one invocation outstanding and is authenticated before
+        # its request gets here, so the table is bounded by the number of
+        # principals and needs no timer: the client's read_only_timeout is
+        # the backstop, exactly as for a lost message.
+        self.parked: Dict[str, Request] = {}
 
     def on_message(self, message, src: str) -> None:
         if not self.replica.config.read_leases:
@@ -116,6 +128,8 @@ class FastPathManager:
         _seqno, replied, _digest = self.spec_frames.pop(0)
         self.replica.service.commit_speculation()
         self.tentative_replies.difference_update(replied)
+        # Retransmissions of a tentatively answered request keep it in flight.
+        self.replica.in_flight.difference_update(replied)
         self.replica.counters.add("spec_promotions")
         return True
 
@@ -153,6 +167,9 @@ class FastPathManager:
         self.rollback("view-change")
         self.lease = None
         self.lease_granted = None
+        if self.parked:
+            self.replica.counters.add("parked_reads_dropped", len(self.parked))
+            self.parked.clear()
 
     # -- read leases ----------------------------------------------------------------
 
@@ -162,9 +179,7 @@ class FastPathManager:
         self.maybe_grant_lease()
         if self.spec_frames:
             # Tentative state must not leak through the read-only path: a
-            # speculated write could still be rolled back.  The client's
-            # read-only timeout falls back to an ordered request.
-            replica.counters.add("read_only_deferred")
+            # speculated write could still be rolled back.
             return False
         if replica.config.read_leases:
             lease = self.lease
@@ -174,10 +189,45 @@ class FastPathManager:
                 or replica.last_executed < lease[2]
                 or replica.view_changes.in_view_change
             ):
-                replica.counters.add("leased_reads_refused")
                 return False
             replica.counters.add("leased_reads_served")
         return True
+
+    def park_read(self, request: Request) -> None:
+        """``admit_read()`` just refused ``request`` on arrival: hold it for
+        :meth:`serve_parked`.  A newer read replaces the client's older one."""
+        replica = self.replica
+        held = self.parked.get(request.client_id)
+        if held is not None:
+            if held.reqid >= request.reqid:
+                return  # a duplicate, or older than the read already waiting
+            replica.counters.add("parked_reads_dropped")
+        replica.counters.add("read_only_deferred" if self.spec_frames else "leased_reads_refused")
+        replica.counters.add("reads_parked")
+        self.parked[request.client_id] = request
+
+    def serve_parked(self) -> None:
+        """Answer the parked reads ``admit_read()`` now admits — every
+        condition re-evaluated per request, nothing remembered from arrival.
+        Called where one can have become true (execution caught up, a lease
+        arrived) and never while the service is mid-batch."""
+        if not self.parked or self.spec_frames:
+            return
+        replica = self.replica
+        if replica.view_changes.in_view_change or replica.recovering:
+            return  # arrivals are dropped now; end_view() empties the table
+        for client_id, request in list(self.parked.items()):
+            recorded = replica.service.last_recorded(client_id)
+            if recorded is not None and recorded[0] > request.reqid:
+                # The client has moved on: nobody is waiting for this answer.
+                del self.parked[client_id]
+                replica.counters.add("parked_reads_dropped")
+                continue
+            if replica._stopped or not self.admit_read():
+                return
+            del self.parked[client_id]
+            replica.counters.add("parked_reads_served")
+            replica.answer_read_only(request)
 
     def maybe_grant_lease(self) -> None:
         """Primary: grant a read lease to every replica once the write
@@ -240,6 +290,7 @@ class FastPathManager:
             return
         self.lease = (lease.view, lease.epoch, lease.seqno)
         replica.counters.add("leases_held")
+        self.serve_parked()
 
     def on_lease_revoke(self, revoke: LeaseRevoke, src: str) -> None:
         replica = self.replica

@@ -52,7 +52,7 @@ from repro.crypto.auth import KeyTable, MacVerificationError
 from repro.crypto.sign import SignatureScheme
 from repro.net.network import Network
 from repro.net.node import Node
-from repro.net.simulator import Simulator
+from repro.net.simulator import EventHandle, Simulator
 from repro.util.errors import FaultInjected
 from repro.util.stats import Counters
 from repro.util.trace import Tracer, emit
@@ -145,7 +145,7 @@ class Replica(Node):
             if service.current_node(0, 0)[1] == service.genesis_root_digest():
                 service.take_checkpoint(0)
 
-        self._request_deadline: Optional[float] = None
+        self._request_timer: Optional[EventHandle] = None
 
         # Managers, one per sub-protocol.  Catch-up goes last: it arms the
         # only timer a new replica starts with.
@@ -260,11 +260,16 @@ class Replica(Node):
                 # by an open speculation frame is NOT committed — claiming so
                 # would let a client accept f+1 "committed" replies for a
                 # batch that only ever prepared, which is unsafe.
-                self.send_reply(
-                    request,
-                    recorded[1],
-                    tentative=key in self.fast_path.tentative_replies,
-                )
+                tentative = key in self.fast_path.tentative_replies
+                self.send_reply(request, recorded[1], tentative=tentative)
+                if tentative:
+                    # Executed but not committed, and the client is still
+                    # asking: go on timing the primary until the frame
+                    # promotes.  Without this a batch left one commit short
+                    # (one replica down, another alone in a view change)
+                    # stays that way for good — nobody else ever times out.
+                    self.in_flight.add(key)
+                    self._arm_request_timer()
             self.counters.add("duplicate_requests")
             return
         if request.read_only:
@@ -322,8 +327,15 @@ class Replica(Node):
     def _execute_read_only(self, request: Request) -> None:
         if self.view_changes.in_view_change or self.recovering:
             return
-        if not self.fast_path.admit_read():
-            return
+        if self.fast_path.admit_read():
+            self.answer_read_only(request)
+        else:
+            # Not answerable at this instant: the fast path holds it and
+            # answers when the frame promotes or the lease arrives.
+            self.fast_path.park_read(request)
+
+    def answer_read_only(self, request: Request) -> None:
+        """Run an admitted read-only request against committed state."""
         try:
             result = self.service.execute(
                 request.op, request.client_id, b"", read_only=True
@@ -557,6 +569,7 @@ class Replica(Node):
         if self.is_primary():
             self.try_send_pre_prepare()
             self.fast_path.maybe_grant_lease()
+        self.fast_path.serve_parked()
 
     def _execute_batch(self, seqno: int, pre_prepare: PrePrepare, reply=None) -> None:
         """Run one batch against the service.  ``reply(request, result)``
@@ -702,26 +715,26 @@ class Replica(Node):
     # -- liveness timers ---------------------------------------------------------------------------------
 
     def _arm_request_timer(self) -> None:
-        if self._request_deadline is not None:
+        if self._request_timer is not None:
             return
         if not self.pending and not self.in_flight:
             return
         if self.view_changes.in_view_change:
             return
-        deadline = self.now() + self.view_changes.current_timeout()
-        self._request_deadline = deadline
-        self.set_timer(
-            self.view_changes.current_timeout(), lambda: self._request_timer_fired(deadline)
+        self._request_timer = self.set_timer(
+            self.view_changes.current_timeout(), self._request_timer_fired
         )
 
     def _rearm_request_timer(self) -> None:
-        self._request_deadline = None
+        # A superseded timer is cancelled, not left in the simulator's heap
+        # to fire as a no-op a quarter of a virtual second later.
+        if self._request_timer is not None:
+            self._request_timer.cancel()
+            self._request_timer = None
         self._arm_request_timer()
 
-    def _request_timer_fired(self, deadline: float) -> None:
-        if self._request_deadline != deadline:
-            return
-        self._request_deadline = None
+    def _request_timer_fired(self) -> None:
+        self._request_timer = None
         expired = self.pending.expire_stale(self.now())
         if expired:
             # Abandoned requests (client cancelled, or satisfied via another

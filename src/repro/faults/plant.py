@@ -91,6 +91,78 @@ PLANTED_BUGS: Dict[str, Callable] = {
 }
 
 
+def plant_hasty_read_client(cluster) -> Callable[[], None]:
+    """Regression in the client: the first reply to a read-only request is
+    believed, where the read-only optimisation needs 2f+1 matching ones.
+
+    Harmless while every replica is correct and current; with one replica
+    reporting corrupted results (``make_result_corruptor``) a client that
+    hears it first returns a value nobody ever wrote.
+    """
+
+    def ensure() -> None:
+        for client in cluster._clients.values():
+            if getattr(client, _PLANT_MARK, False):
+                continue
+            original = client.on_message
+
+            def hasty(message, src, client=client, original=original):
+                invocation = client._current
+                if (
+                    getattr(message, "read_only", False)
+                    and invocation is not None
+                    and invocation.read_only
+                    and message.reqid == invocation.request.reqid
+                ):
+                    client._current = None  # BUG: one reply is not a quorum
+                    client._disarm_retry()
+                    invocation.callback(message.result)
+                    return
+                original(message, src)
+
+            client.on_message = hasty  # type: ignore[method-assign]
+            setattr(client, _PLANT_MARK, True)
+
+    ensure()
+    return ensure
+
+
+def plant_reads_ignore_open_frames(cluster) -> Callable[[], None]:
+    """Regression in the fast path: ``admit_read`` no longer looks at the
+    open speculation frames, so a read-only request is answered from
+    tentative state — a write that only ever prepared and may yet be rolled
+    back.  Invisible to a client while nothing is rolled back (the value is
+    usually about to commit); visible at the replica, whose read-only reply
+    then differs from what its committed history produces.  Masked while
+    ``read_leases`` is on: accepting the write proposal drops the lease
+    before the frame opens, and the next lease's floor is that write.
+    """
+
+    def sabotage(replica) -> None:
+        fast_path = replica.fast_path
+        original = fast_path.admit_read
+
+        def blind_admit_read() -> bool:
+            frames, fast_path.spec_frames = fast_path.spec_frames, []  # BUG
+            try:
+                return original()
+            finally:
+                fast_path.spec_frames = frames
+
+        fast_path.admit_read = blind_admit_read  # type: ignore[method-assign]
+
+    return _make_ensure(cluster, sabotage)
+
+
+#: Plants only a workload that *reads* can find.  ``repro explore`` issues no
+#: GET yet (ROADMAP item 1), so they are not in :data:`PLANTED_BUGS`;
+#: ``tests/bft/test_read_freshness.py`` is the harness that turns them red.
+READ_PLANTED_BUGS: Dict[str, Callable] = {
+    "hasty-read-client": plant_hasty_read_client,
+    "reads-ignore-open-frames": plant_reads_ignore_open_frames,
+}
+
+
 def plant_split_brain_decide(sharded) -> Callable[[], None]:
     """Regression in the 2PC participant: every shard except shard 0 records
     a commit decision as an abort (and skips applying the writes) — the way

@@ -98,9 +98,10 @@ def test_default_config_creates_no_fast_path_or_fusion_counter():
     off = [
         name
         for name, _value in cluster.total_counters()
-        if name.startswith(("spec_", "lease", "leased_", "fusion_"))
+        if name.startswith(("spec_", "lease", "leased_", "fusion_", "reads_parked", "parked_"))
     ]
     assert off == []
+    assert all(replica.fast_path.parked == {} for replica in cluster.replicas)
 
 
 class _Outsider:
