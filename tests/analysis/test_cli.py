@@ -1,7 +1,9 @@
 """CLI front end: stable exit codes and report formats."""
 
 import json
+import re
 import textwrap
+from pathlib import Path
 
 from repro.analysis.cli import EXIT_CLEAN, EXIT_USAGE, EXIT_VIOLATIONS, main
 
@@ -59,6 +61,24 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("DET001", "PROTO101", "STATE200", "LINT903"):
         assert rule_id in out
+
+
+def test_listed_rules_and_documented_rules_agree(capsys):
+    """Every id ``--list-rules`` prints has a ``### <ID>`` section in
+    docs/determinism.md and every section names a rule that exists, so a
+    deleted rule cannot leave a stale section nor a new one go undocumented.
+    A heading such as ``FLOW6xx`` covers the whole family."""
+    assert main(["--list-rules"]) == EXIT_CLEAN
+    listed = set(re.findall(r"^  ([A-Z]+\d{3}) ", capsys.readouterr().out, re.M))
+    docs = Path(__file__).resolve().parents[2] / "docs" / "determinism.md"
+    headings = set(re.findall(r"^### ([A-Z]+\d(?:\d\d|xx)) ", docs.read_text("utf-8"), re.M))
+    assert listed and headings
+
+    def covers(heading, rule_id):
+        return rule_id.startswith(heading[:-2]) if heading.endswith("xx") else heading == rule_id
+
+    assert [r for r in sorted(listed) if not any(covers(h, r) for h in headings)] == []
+    assert [h for h in sorted(headings) if not any(covers(h, r) for r in listed)] == []
 
 
 def test_explicit_path_narrows_the_run(tmp_path, capsys):

@@ -23,6 +23,7 @@ from repro.bft.messages import (
     FusionFetch,
     Lease,
     LeaseRevoke,
+    Message,
     MetaReply,
     NewView,
     ObjectReply,
@@ -229,6 +230,104 @@ WIRE_SIZES = {
 BATCH_DIGEST_HEX = "9b0272ae6e391ff404e816f33ed75948333e7e6d8140953b4a5cdae9ff36ac2f"
 REQUEST_DIGEST_HEX = "74f8f2554e07b2ec8b3ab9409db45ec464354fdadc227f92a35d007989b1d58c"
 
+
+def edge_messages():
+    """Encodings and sizes the instances above never exercise, recorded while
+    every encoder was still written by hand: true / false bools, empty arrays
+    and byte strings, an id whose UTF-8 length is not a multiple of four, and
+    what ``wire_size`` does with an authenticator or without a certificate."""
+    base = golden_messages()
+    ckpt, pp = base["checkpoint"], base["pre_prepare"]
+    one_tag = {"R3": (0, b"m" * 8)}
+
+    return {
+        "status_in_view_change": Status(
+            replica_id="R2", view=2, stable_seqno=16, last_executed=18, in_view_change=True
+        ),
+        "txn_decide_abort": TxnDecide(txid="C1:7", commit=False),
+        "txn_prepare_no_writes": TxnPrepare(txid="C1:7", writes=[]),
+        "request_empty_op": Request(client_id="C1", reqid=7, op=b""),
+        "reply_empty_result": Reply(
+            view=2, reqid=7, client_id="C1", replica_id="R1", result=b"", read_only=True
+        ),
+        # "Cé" is two characters and three bytes: the length word counts bytes.
+        "request_non_ascii_id": Request(client_id="C\u00e9", reqid=7, op=b"x"),
+        "pre_prepare_empty": PrePrepare(
+            view=2, seqno=12, requests=[], nondet=b"", primary_id="R2"
+        ),
+        "view_change_empty": ViewChange(
+            new_view=3, stable_seqno=0, checkpoint_proof=[], prepared=[], replica_id="R1"
+        ),
+        "new_view_empty": NewView(view=3, view_changes=[], pre_prepares=[], primary_id="R3"),
+        "checkpoint_cert_empty": CheckpointCert(seqno=0, state_digest=D2),
+        "retransmit_empty": RetransmitCommitted(replica_id="R0"),
+        "meta_reply_empty": MetaReply(replica_id="R0", seqno=16, level=1, index=2, children=[]),
+        "parity_update_bare": ParityUpdate(
+            shard=1, base_seqno=16, seqno=32, slot_width=96, num_leaves=20
+        ),
+        "fusion_block_bare": FusionBlock(
+            replica_id="R2", shard=1, seqno=16, slot_width=96, num_leaves=20
+        ),
+        # An authenticator attached the way ``Replica.auth_send`` attaches it.
+        # The two catch-up messages do not count it; every other class does,
+        # declared ``auth`` field or not.
+        "checkpoint_cert_auth": _with_auth(
+            CheckpointCert(seqno=16, state_digest=D2, proof=[ckpt]), one_tag
+        ),
+        "retransmit_auth": _with_auth(
+            RetransmitCommitted(
+                replica_id="R0", entries=[(pp, [base["prepare"]], [base["commit"]])]
+            ),
+            one_tag,
+        ),
+        "fetch_root_auth": _with_auth(FetchRoot(requester="R3", min_seqno=16), one_tag),
+    }
+
+
+def _with_auth(message, tags):
+    message.auth = Authenticator(sender="R0", tags=tags)
+    return message
+
+
+EDGE_SIGNABLE_HEX = {
+    "status_in_view_change": "000000065354415455530000000000025232000000000000000000020000000000000010000000000000001200000001",
+    "txn_decide_abort": "0000000a54584e2d44454349444500000000000443313a370000000000000000",
+    "txn_prepare_no_writes": "0000000b54584e2d50524550415245000000000443313a3700000000",
+    "request_empty_op": "000000075245515545535400000000024331000000000000000000070000000000000000",
+    "reply_empty_result": "000000055245504c5900000000000000000000020000000000000007000000024331000000000002523100000000000000000001",
+    "request_non_ascii_id": "0000000752455155455354000000000343c3a9000000000000000007000000017800000000000000",
+    "pre_prepare_empty": "0000000b5052452d50524550415245000000000000000002000000000000000c1a369e22dddbf5d56c928ac12cd7f09b2402e936c0db9a76ed1ec46dda78a31a0000000252320000",
+    "view_change_empty": "0000000b564945572d4348414e4745000000000000000003000000000000000000000002523100000000000000000000",
+    "new_view_empty": "000000084e45572d56494557000000000000000300000002523300000000000000000000",
+    "checkpoint_cert_empty": "0000000f434845434b504f494e542d434552540000000000000000004f3bfe01724e115a39f3cc70cff5c7a341d938ad8e821c0ea57df2411766d6b600000000",
+    "retransmit_empty": "0000000a52455452414e534d49540000000000025230000000000000",
+    "meta_reply_empty": "0000000a4d4554412d5245504c5900000000000252300000000000000000001000000001000000000000000200000000",
+    "parity_update_bare": "0000000d5041524954592d5550444154450000000000000100000000000000100000000000000020000000600000001400000000",
+    "fusion_block_bare": "0000000c465553494f4e2d424c4f434b0000000252320000000000010000000000000010000000600000001400000000",
+    "checkpoint_cert_auth": "0000000f434845434b504f494e542d434552540000000000000000104f3bfe01724e115a39f3cc70cff5c7a341d938ad8e821c0ea57df2411766d6b600000001000000400000000a434845434b504f494e54000000000000000000104f3bfe01724e115a39f3cc70cff5c7a341d938ad8e821c0ea57df2411766d6b60000000252300000",
+    "retransmit_auth": "0000000a52455452414e534d49540000000000025230000000000001000000480000000b5052452d50524550415245000000000000000002000000000000000b9b0272ae6e391ff404e816f33ed75948333e7e6d8140953b4a5cdae9ff36ac2f0000000252320000",
+    "fetch_root_auth": "0000000a46455443482d524f4f54000000000002523300000000000000000010",
+}
+EDGE_WIRE_SIZES = {
+    "status_in_view_change": 48,
+    "txn_decide_abort": 32,
+    "txn_prepare_no_writes": 28,
+    "request_empty_op": 36,
+    "reply_empty_result": 52,
+    "request_non_ascii_id": 40,
+    "pre_prepare_empty": 72,
+    "view_change_empty": 48,
+    "new_view_empty": 36,
+    "checkpoint_cert_empty": 64,
+    "retransmit_empty": 28,
+    "meta_reply_empty": 48,
+    "parity_update_bare": 52,
+    "fusion_block_bare": 48,
+    "checkpoint_cert_auth": 164,
+    "retransmit_auth": 504,
+    "fetch_root_auth": 44,
+}
+
 # (num_objects, arity) -> (sha256 over the root-digest sequence of a fixed
 # 2n-step update run, initial root, final root).
 TREE_GOLDEN = {
@@ -272,8 +371,29 @@ def test_signable_bytes_golden():
 
 def test_wire_size_golden():
     messages = golden_messages()
+    assert set(messages) == set(WIRE_SIZES)
     for name, msg in messages.items():
         assert msg.wire_size() == WIRE_SIZES[name], name
+
+
+def test_every_message_class_has_a_pin():
+    """A message added to ``repro.bft.messages`` without an instance in
+    ``golden_messages()`` fails here, so no wire format goes unpinned."""
+    declared = {
+        cls for cls in Message.__subclasses__() if cls.__module__ == Message.__module__
+    }
+    assert declared and declared == {type(msg) for msg in golden_messages().values()}
+
+
+def test_edge_encodings_and_sizes_golden():
+    messages = edge_messages()
+    assert set(messages) == set(EDGE_SIGNABLE_HEX) == set(EDGE_WIRE_SIZES)
+    for name, msg in messages.items():
+        assert msg.signable_bytes().hex() == EDGE_SIGNABLE_HEX[name], name
+        assert msg.wire_size() == EDGE_WIRE_SIZES[name], name
+    assert EDGE_WIRE_SIZES["checkpoint_cert_auth"] == WIRE_SIZES["checkpoint_cert"]
+    assert EDGE_WIRE_SIZES["retransmit_auth"] == WIRE_SIZES["retransmit"]
+    assert EDGE_WIRE_SIZES["fetch_root_auth"] == WIRE_SIZES["fetch_root"] + 12
 
 
 def test_wire_size_stable_on_repeated_calls():

@@ -2,6 +2,7 @@
 (votes, locks, tombstones, idempotence), and durable participant state."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bft.messages import TxnDecide, TxnPrepare
 from repro.bft.testing import KVStateMachine, encode_set
@@ -45,6 +46,50 @@ def test_non_txn_ops_are_not_decoded():
 
 def test_trailing_garbage_is_not_a_txn_op():
     assert decode_txn_op(encode_txn_decide("t", True) + b"junk") is None
+
+
+IDS = st.text(max_size=6)
+TXN_MESSAGES = st.one_of(
+    st.builds(
+        TxnPrepare,
+        txid=IDS,
+        writes=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=9)), max_size=4),
+    ),
+    st.builds(
+        TxnDecide,
+        txid=IDS,
+        commit=st.booleans(),
+        votes=st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.lists(IDS, max_size=3)), max_size=3
+        ),
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(message=TXN_MESSAGES, tail=st.binary(min_size=1, max_size=8))
+def test_decoder_inverts_the_encoder_and_rejects_every_other_length(message, tail):
+    op = message.signable_bytes()
+    assert decode_txn_op(op) == message
+    for cut in range(len(op)):
+        assert decode_txn_op(op[:cut]) is None
+    assert decode_txn_op(op + tail) is None
+
+
+def test_malformed_txn_ops_decode_to_none_not_to_an_exception():
+    tag = 16  # "TXN-PREPARE" and "TXN-DECIDE" each pack to 16 bytes
+    decide = encode_txn_decide("C0:7", True)
+    bool_at = tag + 4 + 4  # after the txid's length word and its four bytes
+    assert decide[bool_at : bool_at + 4] == b"\x00\x00\x00\x01"
+    assert decode_txn_op(decide[:bool_at] + b"\x00\x00\x00\x02" + decide[bool_at + 4 :]) is None
+    prepare = encode_txn_prepare("abc", [])
+    pad_at = tag + 4 + 3  # the one pad byte after a three-byte txid
+    assert prepare[pad_at] == 0 and decode_txn_op(prepare) is not None
+    assert decode_txn_op(prepare[:pad_at] + b"\x01" + prepare[pad_at + 1 :]) is None
+    assert decode_txn_op(encode_txn_prepare("abcd", []).replace(b"abcd", b"ab\xff\xfe")) is None
+    # A plain KV op that merely starts with the tag bytes is still a plain op.
+    assert is_txn_op(prepare[:tag] + encode_set(0, b"v"))
+    assert decode_txn_op(prepare[:tag] + encode_set(0, b"v")) is None
 
 
 # -- participant semantics -----------------------------------------------------
