@@ -13,9 +13,9 @@ this package turns it into a machine-checked invariant:
   memory-address-dependent values (``id``/``hash``), no unordered set
   iteration.
 * **PROTO1xx** — protocol rules over the BFT message set: every
-  :class:`~repro.bft.messages.Message` subclass has a canonical encoding
-  with a unique wire tag and a registered handler; ``execute`` overrides
-  thread the agreed ``nondet`` value instead of reading local clocks.
+  :class:`~repro.bft.messages.Message` subclass has a registered handler;
+  ``execute`` overrides thread the agreed ``nondet`` value instead of
+  reading local clocks.
 * **STATE2xx** — abstraction rules: conformance wrappers and state
   machines implement the full ``get_obj``/``put_objs``/checkpoint surface
   the library relies on.

@@ -4,24 +4,22 @@ These are cross-file rules: they read the message definitions
 (``src/repro/bft/messages.py`` by default) and the dispatch code around them
 and check structural invariants of the protocol layer:
 
-* every :class:`~repro.bft.messages.Message` subclass defines its canonical
-  encoding (``signable_bytes``) — MACs, signatures, and digests all hang off
-  it, so an inherited ``NotImplementedError`` is a latent crash;
-* every canonical encoding starts with a unique wire tag
-  (``pack_string("PREPARE")`` …) — tag collisions would let one message type
-  alias another under the same MAC (a domain-separation failure);
 * every message class is dispatched somewhere (an ``isinstance`` arm in the
   replica/client/view-change/state-transfer code) — an unhandled message is
   silently dropped as "unknown";
 * ``execute`` overrides on state machines and conformance wrappers accept
   the agreed non-determinism argument (``nondet`` / ``timestamp_micros``)
   instead of reading local clocks (the DET rules ban the clocks themselves).
+
+That every message has a canonical encoding opening with a unique wire tag is
+not a lint rule: ``Message.__init_subclass__`` refuses to create a class
+without one, on every import.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
 from repro.analysis.registry import FileContext, ProjectIndex, project_rule
 from repro.analysis.violations import Violation
@@ -46,41 +44,6 @@ def _method(cls: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
     return None
-
-
-def _first_wire_tag(func: ast.FunctionDef) -> Optional[Tuple[str, ast.Call]]:
-    """The string constant of the first ``pack_string(...)`` call, if any."""
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "pack_string"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            return node.args[0].value, node
-    return None
-
-
-@project_rule(
-    "PROTO100",
-    "message-canonical-encoding",
-    "every Message subclass must define signable_bytes (its canonical encoding)",
-)
-def proto100_signable(index: ProjectIndex) -> Iterator[Violation]:
-    messages_ctx = index.by_relpath(index.config.protocol_messages)
-    if messages_ctx is None:
-        return
-    for cls in _message_classes(messages_ctx):
-        if _method(cls, "signable_bytes") is None:
-            yield messages_ctx.violation(
-                "PROTO100",
-                cls,
-                f"message class `{cls.name}` inherits signable_bytes() from the "
-                "base, which raises NotImplementedError: every message needs a "
-                "canonical encoding for MACs/signatures/digests",
-            )
 
 
 @project_rule(
@@ -123,42 +86,6 @@ def _type_names(node: ast.AST) -> Iterator[str]:
             yield from _type_names(element)
     elif isinstance(node, ast.Attribute):
         yield node.attr
-
-
-@project_rule(
-    "PROTO102",
-    "unique-wire-tag",
-    "canonical encodings must open with a unique pack_string wire tag",
-)
-def proto102_wire_tags(index: ProjectIndex) -> Iterator[Violation]:
-    messages_ctx = index.by_relpath(index.config.protocol_messages)
-    if messages_ctx is None:
-        return
-    seen: Dict[str, str] = {}
-    for cls in _message_classes(messages_ctx):
-        func = _method(cls, "signable_bytes")
-        if func is None:
-            continue  # PROTO100 already fires
-        tag_info = _first_wire_tag(func)
-        if tag_info is None:
-            yield messages_ctx.violation(
-                "PROTO102",
-                func,
-                f"`{cls.name}.signable_bytes` does not open with a "
-                "pack_string wire tag: without domain separation one message "
-                "type can alias another under the same MAC",
-            )
-            continue
-        tag, node = tag_info
-        if tag in seen:
-            yield messages_ctx.violation(
-                "PROTO102",
-                node,
-                f"wire tag {tag!r} of `{cls.name}` collides with "
-                f"`{seen[tag]}`: encodings must be domain-separated",
-            )
-        else:
-            seen[tag] = cls.name
 
 
 _EXECUTE_BASES = {"StateMachine", "ConformanceWrapper"}

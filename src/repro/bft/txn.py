@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bft.client import Client
-from repro.bft.messages import Message, Reply, TxnDecide, TxnPrepare
+from repro.bft.messages import Message, Reply, TxnDecide, TxnPrepare, decode_message
 from repro.util.stats import Counters
 from repro.util.xdr import XdrDecoder, XdrEncoder
 
@@ -49,8 +49,8 @@ TXN_ABORTED = b"TXN ABORTED"
 #: certificate (or an abort) still decides the transaction.
 TXN_BAD_CERT = b"TXN BAD-CERT"
 
-_PREPARE_TAG = XdrEncoder().pack_string("TXN-PREPARE").getvalue()
-_DECIDE_TAG = XdrEncoder().pack_string("TXN-DECIDE").getvalue()
+_PREPARE_TAG = TxnPrepare.wire_tag
+_DECIDE_TAG = TxnDecide.wire_tag
 
 
 def encode_txn_prepare(txid: str, writes: List[Tuple[int, bytes]]) -> bytes:
@@ -83,26 +83,9 @@ def decode_txn_op(op: bytes) -> Optional[Message]:
     if not is_txn_op(op):
         return None
     try:
-        dec = XdrDecoder(op)
-        tag = dec.unpack_string()
-        if tag == "TXN-PREPARE":
-            txid = dec.unpack_string()
-            count = dec.unpack_u32()
-            writes = [(dec.unpack_u32(), dec.unpack_opaque()) for _ in range(count)]
-            message: Message = TxnPrepare(txid=txid, writes=writes)
-        else:
-            txid = dec.unpack_string()
-            commit = dec.unpack_bool()
-            votes: List[Tuple[int, List[str]]] = []
-            for _ in range(dec.unpack_u32()):
-                shard = dec.unpack_u32()
-                ids = [dec.unpack_string() for _ in range(dec.unpack_u32())]
-                votes.append((shard, ids))
-            message = TxnDecide(txid=txid, commit=commit, votes=votes)
-        dec.done()
-    except ValueError:  # XdrError, or a tag / txid / replica id that is not UTF-8
+        return decode_message(op)
+    except ValueError:  # XdrError, or a txid / replica id that is not UTF-8
         return None
-    return message
 
 
 class TxnParticipant:

@@ -71,14 +71,13 @@ class Node:
 
 
 def _analyze(tmp_path, files):
-    # The synthetic messages deliberately skip signable_bytes/wire tags —
-    # the PROTO invariants are covered by their own tests, disable them here.
+    # The PROTO invariants are covered by their own tests, disable them here.
     return run_analyze(
         tmp_path,
         files,
         protocol_messages="src/proto/messages.py",
         protocol_dispatch=["src"],
-        disable=["PROTO100", "PROTO101", "PROTO102", "PROTO103"],
+        disable=["PROTO101", "PROTO103"],
     )
 
 

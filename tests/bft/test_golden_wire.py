@@ -8,6 +8,9 @@ deployment (and every recorded BENCH_* trajectory) silently broke.
 """
 
 import hashlib
+from dataclasses import dataclass
+
+import pytest
 
 from repro.base.partition import PartitionTree
 from repro.base.statemgr import genesis_root_digest
@@ -43,9 +46,12 @@ from repro.bft.messages import (
     TxnDecide,
     TxnPrepare,
     ViewChange,
+    Wire,
+    decode_message,
 )
 from repro.crypto.auth import Authenticator
 from repro.crypto.digest import digest
+from repro.util.xdr import XdrError
 
 D1 = digest(b"golden-digest-1")
 D2 = digest(b"golden-digest-2")
@@ -383,6 +389,39 @@ def test_every_message_class_has_a_pin():
         cls for cls in Message.__subclasses__() if cls.__module__ == Message.__module__
     }
     assert declared and declared == {type(msg) for msg in golden_messages().values()}
+
+
+def test_a_message_class_without_a_wire_tag_cannot_be_created():
+    """What the PROTO100 / PROTO102 lint rules policed is refused when the
+    class statement runs, on every import."""
+    with pytest.raises(TypeError, match="Untagged declares no WIRE"):
+
+        @dataclass
+        class Untagged(Message):
+            seq: int
+
+
+def test_a_wire_tag_already_taken_cannot_be_declared_again():
+    with pytest.raises(TypeError, match="'REQUEST' of Impostor is already taken by Request"):
+
+        @dataclass
+        class Impostor(Message):
+            seq: int
+
+            WIRE = Wire("REQUEST", {})
+
+
+def test_derived_decoder_inverts_every_encoding_that_is_the_whole_message():
+    """A class that carries nothing outside its signed prefix comes back from
+    its bytes; one that does (requests, proofs, certificates) is refused."""
+    for name, msg in {**golden_messages(), **edge_messages()}.items():
+        encoding = msg.signable_bytes()
+        if msg.WIRE.carried:
+            with pytest.raises(XdrError):
+                decode_message(encoding)
+        else:
+            clone = decode_message(encoding)
+            assert type(clone) is type(msg) and clone.signable_bytes() == encoding, name
 
 
 def test_edge_encodings_and_sizes_golden():
