@@ -12,6 +12,7 @@ from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
 from repro.bft.messages import CheckpointCert
 from repro.bft.repair import RepairPolicy
+from repro.bft.statetransfer import _RETRY
 from repro.bft.testing import (
     HistoryRecorder,
     RecordingKV,
@@ -212,3 +213,105 @@ def test_repair_path_clears_stale_retry_counts():
     assert transfer.active  # the repair session started...
     assert transfer.session is cert
     assert transfer._retries == {}  # ...with no inherited retry counts
+
+
+# -- the scrub session, driven directly -------------------------------------------------
+
+
+def scrub_rig():
+    """A four-replica KV cluster stable at seqno 8, with cell 3 of R1 rotted
+    in place: what ``scrub_once`` would hand to ``begin_scrub``."""
+    cluster = kv_cluster(config=BFTConfig(checkpoint_interval=8, log_window=32))
+    client = cluster.client("C0")
+    for i in range(8):
+        client.invoke(encode_set(i % 8, bytes([i])))
+    cluster.settle(0.5)
+    replica = cluster.replica("R1")
+    assert replica.stable_cert.seqno == 8
+    replica.service.cells[3] = b"\xff<bitrot>"
+    return cluster, replica, [r for r in cluster.replicas if r is not replica]
+
+
+def answer_fetches_with(monkeypatch, donors, data):
+    for donor in donors:
+        monkeypatch.setattr(
+            donor.service, "get_object_at", lambda seqno, index, data=data: data
+        )
+
+
+def test_scrub_ignores_a_wrong_digest_and_asks_the_next_donor(monkeypatch):
+    cluster, replica, donors = scrub_rig()
+    answer_fetches_with(monkeypatch, donors, b"not what the tree says")
+    assert replica.transfer.begin_scrub(replica.stable_cert, [3])
+    cluster.settle(_RETRY / 2)
+    first = [d.node_id for d in donors if d.counters.get("objects_served")]
+    assert len(first) == 1
+    assert replica.counters.get("object_reply_bad_digest") == 1
+    assert replica.transfer.scrub_active
+    assert replica.service.cells[3] == b"\xff<bitrot>"
+    monkeypatch.undo()
+    cluster.settle(_RETRY)
+    served = [d.node_id for d in donors if d.counters.get("objects_served")]
+    assert len(served) == 2 and first[0] in served  # a different donor this time
+    assert replica.counters.get("fetch_object_retries") == 1
+    assert replica.counters.get("scrub_repairs") == 1
+    assert not replica.transfer.scrub_active
+    assert replica.service.cells[3] == bytes([3])
+
+
+def test_scrub_gives_up_without_re_anchoring_when_no_donor_can_serve():
+    cluster, replica, donors = scrub_rig()
+    for donor in donors:
+        donor.service.discard_checkpoints_below(replica.stable_cert.seqno + 1)
+    transfer = replica.transfer
+    roots_before = replica.counters.get("fetch_root_sent")
+    assert transfer.begin_scrub(replica.stable_cert, [3])
+    cluster.settle(_RETRY * (transfer._max_retries + 2))
+    assert replica.counters.get("fetch_object_retries") == transfer._max_retries
+    assert replica.counters.get("scrub_sessions_aborted") == 1
+    assert replica.counters.get("fetch_root_sent") == roots_before
+    assert replica.counters.get("state_transfer_aborts") == 0
+    assert not transfer.scrub_active and not transfer.active
+    assert not replica.recovering
+
+
+def test_a_certificate_the_replica_is_behind_supersedes_a_scrub():
+    cluster, replica, _donors = scrub_rig()
+    cluster.network.set_down("R1", True)  # the scrub's fetches go nowhere
+    assert replica.transfer.begin_scrub(replica.stable_cert, [3])
+    client = cluster.client("C0")
+    for i in range(8):
+        client.invoke(encode_set(i % 8, bytes([i, 1])))
+    cluster.settle(0.5)
+    newer = cluster.replica("R0").stable_cert
+    assert newer.seqno == 16 and replica.last_executed == 8
+    assert replica.transfer.scrub_active
+    replica.transfer.start(newer)
+    assert replica.counters.get("scrub_sessions_aborted") == 1
+    assert replica.counters.get("state_transfers_started") == 1
+    assert not replica.transfer.scrub_active
+    assert replica.transfer.active and replica.transfer.session is newer
+    cluster.network.set_down("R1", False)
+    cluster.settle(1.0)
+    assert replica.last_executed == 16
+    assert replica.service.cells[3] == bytes([3, 1])
+    assert replica.counters.get("scrub_repairs") == 0
+
+
+def test_a_leaf_rewritten_while_its_scrub_is_in_flight_keeps_the_new_value(monkeypatch):
+    cluster, replica, donors = scrub_rig()
+    answer_fetches_with(monkeypatch, donors, None)  # silent until the rewrite is certified
+    assert replica.transfer.begin_scrub(replica.stable_cert, [3])
+    client = cluster.client("C0")
+    assert client.invoke(encode_set(3, b"rewritten")) == b"OK"
+    for i in range(7):  # on to the checkpoint at 16, which re-digests the leaf
+        client.invoke(encode_set(4, bytes([i])))
+    assert cluster.sim.run_until_condition(lambda: 16 in replica.own_checkpoints, timeout=0.2)
+    assert replica.transfer.scrub_active
+    # The donors now answer with what checkpoint 8 certified for the leaf.
+    answer_fetches_with(monkeypatch, donors, bytes([3]))
+    cluster.settle(2 * _RETRY)
+    assert replica.counters.get("objects_fetched") == 1
+    assert not replica.transfer.scrub_active
+    assert replica.counters.get("scrub_repairs") == 0  # fetched, verified, not installed
+    assert replica.service.cells[3] == b"rewritten"

@@ -15,7 +15,7 @@ from repro.explore.interpreter import (
     unsupported_kinds,
 )
 from repro.explore.plan import STEP_KINDS, FaultPlan, FaultStep, generate_plan
-from repro.explore.runner import run_plan
+from repro.explore.runner import explore, run_plan
 from repro.soak.campaign import generate_campaign
 from repro.soak.runner import SoakSLO, run_soak
 
@@ -194,6 +194,44 @@ def test_sharded_runs_match_the_parent_commit(seed):
 def test_destruction_runs_match_the_parent_commit(seed):
     plan = generate_plan(seed, requests=12, destruction=True)
     assert pin(run_plan(plan, shards=2)) == DESTROY_PINS[seed]
+
+
+#: ``explore(budget=12, seed=5, requests=24, implementation_faults=True)``:
+#: poison_request / corrupt_object plans, i.e. the supervisor's recoveries and
+#: the scrubber's partial transfers under the oracles.  Recorded before the
+#: scrub session became a client of the transfer session; that change must
+#: not move an event.
+_VC4 = {"view_changes_started": 4}
+IMPL_FAULT_PINS = [
+    (24, 2542, _VC4),
+    (24, 2058, _VC4),
+    (24, 2476, {}),
+    (24, 2002, {}),
+    (24, 2011, _VC4),
+    (24, 1905, {}),
+    (24, 2074, {}),
+    (24, 2135, {}),
+    (24, 2846, {"requests_relayed": 2, "view_changes_started": 9}),
+    (24, 2397, {}),
+    (24, 1833, {}),
+    (24, 1986, {}),
+]
+
+
+def test_implementation_fault_exploration_matches_the_parent_commit():
+    result = explore(
+        budget=12, seed=5, requests=24, implementation_faults=True, shrink=False
+    )
+    assert not result.found
+    verdicts = [
+        (
+            outcome["completed"],
+            outcome["events"],
+            {name: value for name, value in outcome["counters"].items() if value},
+        )
+        for outcome in (verdict["outcome"] for verdict in result.verdicts)
+    ]
+    assert verdicts == IMPL_FAULT_PINS
 
 
 def test_soak_matches_the_parent_commit_logged_or_not():

@@ -3,7 +3,7 @@ cross-shard atomicity oracle, the planted 2PC regression, and artifacts."""
 
 import json
 
-from repro.explore.plan import generate_plan
+from repro.explore.plan import FaultPlan, FaultStep, generate_plan
 from repro.explore.runner import explore, run_plan
 from repro.explore.shrink import artifact_dict, load_artifact, write_artifact
 
@@ -86,6 +86,24 @@ def test_destruction_plan_reconstructs_and_stays_safe():
     assert outcome.counters["fusion_reconstructions_failed"] == 0
     assert outcome.counters["fusion_replicas_seeded"] == 4
     assert outcome.counters["fusion_destroys_skipped"] == 0
+
+
+def test_group_destroyed_while_the_rotation_has_a_replica_mid_reboot():
+    """The sixth plan of ``repro explore --shards 2 --destroy-group --seed 0``:
+    the proactive rotation (period 2.88) took one replica of shard 1 down for
+    its reboot just before the group is destroyed, so that host refuses the
+    tier's ``recover_now`` until its own reboot ends.  The tier has to come
+    back for it, or the episode times out with three replicas seeded."""
+    plan = FaultPlan(
+        seed=1746026529,
+        requests=16,
+        steps=(FaultStep(at=2.0814, kind="destroy_group", index=1),),
+        recovery_period=2.88,
+    )
+    outcome = run_plan(plan, shards=2)
+    assert outcome.violation is None
+    assert outcome.counters["fusion_reconstructions_completed"] == 1
+    assert outcome.counters["fusion_replicas_seeded"] == 4
 
 
 def test_destruction_runs_are_deterministic():
