@@ -457,13 +457,19 @@ class AbstractStateManager:
         self,
         objects: Dict[int, Tuple[bytes, int]],
         apply_objects: Callable[[Dict[int, bytes]], None],
-    ) -> None:
-        """Overwrite corrupted leaves with verified (value, lm) pairs.
+    ) -> List[int]:
+        """Overwrite corrupted leaves with verified (value, lm) pairs;
+        returns the indices repaired.
 
         Unlike ``install_fetched`` this keeps every checkpoint: the repaired
         value is exactly what the tree digest already claims the leaf holds,
         so existing snapshots stay valid and execution state is untouched.
+        A leaf with a pending modification is left alone, as the scan leaves
+        it alone: it was legitimately rewritten after the pair was asked for
+        (the tree digest is stale until the next checkpoint), and putting
+        the certified old value back would undo an executed operation.
         """
+        objects = {i: pair for i, pair in objects.items() if i not in self._modified}
         service_objects: Dict[int, bytes] = {}
         for index in sorted(objects):
             value, _lm = objects[index]
@@ -477,6 +483,7 @@ class AbstractStateManager:
             [(index, digest(value), lm) for index, (value, lm) in sorted(objects.items())]
         )
         self.counters.add("scrub_objects_installed", len(objects))
+        return sorted(objects)
 
     def reset_to_current(self) -> None:
         """Drop checkpoints and recompute every leaf digest from the current

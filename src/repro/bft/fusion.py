@@ -41,12 +41,13 @@ Reconstruction (wired into the existing recovery path):
 3. ``codec.reconstruct`` solves for the lost block; the rebuilt leaves are
    verified against the Merkle root in the lost group's *latest checkpoint
    certificate* — byte-identical or the episode fails loudly.
-4. The rebuilt objects seed one replacement replica through the existing
-   ``recover_now(min_seqno)`` reboot plus ``install_fetched`` /
-   ``after_state_transfer``; the remaining replicas then recover one at a
-   time through ordinary hierarchical state transfer against the seeded
-   donor.  (Strictly sequential: a pristine rebooted replica would otherwise
-   serve its implicit genesis certificate to a recovering peer.)
+4. Every replica of the lost group is rebooted at once through the existing
+   ``recover_now``, with the rebuilt objects handed over as what the reboot
+   restores: where an ordinary recovery asks the group for a certificate,
+   each replacement replica installs the verified block through
+   ``StateTransferManager.install`` the moment its reboot ends.  (No blank
+   replica ever asks a blank peer for state: a pristine replica would serve
+   its implicit genesis certificate.)
 5. Service resumes; the episode records MTTR, bytes, and outcome for
    :meth:`ShardedCluster.repair_status` and the reconstruction-integrity
    oracle.
@@ -54,6 +55,7 @@ Reconstruction (wired into the existing recovery path):
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.base.fusion import (
@@ -85,29 +87,18 @@ from repro.util.trace import emit
 DEFAULT_SLOT_WIDTH = 96
 
 
+@dataclass
 class ReconstructionRecord:
     """One reconstruction episode (MTTR accounting + oracle evidence)."""
 
-    __slots__ = (
-        "shard",
-        "started_at",
-        "completed_at",
-        "target_seqno",
-        "ok",
-        "detail",
-        "blocks_fetched",
-        "bytes_fetched",
-    )
-
-    def __init__(self, shard: int, started_at: float) -> None:
-        self.shard = shard
-        self.started_at = started_at
-        self.completed_at: Optional[float] = None
-        self.target_seqno: Optional[int] = None
-        self.ok: Optional[bool] = None
-        self.detail = ""
-        self.blocks_fetched = 0
-        self.bytes_fetched = 0
+    shard: int
+    started_at: float
+    completed_at: Optional[float] = None
+    target_seqno: Optional[int] = None
+    ok: Optional[bool] = None
+    detail: str = ""
+    blocks_fetched: int = 0
+    bytes_fetched: int = 0
 
     @property
     def mttr(self) -> Optional[float]:
@@ -116,17 +107,7 @@ class ReconstructionRecord:
         return self.completed_at - self.started_at
 
     def to_dict(self) -> Dict:
-        return {
-            "shard": self.shard,
-            "started_at": self.started_at,
-            "completed_at": self.completed_at,
-            "target_seqno": self.target_seqno,
-            "ok": self.ok,
-            "detail": self.detail,
-            "blocks_fetched": self.blocks_fetched,
-            "bytes_fetched": self.bytes_fetched,
-            "mttr": self.mttr,
-        }
+        return {**asdict(self), "mttr": self.mttr}
 
 
 class FusionFeeder:
@@ -208,16 +189,16 @@ class FusionFeeder:
             deltas=deltas,
             cert=cert,
         )
-        payload = update.signable_bytes()
         replica.counters.add("fusion_updates_sent")
         replica.counters.add(
             "fusion_update_bytes", sum(len(d) for _i, d in deltas)
         )
-        for parity_id in tier.parity_ids:
-            update.auth = tier.keys(self.shard).make_authenticator(
-                replica.node_id, [parity_id], payload
-            )
-            replica.send(parity_id, update)
+        # One message object, so one MAC vector with an entry per fused node:
+        # the copies are still in flight when the next would be authenticated.
+        update.auth = tier.keys(self.shard).make_authenticator(
+            replica.node_id, tier.parity_ids, update.signable_bytes()
+        )
+        replica.multicast(tier.parity_ids, update)
 
     def on_message(self, replica, message, src: str) -> None:
         """Fused-tier traffic reaching our replica (it routes here only while
@@ -346,11 +327,14 @@ class FusedNode:
             return False
         return True
 
-    def _send(self, shard: int, dst: str, message) -> None:
+    def _send(self, shard: int, recipients: List[str], message) -> None:
+        """Authenticate ``message`` once, for everyone it goes to: the copies
+        share one object, so a per-recipient MAC would be overwritten while
+        the earlier copies are still in flight."""
         message.auth = self.tier.keys(shard).make_authenticator(
-            self.node_id, [dst], message.signable_bytes()
+            self.node_id, recipients, message.signable_bytes()
         )
-        self.tier.network(shard).send(self.node_id, dst, message)
+        self.tier.network(shard).multicast(self.node_id, recipients, message)
 
     def on_message(self, shard: int, message, src: str) -> None:
         if isinstance(message, ParityUpdate):
@@ -380,7 +364,7 @@ class FusedNode:
             self.counters.add("fusion_updates_stale")
             self._send(
                 shard,
-                src,
+                [src],
                 ParityAck(parity_id=self.node_id, shard=shard, seqno=applied),
             )
             return
@@ -457,12 +441,11 @@ class FusedNode:
         )
         # Ack every replica of the shard (not just the quorum senders): late
         # feeders must release their GC pins too.
-        for rid in self.tier.replica_ids(shard):
-            self._send(
-                shard,
-                rid,
-                ParityAck(parity_id=self.node_id, shard=shard, seqno=message.seqno),
-            )
+        self._send(
+            shard,
+            self.tier.replica_ids(shard),
+            ParityAck(parity_id=self.node_id, shard=shard, seqno=message.seqno),
+        )
         self._votes = {
             k: v for k, v in self._votes.items() if not (k[0] == shard and k[2] <= message.seqno)
         }
@@ -478,8 +461,7 @@ class FusedNode:
             slot_width=self.tier.slot_width,
         )
         self.counters.add("fusion_fetches_sent")
-        for rid in self.tier.replica_ids(shard):
-            self._send(shard, rid, fetch)
+        self._send(shard, self.tier.replica_ids(shard), fetch)
 
     def on_fusion_block(self, shard: int, message: FusionBlock, src: str) -> None:
         if not self._check_auth(shard, message, src):
@@ -502,35 +484,33 @@ class FusedNode:
         except FusionError:
             self.counters.add("fusion_blocks_invalid")
             return
-        if shard in self._collect:
+        collecting = shard in self._collect
+        if collecting:
             # Reconstruction fetch at the exact seqno our parity stands at.
             # The donor may have GC'd its certificate for it; we verify
             # against the certified root we already hold for that seqno.
             if message.seqno != self._collect[shard] or shard in self._collected:
                 return
-            if root != self.certs[shard].state_digest:
-                self.counters.add("fusion_blocks_bad_root")
-                return
-            self.counters.add("fusion_blocks_received")
-            self.counters.add("fusion_block_bytes", len(message.block))
-            self._collected[shard] = message.block
-            if len(self._collected) == len(self._collect) and self._on_collected:
-                callback, self._on_collected = self._on_collected, None
-                callback(dict(self._collected))
-            return
-        if not self.tier.verify_cert(shard, message.seqno, message.cert):
+            cert = self.certs[shard]
+        elif self.tier.verify_cert(shard, message.seqno, message.cert):
+            cert = message.cert
+        else:
             self.counters.add("fusion_blocks_bad_cert")
             return
-        assert message.cert is not None
-        if root != message.cert.state_digest:
+        if root != cert.state_digest:
             self.counters.add("fusion_blocks_bad_root")
             return
         self.counters.add("fusion_blocks_received")
         self.counters.add("fusion_block_bytes", len(message.block))
-        if self.parity is None and shard not in self._staged:
-            self._staged[shard] = (message.seqno, message.block, message.cert)
+        if collecting:
+            self._collected[shard] = message.block
+            if len(self._collected) == len(self._collect) and self._on_collected:
+                callback, self._on_collected = self._on_collected, None
+                callback(dict(self._collected))
+        elif self.parity is None and shard not in self._staged:
+            self._staged[shard] = (message.seqno, message.block, cert)
             self.applied[shard] = message.seqno
-            self.certs[shard] = message.cert
+            self.certs[shard] = cert
             if len(self._staged) == self.tier.num_shards:
                 self._assemble_parity()
 
@@ -832,74 +812,49 @@ class FusedBackupTier:
         objects: Dict[int, Tuple[bytes, int]],
         cert: CheckpointCert,
     ) -> None:
-        """Seed every replacement replica with the verified rebuilt state,
-        one at a time, through the existing recovery machinery
-        (``recover_now`` reboot + ``install_fetched`` +
-        ``after_state_transfer``).
+        """Reboot every replacement replica at once through the existing
+        recovery machinery; each restores from the verified rebuilt state
+        (``StateTransferManager.install``) the moment its reboot ends, and
+        the episode completes when the last one has.
 
-        Strictly sequential, and pushed rather than fetched, for two
-        reasons: a pristine rebooted replica answers a peer's root fetch
-        with its implicit *genesis* certificate regardless of ``min_seqno``
-        (concurrent reboots could complete each other's recovery at seqno
-        0), and organic hierarchical transfer against a group where only the
-        already-seeded replicas are alive livelocks on its round-robin donor
-        rotation."""
-        self._seed_next(record, objects, cert, sorted(self.cluster(record.shard).hosts))
+        Pushed rather than fetched: a pristine rebooted replica answers a
+        peer's root fetch with its implicit *genesis* certificate whatever
+        ``min_seqno`` says, so blank replicas asking each other could
+        complete one another's recovery at seqno 0."""
+        hosts = self.cluster(record.shard).hosts
+        waiting = set(hosts)
 
-    def _seed_next(
-        self,
-        record: ReconstructionRecord,
-        objects: Dict[int, Tuple[bytes, int]],
-        cert: CheckpointCert,
-        order: List[str],
-    ) -> None:
-        if record.completed_at is not None:
-            return
-        if not order:
-            self._complete(record, cert)
-            return
-        rid, rest = order[0], order[1:]
-        host = self.cluster(record.shard).hosts[rid]
-        host.recover_now(min_seqno=cert.seqno)
-
-        def install_when_rebooted() -> None:
-            if record.completed_at is not None:
-                return
-            if host._mid_reboot:
-                self.sim.schedule(0.005, install_when_rebooted)
-                return
-            replica = host.replica
-            if not replica.recovering and replica.stable_seqno >= cert.seqno:
-                # Ordinary state transfer against an already-seeded donor
-                # finished before we got here; nothing left to install.
-                self.counters.add("fusion_replicas_transferred")
-                self._seed_next(record, objects, cert, rest)
-                return
+        def restore(replica) -> None:
             try:
-                root = replica.service.install_fetched(dict(objects), cert.seqno)
+                installed = replica.transfer.install(objects, cert)
             except Exception as exc:  # loud, never a silent wrong answer
                 self._fail(record, f"seed install failed: {exc}")
                 return
-            if root != cert.state_digest:
+            if not installed:
                 self._fail(record, "seeded service root mismatch")
                 return
-            # The seeded replica is exactly at the certified checkpoint:
-            # complete its recovery the same way state transfer would, and
-            # retire any in-flight fetch session (its anchor is now moot).
-            replica.transfer._awaiting_root = False
-            replica.transfer.active = False
-            replica.after_state_transfer(cert.seqno, cert)
             self.counters.add("fusion_replicas_seeded")
             emit(
                 self.tracer,
                 "fusion-tier",
                 "reconstruction_seeded",
                 shard=record.shard,
-                replica=rid,
+                replica=replica.node_id,
             )
-            self._seed_next(record, objects, cert, rest)
+            waiting.discard(replica.node_id)
+            if not waiting:
+                self._complete(record, cert)
 
-        self.sim.schedule(0.005, install_when_rebooted)
+        def reboot(rid: str) -> None:
+            host = hosts[rid]
+            if record.completed_at is None and not host.recover_now(restore=restore):
+                # The proactive rotation had this host down for its own
+                # reboot when the group was destroyed; it refuses until that
+                # recovery (of a blank replica, from its seeded peers) is over.
+                self.sim.schedule(host.reboot_time, lambda: reboot(rid))
+
+        for rid in sorted(hosts):
+            reboot(rid)
 
     def _complete(self, record: ReconstructionRecord, cert: CheckpointCert) -> None:
         if record.completed_at is not None:

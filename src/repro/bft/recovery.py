@@ -133,7 +133,11 @@ class ReplicaHost:
 
     # -- one recovery --------------------------------------------------------------
 
-    def recover_now(self, min_seqno: Optional[int] = None) -> bool:
+    def recover_now(
+        self,
+        min_seqno: Optional[int] = None,
+        restore: Optional[Callable[[Replica], None]] = None,
+    ) -> bool:
         """Run one proactive recovery; returns False if skipped.
 
         Works for live replicas (ordinary rejuvenation) and for replicas
@@ -145,7 +149,13 @@ class ReplicaHost:
         only accepts checkpoint certificates at or past it, so execution
         resumes *after* that seqno.  The supervisor uses this to skip past a
         poisonous operation that deterministically kills the implementation,
-        adopting the abstract state the other implementations produced."""
+        adopting the abstract state the other implementations produced.
+
+        ``restore(replica)`` brings the rebuilt replica's state back, called
+        once as its reboot ends: by default, fetch a certificate at or past
+        the floor and transfer toward it.  The fused tier, which holds the
+        certified state of a destroyed group and has no peer left to ask,
+        installs that instead (``min_seqno`` is then unused)."""
         replica = self.replica
         if self._mid_reboot:
             return False
@@ -174,24 +184,23 @@ class ReplicaHost:
         except Exception:
             replica.counters.add("recovery_save_failed")
         saved_view = replica.view
-        saved_stable = replica.stable_seqno
         saved_counters = replica.counters
+        if restore is None:
+            floor = max(1, replica.stable_seqno, min_seqno or 0)
+
+            def restore(rebuilt: Replica) -> None:
+                rebuilt.transfer.begin_from_root(min_seqno=floor)
 
         replica.stop()
         self.network.set_down(self.replica_id, True)
         self._mid_reboot = True
         self.sim.schedule(
-            self.reboot_time,
-            lambda: self._reboot(saved_view, saved_stable, saved_counters, min_seqno),
+            self.reboot_time, lambda: self._reboot(saved_view, saved_counters, restore)
         )
         return True
 
     def _reboot(
-        self,
-        saved_view: int,
-        saved_stable: int,
-        saved_counters,
-        min_seqno: Optional[int] = None,
+        self, saved_view: int, saved_counters, restore: Callable[[Replica], None]
     ) -> None:
         self._mid_reboot = False
         self.network.set_down(self.replica_id, False)
@@ -220,9 +229,7 @@ class ReplicaHost:
         self.replica = replica
         if self.supervisor is not None:
             self.supervisor.attach(replica)
-        replica.transfer.begin_from_root(
-            min_seqno=max(1, saved_stable, min_seqno or 0)
-        )
+        restore(replica)
 
     def _record_recovered(self) -> None:
         if self._recovery_started_at is not None:

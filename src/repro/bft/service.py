@@ -186,8 +186,9 @@ class StateMachine:
         """
         return self.manager.scan_for_corruption(start, budget)
 
-    def repair_objects(self, objects: Dict[int, Tuple[bytes, int]]) -> None:
+    def repair_objects(self, objects: Dict[int, Tuple[bytes, int]]) -> List[int]:
         """Overwrite specific abstract objects with verified (value, lm)
         pairs fetched by a scrub session — a partial state transfer that
-        leaves checkpoints and execution state untouched."""
-        self.manager.repair_objects(objects, self.put_objs)
+        leaves checkpoints and execution state untouched.  Returns the
+        indices repaired (a leaf rewritten meanwhile is not)."""
+        return self.manager.repair_objects(objects, self.put_objs)

@@ -11,7 +11,13 @@ adopt the donor's verified lm without fetching the value.
 
 When every missing object has arrived, the whole set is installed atomically
 through the service's ``put_objs`` upcall — the paper's guarantee that
-``put_objs`` always sees a consistent checkpoint value.
+``put_objs`` always sees a consistent checkpoint value.  ``install`` is that
+step and the only way certified state gets into a replica; the fused tier
+hands it the objects it rebuilt from parity instead of fetching them.
+
+There is one session at a time: the scrubber's targeted repair
+(``begin_scrub``) is the same session started at the leaves it names, ending
+in an in-place ``repair_objects`` instead of an install.
 
 The donor side is stateless: it answers each fetch out of the checkpoints the
 service still holds, and stays silent about anything it cannot serve (the
@@ -47,7 +53,13 @@ class StateTransferManager:
 
     def __init__(self, replica: "Replica") -> None:
         self.replica = replica
+        # One fetch session at a time, anchored at ``session``.  ``active``: a
+        # full transfer is patching the live tree toward the certificate
+        # (checkpoints and the fast path stand aside).  ``scrub_active``: the
+        # same session started at the leaves — a targeted partial transfer
+        # that repairs corrupt objects in place, no reboot, no rollback.
         self.active = False
+        self.scrub_active = False
         self.session: Optional[CheckpointCert] = None
         # Outstanding metadata queries: (level, index) -> expected digest.
         self._meta_pending: Dict[Tuple[int, int], bytes] = {}
@@ -58,16 +70,6 @@ class StateTransferManager:
         self._awaiting_root = False
         self._retries: Dict[object, int] = {}
         self._max_retries = 6
-        # Scrub session (targeted partial transfer, no reboot): anchored by a
-        # certificate, fetching only the leaves the scrubber found corrupt.
-        self._scrub_cert: Optional[CheckpointCert] = None
-        self._scrub_pending: Dict[int, Tuple[int, bytes]] = {}
-        self._scrub_fetched: Dict[int, Tuple[bytes, int]] = {}
-        self._scrub_retries: Dict[int, int] = {}
-
-    @property
-    def scrub_active(self) -> bool:
-        return self._scrub_cert is not None
 
     # -- session control --------------------------------------------------------
 
@@ -105,16 +107,10 @@ class StateTransferManager:
             replica.counters.add("bad_checkpoint_cert")
             return
         self._awaiting_root = False
-        if self._scrub_cert is not None:
+        if self.scrub_active:
             # A full transfer supersedes any in-flight scrub.
-            self._abort_scrub()
-        self.active = True
-        self.session = cert
-        self._meta_pending.clear()
-        self._obj_pending.clear()
-        self._fetched.clear()
-        self._retries.clear()
-        replica.counters.add("state_transfers_started")
+            replica.counters.add("scrub_sessions_aborted")
+        self._open(cert)
         emit(replica.tracer, replica.node_id, "state_transfer_started", seqno=cert.seqno)
 
         _lm, current_root = replica.service.current_node(0, 0)
@@ -123,6 +119,29 @@ class StateTransferManager:
             self._complete()
             return
         self._query_meta(0, 0, cert.state_digest)
+
+    def _open(self, cert: CheckpointCert, scrub: bool = False) -> None:
+        """Open the session anchored at ``cert``.  Every session starts with
+        a clean slate: retry counts (or fetched objects) inherited from a
+        previous one would abort this one before its first fetch."""
+        self._close()
+        self.session = cert
+        self.active = not scrub
+        self.scrub_active = scrub
+        self.replica.counters.add(
+            "scrub_sessions_started" if scrub else "state_transfers_started"
+        )
+
+    def _close(self) -> None:
+        self.active = False
+        self.scrub_active = False
+        self._meta_pending.clear()
+        self._obj_pending.clear()
+        self._fetched.clear()
+        self._retries.clear()
+
+    def _in_session(self, seqno: int) -> bool:
+        return (self.active or self.scrub_active) and self.session.seqno == seqno
 
     def _verify_current_and_finish(self, cert: CheckpointCert) -> None:
         """Recovery completion when already caught up: confirm our state
@@ -156,15 +175,7 @@ class StateTransferManager:
             self.begin_from_root(min_seqno=replica.last_executed)
         else:
             # Our state is corrupt even though we executed everything; repair.
-            self.active = True
-            self.session = cert
-            self._meta_pending.clear()
-            self._obj_pending.clear()
-            self._fetched.clear()
-            # Stale retry counts from a previous session would abort this
-            # repair prematurely; every session starts with a clean slate.
-            self._retries.clear()
-            self.replica.counters.add("state_transfers_started")
+            self._open(cert)
             self._query_meta(0, 0, cert.state_digest)
 
     # -- donors ------------------------------------------------------------------
@@ -191,17 +202,11 @@ class StateTransferManager:
                 min_seqno=self.session.seqno,
             ),
         )
-        session_seqno = self.session.seqno
-        self.replica.set_timer(_RETRY, self._meta_retry(level, index, session_seqno))
+        self.replica.set_timer(_RETRY, self._meta_retry(level, index, self.session.seqno))
 
     def _meta_retry(self, level: int, index: int, session_seqno: int):
         def retry() -> None:
-            if (
-                self.active
-                and self.session is not None
-                and self.session.seqno == session_seqno
-                and (level, index) in self._meta_pending
-            ):
+            if self._in_session(session_seqno) and (level, index) in self._meta_pending:
                 if self._bump_retry(("meta", level, index)):
                     return
                 self.replica.counters.add("fetch_meta_retries")
@@ -210,20 +215,21 @@ class StateTransferManager:
         return retry
 
     def _bump_retry(self, key: object) -> bool:
-        """Count a retry; abandon the session (donors likely GC'd our target
-        checkpoint) and restart from a fresh certificate when exhausted.
-        Returns True when the session was aborted."""
+        """Count a retry; give the session up when exhausted (donors likely
+        GC'd our target checkpoint).  A full transfer restarts from a fresh
+        certificate; a scrub never re-anchors — the scrubber's next cycle
+        finds the leaf again and anchors at whatever is stable by then.
+        Returns True when the session was abandoned."""
         self._retries[key] = self._retries.get(key, 0) + 1
         if self._retries[key] <= self._max_retries:
             return False
-        session = self.session
-        self.active = False
-        self._meta_pending.clear()
-        self._obj_pending.clear()
-        self._fetched.clear()
-        self._retries.clear()
-        self.replica.counters.add("state_transfer_aborts")
-        self.begin_from_root(min_seqno=session.seqno if session else 1)
+        session, scrub = self.session, self.scrub_active
+        self._close()
+        if scrub:
+            self.replica.counters.add("scrub_sessions_aborted")
+        else:
+            self.replica.counters.add("state_transfer_aborts")
+            self.begin_from_root(min_seqno=session.seqno if session else 1)
         return True
 
     def _query_object(self, index: int, lm: int, expected_digest: bytes) -> None:
@@ -239,17 +245,11 @@ class StateTransferManager:
                 min_seqno=self.session.seqno,
             ),
         )
-        session_seqno = self.session.seqno
-        self.replica.set_timer(_RETRY, self._object_retry(index, session_seqno))
+        self.replica.set_timer(_RETRY, self._object_retry(index, self.session.seqno))
 
     def _object_retry(self, index: int, session_seqno: int):
         def retry() -> None:
-            if (
-                self.active
-                and self.session is not None
-                and self.session.seqno == session_seqno
-                and index in self._obj_pending
-            ):
+            if self._in_session(session_seqno) and index in self._obj_pending:
                 if self._bump_retry(("obj", index)):
                     return
                 self.replica.counters.add("fetch_object_retries")
@@ -317,16 +317,7 @@ class StateTransferManager:
         self._maybe_complete()
 
     def on_object_reply(self, message: ObjectReply, src: str) -> None:
-        if (
-            self._scrub_cert is not None
-            and message.seqno == self._scrub_cert.seqno
-            and message.index in self._scrub_pending
-        ):
-            self._on_scrub_object(message)
-            return
-        if not self.active or self.session is None:
-            return
-        if message.seqno != self.session.seqno:
+        if not self._in_session(message.seqno):
             return
         pending = self._obj_pending.get(message.index)
         if pending is None:
@@ -344,14 +335,18 @@ class StateTransferManager:
     # -- completion ----------------------------------------------------------------------------
 
     def _maybe_complete(self) -> None:
-        if self.active and not self._meta_pending and not self._obj_pending:
-            self._complete()
+        if not self._meta_pending and not self._obj_pending:
+            if self.active:
+                self._complete()
+            elif self.scrub_active:
+                self._finish_scrub()
 
     def _complete(self) -> None:
         assert self.session is not None
         replica = self.replica
         cert = self.session
-        self.active = False
+        fetched = dict(self._fetched)
+        self._close()
         if replica.last_executed >= cert.seqno and not replica.recovering:
             return  # ordinary execution overtook the transfer
         if replica.last_executed > cert.seqno:
@@ -359,20 +354,17 @@ class StateTransferManager:
             # while we fetched: installing now would roll live state back
             # while last_executed stays put, silently losing those
             # operations.  Abandon and re-anchor at our execution point.
-            self._fetched.clear()
             replica.counters.add("state_transfer_stale_anchors")
             self.begin_from_root(min_seqno=replica.last_executed)
             return
-        fetched_count = len(self._fetched)
         try:
-            new_root = replica.service.install_fetched(dict(self._fetched), cert.seqno)
+            installed = self.install(fetched, cert)
         except FaultInjected as fault:
             # The implementation died while installing state (e.g. the
             # fetched data itself triggers its bug): treat as a crash.
             replica.crash_self(str(fault))
             return
-        self._fetched.clear()
-        if new_root != cert.state_digest:
+        if not installed:
             # Concurrent executions changed objects after we compared them;
             # restart the walk against the same certificate.
             replica.counters.add("state_transfer_restarts")
@@ -384,15 +376,36 @@ class StateTransferManager:
             replica.node_id,
             "state_transfer_completed",
             seqno=cert.seqno,
-            objects=fetched_count,
+            objects=len(fetched),
         )
+
+    def install(self, objects: Dict[int, Tuple[bytes, int]], cert: CheckpointCert) -> bool:
+        """The one place certified abstract state enters this replica —
+        fetched by a transfer session, or rebuilt from parity by the fused
+        tier (repro.bft.fusion).  ``objects`` (index -> (value, lm)) reach
+        the service's ``put_objs`` as one consistent checkpoint value at
+        ``cert.seqno``; only if the resulting root is the certificate's does
+        the replica adopt the checkpoint (and finish a recovery).  False on
+        a root mismatch: objects installed, nothing adopted.  A root fetch
+        or session still in flight is retired: its anchor is moot."""
+        replica = self.replica
+        self._awaiting_root = False
+        self._close()
+        if replica.service.install_fetched(objects, cert.seqno) != cert.state_digest:
+            return False
         replica.after_state_transfer(cert.seqno, cert)
+        return True
 
     # -- donor side -----------------------------------------------------------------------------
 
     def _serve_fetch(self, message, src: str) -> None:
         replica = self.replica
         service = replica.service
+        if src not in replica.config.replica_ids:
+            # Checkpointed state is for the group: ``KeyTable`` and the
+            # network will carry a fetch from any principal.
+            replica.counters.add("fetches_refused")
+            return
         if isinstance(message, FetchRoot):
             cert = replica.servable_cert()
             # The implicit genesis certificate is offered whatever the floor:
@@ -428,7 +441,7 @@ class StateTransferManager:
                     ),
                 )
 
-    # -- scrub sessions: targeted partial transfer without reboot ----------------
+    # -- scrub: the same session, started at the leaves ---------------------------
 
     def begin_scrub(self, cert: CheckpointCert, indices) -> bool:
         """Re-fetch specific leaves whose concrete value no longer matches
@@ -442,9 +455,7 @@ class StateTransferManager:
         local checkpoint at ``cert.seqno`` having matched the quorum's.
         Returns False when no session could be started."""
         replica = self.replica
-        if self.active or self._awaiting_root or replica.recovering:
-            return False
-        if self._scrub_cert is not None:
+        if self.active or self.scrub_active or self._awaiting_root or replica.recovering:
             return False
         leaves_level = replica.service.num_levels()
         targets: Dict[int, Tuple[int, bytes]] = {}
@@ -454,11 +465,7 @@ class StateTransferManager:
                 targets[index] = (lm, leaf_digest)
         if not targets:
             return False
-        self._scrub_cert = cert
-        self._scrub_pending = targets
-        self._scrub_fetched = {}
-        self._scrub_retries = {}
-        replica.counters.add("scrub_sessions_started")
+        self._open(cert, scrub=True)
         emit(
             replica.tracer,
             replica.node_id,
@@ -466,74 +473,19 @@ class StateTransferManager:
             seqno=cert.seqno,
             leaves=sorted(targets),
         )
-        for index in sorted(targets):
-            self._scrub_query(index)
+        for index, (lm, leaf_digest) in targets.items():
+            self._query_object(index, lm, leaf_digest)
         return True
-
-    def _scrub_query(self, index: int) -> None:
-        assert self._scrub_cert is not None
-        donor = self._next_donor()
-        self.replica.counters.add("fetch_object_sent")
-        self.replica.send(
-            donor,
-            FetchObject(
-                requester=self.replica.node_id,
-                index=index,
-                min_seqno=self._scrub_cert.seqno,
-            ),
-        )
-        self.replica.set_timer(
-            _RETRY, self._scrub_object_retry(index, self._scrub_cert.seqno)
-        )
-
-    def _scrub_object_retry(self, index: int, session_seqno: int):
-        def retry() -> None:
-            if (
-                self._scrub_cert is not None
-                and self._scrub_cert.seqno == session_seqno
-                and index in self._scrub_pending
-            ):
-                self._scrub_retries[index] = self._scrub_retries.get(index, 0) + 1
-                if self._scrub_retries[index] > self._max_retries:
-                    # Donors likely GC'd the anchoring checkpoint; the
-                    # scrubber will retry against a fresher certificate.
-                    self._abort_scrub()
-                    return
-                self.replica.counters.add("fetch_object_retries")
-                self._scrub_query(index)
-
-        return retry
-
-    def _abort_scrub(self) -> None:
-        self.replica.counters.add("scrub_sessions_aborted")
-        self._scrub_cert = None
-        self._scrub_pending = {}
-        self._scrub_fetched = {}
-        self._scrub_retries = {}
-
-    def _on_scrub_object(self, message: ObjectReply) -> None:
-        _lm, expected_digest = self._scrub_pending[message.index]
-        if digest(message.data) != expected_digest:
-            self.replica.counters.add("object_reply_bad_digest")
-            return
-        lm = self._scrub_pending.pop(message.index)[0]
-        self._scrub_fetched[message.index] = (message.data, lm)
-        self.replica.counters.add("objects_fetched")
-        self.replica.counters.add("object_bytes_fetched", len(message.data))
-        if not self._scrub_pending:
-            self._finish_scrub()
 
     def _finish_scrub(self) -> None:
         replica = self.replica
-        cert = self._scrub_cert
-        fetched = self._scrub_fetched
-        self._scrub_cert = None
-        self._scrub_pending = {}
-        self._scrub_fetched = {}
-        self._scrub_retries = {}
-        assert cert is not None
+        cert = self.session
+        fetched = dict(self._fetched)
+        self._close()
         # A leaf legitimately modified while we were fetching is no longer
-        # ours to repair; installing the old value would roll it back.
+        # ours to repair; installing the old value would roll it back.  The
+        # tree shows a rewrite once a checkpoint has digested it; one more
+        # recent than that is skipped by the service.
         leaves_level = replica.service.num_levels()
         repairs: Dict[int, Tuple[bytes, int]] = {}
         for index in sorted(fetched):
@@ -544,16 +496,17 @@ class StateTransferManager:
         if not repairs:
             return
         try:
-            replica.service.repair_objects(repairs)
+            repaired = replica.service.repair_objects(repairs)
         except FaultInjected as fault:
             replica.crash_self(str(fault))
             return
-        replica.counters.add("scrub_repairs")
-        replica.counters.add("scrub_objects_repaired", len(repairs))
-        emit(
-            replica.tracer,
-            replica.node_id,
-            "scrub_repaired",
-            seqno=cert.seqno,
-            leaves=sorted(repairs),
-        )
+        if repaired:
+            replica.counters.add("scrub_repairs")
+            replica.counters.add("scrub_objects_repaired", len(repaired))
+            emit(
+                replica.tracer,
+                replica.node_id,
+                "scrub_repaired",
+                seqno=cert.seqno,
+                leaves=repaired,
+            )

@@ -10,7 +10,14 @@ import ast
 from pathlib import Path
 
 from repro.bft.fusion import FusedBackupTier
-from repro.bft.messages import FusionBlock, FusionFetch, ParityAck
+from repro.bft.messages import (
+    FetchMeta,
+    FetchObject,
+    FetchRoot,
+    FusionBlock,
+    FusionFetch,
+    ParityAck,
+)
 from repro.bft.sharding import sharded_kv_cluster
 from repro.bft.testing import encode_get, encode_set, kv_cluster
 
@@ -65,6 +72,16 @@ def _is_replica(expr):
     )
 
 
+def _reaches_into_a_replica(target):
+    """A write to ``replica._x``, or to any attribute of one of its managers
+    (``replica.transfer.active``, ``replica.transfer._awaiting_root``): a
+    sibling module reaches an owner through its methods, as the core does."""
+    owner = target.value
+    return (target.attr.startswith("_") and _is_replica(owner)) or (
+        isinstance(owner, ast.Attribute) and _is_replica(owner.value)
+    )
+
+
 def test_no_module_writes_a_private_attribute_of_a_replica():
     for name in ("viewchange.py", "recovery.py", "fusion.py"):
         writes = []
@@ -78,9 +95,7 @@ def test_no_module_writes_a_private_attribute_of_a_replica():
             writes += [
                 f"{name}:{target.lineno} {ast.unparse(target)}"
                 for target in targets
-                if isinstance(target, ast.Attribute)
-                and target.attr.startswith("_")
-                and _is_replica(target.value)
+                if isinstance(target, ast.Attribute) and _reaches_into_a_replica(target)
             ]
         assert writes == []
 
@@ -157,3 +172,31 @@ def test_fusion_fetch_is_served_to_the_tiers_own_nodes_only():
     assert replica.counters.get("fusion_blocks_served") == served
     assert not any(isinstance(message, FusionBlock) for message in outsider.received)
     assert "X9" not in replica.fusion_feeder.acked
+
+
+def test_state_transfer_fetches_are_answered_to_the_group_only():
+    cluster = kv_cluster()
+    client = cluster.client("C0")
+    for i in range(16):  # one stable checkpoint, so every fetch has an answer
+        assert client.invoke(encode_set(i % 4, b"secret%d" % i)) == b"OK"
+    cluster.settle()
+    donor = cluster.replica("R1")
+    assert donor.stable_seqno == 16
+    outsider = _Outsider(cluster, "X9")
+    # Claiming to be a replica in the message does not help: src must be one.
+    outsider.send("R1", FetchRoot(requester="R2", min_seqno=1))
+    outsider.send("R1", FetchMeta(requester="R2", level=0, index=0, min_seqno=16))
+    outsider.send("R1", FetchObject(requester="R2", index=1, min_seqno=16))
+    cluster.settle()
+    assert donor.counters.get("fetches_refused") == 3
+    assert donor.counters.get("meta_served") == 0
+    assert donor.counters.get("objects_served") == 0
+    assert outsider.received == []
+    # The same three from a member of the group are served.
+    peer = cluster.replica("R2")
+    peer.send("R1", FetchMeta(requester="R2", level=0, index=0, min_seqno=16))
+    peer.send("R1", FetchObject(requester="R2", index=1, min_seqno=16))
+    cluster.settle()
+    assert donor.counters.get("meta_served") == 1
+    assert donor.counters.get("objects_served") == 1
+    assert donor.counters.get("fetches_refused") == 3

@@ -206,3 +206,53 @@ def test_slot_width_overflow_stalls_loudly():
     totals = sharded.total_counters()
     assert totals.get("fusion_feed_overflow") > 0
     assert tier.nodes[0].applied.get(0, 0) == 0  # coverage stalled, loudly
+
+
+# -- one message object, one MAC vector ---------------------------------------------------
+
+REPLICAS = ["R0", "R1", "R2", "R3"]
+
+
+@pytest.mark.parametrize("crashed", REPLICAS)
+def test_parity_bootstraps_with_any_one_replica_of_a_shard_down(crashed):
+    """One fault inside f must not matter — least of all *which* replica it
+    hits.  (The fetch used to be re-MAC'd per recipient on one shared object,
+    so only the last replica of a shard could ever verify and answer it.)"""
+    sharded = sharded_kv_cluster(NUM_SHARDS, seed=7)
+    sharded.shard(1).crash(crashed)
+    tier = FusedBackupTier(sharded)
+    tier.attach()
+    sharded.settle(1.0)
+    assert tier.ready()
+
+
+@pytest.mark.parametrize("crashed", REPLICAS)
+def test_reconstruction_with_any_one_surviving_donor_down(crashed):
+    sharded, tier = _cluster_with_tier()
+    _write_past_checkpoints(sharded)
+    sharded.shard(0).crash(crashed)
+    sharded.destroy_group(2)
+    assert sharded.sim.run_until_condition(tier.idle, timeout=60.0)
+    record = tier.reconstructions[0]
+    assert record.ok is True, record.detail
+    # Four concurrent reboots and one block fetch, not four reboots in a row.
+    assert record.mttr < 1.5 * sharded.shard(2).hosts["R0"].reboot_time
+    assert tier.total_counters().get("fusion_replicas_seeded") == 4
+    # Nobody was handed a MAC meant for somebody else.
+    totals = sharded.total_counters()
+    assert totals.get("auth_failed") == 0
+    assert totals.get("fusion_auth_failed") == 0
+
+
+def test_every_fused_node_is_fed():
+    sharded = sharded_kv_cluster(NUM_SHARDS, seed=7)
+    tier = FusedBackupTier(sharded, num_parity=2)
+    tier.attach()
+    sharded.settle(1.0)
+    assert tier.ready()
+    _write_past_checkpoints(sharded)
+    for node in tier.nodes:
+        assert dict(sorted(node.applied.items())) == {0: 32, 1: 32, 2: 32, 3: 32}
+    totals = sharded.total_counters()
+    assert totals.get("fusion_auth_failed") == 0
+    assert totals.get("auth_failed") == 0

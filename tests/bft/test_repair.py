@@ -315,3 +315,22 @@ def test_a_leaf_rewritten_while_its_scrub_is_in_flight_keeps_the_new_value(monke
     assert not replica.transfer.scrub_active
     assert replica.counters.get("scrub_repairs") == 0  # fetched, verified, not installed
     assert replica.service.cells[3] == b"rewritten"
+
+
+def test_a_leaf_rewritten_since_the_last_checkpoint_is_not_rolled_back_either(monkeypatch):
+    """The same race one step earlier: the rewrite executed but no checkpoint
+    has re-digested the leaf yet, so the tree still shows the lm and digest
+    the scrub asked about.  Installing the certified old value would undo an
+    executed operation on this replica alone."""
+    cluster, replica, donors = scrub_rig()
+    answer_fetches_with(monkeypatch, donors, None)  # silent until the write lands
+    assert replica.transfer.begin_scrub(replica.stable_cert, [3])
+    assert cluster.client("C0").invoke(encode_set(3, b"rewritten")) == b"OK"
+    assert replica.service.cells[3] == b"rewritten"
+    assert replica.transfer.scrub_active
+    monkeypatch.undo()
+    cluster.settle(2 * _RETRY)
+    assert replica.counters.get("objects_fetched") == 1
+    assert not replica.transfer.scrub_active
+    assert replica.counters.get("scrub_repairs") == 0
+    assert replica.service.cells[3] == b"rewritten"
