@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bft.config import BFTConfig
+from repro.bft.messages import ViewChange
 from repro.bft.testing import encode_get, encode_set
 
 from tests.conftest import assert_converged, kv_cluster
@@ -124,3 +125,34 @@ def test_recovery_durations_recorded():
     durations = host.recovery_durations()
     assert len(durations) == 1
     assert durations[0] >= host.reboot_time
+
+
+def test_primary_rebooted_in_place_proposes_past_what_it_replayed():
+    """A primary that reboots and is still primary when it wakes (its
+    hand-off was lost, or it had crashed and could send none) transfers to
+    the last stable checkpoint and is replayed forward from there by
+    catch-up.  Its next proposal must be numbered past what it replayed:
+    proposing the checkpoint's successor again — a seqno every backup has
+    executed — can never commit, and the backups used to sit out the 250 ms
+    request timer and change view over it (272.8 vms for this SET)."""
+    cluster = kv_cluster(config=BFTConfig(checkpoint_interval=8, log_window=16), disks={})
+    client = cluster.client("C0")
+    run_ops(cluster, client, 20)
+    cluster.settle(1.0)
+
+    def lose_the_hand_off(src, dst, message):
+        return None if src == "R0" and isinstance(message, ViewChange) else message
+
+    cluster.network.add_interceptor(lose_the_hand_off)
+    assert cluster.recover("R0")
+    cluster.settle(0.1)
+    primary = cluster.replica("R0")
+    assert not primary.recovering and primary.is_primary()
+    assert primary.stable_seqno == 16 and primary.last_executed == 20
+    assert primary.next_seqno >= primary.last_executed
+    sent_at = cluster.sim.now()
+    assert client.invoke(encode_set(1, b"after"), timeout=60) == b"OK"
+    assert cluster.sim.now() - sent_at < 0.010
+    assert [replica.view for replica in cluster.replicas] == [0, 0, 0, 0]
+    totals = cluster.total_counters()
+    assert totals.get("request_timeouts") == 0 and totals.get("new_views_sent") == 0
