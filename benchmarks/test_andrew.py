@@ -49,7 +49,11 @@ def test_andrew_with_proactive_recovery():
     )
     show(table)
 
-    assert run.overhead < 4.0  # service keeps moving while replicas rotate
+    # The paper's ≈ 1.30 with recovery running; 1.279 here.  One 250 ms
+    # view-change timeout per rebooted primary is what 1.57 looks like: a
+    # planned reboot hands the view over and must go on costing none.
+    assert run.overhead <= 1.35
+    assert run.deployment.cluster.total_counters().get("request_timeouts") == 0
     run.deployment.sim.run_for(6.0)
 
 

@@ -63,8 +63,9 @@ class BFTConfig:
                         for the current view and has executed up to the
                         lease's seqno; a request that arrives when it cannot
                         is parked there and answered when the next lease (or
-                        the execution it was short of) arrives, and is
-                        dropped at a view change.  Lease-aware clients send
+                        the execution it was short of) arrives; across a view
+                        change it waits for the new primary's first lease,
+                        never the old view's.  Lease-aware clients send
                         a read to just 2f+1 replicas, moving those that let
                         one time out to the back of their preference order;
                         a read still needs 2f+1 matching replies.

@@ -17,10 +17,11 @@ primary's write pipeline is drained: the primary grants a lease carrying its
 executed seqno and revokes it before proposing the next write.
 
 **Parked reads**: a read-only request that cannot be answered at the instant
-it arrives (open frames, no lease, lease floor not reached) is held here and
-answered, through the same admission check, when a frame promotes or a lease
-arrives.  To the client that is a request the network delivered later, so it
-adds no interleaving the asynchronous network could not already produce.
+it arrives (open frames, no lease, lease floor not reached, a view change in
+progress) is held here and answered, through the same admission check, when a
+frame promotes, a lease arrives or the new view is installed.  To the client
+that is a request the network delivered later, so it adds no interleaving the
+asynchronous network could not already produce.
 """
 
 from __future__ import annotations
@@ -163,13 +164,12 @@ class FastPathManager:
     def end_view(self) -> None:
         """The fast path cannot cross a view boundary: tentative executions
         were ordered by the old primary and the new view's O set may order
-        those seqnos differently, and read leases are per-view grants."""
+        those seqnos differently, and read leases are per-view grants.
+        Parked reads do cross it: they hold no state of the old view and are
+        admitted afresh in the new one."""
         self.rollback("view-change")
         self.lease = None
         self.lease_granted = None
-        if self.parked:
-            self.replica.counters.add("parked_reads_dropped", len(self.parked))
-            self.parked.clear()
 
     # -- read leases ----------------------------------------------------------------
 
@@ -202,7 +202,10 @@ class FastPathManager:
             if held.reqid >= request.reqid:
                 return  # a duplicate, or older than the read already waiting
             replica.counters.add("parked_reads_dropped")
-        replica.counters.add("read_only_deferred" if self.spec_frames else "leased_reads_refused")
+        if self.spec_frames:
+            replica.counters.add("read_only_deferred")
+        elif replica.config.read_leases:
+            replica.counters.add("leased_reads_refused")
         replica.counters.add("reads_parked")
         self.parked[request.client_id] = request
 
@@ -215,7 +218,7 @@ class FastPathManager:
             return
         replica = self.replica
         if replica.view_changes.in_view_change or replica.recovering:
-            return  # arrivals are dropped now; end_view() empties the table
+            return  # adopting the new view calls again
         for client_id, request in list(self.parked.items()):
             recorded = replica.service.last_recorded(client_id)
             if recorded is not None and recorded[0] > request.reqid:

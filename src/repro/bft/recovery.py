@@ -9,7 +9,10 @@ available.
 
 A recovery:
 
-1. announces RECOVERING and asks the service to save its recovery metadata
+1. announces RECOVERING — and, if this replica is the primary, hands the
+   view over: it multicasts its own VIEW-CHANGE for v+1, which the backups
+   follow at once, so a planned reboot costs them no request timeout
+   (OSDI'00 section 4.3) — and asks the service to save its recovery metadata
    (the BASE conformance rep, the ⟨fsid, fileid⟩→oid map, partition lm's);
 2. stops the replica and takes it off the network for ``reboot_time``;
 3. refreshes the replica's inbound session keys (stale MACs stop verifying);
@@ -179,6 +182,11 @@ class ReplicaHost:
             replica.multicast(
                 replica.other_replicas(), Recovering(replica_id=self.replica_id, epoch=epoch)
             )
+            if replica.is_primary() and not replica.view_changes.in_view_change:
+                # OSDI'00 section 4.3: a primary about to reboot votes itself
+                # out first, so the backups need not time it out.
+                replica.counters.add("view_handoffs_sent")
+                replica.view_changes.start(replica.view + 1)
         try:
             self.service.save_for_recovery()
         except Exception:

@@ -325,14 +325,15 @@ class Replica(Node):
             self.on_crashed(reason, self.crash_seqno)
 
     def _execute_read_only(self, request: Request) -> None:
-        if self.view_changes.in_view_change or self.recovering:
+        if self.recovering:
             return
-        if self.fast_path.admit_read():
-            self.answer_read_only(request)
-        else:
+        if self.view_changes.in_view_change or not self.fast_path.admit_read():
             # Not answerable at this instant: the fast path holds it and
-            # answers when the frame promotes or the lease arrives.
+            # answers when the view is installed, the frame promotes or the
+            # lease arrives.
             self.fast_path.park_read(request)
+        else:
+            self.answer_read_only(request)
 
     def answer_read_only(self, request: Request) -> None:
         """Run an admitted read-only request against committed state."""
@@ -561,6 +562,11 @@ class Replica(Node):
             if not self.fast_path.promote(seqno, pre_prepare):
                 self._execute_batch(seqno, pre_prepare)
             self.last_executed = seqno
+            if self.next_seqno < seqno:
+                # Replayed past our own last assignment (a primary rebooted
+                # in place, caught up by retransmission): never propose a
+                # seqno that has already executed.
+                self.next_seqno = seqno
             self.overload.progressed()
             if seqno % self.config.checkpoint_interval == 0:
                 self._take_checkpoint(seqno)

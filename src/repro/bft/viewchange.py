@@ -132,6 +132,18 @@ class ViewChangeManager:
             return
         self._record(view_change)
 
+        # Hand-off rule (OSDI'00 section 4.3): the primary of our view votes
+        # for the next one just before a planned reboot.  Do now what our
+        # request timer would do a timeout later; replacing a primary that
+        # asks to be replaced is always safe.
+        if (
+            not self.in_view_change
+            and view_change.new_view == replica.view + 1
+            and view_change.replica_id == replica.config.primary(replica.view)
+        ):
+            replica.counters.add("view_handoffs_followed")
+            self.start(view_change.new_view)
+
         # Liveness rule: if f+1 replicas want views above ours, join the
         # smallest such view even if our timer has not expired.
         if not self.in_view_change or view_change.new_view > self.pending_view:
@@ -349,6 +361,7 @@ class ViewChangeManager:
         replica._rearm_request_timer()
         replica.try_send_pre_prepare()
         replica.fast_path.maybe_grant_lease()
+        replica.fast_path.serve_parked()
 
     # -- helping laggards -------------------------------------------------------------------------
 

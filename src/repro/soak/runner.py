@@ -150,6 +150,7 @@ def _clip_span(
 _REPORT_COUNTERS = (
     "view_changes_started",
     "view_changes_damped",
+    "request_timeouts",
     "recoveries_started",
     "aging_stalls",
     "aging_stall_us",

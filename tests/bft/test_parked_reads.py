@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.bft.config import BFTConfig
-from repro.bft.messages import Commit, Lease, Prepare, PrePrepare, Reply, Request
+from repro.bft.messages import Commit, Lease, NewView, Prepare, PrePrepare, Reply, Request
 from repro.bft.testing import encode_get, encode_set, kv_cluster
 from repro.util.errors import FaultInjected
 
@@ -232,28 +232,67 @@ def test_fault_during_a_parked_read_crashes_the_replica_once():
 # -- across a view change -----------------------------------------------------------------
 
 
-def test_view_change_empties_the_table_and_the_client_falls_back():
-    cluster = cluster_with(**FAST_PATH)
-    withhold(cluster, "R1", Lease)
-    withhold(cluster, "R2", Lease)
+def hand_off_with_new_view_withheld(cluster, *backups):
+    """R0 hands the view over and reboots; ``backups`` follow it into the
+    view change and stay there, their NEW-VIEWs collected instead."""
+    held = [withhold(cluster, backup, NewView) for backup in backups]
+    assert cluster.recover("R0")
+    cluster.settle(0.005)
+    assert cluster.replica("R1").view == 1
+    for backup in backups:
+        assert cluster.replica(backup).view_changes.in_view_change
+    return held
+
+
+def test_read_arriving_during_a_view_change_is_answered_in_the_new_view():
+    """It used to be dropped on arrival, and with the old primary rebooting
+    no 2f+1 could form: the client sat out read_only_timeout and re-issued
+    the read as an ordered request."""
+    cluster = cluster_with(**SPECULATION)
     writer, reader = cluster.client("W"), cluster.client("RD")
     assert writer.invoke(encode_set(3, b"one")) == b"OK"
     cluster.settle()
-    read, write = [], []
+    held = hand_off_with_new_view_withheld(cluster, "R2", "R3")
+    read = []
     reader.invoke_async(encode_get(3), read.append, read_only=True)
-    cluster.settle(0.01)
-    assert [list(cluster.replica(r).fast_path.parked) for r in ("R1", "R2")] == [["RD"], ["RD"]]
-    cluster.crash("R0")
-    writer.invoke_async(encode_set(3, b"two"), write.append)
-    assert cluster.sim.run_until_condition(lambda: bool(read) and bool(write), timeout=10.0)
-    assert read[0] in (b"one", b"two") and write == [b"OK"]
-    assert reader.counters.get("read_only_fallbacks") == 1
-    for backup in ("R1", "R2", "R3"):
+    cluster.settle(0.005)
+    assert read == []  # R1 alone has answered
+    assert [list(cluster.replica(r).fast_path.parked) for r in ("R2", "R3")] == [["RD"], ["RD"]]
+    for backup, new_views in zip(("R2", "R3"), held):
+        src, new_view = new_views[0]
+        cluster.replica(backup).on_message(new_view, src)
         assert cluster.replica(backup).view == 1
         assert cluster.replica(backup).fast_path.parked == {}
-    assert counter(cluster, "R1", "parked_reads_dropped") == 1
-    assert counter(cluster, "R2", "parked_reads_dropped") == 1
-    assert reader.invoke(encode_get(3), read_only=True) == b"two"
+        assert counter(cluster, backup, "parked_reads_served") == 1
+        assert counter(cluster, backup, "parked_reads_dropped") == 0
+    cluster.settle(0.005)
+    assert read == [b"one"]
+    assert reader.counters.get("read_only_fallbacks") == 0
+    assert reader.counters.get("request_retransmissions") == 0
+
+
+def test_leased_read_parked_across_a_view_change_waits_for_the_new_lease():
+    cluster = cluster_with(**FAST_PATH)
+    assert cluster.client("W").invoke(encode_set(3, b"one")) == b"OK"
+    cluster.settle()
+    leases = withhold(cluster, "R2", Lease)
+    (new_views,) = hand_off_with_new_view_withheld(cluster, "R2")
+    r2 = cluster.replica("R2")
+    reader = Reader(cluster)
+    reader.read("R2", reqid=1)
+    assert reader.replies == [] and list(r2.fast_path.parked) == ["RD"]
+    src, new_view = new_views[0]
+    r2.on_message(new_view, src)
+    # In view 1 now, but the old view's lease died with it: not yet.
+    assert r2.view == 1 and r2.fast_path.lease is None
+    assert reader.replies == [] and list(r2.fast_path.parked) == ["RD"]
+    src, lease = leases[-1]
+    assert lease.view == 1 and src == "R1"
+    r2.on_message(lease, src)
+    assert reader.replies == [("R2", 1, b"one")]
+    assert counter(cluster, "R2", "leased_reads_refused") == 1
+    assert counter(cluster, "R2", "parked_reads_served") == 1
+    assert counter(cluster, "R2", "parked_reads_dropped") == 0
 
 
 # -- end to end --------------------------------------------------------------------------------

@@ -43,6 +43,7 @@ FAULTS = {
     ],
     "primary-crash": [(0.01, lambda c: c.crash("R0"))],
     "recover": [(0.015, lambda c: c.recover("R1"))],
+    "primary-recover": [(0.015, lambda c: c.recover("R0"))],
     "lossy": [],
     "lossy+primary-crash": [(0.01, lambda c: c.crash("R0"))],
     "backup-restart-then-primary-crash": [
@@ -138,6 +139,10 @@ def test_reads_are_fresh_under_faults(config):
         for seed in SEEDS:
             violations, counters = run(config, fault, seed)
             assert violations == [], f"{config} / {fault} / seed {seed}"
+            if fault == "primary-recover":
+                # The reboot found work in progress and handed the view over.
+                assert counters.get("view_handoffs_sent") == 1
+                assert counters.get("new_views_sent") > 0
             for name in WATCHED:
                 seen[name] += counters.get(name)
     # Non-vacuity: the matrix reached the paths it is there to guard.

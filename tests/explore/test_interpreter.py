@@ -148,16 +148,24 @@ def test_unknown_plants_and_sharded_overrides_are_rejected(no_clusters):
 # generate_plan(seed, requests=12).  The ``events`` members (and only they)
 # were re-recorded once since: a superseded request timer is now cancelled
 # instead of firing as a no-op event (1644 -> 1596 on the first pin).
+#
+# The pins whose plan reboots a primary — seed 12 here and in SHARDED_PINS,
+# seed 11 in DESTROY_PINS, seven of the IMPL_FAULT_PINS and the soak pin —
+# were re-recorded once more, and no other: a primary about to reboot hands
+# its view over first and its backups follow at once, so every such reboot
+# is now four view changes started and no request timer, where it used to be
+# either none (an idle group never noticed) or a 250 ms timeout.  Before:
+# (12, 1961, 4 view changes), (12, 4086, 8), (12, 9562, 32), 59765 events.
 
 SINGLE_PINS = {
     11: (12, 1596, {}),
-    12: (12, 1961, {"view_changes_started": 4}),
+    12: (12, 1727, {"view_changes_started": 3}),
     13: (12, 1647, {}),
 }
 _TXNS = {"txns_started": 4, "txns_committed": 4}
 SHARDED_PINS = {
     11: (12, 3304, {**_TXNS, "txn_commits_applied": 32}),
-    12: (12, 4086, {**_TXNS, "txn_commits_applied": 15, "view_changes_started": 8}),
+    12: (12, 3648, {**_TXNS, "txn_commits_applied": 12, "view_changes_started": 19}),
     13: (12, 3360, {**_TXNS, "txn_commits_applied": 32}),
 }
 _REBUILT = {
@@ -173,7 +181,8 @@ _REBUILT = {
 # four replacement replicas reboot together instead of in turn behind a
 # 5 ms poll, and none of them starts a root fetch it would then abandon.
 DESTROY_PINS = {
-    11: (12, 9562, {**_REBUILT, "txn_commits_applied": 11, "view_changes_started": 32}),
+    # 13 rotation reboots x 2 shards x (the primary + 3 followers) = 104.
+    11: (12, 8673, {**_REBUILT, "txn_commits_applied": 12, "view_changes_started": 104}),
     12: (12, 5640, {**_REBUILT, "txn_commits_applied": 20}),
     13: (12, 5979, {**_REBUILT, "txn_commits_applied": 20}),
 }
@@ -206,20 +215,31 @@ def test_destruction_runs_match_the_parent_commit(seed):
 #: the scrubber's partial transfers under the oracles.  Recorded before the
 #: scrub session became a client of the transfer session; that change must
 #: not move an event.
-_VC4 = {"view_changes_started": 4}
+#: Seven of the twelve run a rotation (or a ``recover`` step) that reboots a
+#: primary and moved with the hand-off; before, in order: (2542, 4 view
+#: changes), (2058, 4), (2476, 0), (2074, 0), (2846, 9 and 2 requests
+#: relayed), (2397, 0) and (1986, 0).  The tenth run's one view change is a
+#: primary rebooting while partitioned off alone: its hand-off reaches nobody,
+#: it reboots in place and goes on leading, and not an event moves.
+
+
+def _vc(started):
+    return {"view_changes_started": started}
+
+
 IMPL_FAULT_PINS = [
-    (24, 2542, _VC4),
-    (24, 2058, _VC4),
-    (24, 2476, {}),
+    (24, 2717, _vc(18)),
+    (24, 2260, _vc(13)),
+    (24, 2575, _vc(19)),
     (24, 2002, {}),
-    (24, 2011, _VC4),
+    (24, 2011, _vc(4)),
     (24, 1905, {}),
-    (24, 2074, {}),
+    (24, 2216, _vc(8)),
     (24, 2135, {}),
-    (24, 2846, {"requests_relayed": 2, "view_changes_started": 9}),
-    (24, 2397, {}),
+    (24, 2681, _vc(24)),
+    (24, 2397, _vc(1)),
     (24, 1833, {}),
-    (24, 1986, {}),
+    (24, 2156, _vc(8)),
 ]
 
 
@@ -243,10 +263,11 @@ def test_soak_matches_the_parent_commit_logged_or_not():
     """The parent's quiet run gave 61540 events / 256 probe ops; its logged
     run probed in different segments and gave 58840 / 240, so a logged run's
     artifact never replayed.  Logging is now a pure observer.  (59765 events
-    since superseded request timers are cancelled; probe ops unchanged.)"""
+    since superseded request timers are cancelled, 59731 since a rebooting
+    primary hands its view over; probe ops unchanged.)"""
     plan = generate_campaign(3, hours=0.1, storms=1, flash_crowds=1)
     quiet = run_soak(plan, slo=SoakSLO(window=60))
-    assert (quiet.events, quiet.probe_ops) == (59765, 256)
+    assert (quiet.events, quiet.probe_ops) == (59731, 256)
     lines = []
     logged = run_soak(plan, slo=SoakSLO(window=60), log=lines.append)
     assert logged.to_dict() == quiet.to_dict()
