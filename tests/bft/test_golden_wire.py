@@ -14,7 +14,9 @@ import pytest
 
 from repro.base.partition import PartitionTree
 from repro.base.statemgr import genesis_root_digest
+from repro.bft.fusion import FusedBackupTier
 from repro.bft.messages import (
+    MESSAGE_TYPES,
     Busy,
     Checkpoint,
     CheckpointCert,
@@ -49,6 +51,8 @@ from repro.bft.messages import (
     Wire,
     decode_message,
 )
+from repro.bft.sharding import sharded_kv_cluster
+from repro.bft.testing import KVStateMachine, kv_cluster
 from repro.crypto.auth import Authenticator
 from repro.crypto.digest import digest
 from repro.util.xdr import XdrError
@@ -389,6 +393,58 @@ def test_every_message_class_has_a_pin():
         cls for cls in Message.__subclasses__() if cls.__module__ == Message.__module__
     }
     assert declared and declared == {type(msg) for msg in golden_messages().values()}
+
+
+#: Which kind of node each message class is addressed to.  Adding a class
+#: means adding a row, and the row means the receiver must have an arm for it.
+RECEIVER = {
+    **dict.fromkeys(
+        (
+            Request, PrePrepare, Prepare, Commit, Checkpoint, CheckpointCert,
+            Status, RetransmitCommitted, Lease, LeaseRevoke, ViewChange, NewView,
+            FetchRoot, FetchMeta, FetchObject, TransferRoot, MetaReply, ObjectReply,
+            Recovering, Recovered, FusionFetch, ParityAck,
+        ),
+        "replica",
+    ),
+    **dict.fromkeys((Reply, SpecReply, Busy), "client"),
+    **dict.fromkeys((ParityUpdate, FusionBlock), "fused"),
+    # The 2PC pair travels inside Request.op; the participant dispatches it.
+    **dict.fromkeys((TxnPrepare, TxnDecide), "op"),
+}
+
+
+def undelivered(kind, message):
+    """Hand ``message`` to a fresh node of ``kind``: how many messages does
+    the node say it had no arm for?"""
+    if kind == "replica":
+        replica = kv_cluster().replica("R1")
+        replica.on_message(message, "R0")
+        return replica.counters.get("unknown_message")
+    if kind == "client":
+        client = kv_cluster().client("C1")
+        client.on_message(message, "R1")
+        return client.counters.get("unknown_message")
+    if kind == "fused":
+        node = FusedBackupTier(sharded_kv_cluster(2)).nodes[0]
+        node.on_message(1, message, "R2")
+        return node.counters.get("fusion_unknown_message")
+    participant = KVStateMachine(num_slots=5, disk={}, transactional=True).participant
+    return int(participant.execute(message, "C1") == b"ERR unknown txn op")
+
+
+def test_every_message_class_has_a_receiver_row():
+    assert set(RECEIVER) == set(MESSAGE_TYPES.values())
+
+
+@pytest.mark.parametrize("name", sorted(golden_messages()))
+def test_every_message_type_reaches_its_receiver(name):
+    """A dispatch arm dropped from ``Replica.on_message`` (or the client's,
+    the fused node's, the participant's) leaves the class mentioned all over
+    ``repro.bft`` and delivered nowhere; the receiver counting it unknown is
+    the one place that shows."""
+    message = golden_messages()[name]
+    assert undelivered(RECEIVER[type(message)], message) == 0
 
 
 def test_a_message_class_without_a_wire_tag_cannot_be_created():

@@ -5,6 +5,7 @@ import pytest
 from repro.bft.config import BFTConfig
 from repro.bft.log import MessageLog
 from repro.bft.messages import Commit, Prepare, PrePrepare, Request
+from tests.conftest import config_for
 
 
 @pytest.fixture
@@ -37,15 +38,23 @@ def test_not_prepared_without_pre_prepare(log):
     assert not log.prepared(slot, "R1")
 
 
-def test_prepared_needs_2f_backup_prepares(log):
+def slot_at(f):
+    """A fresh log for the 3f+1 group, its slot (0, 1) holding R0's
+    pre-prepare, and the backups whose votes the tests below count out."""
+    config = config_for(f)
+    log = MessageLog(config)
     slot = log.slot(0, 1)
-    pp = make_pre_prepare()
-    slot.pre_prepare = pp
-    digest = pp.batch_digest()
-    add_prepares(slot, digest, ["R1"])
-    assert not log.prepared(slot, "R1")
-    add_prepares(slot, digest, ["R2"])
-    assert log.prepared(slot, "R1")
+    slot.pre_prepare = make_pre_prepare()
+    return log, slot, slot.pre_prepare.batch_digest(), config.replica_ids[1:]
+
+
+def test_prepared_needs_2f_backup_prepares():
+    for f in (1, 2):
+        log, slot, digest, backups = slot_at(f)
+        add_prepares(slot, digest, backups[: 2 * f - 1])
+        assert not log.prepared(slot, "R1"), f
+        add_prepares(slot, digest, backups[: 2 * f])
+        assert log.prepared(slot, "R1"), f
 
 
 def test_primary_prepares_do_not_count(log):
@@ -64,34 +73,31 @@ def test_mismatched_digest_prepares_do_not_count(log):
     assert not log.prepared(slot, "R1")
 
 
-def test_committed_local_needs_quorum_commits(log):
-    slot = log.slot(0, 1)
-    pp = make_pre_prepare()
-    slot.pre_prepare = pp
-    digest = pp.batch_digest()
-    add_prepares(slot, digest, ["R1", "R2"])
-    add_commits(slot, digest, ["R0", "R1"])
-    assert not log.committed_local(slot, "R1")
-    add_commits(slot, digest, ["R2"])
-    assert log.committed_local(slot, "R1")
+def test_committed_local_needs_quorum_commits():
+    for f in (1, 2):
+        log, slot, digest, backups = slot_at(f)
+        add_prepares(slot, digest, backups[: 2 * f])
+        add_commits(slot, digest, ["R0"] + backups[: 2 * f - 1])
+        assert not log.committed_local(slot, "R1"), f
+        add_commits(slot, digest, backups[: 2 * f])
+        assert log.committed_local(slot, "R1"), f
 
 
-def test_prepared_proof_materializes_2f_prepares(log):
-    slot = log.slot(0, 1)
-    pp = make_pre_prepare()
-    slot.pre_prepare = pp
-    digest = pp.batch_digest()
-    add_prepares(slot, digest, ["R1", "R2", "R3"])
-    proof = log.prepared_proof(slot)
-    assert proof is not None
-    assert len(proof.prepares) == 2
-    assert proof.digest() == digest
+def test_prepared_proof_materializes_2f_prepares():
+    for f in (1, 2):
+        log, slot, digest, backups = slot_at(f)
+        add_prepares(slot, digest, backups)
+        proof = log.prepared_proof(slot)
+        assert proof is not None
+        assert len(proof.prepares) == 2 * f
+        assert proof.digest() == digest
 
 
-def test_prepared_proof_absent_without_quorum(log):
-    slot = log.slot(0, 1)
-    slot.pre_prepare = make_pre_prepare()
-    assert log.prepared_proof(slot) is None
+def test_prepared_proof_absent_without_quorum():
+    for f in (1, 2):
+        log, slot, digest, backups = slot_at(f)
+        add_prepares(slot, digest, backups[: 2 * f - 1])
+        assert log.prepared_proof(slot) is None, f
 
 
 def test_best_prepared_proof_prefers_higher_view(log):

@@ -95,9 +95,9 @@ def test_malformed_txn_ops_decode_to_none_not_to_an_exception():
 # -- participant semantics -----------------------------------------------------
 
 
-def _service():
+def _service(weak_quorum=2):
     """Transactional KV with 4 data slots; slot 4 is the participant table."""
-    return KVStateMachine(num_slots=5, disk={}, transactional=True)
+    return KVStateMachine(num_slots=5, disk={}, transactional=True, weak_quorum=weak_quorum)
 
 
 def _prepare(service, txid, writes, read_only=False):
@@ -266,16 +266,21 @@ def test_commit_without_certificate_is_rejected():
 
 def test_commit_with_thin_certificate_is_rejected():
     """Every participant shard's entry needs f+1 *distinct* replica ids."""
+    for f in (1, 2):
+        service = _service(weak_quorum=f + 1)
+        _prepare(service, "t1", [(1, b"a")])
+        voters = [f"R{i}" for i in range(f + 1)]
+        assert _decide(service, "t1", True, votes=[(0, voters[:f])]) == TXN_BAD_CERT
+        assert _decide(service, "t1", True, votes=[(0, voters)]) == TXN_COMMITTED
     service = _service()
     _prepare(service, "t1", [(1, b"a")])
-    assert _decide(service, "t1", True, votes=[(0, ["R0"])]) == TXN_BAD_CERT
     assert _decide(service, "t1", True, votes=[(0, ["R0", "R0"])]) == TXN_BAD_CERT
     assert _decide(service, "t1", True, votes=[(0, ["R0", ""])]) == TXN_BAD_CERT
     assert (
         _decide(service, "t1", True, votes=[(0, ["R0", "R1"]), (0, ["R2", "R3"])])
         == TXN_BAD_CERT
     )  # duplicate shard entries cannot widen a thin certificate
-    assert service.participant.counters.get("txn_decides_rejected") == 4
+    assert service.participant.counters.get("txn_decides_rejected") == 3
     assert _decide(service, "t1", True) == TXN_COMMITTED
 
 

@@ -1,7 +1,15 @@
 """Shared test helpers: quick cluster construction over the KV service."""
 
 from repro.bft.cluster import Cluster
+from repro.bft.config import BFTConfig
 from repro.bft.testing import kv_cluster  # re-exported for test modules
+
+
+def config_for(f: int) -> BFTConfig:
+    """The smallest group tolerating ``f`` faults (n = 3f + 1).  Threshold
+    tests run at f=1 and f=2: a bound written as its f=1 number passes at
+    f=1 only."""
+    return BFTConfig(replica_ids=[f"R{i}" for i in range(3 * f + 1)], f=f)
 
 
 def kv_states(cluster: Cluster):
