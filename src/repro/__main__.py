@@ -2,8 +2,7 @@
 
     python -m repro demo       # heterogeneous replicated NFS walkthrough
     python -m repro andrew 2   # Andrew benchmark at a given scale
-    python -m repro lint       # determinism & protocol-invariant linter
-    python -m repro analyze    # interprocedural analyzer (taint/quorum/msg-flow)
+    python -m repro lint       # determinism linter (DET rules + call-graph taint)
     python -m repro explore    # fault-schedule exploration under safety oracles
     python -m repro replay F   # re-execute a saved repro or soak artifact
     python -m repro soak       # long-horizon fault campaign vs availability SLO
@@ -62,10 +61,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(args[1:])
-    elif command == "analyze":
-        from repro.analysis.cli import analyze_main
-
-        return analyze_main(args[1:])
     elif command == "explore":
         from repro.explore.cli import explore_main
 

@@ -1,27 +1,29 @@
-"""Static analysis: the determinism & protocol-invariant linter.
+"""Static analysis: the determinism linter.
 
 The paper's technique only works if replicas are deterministic state
 machines: abstraction hides implementation nondeterminism, and whatever
 cannot be hidden must flow through the agreed ``nondet`` value
-(:mod:`repro.bft.nondet`).  Nothing in Python enforces that contract, so
-this package turns it into a machine-checked invariant:
+(:mod:`repro.bft.nondet`).  Nothing in Python enforces that contract, and a
+single-process simulator cannot observe it being broken, so this package
+checks it statically:
 
 * **DET0xx** — determinism rules, applied to code that executes inside a
-  replica (fileservers, conformance wrappers, the BASE library, the
-  state-machine interface): no wall clocks, no unseeded randomness, no
+  replica (fileservers, conformance wrappers, the BASE library, the BFT
+  package): no wall clocks, no unseeded randomness, no
   environment/filesystem/network reads, no concurrency, no
   memory-address-dependent values (``id``/``hash``), no unordered set
   iteration.
-* **PROTO1xx** — protocol rules over the BFT message set: every
-  :class:`~repro.bft.messages.Message` subclass has a registered handler;
-  ``execute`` overrides thread the agreed ``nondet`` value instead of
-  reading local clocks.
-* **STATE2xx** — abstraction rules: conformance wrappers and state
-  machines implement the full ``get_obj``/``put_objs``/checkpoint surface
-  the library relies on.
+* **TAINT4xx** — the same rules closed over the call graph: a helper outside
+  the scope that reaches a primitive, called or read from inside it
+  (:mod:`repro.analysis.flow`).
+* **PROTO103** — ``execute`` overrides thread the agreed ``nondet`` value
+  instead of reading local clocks.
 * **LINT9xx** — meta rules about the lint annotations themselves
   (unknown rule ids, missing reasons, unused suppressions, syntax
   errors).
+
+What a test catches sooner is a test, not a rule: vote thresholds, dispatch
+arms and the abstraction surface (docs/determinism.md, "What guards what").
 
 Entry points: ``python -m repro lint`` (or the ``repro`` console script),
 :func:`repro.analysis.engine.lint_project` for programmatic use, and

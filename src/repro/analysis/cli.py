@@ -1,8 +1,4 @@
-"""``repro lint`` / ``repro analyze`` — command-line front ends.
-
-Both commands share config, file collection, suppressions, reporters, and
-exit codes; ``analyze`` additionally runs the interprocedural flow rules
-(TAINT4xx / QUORUM5xx / FLOW6xx) and can dump the graphs it builds.
+"""``repro lint`` — command-line front end.
 
 Exit codes are stable and meant for CI:
 
@@ -20,8 +16,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.config import find_project_root, load_config
-from repro.analysis.engine import analyze_project, collect_files, lint_project, parse_file
-from repro.analysis.registry import ProjectIndex
+from repro.analysis.engine import lint_project
 from repro.analysis.reporters import render_json, render_rule_list, render_text
 
 EXIT_CLEAN = 0
@@ -29,17 +24,12 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 
 
-def build_parser(analyze: bool = False) -> argparse.ArgumentParser:
-    prog = "repro analyze" if analyze else "repro lint"
-    description = (
-        "interprocedural protocol analyzer: lint rules plus nondeterminism "
-        "taint, quorum arithmetic, and the message-flow graph "
-        "(see docs/analysis.md)"
-        if analyze
-        else "AST-based determinism & protocol-invariant linter "
-        "(see docs/determinism.md)"
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description="determinism linter: per-file DET rules closed over the "
+        "call graph by the taint pass (see docs/determinism.md)",
     )
-    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
         "paths",
         nargs="*",
@@ -63,33 +53,11 @@ def build_parser(analyze: bool = False) -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule registry and exit",
     )
-    if analyze:
-        parser.add_argument(
-            "--graph",
-            choices=("dot", "json"),
-            default=None,
-            help="instead of linting, dump the message-flow graph (dot) or "
-            "the call + message graphs (json)",
-        )
-        parser.add_argument(
-            "--graph-out",
-            type=Path,
-            default=None,
-            help="write the --graph dump to a file instead of stdout",
-        )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return _run(argv, analyze=False)
-
-
-def analyze_main(argv: Optional[List[str]] = None) -> int:
-    return _run(argv, analyze=True)
-
-
-def _run(argv: Optional[List[str]], analyze: bool) -> int:
-    parser = build_parser(analyze=analyze)
+    parser = build_parser()
     try:
         options = parser.parse_args(argv)
     except SystemExit as exc:
@@ -100,16 +68,12 @@ def _run(argv: Optional[List[str]], analyze: bool) -> int:
         print(render_rule_list())
         return EXIT_CLEAN
 
-    prog = "repro analyze" if analyze else "repro lint"
     try:
         root = (options.root or find_project_root()).resolve()
         config = load_config(project_root=root)
-        if analyze and options.graph is not None:
-            return _dump_graph(config, options)
-        runner = analyze_project if analyze else lint_project
-        result = runner(config, paths=options.paths or None)
+        result = lint_project(config, paths=options.paths or None)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"{prog}: error: {exc}", file=sys.stderr)
+        print(f"repro lint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if options.format == "json":
@@ -117,28 +81,6 @@ def _run(argv: Optional[List[str]], analyze: bool) -> int:
     else:
         print(render_text(result))
     return EXIT_CLEAN if result.clean else EXIT_VIOLATIONS
-
-
-def _dump_graph(config, options) -> int:
-    from repro.analysis.flow import FlowContext
-    from repro.analysis.flow.graphs import render_dot, render_graph_json
-
-    contexts = []
-    for path in collect_files(config, options.paths or None):
-        ctx = parse_file(path, config)
-        if ctx is not None:
-            contexts.append(ctx)
-    fctx = FlowContext(ProjectIndex(config=config, files=contexts))
-    if options.graph == "dot":
-        rendered = render_dot(fctx.message_graph)
-    else:
-        rendered = render_graph_json(fctx.callgraph, fctx.message_graph)
-    if options.graph_out is not None:
-        options.graph_out.write_text(rendered, encoding="utf-8")
-        print(f"wrote {options.graph} graph to {options.graph_out}")
-    else:
-        print(rendered, end="")
-    return EXIT_CLEAN
 
 
 if __name__ == "__main__":

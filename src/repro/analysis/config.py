@@ -2,9 +2,10 @@
 ``pyproject.toml``.
 
 The defaults encode the repository's own layout (which directories hold
-deterministic-execution code, where the protocol messages live), so the
-linter runs correctly with no configuration at all; the pyproject block
-exists so forks and downstream wrappers can re-scope it.
+deterministic-execution code), so the linter runs correctly with no
+configuration at all; the pyproject block exists so forks and downstream
+wrappers can re-scope it.  A key the block does not define is an error, not
+a default silently kept.
 
 ``tomllib`` only exists on Python 3.11+; on older interpreters a minimal
 fallback parser handles the subset this block uses (one table, string and
@@ -31,13 +32,9 @@ DEFAULT_DETERMINISTIC_SCOPE = [
 
 DEFAULT_PATHS = ["src"]
 
-#: Where the PBFT message set is defined and where its handlers may live.
-DEFAULT_PROTOCOL_MESSAGES = "src/repro/bft/messages.py"
-DEFAULT_PROTOCOL_DISPATCH = ["src/repro/bft"]
-
-#: Where quorum arithmetic lives: every vote-count comparison in these paths
-#: is checked against the 2f+1 / f+1 bounds by ``repro analyze``.
-DEFAULT_QUORUM_PATHS = ["src/repro/bft"]
+#: The ``[tool.repro.lint]`` keys, each a list of strings; the
+#: :class:`LintConfig` attribute is the key with ``-`` as ``_``.
+_KEYS = ("paths", "deterministic-scope", "exclude", "disable")
 
 
 @dataclass
@@ -51,25 +48,12 @@ class LintConfig:
     )
     exclude: List[str] = field(default_factory=list)
     disable: List[str] = field(default_factory=list)
-    protocol_messages: str = DEFAULT_PROTOCOL_MESSAGES
-    protocol_dispatch: List[str] = field(
-        default_factory=lambda: list(DEFAULT_PROTOCOL_DISPATCH)
-    )
-    quorum_paths: List[str] = field(
-        default_factory=lambda: list(DEFAULT_QUORUM_PATHS)
-    )
 
     def is_deterministic_scope(self, relpath: str) -> bool:
         return _matches_any(relpath, self.deterministic_scope)
 
     def is_excluded(self, relpath: str) -> bool:
         return _matches_any(relpath, self.exclude)
-
-    def is_dispatch_path(self, relpath: str) -> bool:
-        return _matches_any(relpath, self.protocol_dispatch)
-
-    def is_quorum_path(self, relpath: str) -> bool:
-        return _matches_any(relpath, self.quorum_paths)
 
 
 def _matches_any(relpath: str, entries: List[str]) -> bool:
@@ -105,29 +89,19 @@ def load_config(
 
 
 def _apply_table(config: LintConfig, table: Dict[str, object], source: Path) -> None:
-    str_list_keys = {
-        "paths": "paths",
-        "deterministic-scope": "deterministic_scope",
-        "exclude": "exclude",
-        "disable": "disable",
-        "protocol-dispatch": "protocol_dispatch",
-        "quorum-paths": "quorum_paths",
-    }
-    for key, attr in str_list_keys.items():
-        if key in table:
-            value = table[key]
-            if not isinstance(value, list) or not all(
-                isinstance(item, str) for item in value
-            ):
-                raise ValueError(f"{source}: [tool.repro.lint] {key} must be a list of strings")
-            setattr(config, attr, list(value))
-    if "protocol-messages" in table:
-        value = table["protocol-messages"]
-        if not isinstance(value, str):
+    for key, value in table.items():
+        if key not in _KEYS:
+            # `deterministic_scope = [...]` must not leave the DET rules on
+            # the short built-in default without a word.
             raise ValueError(
-                f"{source}: [tool.repro.lint] protocol-messages must be a string"
+                f"{source}: [tool.repro.lint] has no key {key!r} "
+                f"(accepted: {', '.join(_KEYS)})"
             )
-        config.protocol_messages = value
+        if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value
+        ):
+            raise ValueError(f"{source}: [tool.repro.lint] {key} must be a list of strings")
+        setattr(config, key.replace("-", "_"), list(value))
 
 
 def _read_lint_table(toml_path: Path) -> Dict[str, object]:

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.analysis import determinism, protocol, state  # noqa: F401  (rule registration)
-from repro.analysis import flow  # noqa: F401  (registers TAINT/QUORUM/FLOW rule ids)
+from repro.analysis import determinism, protocol  # noqa: F401  (rule registration)
+from repro.analysis import flow  # registers the TAINT rules
 from repro.analysis.config import LintConfig
 from repro.analysis.registry import (
-    META_RULES,
     FileContext,
     ProjectIndex,
     all_rules,
@@ -170,23 +169,7 @@ def _extract_suppressions(source: str, relpath: str) -> List[Suppression]:
 def lint_project(
     config: LintConfig, paths: Optional[List[str]] = None
 ) -> LintResult:
-    """Run the per-file and project rules (``repro lint``): flow rules are
-    registered but skipped, so suppressions naming them stay legal without
-    paying the call-graph cost on every lint."""
-    return _run_rules(config, paths, include_flow=False)
-
-
-def analyze_project(
-    config: LintConfig, paths: Optional[List[str]] = None
-) -> LintResult:
-    """Run everything ``lint_project`` runs plus the interprocedural flow
-    rules (``repro analyze``)."""
-    return _run_rules(config, paths, include_flow=True)
-
-
-def _run_rules(
-    config: LintConfig, paths: Optional[List[str]], include_flow: bool
-) -> LintResult:
+    """Run every rule that is not disabled: per-file, project and flow."""
     violations: List[Violation] = []
     contexts: List[FileContext] = []
     files = collect_files(config, paths)
@@ -208,23 +191,15 @@ def _run_rules(
         contexts.append(ctx)
 
     index = ProjectIndex(config=config, files=contexts)
-    flow_ctx: Optional[flow.FlowContext] = None
-    ran_rules: Set[str] = set(META_RULES)
+    flow_ctx = flow.FlowContext(index)  # builds its call graph on first use
     for rule in all_rules():
         if rule.id in disabled:
             continue
         if rule.kind == "flow":
-            if not include_flow:
-                continue
-            if flow_ctx is None:
-                flow_ctx = flow.FlowContext(index)
-            ran_rules.add(rule.id)
             violations.extend(rule.check(flow_ctx))
         elif rule.kind == "project":
-            ran_rules.add(rule.id)
             violations.extend(rule.check(index))
         else:
-            ran_rules.add(rule.id)
             for ctx in contexts:
                 if rule.deterministic_only and not ctx.deterministic:
                     continue
@@ -232,7 +207,7 @@ def _run_rules(
 
     det_only_rules = {rule.id for rule in all_rules() if rule.deterministic_only}
     violations, used = _apply_suppressions(
-        violations, contexts, disabled, ran_rules, det_only_rules
+        violations, contexts, disabled, det_only_rules
     )
     violations.sort(key=Violation.sort_key)
     return LintResult(
@@ -244,7 +219,6 @@ def _apply_suppressions(
     violations: List[Violation],
     contexts: List[FileContext],
     disabled: Set[str],
-    ran_rules: Set[str],
     det_only_rules: Set[str],
 ):
     by_path: Dict[str, List[Suppression]] = {}
@@ -266,11 +240,6 @@ def _apply_suppressions(
 
     used = 0
     for ctx in contexts:
-        # Rules gated on deterministic scope never ran *on this file* if the
-        # file is outside the scope — e.g. an allow[DET003] marking accepted
-        # nondeterminism at its source (honoured by the taint pass) must not
-        # be called stale by a pass that cannot judge it.
-        ran_here = ran_rules if ctx.deterministic else ran_rules - det_only_rules
         for suppression in ctx.suppressions:
             for rule_id in suppression.rules:
                 if not is_known_rule(rule_id) and "LINT901" not in disabled:
@@ -311,10 +280,12 @@ def _apply_suppressions(
                 and suppression.reason
                 and all(is_known_rule(rule_id) for rule_id in suppression.rules)
                 and not set(suppression.rules) & disabled
-                # A suppression is only *stale* if every rule it names
-                # actually ran this invocation: an allow[TAINT401] must not
-                # be flagged by `repro lint`, which skips the flow rules.
-                and set(suppression.rules) <= ran_here
+                # Rules gated on deterministic scope never ran *on this file*
+                # if it is outside the scope: an allow[DET003] marking
+                # accepted nondeterminism at its source (honoured by the
+                # taint pass) must not be called stale by a rule that cannot
+                # judge it.
+                and (ctx.deterministic or not set(suppression.rules) & det_only_rules)
                 and "LINT903" not in disabled
             ):
                 kept.append(

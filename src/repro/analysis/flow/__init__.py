@@ -1,22 +1,16 @@
-"""Interprocedural analysis layer behind ``python -m repro analyze``.
+"""Interprocedural layer of ``python -m repro lint``.
 
-Builds on the per-file lint engine (PR 1): same file collection, config,
-suppressions, and reporters, plus call-graph-aware passes the per-file rules
-cannot express:
+Builds on the per-file rules: same file collection, config, suppressions and
+reporters, plus what a per-file rule cannot express:
 
+* :mod:`repro.analysis.flow.callgraph` — a heuristic intra-project call graph;
 * :mod:`repro.analysis.flow.taint` — TAINT4xx, nondeterminism laundered
-  through helpers outside the deterministic scope;
-* :mod:`repro.analysis.flow.quorum` — QUORUM5xx, symbolic 2f+1 / f+1
-  threshold checking over the BFT core;
-* :mod:`repro.analysis.flow.msgflow` — FLOW6xx, the message producer/consumer
-  graph and the static freeze check;
-* :mod:`repro.analysis.flow.graphs` — DOT/JSON dumps for ``--graph``.
+  through helpers outside the deterministic scope.
 
-Importing this package registers the flow rules; the engine does so at
-import time so their ids are known to both ``lint`` and ``analyze``.
+Importing this package registers the taint rules (docs/determinism.md).
 """
 
-from repro.analysis.flow import msgflow, quorum, taint  # noqa: F401  (rule registration)
+from repro.analysis.flow import taint  # noqa: F401  (rule registration)
 from repro.analysis.flow.context import FlowContext
 
 __all__ = ["FlowContext"]

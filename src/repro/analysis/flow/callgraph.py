@@ -56,8 +56,6 @@ _BARE_TYPE = re.compile(
     r"^(?:Optional\[)?[\'\"]?([A-Za-z_][A-Za-z0-9_]*)[\'\"]?\]?$"
 )
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 def annotation_text(node: Optional[ast.AST]) -> Optional[str]:
     if node is None:
@@ -80,13 +78,6 @@ def instance_class_of(text: Optional[str], known: Set[str]) -> Optional[str]:
     if token in known and token not in _CONTAINER_TOKENS:
         return token
     return None
-
-
-def mentioned_classes(text: Optional[str], known: Set[str]) -> List[str]:
-    """Every known class name appearing anywhere in an annotation."""
-    if not text:
-        return []
-    return [t for t in _WORD.findall(text) if t in known]
 
 
 @dataclass
@@ -112,8 +103,6 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     # parameter name -> instance class (project classes only)
     param_types: Dict[str, str] = field(default_factory=dict)
-    # parameter name -> raw annotation text
-    param_annotations: Dict[str, str] = field(default_factory=dict)
     return_annotation: Optional[str] = None
 
     @property
@@ -140,8 +129,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     # self.x -> instance class name (project classes only)
     attr_types: Dict[str, str] = field(default_factory=dict)
-    # self.x / dataclass field -> raw annotation text
-    attr_annotations: Dict[str, str] = field(default_factory=dict)
 
 
 class CallGraph:
@@ -195,20 +182,6 @@ class CallGraph:
                 queue.extend(info.bases)
         return None
 
-    def attr_annotation(self, class_name: str, attr: str) -> Optional[str]:
-        seen: Set[str] = set()
-        queue = [class_name]
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            for info in self.classes.get(current, []):
-                if attr in info.attr_annotations:
-                    return info.attr_annotations[attr]
-                queue.extend(info.bases)
-        return None
-
     def edges(self) -> Iterator[Tuple[str, str]]:
         for func in self.functions.values():
             seen: Set[str] = set()
@@ -222,21 +195,6 @@ class CallGraph:
         for caller, callee in self.edges():
             reverse.setdefault(callee, []).append(caller)
         return reverse
-
-    def reachable_from(self, roots: List[str]) -> Set[str]:
-        """Transitive callee closure of ``roots`` (roots included)."""
-        seen: Set[str] = set()
-        queue = list(roots)
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            func = self.functions.get(current)
-            if func is None:
-                continue
-            queue.extend(func.callee_names())
-        return seen
 
     # -- construction ----------------------------------------------------------
 
@@ -305,12 +263,9 @@ class CallGraph:
         # Dataclass-style field annotations in the class body.
         for item in cls.node.body:
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                text = annotation_text(item.annotation)
-                if text:
-                    cls.attr_annotations[item.target.id] = text
-                    instance = instance_class_of(text, known)
-                    if instance:
-                        cls.attr_types[item.target.id] = instance
+                instance = instance_class_of(annotation_text(item.annotation), known)
+                if instance:
+                    cls.attr_types[item.target.id] = instance
         # ``self.x: T = ...`` annotations inside methods.
         for method in cls.methods.values():
             for node in ast.walk(method.node):
@@ -320,12 +275,9 @@ class CallGraph:
                     and isinstance(node.target.value, ast.Name)
                     and node.target.value.id == "self"
                 ):
-                    text = annotation_text(node.annotation)
-                    if text:
-                        cls.attr_annotations.setdefault(node.target.attr, text)
-                        instance = instance_class_of(text, known)
-                        if instance:
-                            cls.attr_types.setdefault(node.target.attr, instance)
+                    instance = instance_class_of(annotation_text(node.annotation), known)
+                    if instance:
+                        cls.attr_types.setdefault(node.target.attr, instance)
 
     def _collect_attr_assignments(self, cls: ClassInfo, known: Set[str]) -> None:
         for method in cls.methods.values():
@@ -347,13 +299,7 @@ class CallGraph:
 
     def _collect_param_types(self, func: FunctionInfo, known: Set[str]) -> None:
         args = func.node.args  # type: ignore[attr-defined]
-        for arg in list(args.args) + list(args.kwonlyargs):
-            text = annotation_text(arg.annotation)
-            if text:
-                func.param_annotations[arg.arg] = text
-                instance = instance_class_of(text, known)
-                if instance:
-                    func.param_types[arg.arg] = instance
+        func.param_types.update(_param_annotation_map(func.node, known))
         if func.class_name and args.args and args.args[0].arg == "self":
             func.param_types["self"] = func.class_name
         returns = getattr(func.node, "returns", None)

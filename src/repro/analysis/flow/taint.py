@@ -102,7 +102,7 @@ def _allowed(ctx: FileContext, line: int, rule: str) -> bool:
 
 @dataclass
 class TaintState:
-    """Taint facts computed once per analyze run and shared by the rules."""
+    """Taint facts computed once per lint run and shared by the rules."""
 
     # function qualname -> its first direct primitive root
     direct: Dict[str, TaintRoot]

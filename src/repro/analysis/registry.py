@@ -5,13 +5,9 @@ Three kinds of rule:
 * **file rules** see one parsed module at a time (:class:`FileContext`).
   Rules registered with ``deterministic_only=True`` run only on files inside
   the configured deterministic scope.
-* **project rules** see every parsed module at once (:class:`ProjectIndex`)
-  — used for cross-file invariants like "every message class has a handler".
-* **flow rules** additionally see the interprocedural artifacts (call graph,
-  taint summaries, message-flow graph) built by :mod:`repro.analysis.flow`.
-  They are expensive, so ``repro lint`` skips them; ``repro analyze`` runs
-  everything.  Their ids are still registered here so ``# repro: allow[...]``
-  suppressions naming them are recognized by both commands.
+* **project rules** see every parsed module at once (:class:`ProjectIndex`).
+* **flow rules** additionally see the call graph built by
+  :mod:`repro.analysis.flow` (once per run, shared by the taint rules).
 
 Registration is declarative::
 
@@ -99,15 +95,6 @@ class ProjectIndex:
     config: LintConfig
     files: List[FileContext]
 
-    def by_relpath(self, relpath: str) -> Optional[FileContext]:
-        for ctx in self.files:
-            if ctx.relpath == relpath:
-                return ctx
-        return None
-
-    def dispatch_files(self) -> List[FileContext]:
-        return [ctx for ctx in self.files if self.config.is_dispatch_path(ctx.relpath)]
-
 
 @dataclass(frozen=True)
 class RuleInfo:
@@ -156,12 +143,9 @@ def project_rule(
 def flow_rule(
     rule_id: str, name: str, summary: str
 ) -> Callable[[Callable[..., Iterable[Violation]]], Callable]:
-    """Register an interprocedural rule run only by ``repro analyze``.
-
-    The check receives a ``repro.analysis.flow.FlowContext`` (a
-    :class:`ProjectIndex` plus lazily built call-graph / message-flow
-    artifacts shared across flow rules).
-    """
+    """Register an interprocedural rule.  The check receives a
+    ``repro.analysis.flow.FlowContext``: a :class:`ProjectIndex` plus the
+    call graph, built once and shared across flow rules."""
 
     def register(check: Callable[..., Iterable[Violation]]) -> Callable:
         _add(RuleInfo(rule_id, name, summary, "flow", False, check))

@@ -23,13 +23,16 @@ Contracts the BASE library relies on:
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import Callable, Dict
 
 from repro.base.abstraction import AbstractSpec
 
 
-class ConformanceWrapper:
-    """Base class for conformance wrappers."""
+class ConformanceWrapper(ABC):
+    """Base class for conformance wrappers.  ``execute``, ``get_obj`` and
+    ``put_objs`` are the whole abstraction surface the library calls; a
+    subclass missing one cannot be instantiated."""
 
     def __init__(self, spec: AbstractSpec) -> None:
         self.spec = spec
@@ -48,6 +51,7 @@ class ConformanceWrapper:
 
     # -- the common specification's operations ------------------------------------------
 
+    @abstractmethod
     def execute(
         self, op: bytes, client_id: str, timestamp_micros: int, read_only: bool = False
     ) -> bytes:
@@ -56,18 +60,17 @@ class ConformanceWrapper:
         ``timestamp_micros`` is the batch's agreed non-deterministic time
         value (zero for read-only execution, which must not mutate state).
         """
-        raise NotImplementedError
 
     # -- state conversion (abstraction function and inverse) ------------------------------
 
+    @abstractmethod
     def get_obj(self, index: int) -> bytes:
         """Abstraction function, restricted to one object index."""
-        raise NotImplementedError
 
+    @abstractmethod
     def put_objs(self, objects: Dict[int, bytes]) -> None:
         """Inverse abstraction function: install new values for the given
         abstract objects into the concrete state."""
-        raise NotImplementedError
 
     # -- proactive recovery -----------------------------------------------------------------
 

@@ -224,6 +224,7 @@ class Client(Node):
             self._on_spec_reply(message, src)
             return
         if not isinstance(message, Reply):
+            self.counters.add("unknown_message")
             return
         invocation = self._current
         if invocation is None:

@@ -23,28 +23,34 @@ date.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.base.statemgr import AbstractStateManager
 
 
-class StateMachine:
-    """Deterministic service behind one replica, over one state manager."""
+class StateMachine(ABC):
+    """Deterministic service behind one replica, over one state manager.
+
+    A subclass that leaves out one of the three methods a service writes
+    cannot be instantiated: checkpointing, state transfer and rollback call
+    back into them exactly when fault tolerance is being relied upon."""
 
     def __init__(self, manager: "AbstractStateManager") -> None:
         self.manager = manager
 
     # -- what a service writes ---------------------------------------------------
 
+    @abstractmethod
     def execute(self, op: bytes, client_id: str, nondet: bytes, read_only: bool = False) -> bytes:
         """Apply one operation and return its result bytes.
 
         ``nondet`` is the batch's agreed non-deterministic value (e.g. an
         encoded timestamp).  Read-only executions must not mutate state.
         """
-        raise NotImplementedError
 
+    @abstractmethod
     def put_objs(self, objects: Dict[int, bytes]) -> None:
         """The inverse abstraction function: overwrite the concrete state of
         the given abstract objects with these encodings.
@@ -54,15 +60,14 @@ class StateMachine:
         inter-object dependencies); scrub repair and speculation rollback
         call it with the objects they restore.
         """
-        raise NotImplementedError
 
+    @abstractmethod
     def genesis_root_digest(self) -> bytes:
         """Root digest of the specification's initial abstract state.
 
         Computable without touching the implementation (it is a pure function
         of the abstract spec), so every replica knows it a priori — the
         genesis state is an implicitly certified checkpoint at seqno 0."""
-        raise NotImplementedError
 
     # -- non-determinism agreement (paper section 2.2), proactive recovery ------
 

@@ -237,55 +237,3 @@ SHARDED_PLANTED_BUGS: Dict[str, Callable] = {
     "forged-decide": plant_forged_decide,
 }
 
-
-#: Source-level mirrors of the runtime plants, for the *static* analyzer.
-#:
-#: The runtime plants above monkey-patch live replica objects, which an AST
-#: analyzer never sees.  Each entry here is the same regression expressed as
-#: a textual edit to the real source tree — (relpath, before, after) triples —
-#: plus the QUORUM5xx rule ids ``repro analyze`` must report once the edit is
-#: applied.  ``tests/analysis/flow/test_plant_mutations.py`` applies each one
-#: to a temp copy of the tree and asserts the analyzer catches it; if the BFT
-#: core is refactored so a ``before`` string no longer matches, that test
-#: fails loudly rather than silently losing coverage.
-SOURCE_MUTATIONS: Dict[str, Dict] = {
-    "weak-prepare-quorum": {
-        "edits": [
-            (
-                "src/repro/bft/log.py",
-                "return len(votes) >= 2 * self.config.f",
-                "return len(votes) >= self.config.f  # BUG: should be 2f",
-            ),
-            (
-                "src/repro/bft/log.py",
-                "return len(votes) >= self.config.quorum",
-                "return len(votes) >= self.config.f + 1  # BUG: should be 2f+1",
-            ),
-        ],
-        "expect_rules": ["QUORUM501", "QUORUM502"],
-    },
-    "blind-checkpoint-certs": {
-        "edits": [
-            (
-                "src/repro/bft/replica.py",
-                "return len(senders) >= config.quorum",
-                "return True  # BUG: certs trusted blindly",
-            ),
-        ],
-        "expect_rules": ["QUORUM504"],
-    },
-    # Static-only entry (no runtime plant): the 2PC coordinator's per-shard
-    # vote certificate weakened to f matching replies, which a single
-    # Byzantine replica could forge.  Pins that the QUORUM pass actually
-    # classifies the transaction layer's vote-counting site.
-    "weak-vote-certificate": {
-        "edits": [
-            (
-                "src/repro/bft/txn.py",
-                "len(vote_replies) >= self.config.weak_quorum",
-                "len(vote_replies) >= self.config.f  # BUG: should be f+1",
-            ),
-        ],
-        "expect_rules": ["QUORUM501"],
-    },
-}

@@ -1,8 +1,10 @@
-"""Call-graph construction: the resolution idioms the flow rules depend on."""
+"""Call-graph construction: the resolution idioms the taint rules depend on."""
 
-from repro.analysis.flow.callgraph import module_name
+from repro.analysis.engine import collect_files, parse_file
+from repro.analysis.flow.callgraph import build_callgraph, module_name
+from repro.analysis.registry import ProjectIndex
 
-from tests.analysis.flow.util import build_flow_context
+from tests.analysis.util import make_config
 
 
 def test_module_name_mapping():
@@ -64,8 +66,10 @@ def run_gadget(gadget: "objects.Gadget"):
 }
 
 
-def _graph(tmp_path):
-    return build_flow_context(tmp_path, PROJECT).callgraph
+def _graph(tmp_path, files=PROJECT):
+    config = make_config(tmp_path, files, det_scope=[])
+    contexts = [parse_file(path, config) for path in collect_files(config)]
+    return build_callgraph(ProjectIndex(config=config, files=contexts))
 
 
 def test_bare_and_from_import_calls_resolve(tmp_path):
@@ -111,18 +115,8 @@ class Holder:
         self.many: Dict[str, Widget] = {}
         self.one: Optional[Widget] = None
 """
-    graph = build_flow_context(tmp_path, files).callgraph
-    # Dict[str, Widget] is a container of Widgets, not a Widget...
+    graph = _graph(tmp_path, files)
+    # Dict[str, Widget] is a container of Widgets, not a Widget,
     assert graph.attr_type("Holder", "many") is None
-    # ...but the annotation text is still recorded for classification,
-    assert "Widget" in graph.attr_annotation("Holder", "many")
     # and Optional[Widget] is an instance.
     assert graph.attr_type("Holder", "one") == "Widget"
-
-
-def test_reachability_closure(tmp_path):
-    graph = _graph(tmp_path)
-    reachable = graph.reachable_from(["pkg.driver.Driver.run"])
-    assert "pkg.objects.Widget.poke" in reachable
-    assert "pkg.helpers.helper" in reachable
-    assert "pkg.driver.Driver.build" not in reachable

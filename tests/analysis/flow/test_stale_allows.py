@@ -1,78 +1,46 @@
-"""Stale-allow auditing across the two commands.
+"""Stale-allow auditing: which suppressions ``repro lint`` may call stale.
 
-A suppression is only *stale* when every rule it names actually ran in the
-invocation: an ``allow[TAINT401]`` must survive ``repro lint`` (which skips
-flow rules) but is audited — used or flagged — by ``repro analyze``.
+Every rule runs in every invocation, so an ``allow[...]`` that matched
+nothing is stale (LINT903) — except one naming a deterministic-scope rule in
+a file outside that scope, where the rule never ran and cannot judge it.
 """
 
-from tests.analysis.util import run_lint
-from tests.analysis.flow.util import rules_fired, run_analyze
+from tests.analysis.util import rules_fired, run_lint
 
-HELPERS = """
-import uuid
-
-
-def wrapper():
-    return uuid.uuid4().hex
-"""
-
-SUPPRESSED_SINK = """
-from util.helpers import wrapper
-
-
-def apply_op():
-    handle = wrapper()  # repro: allow[TAINT401] bootstrap only, replayed verbatim
-    return handle
-"""
-
-POINTLESS_ALLOW = """
+POINTLESS = """
 def pure():
-    # repro: allow[TAINT401] nothing nondeterministic here at all
+    # repro: allow[%s] nothing nondeterministic here at all
     return 1
 """
 
 
-def test_flow_allow_is_not_stale_under_lint(tmp_path):
+def test_pointless_flow_allow_is_stale(tmp_path):
     result = run_lint(
-        tmp_path,
-        {"src/util/helpers.py": HELPERS, "src/det/core.py": SUPPRESSED_SINK},
-        det_scope=["src/det"],
+        tmp_path, {"src/det/core.py": POINTLESS % "TAINT401"}, det_scope=["src/det"]
     )
-    # lint skips flow rules, so it can't judge the allow: neither a LINT901
-    # (the id is registered) nor a LINT903 (the rule didn't run)
-    assert result.clean, [v.render() for v in result.violations]
+    assert rules_fired(result) == ["LINT903"]
+    assert "TAINT401" in result.violations[0].message
 
 
-def test_flow_allow_is_used_under_analyze(tmp_path):
-    result = run_analyze(
-        tmp_path,
-        {"src/util/helpers.py": HELPERS, "src/det/core.py": SUPPRESSED_SINK},
-        det_scope=["src/det"],
-    )
-    assert result.clean, [v.render() for v in result.violations]
-    assert result.suppressions_used == 1
-
-
-def test_pointless_flow_allow_is_stale_under_analyze_only(tmp_path):
-    files = {"src/det/core.py": POINTLESS_ALLOW}
-    lint_result = run_lint(tmp_path, files, det_scope=["src/det"])
-    assert lint_result.clean, [v.render() for v in lint_result.violations]
-
-    analyze_result = run_analyze(tmp_path, files, det_scope=["src/det"])
-    assert rules_fired(analyze_result) == ["LINT903"]
-    assert "TAINT401" in analyze_result.violations[0].message
+def test_det_allow_outside_the_scope_is_not_called_stale(tmp_path):
+    files = {
+        "src/det/core.py": POINTLESS % "DET003",
+        "src/util/helpers.py": POINTLESS % "DET003",
+    }
+    result = run_lint(tmp_path, files, det_scope=["src/det"])
+    assert [(v.rule, v.path) for v in result.violations] == [
+        ("LINT903", "src/det/core.py")
+    ]
 
 
 def test_unknown_rule_id_still_flagged_by_both(tmp_path):
+    """Inside the deterministic scope and outside it."""
     files = {
-        "src/det/core.py": """
-def pure():
-    # repro: allow[NOPE999] mystery rule
-    return 1
-"""
+        "src/det/core.py": POINTLESS % "NOPE999",
+        "src/util/helpers.py": POINTLESS % "NOPE999",
     }
-    for result in (
-        run_lint(tmp_path, files, det_scope=["src/det"]),
-        run_analyze(tmp_path, files, det_scope=["src/det"]),
-    ):
-        assert rules_fired(result) == ["LINT901"]
+    result = run_lint(tmp_path, files, det_scope=["src/det"])
+    assert [(v.rule, v.path) for v in result.violations] == [
+        ("LINT901", "src/det/core.py"),
+        ("LINT901", "src/util/helpers.py"),
+    ]

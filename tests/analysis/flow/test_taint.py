@@ -1,6 +1,7 @@
-"""TAINT4xx: nondeterminism laundered through helpers and attributes."""
+"""TAINT4xx: nondeterminism laundered through helpers and attributes,
+reported by the same ``lint_project`` run as the per-file rules."""
 
-from tests.analysis.flow.util import rules_fired, run_analyze
+from tests.analysis.util import rules_fired, run_lint
 
 HELPERS = """
 import uuid
@@ -34,7 +35,7 @@ def apply_op(registry: Registry):
 
 
 def test_taint401_reports_laundered_call_with_chain(tmp_path):
-    result = run_analyze(
+    result = run_lint(
         tmp_path,
         {"src/util/helpers.py": HELPERS, "src/det/core.py": SINK},
         det_scope=["src/det"],
@@ -57,7 +58,7 @@ from util.helpers import Registry
 def read_state(registry: Registry):
     return registry.token
 """
-    result = run_analyze(
+    result = run_lint(
         tmp_path,
         {"src/util/helpers.py": HELPERS, "src/det/reader.py": reader},
         det_scope=["src/det"],
@@ -77,7 +78,7 @@ from util.helpers import Registry
 def read_count(registry: Registry):
     return registry.count
 """
-    result = run_analyze(
+    result = run_lint(
         tmp_path,
         {"src/util/helpers.py": HELPERS, "src/det/reader.py": reader},
         det_scope=["src/det"],
@@ -94,7 +95,7 @@ def fresh_id():
     # repro: allow[DET003] test fixture ids, never fed to replicated state
     return uuid.uuid4().hex
 """
-    result = run_analyze(
+    result = run_lint(
         tmp_path,
         {
             "src/util/helpers.py": helpers,
@@ -124,7 +125,7 @@ def apply_op():
     handle = wrapper()  # repro: allow[TAINT401] bootstrap only, replayed verbatim
     return handle
 """
-    result = run_analyze(
+    result = run_lint(
         tmp_path,
         {"src/util/helpers.py": HELPERS, "src/det/core.py": sink},
         det_scope=["src/det"],
@@ -136,7 +137,7 @@ def apply_op():
 def test_in_scope_primitive_is_det_rule_not_taint(tmp_path):
     # A primitive called directly inside the scope is the per-file rules' job;
     # the flow pass must not double-report it.
-    result = run_analyze(
+    result = run_lint(
         tmp_path,
         {
             "src/det/core.py": """

@@ -59,7 +59,7 @@ def test_exit_two_on_bad_flag(tmp_path, capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "PROTO101", "STATE200", "LINT903"):
+    for rule_id in ("DET001", "PROTO103", "TAINT401", "TAINT402", "LINT903"):
         assert rule_id in out
 
 
@@ -67,7 +67,7 @@ def test_listed_rules_and_documented_rules_agree(capsys):
     """Every id ``--list-rules`` prints has a ``### <ID>`` section in
     docs/determinism.md and every section names a rule that exists, so a
     deleted rule cannot leave a stale section nor a new one go undocumented.
-    A heading such as ``FLOW6xx`` covers the whole family."""
+    A heading such as ``TAINT4xx`` covers the whole family."""
     assert main(["--list-rules"]) == EXIT_CLEAN
     listed = set(re.findall(r"^  ([A-Z]+\d{3}) ", capsys.readouterr().out, re.M))
     docs = Path(__file__).resolve().parents[2] / "docs" / "determinism.md"

@@ -3,8 +3,12 @@
 
 import textwrap
 
+import pytest
+
+from repro.analysis.cli import EXIT_USAGE, main
 from repro.analysis.config import (
     LintConfig,
+    _apply_table,
     _fallback_parse_lint_table,
     load_config,
 )
@@ -106,8 +110,6 @@ PYPROJECT = textwrap.dedent(
     ]
     exclude = ["lib/vendored"]
     disable = ["DET007"]
-    protocol-messages = "lib/messages.py"
-    protocol-dispatch = ["lib/replica"]
     """
 )
 
@@ -119,7 +121,6 @@ def test_load_config_reads_pyproject(tmp_path):
     assert config.deterministic_scope == ["lib/replica", "lib/wrapper.py"]
     assert config.exclude == ["lib/vendored"]
     assert config.disable == ["DET007"]
-    assert config.protocol_messages == "lib/messages.py"
     assert config.is_deterministic_scope("lib/replica/fs.py")
     assert not config.is_deterministic_scope("lib/client.py")
     assert config.is_excluded("lib/vendored/thing.py")
@@ -137,7 +138,6 @@ def test_fallback_parser_matches_tomllib():
     assert table["paths"] == ["lib"]
     assert table["deterministic-scope"] == ["lib/replica", "lib/wrapper.py"]
     assert table["disable"] == ["DET007"]
-    assert table["protocol-messages"] == "lib/messages.py"
 
 
 def test_fallback_parser_ignores_other_tables():
@@ -145,6 +145,24 @@ def test_fallback_parser_ignores_other_tables():
         "[tool.other]\npaths = ['nope']\n[tool.repro.lint]\npaths = ['yes']\n"
     )
     assert table["paths"] == ["yes"]
+
+
+@pytest.mark.parametrize("key", ["deterministic_scope", "quorum-paths"])
+def test_unknown_key_is_an_error_naming_it_and_the_accepted_ones(tmp_path, key, capsys):
+    """A misspelt key must not leave the DET rules on the built-in default
+    scope without a word; a retired one tells a downstream config it is gone."""
+    text = f'[tool.repro.lint]\npaths = ["lib"]\n{key} = ["lib/replica"]\n'
+    (tmp_path / "pyproject.toml").write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"no key '{key}'.*deterministic-scope"):
+        load_config(project_root=tmp_path)
+    with pytest.raises(ValueError, match=f"no key '{key}'.*deterministic-scope"):
+        _apply_table(
+            LintConfig(project_root=tmp_path),
+            _fallback_parse_lint_table(text),
+            tmp_path / "pyproject.toml",
+        )
+    assert main(["--root", str(tmp_path)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
 
 
 def test_scope_matching_is_prefix_safe():

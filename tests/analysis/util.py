@@ -10,28 +10,29 @@ from repro.analysis.config import LintConfig
 from repro.analysis.engine import LintResult, lint_project
 
 
-def run_lint(
+def make_config(
     tmp_path: Path,
     files: Dict[str, str],
     det_scope: Optional[List[str]] = None,
-    protocol_messages: str = "does/not/exist.py",
-    protocol_dispatch: Optional[List[str]] = None,
     disable: Optional[List[str]] = None,
-) -> LintResult:
-    """Write ``files`` (relpath -> source) under ``tmp_path`` and lint them."""
+) -> LintConfig:
+    """Write ``files`` (relpath -> source) under ``tmp_path``; a config whose
+    deterministic scope is ``det_scope`` (default: all of ``src``)."""
     for relpath, source in files.items():
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source, encoding="utf-8")
-    config = LintConfig(
+    return LintConfig(
         project_root=tmp_path,
         paths=sorted({relpath.split("/")[0] for relpath in files}),
         deterministic_scope=det_scope if det_scope is not None else ["src"],
-        protocol_messages=protocol_messages,
-        protocol_dispatch=protocol_dispatch if protocol_dispatch is not None else [],
         disable=disable if disable is not None else [],
     )
-    return lint_project(config)
+
+
+def run_lint(tmp_path: Path, files: Dict[str, str], **kwargs) -> LintResult:
+    """Write ``files`` under ``tmp_path`` and lint them."""
+    return lint_project(make_config(tmp_path, files, **kwargs))
 
 
 def lint_det_source(tmp_path: Path, source: str, disable=None) -> LintResult:

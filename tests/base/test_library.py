@@ -6,6 +6,7 @@ from repro.base.abstraction import AbstractSpec
 from repro.base.library import BASEService
 from repro.base.wrapper import ConformanceWrapper
 from repro.bft.nondet import decode_timestamp, encode_timestamp
+from repro.bft.service import StateMachine
 from repro.util.clock import ManualClock
 from repro.util.xdr import XdrEncoder
 
@@ -181,3 +182,32 @@ def test_wrapper_base_defaults():
     wrapper = TinyWrapper()
     wrapper.modify(1)  # default callback: no-op, must not raise
     assert wrapper.spec.validate_object(0, b"anything")  # default: True
+
+
+def test_a_wrapper_or_state_machine_missing_put_objs_cannot_be_instantiated():
+    """Speculation rollback and state transfer call ``put_objs`` exactly when
+    fault tolerance is being relied upon; a class without it never gets that
+    far, however deep in the hierarchy the gap is."""
+
+    class HalfWrapper(ConformanceWrapper):
+        def execute(self, op, client_id, timestamp_micros, read_only=False):
+            return b""
+
+        def get_obj(self, index):
+            return b""
+
+    class StillHalf(HalfWrapper):
+        pass
+
+    with pytest.raises(TypeError, match="put_objs"):
+        StillHalf(TinySpec())
+
+    class HalfMachine(StateMachine):
+        def execute(self, op, client_id, nondet, read_only=False):
+            return b""
+
+        def genesis_root_digest(self):
+            return b""
+
+    with pytest.raises(TypeError, match="put_objs"):
+        HalfMachine(manager=None)

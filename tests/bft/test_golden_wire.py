@@ -447,6 +447,15 @@ def test_every_message_type_reaches_its_receiver(name):
     assert undelivered(RECEIVER[type(message)], message) == 0
 
 
+def test_a_message_meant_for_another_kind_of_node_is_counted_unknown():
+    """The observable the test above rests on exists at every kind of node
+    (a client used to drop what it did not know without counting it)."""
+    stray = golden_messages()["prepare"]
+    assert undelivered("replica", golden_messages()["reply"]) == 1
+    for kind in ("client", "fused", "op"):
+        assert undelivered(kind, stray) == 1, kind
+
+
 def test_a_message_class_without_a_wire_tag_cannot_be_created():
     """What the PROTO100 / PROTO102 lint rules policed is refused when the
     class statement runs, on every import."""

@@ -17,7 +17,6 @@ import pytest
 
 from repro.bft.fusion import FusedBackupTier
 from repro.bft.messages import (
-    Checkpoint,
     CheckpointCert,
     Commit,
     ParityUpdate,
@@ -32,15 +31,9 @@ from repro.bft.replica import verify_checkpoint_cert
 from repro.bft.sharding import sharded_kv_cluster
 from repro.bft.testing import encode_get, encode_set, kv_cluster
 from repro.bft.txn import VOTE_COMMIT, TxnCoordinator
-from tests.conftest import config_for
+from tests.conftest import config_for, signed_checkpoint
 
 DIGEST = b"\x01" * 32
-
-
-def signed_checkpoint(cluster, replica_id, seqno=16, state_digest=DIGEST):
-    checkpoint = Checkpoint(seqno=seqno, state_digest=state_digest, replica_id=replica_id)
-    checkpoint.sig = cluster.sigs.keygen(replica_id).sign(checkpoint.signable_bytes())
-    return checkpoint
 
 
 def mac(cluster, sender, receiver, message):

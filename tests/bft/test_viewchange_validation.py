@@ -4,7 +4,6 @@ rejected (the safety half of the view-change protocol)."""
 import pytest
 
 from repro.bft.messages import (
-    Checkpoint,
     NewView,
     Prepare,
     PrePrepare,
@@ -13,7 +12,7 @@ from repro.bft.messages import (
     ViewChange,
 )
 from repro.bft.testing import encode_set, kv_cluster
-from tests.conftest import config_for
+from tests.conftest import config_for, signed_checkpoint
 
 
 def make_rig(f=1):
@@ -92,11 +91,10 @@ def test_checkpoint_proof_must_be_quorum():
     for f in (1, 2):
         cluster = make_rig(f)
         target = cluster.replica("R1")
-        checkpoints = []
-        for sender in cluster.config.replica_ids[: 2 * f + 1]:
-            ckpt = Checkpoint(seqno=16, state_digest=b"\x01" * 32, replica_id=sender)
-            ckpt.sig = cluster.sigs.keygen(sender).sign(ckpt.signable_bytes())
-            checkpoints.append(ckpt)
+        checkpoints = [
+            signed_checkpoint(cluster, sender)
+            for sender in cluster.config.replica_ids[: 2 * f + 1]
+        ]
         for count, kept in ((2 * f, False), (2 * f + 1, True)):
             assert kept == offer_view_change(
                 cluster, target, stable_seqno=16, checkpoint_proof=checkpoints[:count], prepared=[]

@@ -2,6 +2,7 @@
 
 from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
+from repro.bft.messages import Checkpoint
 from repro.bft.testing import kv_cluster  # re-exported for test modules
 
 
@@ -10,6 +11,13 @@ def config_for(f: int) -> BFTConfig:
     tests run at f=1 and f=2: a bound written as its f=1 number passes at
     f=1 only."""
     return BFTConfig(replica_ids=[f"R{i}" for i in range(3 * f + 1)], f=f)
+
+
+def signed_checkpoint(cluster: Cluster, replica_id, seqno=16, state_digest=b"\x01" * 32):
+    """``replica_id``'s validly signed vote for a checkpoint nobody took."""
+    checkpoint = Checkpoint(seqno=seqno, state_digest=state_digest, replica_id=replica_id)
+    checkpoint.sig = cluster.sigs.keygen(replica_id).sign(checkpoint.signable_bytes())
+    return checkpoint
 
 
 def kv_states(cluster: Cluster):

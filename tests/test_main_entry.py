@@ -27,8 +27,9 @@ def test_version_command(capsys):
 
 
 def test_unknown_command_exits_2(capsys):
-    assert main(["frobnicate"]) == 2
-    assert "lint" in capsys.readouterr().out  # usage text mentions the linter
+    for command in ("frobnicate", "analyze"):  # `analyze` was folded into `lint`
+        assert main([command]) == 2
+        assert "lint" in capsys.readouterr().out  # usage text mentions the linter
 
 
 def test_lint_subcommand_is_wired(capsys):
