@@ -1,5 +1,8 @@
 """Fault-plan DSL: codec round-trips, seeded generation, validation."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.explore.plan import (
@@ -10,6 +13,7 @@ from repro.explore.plan import (
     generate_plan,
     validate_plan,
 )
+from repro.soak.campaign import generate_campaign
 
 
 def test_plan_json_roundtrip_is_identity():
@@ -103,3 +107,64 @@ def test_from_dict_rejects_unknown_version():
     payload["version"] = 99
     with pytest.raises(ValueError):
         FaultPlan.from_dict(payload)
+
+
+# -- cross-commit pins ---------------------------------------------------------------
+# The generators' RNG draw order and the codec's bytes are what make every
+# recorded artifact and every explore / soak pin replayable; recorded at
+# ea86f3c, before the step table became the only place that knows a kind.
+
+GENERATOR_STREAM = "48cd3d17f9b159f175049605c37e2f52642aa8b9939ff3c1d32817864b241e10"
+
+
+def test_generator_stream_matches_the_parent_commit():
+    stream = hashlib.sha256()
+
+    def feed(plan):
+        assert FaultPlan.from_json(plan.to_json()) == plan
+        stream.update(plan.to_json().encode())
+
+    for seed in range(400):
+        for kw in (
+            {},
+            {"implementation_faults": True},
+            {"overload": True},
+            {"destruction": True},
+            {"max_steps": 3},
+        ):
+            feed(generate_plan(seed, **kw))
+    for seed in range(20):
+        for kw in ({}, {"watchdog": False}, {"hours": 0.5, "storms": 5}):
+            feed(generate_campaign(seed, **kw))
+    assert stream.hexdigest() == GENERATOR_STREAM
+
+
+def test_step_encoding_matches_the_parent_commit():
+    full = FaultStep(
+        at=1.25,
+        kind="overload",
+        target="R2",
+        groups=(("R0", "R1"), ("R2", "R3")),
+        fraction=0.25,
+        duration=1.5,
+        index=3,
+        rate=600.0,
+        clients=8,
+        bandwidth=40000.0,
+        region="eu-west",
+        count=2,
+        factor=2.5,
+    )
+    bare = FaultStep(at=0.5, kind="heal")
+
+    def encode(step):
+        return json.dumps(step.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    assert encode(full) == (
+        '{"at":1.25,"bandwidth":40000.0,"clients":8,"count":2,"duration":1.5,'
+        '"factor":2.5,"fraction":0.25,"groups":[["R0","R1"],["R2","R3"]],'
+        '"index":3,"kind":"overload","rate":600.0,"region":"eu-west","target":"R2"}'
+    )
+    assert encode(bare) == '{"at":0.5,"kind":"heal"}'
+    assert FaultStep.from_dict(json.loads(encode(full))) == full
+    assert FaultStep.from_dict(json.loads(encode(bare))) == bare
