@@ -336,6 +336,7 @@ def sharded_kv_cluster(
     """S KV groups on one simulator; each shard's service runs transactional
     (one cell per shard reserved for the 2PC participant table)."""
     sim = Simulator(seed=seed)
+    config = config or BFTConfig()
     shardmap = ShardMap(num_shards, num_shards * objects_per_shard)
     clusters = []
     for shard in range(num_shards):
@@ -349,6 +350,7 @@ def sharded_kv_cluster(
                     num_slots=objects_per_shard + 1,
                     disk=disks[replica_id],
                     transactional=True,
+                    weak_quorum=config.weak_quorum,
                 )
 
             return make
@@ -377,6 +379,7 @@ def sharded_recording_cluster(
     order.  Per-replica disks are kept internally so state (and recorded
     histories) survives proactive-recovery reboots."""
     sim = Simulator(seed=seed)
+    config = config or BFTConfig()
     shardmap = ShardMap(num_shards, num_shards * objects_per_shard)
     clusters = []
     recorders: List[HistoryRecorder] = []
@@ -395,6 +398,7 @@ def sharded_recording_cluster(
                     num_slots=objects_per_shard + 1,
                     disk=disks[replica_id],
                     transactional=True,
+                    weak_quorum=config.weak_quorum,
                 )
 
             return make

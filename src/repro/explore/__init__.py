@@ -5,14 +5,9 @@ BFT cluster with continuous safety oracles; violations shrink to minimal,
 replayable JSON artifacts.  See docs/simulation.md ("Exploring schedules").
 """
 
+from repro.explore.interpreter import validate_plan
 from repro.explore.oracles import OracleSuite, OracleViolation, Violation
-from repro.explore.plan import (
-    IMPLEMENTATION_KINDS,
-    FaultPlan,
-    FaultStep,
-    generate_plan,
-    validate_plan,
-)
+from repro.explore.plan import FaultPlan, FaultStep, generate_plan
 from repro.explore.runner import ExploreResult, RunOutcome, explore, run_plan
 from repro.explore.shrink import (
     load_artifact,
@@ -24,7 +19,6 @@ __all__ = [
     "ExploreResult",
     "FaultPlan",
     "FaultStep",
-    "IMPLEMENTATION_KINDS",
     "OracleSuite",
     "OracleViolation",
     "RunOutcome",

@@ -12,8 +12,16 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.explore.interpreter import SHARDED, SINGLE, unsupported_kinds
-from repro.explore.plan import DESTRUCTION_KINDS, IMPLEMENTATION_KINDS, OVERLOAD_KINDS
+from repro.explore.interpreter import (
+    DESTRUCTION,
+    IMPLEMENTATION,
+    OVERLOAD,
+    SHARDED,
+    SINGLE,
+    PlanError,
+    kinds_of,
+    unsupported_kinds,
+)
 from repro.explore.runner import PLANTS, explore, run_plan
 from repro.explore.shrink import load_artifact, write_artifact
 from repro.soak.runner import is_soak_artifact, load_soak_artifact, run_soak
@@ -120,9 +128,9 @@ def explore_main(argv: List[str]) -> int:
     # matrix, the same one run_plan applies to every generated plan.
     deployment = SHARDED if args.shards > 1 else SINGLE
     asked = {
-        "--impl-faults": IMPLEMENTATION_KINDS if args.impl_faults else (),
-        "--overload": OVERLOAD_KINDS if args.overload else (),
-        "--destroy-group": DESTRUCTION_KINDS if args.destroy_group else (),
+        "--impl-faults": kinds_of(IMPLEMENTATION) if args.impl_faults else (),
+        "--overload": kinds_of(OVERLOAD) if args.overload else (),
+        "--destroy-group": kinds_of(DESTRUCTION) if args.destroy_group else (),
     }
     rejected = [
         flag for flag, kinds in asked.items() if unsupported_kinds(kinds, deployment)
@@ -212,12 +220,21 @@ def replay_main(argv: List[str]) -> int:
         print(f"replay: no such artifact: {path}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if is_soak_artifact(json.loads(path.read_text())):
-            return _replay_soak(path)
-        plan, recorded, plant, options = load_artifact(path)
+        soak = is_soak_artifact(json.loads(path.read_text()))
+        loaded = (load_soak_artifact if soak else load_artifact)(path)
     except (ValueError, KeyError, OSError) as exc:
         print(f"replay: malformed artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        return (_replay_soak if soak else _replay_plan)(*loaded)
+    except PlanError as exc:
+        # Refused before a cluster was built.  Any other exception came out
+        # of the run itself and is a bug to see, not a usage error.
+        print(f"replay: malformed artifact: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _replay_plan(plan, recorded, plant, options) -> int:
     outcome = run_plan(plan, plant=plant, **options)
     if outcome.violation is None:
         print(
@@ -238,10 +255,9 @@ def replay_main(argv: List[str]) -> int:
     return EXIT_VIOLATION
 
 
-def _replay_soak(path: Path) -> int:
+def _replay_soak(plan, slo, recorded) -> int:
     """Re-execute a soak artifact and compare against the recorded report;
     a replay that does not reproduce it fails even when its own SLO held."""
-    plan, slo, recorded = load_soak_artifact(path)
     report = run_soak(plan, slo=slo)
     matches = report.to_dict() == recorded
     status = "SLO held" if report.ok else (

@@ -1,18 +1,19 @@
-"""The fault-plan interpreter: one step table, one support matrix, one session.
+"""The fault-plan interpreter: one step table, two plan rules, one session.
 
 Every way of running a :class:`~repro.explore.plan.FaultPlan` goes through
-this module.  ``STEP_TABLE`` maps each step kind to the function that applies
-it *and* to the deployments it is valid on (``single``: one BASE group under
-the explore workload; ``sharded``: several groups plus the 2PC layer, fault
-steps landing on shard 0; ``soak``: one group under the availability probe);
-:func:`check_supported` rejects a plan a deployment cannot run before any
-cluster is built; and a :class:`Session` installs the oracle suite, schedules
-the plan's steps onto the deployment's simulator, and runs the heal-and-sweep
-epilogue.  What differs per entry point is only what is built and what is
-measured: ``run_plan`` builds one cluster or a sharded one and drives an
-N-request workload followed by a liveness probe, ``run_soak`` drives the
-availability probe to the campaign horizon (docs/simulation.md has the
-support matrix).
+this module.  ``STEP_TABLE`` is the only place that knows a step kind: a row
+gives its family, the function that applies it, the deployments it is valid
+on (``single``: one BASE group under the explore workload; ``sharded``:
+several groups plus the 2PC layer, fault steps landing on shard 0; ``soak``:
+one group under the availability probe) and what a step of it must carry;
+:func:`check_supported` rejects a malformed plan, or one a deployment cannot
+run, before any cluster is built; and a :class:`Session` installs the oracle
+suite, schedules the plan's steps onto the deployment's simulator, and runs
+the heal-and-sweep epilogue.  What differs per entry point is only what is
+built and what is measured: ``run_plan`` builds one cluster or a sharded one
+and drives an N-request workload followed by a liveness probe, ``run_soak``
+drives the availability probe to the campaign horizon (docs/simulation.md has
+the table and the two rules).
 
 Everything is deterministic: storm geometry derives arithmetically from the
 plan seed and the step's own fields (no wall clock, no builtin ``hash``), so
@@ -32,7 +33,7 @@ from repro.bft.overload import OpenLoopLoadGenerator
 from repro.bft.testing import encode_set
 from repro.crypto.digest import digest
 from repro.explore.oracles import OracleSuite, ShardedOracleSuite
-from repro.explore.plan import CAMPAIGN_KINDS, FaultPlan, FaultStep
+from repro.explore.plan import REPLICA_IDS, STEP_FIELDS, FaultPlan, FaultStep
 from repro.faults import (
     POISON,
     drop_fraction_from,
@@ -43,7 +44,7 @@ from repro.faults import (
 )
 from repro.faults.aging import DEFAULT_PER_OP_STALL, FragmentationAging
 from repro.net.network import NetworkConfig
-from repro.net.topology import PlacedTopology, topology_preset
+from repro.net.topology import PRESETS, PlacedTopology, topology_preset
 
 SINGLE, SHARDED, SOAK = "single", "sharded", "soak"
 
@@ -135,11 +136,11 @@ class Session:
             self.placed.compile()
         if deployment == SHARDED:
             self.suite = ShardedOracleSuite(
-                system, recorders, plan.byzantine_targets(), check_interval
+                system, recorders, targets(plan, BYZANTINE), check_interval
             )
         else:
             self.suite = OracleSuite(
-                system, recorders[0], plan.byzantine_targets(), check_interval
+                system, recorders[0], targets(plan, BYZANTINE), check_interval
             )
         self.suite.install()
         if plan.perturb_seed is not None:
@@ -181,7 +182,7 @@ class Session:
         for step in self.plan.steps:
             apply = STEP_TABLE[step.kind].apply
             self.sim.schedule(max(0.0, step.at), lambda s=step, a=apply: a(self, s))
-        if self.plan.has_destruction():
+        if DESTRUCTION in families(self.plan):
             # Imported here: only destruction plans pay for loading the codec.
             from repro.bft.fusion import FusedBackupTier
 
@@ -284,7 +285,7 @@ def _drop(session: Session, step: FaultStep) -> None:
     session.sim.schedule(step.duration, expire)
 
 
-def _arm_byzantine(make: Callable) -> Callable[[Session, FaultStep], None]:
+def _arm(make: Callable) -> Callable[[Session, FaultStep], None]:
     return lambda session, step: make(session.cluster.replica(step.target))
 
 
@@ -350,7 +351,7 @@ def _overload(session: Session, step: FaultStep) -> None:
     previous_bandwidth = net_config.bandwidth
     if step.bandwidth > 0:
         net_config.bandwidth = step.bandwidth
-    session.suite.begin_overload(strict=session.plan.pure_overload())
+    session.suite.begin_overload(strict=families(session.plan) == {OVERLOAD})
     swarm.start()
 
     def end_overload() -> None:
@@ -456,17 +457,15 @@ def _age_replicas(session: Session, step: FaultStep) -> None:
         session.aging.arm()
 
 
-# -- the step table and the support matrix ------------------------------------------
+# -- the step table: the one place that knows a step kind ------------------------
 
 
-@dataclass(frozen=True)
-class StepKind:
-    """How one step kind is applied, and the deployments it is valid on."""
+class PlanError(ValueError):
+    """A plan refused before any cluster was built; any other error is the run's."""
 
-    apply: Callable[[Session, FaultStep], None]
-    deployments: FrozenSet[str]
-    needs_topology: bool = False  # speaks in regions of the plan's preset
 
+BENIGN, BYZANTINE, IMPLEMENTATION = "benign", "byzantine", "implementation"
+OVERLOAD, CAMPAIGN, DESTRUCTION = "overload", "campaign", "destruction"
 
 _ANYWHERE = frozenset({SINGLE, SHARDED, SOAK})
 # Campaign steps speak in regions, swarms and aging of *one* group's network.
@@ -478,65 +477,279 @@ _SINGLE_ONLY = frozenset({SINGLE})
 # Destroying a group is survivable only with sibling groups to rebuild from.
 _SHARDED_ONLY = frozenset({SHARDED})
 
+
+@dataclass(frozen=True)
+class StepKind:
+    """Everything the DSL knows about one step kind: family, applier, the
+    deployments it is valid on, and what a step of it must carry — ``needs``:
+    fields that must be set (a known target replica, a partition's groups, a
+    region, numbers > 0); ``regional``: it speaks in regions of the plan's
+    topology preset, so the plan must name one."""
+
+    family: str
+    apply: Callable[[Session, FaultStep], None]
+    deployments: FrozenSet[str] = _ANYWHERE
+    needs: Tuple[str, ...] = ()
+    regional: bool = False
+
+
+_TARGET = ("target",)
+_SWARM = ("rate", "clients", "duration")  # an open-loop episode's shape
+
 STEP_TABLE: Dict[str, StepKind] = {
-    "crash": StepKind(lambda s, step: s.cluster.crash(step.target), _ANYWHERE),
-    "restart": StepKind(lambda s, step: s.cluster.restart(step.target), _ANYWHERE),
-    "partition": StepKind(
-        lambda s, step: s.cluster.network.partition(*step.groups), _ANYWHERE
+    "crash": StepKind(
+        BENIGN, lambda s, step: s.cluster.crash(step.target), needs=_TARGET
     ),
-    "heal": StepKind(lambda s, step: s.cluster.heal(), _ANYWHERE),
-    "drop": StepKind(_drop, _ANYWHERE),
-    "recover": StepKind(lambda s, step: s.cluster.recover(step.target), _ANYWHERE),
-    "equivocate": StepKind(_arm_byzantine(make_equivocating_primary), _ANYWHERE),
-    "lie_checkpoint": StepKind(_arm_byzantine(make_lying_checkpointer), _ANYWHERE),
-    "corrupt_votes": StepKind(_arm_byzantine(make_vote_corruptor), _ANYWHERE),
-    "corrupt_results": StepKind(_arm_byzantine(make_result_corruptor), _ANYWHERE),
-    "fabricate_cert": StepKind(_fabricate_cert, _ANYWHERE),
-    "poison_request": StepKind(_poison_request, _SINGLE_ONLY),
-    "corrupt_object": StepKind(_corrupt_object, _SINGLE_ONLY),
-    "overload": StepKind(_overload, _SINGLE_ONLY),
-    "region_outage": StepKind(_region_outage, _ONE_GROUP, needs_topology=True),
-    "partition_storm": StepKind(_partition_storm, _ONE_GROUP, needs_topology=True),
-    "latency_spike": StepKind(_latency_spike, _ONE_GROUP, needs_topology=True),
-    "flash_crowd": StepKind(_flash_crowd, _ONE_GROUP),
-    "age_replicas": StepKind(_age_replicas, _ONE_GROUP),
-    # Destruction is not a per-group fault: it needs checkpoint alignment and
-    # a blocking rebuild, so the step only *flags* itself at its fire time
-    # and the workload loop executes it between requests (drain_destroys).
+    "restart": StepKind(
+        BENIGN, lambda s, step: s.cluster.restart(step.target), needs=_TARGET
+    ),
+    "partition": StepKind(
+        BENIGN, lambda s, step: s.cluster.network.partition(*step.groups), needs=("groups",)
+    ),
+    "heal": StepKind(BENIGN, lambda s, step: s.cluster.heal()),
+    "drop": StepKind(BENIGN, _drop, needs=_TARGET),
+    "recover": StepKind(
+        BENIGN, lambda s, step: s.cluster.recover(step.target), needs=_TARGET
+    ),
+    # Byzantine steps make their target a *Byzantine* replica: it keeps
+    # running but misbehaves with its own keys, so safety oracles must exclude
+    # it from the "correct replicas" they quantify over.
+    "equivocate": StepKind(BYZANTINE, _arm(make_equivocating_primary), needs=_TARGET),
+    "lie_checkpoint": StepKind(BYZANTINE, _arm(make_lying_checkpointer), needs=_TARGET),
+    "corrupt_votes": StepKind(BYZANTINE, _arm(make_vote_corruptor), needs=_TARGET),
+    "corrupt_results": StepKind(BYZANTINE, _arm(make_result_corruptor), needs=_TARGET),
+    "fabricate_cert": StepKind(BYZANTINE, _fabricate_cert, needs=_TARGET),
+    # Implementation-fault steps drive the fault-containment layer:
+    # ``poison_request`` marks the target's primary implementation poisonable
+    # and injects a request carrying the poison pattern (deterministic crash →
+    # reactive repair → skip-past-poison → N-version failover);
+    # ``corrupt_object`` silently corrupts abstract object ``index`` in the
+    # target's concrete state (no ``modify`` upcall), which only the
+    # background scrubber can detect and repair.  Plans containing these
+    # steps run with the supervisor armed.
+    "poison_request": StepKind(IMPLEMENTATION, _poison_request, _SINGLE_ONLY, _TARGET),
+    "corrupt_object": StepKind(IMPLEMENTATION, _corrupt_object, _SINGLE_ONLY, _TARGET),
+    # Overload steps are not faults at all: every node stays correct, the
+    # *offered load* is the adversary.  ``overload`` runs an open-loop client
+    # swarm at ``rate`` requests/second for ``duration`` seconds, optionally
+    # squeezing every link to ``bandwidth`` bytes/vsec so saturation is
+    # producible; the goodput-under-overload oracle judges the episode.
+    "overload": StepKind(OVERLOAD, _overload, _SINGLE_ONLY, _SWARM),
+    # Campaign steps are the geo-scale correlated scenarios:
+    # ``region_outage``    — every replica in ``region`` crashes at ``at`` and
+    #                        restarts at ``at + duration``.  An outage of a
+    #                        region holding more than f replicas is *allowed* but
+    #                        its span is a beyond-assumption window
+    #                        (:func:`beyond_assumption_windows`): liveness and
+    #                        availability SLOs are suspended there while safety
+    #                        oracles keep running throughout.
+    # ``partition_storm``  — ``count`` short correlated cuts along seeded region
+    #                        boundaries within [at, at + duration]; overlapping
+    #                        cuts stack and heal independently
+    #                        (``Network.cut_links``/``restore_links``).
+    # ``latency_spike``    — inter-region latency (all boundaries, or only those
+    #                        touching ``region``) inflated ``factor``× for
+    #                        ``duration``.
+    # ``flash_crowd``      — a diurnal burst: an open-loop swarm of ``clients``
+    #                        ramps to a peak of ``rate`` requests/second at the
+    #                        episode midpoint and back down over ``duration``.
+    # ``age_replicas``     — arms the fragmentation aging model on ``target``
+    #                        (or every replica when blank): per-op latency
+    #                        degradation that reactive repair cannot observe and
+    #                        only a proactive rotation clears (``fraction``
+    #                        overrides the per-op stall when > 0).
+    "region_outage": StepKind(
+        CAMPAIGN, _region_outage, _ONE_GROUP, ("region", "duration"), regional=True
+    ),
+    "partition_storm": StepKind(
+        CAMPAIGN, _partition_storm, _ONE_GROUP, ("count", "duration"), regional=True
+    ),
+    "latency_spike": StepKind(
+        CAMPAIGN, _latency_spike, _ONE_GROUP, ("factor", "duration"), regional=True
+    ),
+    "flash_crowd": StepKind(CAMPAIGN, _flash_crowd, _ONE_GROUP, _SWARM),
+    "age_replicas": StepKind(CAMPAIGN, _age_replicas, _ONE_GROUP),
+    # Destruction deliberately exceeds the <= f fault assumption:
+    # ``destroy_group`` wipes every replica of shard group ``index`` —
+    # processes *and* disks — so the group's own replication cannot bring it
+    # back.  Only sharded runs with a fused-backup tier attached
+    # (repro.bft.fusion) can survive one; the runner aligns the victim group
+    # to a stable checkpoint boundary first (RPO = 0) so every safety oracle
+    # still holds unconditionally through the loss and reconstruction.  That
+    # needs a blocking rebuild, so the step only *flags* itself at its fire
+    # time and the workload loop executes it between requests
+    # (drain_destroys).
     "destroy_group": StepKind(
-        lambda s, step: s.pending_destroys.append(step), _SHARDED_ONLY
+        DESTRUCTION, lambda s, step: s.pending_destroys.append(step), _SHARDED_ONLY
     ),
 }
+
+
+def kinds_of(family: str) -> FrozenSet[str]:
+    return frozenset(kind for kind, row in STEP_TABLE.items() if row.family == family)
+
+
+def families(plan: FaultPlan) -> FrozenSet[str]:
+    """The families of the plan's steps.  ``== {OVERLOAD}`` is *pure
+    overload*: fault-free saturation, the only case where the goodput oracle
+    may be strict (shed-but-commit, view number bounded) — real faults
+    legitimately cause view changes."""
+    rows = map(STEP_TABLE.get, (step.kind for step in plan.steps))
+    return frozenset(row.family for row in rows if row is not None)
+
+
+def targets(plan: FaultPlan, family: str) -> FrozenSet[str]:
+    """The replicas the plan's steps of ``family`` act on."""
+    kinds = kinds_of(family)
+    return frozenset(step.target for step in plan.steps if step.kind in kinds)
 
 
 def unsupported_kinds(kinds: Iterable[str], deployment: str) -> List[str]:
     """The ``kinds`` (sorted) that ``deployment`` cannot run — the one place
     that decides; a kind missing from the table is supported nowhere."""
+    rows = STEP_TABLE
     return sorted(
-        {
-            kind
-            for kind in kinds
-            if kind not in STEP_TABLE
-            or deployment not in STEP_TABLE[kind].deployments
-        }
+        {k for k in kinds if k not in rows or deployment not in rows[k].deployments}
     )
 
 
+# -- the two rules a plan is held to -------------------------------------------------
+
+
+def malformed(plan: FaultPlan) -> List[str]:
+    """Rule one, *per-step well-formedness*: each step carries what its row
+    says it must.  Every run demands it (:func:`check_supported`), shrunk
+    plans included — ddmin drops whole steps and cannot break one."""
+    problems: List[str] = []
+    topo = PRESETS.get(plan.topology)
+    if plan.topology and topo is None:
+        problems.append(f"unknown topology preset {plan.topology!r}")
+    for step in plan.steps:
+        row = STEP_TABLE.get(step.kind)
+        if row is None:
+            problems.append(f"unknown kind {step.kind!r}")
+            continue
+        for name in row.needs:
+            if not getattr(step, name):
+                problems.append(f"{step.kind} needs a {name} value")
+        for name, decode in STEP_FIELDS.items():
+            if decode in (float, int) and getattr(step, name) < 0:
+                problems.append(f"{step.kind} {name} must be >= 0")
+        if "factor" in row.needs and step.factor <= 1.0:
+            problems.append(f"{step.kind} factor must be > 1")
+        if step.target and step.target not in REPLICA_IDS:
+            problems.append(f"{step.kind} of unknown replica {step.target!r}")
+        if row.regional and not plan.topology:
+            problems.append(f"{step.kind} requires a plan topology")
+        elif row.regional and topo is not None and step.region:
+            if step.region not in topo.region_names():
+                problems.append(f"{step.kind} of unknown region {step.region!r}")
+            elif "region" in row.needs and not topo.region(step.region).replicas:
+                problems.append(f"{step.kind} of replica-less region {step.region!r}")
+    return problems
+
+
+def outside_assumptions(plan: FaultPlan, f: int = 1) -> List[str]:
+    """Rule two, *inside the fault assumptions*: time order, crash / restart
+    and partition / heal pairing, the f budget.  Generated plans and soak
+    campaigns must meet it, so a violation on one is an implementation bug; a
+    shrunk plan need not — ddmin legitimately keeps a ``crash`` and drops its
+    ``restart`` — and the epilogue heals whatever is left."""
+    problems: List[str] = []
+    last_at = -1.0
+    crashed: Set[str] = set()
+    partitioned = False
+    for step in plan.steps:
+        if step.at < last_at:
+            problems.append(f"steps not time-ordered at t={step.at}")
+        last_at = step.at
+        if step.kind == "crash":
+            if step.target in crashed:
+                problems.append(f"{step.target} crashed twice without restart")
+            crashed.add(step.target)
+            if len(crashed) > f:
+                problems.append(f"more than f={f} replicas down at once")
+        elif step.kind == "restart":
+            if step.target not in crashed:
+                problems.append(f"restart of non-crashed {step.target}")
+            crashed.discard(step.target)
+        elif step.kind == "partition":
+            if partitioned:
+                problems.append("partition while one is already active")
+            partitioned = True
+        elif step.kind == "heal":
+            if not partitioned:
+                problems.append("heal without an active partition")
+            partitioned = False
+    if [step.kind for step in plan.steps].count("destroy_group") > 1:
+        # One catastrophe per run: the fused tier reconstructs sequentially
+        # and a second loss during reconstruction is outside its model.
+        problems.append("at most one destroy_group step per plan")
+    if crashed:
+        problems.append(f"plan ends with {sorted(crashed)} still crashed")
+    if partitioned:
+        problems.append("plan ends with an unhealed partition")
+    # Implementation faults share the f budget with Byzantine behavior: a
+    # poisoned replica is down until repaired and a corrupted one may serve
+    # wrong values until scrubbed, so together they must stay within f.
+    if len(targets(plan, BYZANTINE) | targets(plan, IMPLEMENTATION)) > f:
+        problems.append(f"more than f={f} faulty (Byzantine or implementation) replicas")
+    poisoned = frozenset(s.target for s in plan.steps if s.kind == "poison_request")
+    stray = [s.target for s in plan.steps if s.kind == "crash" and s.target not in poisoned]
+    if poisoned and stray:
+        problems.append(
+            f"crash of {stray[0]} can overlap the poisoned "
+            f"{sorted(poisoned)} being down (> f at once)"
+        )
+    return problems
+
+
+def validate_plan(plan: FaultPlan, f: int = 1) -> List[str]:
+    """Both rules; the problems found (empty = valid).  A ``region_outage``
+    of more than ``f`` replicas is *not* one: it declares a beyond-assumption
+    window (:func:`beyond_assumption_windows`)."""
+    return malformed(plan) + outside_assumptions(plan, f)
+
+
+def beyond_assumption_windows(
+    plan: FaultPlan, f: int = 1, margin: float = 0.0
+) -> List[Tuple[float, float]]:
+    """Time windows where the plan itself exceeds the <= f crash assumption.
+
+    A ``region_outage`` of a region holding more than ``f`` replicas takes
+    the system outside the fault model: liveness cannot be promised, so the
+    availability SLO is suspended over ``[at, at + duration + margin]``
+    (``margin`` covers post-restart catch-up).  Safety oracles are *never*
+    suspended — correctness must hold even beyond the liveness assumptions.
+    Overlapping and adjacent windows are merged; the result is time-ordered.
+    """
+    topo = PRESETS.get(plan.topology)
+    large = {r.name for r in topo.regions if len(r.replicas) > f} if topo else ()
+    merged: List[Tuple[float, float]] = []
+    for step in sorted(plan.steps, key=lambda s: s.at):
+        if step.kind != "region_outage" or step.region not in large:
+            continue
+        end = step.at + step.duration + margin
+        if merged and step.at <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((step.at, end))
+    return merged
+
+
 def check_supported(plan: FaultPlan, deployment: str) -> None:
-    """Raise ``ValueError`` if ``deployment`` cannot run ``plan``; every
-    entry point calls this before it builds a cluster."""
+    """Raise :class:`PlanError` unless ``deployment`` can run ``plan`` —
+    every kind supported, every step well formed; every entry point calls
+    this before it builds a cluster."""
     unsupported = unsupported_kinds((step.kind for step in plan.steps), deployment)
-    if plan.topology and unsupported_kinds(CAMPAIGN_KINDS, deployment):
+    if plan.topology and unsupported_kinds(kinds_of(CAMPAIGN), deployment):
         # Presets are compiled by the campaign machinery: same support.
         unsupported.append(f"topology {plan.topology!r}")
     if unsupported:
-        raise ValueError(
+        raise PlanError(
             f"a {deployment} deployment does not support {unsupported} "
             f"(see the support matrix in docs/simulation.md)"
         )
-    if not plan.topology:
-        regional = sorted(
-            {s.kind for s in plan.steps if STEP_TABLE[s.kind].needs_topology}
-        )
-        if regional:
-            raise ValueError(f"{regional} require a plan topology")
+    problems = malformed(plan)
+    if problems:
+        raise PlanError(f"malformed plan: {problems}")

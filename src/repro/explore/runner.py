@@ -28,7 +28,10 @@ from repro.bft.repair import RepairPolicy
 from repro.bft.sharding import sharded_recording_cluster
 from repro.bft.testing import canonical_committed_history, encode_set, recording_cluster
 from repro.explore.interpreter import (
+    CAMPAIGN,
+    IMPLEMENTATION,
     OBJECTS_PER_SHARD,
+    OVERLOAD,
     PROBE_SLOT,
     SHARD_PROBE_SLOT,
     SHARD_TXN_SLOT,
@@ -37,9 +40,11 @@ from repro.explore.interpreter import (
     Session,
     check_supported,
     deployment_configs,
+    families,
+    kinds_of,
 )
 from repro.explore.oracles import OracleViolation, Violation
-from repro.explore.plan import CAMPAIGN_KINDS, FaultPlan, generate_plan
+from repro.explore.plan import FaultPlan, generate_plan
 from repro.explore.shrink import shrink_plan
 from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS
 
@@ -301,7 +306,7 @@ def run_plan(
         )
     else:
         repair = None
-        if plan.has_implementation_faults():
+        if IMPLEMENTATION in families(plan):
             # Implementation-fault steps need the containment machinery: an
             # armable poisonable implementation per replica plus a clean
             # failover version, a supervisor to repair crashes, and (when
@@ -345,16 +350,9 @@ def run_plan(
                 outcome.completed += 1
         # Let any fault steps scheduled past the workload's end still fire
         # (overload and campaign episodes occupy [at, at + duration]).
+        episodes = kinds_of(OVERLOAD) | kinds_of(CAMPAIGN)
         horizon = 0.5 + max(
-            (
-                s.at
-                + (
-                    s.duration
-                    if s.kind == "overload" or s.kind in CAMPAIGN_KINDS
-                    else 0.0
-                )
-                for s in plan.steps
-            ),
+            (s.at + (s.duration if s.kind in episodes else 0.0) for s in plan.steps),
             default=0.0,
         )
         if sim.now() < horizon:
@@ -382,7 +380,7 @@ def run_plan(
         names += _TXN_COUNTERS
     if session.tier is not None:
         names += _FUSION_COUNTERS
-    if plan.has_campaign():
+    if plan.topology or CAMPAIGN in families(plan):
         names += _CAMPAIGN_COUNTERS
     outcome.counters = {name: totals.get(name) for name in names}
     if deployment == SINGLE:

@@ -28,12 +28,15 @@ from repro.bft.testing import encode_set, recording_cluster
 from repro.explore.interpreter import (
     PROBE_SLOT,
     SOAK,
+    PlanError,
     Session,
+    beyond_assumption_windows,
     check_supported,
     deployment_configs,
+    outside_assumptions,
 )
 from repro.explore.oracles import OracleViolation
-from repro.explore.plan import FaultPlan, beyond_assumption_windows, validate_plan
+from repro.explore.plan import FaultPlan
 from repro.faults.scenarios import AvailabilityProbe
 from repro.soak.campaign import campaign_horizon
 
@@ -175,10 +178,10 @@ def run_soak(
 ) -> SoakReport:
     """Execute one campaign plan over its full horizon; fully deterministic."""
     slo = slo or SoakSLO()
-    problems = validate_plan(plan)
-    if problems:
-        raise ValueError(f"invalid campaign plan: {problems}")
     check_supported(plan, SOAK)
+    problems = outside_assumptions(plan)
+    if problems:  # a campaign, unlike a shrunk plan, must also stay inside them
+        raise PlanError(f"invalid campaign plan: {problems}")
     config, net_config = deployment_configs(
         plan, {"checkpoint_interval": 16, "log_window": 64}, config_overrides
     )

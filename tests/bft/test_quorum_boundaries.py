@@ -28,9 +28,15 @@ from repro.bft.messages import (
     ViewChange,
 )
 from repro.bft.replica import verify_checkpoint_cert
-from repro.bft.sharding import sharded_kv_cluster
+from repro.bft.sharding import sharded_kv_cluster, sharded_recording_cluster
 from repro.bft.testing import encode_get, encode_set, kv_cluster
-from repro.bft.txn import VOTE_COMMIT, TxnCoordinator
+from repro.bft.txn import (
+    TXN_COMMITTED,
+    VOTE_COMMIT,
+    TxnCoordinator,
+    encode_txn_decide,
+    encode_txn_prepare,
+)
 from tests.conftest import config_for, signed_checkpoint
 
 DIGEST = b"\x01" * 32
@@ -103,6 +109,27 @@ def coordinator_certifies_vote(config, votes):
     return coordinator.decision is True
 
 
+def factory_built_participant_applies_decide(config, votes):
+    """``test_txn.py`` pins the participant's certificate check on a service
+    it builds itself; this goes through both cluster factories, which must
+    hand the participant the configuration's f+1 and not a default."""
+    acted = []
+    for system in (
+        sharded_kv_cluster(2, config=config),
+        sharded_recording_cluster(2, config=config)[0],
+    ):
+        service = system.clusters[0].service("R0")
+        certificate = [(0, config.replica_ids[:votes])]
+        for op in (
+            encode_txn_prepare("t1", [(1, b"a")]),
+            encode_txn_decide("t1", True, certificate),
+        ):
+            result = service.execute(op, client_id="C0", nondet=b"", read_only=False)
+        acted.append(result == TXN_COMMITTED)
+    assert acted[0] == acted[1], "the two factories disagree"
+    return acted[0]
+
+
 def committed_batch_is_retransmitted(config, votes):
     cluster = kv_cluster(config=config)
     replica = cluster.replica("R0")
@@ -159,6 +186,10 @@ SITES = {
     "client.on_message-read-only": (client_accepts_read_only_replies, "quorum"),
     "client._on_spec_reply": (client_accepts_tentative_replies, "quorum"),
     "txn.TxnCoordinator._on_vote": (coordinator_certifies_vote, "weak_quorum"),
+    "txn.TxnParticipant-from-factory": (
+        factory_built_participant_applies_decide,
+        "weak_quorum",
+    ),
     "catchup.on_status": (committed_batch_is_retransmitted, "quorum"),
     "viewchange._try_new_view": (new_primary_sends_new_view, "quorum"),
     "fusion.on_parity_update": (fused_node_takes_parity_update, "weak_quorum"),

@@ -2,7 +2,8 @@
 names a topology and mixes geo-scale steps with classic faults executes via
 ``run_plan`` under the full oracle suite, deterministically."""
 
-from repro.explore.plan import FaultPlan, FaultStep, validate_plan
+from repro.explore.interpreter import validate_plan
+from repro.explore.plan import FaultPlan, FaultStep
 from repro.explore.runner import run_plan
 
 

@@ -3,13 +3,8 @@
 supervisor) and ``corrupt_object`` (silent state corruption, contained by the
 scrubber)."""
 
-from repro.explore.plan import (
-    IMPLEMENTATION_KINDS,
-    FaultPlan,
-    FaultStep,
-    generate_plan,
-    validate_plan,
-)
+from repro.explore.interpreter import IMPLEMENTATION, families, validate_plan
+from repro.explore.plan import FaultPlan, FaultStep, generate_plan
 from repro.explore.runner import run_plan
 
 
@@ -67,7 +62,7 @@ def test_generated_impl_plans_are_valid_and_contain_impl_steps():
         assert validate_plan(plan) == [], (seed, validate_plan(plan))
         # The implementation group is inserted ahead of the step budget, so
         # it always survives.
-        assert any(step.kind in IMPLEMENTATION_KINDS for step in plan.steps), seed
+        assert IMPLEMENTATION in families(plan), seed
 
 
 def test_default_generation_is_unchanged_by_the_new_kinds():

@@ -2,6 +2,10 @@
 (every rejection any entry point makes, as one table) and cross-commit pins
 proving the unified interpreter reproduces the three it replaced."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 import repro.explore.runner as explore_runner
@@ -12,9 +16,12 @@ from repro.explore.interpreter import (
     SOAK,
     STEP_TABLE,
     check_supported,
+    malformed,
+    outside_assumptions,
     unsupported_kinds,
+    validate_plan,
 )
-from repro.explore.plan import STEP_KINDS, FaultPlan, FaultStep, generate_plan
+from repro.explore.plan import FaultPlan, FaultStep, generate_plan
 from repro.explore.runner import explore, run_plan
 from repro.soak.campaign import generate_campaign
 from repro.soak.runner import SoakSLO, run_soak
@@ -51,7 +58,33 @@ MATRIX = {
 
 
 def test_matrix_covers_exactly_the_dsl():
-    assert set(STEP_TABLE) == set(STEP_KINDS) == set(MATRIX) - {"client_swarm"}
+    assert set(STEP_TABLE) == set(MATRIX) - {"client_swarm"}
+
+
+def test_the_documented_table_is_the_step_table():
+    """docs/simulation.md, "One interpreter, three deployments": every cell
+    of its step-kind table, compared with the row it describes."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "simulation.md"
+    section = doc.read_text().split("#### One interpreter, three deployments")[1]
+    table = section.split("| step kinds |")[1].split("\n\n")[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table.splitlines()[2:]  # past the header's tail and the rule
+    ]
+    documented = {}
+    for kinds, family, needs, *cells in rows:
+        family, _, regional = family.partition(", ")
+        deployments = {d for d, cell in zip((SINGLE, SHARDED, SOAK), cells) if cell == "yes"}
+        assert set(cells) <= {"yes", "no"} and regional in ("", "regional")
+        for kind in re.findall(r"`(\w+)`", kinds):
+            assert kind not in documented, f"{kind} documented twice"
+            documented[kind] = (
+                family, tuple(re.findall(r"`(\w+)`", needs)), bool(regional), deployments
+            )
+    assert documented == {
+        kind: (row.family, row.needs, row.regional, set(row.deployments))
+        for kind, row in STEP_TABLE.items()
+    }
 
 
 def plan_with(kind: str, deployment: str) -> FaultPlan:
@@ -61,6 +94,7 @@ def plan_with(kind: str, deployment: str) -> FaultPlan:
         at=1.0,
         kind=kind,
         target="R1",
+        groups=(("R0", "R1"), ("R2", "R3")),
         fraction=0.2,
         duration=2.0,
         rate=100.0,
@@ -105,14 +139,73 @@ def test_support_matrix(kind, deployment, no_clusters):
         check_supported(plan, deployment)
         return
     assert unsupported_kinds([kind], deployment) == [kind]
-    if kind == "client_swarm" and deployment == SOAK:
-        with pytest.raises(ValueError, match="unknown kind"):  # validate_plan's
-            run_on(deployment, plan)
-        return
     with pytest.raises(
         ValueError, match=f"a {deployment} deployment does not support .*{kind}"
     ):
         run_on(deployment, plan)
+
+
+#: One way to break each kind — a field its row says it must carry, or one
+#: no step may carry — and the complaint.  A new row needs a line here.
+BROKEN = {
+    "crash": ({"target": ""}, "crash needs a target"),
+    "restart": ({"target": "R9"}, "restart of unknown replica 'R9'"),
+    "partition": ({"groups": ()}, "partition needs a groups"),
+    "heal": ({"at": -1.0}, "heal at must be >= 0"),
+    "drop": ({"target": ""}, "drop needs a target"),
+    "recover": ({"target": "R4"}, "recover of unknown replica 'R4'"),
+    "equivocate": ({"target": ""}, "equivocate needs a target"),
+    "lie_checkpoint": ({"target": ""}, "lie_checkpoint needs a target"),
+    "corrupt_votes": ({"target": "primary"}, "unknown replica 'primary'"),
+    "corrupt_results": ({"target": ""}, "corrupt_results needs a target"),
+    "fabricate_cert": ({"target": ""}, "fabricate_cert needs a target"),
+    "poison_request": ({"target": ""}, "poison_request needs a target"),
+    "corrupt_object": ({"index": -1}, "corrupt_object index must be >= 0"),
+    "overload": ({"rate": 0.0}, "overload needs a rate"),
+    "region_outage": ({"region": "mars"}, "region_outage of unknown region 'mars'"),
+    "partition_storm": ({"count": 0}, "partition_storm needs a count"),
+    "latency_spike": ({"factor": 1.0}, "latency_spike factor must be > 1"),
+    "flash_crowd": ({"clients": 0}, "flash_crowd needs a clients"),
+    "age_replicas": ({"target": "R9"}, "age_replicas of unknown replica 'R9'"),
+    "destroy_group": ({"index": -1}, "destroy_group index must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_TABLE))
+def test_every_run_refuses_a_malformed_step(kind, no_clusters):
+    """Well-formedness is demanded by run_plan and run_soak themselves, not
+    only by whoever remembered to call validate_plan first."""
+    broken, complaint = BROKEN[kind]
+    for deployment in sorted(MATRIX[kind]):
+        plan = plan_with(kind, deployment)
+        assert malformed(plan) == []
+        plan = replace(plan, steps=(replace(plan.steps[0], **broken),))
+        with pytest.raises(ValueError, match=f"malformed plan: .*{complaint}"):
+            run_on(deployment, plan)
+
+
+def test_unknown_kind_is_one_problem():
+    plan = plan_with("client_swarm", SINGLE)
+    assert validate_plan(plan) == ["unknown kind 'client_swarm'"]
+
+
+UNPAIRED = FaultPlan(
+    seed=1, requests=4, steps=(FaultStep(at=0.1, kind="crash", target="R1"),)
+)
+
+
+def test_a_shrunk_plan_that_lost_its_restart_still_runs():
+    """ddmin keeps a ``crash`` and drops its ``restart``: well formed, outside
+    the fault assumptions, and run_plan runs it (the epilogue restarts R1)."""
+    assert malformed(UNPAIRED) == []
+    assert outside_assumptions(UNPAIRED) == ["plan ends with ['R1'] still crashed"]
+    outcome = run_plan(UNPAIRED)
+    assert outcome.violation is None and outcome.completed == 4
+
+
+def test_a_campaign_must_also_stay_inside_the_fault_assumptions(no_clusters):
+    with pytest.raises(ValueError, match="invalid campaign plan: .*still crashed"):
+        run_soak(replace(UNPAIRED, requests=0))
 
 
 def test_topology_presets_need_a_single_group(no_clusters):
@@ -126,7 +219,7 @@ def test_region_steps_need_a_topology(no_clusters):
         requests=4,
         steps=(FaultStep(at=1.0, kind="region_outage", region="us-east", duration=2.0),),
     )
-    with pytest.raises(ValueError, match="require a plan topology"):
+    with pytest.raises(ValueError, match="requires? a plan topology"):
         run_plan(plan)
 
 

@@ -20,6 +20,7 @@ from repro.explore import (
     run_plan,
     validate_plan,
 )
+from repro.explore.interpreter import BENIGN, OVERLOAD, families
 from repro.explore.plan import (
     OVERLOAD_BANDWIDTH,
     OVERLOAD_CLIENTS,
@@ -78,7 +79,7 @@ def test_overload_run_is_deterministic():
 def test_generated_overload_plans_are_pure_and_valid():
     for seed in range(8):
         plan = generate_plan(seed, requests=8, overload=True)
-        assert plan.pure_overload()
+        assert families(plan) == {OVERLOAD}  # pure overload
         assert validate_plan(plan) == []
         (step,) = plan.steps
         assert step.kind == "overload"
@@ -105,8 +106,7 @@ def test_mixed_plan_is_not_pure_overload():
             FaultStep(at=0.9, kind="restart", target="R1"),
         ),
     )
-    assert plan.has_overload()
-    assert not plan.pure_overload()
+    assert families(plan) == {OVERLOAD, BENIGN}
 
 
 def test_overload_step_validation_catches_bad_parameters():

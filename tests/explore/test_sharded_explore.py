@@ -3,6 +3,7 @@ cross-shard atomicity oracle, the planted 2PC regression, and artifacts."""
 
 import json
 
+from repro.explore.interpreter import DESTRUCTION, families
 from repro.explore.plan import FaultPlan, FaultStep, generate_plan
 from repro.explore.runner import explore, run_plan
 from repro.explore.shrink import artifact_dict, load_artifact, write_artifact
@@ -79,7 +80,7 @@ def test_forged_decide_is_rejected_not_split_brained():
 
 def test_destruction_plan_reconstructs_and_stays_safe():
     plan = generate_plan(1, destruction=True)
-    assert plan.has_destruction()
+    assert DESTRUCTION in families(plan)
     outcome = run_plan(plan, shards=2)
     assert outcome.violation is None
     assert outcome.counters["fusion_reconstructions_completed"] == 1
@@ -117,7 +118,7 @@ def test_default_plans_never_destroy():
     """``destruction`` is opt-in: the default plan stream must stay
     byte-identical across versions, destroy steps included."""
     for seed in range(30):
-        assert not generate_plan(seed).has_destruction()
+        assert DESTRUCTION not in families(generate_plan(seed))
 
 
 def test_single_group_artifacts_carry_no_shard_key():

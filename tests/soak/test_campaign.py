@@ -3,14 +3,15 @@ windows, storm-geometry determinism, and the seeded generator."""
 
 import pytest
 
-from repro.explore.interpreter import storm_rng
-from repro.explore.plan import (
-    CAMPAIGN_KINDS,
-    FaultPlan,
-    FaultStep,
+from repro.explore.interpreter import (
+    CAMPAIGN,
     beyond_assumption_windows,
+    families,
+    kinds_of,
+    storm_rng,
     validate_plan,
 )
+from repro.explore.plan import FaultPlan, FaultStep
 from repro.soak.campaign import campaign_horizon, generate_campaign
 
 
@@ -34,7 +35,7 @@ def campaign_plan(**overrides):
 def test_campaign_plan_round_trips():
     plan = campaign_plan()
     assert FaultPlan.from_dict(plan.to_dict()) == plan
-    assert plan.has_campaign()
+    assert families(plan) == {CAMPAIGN}
     assert validate_plan(plan) == []
 
 
@@ -46,7 +47,7 @@ def test_plain_plan_json_has_no_campaign_keys():
     )
     data = plan.to_dict()
     assert "topology" not in data
-    assert not plan.has_campaign()
+    assert CAMPAIGN not in families(plan)
     step = data["steps"][0]
     for key in ("region", "count", "factor"):
         assert key not in step
@@ -142,7 +143,7 @@ def test_generated_campaign_is_valid_and_sorted():
     ats = [step.at for step in plan.steps]
     assert ats == sorted(ats)
     kinds = {step.kind for step in plan.steps}
-    assert kinds <= CAMPAIGN_KINDS
+    assert kinds <= kinds_of(CAMPAIGN)
     assert {"partition_storm", "flash_crowd", "region_outage", "age_replicas"} <= kinds
     assert campaign_horizon(plan) == max(s.at + s.duration for s in plan.steps) + 60.0
 

@@ -1,5 +1,7 @@
 """The ``python -m repro`` / ``repro`` entry point."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -96,11 +98,79 @@ def test_replay_missing_artifact_exits_2(capsys):
     assert "no such artifact" in capsys.readouterr().err
 
 
-def test_replay_malformed_artifact_exits_2(tmp_path, capsys):
+def _artifact(step, topology=""):
+    """A version-1 explore artifact whose plan has the one given step."""
+    plan = {"seed": 1, "requests": 4, "steps": [step]}
+    if topology:
+        plan["topology"] = topology
+    return {"version": 1, "plan": plan, "violation": {}, "plant": None}
+
+
+@pytest.mark.parametrize(
+    "artifact, complaint",
+    [
+        pytest.param({"version": 99}, "version", id="version"),
+        pytest.param(
+            _artifact({"at": 0.1, "kind": "crash", "target": "R9"}),
+            "unknown replica 'R9'",
+            id="crash-R9",
+        ),
+        pytest.param(
+            _artifact(
+                {"at": 0.1, "kind": "overload", "rate": 0, "clients": 2, "duration": 1.0}
+            ),
+            "overload needs a rate",
+            id="overload-rate-0",
+        ),
+        pytest.param(
+            _artifact(
+                {"at": 0.1, "kind": "region_outage", "region": "mars", "duration": 1.0},
+                topology="wan3",
+            ),
+            "unknown region 'mars'",
+            id="outage-of-mars",
+        ),
+        pytest.param(
+            _artifact({"at": 0.1, "kind": "partition"}),
+            "partition needs a groups",
+            id="partition-no-groups",
+        ),
+        pytest.param(
+            _artifact({"at": 0.1, "kind": "drop", "target": "R1", "durration": 1.0}),
+            "durration",
+            id="misspelt-key",
+        ),
+    ],
+)
+def test_replay_malformed_artifact_exits_2(
+    artifact, complaint, tmp_path, capsys, monkeypatch
+):
+    """Refused with exit 2 before any cluster is built — not run (the R9
+    crash and the group-less partition used to replay clean, the misspelt
+    key to a default), not a traceback with the violation exit code."""
+    import repro.explore.runner as runner
+
+    monkeypatch.setattr(runner, "recording_cluster", None)  # calling it fails
     bad = tmp_path / "bad.json"
-    bad.write_text('{"version": 99}')
+    bad.write_text(json.dumps(artifact))
     assert main(["replay", str(bad)]) == 2
-    assert "malformed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("replay: malformed artifact: ") and complaint in err
+
+
+def test_replay_does_not_swallow_an_error_from_the_run(tmp_path, monkeypatch):
+    """Only a refusal *before* the run is a usage error: a ``ValueError``
+    raised once clusters are being built is a bug and must surface."""
+    import repro.explore.runner as runner
+
+    def broken(*_args, **_kwargs):
+        raise ValueError("raised after the run started")
+
+    monkeypatch.setattr(runner, "recording_cluster", broken)
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(_artifact({"at": 0.1, "kind": "heal"})))
+    with pytest.raises(ValueError, match="after the run started"):
+        main(["replay", str(path)])
 
 
 @pytest.mark.parametrize(
