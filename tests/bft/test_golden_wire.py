@@ -52,7 +52,7 @@ from repro.bft.messages import (
     decode_message,
 )
 from repro.bft.sharding import sharded_kv_cluster
-from repro.bft.testing import KVStateMachine, kv_cluster
+from repro.bft.testing import KVStateMachine, encode_append, encode_get, encode_set, kv_cluster
 from repro.crypto.auth import Authenticator
 from repro.crypto.digest import digest
 from repro.util.xdr import XdrError
@@ -498,6 +498,15 @@ def test_edge_encodings_and_sizes_golden():
     assert EDGE_WIRE_SIZES["checkpoint_cert_auth"] == WIRE_SIZES["checkpoint_cert"]
     assert EDGE_WIRE_SIZES["retransmit_auth"] == WIRE_SIZES["retransmit"]
     assert EDGE_WIRE_SIZES["fetch_root_auth"] == WIRE_SIZES["fetch_root"] + 12
+
+
+def test_kv_op_bytes_golden():
+    """The ops every explore / soak / bench / perf workload is made of."""
+    assert encode_set(3, b"value").hex() == "0000000353455400000000030000000576616c7565000000"
+    assert encode_get(3).hex() == "000000034745540000000003"
+    assert encode_append(2**32 - 1, b"more!").hex() == (
+        "00000006415050454e440000ffffffff000000056d6f726521000000"
+    )
 
 
 def test_wire_size_stable_on_repeated_calls():

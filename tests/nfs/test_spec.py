@@ -13,6 +13,25 @@ from repro.nfs.spec import (
     null_object,
     parse_oid,
 )
+from repro.util.xdr import XdrDecoder, XdrEncoder
+
+META = AbstractMeta(mode=0o644, uid=1, gid=2, mtime=10, ctime=2**40)
+META_HEX = "000001a40000000100000002000000000000000a0000010000000000"
+
+#: One abstract object of each type and the bytes it has always had (the
+#: bytes checkpoint digests are taken over).  Entries are never edited.
+GOLDEN_OBJECTS = [
+    (null_object(5),
+     "0000000000000005"),
+    (AbstractObject(ftype=NFREG, generation=3, meta=META, data=b"contents!"),
+     "0000000100000003" + META_HEX + "00000009636f6e74656e747321000000"),
+    (AbstractObject(ftype=NFDIR, generation=1, meta=META,
+                    entries=[("alpha", make_oid(3, 1)), ("zeta", make_oid(2, 1))]),
+     "0000000200000001" + META_HEX + "00000002"
+     "00000005616c706861000000" "0000000300000001" "000000047a657461" "0000000200000001"),
+    (AbstractObject(ftype=NFLNK, generation=2, meta=META, target="/a/b"),
+     "0000000500000002" + META_HEX + "000000042f612f62"),
+]
 
 
 class TestOid:
@@ -21,6 +40,9 @@ class TestOid:
 
     def test_root_oid(self):
         assert parse_oid(ROOT_OID) == (0, 0)
+
+    def test_bytes_match_the_parent_commit(self):
+        assert make_oid(42, 7).hex() == "0000002a00000007"
 
     def test_oid_is_eight_bytes(self):
         assert len(make_oid(1, 1)) == 8
@@ -64,6 +86,17 @@ class TestAbstractObject:
     def test_symlink_roundtrip(self):
         obj = AbstractObject(ftype=NFLNK, generation=2, target="/a/b")
         assert AbstractObject.decode(obj.encode()) == obj
+
+    def test_bytes_match_the_parent_commit(self):
+        for obj, golden in GOLDEN_OBJECTS:
+            assert obj.encode().hex() == golden, obj
+            assert AbstractObject.decode(bytes.fromhex(golden)) == obj
+
+    def test_meta_bytes_match_the_parent_commit(self):
+        enc = XdrEncoder()
+        META.pack(enc)
+        assert enc.getvalue().hex() == META_HEX
+        assert AbstractMeta.unpack(XdrDecoder(enc.getvalue())) == META
 
     def test_distinct_generations_encode_differently(self):
         assert null_object(1).encode() != null_object(2).encode()

@@ -8,7 +8,14 @@ from repro.oodb import AOid, OODBDeployment, OODBError
 from repro.oodb.spec import (
     AbstractDBObject,
     AbstractRef,
+    OODBReply,
+    OODB_OK,
     OODB_STALE,
+    ROOT_AOID,
+    encode_classof,
+    encode_del,
+    encode_find,
+    encode_free,
     encode_get,
     encode_new,
     encode_set,
@@ -16,6 +23,47 @@ from repro.oodb.spec import (
     make_aoid,
     parse_aoid,
 )
+
+A1 = make_aoid(1, 1)
+ATTRS = {"name": "x", "n": -7, "blob": b"\x00\x01", "ref": AbstractRef(make_aoid(3, 1))}
+ATTRS_HEX = (
+    "00000004"
+    "00000004626c6f62" "00000002" "0000000200010000"
+    "000000016e000000" "00000000" "fffffffffffffff9"
+    "000000046e616d65" "00000001" "0000000178000000"
+    "0000000372656600" "00000003" "0000000300000001"
+)
+
+#: The seven ops (SET with each of the four value types) and the bytes they
+#: have always had.  Entries are never edited.
+GOLDEN_OPS = [
+    (encode_new("Person"), "000000034e45570000000006506572736f6e0000"),
+    (encode_free(A1), "00000004465245450000000100000001"),
+    (encode_set(A1, "n", -7),
+     "00000003534554000000000100000001000000016e00000000000000fffffffffffffff9"),
+    (encode_set(A1, "name", "barbara"),
+     "00000003534554000000000100000001000000046e616d6500000001000000076261726261726100"),
+    (encode_set(A1, "blob", b"\x00\x01\x02"),
+     "0000000353455400000000010000000100000004626c6f62000000020000000300010200"),
+    (encode_set(ROOT_AOID, "first", AbstractRef(A1)),
+     "00000003534554000000000000000000000000056669727374000000000000030000000100000001"),
+    (encode_del(A1, "name"), "0000000344454c000000000100000001000000046e616d65"),
+    (encode_get(A1), "00000003474554000000000100000001"),
+    (encode_classof(A1), "00000007434c4153534f46000000000100000001"),
+    (encode_find("Person"), "0000000446494e4400000006506572736f6e0000"),
+]
+
+GOLDEN_RECORDS = [
+    (OODBReply(), "00" * 28),
+    (OODBReply(status=OODB_STALE), "00000001" + "00" * 24),
+    (OODBReply(status=OODB_OK, aoid=A1, class_name="Person", attrs=ATTRS, mtime=123,
+               matches=[A1, make_aoid(2, 5)]),
+     "00000000" "000000080000000100000001" "00000006506572736f6e0000" "000000000000007b"
+     + ATTRS_HEX + "00000002" "0000000100000001" "0000000200000005"),
+    (AbstractDBObject(generation=9), "0000000900000000"),
+    (AbstractDBObject(generation=2, class_name="Person", attrs=ATTRS, mtime=123),
+     "00000002" "00000006506572736f6e0000" "000000000000007b" + ATTRS_HEX),
+]
 
 
 @pytest.fixture
@@ -50,6 +98,14 @@ class TestSpecEncoding:
         a = AbstractDBObject(generation=1, class_name="C", attrs={"b": 1, "a": 2})
         b = AbstractDBObject(generation=1, class_name="C", attrs={"a": 2, "b": 1})
         assert a.encode() == b.encode()
+
+    def test_bytes_match_the_parent_commit(self):
+        assert make_aoid(42, 7).hex() == "0000002a00000007"
+        for op, golden in GOLDEN_OPS:
+            assert op.hex() == golden
+        for record, golden in GOLDEN_RECORDS:
+            assert record.encode().hex() == golden, record
+            assert type(record).decode(bytes.fromhex(golden)) == record
 
     def test_read_only_classification(self):
         assert is_read_only_op(encode_get(make_aoid(0, 0)))
