@@ -22,12 +22,27 @@ attached after the signable prefix is taken and are never part of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Type
+from operator import attrgetter, methodcaller
+from typing import Dict, List, NamedTuple, Optional, Tuple, Type
 
 from repro.crypto.auth import Authenticator
 from repro.crypto.digest import combine_digests, digest
 from repro.util.stats import Counters
-from repro.util.xdr import XdrDecoder, XdrEncoder, XdrError
+from repro.util.xdr import (
+    BOOL,
+    OPAQUE,
+    STRING,
+    U32,
+    U64,
+    Kind,
+    XdrDecoder,
+    XdrEncoder,
+    XdrError,
+    array,
+    codec,
+    fixed_opaque,
+    tuple_of,
+)
 
 #: Process-wide encode accounting (all replicas in a simulation share it):
 #: ``message_encodes`` / ``message_encode_bytes`` count actual serializations;
@@ -45,44 +60,12 @@ class FrozenMessageError(AttributeError):
     """A protocol field was assigned after the message's encoding was cached."""
 
 
-class Kind(NamedTuple):
-    """One XDR kind a signed field can have, as source text: a class's encoder
-    is generated once (as ``dataclass`` generates ``__init__``) and then runs
-    straight-line :class:`XdrEncoder` calls, range and length checks included."""
-
-    pack: Callable[[str], str]  #: value expression -> expression packing it on ``enc``
-    unpack: Optional[str]  #: expression reading it from ``dec``; None: not in the bytes
-
-
-def _scalar(method: str, size: str = "") -> Kind:
-    sized = size and ", " + size
-    return Kind(lambda value: f"enc.pack_{method}({value}{sized})", f"dec.unpack_{method}({size})")
-
-
-U32, U64, BOOL = _scalar("u32"), _scalar("u64"), _scalar("bool")
-STRING, OPAQUE, DIGEST = _scalar("string"), _scalar("opaque"), _scalar("fixed_opaque", "32")
+DIGEST = fixed_opaque(32)
 #: A nested message's signed prefix, as one opaque.  What the nested message
 #: carries outside its own prefix is not in these bytes, hence no decoder.
 EMBEDDED = Kind(lambda value: f"enc.pack_opaque({value}.signable_bytes())", None)
 #: A tuple position that is carried, not signed.
 UNSIGNED = Kind(lambda value: "None", None)
-
-
-def array(item: Kind) -> Kind:
-    """Variable-length array: u32 count, then each element."""
-    return Kind(
-        lambda value: f"enc.pack_array({value}, lambda enc, item: {item.pack('item')})",
-        item.unpack and f"dec.unpack_array(lambda dec: {item.unpack})",
-    )
-
-
-def tuple_of(*items: Kind) -> Kind:
-    """Fixed-length tuple: each position in order, no count."""
-    unpack = [item.unpack for item in items]
-    return Kind(
-        lambda value: "(%s)" % ", ".join(k.pack(f"{value}[{i}]") for i, k in enumerate(items)),
-        "(%s)" % ", ".join(map(str, unpack)) if all(unpack) else None,
-    )
 
 
 class Wire(NamedTuple):
@@ -118,11 +101,9 @@ def decode_message(data: bytes) -> "Message":
     bytes raise ``ValueError`` (:class:`XdrError`; ``UnicodeDecodeError`` for a bad string)."""
     dec = XdrDecoder(data)
     cls = MESSAGE_TYPES.get(dec.unpack_string())
-    if cls is None or cls._unpack is None:
+    if cls is None or cls.unpack is None:
         raise XdrError("not the encoding of a decodable message")
-    message = cls._unpack(dec)
-    dec.done()
-    return message
+    return dec.unpack_last(cls)
 
 
 @dataclass
@@ -130,30 +111,20 @@ class Message:
     """Base class; a subclass declares ``WIRE`` and the rest is derived."""
 
     def __init_subclass__(cls, **kwargs: object) -> None:
-        """Register the tag and generate, from ``WIRE``: ``_pack(self, enc)``, the
-        straight-line encoder; ``_carried(self)``, the carried values, if any;
-        ``_unpack(dec)``, the decoder, if the signed prefix is the whole message."""
+        """Register the tag and derive, from ``WIRE``: ``pack(self, enc)``, the
+        straight-line encoder; ``unpack(dec)``, the decoder, if the signed prefix
+        is the whole message; ``_carried(self)``, the carried values, if any."""
         super().__init_subclass__(**kwargs)
         wire = cls.__dict__.get("WIRE")
         if not isinstance(wire, Wire):
             raise TypeError(f"message class {cls.__name__} declares no WIRE (tag and fields)")
-        taken = MESSAGE_TYPES.setdefault(wire.tag, cls)
-        if taken is not cls:
-            raise TypeError(
-                f"wire tag {wire.tag!r} of {cls.__name__} is already taken by {taken.__name__}: "
-                "encodings must be domain-separated"
-            )
-        signed = list(wire.signed.items())
-        source = ["def _pack(self, enc):", f"    enc.pack_string({wire.tag!r})"]
-        source += [f"    {kind.pack('self.' + attr)}" for attr, kind in signed]
-        carried = "".join(f"self.{attr}, " for attr in wire.carried)
-        source += [f"_carried = lambda self: ({carried})" if carried else "_carried = None"]
-        if not carried and all(attr.isidentifier() and kind.unpack for attr, kind in signed):
-            fields = ", ".join(f"{attr}={kind.unpack}" for attr, kind in signed)
-            source += [f"_unpack = staticmethod(lambda dec: cls({fields}))"]
-        names: Dict[str, object] = {"cls": cls, "_unpack": None}
-        exec("\n".join(source), names)  # input: this module's declarations only
-        cls._pack, cls._carried, cls._unpack = names["_pack"], names["_carried"], names["_unpack"]
+        codec(wire.signed, (STRING, wire.tag), MESSAGE_TYPES)(cls)
+        cls._carried = None
+        if wire.carried:
+            getters = [methodcaller(attr[:-2]) if attr.endswith("()") else attrgetter(attr)
+                       for attr in wire.carried]
+            cls._carried = lambda self: [get(self) for get in getters]
+            cls.unpack = None
         #: What every encoding of the class starts with.
         cls.wire_tag = XdrEncoder().pack_string(wire.tag).getvalue()
 
@@ -181,7 +152,7 @@ class Message:
         cached = state.get("_signable")
         if cached is None:
             enc = XdrEncoder()
-            self._pack(enc)
+            self.pack(enc)
             cached = state["_signable"] = enc.getvalue()
             state["_frozen"] = True
             MESSAGE_STATS.add("message_encodes")

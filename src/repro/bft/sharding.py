@@ -23,7 +23,7 @@ from repro.base.shardmap import ShardMap
 from repro.bft.client import Client
 from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
-from repro.bft.testing import HistoryRecorder, KVStateMachine, RecordingKV
+from repro.bft.testing import KV_OPS, HistoryRecorder, KVStateMachine, RecordingKV
 from repro.bft.txn import (
     TxnCoordinator,
     VoteClient,
@@ -32,7 +32,7 @@ from repro.bft.txn import (
 from repro.net.network import NetworkConfig
 from repro.net.simulator import Simulator
 from repro.util.stats import Counters
-from repro.util.xdr import XdrDecoder, XdrEncoder
+from repro.util.xdr import XdrEncoder, decode_op
 
 
 class ShardedCluster:
@@ -173,16 +173,11 @@ class ShardedClient:
     # -- single-shard operations --------------------------------------------------------
 
     def _route(self, op: bytes) -> Tuple[int, bytes]:
-        """Rewrite a global-index SET/GET/APPEND to its shard-local form."""
-        dec = XdrDecoder(op)
-        command = dec.unpack_string()
-        index = dec.unpack_u32()
-        shard = self.shardmap.shard_of(index)
-        enc = XdrEncoder()
-        enc.pack_string(command).pack_u32(self.shardmap.local_index(index))
-        if command != "GET":
-            enc.pack_opaque(dec.unpack_opaque())
-        return shard, enc.getvalue()
+        """Rewrite a global-index SET/GET/APPEND to its shard-local form;
+        anything but exactly one such op is refused (``ValueError``)."""
+        _command, args = decode_op(KV_OPS, op)
+        local = dataclasses.replace(args, index=self.shardmap.local_index(args.index))
+        return self.shardmap.shard_of(args.index), XdrEncoder.encode(local)
 
     def invoke_async(
         self,

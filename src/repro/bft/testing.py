@@ -25,19 +25,13 @@ from repro.bft.service import StateMachine
 from repro.bft.txn import TxnParticipant, decode_txn_op
 from repro.faults.buggy import POISON
 from repro.util.errors import FaultInjected
-from repro.util.xdr import XdrDecoder, XdrEncoder
+from repro.util.xdr import OPAQUE, U32, UnknownOp, declare_op, decode_op
 
-
-def encode_set(index: int, value: bytes) -> bytes:
-    return XdrEncoder().pack_string("SET").pack_u32(index).pack_opaque(value).getvalue()
-
-
-def encode_get(index: int) -> bytes:
-    return XdrEncoder().pack_string("GET").pack_u32(index).getvalue()
-
-
-def encode_append(index: int, value: bytes) -> bytes:
-    return XdrEncoder().pack_string("APPEND").pack_u32(index).pack_opaque(value).getvalue()
+#: Command -> the op's record class, its arguments as fields in wire order.
+KV_OPS: Dict[str, type] = {}
+encode_set = declare_op(KV_OPS, "SET", index=U32, value=OPAQUE)
+encode_get = declare_op(KV_OPS, "GET", index=U32)
+encode_append = declare_op(KV_OPS, "APPEND", index=U32, value=OPAQUE)
 
 
 class KVStateMachine(StateMachine):
@@ -91,16 +85,16 @@ class KVStateMachine(StateMachine):
                 result = self.participant.execute(txn_message, client_id)
                 self.executed_ops += 1
                 return result
-        # Clients are authenticated, not trusted: an op that does not decode
-        # gets an error reply (the same one at every replica) and touches no
-        # abstract object.  ValueError covers XdrError and a non-UTF-8 command.
+        # Clients are authenticated, not trusted: an op that does not decode,
+        # completely, gets an error reply (the same one at every replica) and
+        # touches no abstract object.  ValueError covers XdrError and bad UTF-8.
         try:
-            dec = XdrDecoder(op)
-            command = dec.unpack_string()
-            index = dec.unpack_u32()
-            value = b"" if command == "GET" else dec.unpack_opaque()
+            command, args = decode_op(KV_OPS, op)
+        except UnknownOp:
+            return b"ERR unknown command"
         except ValueError:
             return b"ERR malformed"
+        index = args.index
         if index >= self.data_slots():
             return b"ERR index"
         if command == "GET":
@@ -109,10 +103,8 @@ class KVStateMachine(StateMachine):
             return b"ERR mutation in read-only request"
         if self.participant is not None and self.participant.locked(index):
             return b"ERR locked"
-        if command not in ("SET", "APPEND"):
-            return b"ERR unknown command"
         self.manager.modify(index)
-        self.cells[index] = value if command == "SET" else self.cells[index] + value
+        self.cells[index] = args.value if command == "SET" else self.cells[index] + args.value
         self.disk[index] = self.cells[index]
         self.executed_ops += 1
         return b"OK"

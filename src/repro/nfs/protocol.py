@@ -16,7 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.util.xdr import XdrDecoder, XdrEncoder
+from repro.util.xdr import (
+    OPAQUE,
+    STRING,
+    U32,
+    U64,
+    Kind,
+    XdrDecoder,
+    XdrEncoder,
+    array,
+    codec,
+    optional,
+    record,
+    reserved,
+    tuple_of,
+)
 
 # --- status codes (RFC 1094 section 2.2.6) -------------------------------------
 
@@ -62,10 +76,9 @@ NFLNK = 5
 
 TYPE_NAMES = {NFNON: "NFNON", NFREG: "NFREG", NFDIR: "NFDIR", NFLNK: "NFLNK"}
 
-_DONT_SET = 0xFFFFFFFF
-_DONT_SET64 = 0xFFFFFFFFFFFFFFFF
 
-
+@codec({"ftype": U32, "mode": U32, "nlink": U32, "uid": U32, "gid": U32, "size": U64,
+        "fsid": U64, "fileid": U64, "atime": U64, "mtime": U64, "ctime": U64})
 @dataclass
 class Fattr:
     """File attributes (RFC 1094 fattr, times as integer microseconds)."""
@@ -82,29 +95,13 @@ class Fattr:
     mtime: int = 0
     ctime: int = 0
 
-    def pack(self, enc: XdrEncoder) -> None:
-        enc.pack_u32(self.ftype).pack_u32(self.mode).pack_u32(self.nlink)
-        enc.pack_u32(self.uid).pack_u32(self.gid).pack_u64(self.size)
-        enc.pack_u64(self.fsid).pack_u64(self.fileid)
-        enc.pack_u64(self.atime).pack_u64(self.mtime).pack_u64(self.ctime)
 
-    @classmethod
-    def unpack(cls, dec: XdrDecoder) -> "Fattr":
-        return cls(
-            ftype=dec.unpack_u32(),
-            mode=dec.unpack_u32(),
-            nlink=dec.unpack_u32(),
-            uid=dec.unpack_u32(),
-            gid=dec.unpack_u32(),
-            size=dec.unpack_u64(),
-            fsid=dec.unpack_u64(),
-            fileid=dec.unpack_u64(),
-            atime=dec.unpack_u64(),
-            mtime=dec.unpack_u64(),
-            ctime=dec.unpack_u64(),
-        )
+# An unset field travels as all ones (RFC 1094 sattr).
+_OPT32, _OPT64 = reserved(U32, 0xFFFFFFFF), reserved(U64, 0xFFFFFFFFFFFFFFFF)
 
 
+@codec({"mode": _OPT32, "uid": _OPT32, "gid": _OPT32,
+        "size": _OPT64, "atime": _OPT64, "mtime": _OPT64})
 @dataclass
 class Sattr:
     """Settable attributes; ``None`` fields are left unchanged."""
@@ -116,64 +113,26 @@ class Sattr:
     atime: Optional[int] = None
     mtime: Optional[int] = None
 
-    def pack(self, enc: XdrEncoder) -> None:
-        enc.pack_u32(_DONT_SET if self.mode is None else self.mode)
-        enc.pack_u32(_DONT_SET if self.uid is None else self.uid)
-        enc.pack_u32(_DONT_SET if self.gid is None else self.gid)
-        enc.pack_u64(_DONT_SET64 if self.size is None else self.size)
-        enc.pack_u64(_DONT_SET64 if self.atime is None else self.atime)
-        enc.pack_u64(_DONT_SET64 if self.mtime is None else self.mtime)
-
-    @classmethod
-    def unpack(cls, dec: XdrDecoder) -> "Sattr":
-        def opt32(value: int) -> Optional[int]:
-            return None if value == _DONT_SET else value
-
-        def opt64(value: int) -> Optional[int]:
-            return None if value == _DONT_SET64 else value
-
-        return cls(
-            mode=opt32(dec.unpack_u32()),
-            uid=opt32(dec.unpack_u32()),
-            gid=opt32(dec.unpack_u32()),
-            size=opt64(dec.unpack_u64()),
-            atime=opt64(dec.unpack_u64()),
-            mtime=opt64(dec.unpack_u64()),
-        )
-
 
 # --- calls -------------------------------------------------------------------------
 
+#: Procedure number -> the one call class that declared it.
 _CALL_REGISTRY: Dict[int, Type["NfsCall"]] = {}
-
-
-def _register(proc: int):
-    def wrap(cls):
-        cls.PROC = proc
-        _CALL_REGISTRY[proc] = cls
-        return cls
-
-    return wrap
+_SATTR = record(Sattr)
 
 
 @dataclass
 class NfsCall:
-    """Base class for protocol calls."""
+    """Base class for protocol calls.  A subclass states its procedure number,
+    its arguments (*field -> kind*, in wire order) and whether it is read-only
+    once, in the class statement; the codec derives from that."""
 
-    PROC = -1
+    def __init_subclass__(cls, proc: int, args: Dict[str, Kind], read_only: bool = False) -> None:
+        codec(args, (U32, proc), _CALL_REGISTRY)(cls)
+        cls.is_read_only = read_only
 
     def encode(self) -> bytes:
-        enc = XdrEncoder()
-        enc.pack_u32(self.PROC)
-        self._pack_args(enc)
-        return enc.getvalue()
-
-    def _pack_args(self, enc: XdrEncoder) -> None:
-        raise NotImplementedError
-
-    @classmethod
-    def _unpack_args(cls, dec: XdrDecoder) -> "NfsCall":
-        raise NotImplementedError
+        return XdrEncoder.encode(self)
 
     @staticmethod
     def decode(data: bytes) -> "NfsCall":
@@ -182,256 +141,104 @@ class NfsCall:
         cls = _CALL_REGISTRY.get(proc)
         if cls is None:
             raise ValueError(f"unknown NFS procedure {proc}")
-        call = cls._unpack_args(dec)
-        dec.done()
-        return call
-
-    @property
-    def is_read_only(self) -> bool:
-        return self.PROC in _READ_ONLY_PROCS
+        return dec.unpack_last(cls)
 
 
-@_register(1)
 @dataclass
-class GetattrCall(NfsCall):
+class GetattrCall(NfsCall, proc=1, args={"fh": OPAQUE}, read_only=True):
     fh: bytes = b""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.fh)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(fh=dec.unpack_opaque())
-
-
-@_register(2)
 @dataclass
-class SetattrCall(NfsCall):
+class SetattrCall(NfsCall, proc=2, args={"fh": OPAQUE, "sattr": _SATTR}):
     fh: bytes = b""
     sattr: Sattr = field(default_factory=Sattr)
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.fh)
-        self.sattr.pack(enc)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(fh=dec.unpack_opaque(), sattr=Sattr.unpack(dec))
-
-
-@_register(4)
 @dataclass
-class LookupCall(NfsCall):
+class LookupCall(NfsCall, proc=4, args={"dir_fh": OPAQUE, "name": STRING}, read_only=True):
     dir_fh: bytes = b""
     name: str = ""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.dir_fh)
-        enc.pack_string(self.name)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(dir_fh=dec.unpack_opaque(), name=dec.unpack_string())
-
-
-@_register(5)
 @dataclass
-class ReadlinkCall(NfsCall):
+class ReadlinkCall(NfsCall, proc=5, args={"fh": OPAQUE}, read_only=True):
     fh: bytes = b""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.fh)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(fh=dec.unpack_opaque())
-
-
-@_register(6)
 @dataclass
-class ReadCall(NfsCall):
+class ReadCall(NfsCall, proc=6, args={"fh": OPAQUE, "offset": U64, "count": U32}, read_only=True):
     fh: bytes = b""
     offset: int = 0
     count: int = 0
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.fh)
-        enc.pack_u64(self.offset)
-        enc.pack_u32(self.count)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(fh=dec.unpack_opaque(), offset=dec.unpack_u64(), count=dec.unpack_u32())
-
-
-@_register(8)
 @dataclass
-class WriteCall(NfsCall):
+class WriteCall(NfsCall, proc=8, args={"fh": OPAQUE, "offset": U64, "data": OPAQUE}):
     fh: bytes = b""
     offset: int = 0
     data: bytes = b""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.fh)
-        enc.pack_u64(self.offset)
-        enc.pack_opaque(self.data)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(fh=dec.unpack_opaque(), offset=dec.unpack_u64(), data=dec.unpack_opaque())
-
-
-@_register(9)
 @dataclass
-class CreateCall(NfsCall):
+class CreateCall(NfsCall, proc=9, args={"dir_fh": OPAQUE, "name": STRING, "sattr": _SATTR}):
     dir_fh: bytes = b""
     name: str = ""
     sattr: Sattr = field(default_factory=Sattr)
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.dir_fh)
-        enc.pack_string(self.name)
-        self.sattr.pack(enc)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(dir_fh=dec.unpack_opaque(), name=dec.unpack_string(), sattr=Sattr.unpack(dec))
-
-
-@_register(10)
 @dataclass
-class RemoveCall(NfsCall):
+class RemoveCall(NfsCall, proc=10, args={"dir_fh": OPAQUE, "name": STRING}):
     dir_fh: bytes = b""
     name: str = ""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.dir_fh)
-        enc.pack_string(self.name)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(dir_fh=dec.unpack_opaque(), name=dec.unpack_string())
-
-
-@_register(11)
 @dataclass
-class RenameCall(NfsCall):
+class RenameCall(NfsCall, proc=11, args={"from_dir": OPAQUE, "from_name": STRING,
+                                         "to_dir": OPAQUE, "to_name": STRING}):
     from_dir: bytes = b""
     from_name: str = ""
     to_dir: bytes = b""
     to_name: str = ""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.from_dir)
-        enc.pack_string(self.from_name)
-        enc.pack_opaque(self.to_dir)
-        enc.pack_string(self.to_name)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(
-            from_dir=dec.unpack_opaque(),
-            from_name=dec.unpack_string(),
-            to_dir=dec.unpack_opaque(),
-            to_name=dec.unpack_string(),
-        )
-
-
-@_register(13)
 @dataclass
-class SymlinkCall(NfsCall):
+class SymlinkCall(NfsCall, proc=13, args={"dir_fh": OPAQUE, "name": STRING, "target": STRING,
+                                          "sattr": _SATTR}):
     dir_fh: bytes = b""
     name: str = ""
     target: str = ""
     sattr: Sattr = field(default_factory=Sattr)
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.dir_fh)
-        enc.pack_string(self.name)
-        enc.pack_string(self.target)
-        self.sattr.pack(enc)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(
-            dir_fh=dec.unpack_opaque(),
-            name=dec.unpack_string(),
-            target=dec.unpack_string(),
-            sattr=Sattr.unpack(dec),
-        )
-
-
-@_register(14)
 @dataclass
-class MkdirCall(NfsCall):
+class MkdirCall(NfsCall, proc=14, args={"dir_fh": OPAQUE, "name": STRING, "sattr": _SATTR}):
     dir_fh: bytes = b""
     name: str = ""
     sattr: Sattr = field(default_factory=Sattr)
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.dir_fh)
-        enc.pack_string(self.name)
-        self.sattr.pack(enc)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(dir_fh=dec.unpack_opaque(), name=dec.unpack_string(), sattr=Sattr.unpack(dec))
-
-
-@_register(15)
 @dataclass
-class RmdirCall(NfsCall):
+class RmdirCall(NfsCall, proc=15, args={"dir_fh": OPAQUE, "name": STRING}):
     dir_fh: bytes = b""
     name: str = ""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.dir_fh)
-        enc.pack_string(self.name)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(dir_fh=dec.unpack_opaque(), name=dec.unpack_string())
-
-
-@_register(16)
 @dataclass
-class ReaddirCall(NfsCall):
+class ReaddirCall(NfsCall, proc=16, args={"fh": OPAQUE}, read_only=True):
     fh: bytes = b""
 
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.fh)
 
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(fh=dec.unpack_opaque())
-
-
-@_register(17)
 @dataclass
-class StatfsCall(NfsCall):
+class StatfsCall(NfsCall, proc=17, args={"fh": OPAQUE}, read_only=True):
     fh: bytes = b""
-
-    def _pack_args(self, enc):
-        enc.pack_opaque(self.fh)
-
-    @classmethod
-    def _unpack_args(cls, dec):
-        return cls(fh=dec.unpack_opaque())
-
-
-_READ_ONLY_PROCS = {
-    GetattrCall.PROC,
-    LookupCall.PROC,
-    ReadlinkCall.PROC,
-    ReadCall.PROC,
-    ReaddirCall.PROC,
-    StatfsCall.PROC,
-}
 
 
 # --- replies ------------------------------------------------------------------------
 
 
+@codec({"status": U32, "fh": OPAQUE, "attr": optional(record(Fattr)), "data": OPAQUE,
+        "target": STRING, "entries": array(tuple_of(STRING, OPAQUE))})
 @dataclass
 class NfsReply:
     """Uniform reply: status plus the fields the procedure fills in."""
@@ -444,33 +251,11 @@ class NfsReply:
     entries: List[Tuple[str, bytes]] = field(default_factory=list)  # (name, fh)
 
     def encode(self) -> bytes:
-        enc = XdrEncoder()
-        enc.pack_u32(self.status)
-        enc.pack_opaque(self.fh)
-        enc.pack_bool(self.attr is not None)
-        if self.attr is not None:
-            self.attr.pack(enc)
-        enc.pack_opaque(self.data)
-        enc.pack_string(self.target)
-        enc.pack_u32(len(self.entries))
-        for name, fh in self.entries:
-            enc.pack_string(name)
-            enc.pack_opaque(fh)
-        return enc.getvalue()
+        return XdrEncoder.encode(self)
 
     @staticmethod
     def decode(data: bytes) -> "NfsReply":
-        dec = XdrDecoder(data)
-        reply = NfsReply(status=dec.unpack_u32())
-        reply.fh = dec.unpack_opaque()
-        if dec.unpack_bool():
-            reply.attr = Fattr.unpack(dec)
-        reply.data = dec.unpack_opaque()
-        reply.target = dec.unpack_string()
-        count = dec.unpack_u32()
-        reply.entries = [(dec.unpack_string(), dec.unpack_opaque()) for _ in range(count)]
-        dec.done()
-        return reply
+        return XdrDecoder(data).unpack_last(NfsReply)
 
     @property
     def ok(self) -> bool:

@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 from repro.base.abstraction import AbstractSpec
 from repro.nfs.protocol import NFDIR, NFLNK, NFNON, NFREG
-from repro.util.xdr import XdrDecoder, XdrEncoder
+from repro.util.xdr import U32, U64, XdrDecoder, XdrEncoder, codec
 
 OID_SIZE = 8
 
@@ -54,6 +54,7 @@ DEFAULT_DIR_MODE = 0o755
 DEFAULT_FILE_MODE = 0o644
 
 
+@codec({"mode": U32, "uid": U32, "gid": U32, "mtime": U64, "ctime": U64})
 @dataclass
 class AbstractMeta:
     """The client-visible attributes stored in the abstract state.
@@ -67,20 +68,6 @@ class AbstractMeta:
     gid: int = 0
     mtime: int = 0
     ctime: int = 0
-
-    def pack(self, enc: XdrEncoder) -> None:
-        enc.pack_u32(self.mode).pack_u32(self.uid).pack_u32(self.gid)
-        enc.pack_u64(self.mtime).pack_u64(self.ctime)
-
-    @classmethod
-    def unpack(cls, dec: XdrDecoder) -> "AbstractMeta":
-        return cls(
-            mode=dec.unpack_u32(),
-            uid=dec.unpack_u32(),
-            gid=dec.unpack_u32(),
-            mtime=dec.unpack_u64(),
-            ctime=dec.unpack_u64(),
-        )
 
 
 @dataclass

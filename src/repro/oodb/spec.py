@@ -18,7 +18,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
 from repro.base.abstraction import AbstractSpec
-from repro.util.xdr import XdrDecoder, XdrEncoder
+from repro.util.xdr import (
+    OPAQUE,
+    STRING,
+    U32,
+    U64,
+    Kind,
+    XdrDecoder,
+    XdrEncoder,
+    array,
+    codec,
+    declare_op,
+    fixed_opaque,
+    tuple_of,
+)
 
 # -- status codes ------------------------------------------------------------------
 
@@ -88,6 +101,15 @@ def unpack_value(dec: XdrDecoder) -> AbstractValue:
     if tag == _TAG_REF:
         return AbstractRef(dec.unpack_fixed_opaque(8))
     raise ValueError(f"bad OODB value tag {tag}")
+
+
+_AOID = fixed_opaque(8)
+_VALUE = Kind(lambda value: f"pack_value(enc, {value})", "unpack_value(dec)",
+              (("pack_value", pack_value), ("unpack_value", unpack_value)))
+_ITEMS = array(tuple_of(STRING, _VALUE))
+#: A name -> value mapping, as its items in lexicographic (deterministic) order.
+_ATTRS = Kind(lambda value: _ITEMS.pack(f"sorted({value}.items())"), f"dict({_ITEMS.unpack})",
+              _ITEMS.names)
 
 
 # -- abstract objects ------------------------------------------------------------------
@@ -166,57 +188,32 @@ class OODBAbstractSpec(AbstractSpec):
 
 # -- operations ------------------------------------------------------------------------------
 
-
-def encode_new(class_name: str) -> bytes:
-    return XdrEncoder().pack_string("NEW").pack_string(class_name).getvalue()
-
-
-def encode_free(aoid: bytes) -> bytes:
-    return XdrEncoder().pack_string("FREE").pack_fixed_opaque(aoid, 8).getvalue()
-
-
-def encode_set(aoid: bytes, name: str, value: AbstractValue) -> bytes:
-    enc = XdrEncoder().pack_string("SET").pack_fixed_opaque(aoid, 8).pack_string(name)
-    pack_value(enc, value)
-    return enc.getvalue()
-
-
-def encode_del(aoid: bytes, name: str) -> bytes:
-    return (
-        XdrEncoder().pack_string("DEL").pack_fixed_opaque(aoid, 8).pack_string(name).getvalue()
-    )
-
-
-def encode_get(aoid: bytes) -> bytes:
-    return XdrEncoder().pack_string("GET").pack_fixed_opaque(aoid, 8).getvalue()
-
-
-def encode_classof(aoid: bytes) -> bytes:
-    return XdrEncoder().pack_string("CLASSOF").pack_fixed_opaque(aoid, 8).getvalue()
-
-
-def encode_find(class_name: str) -> bytes:
-    """All live objects of a class, in deterministic (index) order."""
-    return XdrEncoder().pack_string("FIND").pack_string(class_name).getvalue()
-
-
+#: Command -> the op's record class, its arguments as fields in wire order.
+OPS: Dict[str, type] = {}
 READ_ONLY_OPS = {"GET", "CLASSOF", "FIND"}
 
-
-def op_name(op: bytes) -> str:
-    return XdrDecoder(op).unpack_string()
+encode_new = declare_op(OPS, "NEW", class_name=STRING)
+encode_free = declare_op(OPS, "FREE", aoid=_AOID)
+encode_set = declare_op(OPS, "SET", aoid=_AOID, name=STRING, value=_VALUE)
+encode_del = declare_op(OPS, "DEL", aoid=_AOID, name=STRING)
+encode_get = declare_op(OPS, "GET", aoid=_AOID)
+encode_classof = declare_op(OPS, "CLASSOF", aoid=_AOID)
+#: All live objects of a class, in deterministic (index) order.
+encode_find = declare_op(OPS, "FIND", class_name=STRING)
 
 
 def is_read_only_op(op: bytes) -> bool:
     try:
-        return op_name(op) in READ_ONLY_OPS
-    except Exception:
+        return XdrDecoder(op).unpack_string() in READ_ONLY_OPS
+    except ValueError:
         return False
 
 
 # -- replies -----------------------------------------------------------------------------------
 
 
+@codec({"status": U32, "aoid": OPAQUE, "class_name": STRING, "mtime": U64, "attrs": _ATTRS,
+        "matches": array(_AOID)})
 @dataclass
 class OODBReply:
     status: int = OODB_OK
@@ -231,29 +228,8 @@ class OODBReply:
         return self.status == OODB_OK
 
     def encode(self) -> bytes:
-        enc = XdrEncoder().pack_u32(self.status).pack_opaque(self.aoid)
-        enc.pack_string(self.class_name).pack_u64(self.mtime)
-        items = sorted(self.attrs.items())
-        enc.pack_u32(len(items))
-        for name, value in items:
-            enc.pack_string(name)
-            pack_value(enc, value)
-        enc.pack_u32(len(self.matches))
-        for match in self.matches:
-            enc.pack_fixed_opaque(match, 8)
-        return enc.getvalue()
+        return XdrEncoder.encode(self)
 
     @staticmethod
     def decode(blob: bytes) -> "OODBReply":
-        dec = XdrDecoder(blob)
-        reply = OODBReply(status=dec.unpack_u32(), aoid=dec.unpack_opaque())
-        reply.class_name = dec.unpack_string()
-        reply.mtime = dec.unpack_u64()
-        count = dec.unpack_u32()
-        for _ in range(count):
-            name = dec.unpack_string()
-            reply.attrs[name] = unpack_value(dec)
-        match_count = dec.unpack_u32()
-        reply.matches = [dec.unpack_fixed_opaque(8) for _ in range(match_count)]
-        dec.done()
-        return reply
+        return XdrDecoder(blob).unpack_last(OODBReply)

@@ -27,12 +27,13 @@ from repro.oodb.spec import (
     OODB_OK,
     OODB_READONLY,
     OODB_STALE,
-    is_read_only_op,
+    OPS,
+    READ_ONLY_OPS,
     make_aoid,
     parse_aoid,
 )
 from repro.util.errors import StateTransferError
-from repro.util.xdr import XdrDecoder
+from repro.util.xdr import decode_op
 
 _REP_KEY = "base:oodb-rep"
 _LABEL_ATTR = "__base_index__"  # persistent label stored on each db object
@@ -116,26 +117,19 @@ class OODBConformanceWrapper(ConformanceWrapper):
     def execute(
         self, op: bytes, client_id: str, timestamp_micros: int, read_only: bool = False
     ) -> bytes:
+        # The op is decoded here, completely, before a handler's first
+        # ``modify``: one that is unknown, truncated, mistyped or over-long
+        # (XdrError, bad UTF-8, unknown value tag: all ValueError) changes nothing.
         try:
-            dec = XdrDecoder(op)
-            command = dec.unpack_string()
-        except Exception:
-            return OODBReply(status=OODB_BADOP).encode()
-        if read_only and command not in ("GET", "CLASSOF", "FIND"):
-            return OODBReply(status=OODB_READONLY).encode()
-        handler = getattr(self, f"_op_{command.lower()}", None)
-        if handler is None:
-            return OODBReply(status=OODB_BADOP).encode()
-        # Every handler decodes its arguments before its first ``modify``, so
-        # an op whose arguments are truncated or mistyped (XdrError, bad
-        # UTF-8, unknown value tag: all ValueError) has changed nothing yet.
-        try:
-            return handler(dec, timestamp_micros).encode()
+            command, args = decode_op(OPS, op)
         except ValueError:
             return OODBReply(status=OODB_BADOP).encode()
+        if read_only and command not in READ_ONLY_OPS:
+            return OODBReply(status=OODB_READONLY).encode()
+        return getattr(self, f"_op_{command.lower()}")(args, timestamp_micros).encode()
 
-    def _op_new(self, dec: XdrDecoder, now: int) -> OODBReply:
-        class_name = dec.unpack_string()
+    def _op_new(self, args, now: int) -> OODBReply:
+        class_name = args.class_name
         if not class_name:
             return OODBReply(status=OODB_BADOP)
         index = self._lowest_free_index()
@@ -148,8 +142,8 @@ class OODBConformanceWrapper(ConformanceWrapper):
         self.mtimes[index] = now
         return OODBReply(status=OODB_OK, aoid=make_aoid(index, generation), class_name=class_name)
 
-    def _op_free(self, dec: XdrDecoder, now: int) -> OODBReply:
-        index = self._index_for_aoid(dec.unpack_fixed_opaque(8))
+    def _op_free(self, args, now: int) -> OODBReply:
+        index = self._index_for_aoid(args.aoid)
         if index is None:
             return OODBReply(status=OODB_STALE)
         if index == 0:
@@ -159,17 +153,14 @@ class OODBConformanceWrapper(ConformanceWrapper):
         self._unbind(index)
         return OODBReply(status=OODB_OK)
 
-    def _op_set(self, dec: XdrDecoder, now: int) -> OODBReply:
-        from repro.oodb.spec import unpack_value
-
-        index = self._index_for_aoid(dec.unpack_fixed_opaque(8))
+    def _op_set(self, args, now: int) -> OODBReply:
+        index = self._index_for_aoid(args.aoid)
         if index is None:
             return OODBReply(status=OODB_STALE)
-        name = dec.unpack_string()
+        name = args.name
         if not name or name == _LABEL_ATTR:
             return OODBReply(status=OODB_BADOP)
-        value = unpack_value(dec)
-        concrete, status = self._to_concrete(value)
+        concrete, status = self._to_concrete(args.value)
         if status != OODB_OK:
             return OODBReply(status=status)
         self.modify(index)
@@ -180,11 +171,11 @@ class OODBConformanceWrapper(ConformanceWrapper):
         self.mtimes[index] = now
         return OODBReply(status=OODB_OK)
 
-    def _op_del(self, dec: XdrDecoder, now: int) -> OODBReply:
-        index = self._index_for_aoid(dec.unpack_fixed_opaque(8))
+    def _op_del(self, args, now: int) -> OODBReply:
+        index = self._index_for_aoid(args.aoid)
         if index is None:
             return OODBReply(status=OODB_STALE)
-        name = dec.unpack_string()
+        name = args.name
         if name == _LABEL_ATTR:
             return OODBReply(status=OODB_BADOP)
         if self.impl.get_attr(self.handles[index], name) is None:
@@ -194,8 +185,8 @@ class OODBConformanceWrapper(ConformanceWrapper):
         self.mtimes[index] = now
         return OODBReply(status=OODB_OK)
 
-    def _op_get(self, dec: XdrDecoder, now: int) -> OODBReply:
-        index = self._index_for_aoid(dec.unpack_fixed_opaque(8))
+    def _op_get(self, args, now: int) -> OODBReply:
+        index = self._index_for_aoid(args.aoid)
         if index is None:
             return OODBReply(status=OODB_STALE)
         handle = self.handles[index]
@@ -212,10 +203,10 @@ class OODBConformanceWrapper(ConformanceWrapper):
             mtime=self.mtimes[index],
         )
 
-    def _op_find(self, dec: XdrDecoder, now: int) -> OODBReply:
+    def _op_find(self, args, now: int) -> OODBReply:
         """Class extent query: deterministic index order regardless of the
         implementation's heap layout."""
-        class_name = dec.unpack_string()
+        class_name = args.class_name
         matches = [
             make_aoid(index, self.generations[index])
             for index, handle in enumerate(self.handles)
@@ -223,8 +214,8 @@ class OODBConformanceWrapper(ConformanceWrapper):
         ]
         return OODBReply(status=OODB_OK, class_name=class_name, matches=matches)
 
-    def _op_classof(self, dec: XdrDecoder, now: int) -> OODBReply:
-        index = self._index_for_aoid(dec.unpack_fixed_opaque(8))
+    def _op_classof(self, args, now: int) -> OODBReply:
+        index = self._index_for_aoid(args.aoid)
         if index is None:
             return OODBReply(status=OODB_STALE)
         return OODBReply(

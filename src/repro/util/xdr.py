@@ -5,12 +5,18 @@ so the abstract state bytes exchanged between replicas are XDR streams.  This
 module implements the subset of XDR the reproduction needs: 32/64-bit signed
 and unsigned integers, booleans, variable-length opaque data, strings, and
 fixed/variable arrays, all big-endian with 4-byte alignment padding.
+
+A record class states its format once — *field -> kind*, in wire order — and
+:func:`codec` derives ``pack(self, enc)`` and ``unpack(dec)`` from it; BFT
+messages, NFS calls and replies, the OODB and KV ops all go through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
-from typing import Callable, List, Sequence, TypeVar
+from dataclasses import make_dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -25,6 +31,10 @@ U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 class XdrError(ValueError):
     """Raised on malformed XDR input or out-of-range values."""
+
+
+class UnknownOp(XdrError):
+    """A well-formed command that no declared op answers to."""
 
 
 # Zero padding to the next 4-byte boundary, indexed by ``length & 3``.
@@ -50,6 +60,13 @@ class XdrEncoder:
     def getvalue(self) -> bytes:
         """Return the bytes encoded so far."""
         return b"".join(self._chunks)
+
+    @classmethod
+    def encode(cls, record: object) -> bytes:
+        """The bytes of one record (anything with ``pack(enc)``)."""
+        enc = cls()
+        record.pack(enc)  # type: ignore[attr-defined]
+        return enc.getvalue()
 
     def __len__(self) -> int:
         return sum(len(c) for c in self._chunks)
@@ -133,6 +150,12 @@ class XdrDecoder:
         if self.remaining:
             raise XdrError(f"{self.remaining} trailing bytes in XDR stream")
 
+    def unpack_last(self, record_type: type):
+        """The record the stream ends with: ``record_type.unpack``, then :meth:`done`."""
+        record = record_type.unpack(self)  # type: ignore[attr-defined]
+        self.done()
+        return record
+
     def _truncated(self, count: int) -> XdrError:
         return XdrError(
             f"truncated XDR stream: wanted {count} bytes, have {self.remaining}"
@@ -201,3 +224,133 @@ class XdrDecoder:
         if count > max_length:
             raise XdrError(f"array too long: {count} > {max_length}")
         return [unpack_item(self) for _ in range(count)]
+
+
+# --- declared records ---------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """One XDR kind a declared field can have, as source text: a class's codec
+    is generated once (as ``dataclass`` generates ``__init__``) and then runs
+    straight-line encoder / decoder calls, range and length checks included."""
+
+    pack: Callable[[str], str]  #: value expression -> expression packing it on ``enc``
+    unpack: Optional[str]  #: expression reading it from ``dec``; None: not in the bytes
+    names: Tuple[Tuple[str, object], ...] = ()  #: what the expressions name besides enc / dec
+
+
+def _scalar(method: str, size: str = "") -> Kind:
+    sized = size and ", " + size
+    return Kind(lambda value: f"enc.pack_{method}({value}{sized})", f"dec.unpack_{method}({size})")
+
+
+U32, U64, I64, BOOL = _scalar("u32"), _scalar("u64"), _scalar("i64"), _scalar("bool")
+STRING, OPAQUE = _scalar("string"), _scalar("opaque")
+
+
+def fixed_opaque(size: int) -> Kind:
+    """Exactly ``size`` bytes, no length word."""
+    return _scalar("fixed_opaque", str(size))
+
+
+def array(item: Kind) -> Kind:
+    """Variable-length array: u32 count, then each element."""
+    return Kind(
+        lambda value: f"enc.pack_array({value}, lambda enc, item: {item.pack('item')})",
+        item.unpack and f"dec.unpack_array(lambda dec: {item.unpack})",
+        item.names,
+    )
+
+
+def tuple_of(*items: Kind) -> Kind:
+    """Fixed-length tuple: each position in order, no count."""
+    unpack = [item.unpack for item in items]
+    return Kind(
+        lambda value: "(%s)" % ", ".join(k.pack(f"{value}[{i}]") for i, k in enumerate(items)),
+        "(%s)" % ", ".join(map(str, unpack)) if all(unpack) else None,
+        sum((item.names for item in items), ()),
+    )
+
+
+def optional(item: Kind) -> Kind:
+    """XDR optional: a bool, then the value if there is one (else ``None``)."""
+    return Kind(
+        lambda value: f"(enc.pack_bool(False) if {value} is None"
+        f" else (enc.pack_bool(True), {item.pack(value)}))",
+        item.unpack and f"({item.unpack} if dec.unpack_bool() else None)",
+        item.names,
+    )
+
+
+def reserved(item: Kind, none: int) -> Kind:
+    """An integer kind whose value ``none`` is reserved to mean ``None``."""
+    return Kind(
+        lambda value: item.pack(f"({none} if {value} is None else {value})"),
+        f"(None if (value := {item.unpack}) == {none} else value)",
+    )
+
+
+_record_serial = itertools.count()
+
+
+def record(cls: type) -> Kind:
+    """A nested record.  The class object itself goes into the generated
+    source's namespace, so two records may share a ``__name__``."""
+    name = f"_record{next(_record_serial)}"
+    return Kind(lambda value: f"{value}.pack(enc)", f"{name}.unpack(dec)", ((name, cls),))
+
+
+def codec(
+    fields: Dict[str, Kind],
+    tag: Optional[Tuple[Kind, object]] = None,
+    registry: Optional[Dict[object, type]] = None,
+) -> Callable[[type], type]:
+    """Class decorator: derive the codec of a record from its one declaration,
+    ``fields``: *attribute expression -> kind* in wire order.
+
+    ``cls.pack(self, enc)`` packs ``tag`` — a (kind, constant) pair that opens
+    the encoding; reading it back to pick the class out of ``registry`` is the
+    caller's — and then every field.  ``cls.unpack(dec)`` reads the fields and
+    builds ``cls(field=value, ...)``; it is ``None`` where a field is derived
+    (``"batch_digest()"``) or of a kind that is not in the bytes.  A tag that
+    ``registry`` already holds for another class is a ``TypeError``."""
+
+    def derive(cls: type) -> type:
+        if registry is not None and registry.setdefault(tag[1], cls) is not cls:
+            raise TypeError(
+                f"wire tag {tag[1]!r} of {cls.__name__} is already taken by "
+                f"{registry[tag[1]].__name__}: encodings must be domain-separated"
+            )
+        names: Dict[str, object] = {"cls": cls, "unpack": None}
+        source = ["def pack(self, enc):"]
+        if tag is not None:
+            source.append(f"    {tag[0].pack(repr(tag[1]))}")
+        for attr, kind in fields.items():
+            source.append(f"    {kind.pack('self.' + attr)}")
+            names.update(kind.names)
+        if all(attr.isidentifier() and kind.unpack for attr, kind in fields.items()):
+            args = ", ".join(f"{attr}={kind.unpack}" for attr, kind in fields.items())
+            source += ["@staticmethod", "def unpack(dec):", f"    return cls({args})"]
+        exec("\n".join(source), names)  # input: the repo's own declarations only
+        cls.pack, cls.unpack = names["pack"], names["unpack"]
+        return cls
+
+    return derive
+
+
+def declare_op(registry: Dict[str, type], command: str, **args: Kind) -> Callable[..., bytes]:
+    """Declare one service op — the string ``command``, then ``args`` in wire
+    order — in ``registry``; returns its encoder, ``encode_x(*arguments) -> bytes``."""
+    cls = codec(args, (STRING, command), registry)(make_dataclass(command, args))
+    return lambda *arguments, **named: XdrEncoder.encode(cls(*arguments, **named))
+
+
+def decode_op(registry: Dict[str, type], data: bytes) -> Tuple[str, object]:
+    """``(command, arguments)`` of exactly one declared op.  Anything else is a
+    ``ValueError``: truncated or mistyped arguments, a string that is not UTF-8,
+    bytes after the last argument, a command not in ``registry`` (:class:`UnknownOp`)."""
+    dec = XdrDecoder(data)
+    command = dec.unpack_string()
+    if command not in registry:
+        raise UnknownOp(f"unknown command {command!r}")
+    return command, dec.unpack_last(registry[command])

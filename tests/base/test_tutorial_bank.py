@@ -11,7 +11,7 @@ from repro.base.library import BASEService
 from repro.base.wrapper import ConformanceWrapper
 from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
-from repro.util.xdr import XdrDecoder, XdrEncoder
+from repro.util.xdr import I64, U32, XdrDecoder, XdrEncoder, declare_op, decode_op
 
 
 # --- Step 1: the abstract specification ------------------------------------------
@@ -53,6 +53,10 @@ class Ledger:
 
 # --- Step 2: the conformance wrapper --------------------------------------------------
 
+BANK_OPS = {}
+deposit_op = declare_op(BANK_OPS, "DEPOSIT", account=U32, amount=I64)
+balance_op = declare_op(BANK_OPS, "BALANCE", account=U32)
+
 
 class BankWrapper(ConformanceWrapper):
     def __init__(self, ledger, spec):
@@ -60,19 +64,19 @@ class BankWrapper(ConformanceWrapper):
         self.ledger = ledger
 
     def execute(self, op, client_id, timestamp_micros, read_only=False):
-        dec = XdrDecoder(op)
-        command = dec.unpack_string()
-        account = dec.unpack_u32()
-        if account >= self.spec.num_objects:
+        try:
+            command, args = decode_op(BANK_OPS, op)
+        except ValueError:
+            return b"ERR malformed"
+        if args.account >= self.spec.num_objects:
             return b"ERR bad account"
         if command == "BALANCE":
-            return XdrEncoder().pack_i64(self.ledger.balance(account)).getvalue()
+            return XdrEncoder().pack_i64(self.ledger.balance(args.account)).getvalue()
         if read_only:
             return b"ERR read-only"
-        amount = dec.unpack_i64()
-        self.modify(account)
-        self.ledger.deposit(account, amount, when=timestamp_micros)
-        return XdrEncoder().pack_i64(self.ledger.balance(account)).getvalue()
+        self.modify(args.account)
+        self.ledger.deposit(args.account, args.amount, when=timestamp_micros)
+        return XdrEncoder().pack_i64(self.ledger.balance(args.account)).getvalue()
 
     def get_obj(self, index):
         return XdrEncoder().pack_i64(self.ledger.balance(index)).getvalue()
@@ -81,19 +85,6 @@ class BankWrapper(ConformanceWrapper):
         for index, blob in objects.items():
             balance = XdrDecoder(blob).unpack_i64()
             self.ledger.force_balance(index, balance)
-
-
-# --- ops ------------------------------------------------------------------------------
-
-
-def deposit_op(account, amount):
-    return (
-        XdrEncoder().pack_string("DEPOSIT").pack_u32(account).pack_i64(amount).getvalue()
-    )
-
-
-def balance_op(account):
-    return XdrEncoder().pack_string("BALANCE").pack_u32(account).getvalue()
 
 
 # --- Step 3: deploy ----------------------------------------------------------------------
@@ -132,6 +123,18 @@ def test_deposits_and_balances():
     assert decode_balance(teller.invoke(deposit_op(3, -30))) == 70
     assert decode_balance(teller.invoke(balance_op(3), read_only=True)) == 70
     assert decode_balance(teller.invoke(balance_op(5), read_only=True)) == 0
+
+
+def test_a_malformed_op_is_answered_not_raised():
+    cluster, disks = bank_cluster()
+    teller = cluster.client("teller-1")
+    assert decode_balance(teller.invoke(deposit_op(3, 100))) == 100
+    journals = {rid: list(disk["journal"]) for rid, disk in disks.items()}
+    for op in (deposit_op(3, 5) + b"\x00", deposit_op(3, 5)[:-1], balance_op(3) + b"\x00\x00\x00\x07",
+               deposit_op(3, 5).replace(b"DEPOSIT", b"DEPOSIX"), b""):
+        assert teller.invoke(op) == b"ERR malformed"
+    assert {rid: list(disk["journal"]) for rid, disk in disks.items()} == journals
+    assert decode_balance(teller.invoke(balance_op(3), read_only=True)) == 100
 
 
 def test_bank_masks_a_crash():

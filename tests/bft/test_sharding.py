@@ -32,6 +32,16 @@ def test_out_of_range_index_is_rejected_locally():
         sharded.client("C0").invoke(encode_set(16, b"x"))
 
 
+def test_anything_but_exactly_one_op_is_refused_at_routing():
+    """The parent dropped whatever followed the last argument and sent the rest."""
+    sharded = _sharded()
+    for op in (encode_set(1, b"x") + b"\x00\x00\x00\x07", encode_get(1) + b"\x00",
+               encode_set(1, b"x").replace(b"SET", b"PUT")):
+        with pytest.raises(ValueError):
+            sharded.client("C0").invoke(op)
+    assert sharded.client("C0").counters.get("sharded_invokes") == 0
+
+
 def test_clients_on_different_shards_are_independent():
     sharded = _sharded()
     a, b = sharded.client("A"), sharded.client("B")

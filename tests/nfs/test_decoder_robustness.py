@@ -81,12 +81,18 @@ def test_oodb_wrapper_rejects_garbage_ops():
 
 
 def test_truncated_valid_prefix_rejected():
-    from repro.nfs.protocol import WriteCall
+    """For every registered call class, so a fifteenth is covered without an
+    edit here: no strict prefix of a valid encoding decodes, and neither does
+    the encoding with 1-4 bytes after its last argument."""
+    from tests.nfs.test_protocol import CALL_CLASSES, GOLDEN_CALLS
 
-    blob = WriteCall(fh=b"h" * 8, offset=0, data=b"payload").encode()
-    for cut in range(1, len(blob)):
-        try:
-            NfsCall.decode(blob[:cut])
-        except (XdrError, ValueError):
-            continue
-        pytest.fail(f"truncation at {cut} decoded successfully")
+    for cls in CALL_CLASSES:
+        blobs = [call.encode() for call, _hex in GOLDEN_CALLS if type(call) is cls]
+        assert blobs, f"no instance of {cls.__name__} in GOLDEN_CALLS"
+        for blob in blobs:
+            damaged = [blob[:cut] for cut in range(len(blob))]
+            damaged += [blob + b"\x00" * extra for extra in (1, 2, 3, 4)]
+            damaged += [blob + b"\x00" * (extra - 1) + b"\x07" for extra in (1, 2, 3, 4)]
+            for bad in damaged:
+                with pytest.raises(ValueError):  # XdrError is one
+                    NfsCall.decode(bad)

@@ -46,6 +46,9 @@ def damaged(valid_ops):
     return st.one_of(st.binary(max_size=64), valid, cut, extended, flipped)
 
 
+#: Bytes after an op's last argument: 1-4 of them, a whole XDR word and not.
+TAILS = (b"\x00", b"\x07", b"\x00\x00", b"\x00\x00\x07", b"\x00\x00\x00\x00", b"\x00\x00\x00\x07")
+
 # -- the KV service ------------------------------------------------------------
 
 KV_OPS = [
@@ -93,10 +96,15 @@ def test_kv_malformed_op_is_answered_not_raised():
         encode_set(3, b"value")[:11],  # no value at all
         encode_get(3)[:9],  # truncated index
         XdrEncoder().pack_opaque(b"\xff\xfe").pack_u32(1).getvalue(),
+        # Bytes after the last argument, on a mutation and on a read-only op.
+        *(encode_set(3, b"value") + tail for tail in TAILS),
+        *(encode_append(3, b"more") + tail for tail in TAILS),
+        *(encode_get(3) + tail for tail in TAILS),
     ):
-        reply, before, after, modified = _kv_probe(service, op)
-        assert reply == b"ERR malformed", op
-        assert not modified and after == before
+        for read_only in (False, True):
+            reply, before, after, modified = _kv_probe(service, op, read_only)
+            assert reply == b"ERR malformed", op
+            assert not modified and after == before
     assert service.executed_ops == 0
     # An unknown command is well-formed: it keeps its own reply, and (unlike
     # before) is refused before the object is marked modified.
@@ -181,10 +189,13 @@ def test_oodb_truncated_arguments_are_bad_ops():
         oodb_set(_A1, "n", 5)[:-12] + XdrEncoder().pack_u32(99).getvalue(),  # unknown value tag
         encode_del(_A1, "name")[:-3],
         XdrEncoder().pack_string("NEW").pack_opaque(b"\xff\xfe").getvalue(),  # class not UTF-8
+        # Bytes after the last argument, on every mutation and read-only op.
+        *(op + tail for op in OODB_OPS for tail in TAILS),
     ):
-        reply, modified, changed = _oodb_probe(wrapper, op)
-        assert reply.status == OODB_BADOP, op
-        assert modified == [] and not changed
+        for read_only in (False, True):
+            reply, modified, changed = _oodb_probe(wrapper, op, read_only)
+            assert reply.status == OODB_BADOP, op
+            assert modified == [] and not changed
 
 
 def test_truncated_oodb_op_does_not_kill_the_cluster():

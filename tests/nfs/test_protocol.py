@@ -1,5 +1,7 @@
 """NFS protocol structures: encodings, roundtrips, read-only classification."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,9 +27,13 @@ from repro.nfs.protocol import (
     StatfsCall,
     SymlinkCall,
     WriteCall,
+    _CALL_REGISTRY,
     error_reply,
 )
-from repro.util.xdr import XdrDecoder, XdrEncoder
+from repro.util.xdr import OPAQUE, XdrDecoder, XdrEncoder
+
+#: Every call class there is, in procedure order.
+CALL_CLASSES = [cls for _proc, cls in sorted(_CALL_REGISTRY.items())]
 
 FH = bytes.fromhex("0000000300000002")
 DIR = bytes.fromhex("0000000000000000")
@@ -135,23 +141,14 @@ class TestSattr:
 
 
 class TestCalls:
-    CASES = [
-        GetattrCall(fh=b"abc"),
-        SetattrCall(fh=b"h", sattr=Sattr(mode=0o755)),
-        LookupCall(dir_fh=b"d", name="file.txt"),
-        ReadCall(fh=b"f", offset=100, count=512),
-        WriteCall(fh=b"f", offset=8, data=b"\x01\x02"),
-        MkdirCall(dir_fh=b"d", name="sub", sattr=Sattr()),
-        RemoveCall(dir_fh=b"d", name="gone"),
-        RenameCall(from_dir=b"a", from_name="x", to_dir=b"b", to_name="y"),
-        SymlinkCall(dir_fh=b"d", name="l", target="/t", sattr=Sattr()),
-        ReaddirCall(fh=b"d"),
-    ]
-
-    @pytest.mark.parametrize("call", CASES, ids=lambda c: type(c).__name__)
-    def test_roundtrip(self, call):
-        decoded = NfsCall.decode(call.encode())
-        assert decoded == call
+    @pytest.mark.parametrize("cls", CALL_CLASSES, ids=lambda cls: cls.__name__)
+    def test_roundtrip(self, cls):
+        """Every registered call class: a fifteenth fails here until
+        ``GOLDEN_CALLS`` has an instance of it."""
+        cases = [call for call, _hex in GOLDEN_CALLS if type(call) is cls]
+        assert cases, f"no instance of {cls.__name__} in GOLDEN_CALLS"
+        for call in cases:
+            assert NfsCall.decode(call.encode()) == call
 
     def test_bytes_match_the_parent_commit(self):
         for call, golden in GOLDEN_CALLS:
@@ -162,6 +159,28 @@ class TestCalls:
         blob = XdrEncoder().pack_u32(9999).getvalue()
         with pytest.raises(ValueError):
             NfsCall.decode(blob)
+
+    def test_a_procedure_number_already_taken_cannot_be_declared_again(self):
+        """As a wire tag for a ``Message``: the parent's ``_register`` silently
+        replaced the class every decoder of procedure 1 would build."""
+        with pytest.raises(TypeError, match="1 of Impostor is already taken by GetattrCall"):
+
+            @dataclass
+            class Impostor(NfsCall, proc=1, args={"fh": OPAQUE}):
+                fh: bytes = b""
+
+        assert _CALL_REGISTRY[1] is GetattrCall
+        assert NfsCall.decode(GetattrCall(fh=FH).encode()) == GetattrCall(fh=FH)
+
+    def test_a_call_class_without_its_declaration_cannot_be_created(self):
+        for declaration in ({}, {"proc": 99}, {"args": {"fh": OPAQUE}}):
+            with pytest.raises(TypeError):
+
+                @dataclass
+                class Undeclared(NfsCall, **declaration):
+                    fh: bytes = b""
+
+        assert 99 not in _CALL_REGISTRY
 
     def test_read_only_classification(self):
         assert GetattrCall(fh=b"x").is_read_only
