@@ -6,7 +6,7 @@ checkpoint digest work, and bytes held, plus the batching ablation.
 """
 
 from repro.bench.metrics import ExperimentTable
-from repro.bench.suites import checkpoint_run
+from repro.bench.suites import checkpoint_run, closed_loop
 from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_set, kv_cluster
 
@@ -121,3 +121,47 @@ def test_batching_ablation():
     show(table)
 
     assert results[8]["pre_prepares"] < results[1]["pre_prepares"]
+
+
+def test_batching_under_pipelining():
+    """On the fast path the pipeline's eight slots are never full with 16
+    closed-loop writers, so the batch comes from the bound on instances still
+    *forming* (short of their prepared certificate): ``max_outstanding``.
+    Set to ``pipeline_depth`` the bound is vacuous — the fast path as it was
+    before the primary batched under pipelining."""
+    rows = []
+    for forming_bound in (2, 8):
+        config = BFTConfig(
+            checkpoint_interval=16,
+            log_window=64,
+            batch_max=16,
+            max_outstanding=forming_bound,
+            pipeline_depth=8,
+            speculative_execution=True,
+        )
+        cluster = kv_cluster(config=config)
+        clients = [cluster.client(f"C{i}") for i in range(16)]
+        closed_loop(cluster, clients, 25, 16)
+        cluster.settle(1.0)
+        counters = cluster.total_counters()
+        rows.append(
+            {
+                "forming_bound": forming_bound,
+                "pre_prepares": counters.get("pre_prepares_sent"),
+                "requests_ordered": counters.get("batched_requests"),
+                "requests_per_batch": round(
+                    counters.get("batched_requests") / counters.get("pre_prepares_sent"), 2
+                ),
+                "messages": counters.get("messages_sent"),
+            }
+        )
+
+    table = ExperimentTable("E14b: batching under pipelining (fast path)")
+    for row in rows:
+        table.add_row(**row)
+    show(table)
+
+    bounded, unbounded = rows
+    assert bounded["requests_ordered"] == unbounded["requests_ordered"] == 400
+    assert bounded["requests_per_batch"] >= 3 > unbounded["requests_per_batch"]
+    assert bounded["messages"] < unbounded["messages"]

@@ -10,7 +10,9 @@ from repro.bench.suites import SCENARIOS
 
 def test_fast_path_is_at_least_3x():
     """Pipelining + speculation must beat the three-phase baseline by >= 3x
-    on closed-loop KV throughput (committed figure: ~5.15x)."""
+    on closed-loop KV throughput (committed figure: ~4.9x — batching under
+    pipelining trades 5.5 % of this write-only loop's virtual rate for a third
+    fewer messages)."""
     base = SCENARIOS["kv_throughput"]()["ops_per_vsec"]
     fast = SCENARIOS["kv_throughput_fast"]()["ops_per_vsec"]
     assert fast >= 3.0 * base, f"fast path {fast:.1f} vs baseline {base:.1f} ops/vsec"
@@ -34,17 +36,21 @@ def test_fused_tier_costs_at_most_half_a_replica_and_rebuilds_the_root():
     assert SCENARIOS["fusion_reconstruction"]()["root_match"] == 1.0
 
 
-def test_fast_path_reads_never_fall_back_and_keep_level_with_the_slow_path():
+def test_fast_path_reads_never_fall_back_and_beats_the_slow_path_on_both_counts():
     """On mixed traffic a read the fast path cannot answer on arrival is
-    parked at the replica, so none times out into an ordered request, and
-    virtual throughput is at least level with the slow path (committed
-    figures: 6566 against 5061 ops/vsec — the slow path's swings with how
-    many of its reads race a write).  Not yet claimed: fewer messages per
-    op; that needs batching under pipelining (ROADMAP item 3(c))."""
+    parked at the replica, so none times out into an ordered request; and
+    with the primary batching what arrives while two instances are forming
+    (ROADMAP item 4(c)) the fast path is ahead of the slow path in virtual
+    throughput *and* in messages for the same 800 ops (committed figures:
+    7337 against 5061 ops/vsec, 7874 against 11103 messages)."""
     slow = SCENARIOS["kv_mixed"]()
     fast = SCENARIOS["kv_mixed_fast"]()
     assert fast["read_only_fallbacks"] == 0
     assert fast["leased_reads_served"] > 0 and fast["reads_parked"] > 0
-    assert fast["ops_per_vsec"] >= 0.95 * slow["ops_per_vsec"], (
+    assert fast["ops"] == slow["ops"]
+    assert fast["messages_sent"] < slow["messages_sent"], (
+        f"fast path {fast['messages_sent']} vs slow path {slow['messages_sent']} messages"
+    )
+    assert fast["ops_per_vsec"] >= slow["ops_per_vsec"], (
         f"fast path {fast['ops_per_vsec']:.1f} vs slow path {slow['ops_per_vsec']:.1f} ops/vsec"
     )

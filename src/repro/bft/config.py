@@ -17,10 +17,13 @@ class BFTConfig:
     checkpoint_interval: take a checkpoint every k requests (paper: k = 128).
     log_window:         high-water mark offset L (log holds seqnos (h, h+L]).
     batch_max:          max requests folded into one pre-prepare.
-    max_outstanding:    max ordering instances in flight at the primary;
-                        requests arriving while the pipeline is full
-                        accumulate and are batched (this is what makes
-                        batching happen at all).
+    max_outstanding:    max ordering instances the primary keeps *forming* —
+                        pre-prepared, still short of their prepared
+                        certificate; requests arriving meanwhile accumulate
+                        and go out as one batch when an instance prepares
+                        (this is what makes batching happen at all).  With
+                        ``pipeline_depth`` 0 it also bounds the instances
+                        not yet *executed*, which is the stricter of the two.
     view_change_timeout: backup patience for an unexecuted request, seconds.
     status_interval:    period of status/retransmission gossip, seconds.
     client_retry:       initial client retransmission delay, seconds; doubles
@@ -49,9 +52,11 @@ class BFTConfig:
                         oldest queued request makes no progress; after that a
                         view change proceeds even under load (starvation
                         escape hatch).
-    pipeline_depth:     fast path — widen the primary's ordering pipeline to
-                        this many concurrent in-flight sequence slots
-                        (0 keeps the baseline ``max_outstanding`` bound).
+    pipeline_depth:     fast path — let the primary run this many instances
+                        ahead of *execution* (0: ``max_outstanding``).  It
+                        bounds the prepared instances waiting for their
+                        commits; how many may be forming at once is still
+                        ``max_outstanding``.
     speculative_execution: fast path — execute batches tentatively at
                         prepare-quorum time (one phase early) and answer with
                         SpecReply; rolled back on view change or divergence,
@@ -135,7 +140,7 @@ class BFTConfig:
 
     @property
     def outstanding_window(self) -> int:
-        """Ordering instances the primary may keep in flight: the fast-path
+        """Unexecuted ordering instances the primary may have: the fast-path
         ``pipeline_depth`` when set, else the baseline ``max_outstanding``."""
         return self.pipeline_depth if self.pipeline_depth > 0 else self.max_outstanding
 

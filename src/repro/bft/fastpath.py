@@ -18,8 +18,9 @@ executed seqno and revokes it before proposing the next write.
 
 **Parked reads**: a read-only request that cannot be answered at the instant
 it arrives (open frames, no lease, lease floor not reached, a view change in
-progress) is held here and answered, through the same admission check, when a
-frame promotes, a lease arrives or the new view is installed.  To the client
+progress, the new view's re-proposals not yet re-executed) is held here and
+answered, through the same admission check, when a frame promotes, a lease
+arrives, the new view is installed or execution catches up.  To the client
 that is a request the network delivered later, so it adds no interleaving the
 asynchronous network could not already produce.
 """
@@ -61,6 +62,11 @@ class FastPathManager:
         # principals and needs no timer: the client's read_only_timeout is
         # the backstop, exactly as for a lost message.
         self.parked: Dict[str, Request] = {}
+        # The highest seqno the adopted NEW-VIEW re-proposed.  A write a
+        # client accepted at 2f+1 tentative replies is prepared at 2f+1
+        # replicas and so is in O, but its frame was rolled back at the view
+        # boundary: until O has re-executed, committed state lacks it.
+        self.read_floor = 0
 
     def on_message(self, message, src: str) -> None:
         if not self.replica.config.read_leases:
@@ -161,15 +167,18 @@ class FastPathManager:
         self.spec_frames.clear()
         self.tentative_replies.clear()
 
-    def end_view(self) -> None:
+    def end_view(self, reproposed: int) -> None:
         """The fast path cannot cross a view boundary: tentative executions
         were ordered by the old primary and the new view's O set may order
         those seqnos differently, and read leases are per-view grants.
         Parked reads do cross it: they hold no state of the old view and are
-        admitted afresh in the new one."""
+        admitted afresh in the new one — once execution has reached
+        ``reproposed``, the highest seqno in the new view's O (0: O is empty,
+        no floor)."""
         self.rollback("view-change")
         self.lease = None
         self.lease_granted = None
+        self.read_floor = reproposed
 
     # -- read leases ----------------------------------------------------------------
 
@@ -180,6 +189,10 @@ class FastPathManager:
         if self.spec_frames:
             # Tentative state must not leak through the read-only path: a
             # speculated write could still be rolled back.
+            return False
+        if replica.last_executed < self.read_floor:
+            # OSDI'99 section 5.1's "a read waits until the tentative state it
+            # would see commits", carried across the view boundary.
             return False
         if replica.config.read_leases:
             lease = self.lease

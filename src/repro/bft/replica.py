@@ -359,6 +359,8 @@ class Replica(Node):
                 return
             if next_seqno - self.last_executed > self.config.outstanding_window:
                 return  # pipeline full; later arrivals will batch up
+            if self._forming_instances() >= self.config.max_outstanding:
+                return  # enough instances short of prepared; arrivals batch up
             batch: List[Request] = []
             for key in list(self.pending):
                 if len(batch) >= self.config.batch_max:
@@ -384,6 +386,18 @@ class Replica(Node):
             self.counters.add("batched_requests", len(batch))
             self.auth_multicast(pre_prepare)
             self._maybe_commit(slot)
+
+    def _forming_instances(self) -> int:
+        """The primary's unexecuted instances still short of their prepared
+        certificate: pre-prepared in this view, own COMMIT not yet sent.  A
+        scan of at most ``outstanding_window`` slots."""
+        view, get = self.view, self.log.get
+        forming = 0
+        for seqno in range(self.last_executed + 1, self.next_seqno + 1):
+            slot = get(view, seqno)
+            if slot is not None and slot.pre_prepare is not None and not slot.sent_commit:
+                forming += 1
+        return forming
 
     # -- backups: three-phase ordering ----------------------------------------------------------
 
@@ -509,6 +523,10 @@ class Replica(Node):
         self.auth_multicast(commit)
         self._maybe_execute(slot)
         self.fast_path.speculate()
+        if self.is_primary():
+            # An instance left the forming bound: what queued behind it goes
+            # out now, as one batch.
+            self.try_send_pre_prepare()
 
     def on_commit(self, commit: Commit, src: str) -> None:
         if not self.check_auth(commit):

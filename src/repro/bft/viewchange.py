@@ -313,12 +313,10 @@ class ViewChangeManager:
 
     def _adopt_new_view(self, new_view: NewView, min_s: int) -> None:
         replica = self.replica
-        replica.fast_path.end_view()
+        reproposed = max((p.seqno for p in new_view.pre_prepares), default=0)
+        replica.fast_path.end_view(reproposed)
         replica.view = new_view.view
-        replica.next_seqno = max(
-            replica.next_seqno,
-            max((p.seqno for p in new_view.pre_prepares), default=min_s),
-        )
+        replica.next_seqno = max(replica.next_seqno, reproposed, min_s)
         self.in_view_change = False
         self.pending_view = new_view.view
         self.attempts = 0

@@ -154,12 +154,37 @@ def plant_reads_ignore_open_frames(cluster) -> Callable[[], None]:
     return _make_ensure(cluster, sabotage)
 
 
+def plant_reads_ignore_view_floor(cluster) -> Callable[[], None]:
+    """Regression in the fast path: a replica adopting a new view sets no
+    read floor, so it answers read-only requests before the NEW-VIEW's O has
+    re-executed.  A write a client accepted at 2f+1 tentative replies is in O
+    but, its frame rolled back at the view boundary, not yet in committed
+    state: for that window 2f+1 replicas agree on a value older than an
+    acknowledged write.  Needs a view change faster than the old view's
+    commits — a primary's hand-off before a planned reboot, not a crash (by
+    the time a request timer fires the commits have landed).  Invisible to
+    the replica-level check: the reply *is* the replica's committed state.
+    """
+
+    def sabotage(replica) -> None:
+        fast_path = replica.fast_path
+        original = fast_path.end_view
+
+        def floorless_end_view(reproposed: int) -> None:
+            original(0)  # BUG: O's re-execution is not waited for
+
+        fast_path.end_view = floorless_end_view  # type: ignore[method-assign]
+
+    return _make_ensure(cluster, sabotage)
+
+
 #: Plants only a workload that *reads* can find.  ``repro explore`` issues no
 #: GET yet (ROADMAP item 1), so they are not in :data:`PLANTED_BUGS`;
 #: ``tests/bft/test_read_freshness.py`` is the harness that turns them red.
 READ_PLANTED_BUGS: Dict[str, Callable] = {
     "hasty-read-client": plant_hasty_read_client,
     "reads-ignore-open-frames": plant_reads_ignore_open_frames,
+    "reads-ignore-view-floor": plant_reads_ignore_view_floor,
 }
 
 
