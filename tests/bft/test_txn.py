@@ -232,6 +232,53 @@ def test_table_cell_is_deterministic():
     assert a.manager.tree.root() == b.manager.tree.root()
 
 
+#: The table cell after one prepare committed, one aborted, a decide ordered
+#: before its prepare (the ghost), one prepare left pending and one pending
+#: abort vote (a lock conflict with it): pending entries then tombstones,
+#: each in sorted-txid order.
+GOLDEN_TABLE_CELL = bytes.fromhex(
+    "00000002"
+    "000000056c6f73657200000000000000000000020000000000000004"
+    "6e6f7065000000020000000374776f00"
+    "0000000770656e64696e6700000000010000000100000000000000047a65726f"
+    "00000003"
+    "0000000861626f72742d6d6500000000"
+    "00000009636f6d6d69742d6d6500000000000001"
+    "0000000567686f737400000000000000"
+)
+
+
+def _table_history(service):
+    _prepare(service, "commit-me", [(1, b"one"), (3, b"three")])
+    _prepare(service, "abort-me", [(2, b"two")])
+    _decide(service, "commit-me", True)
+    _decide(service, "abort-me", False)
+    _decide(service, "ghost", False)
+    _prepare(service, "ghost", [(0, b"late")])
+    _prepare(service, "pending", [(0, b"zero")])
+    _prepare(service, "loser", [(0, b"nope"), (2, b"two")])
+
+
+def test_table_cell_bytes_are_pinned():
+    service = _service()
+    _table_history(service)
+    assert service.cells[4] == GOLDEN_TABLE_CELL
+
+
+def test_a_reloaded_table_goes_on_writing_the_same_bytes():
+    """A participant rebuilt from the cell (reboot, state transfer, rollback)
+    writes exactly what the one that never reloaded writes next."""
+    service = _service()
+    _table_history(service)
+    reborn = KVStateMachine(num_slots=5, disk=service.disk, transactional=True)
+    rolled_back = _service()
+    rolled_back.put_objs({4: GOLDEN_TABLE_CELL})
+    for machine in (service, reborn, rolled_back):
+        assert _decide(machine, "pending", True) == TXN_COMMITTED
+        assert _prepare(machine, "after", [(3, b"3")]) == VOTE_COMMIT
+    assert reborn.cells[4] == rolled_back.cells[4] == service.cells[4]
+
+
 def test_participant_requires_the_reserved_cell():
     with pytest.raises(ValueError):
         TxnParticipant(KVStateMachine(num_slots=1, disk={}), 0)
