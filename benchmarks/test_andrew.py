@@ -33,6 +33,13 @@ def test_andrew_overhead_vs_baseline():
         rid: dep.cluster.service(rid).current_node(0, 0)[1] for rid in dep.cluster.hosts
     }
     assert len(set(roots.values())) == 1
+    # Most of Andrew's reads repeat one a replica already answered, with
+    # nothing it read modified since: the library reuses that answer.
+    reused = sum(
+        dep.cluster.service(rid).manager.counters.get("read_answers_reused")
+        for rid in dep.cluster.hosts
+    )
+    assert reused > 0
 
 
 def test_andrew_with_proactive_recovery():

@@ -19,6 +19,14 @@ Contracts the BASE library relies on:
   concrete state to match;
 * the wrapper treats the implementation as a **black box**: only its public
   service interface may be used.
+
+A read-only answer may also call the injected ``reads(index)`` for each
+abstract object it depends on — the dual of ``modify``.  An answer is a
+function of the objects it declares, which the abstraction already demands:
+every replica must give the same bytes from the same abstract state.  The
+library then reuses the answer for the same op bytes until one of those
+objects is modified or installed; an answer that declares nothing is
+recomputed every time, and calls made during ordered executions are ignored.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ class ConformanceWrapper(ABC):
     def __init__(self, spec: AbstractSpec) -> None:
         self.spec = spec
         self._modify: Callable[[int], None] = lambda index: None
+        self._reads: Callable[[int], None] = lambda index: None
 
     # -- wiring (done by the BASE library) ------------------------------------------
 
@@ -44,10 +53,19 @@ class ConformanceWrapper(ABC):
         """Inject the library's ``modify`` upcall (paper Figure 1)."""
         self._modify = modify
 
+    def set_reads_callback(self, reads: Callable[[int], None]) -> None:
+        """Inject the library's ``reads`` upcall, the dual of ``modify``."""
+        self._reads = reads
+
     def modify(self, index: int) -> None:
         """Notify the library that abstract object ``index`` is about to
         change."""
         self._modify(index)
+
+    def reads(self, index: int) -> None:
+        """Declare that the answer being computed depends on abstract object
+        ``index`` (see the module docstring)."""
+        self._reads(index)
 
     # -- the common specification's operations ------------------------------------------
 

@@ -119,6 +119,10 @@ class TxnParticipant:
         self._pending: Dict[str, Tuple[bool, List[Tuple[int, bytes]]]] = {}
         self._decided: Dict[str, bool] = {}
         self._locks: Dict[int, str] = {}
+        # Each entry's encoding beside its mirror entry: a persist joins
+        # them instead of re-packing every prepare and tombstone recorded.
+        self._pending_bytes: Dict[str, bytes] = {}
+        self._decided_bytes: Dict[str, bytes] = {}
         self.reload()
 
     # -- dispatch -------------------------------------------------------------------
@@ -149,7 +153,7 @@ class TxnParticipant:
             elif self._locks.get(index, txid) != txid:
                 self.counters.add("txn_lock_conflicts")
                 vote = False
-        self._pending[txid] = (vote, list(message.writes))
+        self._set_pending(txid, vote, list(message.writes))
         if vote:
             for index, _value in message.writes:
                 self._locks[index] = txid
@@ -200,6 +204,7 @@ class TxnParticipant:
             return TXN_BAD_CERT
         if txid in self._pending:
             vote, writes = self._pending.pop(txid)
+            del self._pending_bytes[txid]
             committed = message.commit and vote
             if committed:
                 for index, value in writes:
@@ -214,7 +219,7 @@ class TxnParticipant:
             # decision needs this shard's certified vote, which needs the
             # prepare ordered first — so this path only ever records aborts.
             committed = False
-        self._decided[txid] = committed
+        self._set_decided(txid, committed)
         self.counters.add("txn_commits_applied" if committed else "txn_aborts_applied")
         self._persist()
         return TXN_COMMITTED if committed else TXN_ABORTED
@@ -238,6 +243,8 @@ class TxnParticipant:
         self._pending = {}
         self._decided = {}
         self._locks = {}
+        self._pending_bytes = {}
+        self._decided_bytes = {}
         blob = self.service.cells[self.table_index]
         if not blob:
             return
@@ -249,27 +256,33 @@ class TxnParticipant:
                 (dec.unpack_u32(), dec.unpack_opaque())
                 for _ in range(dec.unpack_u32())
             ]
-            self._pending[txid] = (vote, writes)
+            self._set_pending(txid, vote, writes)
             if vote:
                 for index, _value in writes:
                     self._locks[index] = txid
         for _ in range(dec.unpack_u32()):
             txid = dec.unpack_string()
-            self._decided[txid] = dec.unpack_bool()
+            self._set_decided(txid, dec.unpack_bool())
+
+    def _set_pending(self, txid: str, vote: bool, writes: List[Tuple[int, bytes]]) -> None:
+        self._pending[txid] = (vote, writes)
+        enc = XdrEncoder().pack_string(txid).pack_bool(vote).pack_u32(len(writes))
+        for index, value in writes:
+            enc.pack_u32(index).pack_opaque(value)
+        self._pending_bytes[txid] = enc.getvalue()
+
+    def _set_decided(self, txid: str, committed: bool) -> None:
+        self._decided[txid] = committed
+        self._decided_bytes[txid] = XdrEncoder().pack_string(txid).pack_bool(committed).getvalue()
 
     def _persist(self) -> None:
-        enc = XdrEncoder()
-        enc.pack_u32(len(self._pending))
-        for txid in sorted(self._pending):
-            vote, writes = self._pending[txid]
-            enc.pack_string(txid).pack_bool(vote).pack_u32(len(writes))
-            for index, value in writes:
-                enc.pack_u32(index)
-                enc.pack_opaque(value)
-        enc.pack_u32(len(self._decided))
-        for txid in sorted(self._decided):
-            enc.pack_string(txid).pack_bool(self._decided[txid])
-        blob = enc.getvalue()
+        """The table cell: pending entries, then tombstones, each counted
+        and in sorted-txid order."""
+        parts = [XdrEncoder().pack_u32(len(self._pending_bytes)).getvalue()]
+        parts += [self._pending_bytes[txid] for txid in sorted(self._pending_bytes)]
+        parts.append(XdrEncoder().pack_u32(len(self._decided_bytes)).getvalue())
+        parts += [self._decided_bytes[txid] for txid in sorted(self._decided_bytes)]
+        blob = b"".join(parts)
         self.service.manager.modify(self.table_index)
         self.service.cells[self.table_index] = blob
         self.service.disk[self.table_index] = blob

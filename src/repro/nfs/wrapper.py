@@ -10,7 +10,9 @@ server implement the common abstract specification:
   agreed through the BFT library;
 * sorts directory listings lexicographically;
 * calls the library's ``modify`` upcall before each abstract-object
-  mutation.
+  mutation, and its ``reads`` upcall for each object an answer depends on
+  (an attribute reply's object, a LOOKUP's directory, a READLINK's link;
+  STATFS counts every object and declares none).
 
 The **conformance rep** is an array mirroring the abstract-object array;
 each entry stores the generation number, the file handle the wrapped server
@@ -230,6 +232,7 @@ class NFSConformanceWrapper(ConformanceWrapper):
         return self._index_for_oid(oid)
 
     def _ok_attr_reply(self, index: int, impl_reply: NfsReply, **extra) -> NfsReply:
+        self.reads(index)
         attr = impl_reply.attr
         if attr is None:
             attr_reply = self.impl.getattr(self.entries[index].fh)
@@ -273,6 +276,7 @@ class NFSConformanceWrapper(ConformanceWrapper):
         dir_index = self._resolve(call.dir_fh)
         if dir_index is None:
             return error_reply(NFSERR_STALE)
+        self.reads(dir_index)
         if call.name == LIMBO_NAME and dir_index == 0:
             return error_reply(NFSERR_NOENT)
         reply = self.impl.lookup(self.entries[dir_index].fh, call.name)
@@ -287,6 +291,7 @@ class NFSConformanceWrapper(ConformanceWrapper):
         index = self._resolve(call.fh)
         if index is None:
             return error_reply(NFSERR_STALE)
+        self.reads(index)
         reply = self.impl.readlink(self.entries[index].fh)
         if not reply.ok:
             return error_reply(reply.status)

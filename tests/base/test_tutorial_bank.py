@@ -71,6 +71,7 @@ class BankWrapper(ConformanceWrapper):
         if args.account >= self.spec.num_objects:
             return b"ERR bad account"
         if command == "BALANCE":
+            self.reads(args.account)
             return XdrEncoder().pack_i64(self.ledger.balance(args.account)).getvalue()
         if read_only:
             return b"ERR read-only"
@@ -123,6 +124,27 @@ def test_deposits_and_balances():
     assert decode_balance(teller.invoke(deposit_op(3, -30))) == 70
     assert decode_balance(teller.invoke(balance_op(3), read_only=True)) == 70
     assert decode_balance(teller.invoke(balance_op(5), read_only=True)) == 0
+
+
+def test_a_repeated_balance_is_reused_until_a_deposit():
+    cluster, _disks = bank_cluster()
+    teller = cluster.client("teller-1")
+    teller.invoke(deposit_op(3, 100))
+
+    def reused():
+        return sum(
+            cluster.service(rid).manager.counters.get("read_answers_reused")
+            for rid in cluster.hosts
+        )
+
+    assert decode_balance(teller.invoke(balance_op(3), read_only=True)) == 100
+    assert reused() == 0
+    assert decode_balance(teller.invoke(balance_op(3), read_only=True)) == 100
+    assert reused() > 0
+    before = reused()
+    teller.invoke(deposit_op(3, 5))
+    assert decode_balance(teller.invoke(balance_op(3), read_only=True)) == 105
+    assert reused() == before
 
 
 def test_a_malformed_op_is_answered_not_raised():
