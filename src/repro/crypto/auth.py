@@ -6,6 +6,13 @@ MAC per receiver, each computed under the pairwise session key it shares with
 that receiver.  Receivers verify only their own entry.  Proactive recovery
 refreshes session keys so that an attacker who steals old keys cannot forge
 messages after the refresh (the `epoch` field models this).
+
+Every tag on the message path -- each authenticator entry, each signature --
+is HMAC-SHA256 computed from a key's *pad states*: the SHA-256 states after
+absorbing ``key XOR ipad`` and ``key XOR opad``, hashed once per key and
+copied per tag, as RFC 2104 section 4 suggests.  The tags are byte-identical
+to ``hmac.digest(key, data, "sha256")``; :func:`mac` and :func:`verify_mac`
+stay on ``hmac.digest`` as the reference.
 """
 
 from __future__ import annotations
@@ -13,12 +20,15 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.util.errors import AuthenticationError
 from repro.util.stats import Counters
 
 MAC_SIZE = 8
+
+#: (inner, outer) SHA-256 objects; see :func:`pad_states`.
+PadStates = Tuple[Any, Any]
 
 
 class MacVerificationError(AuthenticationError):
@@ -32,6 +42,30 @@ def mac(key: bytes, data: bytes) -> bytes:
 
 def verify_mac(key: bytes, data: bytes, tag: bytes) -> bool:
     return hmac.compare_digest(mac(key, data), tag)
+
+
+_BLOCK_SIZE = 64  # SHA-256's block size, in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def pad_states(key: bytes) -> PadStates:
+    """The SHA-256 states after ``key XOR ipad`` and after ``key XOR opad``
+    (a key longer than one block is hashed first, RFC 2104 section 2)."""
+    if len(key) > _BLOCK_SIZE:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK_SIZE, b"\x00")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def hmac_sha256(pads: PadStates, data: bytes) -> bytes:
+    """``hmac.digest(key, data, "sha256")`` from ``pad_states(key)``."""
+    inner, outer = pads
+    inner = inner.copy()
+    inner.update(data)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def _derive_key(secret: bytes, a: str, b: str, epoch: int) -> bytes:
@@ -71,7 +105,8 @@ class KeyTable:
     def __init__(self, secret: bytes = b"repro-base-secret") -> None:
         self._secret = secret
         self._inbound_epoch: Dict[str, int] = {}
-        self._key_cache: Dict[Tuple[str, str, int], bytes] = {}
+        # (sender, receiver, epoch) -> (derived key, its pad states)
+        self._key_cache: Dict[Tuple[str, str, int], Tuple[bytes, PadStates]] = {}
         self.counters = Counters()
 
     def epoch_of(self, principal: str) -> int:
@@ -92,18 +127,23 @@ class KeyTable:
     def key(self, sender: str, receiver: str, epoch: Optional[int] = None) -> bytes:
         if epoch is None:
             epoch = self.epoch_of(receiver)
+        return self._entry(sender, receiver, epoch)[0]
+
+    def _entry(self, sender: str, receiver: str, epoch: int) -> Tuple[bytes, PadStates]:
         cache_key = (sender, receiver, epoch)
-        derived = self._key_cache.get(cache_key)
-        if derived is None:
+        entry = self._key_cache.get(cache_key)
+        if entry is None:
             derived = _derive_key(self._secret, sender, receiver, epoch)
-            self._key_cache[cache_key] = derived
+            entry = (derived, pad_states(derived))
+            self._key_cache[cache_key] = entry
             self.counters.add("key_derivations")
-        return derived
+        return entry
 
     def make_authenticator(self, sender: str, receivers, data: bytes) -> Authenticator:
         """MAC ``data`` once per receiver under current keys."""
-        # Per tag: one epoch lookup, one key-cache lookup, one HMAC.  key()
-        # derives (and counts) on a miss, so refresh() still invalidates.
+        # Per tag: one epoch lookup, one key-cache lookup, one HMAC from the
+        # cached pad states.  _entry() derives (and counts) on a miss, so
+        # refresh() still invalidates.
         epochs = self._inbound_epoch
         keys = self._key_cache
         tags: Dict[str, Tuple[int, bytes]] = {}
@@ -111,8 +151,8 @@ class KeyTable:
             if receiver == sender:
                 continue
             epoch = epochs.get(receiver, 0)
-            key = keys.get((sender, receiver, epoch)) or self.key(sender, receiver, epoch)
-            tags[receiver] = (epoch, hmac.digest(key, data, "sha256")[:MAC_SIZE])
+            entry = keys.get((sender, receiver, epoch)) or self._entry(sender, receiver, epoch)
+            tags[receiver] = (epoch, hmac_sha256(entry[1], data)[:MAC_SIZE])
         if tags:
             self.counters.add("mac_generate", len(tags))
         return Authenticator(sender, tags)
@@ -133,6 +173,6 @@ class KeyTable:
                 f"stale key epoch {epoch} for {receiver} (current {current})"
             )
         sender = auth.sender
-        key = self._key_cache.get((sender, receiver, epoch)) or self.key(sender, receiver, epoch)
-        if not hmac.compare_digest(hmac.digest(key, data, "sha256")[:MAC_SIZE], tag):
+        entry = self._key_cache.get((sender, receiver, epoch)) or self._entry(sender, receiver, epoch)
+        if not hmac.compare_digest(hmac_sha256(entry[1], data)[:MAC_SIZE], tag):
             raise MacVerificationError(f"bad MAC from {sender} to {receiver}")

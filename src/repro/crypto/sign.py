@@ -6,7 +6,9 @@ signature as an HMAC under a per-principal secret derived from a master
 secret held by the :class:`SignatureScheme`; the capability to *create*
 signatures for a principal is the :class:`Signer` object handed out once at
 key generation.  Fault injection never forges signatures — Byzantine replicas
-misbehave using their *own* keys, matching the paper's fault model.
+misbehave using their *own* keys, matching the paper's fault model.  Both
+sides hold the secret's HMAC pad states (:func:`repro.crypto.auth.pad_states`),
+not the secret.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import hmac
 from typing import Dict
 
+from repro.crypto.auth import PadStates, hmac_sha256, pad_states
 from repro.util.errors import AuthenticationError
 
 SIG_SIZE = 32
@@ -27,12 +30,12 @@ class SignatureError(AuthenticationError):
 class Signer:
     """Capability to sign on behalf of one principal."""
 
-    def __init__(self, principal: str, secret: bytes) -> None:
+    def __init__(self, principal: str, pads: PadStates) -> None:
         self.principal = principal
-        self._secret = secret
+        self._pads = pads
 
     def sign(self, data: bytes) -> bytes:
-        return hmac.digest(self._secret, data, "sha256")
+        return hmac_sha256(self._pads, data)
 
 
 class SignatureScheme:
@@ -40,21 +43,20 @@ class SignatureScheme:
 
     def __init__(self, master_secret: bytes = b"repro-base-signing") -> None:
         self._master = master_secret
-        self._secrets: Dict[str, bytes] = {}
+        self._pads: Dict[str, PadStates] = {}
 
-    def _secret_for(self, principal: str) -> bytes:
-        secret = self._secrets.get(principal)
-        if secret is None:
-            secret = hashlib.sha256(self._master + b"/" + principal.encode()).digest()
-            self._secrets[principal] = secret
-        return secret
+    def _pads_for(self, principal: str) -> PadStates:
+        pads = self._pads.get(principal)
+        if pads is None:
+            pads = pad_states(hashlib.sha256(self._master + b"/" + principal.encode()).digest())
+            self._pads[principal] = pads
+        return pads
 
     def keygen(self, principal: str) -> Signer:
-        return Signer(principal, self._secret_for(principal))
+        return Signer(principal, self._pads_for(principal))
 
     def verify(self, principal: str, data: bytes, signature: bytes) -> bool:
-        expected = hmac.digest(self._secret_for(principal), data, "sha256")
-        return hmac.compare_digest(expected, signature)
+        return hmac.compare_digest(hmac_sha256(self._pads_for(principal), data), signature)
 
     def check(self, principal: str, data: bytes, signature: bytes) -> None:
         if not self.verify(principal, data, signature):

@@ -4,7 +4,9 @@ import pytest
 
 from repro.bft.config import BFTConfig
 from repro.bft.messages import ViewChange
+from repro.bft.replica import Replica
 from repro.bft.testing import encode_get, encode_set
+from repro.crypto.auth import KeyTable, MacVerificationError, mac
 
 from tests.conftest import assert_converged, kv_cluster
 
@@ -89,16 +91,19 @@ def test_corruption_of_untouched_object_detected():
     assert cluster.service("R2").cells[20] == b""
 
 
-def test_staggered_schedule_under_load():
-    disks = {}
-    config = BFTConfig(recovery_period=2.0)
-    cluster = kv_cluster(config=config, disks=disks)
+def run_staggered_rotation():
+    cluster = kv_cluster(config=BFTConfig(recovery_period=2.0), disks={})
     cluster.start_proactive_recovery()
     client = cluster.client("C0")
     for i in range(150):
         client.invoke(encode_set(i % 8, bytes([i % 251])), timeout=120)
         cluster.sim.run_for(0.02)
     cluster.settle(4.0)
+    return cluster, client
+
+
+def test_staggered_schedule_under_load():
+    cluster, client = run_staggered_rotation()
     completed = {
         rid: host.replica.counters.get("recoveries_completed")
         for rid, host in cluster.hosts.items()
@@ -112,6 +117,38 @@ def test_staggered_schedule_under_load():
         assert end_a <= start_b + 1e-9
     # Service stayed correct throughout.
     assert client.invoke(encode_get(0), timeout=60) is not None
+
+
+def test_every_auth_failure_under_a_rotation_is_a_key_dropped_at_reboot(monkeypatch):
+    """``auth_failed`` under a recovery rotation is a message MAC'd under the
+    inbound key its receiver dropped at reboot (``keys.refresh`` in
+    ``ReplicaHost._reboot``): sent before the reboot, delivered after it.
+    The tag is genuine under the old key; only its epoch is stale."""
+    failures = []
+    check_auth = Replica.check_auth
+
+    def recording_check_auth(self, message, expected_sender=None):
+        before = self.counters.get("auth_failed")
+        ok = check_auth(self, message, expected_sender)
+        if self.counters.get("auth_failed") != before:
+            try:
+                self.keys.check_authenticator(message.auth, self.node_id, message.signable_bytes())
+                reason = "verified on a second look"
+            except MacVerificationError as error:
+                reason = str(error)
+            failures.append((self.node_id, message, self.keys.epoch_of(self.node_id), reason))
+        return ok
+
+    monkeypatch.setattr(Replica, "check_auth", recording_check_auth)
+    cluster, _client = run_staggered_rotation()
+    assert len(failures) == cluster.total_counters().get("auth_failed") > 0
+    reference = KeyTable()
+    for receiver, message, current, reason in failures:
+        epoch, tag = message.auth.tags[receiver]
+        assert reason == f"stale key epoch {epoch} for {receiver} (current {current})"
+        assert epoch == current - 1
+        key = reference.key(message.auth.sender, receiver, epoch)
+        assert tag == mac(key, message.signable_bytes())
 
 
 def test_recovery_durations_recorded():
