@@ -7,7 +7,7 @@ checkpoint digest work, and bytes held, plus the batching ablation.
 
 from repro.bench.metrics import ExperimentTable
 from repro.bench.suites import checkpoint_run, closed_loop
-from repro.bft.config import BFTConfig
+from repro.bft.config import VARIANTS, BFTConfig
 from repro.bft.testing import encode_set, kv_cluster
 
 from benchmarks.conftest import show
@@ -136,8 +136,7 @@ def test_batching_under_pipelining():
             log_window=64,
             batch_max=16,
             max_outstanding=forming_bound,
-            pipeline_depth=8,
-            speculative_execution=True,
+            **VARIANTS["speculation"].overrides,
         )
         cluster = kv_cluster(config=config)
         clients = [cluster.client(f"C{i}") for i in range(16)]

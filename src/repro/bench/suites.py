@@ -20,7 +20,7 @@ import random
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.bft.config import BFTConfig
+from repro.bft.config import VARIANTS, BFTConfig
 from repro.bft.fusion import FusedBackupTier
 from repro.bft.messages import MESSAGE_STATS
 from repro.bft.overload import OpenLoopLoadGenerator, ShardedOpenLoopLoadGenerator
@@ -124,7 +124,7 @@ def _kv_throughput(
     report: Tuple[str, ...],
     ops_per_client: int = 25,
     read_every: int = 0,
-    **fast_path,
+    **variant,
 ) -> Metrics:
     """``num_clients`` closed-loop clients, ``ops_per_client`` ops each, on
     one group (``read_every``: see :func:`closed_loop`).  ``report`` names
@@ -133,7 +133,7 @@ def _kv_throughput(
     with global_stats() as stats:
         cluster = kv_cluster(
             config=BFTConfig(
-                checkpoint_interval=16, log_window=64, batch_max=16, **fast_path
+                checkpoint_interval=16, log_window=64, batch_max=16, **variant
             )
         )
         clients = [cluster.client(f"C{i}") for i in range(num_clients)]
@@ -201,8 +201,7 @@ def kv_throughput_fast() -> Metrics:
             "spec_rollbacks",
             "tentative_replies_accepted",
         ),
-        pipeline_depth=8,
-        speculative_execution=True,
+        **VARIANTS["speculation"].overrides,
     )
 
 
@@ -226,13 +225,7 @@ def kv_mixed_fast() -> Metrics:
     commits, so none may fall back; ``benchmarks/test_suite_claims.py`` holds
     this scenario level with ``kv_mixed`` in virtual time."""
     return _kv_throughput(
-        16,
-        _READ_PATH,
-        ops_per_client=50,
-        read_every=2,
-        pipeline_depth=8,
-        speculative_execution=True,
-        read_leases=True,
+        16, _READ_PATH, ops_per_client=50, read_every=2, **VARIANTS["fast-path"].overrides
     )
 
 
@@ -470,12 +463,12 @@ def _shard_rung(num_shards: int, txn_fraction: float = 0.0) -> Metrics:
 
     Clients and offered load both scale with the shard count — that is the
     controlled experiment a scaling claim needs: every group sees the same
-    saturation the single-group rung does, and the only variable is how many
+    saturation the one-group rung does, and the only variable is how many
     groups are ordering.  Aggregate ``goodput_per_vsec`` (requests executed
     across all shard primaries) must track the shard count near-linearly at
     ``txn_fraction`` 0; with a 10% cross-shard transaction mix the 2PC
     prepares/decides consume ordering slots on two groups each, so the curve
-    flattens but must stay well above the single-group figure.
+    flattens but must stay well above the one-group figure.
     """
     sharded = sharded_kv_cluster(
         num_shards,

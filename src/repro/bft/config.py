@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.util.errors import ConfigurationError
+
+#: The deployments a fault plan runs on (``repro.explore.interpreter``): one
+#: group under the explore workload, several groups plus the 2PC layer, one
+#: group under the soak probe.
+SINGLE, SHARDED, SOAK = "single", "sharded", "soak"
 
 
 @dataclass
@@ -163,3 +168,32 @@ class BFTConfig:
 
     def replica_index(self, replica_id: str) -> int:
         return self.replica_ids.index(replica_id)
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One member of the protocol family: the :class:`BFTConfig` fields it
+    sets and the deployments a fault plan may run it on."""
+
+    overrides: Dict[str, object]
+    deployments: FrozenSet[str] = frozenset({SINGLE})
+
+
+#: The protocol variants, in order.  Each row turns on one more fast-path
+#: mechanism than the row before it, so a failure along the ladder names the
+#: mechanism that broke.  Everything that names a variant reads it here.
+VARIANTS: Dict[str, Variant] = {
+    "baseline": Variant({}, frozenset({SINGLE, SHARDED, SOAK})),
+    "pipelined": Variant({"pipeline_depth": 8}),
+    "speculation": Variant({"pipeline_depth": 8, "speculative_execution": True}),
+    "fast-path": Variant(
+        {"pipeline_depth": 8, "speculative_execution": True, "read_leases": True}
+    ),
+}
+
+
+def variant_of(overrides: Optional[Dict]) -> Optional[str]:
+    """The variant whose overrides are exactly ``overrides`` (None is the
+    baseline), or None when no row is."""
+    given = overrides or {}
+    return next((name for name, row in VARIANTS.items() if row.overrides == given), None)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 from typing import List
 
+from repro.bft.config import VARIANTS
 from repro.explore.interpreter import (
     DESTRUCTION,
     IMPLEMENTATION,
@@ -58,7 +59,7 @@ def _explore_parser() -> argparse.ArgumentParser:
         default=1,
         help="explore against a sharded deployment of N independent BASE "
         "groups with a cross-shard transactional workload (default 1: the "
-        "classic single-group exploration)",
+        "classic one-group exploration)",
     )
     parser.add_argument(
         "--check-interval",
@@ -84,11 +85,13 @@ def _explore_parser() -> argparse.ArgumentParser:
         "at >= 4x sustainable load) judged by the goodput-under-overload oracle",
     )
     parser.add_argument(
-        "--fast-path",
-        action="store_true",
-        help="run every plan with the RECIPE-style fast path on (pipelined "
-        "ordering, speculative execution, read leases) — the oracles must "
-        "hold exactly as they do for the baseline protocol",
+        "--variant",
+        choices=list(VARIANTS),
+        default="baseline",
+        help="run every plan under this protocol variant (default baseline); "
+        "each turns on one more of pipelined ordering, speculative execution "
+        "and read leases, and the oracles must hold exactly as they do for "
+        "the baseline protocol",
     )
     parser.add_argument(
         "--destroy-group",
@@ -102,15 +105,6 @@ def _explore_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
-
-
-#: BFTConfig overrides applied by ``--fast-path`` (recorded in the artifact,
-#: so replay exercises the identical configuration).
-FAST_PATH_OVERRIDES = {
-    "pipeline_depth": 8,
-    "speculative_execution": True,
-    "read_leases": True,
-}
 
 
 def explore_main(argv: List[str]) -> int:
@@ -135,8 +129,8 @@ def explore_main(argv: List[str]) -> int:
     rejected = [
         flag for flag, kinds in asked.items() if unsupported_kinds(kinds, deployment)
     ]
-    if args.fast_path and deployment == SHARDED:
-        rejected.append("--fast-path")
+    if deployment not in VARIANTS[args.variant].deployments:
+        rejected.append(f"--variant {args.variant}")
     if rejected:
         print(
             f"explore: {'/'.join(rejected)} not supported on a {deployment} "
@@ -152,7 +146,7 @@ def explore_main(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    overrides = FAST_PATH_OVERRIDES if args.fast_path else None
+    overrides = VARIANTS[args.variant].overrides
     result = explore(
         budget=args.budget,
         seed=args.seed,

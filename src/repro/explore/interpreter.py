@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.bft.client import InvocationTimeout
-from repro.bft.config import BFTConfig
+from repro.bft.config import SHARDED, SINGLE, SOAK, VARIANTS, BFTConfig, variant_of
 from repro.bft.messages import CheckpointCert
 from repro.bft.overload import OpenLoopLoadGenerator
 from repro.bft.testing import encode_set
@@ -45,8 +45,6 @@ from repro.faults import (
 from repro.faults.aging import DEFAULT_PER_OP_STALL, FragmentationAging
 from repro.net.network import NetworkConfig
 from repro.net.topology import PRESETS, PlacedTopology, topology_preset
-
-SINGLE, SHARDED, SOAK = "single", "sharded", "soak"
 
 # Single-group slot layout (32 cells): the explore workload writes 0..7,
 # corrupt_object maps its index into 8..23 so the corruption stays silent
@@ -472,7 +470,7 @@ _ANYWHERE = frozenset({SINGLE, SHARDED, SOAK})
 _ONE_GROUP = frozenset({SINGLE, SOAK})
 # Implementation faults need the containment supervisor and poisonable
 # implementations, overload the strict goodput oracle: only run_plan's
-# single-group cluster is built with them.
+# one-group cluster is built with them.
 _SINGLE_ONLY = frozenset({SINGLE})
 # Destroying a group is survivable only with sibling groups to rebuild from.
 _SHARDED_ONLY = frozenset({SHARDED})
@@ -737,14 +735,24 @@ def beyond_assumption_windows(
     return merged
 
 
-def check_supported(plan: FaultPlan, deployment: str) -> None:
-    """Raise :class:`PlanError` unless ``deployment`` can run ``plan`` —
-    every kind supported, every step well formed; every entry point calls
-    this before it builds a cluster."""
+def check_supported(
+    plan: FaultPlan, deployment: str, overrides: Optional[Dict] = None
+) -> None:
+    """Raise :class:`PlanError` unless ``deployment`` can run ``plan`` under
+    ``overrides`` — every kind supported, the overrides those of a variant
+    valid there, every step well formed; every entry point calls this before
+    it builds a cluster."""
+    variant = variant_of(overrides)
+    if variant is None:
+        raise PlanError(
+            f"config overrides {overrides!r} are none of the variants {list(VARIANTS)}"
+        )
     unsupported = unsupported_kinds((step.kind for step in plan.steps), deployment)
     if plan.topology and unsupported_kinds(kinds_of(CAMPAIGN), deployment):
         # Presets are compiled by the campaign machinery: same support.
         unsupported.append(f"topology {plan.topology!r}")
+    if deployment not in VARIANTS[variant].deployments:
+        unsupported.append(f"variant {variant!r}")
     if unsupported:
         raise PlanError(
             f"a {deployment} deployment does not support {unsupported} "

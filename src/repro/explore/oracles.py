@@ -459,7 +459,7 @@ class OracleSuite:
 class ShardedOracleSuite:
     """Safety oracles over a sharded deployment.
 
-    The single-group properties (prefix, commit-agreement, at-most-once,
+    The one-group properties (prefix, commit-agreement, at-most-once,
     view-monotonicity, checkpoint-stability) generalize to per-shard
     histories by construction: each shard is an independent ordering domain,
     so one labelled :class:`OracleSuite` runs against each group's recorder

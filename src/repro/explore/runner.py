@@ -37,6 +37,7 @@ from repro.explore.interpreter import (
     SHARD_TXN_SLOT,
     SHARDED,
     SINGLE,
+    PlanError,
     Session,
     check_supported,
     deployment_configs,
@@ -173,7 +174,7 @@ class _Workload:
     """The closed-loop client ``C0`` and how to ask it for one operation."""
 
     #: Per-request replies (None = timed out); differential evidence the
-    #: single-group workload collects.
+    #: one-group workload collects.
     replies: Optional[List[Optional[bytes]]] = None
 
     def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
@@ -281,15 +282,14 @@ def run_plan(
     used by the acceptance tests to demonstrate that without it, a pure
     overload episode degenerates into view changes.
 
-    ``config_overrides`` merges extra :class:`BFTConfig` fields into the run
-    configuration — the differential harness uses it to replay one fault plan
-    under baseline and fast-path configurations and compare the outcomes."""
+    ``config_overrides`` are the :class:`BFTConfig` overrides of one row of
+    ``VARIANTS`` valid on the deployment (None: the baseline) — the
+    differential harness replays one fault plan under every row and compares
+    the outcomes."""
     deployment = SHARDED if shards > 1 else SINGLE
-    check_supported(plan, deployment)
+    check_supported(plan, deployment, config_overrides)
     if plant is not None and plant not in PLANTS[deployment]:
-        raise ValueError(f"unknown {deployment} planted bug {plant!r}")
-    if config_overrides and deployment == SHARDED:
-        raise ValueError("config overrides (the fast path) are a single-group feature")
+        raise PlanError(f"unknown {deployment} planted bug {plant!r}")
     config, net_config = deployment_configs(
         plan,
         {"checkpoint_interval": 8, "log_window": 16, "overload_damping": overload_damping},
@@ -418,11 +418,10 @@ def explore(
     poison_request / corrupt_object steps to the generated plans, exercising
     the fault-containment supervisor under the oracles.  ``overload``
     generates pure-overload saturation plans judged strictly by the
-    goodput-under-overload oracle.  ``config_overrides`` (extra
-    :class:`BFTConfig` fields, e.g. the fast-path flags) apply to every plan
-    run, including shrinking.  ``shards=N`` executes the same plan stream
-    against N groups with the cross-shard workload and oracles, and there
-    ``destruction=True`` makes every generated plan end in a
+    goodput-under-overload oracle.  ``config_overrides`` (a ``VARIANTS`` row)
+    apply to every plan run, including shrinking.  ``shards=N`` runs the same
+    plan stream against N groups with the cross-shard workload and oracles,
+    and there ``destruction=True`` makes every generated plan end in a
     ``destroy_group`` catastrophe that the fused-backup tier must survive.
     """
     run = partial(

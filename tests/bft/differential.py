@@ -1,9 +1,10 @@
 """Differential protocol-equivalence harness for the RECIPE-style fast path.
 
-One seeded fault plan is replayed through several :class:`BFTConfig`
-variants — the baseline three-phase protocol and the fast-path stages
-(pipelined ordering, speculative execution, read leases) — on the same
-deterministic simulator.  The equivalence contract:
+One seeded fault plan is replayed through the protocol variants of
+``repro.bft.config.VARIANTS`` — the baseline three-phase protocol, then one
+more fast-path mechanism per row (pipelined ordering, speculative execution,
+read leases), so a failure isolates the mechanism that broke equivalence —
+on the same deterministic simulator.  The equivalence contract:
 
 * every safety oracle holds in every configuration;
 * requests acknowledged under *all* configurations got byte-identical
@@ -22,30 +23,12 @@ of these checks or an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from repro.bft.config import VARIANTS
 from repro.bft.testing import encode_set
 from repro.explore.plan import FaultPlan
 from repro.explore.runner import RunOutcome, run_plan
-
-#: The configuration ladder: each rung enables one more fast-path mechanism,
-#: so a failure isolates which mechanism broke equivalence.
-DIFF_CONFIGS: Tuple[Tuple[str, Dict], ...] = (
-    ("baseline", {}),
-    ("pipelined", {"pipeline_depth": 8}),
-    (
-        "speculative",
-        {"pipeline_depth": 8, "speculative_execution": True},
-    ),
-    (
-        "fast-path",
-        {
-            "pipeline_depth": 8,
-            "speculative_execution": True,
-            "read_leases": True,
-        },
-    ),
-)
 
 
 @dataclass
@@ -80,18 +63,20 @@ def run_differential(
     plan: FaultPlan,
     plant: Optional[str] = None,
     check_interval: int = 10,
-    configs: Tuple[Tuple[str, Dict], ...] = DIFF_CONFIGS,
+    variants: Sequence[str] = tuple(VARIANTS),
 ) -> DifferentialVerdict:
-    """Replay ``plan`` under every configuration and compare the outcomes."""
-    outcomes: Dict[str, RunOutcome] = {}
-    for name, overrides in configs:
-        outcomes[name] = run_plan(
+    """Replay ``plan`` under every named variant (by default the whole
+    ladder, in ``VARIANTS`` order) and compare the outcomes."""
+    outcomes: Dict[str, RunOutcome] = {
+        name: run_plan(
             plan,
             plant=plant,
             check_interval=check_interval,
-            config_overrides=overrides or None,
+            config_overrides=VARIANTS[name].overrides,
         )
-    return compare_outcomes(plan, outcomes, [name for name, _overrides in configs])
+        for name in variants
+    }
+    return compare_outcomes(plan, outcomes, list(variants))
 
 
 def compare_outcomes(

@@ -14,14 +14,14 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.suites import closed_loop
-from repro.bft.config import BFTConfig
+from repro.bft.config import VARIANTS, BFTConfig
 from repro.bft.testing import kv_cluster
 from repro.nfs.client import NFSClient
 
 from tests.nfs.test_fast_path import create_write_read, fast_deployment
 
 SHAPE = dict(checkpoint_interval=16, log_window=64, batch_max=16)
-FAST = dict(SHAPE, pipeline_depth=8, speculative_execution=True)
+FAST = dict(SHAPE, **VARIANTS["speculation"].overrides)
 COUNTS = ("pre_prepares_sent", "batched_requests", "messages_sent")
 
 

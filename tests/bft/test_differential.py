@@ -1,10 +1,10 @@
 """Differential protocol-equivalence suite (satellite of the fast path).
 
 Every test replays one seeded fault plan through the configuration ladder in
-:mod:`tests.bft.differential` — baseline, pipelined, pipelined+speculative,
-full fast path — and demands byte-identical committed sequences and client
-replies on everything the configurations have in common, plus a clean bill
-from every safety oracle in every configuration.
+:mod:`tests.bft.differential` — the rows of ``VARIANTS``: baseline,
+pipelined, speculation, fast path — and demands byte-identical committed
+sequences and client replies on everything the configurations have in
+common, plus a clean bill from every safety oracle in every configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.explore.plan import FaultPlan, FaultStep, generate_plan
-from tests.bft.differential import DIFF_CONFIGS, compare_outcomes, run_differential
+from tests.bft.differential import compare_outcomes, run_differential
 
 # 20 generated fault schedules (crashes, restarts, partitions, drops,
 # Byzantine behaviors, proactive recovery), derived exactly like an
@@ -37,7 +37,7 @@ def test_quiet_plan_exercises_every_mechanism():
     verdict = run_differential(plan)
     assert verdict.equivalent, verdict.describe()
     assert verdict.outcomes["baseline"].counters["spec_batches"] == 0
-    for name in ("speculative", "fast-path"):
+    for name in ("speculation", "fast-path"):
         counters = verdict.outcomes[name].counters
         assert counters["spec_batches"] > 0, f"{name} never speculated"
         assert counters["spec_promotions"] > 0, f"{name} never promoted"
@@ -115,7 +115,7 @@ def test_differential_detects_divergent_replies():
     """The harness itself must be able to fail: tamper with one
     configuration's recorded replies and the comparison must flag it."""
     plan = FaultPlan(seed=5, requests=8, steps=[])
-    verdict = run_differential(plan, configs=DIFF_CONFIGS[:2])
+    verdict = run_differential(plan, variants=("baseline", "pipelined"))
     assert verdict.equivalent, verdict.describe()
     verdict.outcomes["pipelined"].client_replies[3] = b"CORRUPT"
     tampered = compare_outcomes(plan, verdict.outcomes, ["baseline", "pipelined"])
@@ -126,7 +126,7 @@ def test_differential_detects_divergent_replies():
 def test_differential_detects_reordered_history():
     """Tampering with the committed sequence must be flagged too."""
     plan = FaultPlan(seed=5, requests=8, steps=[])
-    verdict = run_differential(plan, configs=DIFF_CONFIGS[:2])
+    verdict = run_differential(plan, variants=("baseline", "pipelined"))
     history = verdict.outcomes["pipelined"].committed_history
     assert len(history) >= 2
     history[0], history[1] = history[1], history[0]

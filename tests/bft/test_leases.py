@@ -16,16 +16,10 @@ import random
 
 import pytest
 
-from repro.bft.config import BFTConfig
+from repro.bft.config import VARIANTS, BFTConfig
 from repro.bft.testing import encode_get, encode_set, recording_cluster
 
-FAST_PATH = dict(
-    checkpoint_interval=8,
-    log_window=16,
-    pipeline_depth=8,
-    speculative_execution=True,
-    read_leases=True,
-)
+FAST_PATH = dict(checkpoint_interval=8, log_window=16, **VARIANTS["fast-path"].overrides)
 
 
 def fast_cluster(seed: int = 0):

@@ -16,14 +16,14 @@ import random
 
 import pytest
 
-from repro.bft.config import BFTConfig
+from repro.bft.config import VARIANTS, BFTConfig
 from repro.bft.messages import Commit, Lease, NewView, Prepare, PrePrepare, Reply, Request
 from repro.bft.testing import encode_get, encode_set, kv_cluster
 from repro.util.errors import FaultInjected
 
 SHAPE = dict(checkpoint_interval=8, log_window=16)
-SPECULATION = dict(SHAPE, pipeline_depth=8, speculative_execution=True)
-FAST_PATH = dict(SPECULATION, read_leases=True)
+SPECULATION = dict(SHAPE, **VARIANTS["speculation"].overrides)
+FAST_PATH = dict(SHAPE, **VARIANTS["fast-path"].overrides)
 ORDERING = (PrePrepare, Prepare, Commit)
 
 

@@ -33,7 +33,7 @@ import random
 
 import pytest
 
-from repro.bft.config import BFTConfig
+from repro.bft.config import VARIANTS, BFTConfig
 from repro.bft.messages import Prepare, Reply
 from repro.bft.testing import encode_get, encode_set, recording_cluster
 from repro.faults.injector import make_result_corruptor
@@ -41,11 +41,6 @@ from repro.faults.plant import READ_PLANTED_BUGS
 from repro.net.network import NetworkConfig
 
 CLIENTS = 8
-CONFIGS = {
-    "baseline": {},
-    "speculation": dict(pipeline_depth=8, speculative_execution=True),
-    "fast-path": dict(pipeline_depth=8, speculative_execution=True, read_leases=True),
-}
 # (virtual instant, what to do to the cluster); "lossy" is a link property.
 FAULTS = {
     "none": [],
@@ -69,11 +64,11 @@ SEEDS = range(6)
 WATCHED = ("leased_reads_served", "reads_parked", "spec_rollbacks", "new_views_sent")
 
 
-def run(config, fault, seed, plant=None, corrupt=None, ops_per_client=20):
-    """One run; returns (violations, cluster counters)."""
+def run(variant, fault, seed, plant=None, corrupt=None, ops_per_client=20):
+    """One run under a ``VARIANTS`` row; returns (violations, cluster counters)."""
     net = NetworkConfig(drop_rate=0.02) if "lossy" in fault else None
     cluster, recorder = recording_cluster(
-        config=BFTConfig(checkpoint_interval=8, log_window=16, **CONFIGS[config]),
+        config=BFTConfig(checkpoint_interval=8, log_window=16, **VARIANTS[variant].overrides),
         seed=seed,
         net_config=net,
     )
@@ -145,24 +140,28 @@ def run(config, fault, seed, plant=None, corrupt=None, ops_per_client=20):
     return violations, cluster.total_counters()
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_reads_are_fresh_under_faults(config):
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_reads_are_fresh_under_faults(variant):
     seen = dict.fromkeys(WATCHED, 0)
     for fault in FAULTS:
         for seed in SEEDS:
-            violations, counters = run(config, fault, seed)
-            assert violations == [], f"{config} / {fault} / seed {seed}"
+            violations, counters = run(variant, fault, seed)
+            assert violations == [], f"{variant} / {fault} / seed {seed}"
             if fault == "primary-recover":
                 # The reboot found work in progress and handed the view over.
                 assert counters.get("view_handoffs_sent") == 1
                 assert counters.get("new_views_sent") > 0
             for name in WATCHED:
                 seen[name] += counters.get(name)
-    # Non-vacuity: the matrix reached the paths it is there to guard.
+    # Non-vacuity: the matrix reached the paths it is there to guard, as far
+    # as the row turns them on.
+    overrides = VARIANTS[variant].overrides
     assert seen["new_views_sent"] > 0
-    if config != "baseline":
-        assert seen["reads_parked"] > 0 and seen["spec_rollbacks"] > 0
-    if config == "fast-path":
+    if overrides:
+        assert seen["reads_parked"] > 0
+    if overrides.get("speculative_execution"):
+        assert seen["spec_rollbacks"] > 0
+    if overrides.get("read_leases"):
         assert seen["leased_reads_served"] > 0
 
 
@@ -222,7 +221,9 @@ def test_batch_left_one_commit_short_does_not_stay_that_way():
     retransmitted for ever.  A retransmission of a tentatively answered
     request now puts it back under the request timer."""
     cluster, _recorder = recording_cluster(
-        config=BFTConfig(checkpoint_interval=8, log_window=16, **CONFIGS["speculation"])
+        config=BFTConfig(
+            checkpoint_interval=8, log_window=16, **VARIANTS["speculation"].overrides
+        )
     )
     writer = cluster.client("W")
     assert writer.invoke(encode_set(1, b"1")) == b"OK"

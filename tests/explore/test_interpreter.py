@@ -10,6 +10,7 @@ import pytest
 
 import repro.explore.runner as explore_runner
 import repro.soak.runner as soak_runner
+from repro.bft.config import VARIANTS
 from repro.explore.interpreter import (
     SHARDED,
     SINGLE,
@@ -228,14 +229,18 @@ def test_unknown_plants_and_sharded_overrides_are_rejected(no_clusters):
     with pytest.raises(ValueError, match="planted bug"):
         run_plan(plan, plant="no-such-bug")
     with pytest.raises(ValueError, match="planted bug"):
-        run_plan(plan, shards=2, plant="weak-prepare-quorum")  # a single-group plant
-    with pytest.raises(ValueError, match="single-group"):
-        run_plan(plan, shards=2, config_overrides={"pipeline_depth": 8})
+        run_plan(plan, shards=2, plant="weak-prepare-quorum")  # a one-group plant
+    with pytest.raises(ValueError, match="sharded deployment does not support .*'pipelined'"):
+        run_plan(plan, shards=2, config_overrides=VARIANTS["pipelined"].overrides)
+    # What the fast-path row adds, without the rungs under it, is no row.
+    fast, speculation = VARIANTS["fast-path"].overrides, VARIANTS["speculation"].overrides
+    with pytest.raises(ValueError, match="none of the variants"):
+        run_plan(plan, config_overrides=dict(fast.items() - speculation.items()))
 
 
 # -- cross-commit pins ---------------------------------------------------------------
 # Captured at the parent commit (24db597) from its three hand-written
-# interpreters: the single-group runner, the sharded runner (two shards) and
+# interpreters: the one-group runner, the sharded runner (two shards) and
 # run_soak.
 # Each entry is (completed, events, non-zero counters) for
 # generate_plan(seed, requests=12).  The ``events`` members (and only they)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bft.config import VARIANTS
 from repro.explore.oracles import Violation
 from repro.explore.plan import FaultPlan, FaultStep
 from repro.explore.shrink import (
@@ -124,7 +125,7 @@ def test_artifact_records_only_non_default_run_options(tmp_path):
     run options existed; non-default options round-trip into run_plan kwargs."""
     plan, violation = _plan(_steps(2)), _violation()
     assert set(artifact_dict(plan, violation)) == {"version", "plan", "violation", "plant"}
-    overrides = {"pipeline_depth": 8, "speculative_execution": True}
+    overrides = VARIANTS["speculation"].overrides
     path = tmp_path / "repro.json"
     write_artifact(
         path, plan, violation, shards=4, check_interval=3, config_overrides=overrides

@@ -7,7 +7,7 @@ prepared batch.)"""
 import pytest
 
 from repro.base.library import BASEService
-from repro.bft.config import BFTConfig
+from repro.bft.config import VARIANTS, BFTConfig
 from repro.bft.nondet import encode_timestamp
 from repro.nfs.client import NFSClient
 from repro.nfs.fileserver import BtrFS, Ext2FS, FFS, LogFS, MemFS
@@ -31,7 +31,7 @@ from tests.nfs.test_replicated import HETERO, roots
 
 def fast_deployment():
     config = BFTConfig(
-        checkpoint_interval=8, log_window=16, pipeline_depth=8, speculative_execution=True
+        checkpoint_interval=8, log_window=16, **VARIANTS["speculation"].overrides
     )
     return NFSDeployment(dict(HETERO), config=config, num_objects=64)
 

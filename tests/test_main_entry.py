@@ -5,6 +5,12 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.bft.config import VARIANTS
+
+#: What the fast-path row adds to the speculation row, on its own: no row.
+LEASES_ALONE = dict(
+    VARIANTS["fast-path"].overrides.items() - VARIANTS["speculation"].overrides.items()
+)
 
 
 def test_andrew_runs_from_any_cwd(tmp_path, monkeypatch, capsys):
@@ -140,14 +146,36 @@ def _artifact(step, topology=""):
             "durration",
             id="misspelt-key",
         ),
+        pytest.param(
+            dict(_artifact({"at": 0.1, "kind": "heal"}), shards=2,
+                 config_overrides=VARIANTS["pipelined"].overrides),
+            "a sharded deployment does not support [\"variant 'pipelined'\"]",
+            id="sharded-variant",
+        ),
+        pytest.param(
+            dict(_artifact({"at": 0.1, "kind": "heal"}), config_overrides={"pipeline_dept": 8}),
+            "none of the variants",
+            id="misspelt-override",
+        ),
+        pytest.param(
+            dict(_artifact({"at": 0.1, "kind": "heal"}), plant="no-such-plant"),
+            "planted bug 'no-such-plant'",
+            id="unknown-plant",
+        ),
+        pytest.param(
+            dict(_artifact({"at": 0.1, "kind": "heal"}), config_overrides=LEASES_ALONE),
+            "none of the variants",
+            id="leases-alone",
+        ),
     ],
 )
 def test_replay_malformed_artifact_exits_2(
     artifact, complaint, tmp_path, capsys, monkeypatch
 ):
     """Refused with exit 2 before any cluster is built — not run (the R9
-    crash and the group-less partition used to replay clean, the misspelt
-    key to a default), not a traceback with the violation exit code."""
+    crash, the group-less partition and the leases-only overrides used to
+    replay clean, the misspelt key to a default), not a traceback with the
+    violation exit code."""
     import repro.explore.runner as runner
 
     monkeypatch.setattr(runner, "recording_cluster", None)  # calling it fails
@@ -176,7 +204,7 @@ def test_replay_does_not_swallow_an_error_from_the_run(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "flags,plant,seed",
     [
-        (["--fast-path"], "blind-checkpoint-certs", "1"),
+        (["--variant", "fast-path"], "blind-checkpoint-certs", "1"),
         (["--check-interval", "7"], "weak-prepare-quorum", "0"),
     ],
 )
@@ -195,12 +223,13 @@ def test_artifact_replays_under_its_recorded_configuration(
     capsys.readouterr()
     assert main(["replay", str(out)]) == 1
     assert "reproduces the recorded violation exactly" in capsys.readouterr().out
-    assert main(["replay", str(out), "--fast-path"]) == 2  # the flags are gone
+    assert main(["replay", str(out), "--variant", "fast-path"]) == 2  # the flags are gone
     assert main(["replay", str(out), "--check-interval", "7"]) == 2
 
 
 def test_explore_usage_error_exits_2(capsys):
     assert main(["explore", "--budget", "0"]) == 2
+    assert main(["explore", "--fast-path"]) == 2  # now --variant fast-path
 
 
 @pytest.mark.parametrize(
@@ -208,7 +237,7 @@ def test_explore_usage_error_exits_2(capsys):
     [
         ["--shards", "2", "--impl-faults"],
         ["--shards", "2", "--overload"],
-        ["--shards", "2", "--fast-path"],
+        ["--shards", "2", "--variant", "speculation"],
         ["--destroy-group"],
         ["--plant", "split-brain-decide"],
         ["--shards", "2", "--plant", "weak-prepare-quorum"],
