@@ -53,7 +53,7 @@ def main() -> None:
 
     # Corrupt one replica's heap behind its back, then rejuvenate it.
     victim_handle = deployment.wrapper("R1").handles[1]
-    deployment.disks["R1"]["thor:heap"][victim_handle]["attrs"]["name"] = "EVIL"
+    deployment.cluster.disks["R1"]["thor:heap"][victim_handle]["attrs"]["name"] = "EVIL"
     print("\ncorrupted 'alice' in R1's heap; recovering R1 ...")
     host = deployment.cluster.hosts["R1"]
     host.recover_now()

@@ -14,14 +14,8 @@ from repro.bft.testing import KVStateMachine, encode_set
 
 
 def main() -> None:
-    disks = {}
-
-    def factory_for(replica_id):
-        disks.setdefault(replica_id, {})
-        return lambda: KVStateMachine(num_slots=32, disk=disks[replica_id])
-
     cluster = Cluster(
-        factory_for,
+        lambda replica_id: (lambda disk: KVStateMachine(num_slots=32, disk=disk)),
         config=BFTConfig(checkpoint_interval=8, log_window=16),
         trace=True,
     )

@@ -3,8 +3,9 @@ clients into a runnable BFT service.
 
 Used by integration tests, the examples, and every benchmark.  The
 ``service_factory_for(replica_id)`` indirection is what lets each replica run
-a *different* implementation (opportunistic N-version programming) and what
-lets proactive recovery rebuild a replica's service from persistent storage.
+a *different* implementation (opportunistic N-version programming); the
+cluster keeps each replica's disk, so proactive recovery rebuilds a
+replica's service over the persistent state its last instance left.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.bft.client import Client
 from repro.bft.config import BFTConfig
-from repro.bft.recovery import ReplicaHost
+from repro.bft.recovery import ReplicaHost, ServiceFactory
 from repro.bft.repair import RepairPolicy
 from repro.bft.replica import Replica
 from repro.bft.service import StateMachine
@@ -24,13 +25,14 @@ from repro.net.simulator import Simulator
 from repro.util.stats import Counters
 from repro.util.trace import Tracer
 
-ServiceFactory = Callable[[], StateMachine]
 # One factory, or an ordered N-version failover list per replica.
 ServiceFactories = Union[ServiceFactory, Sequence[ServiceFactory]]
 
 
 class Cluster:
-    """A complete simulated deployment of one replicated service."""
+    """A complete simulated deployment of one replicated service.  ``disks``
+    maps each replica id to the persistent state every build of its service,
+    by any factory of its N-version list, is handed (or ignores)."""
 
     def __init__(
         self,
@@ -49,14 +51,17 @@ class Cluster:
         self.keys = KeyTable()
         self.sigs = SignatureScheme()
         self.tracer = Tracer(clock=self.sim.now) if trace else None
+        self.disks: Dict[str, dict] = {}
         self.hosts: Dict[str, ReplicaHost] = {}
         for replica_id in self.config.replica_ids:
+            self.disks[replica_id] = {}
             self.hosts[replica_id] = ReplicaHost(
                 replica_id,
                 self.sim,
                 self.network,
                 self.config,
                 service_factory_for(replica_id),
+                self.disks[replica_id],
                 self.keys,
                 self.sigs,
                 reboot_time=reboot_time,
@@ -66,6 +71,11 @@ class Cluster:
         self._clients: Dict[str, Client] = {}
 
     # -- access -------------------------------------------------------------------
+
+    @property
+    def clusters(self) -> List["Cluster"]:
+        """The deployment's groups, as ``ShardedCluster.clusters``: this one."""
+        return [self]
 
     @property
     def replicas(self) -> List[Replica]:

@@ -38,7 +38,8 @@ from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.util.trace import emit
 
-ServiceFactory = Callable[[], StateMachine]
+#: Builds a replica's service over its persistent disk dict.
+ServiceFactory = Callable[[dict], StateMachine]
 
 
 class ReplicaHost:
@@ -47,9 +48,10 @@ class ReplicaHost:
     ``service_factory`` is either one factory or an ordered sequence of
     factories — the N-version list: the host runs the first implementation
     and the fault-containment supervisor fails over to later ones when
-    repairs keep failing.  Passing ``repair`` (a :class:`RepairPolicy`)
-    attaches the supervisor; without it crashes wait for the proactive
-    watchdog, as before.
+    repairs keep failing.  Every build of any of them is handed the same
+    ``disk``, the replica's persistent state.  Passing ``repair`` (a
+    :class:`RepairPolicy`) attaches the supervisor; without it crashes wait
+    for the proactive watchdog, as before.
     """
 
     def __init__(
@@ -59,6 +61,7 @@ class ReplicaHost:
         network: Network,
         config: BFTConfig,
         service_factory: Union[ServiceFactory, Sequence[ServiceFactory]],
+        disk: dict,
         keys: KeyTable,
         sigs: SignatureScheme,
         reboot_time: float = 0.02,
@@ -76,12 +79,13 @@ class ReplicaHost:
             if not self.factories:
                 raise ValueError("service_factory sequence must not be empty")
         self.factory_index = 0
+        self.disk = disk
         self.keys = keys
         self.sigs = sigs
         self.reboot_time = reboot_time
         self.tracer = tracer
 
-        self.service = self.service_factory()
+        self.service = self.service_factory(disk)
         self.replica = Replica(replica_id, sim, network, config, self.service, keys, sigs)
         self.replica.tracer = tracer
         self.recovery_log: List[Tuple[float, float]] = []
@@ -217,7 +221,7 @@ class ReplicaHost:
         self.keys.refresh(self.replica_id)
         # Fresh implementation instance built from persistent storage only;
         # in-memory corruption and aging do not survive this line.
-        self.service = self.service_factory()
+        self.service = self.service_factory(self.disk)
         replica = Replica(
             self.replica_id,
             self.sim,

@@ -17,13 +17,14 @@ client-coordinated 2PC layer in :mod:`repro.bft.txn`.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.base.shardmap import ShardMap
 from repro.bft.client import Client
 from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
-from repro.bft.testing import KV_OPS, HistoryRecorder, KVStateMachine, RecordingKV
+from repro.bft.testing import KV_OPS, HistoryRecorder, KVStateMachine, RecordingKV, kv_group
 from repro.bft.txn import (
     TxnCoordinator,
     VoteClient,
@@ -56,15 +57,7 @@ class ShardedCluster:
             self._clients[client_id] = ShardedClient(client_id, self)
         return self._clients[client_id]
 
-    # -- control (fan out to every group) ---------------------------------------------
-
-    def heal(self) -> None:
-        for cluster in self.clusters:
-            cluster.heal()
-
-    def restart_all_down(self) -> None:
-        for cluster in self.clusters:
-            cluster.restart_all_down()
+    # -- control ----------------------------------------------------------------------
 
     def settle(self, duration: float = 0.5) -> None:
         self.sim.run_for(duration)
@@ -78,18 +71,11 @@ class ShardedCluster:
         (see repro.bft.fusion); otherwise the shard is simply gone, which is
         the baseline this tier exists to fix."""
         cluster = self.clusters[shard]
-        disks = getattr(cluster, "disks", None)
-        if disks is None:
-            raise ValueError(
-                "destroy_group needs a cluster built with per-replica disks "
-                "(sharded_kv_cluster / sharded_recording_cluster)"
-            )
         for rid in sorted(cluster.hosts):
-            host = cluster.hosts[rid]
-            host.replica.stop()
+            cluster.hosts[rid].replica.stop()
             cluster.network.set_down(rid, True)
-            # Clear in place: the service factory closures hold references.
-            disks.setdefault(rid, {}).clear()
+            # In place: the host rebuilds its service over this same dict.
+            cluster.disks[rid].clear()
         if self.fusion is not None:
             self.fusion.on_group_destroyed(shard)
 
@@ -315,10 +301,36 @@ class ShardedClient:
 # -- builders ------------------------------------------------------------------------
 
 
-def _per_shard_net_config(net_config: Optional[NetworkConfig]) -> Optional[NetworkConfig]:
-    # Each shard gets its own copy so per-shard bandwidth squeezes and drops
-    # stay independent.
-    return dataclasses.replace(net_config) if net_config is not None else None
+def _kv_shards(
+    num_shards: int,
+    service_for: Callable[[int, str], object],
+    config: Optional[BFTConfig],
+    seed: int,
+    objects_per_shard: int,
+    net_config: Optional[NetworkConfig],
+) -> ShardedCluster:
+    """S :func:`~repro.bft.testing.kv_group` groups on one simulator, replica
+    ``rid`` of shard ``s`` running the versions ``service_for(s, rid)`` lists:
+    transactional (the extra cell holds the 2PC participant table, which
+    certifies with the configuration's f+1), each shard over its own copy of
+    ``net_config`` so per-shard bandwidth squeezes and drops stay
+    independent."""
+    sim = Simulator(seed=seed)
+    config = config or BFTConfig()
+    shardmap = ShardMap(num_shards, num_shards * objects_per_shard)
+    clusters = [
+        kv_group(
+            partial(service_for, shard),
+            config,
+            sim=sim,
+            num_slots=objects_per_shard + 1,
+            net_config=dataclasses.replace(net_config) if net_config is not None else None,
+            transactional=True,
+            weak_quorum=config.weak_quorum,
+        )
+        for shard in range(num_shards)
+    ]
+    return ShardedCluster(clusters, shardmap)
 
 
 def sharded_kv_cluster(
@@ -328,37 +340,10 @@ def sharded_kv_cluster(
     objects_per_shard: int = 16,
     net_config: Optional[NetworkConfig] = None,
 ) -> ShardedCluster:
-    """S KV groups on one simulator; each shard's service runs transactional
-    (one cell per shard reserved for the 2PC participant table)."""
-    sim = Simulator(seed=seed)
-    config = config or BFTConfig()
-    shardmap = ShardMap(num_shards, num_shards * objects_per_shard)
-    clusters = []
-    for shard in range(num_shards):
-        disks: Dict[str, dict] = {}
-
-        def factory_for(replica_id: str, disks=disks):
-            disks.setdefault(replica_id, {})
-
-            def make() -> KVStateMachine:
-                return KVStateMachine(
-                    num_slots=objects_per_shard + 1,
-                    disk=disks[replica_id],
-                    transactional=True,
-                    weak_quorum=config.weak_quorum,
-                )
-
-            return make
-
-        cluster = Cluster(
-            factory_for,
-            config=config,
-            sim=sim,
-            net_config=_per_shard_net_config(net_config),
-        )
-        cluster.disks = disks  # destroy_group wipes these in place
-        clusters.append(cluster)
-    return ShardedCluster(clusters, shardmap)
+    """S transactional KV groups on one simulator."""
+    return _kv_shards(
+        num_shards, lambda _s, _rid: [KVStateMachine], config, seed, objects_per_shard, net_config
+    )
 
 
 def sharded_recording_cluster(
@@ -367,44 +352,14 @@ def sharded_recording_cluster(
     seed: int = 0,
     objects_per_shard: int = 8,
     net_config: Optional[NetworkConfig] = None,
-    repair=None,
 ) -> Tuple[ShardedCluster, List[HistoryRecorder]]:
     """Recording variant for the safety oracles: one
     :class:`~repro.bft.testing.HistoryRecorder` per shard, returned in shard
-    order.  Per-replica disks are kept internally so state (and recorded
-    histories) survives proactive-recovery reboots."""
-    sim = Simulator(seed=seed)
-    config = config or BFTConfig()
-    shardmap = ShardMap(num_shards, num_shards * objects_per_shard)
-    clusters = []
-    recorders: List[HistoryRecorder] = []
-    for shard in range(num_shards):
-        recorder = HistoryRecorder()
-        recorders.append(recorder)
-        disks: Dict[str, dict] = {}
+    order."""
+    recorders = [HistoryRecorder() for _ in range(num_shards)]
 
-        def factory_for(replica_id: str, recorder=recorder, disks=disks):
-            disks.setdefault(replica_id, {})
+    def service_for(shard: int, replica_id: str):
+        return [partial(RecordingKV, recorders[shard], replica_id)]
 
-            def make() -> RecordingKV:
-                return RecordingKV(
-                    recorder,
-                    replica_id,
-                    num_slots=objects_per_shard + 1,
-                    disk=disks[replica_id],
-                    transactional=True,
-                    weak_quorum=config.weak_quorum,
-                )
-
-            return make
-
-        cluster = Cluster(
-            factory_for,
-            config=config,
-            sim=sim,
-            net_config=_per_shard_net_config(net_config),
-            repair=repair,
-        )
-        cluster.disks = disks  # destroy_group wipes these in place
-        clusters.append(cluster)
-    return ShardedCluster(clusters, shardmap), recorders
+    system = _kv_shards(num_shards, service_for, config, seed, objects_per_shard, net_config)
+    return system, recorders

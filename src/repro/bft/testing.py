@@ -1,6 +1,6 @@
 """A small deterministic key-value state machine for exercising the BFT
-engine without the full BASE/NFS stack, plus the ``kv_cluster`` builder used
-by tests and benchmarks.
+engine without the full BASE/NFS stack, plus :func:`kv_group`, the one
+builder of a group of them (``kv_cluster`` for tests and benchmarks).
 
 The abstract state is an array of ``num_slots`` byte-string cells.  Operations
 (XDR-encoded): SET i value / GET i / APPEND i value.  The cells write through
@@ -12,13 +12,13 @@ This module also hosts the *history-recording* harness shared by the safety
 tests and ``repro.explore``: :class:`HistoryRecorder` collects every
 replica's execution history and reply log (both segmented per service
 incarnation), :class:`RecordingKV` is the KV service instrumented to feed
-it, and :func:`recording_cluster` wires a full cluster of recording replicas
-whose state survives proactive recovery.
+it, and :func:`recording_cluster` wires a group of recording replicas.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.base.statemgr import AbstractStateManager, genesis_root_digest
 from repro.bft.service import StateMachine
@@ -404,19 +404,49 @@ def assert_order_consistent(recorder: HistoryRecorder, exclude=()) -> None:
     assert problem is None, problem
 
 
+def kv_group(
+    service_for: Callable[[str], object],
+    config=None,
+    seed: int = 0,
+    num_slots: int = 32,
+    net_config=None,
+    sim=None,
+    repair=None,
+    **kv,
+):
+    """One 4-replica group of KV services, behind every KV builder here and in
+    :mod:`repro.bft.sharding`.  ``service_for(replica_id)`` lists the
+    replica's N-version service classes (most have one; each takes
+    :class:`KVStateMachine`'s keywords), built with ``num_slots`` cells and
+    the ``kv`` keywords over the replica's disk.  ``net_config`` shapes the
+    links (the overload benchmarks cap per-link bandwidth with it)."""
+    from repro.bft.cluster import Cluster
+
+    def bind(make):
+        return lambda disk: make(num_slots=num_slots, disk=disk, **kv)
+
+    def factory_for(replica_id: str):
+        return [bind(make) for make in service_for(replica_id)]
+
+    return Cluster(
+        factory_for, config=config, seed=seed, net_config=net_config, sim=sim, repair=repair
+    )
+
+
+def kv_cluster(config=None, seed: int = 0, num_slots: int = 32, net_config=None):
+    """A 4-replica cluster running the KV test service."""
+    return kv_group(lambda _rid: [KVStateMachine], config, seed, num_slots, net_config)
+
+
 def recording_cluster(
     config=None,
     seed: int = 0,
     num_slots: int = 32,
     net_config=None,
-    recorder: Optional[HistoryRecorder] = None,
     repair=None,
     poisoned: Optional[Set[str]] = None,
 ):
     """A 4-replica recording cluster; returns ``(cluster, recorder)``.
-
-    Per-replica disks are kept internally so service state (and therefore
-    recorded histories) survives proactive-recovery reboots.
 
     ``repair`` (a :class:`repro.bft.repair.RepairPolicy`) arms the
     fault-containment supervisor on every host.  ``poisoned`` — a shared,
@@ -425,57 +455,12 @@ def recording_cluster(
     the failover implementation): add a replica id to the set and the next
     mutation containing the poison pattern crashes that replica.
     """
-    from repro.bft.cluster import Cluster
+    recorder = HistoryRecorder()
 
-    recorder = recorder if recorder is not None else HistoryRecorder()
-    disks: Dict[str, dict] = {}
-
-    def factory_for(replica_id: str):
-        disks.setdefault(replica_id, {})
-
-        def make() -> RecordingKV:
-            return RecordingKV(
-                recorder, replica_id, num_slots=num_slots, disk=disks[replica_id]
-            )
-
+    def service_for(replica_id: str):
+        clean = partial(RecordingKV, recorder, replica_id)
         if poisoned is None:
-            return make
+            return [clean]
+        return [partial(PoisonableRecordingKV, recorder, replica_id, poisoned), clean]
 
-        def make_poisonable() -> PoisonableRecordingKV:
-            return PoisonableRecordingKV(
-                recorder,
-                replica_id,
-                poisoned,
-                num_slots=num_slots,
-                disk=disks[replica_id],
-            )
-
-        return [make_poisonable, make]
-
-    cluster = Cluster(
-        factory_for, config=config, seed=seed, net_config=net_config, repair=repair
-    )
-    return cluster, recorder
-
-
-def kv_cluster(config=None, seed: int = 0, num_slots: int = 32, disks=None, net_config=None):
-    """A 4-replica cluster running the KV test service.
-
-    ``disks`` (replica_id -> dict) makes service state survive proactive
-    recovery reboots; pass a dict you keep a reference to.  ``net_config``
-    (a :class:`~repro.net.network.NetworkConfig`) shapes the links — the
-    overload benchmarks use it to cap per-link bandwidth.
-    """
-    from repro.bft.cluster import Cluster
-
-    store = disks if disks is not None else {}
-
-    def factory_for(replica_id: str):
-        store.setdefault(replica_id, {})
-
-        def make() -> KVStateMachine:
-            return KVStateMachine(num_slots=num_slots, disk=store[replica_id])
-
-        return make
-
-    return Cluster(factory_for, config=config, seed=seed, net_config=net_config)
+    return kv_group(service_for, config, seed, num_slots, net_config, repair=repair), recorder

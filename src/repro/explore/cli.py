@@ -14,16 +14,16 @@ from typing import List
 
 from repro.bft.config import VARIANTS
 from repro.explore.interpreter import (
+    DEPLOYMENTS,
     DESTRUCTION,
     IMPLEMENTATION,
     OVERLOAD,
-    SHARDED,
-    SINGLE,
     PlanError,
+    deployment_for,
     kinds_of,
     unsupported_kinds,
 )
-from repro.explore.runner import PLANTS, explore, run_plan
+from repro.explore.runner import explore, run_plan
 from repro.explore.shrink import load_artifact, write_artifact
 from repro.soak.runner import is_soak_artifact, load_soak_artifact, run_soak
 
@@ -49,7 +49,7 @@ def _explore_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--plant",
-        choices=sorted(set(PLANTS[SINGLE]) | set(PLANTS[SHARDED])),
+        choices=sorted({plant for row in DEPLOYMENTS.values() for plant in row.plants}),
         default=None,
         help="plant a known protocol regression (exploration should find it)",
     )
@@ -115,12 +115,13 @@ def explore_main(argv: List[str]) -> int:
     if args.budget < 1 or args.requests < 1:
         print("explore: --budget and --requests must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.shards < 1:
-        print("explore: --shards must be >= 1", file=sys.stderr)
+    try:
+        deployment = deployment_for(args.shards)
+    except PlanError as exc:
+        print(f"explore: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # What the flags ask for is checked against the interpreter's support
     # matrix, the same one run_plan applies to every generated plan.
-    deployment = SHARDED if args.shards > 1 else SINGLE
     asked = {
         "--impl-faults": kinds_of(IMPLEMENTATION) if args.impl_faults else (),
         "--overload": kinds_of(OVERLOAD) if args.overload else (),
@@ -139,10 +140,11 @@ def explore_main(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.plant is not None and args.plant not in PLANTS[deployment]:
+    plants = sorted(DEPLOYMENTS[deployment].plants)
+    if args.plant is not None and args.plant not in plants:
         print(
             f"explore: plant {args.plant!r} does not apply to a {deployment} "
-            f"deployment; its plants: {sorted(PLANTS[deployment])}",
+            f"deployment; its plants: {plants}",
             file=sys.stderr,
         )
         return EXIT_USAGE

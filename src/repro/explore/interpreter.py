@@ -1,19 +1,17 @@
-"""The fault-plan interpreter: one step table, two plan rules, one session.
+"""The fault-plan interpreter: two tables, two plan rules, one session.
 
 Every way of running a :class:`~repro.explore.plan.FaultPlan` goes through
-this module.  ``STEP_TABLE`` is the only place that knows a step kind: a row
-gives its family, the function that applies it, the deployments it is valid
-on (``single``: one BASE group under the explore workload; ``sharded``:
-several groups plus the 2PC layer, fault steps landing on shard 0; ``soak``:
-one group under the availability probe) and what a step of it must carry;
-:func:`check_supported` rejects a malformed plan, or one a deployment cannot
-run, before any cluster is built; and a :class:`Session` installs the oracle
-suite, schedules the plan's steps onto the deployment's simulator, and runs
-the heal-and-sweep epilogue.  What differs per entry point is only what is
-built and what is measured: ``run_plan`` builds one cluster or a sharded one
-and drives an N-request workload followed by a liveness probe, ``run_soak``
-drives the availability probe to the campaign horizon (docs/simulation.md has
-the table and the two rules).
+this module.  ``STEP_TABLE`` is the only place that knows a step kind: its
+family, applier, the deployments it is valid on and what a step of it must
+carry.  ``DEPLOYMENTS`` is the only place that knows a deployment (``single``:
+one BASE group under the explore workload; ``sharded``: several groups plus
+the 2PC layer, fault steps landing on shard 0; ``soak``: one group under the
+availability probe): its base configuration, build, oracles, planted bugs
+and, for ``run_plan``, workload and verdict counters.  :func:`check_supported`
+rejects a malformed plan, or one a deployment cannot run, before any cluster
+is built; a :class:`Session` installs the oracle suite, schedules the plan's
+steps onto the deployment's simulator, and runs the heal-and-sweep epilogue
+(docs/simulation.md has both tables and the two rules).
 
 Everything is deterministic: storm geometry derives arithmetically from the
 plan seed and the step's own fields (no wall clock, no builtin ``hash``), so
@@ -23,14 +21,16 @@ an artifact replays byte-identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.bft.client import InvocationTimeout
 from repro.bft.config import SHARDED, SINGLE, SOAK, VARIANTS, BFTConfig, variant_of
 from repro.bft.messages import CheckpointCert
 from repro.bft.overload import OpenLoopLoadGenerator
-from repro.bft.testing import encode_set
+from repro.bft.repair import RepairPolicy
+from repro.bft.sharding import sharded_recording_cluster
+from repro.bft.testing import canonical_committed_history, encode_set
 from repro.crypto.digest import digest
 from repro.explore.oracles import OracleSuite, ShardedOracleSuite
 from repro.explore.plan import REPLICA_IDS, STEP_FIELDS, FaultPlan, FaultStep
@@ -43,6 +43,7 @@ from repro.faults import (
     make_vote_corruptor,
 )
 from repro.faults.aging import DEFAULT_PER_OP_STALL, FragmentationAging
+from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS
 from repro.net.network import NetworkConfig
 from repro.net.topology import PRESETS, PlacedTopology, topology_preset
 
@@ -105,9 +106,10 @@ class Session:
 
     ``system`` is the caller-built deployment (a ``Cluster`` or, for
     ``SHARDED``, a ``ShardedCluster``) and ``recorders`` its history
-    recorders in group order.  The session owns everything the appliers
-    share: drop interceptors, open-loop swarms, the placed topology, storm
-    cuts, the aging model, flagged destroy steps and the fused-backup tier.
+    recorders in group order; the ``deployment`` row names the oracle suite
+    installed over them.  The session owns everything the appliers share:
+    drop interceptors, open-loop swarms, the placed topology, storm cuts, the
+    aging model, flagged destroy steps and the fused-backup tier.
     """
 
     def __init__(
@@ -121,8 +123,9 @@ class Session:
     ) -> None:
         self.plan = plan
         self.system = system
+        self.recorders = recorders
         self.sim = system.sim
-        self.clusters = system.clusters if deployment == SHARDED else [system]
+        self.clusters = system.clusters
         # Fault steps land on group 0; the other shards stay fault-free,
         # which is exactly what makes cross-shard violations attributable.
         self.cluster = self.clusters[0]
@@ -132,14 +135,9 @@ class Session:
                 topology_preset(plan.topology), self.cluster.network
             )
             self.placed.compile()
-        if deployment == SHARDED:
-            self.suite = ShardedOracleSuite(
-                system, recorders, targets(plan, BYZANTINE), check_interval
-            )
-        else:
-            self.suite = OracleSuite(
-                system, recorders[0], targets(plan, BYZANTINE), check_interval
-            )
+        self.suite = DEPLOYMENTS[deployment].oracles(
+            system, recorders, targets(plan, BYZANTINE), check_interval
+        )
         self.suite.install()
         if plan.perturb_seed is not None:
             self.sim.set_tiebreak(random.Random(plan.perturb_seed), window=4)
@@ -252,11 +250,11 @@ class Session:
         self.storm_cuts = []
         if self.aging is not None:
             self.aging.disarm()
-        self.system.heal()
-        self.system.restart_all_down()
         for remove in list(self.drop_removers):
             remove()
         for cluster in self.clusters:
+            cluster.heal()
+            cluster.restart_all_down()
             cluster.network.config.drop_rate = 0.0
         self.system.settle(settle)
         self.suite.sweep()
@@ -739,9 +737,13 @@ def check_supported(
     plan: FaultPlan, deployment: str, overrides: Optional[Dict] = None
 ) -> None:
     """Raise :class:`PlanError` unless ``deployment`` can run ``plan`` under
-    ``overrides`` — every kind supported, the overrides those of a variant
-    valid there, every step well formed; every entry point calls this before
-    it builds a cluster."""
+    ``overrides`` — a ``DEPLOYMENTS`` row, every kind supported, the
+    overrides those of a variant valid there, every step well formed; every
+    entry point calls this before it builds a cluster."""
+    if deployment not in DEPLOYMENTS:
+        raise PlanError(
+            f"unknown deployment {deployment!r}; the deployments: {list(DEPLOYMENTS)}"
+        )
     variant = variant_of(overrides)
     if variant is None:
         raise PlanError(
@@ -761,3 +763,206 @@ def check_supported(
     problems = malformed(plan)
     if problems:
         raise PlanError(f"malformed plan: {problems}")
+
+
+# -- the deployment table: the one place that knows a deployment ---------------
+
+
+def _one_group(group: Callable, plan: FaultPlan, config, net_config, shards: int):
+    """One group, built by ``group``: the entry point's ``recording_cluster``,
+    a module global there that its tests and the perf harness rebind."""
+    containment: Dict[str, object] = {}
+    if IMPLEMENTATION in families(plan):
+        # Implementation-fault steps need the containment machinery: an
+        # armable poisonable implementation per replica plus a clean
+        # failover version, a supervisor to repair crashes, and (when
+        # state corruption is in the plan) a running scrubber.
+        scrubbing = any(step.kind == "corrupt_object" for step in plan.steps)
+        containment["poisoned"] = set()
+        containment["repair"] = RepairPolicy(
+            backoff_initial=0.02,
+            backoff_max=0.3,
+            deterministic_after=2,
+            failover_after=3,
+            scrub_interval=0.08 if scrubbing else 0.0,
+            scrub_batch=12,
+        )
+    cluster, recorder = group(
+        config=config,
+        net_config=net_config,
+        seed=plan.seed,
+        **containment,
+    )
+    return cluster, [recorder], containment.get("poisoned")
+
+
+def _shard_groups(_group: Callable, plan: FaultPlan, config, net_config, shards: int):
+    """``shards`` groups plus the 2PC layer, built whole by
+    ``sharded_recording_cluster`` rather than group by group."""
+    system, recorders = sharded_recording_cluster(
+        shards,
+        config=config,
+        seed=plan.seed,
+        objects_per_shard=OBJECTS_PER_SHARD,
+        net_config=net_config,
+    )
+    return system, recorders, None
+
+
+def _one_suite(cluster, recorders: List, byzantine, check_interval: int) -> OracleSuite:
+    return OracleSuite(cluster, recorders[0], byzantine, check_interval)
+
+
+class _Workload:
+    """The closed-loop client ``C0`` and how to ask it for one operation."""
+
+    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
+        self.session = session
+        self.client = session.client("C0")
+        self.plan = plan
+        self.liveness_timeout = liveness_timeout
+
+    def invoke(self, op: bytes, timeout: float = 8.0) -> Optional[bytes]:
+        try:
+            return self.client.invoke(op, timeout=timeout)
+        except InvocationTimeout:
+            self.client.cancel()
+            return None
+
+    def probe(self, op: bytes, where: str = "") -> Optional[str]:
+        """Why ``op`` got no reply quorum once the faults healed (None when it
+        did): a correct implementation must answer once faults stop and <= f
+        replicas are Byzantine."""
+        if self.invoke(op, self.liveness_timeout) is not None:
+            return None
+        return (
+            f"{where}no reply quorum within {self.liveness_timeout}s of "
+            f"virtual time after all faults were healed"
+        )
+
+    def evidence(self, outcome) -> None:
+        """Attach the differential evidence the workload collects, if any."""
+
+
+class _SingleWorkload(_Workload):
+    """Sequential SETs over slots 0..7 of one group, then one liveness probe."""
+
+    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
+        super().__init__(session, plan, liveness_timeout)
+        self.replies: List[Optional[bytes]] = []  # None = timed out
+
+    def request(self, i: int) -> bool:
+        reply = self.invoke(encode_set(i % 8, bytes([i % 251, self.plan.seed % 251])))
+        self.replies.append(reply)
+        return reply == b"OK"
+
+    def liveness(self) -> Optional[str]:
+        return self.probe(encode_set(PROBE_SLOT, b"liveness-probe"))
+
+    def evidence(self, outcome) -> None:
+        outcome.client_replies = self.replies
+        outcome.committed_history = canonical_committed_history(self.session.recorders[0])
+
+
+class _ShardedWorkload(_Workload):
+    """Single-shard writes interleaved across all shards with cross-shard
+    transactions; liveness is demanded from every shard *and* from the
+    cross-shard layer."""
+
+    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
+        super().__init__(session, plan, liveness_timeout)
+        self.shardmap = session.system.shardmap
+        self.shards = len(session.clusters)
+
+    def _txn_writes(self, i: int) -> List:
+        home = i % self.shards
+        value = bytes([i % 251, self.plan.seed % 251, 0x54])
+        first = self.shardmap.global_index(home, SHARD_TXN_SLOT)
+        other = self.shardmap.global_index((home + 1) % self.shards, SHARD_TXN_SLOT)
+        return [(first, value), (other, value + b"'")]
+
+    def request(self, i: int) -> bool:
+        if i % 4 == 3:
+            # Every fourth request is a cross-shard transaction, so 2PC is
+            # always in flight across the plan's fault windows.
+            return self.client.invoke_txn(self._txn_writes(i), timeout=8.0) is not None
+        index = self.shardmap.global_index(i % self.shards, i % SHARD_TXN_SLOT)
+        value = bytes([i % 251, self.plan.seed % 251])
+        return self.invoke(encode_set(index, value)) == b"OK"
+
+    def liveness(self) -> Optional[str]:
+        for shard in range(self.shards):
+            probe = self.shardmap.global_index(shard, SHARD_PROBE_SLOT)
+            stalled = self.probe(encode_set(probe, b"liveness-probe"), f"shard{shard}: ")
+            if stalled is not None:
+                return stalled
+        # A cross-shard decision (commit or abort, either is live) must also
+        # be reachable once the world is healed.
+        writes = self._txn_writes(self.plan.requests)
+        if self.client.invoke_txn(writes, timeout=self.liveness_timeout) is None:
+            return (
+                f"cross-shard transaction reached no decision within "
+                f"{self.liveness_timeout}s of virtual time after all faults "
+                f"were healed"
+            )
+        return None
+
+
+@dataclass(frozen=True)
+class Deployment:
+    """One deployment a plan runs on: the entry point's base
+    :class:`BFTConfig` ``fields``; ``build(group, plan, config, net_config,
+    shards) -> (system, recorders, poisoned)``, ``group`` being the entry
+    point's one-group builder; the ``oracles`` suite over what it built; its
+    planted bugs; and for ``run_plan``, the ``workload`` and the ``counters``
+    its verdicts add."""
+
+    fields: Dict[str, object]
+    build: Callable[..., Tuple[object, List, Optional[Set[str]]]]
+    oracles: Callable[..., object]
+    plants: Dict[str, Callable] = field(default_factory=dict)
+    workload: Optional[type] = None
+    counters: Tuple[str, ...] = ()
+
+
+#: The deployments a fault plan runs on (docs/simulation.md has the table).
+DEPLOYMENTS: Dict[str, Deployment] = {
+    SINGLE: Deployment(
+        fields={"checkpoint_interval": 8, "log_window": 16},
+        build=_one_group,
+        oracles=_one_suite,
+        plants=PLANTED_BUGS,
+        workload=_SingleWorkload,
+        # The open-loop swarms' load, which run_plan counts on the session.
+        counters=("offered", "swarm_completed"),
+    ),
+    SHARDED: Deployment(
+        fields={"checkpoint_interval": 8, "log_window": 16},
+        build=_shard_groups,
+        oracles=ShardedOracleSuite,
+        plants=SHARDED_PLANTED_BUGS,
+        workload=_ShardedWorkload,
+        counters=(
+            "txns_started",
+            "txns_committed",
+            "txns_aborted",
+            "txns_abandoned",
+            "txn_commits_applied",
+            "txn_aborts_applied",
+            "txn_lock_conflicts",
+            "txn_decides_rejected",
+        ),
+    ),
+    SOAK: Deployment(
+        fields={"checkpoint_interval": 16, "log_window": 64},
+        build=_one_group,
+        oracles=_one_suite,
+    ),
+}
+
+
+def deployment_for(shards: int) -> str:
+    """The ``run_plan`` deployment of ``shards`` groups."""
+    if shards < 1:
+        raise PlanError(f"shards must be >= 1, not {shards}")
+    return SINGLE if shards == 1 else SHARDED

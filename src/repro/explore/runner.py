@@ -11,9 +11,10 @@ replay, and the tests: one plan in, one verdict out, byte-deterministic.
 ``shards=1`` runs the plan against one BASE group; ``shards=N`` against N
 groups with a cross-shard transactional workload, the plan's fault steps
 landing on shard 0 (the other shards stay fault-free), so crash/partition
-windows there overlap in-flight 2PC.  Either way the steps are applied by
-the shared interpreter (:mod:`repro.explore.interpreter`); this module only
-builds the deployment, drives the workload, and demands liveness afterwards.
+windows there overlap in-flight 2PC.  Either way the deployment is a row of
+the shared interpreter's ``DEPLOYMENTS`` (:mod:`repro.explore.interpreter`),
+which also applies the steps; this module builds the row, drives its
+workload, and demands liveness afterwards.
 """
 
 from __future__ import annotations
@@ -23,34 +24,22 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from repro.bft.client import InvocationTimeout
-from repro.bft.repair import RepairPolicy
-from repro.bft.sharding import sharded_recording_cluster
-from repro.bft.testing import canonical_committed_history, encode_set, recording_cluster
+from repro.bft.testing import recording_cluster
 from repro.explore.interpreter import (
     CAMPAIGN,
-    IMPLEMENTATION,
-    OBJECTS_PER_SHARD,
+    DEPLOYMENTS,
     OVERLOAD,
-    PROBE_SLOT,
-    SHARD_PROBE_SLOT,
-    SHARD_TXN_SLOT,
-    SHARDED,
-    SINGLE,
     PlanError,
     Session,
     check_supported,
     deployment_configs,
+    deployment_for,
     families,
     kinds_of,
 )
 from repro.explore.oracles import OracleViolation, Violation
 from repro.explore.plan import FaultPlan, generate_plan
 from repro.explore.shrink import shrink_plan
-from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS
-
-#: The planted regressions each deployment understands.
-PLANTS = {SINGLE: PLANTED_BUGS, SHARDED: SHARDED_PLANTED_BUGS}
 
 #: Cross-replica counters surfaced in every run verdict (all zero on plans
 #: that never saturate anything, which is itself evidence).
@@ -144,18 +133,6 @@ class ExploreResult:
         }
 
 
-#: Transaction-layer counters surfaced in every sharded verdict.
-_TXN_COUNTERS = (
-    "txns_started",
-    "txns_committed",
-    "txns_aborted",
-    "txns_abandoned",
-    "txn_commits_applied",
-    "txn_aborts_applied",
-    "txn_lock_conflicts",
-    "txn_decides_rejected",
-)
-
 #: Fused-backup counters, surfaced only when the plan destroyed a group.
 _FUSION_COUNTERS = (
     "fusion_reconstructions_started",
@@ -165,102 +142,6 @@ _FUSION_COUNTERS = (
     "fusion_updates_applied",
     "fusion_destroys_skipped",
 )
-
-
-# -- the two workloads ----------------------------------------------------------------
-
-
-class _Workload:
-    """The closed-loop client ``C0`` and how to ask it for one operation."""
-
-    #: Per-request replies (None = timed out); differential evidence the
-    #: one-group workload collects.
-    replies: Optional[List[Optional[bytes]]] = None
-
-    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
-        self.client = session.client("C0")
-        self.plan = plan
-        self.liveness_timeout = liveness_timeout
-
-    def invoke(self, op: bytes, timeout: float = 8.0) -> Optional[bytes]:
-        try:
-            return self.client.invoke(op, timeout=timeout)
-        except InvocationTimeout:
-            self.client.cancel()
-            return None
-
-
-class _SingleWorkload(_Workload):
-    """Sequential SETs over slots 0..7 of one group, then one liveness probe."""
-
-    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
-        super().__init__(session, plan, liveness_timeout)
-        self.replies = []
-
-    def request(self, i: int) -> bool:
-        reply = self.invoke(encode_set(i % 8, bytes([i % 251, self.plan.seed % 251])))
-        self.replies.append(reply)
-        return reply == b"OK"
-
-    def liveness(self) -> Optional[str]:
-        """Why the healed system is not live (None when it is): a correct
-        implementation must answer once faults stop and <= f replicas are
-        Byzantine."""
-        probe = encode_set(PROBE_SLOT, b"liveness-probe")
-        if self.invoke(probe, self.liveness_timeout) is None:
-            return (
-                f"no reply quorum within {self.liveness_timeout}s of virtual "
-                f"time after all faults were healed"
-            )
-        return None
-
-
-class _ShardedWorkload(_Workload):
-    """Single-shard writes interleaved across all shards with cross-shard
-    transactions; liveness is demanded from every shard *and* from the
-    cross-shard layer."""
-
-    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
-        super().__init__(session, plan, liveness_timeout)
-        self.shardmap = session.system.shardmap
-        self.shards = len(session.clusters)
-
-    def _txn_writes(self, i: int) -> List:
-        home = i % self.shards
-        value = bytes([i % 251, self.plan.seed % 251, 0x54])
-        first = self.shardmap.global_index(home, SHARD_TXN_SLOT)
-        other = self.shardmap.global_index((home + 1) % self.shards, SHARD_TXN_SLOT)
-        return [(first, value), (other, value + b"'")]
-
-    def request(self, i: int) -> bool:
-        if i % 4 == 3:
-            # Every fourth request is a cross-shard transaction, so 2PC is
-            # always in flight across the plan's fault windows.
-            return self.client.invoke_txn(self._txn_writes(i), timeout=8.0) is not None
-        index = self.shardmap.global_index(i % self.shards, i % SHARD_TXN_SLOT)
-        value = bytes([i % 251, self.plan.seed % 251])
-        return self.invoke(encode_set(index, value)) == b"OK"
-
-    def liveness(self) -> Optional[str]:
-        for shard in range(self.shards):
-            probe = self.shardmap.global_index(shard, SHARD_PROBE_SLOT)
-            op = encode_set(probe, b"liveness-probe")
-            if self.invoke(op, self.liveness_timeout) is None:
-                return (
-                    f"shard{shard}: no reply quorum within "
-                    f"{self.liveness_timeout}s of virtual time after all "
-                    f"faults were healed"
-                )
-        # A cross-shard decision (commit or abort, either is live) must also
-        # be reachable once the world is healed.
-        writes = self._txn_writes(self.plan.requests)
-        if self.client.invoke_txn(writes, timeout=self.liveness_timeout) is None:
-            return (
-                f"cross-shard transaction reached no decision within "
-                f"{self.liveness_timeout}s of virtual time after all faults "
-                f"were healed"
-            )
-        return None
 
 
 # -- one plan, one verdict --------------------------------------------------------
@@ -286,62 +167,28 @@ def run_plan(
     ``VARIANTS`` valid on the deployment (None: the baseline) — the
     differential harness replays one fault plan under every row and compares
     the outcomes."""
-    deployment = SHARDED if shards > 1 else SINGLE
+    deployment = deployment_for(shards)
+    row = DEPLOYMENTS[deployment]
     check_supported(plan, deployment, config_overrides)
-    if plant is not None and plant not in PLANTS[deployment]:
+    if plant is not None and plant not in row.plants:
         raise PlanError(f"unknown {deployment} planted bug {plant!r}")
     config, net_config = deployment_configs(
-        plan,
-        {"checkpoint_interval": 8, "log_window": 16, "overload_damping": overload_damping},
-        config_overrides,
+        plan, dict(row.fields, overload_damping=overload_damping), config_overrides
     )
-    poisoned = None
-    if deployment == SHARDED:
-        system, recorders = sharded_recording_cluster(
-            shards,
-            config=config,
-            seed=plan.seed,
-            objects_per_shard=OBJECTS_PER_SHARD,
-            net_config=net_config,
-        )
-    else:
-        repair = None
-        if IMPLEMENTATION in families(plan):
-            # Implementation-fault steps need the containment machinery: an
-            # armable poisonable implementation per replica plus a clean
-            # failover version, a supervisor to repair crashes, and (when
-            # state corruption is in the plan) a running scrubber.
-            poisoned = set()
-            scrubbing = any(step.kind == "corrupt_object" for step in plan.steps)
-            repair = RepairPolicy(
-                backoff_initial=0.02,
-                backoff_max=0.3,
-                deterministic_after=2,
-                failover_after=3,
-                scrub_interval=0.08 if scrubbing else 0.0,
-                scrub_batch=12,
-            )
-        system, recorder = recording_cluster(
-            config=config,
-            net_config=net_config,
-            seed=plan.seed,
-            repair=repair,
-            poisoned=poisoned,
-        )
-        recorders = [recorder]
+    system, recorders, poisoned = row.build(
+        recording_cluster, plan, config, net_config, shards
+    )
     session = Session(plan, system, recorders, deployment, check_interval, poisoned)
     sim = system.sim
     if plant is not None:
         # Re-apply each event so the bug survives reboots (recovery swaps
         # the replica and service objects the sabotage was patched onto).
-        sim.add_step_hook(PLANTS[deployment][plant](system))
+        sim.add_step_hook(row.plants[plant](system))
     # Steps before rotation: a destruction plan's parity bootstrap (inside
     # arm) takes 0.5 vsec and the rotation timers count from after it.
     session.arm()
     session.start_rotation()
-    workload = (_ShardedWorkload if deployment == SHARDED else _SingleWorkload)(
-        session, plan, liveness_timeout
-    )
+    workload = row.workload(session, plan, liveness_timeout)
     outcome = RunOutcome(violation=None, completed=0, events=0)
     try:
         for i in range(plan.requests):
@@ -375,20 +222,16 @@ def run_plan(
     except OracleViolation as caught:
         outcome.violation = caught.violation
     totals = system.total_counters()
-    names = _VERDICT_COUNTERS
-    if deployment == SHARDED:
-        names += _TXN_COUNTERS
+    totals.add("offered", session.offered())
+    totals.add("swarm_completed", session.completed())
+    names = _VERDICT_COUNTERS + row.counters
     if session.tier is not None:
         names += _FUSION_COUNTERS
     if plan.topology or CAMPAIGN in families(plan):
         names += _CAMPAIGN_COUNTERS
     outcome.counters = {name: totals.get(name) for name in names}
-    if deployment == SINGLE:
-        outcome.counters["offered"] = session.offered()
-        outcome.counters["swarm_completed"] = session.completed()
-        outcome.committed_history = canonical_committed_history(recorders[0])
     outcome.events = sim.events_processed
-    outcome.client_replies = workload.replies
+    workload.evidence(outcome)
     return outcome
 
 

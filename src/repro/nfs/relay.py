@@ -14,7 +14,7 @@ of relays.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.base.library import BASEService
 from repro.bft.client import Client
@@ -80,28 +80,24 @@ class NFSDeployment:
         if set(impl_factory_for) != set(self.config.replica_ids):
             raise ValueError("need exactly one implementation factory per replica")
         self.num_objects = num_objects
-        self.disks: Dict[str, dict] = {}
         sim = Simulator(seed=seed)
 
-        def make_service(replica_id: str, impl_factory: ImplFactory):
-            def make() -> BASEService:
-                disk = self.disks.setdefault(replica_id, {})
-                impl = impl_factory(disk)
+        def make_service(impl_factory: ImplFactory):
+            def make(disk: dict) -> BASEService:
                 wrapper = NFSConformanceWrapper(
-                    impl, NFSAbstractSpec(num_objects), disk
+                    impl_factory(disk), NFSAbstractSpec(num_objects), disk
                 )
                 return BASEService(wrapper, sim.clock, arity=arity)
 
             return make
 
         def service_factory_for(replica_id: str):
+            # An N-version survivor inherits the conformance rep the failed
+            # implementation persisted on the replica's disk.
             impl_factories = impl_factory_for[replica_id]
             if callable(impl_factories):
-                return make_service(replica_id, impl_factories)
-            # N-version failover list: every version shares the replica's
-            # disk, so the survivor inherits the conformance rep the failed
-            # implementation persisted.
-            return [make_service(replica_id, f) for f in impl_factories]
+                return make_service(impl_factories)
+            return [make_service(f) for f in impl_factories]
 
         self.cluster = Cluster(
             service_factory_for,

@@ -130,15 +130,13 @@ class OODBDeployment:
         arity: int = 8,
     ) -> None:
         self.config = config or BFTConfig()
-        self.disks: Dict[str, dict] = {}
         sim = Simulator(seed=seed)
         seeds = impl_seeds or {
             rid: 1000 + i for i, rid in enumerate(self.config.replica_ids)
         }
 
         def service_factory_for(replica_id: str):
-            def make() -> BASEService:
-                disk = self.disks.setdefault(replica_id, {})
+            def make(disk: dict) -> BASEService:
                 impl = ThorDB(disk=disk, seed=seeds[replica_id])
                 wrapper = OODBConformanceWrapper(
                     impl, OODBAbstractSpec(num_objects), disk

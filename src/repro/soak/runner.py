@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bft.testing import encode_set, recording_cluster
 from repro.explore.interpreter import (
+    DEPLOYMENTS,
     PROBE_SLOT,
     SOAK,
     PlanError,
@@ -178,19 +179,18 @@ def run_soak(
 ) -> SoakReport:
     """Execute one campaign plan over its full horizon; fully deterministic."""
     slo = slo or SoakSLO()
+    row = DEPLOYMENTS[SOAK]
     check_supported(plan, SOAK)
     problems = outside_assumptions(plan)
     if problems:  # a campaign, unlike a shrunk plan, must also stay inside them
         raise PlanError(f"invalid campaign plan: {problems}")
-    config, net_config = deployment_configs(
-        plan, {"checkpoint_interval": 16, "log_window": 64}, config_overrides
-    )
+    config, net_config = deployment_configs(plan, row.fields, config_overrides)
     # Looked up at call time: the perf harness captures the deployment by
     # rebinding this module's ``recording_cluster``.
-    cluster, recorder = recording_cluster(
-        config=config, net_config=net_config, seed=plan.seed
+    cluster, recorders, _poisoned = row.build(
+        recording_cluster, plan, config, net_config, 1
     )
-    session = Session(plan, cluster, [recorder], SOAK, check_interval)
+    session = Session(plan, cluster, recorders, SOAK, check_interval)
     # Rotation before steps: the simulator breaks same-instant ties by
     # scheduling order, and the wan baselines pin a rotation and a flash
     # crowd that share t=30 in this order.

@@ -92,25 +92,18 @@ class BankWrapper(ConformanceWrapper):
 
 
 def bank_cluster():
-    disks = {}
     from repro.net.simulator import Simulator
 
     sim = Simulator(seed=0)
 
-    def factory_for(replica_id):
-        disks.setdefault(replica_id, {})
-
-        def make():
-            return BASEService(
-                BankWrapper(Ledger(disk=disks[replica_id]), BankSpec()), sim.clock
-            )
+    def service_factory_for(replica_id):
+        def make(disk):  # the replica's persistent state, kept by the cluster
+            return BASEService(BankWrapper(Ledger(disk=disk), BankSpec()), sim.clock)
 
         return make
 
-    cluster = Cluster(
-        factory_for, config=BFTConfig(checkpoint_interval=8, log_window=16), sim=sim
-    )
-    return cluster, disks
+    config = BFTConfig(checkpoint_interval=8, log_window=16)
+    return Cluster(service_factory_for, config=config, sim=sim)
 
 
 def decode_balance(blob):
@@ -118,7 +111,7 @@ def decode_balance(blob):
 
 
 def test_deposits_and_balances():
-    cluster, _disks = bank_cluster()
+    cluster = bank_cluster()
     teller = cluster.client("teller-1")
     assert decode_balance(teller.invoke(deposit_op(3, 100))) == 100
     assert decode_balance(teller.invoke(deposit_op(3, -30))) == 70
@@ -127,7 +120,7 @@ def test_deposits_and_balances():
 
 
 def test_a_repeated_balance_is_reused_until_a_deposit():
-    cluster, _disks = bank_cluster()
+    cluster = bank_cluster()
     teller = cluster.client("teller-1")
     teller.invoke(deposit_op(3, 100))
 
@@ -148,19 +141,19 @@ def test_a_repeated_balance_is_reused_until_a_deposit():
 
 
 def test_a_malformed_op_is_answered_not_raised():
-    cluster, disks = bank_cluster()
+    cluster = bank_cluster()
     teller = cluster.client("teller-1")
     assert decode_balance(teller.invoke(deposit_op(3, 100))) == 100
-    journals = {rid: list(disk["journal"]) for rid, disk in disks.items()}
+    journals = {rid: list(disk["journal"]) for rid, disk in cluster.disks.items()}
     for op in (deposit_op(3, 5) + b"\x00", deposit_op(3, 5)[:-1], balance_op(3) + b"\x00\x00\x00\x07",
                deposit_op(3, 5).replace(b"DEPOSIT", b"DEPOSIX"), b""):
         assert teller.invoke(op) == b"ERR malformed"
-    assert {rid: list(disk["journal"]) for rid, disk in disks.items()} == journals
+    assert {rid: list(disk["journal"]) for rid, disk in cluster.disks.items()} == journals
     assert decode_balance(teller.invoke(balance_op(3), read_only=True)) == 100
 
 
 def test_bank_masks_a_crash():
-    cluster, _disks = bank_cluster()
+    cluster = bank_cluster()
     teller = cluster.client("teller-1")
     teller.invoke(deposit_op(1, 10))
     cluster.crash("R2")
@@ -168,7 +161,7 @@ def test_bank_masks_a_crash():
 
 
 def test_bank_state_transfer():
-    cluster, _disks = bank_cluster()
+    cluster = bank_cluster()
     teller = cluster.client("teller-1")
     cluster.crash("R3")
     for i in range(30):
@@ -180,13 +173,13 @@ def test_bank_state_transfer():
 
 
 def test_bank_proactive_recovery_heals_corruption():
-    cluster, disks = bank_cluster()
+    cluster = bank_cluster()
     teller = cluster.client("teller-1")
     for i in range(20):
         teller.invoke(deposit_op(2, 10), timeout=60)
     cluster.settle(1.0)
     # Cook R1's books.
-    disks["R1"]["journal"].append((2, 999_999, 0))
+    cluster.disks["R1"]["journal"].append((2, 999_999, 0))
     host = cluster.hosts["R1"]
     assert host.recover_now()
     cluster.settle(5.0)
@@ -197,7 +190,7 @@ def test_bank_proactive_recovery_heals_corruption():
 def test_replicas_agree_despite_journal_divergence():
     """The vendors' journals differ (force_balance entries, orders), but the
     abstract state — the balances — is identical."""
-    cluster, disks = bank_cluster()
+    cluster = bank_cluster()
     teller = cluster.client("teller-1")
     for i in range(12):
         teller.invoke(deposit_op(i % 3, i), timeout=60)

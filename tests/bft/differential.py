@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bft.config import VARIANTS
-from repro.bft.testing import encode_set
 from repro.explore.plan import FaultPlan
 from repro.explore.runner import RunOutcome, run_plan
 
@@ -49,14 +48,6 @@ class DifferentialVerdict:
         lines = [f"plan seed={self.plan.seed}: {len(self.mismatches)} mismatch(es)"]
         lines.extend(f"  - {m}" for m in self.mismatches)
         return "\n".join(lines)
-
-
-def workload_ops(plan: FaultPlan) -> List[bytes]:
-    """The exact op bytes ``run_plan`` issues for each workload request."""
-    return [
-        encode_set(i % 8, bytes([i % 251, plan.seed % 251]))
-        for i in range(plan.requests)
-    ]
 
 
 def run_differential(

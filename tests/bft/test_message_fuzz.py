@@ -62,7 +62,7 @@ def test_duplication_and_loss_together():
     from repro.bft.testing import KVStateMachine
 
     cluster = Cluster(
-        lambda rid: (lambda: KVStateMachine(num_slots=16)),
+        lambda rid: (lambda disk: KVStateMachine(num_slots=16)),
         config=BFTConfig(checkpoint_interval=8, log_window=16),
         net_config=NetworkConfig(delay=0.0005, jitter=0.001, drop_rate=0.05),
         seed=6,

@@ -116,7 +116,7 @@ def test_states_identical_under_packet_loss():
     def factory_for(replica_id):
         from repro.bft.testing import KVStateMachine
 
-        return lambda: KVStateMachine(num_slots=32)
+        return lambda disk: KVStateMachine(num_slots=32)
 
     from repro.bft.cluster import Cluster
 

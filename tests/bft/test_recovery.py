@@ -17,8 +17,7 @@ def run_ops(cluster, client, count, width=8):
 
 
 def test_manual_recovery_completes():
-    disks = {}
-    cluster = kv_cluster(disks=disks)
+    cluster = kv_cluster()
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     host = cluster.hosts["R2"]
@@ -37,19 +36,20 @@ def test_recovery_skipped_before_any_state():
 
 
 def test_recovery_replaces_service_instance():
-    disks = {}
-    cluster = kv_cluster(disks=disks)
+    cluster = kv_cluster()
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     old_service = cluster.hosts["R1"].service
     cluster.hosts["R1"].recover_now()
     cluster.settle(3.0)
-    assert cluster.hosts["R1"].service is not old_service
+    rebuilt = cluster.hosts["R1"].service
+    assert rebuilt is not old_service
+    # A new instance over the same persistent state, not a copy of it.
+    assert rebuilt.disk is old_service.disk is cluster.disks["R1"]
 
 
 def test_recovery_refreshes_session_keys():
-    disks = {}
-    cluster = kv_cluster(disks=disks)
+    cluster = kv_cluster()
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     epoch_before = cluster.keys.epoch_of("R1")
@@ -61,13 +61,12 @@ def test_recovery_refreshes_session_keys():
 def test_recovery_repairs_corrupt_disk_state():
     """Concrete-state corruption (bit rot, bugs) is healed from the abstract
     state of the correct replicas — the paper's availability argument."""
-    disks = {}
-    cluster = kv_cluster(disks=disks)
+    cluster = kv_cluster()
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     cluster.settle(1.0)
     # Corrupt R2's persistent state behind the service's back.
-    disks["R2"][3] = b"CORRUPTED"
+    cluster.disks["R2"][3] = b"CORRUPTED"
     host = cluster.hosts["R2"]
     host.recover_now()
     cluster.settle(3.0)
@@ -78,12 +77,11 @@ def test_recovery_repairs_corrupt_disk_state():
 
 
 def test_corruption_of_untouched_object_detected():
-    disks = {}
-    cluster = kv_cluster(disks=disks, num_slots=32)
+    cluster = kv_cluster(num_slots=32)
     client = cluster.client("C0")
     run_ops(cluster, client, 20, width=4)  # objects 4..31 never written
     cluster.settle(1.0)
-    disks["R2"][20] = b"ROT"  # corrupt an object that was never written
+    cluster.disks["R2"][20] = b"ROT"  # corrupt an object that was never written
     host = cluster.hosts["R2"]
     host.recover_now()
     cluster.settle(3.0)
@@ -92,7 +90,7 @@ def test_corruption_of_untouched_object_detected():
 
 
 def run_staggered_rotation():
-    cluster = kv_cluster(config=BFTConfig(recovery_period=2.0), disks={})
+    cluster = kv_cluster(config=BFTConfig(recovery_period=2.0))
     cluster.start_proactive_recovery()
     client = cluster.client("C0")
     for i in range(150):
@@ -152,8 +150,7 @@ def test_every_auth_failure_under_a_rotation_is_a_key_dropped_at_reboot(monkeypa
 
 
 def test_recovery_durations_recorded():
-    disks = {}
-    cluster = kv_cluster(disks=disks)
+    cluster = kv_cluster()
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     host = cluster.hosts["R3"]
@@ -172,7 +169,7 @@ def test_primary_rebooted_in_place_proposes_past_what_it_replayed():
     proposing the checkpoint's successor again — a seqno every backup has
     executed — can never commit, and the backups used to sit out the 250 ms
     request timer and change view over it (272.8 vms for this SET)."""
-    cluster = kv_cluster(config=BFTConfig(checkpoint_interval=8, log_window=16), disks={})
+    cluster = kv_cluster(config=BFTConfig(checkpoint_interval=8, log_window=16))
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     cluster.settle(1.0)

@@ -72,14 +72,10 @@ def test_service_factory_called_per_reboot():
     from repro.bft.cluster import Cluster
     from repro.bft.testing import KVStateMachine
 
-    disks = {}
-
     def factory_for(replica_id):
-        disks.setdefault(replica_id, {})
-
-        def make():
+        def make(disk):
             calls.append(replica_id)
-            return KVStateMachine(num_slots=16, disk=disks[replica_id])
+            return KVStateMachine(num_slots=16, disk=disk)
 
         return make
 

@@ -120,8 +120,10 @@ def test_n_version_failover_when_repairs_keep_failing():
     assert supervisor.counters.get("supervisor_failovers") == 1
     assert len(supervisor.mttr_log) == 1
     assert not cluster.network.is_down("R2")
-    # The clean implementation re-executed the poison operation fine.
+    # The clean implementation re-executed the poison operation fine, over
+    # the disk the buggy one left: an N-version list shares the replica's.
     assert cluster.service("R2").cells[9] == POISON
+    assert cluster.service("R2").disk is cluster.disks["R2"]
     assert_order_consistent(recorder)
 
 
@@ -152,7 +154,6 @@ def test_crash_during_state_install_is_re_repaired():
     installing fetched state crashes mid-repair; the supervisor observes that
     crash too and repairs again (here: the next rebuild installs fine)."""
     recorder = HistoryRecorder()
-    disks = {}
     fail_installs = {"R2": 1}
 
     class InstallCrashKV(RecordingKV):
@@ -167,12 +168,7 @@ def test_crash_during_state_install_is_re_repaired():
             return super().install_fetched(objects, seqno)
 
     def factory_for(replica_id):
-        disks.setdefault(replica_id, {})
-
-        def make():
-            return InstallCrashKV(replica_id, num_slots=32, disk=disks[replica_id])
-
-        return make
+        return lambda disk: InstallCrashKV(replica_id, num_slots=32, disk=disk)
 
     cluster = Cluster(
         factory_for,

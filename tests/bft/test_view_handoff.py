@@ -27,7 +27,7 @@ SHAPE = dict(checkpoint_interval=8, log_window=16)
 
 
 def warm_cluster(writes=20):
-    cluster = kv_cluster(config=BFTConfig(**SHAPE), disks={})
+    cluster = kv_cluster(config=BFTConfig(**SHAPE))
     client = cluster.client("C0")
     for i in range(writes):
         assert client.invoke(encode_set(i % 8, bytes([i])), timeout=60) == b"OK"

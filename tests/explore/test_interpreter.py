@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import repro.explore.interpreter as interpreter
 import repro.explore.runner as explore_runner
 import repro.soak.runner as soak_runner
 from repro.bft.config import VARIANTS
 from repro.explore.interpreter import (
+    DEPLOYMENTS,
     SHARDED,
     SINGLE,
     SOAK,
@@ -88,6 +90,38 @@ def test_the_documented_table_is_the_step_table():
     }
 
 
+def test_the_documented_deployments_are_the_deployment_table():
+    """docs/simulation.md's deployment table: every cell that is data rather
+    than prose (base fields, planted bugs, verdict counters), compared with
+    the ``DEPLOYMENTS`` row it describes."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "simulation.md"
+    section = doc.read_text().split("#### One interpreter, three deployments")[1]
+    table = section.split("| deployment |")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines()[2:]:  # past the header's tail and the rule
+        name, _entry, fields, plants, counters, _built, _driven = (
+            cell.strip() for cell in line.strip("|").split("|")
+        )
+        documented[name.strip("`")] = (
+            {key: int(value) for key, value in re.findall(r"`(\w+)=(\d+)`", fields)},
+            set(re.findall(r"`([\w-]+)`", plants)),
+            tuple(re.findall(r"`(\w+)`", counters)),
+        )
+    assert list(documented) == list(DEPLOYMENTS)
+    assert documented == {
+        name: (row.fields, set(row.plants), row.counters)
+        for name, row in DEPLOYMENTS.items()
+    }
+
+
+def test_every_deployment_named_anywhere_is_a_row():
+    named = {name for row in STEP_TABLE.values() for name in row.deployments}
+    named |= {name for row in VARIANTS.values() for name in row.deployments}
+    assert named <= set(DEPLOYMENTS)
+    with pytest.raises(ValueError, match="unknown deployment 'nfs-hetero'"):
+        check_supported(FaultPlan(seed=1, requests=4), "nfs-hetero")
+
+
 def plan_with(kind: str, deployment: str) -> FaultPlan:
     """A structurally valid plan (validate_plan-clean for every kind a soak
     run refuses) whose one step has the given kind."""
@@ -127,7 +161,7 @@ def no_clusters(monkeypatch):
         raise AssertionError("a cluster was built for an unsupported plan")
 
     monkeypatch.setattr(explore_runner, "recording_cluster", forbidden)
-    monkeypatch.setattr(explore_runner, "sharded_recording_cluster", forbidden)
+    monkeypatch.setattr(interpreter, "sharded_recording_cluster", forbidden)
     monkeypatch.setattr(soak_runner, "recording_cluster", forbidden)
 
 
@@ -226,6 +260,9 @@ def test_region_steps_need_a_topology(no_clusters):
 
 def test_unknown_plants_and_sharded_overrides_are_rejected(no_clusters):
     plan = FaultPlan(seed=1, requests=8)
+    for shards in (0, -3):  # no deployment has fewer than one group
+        with pytest.raises(ValueError, match=f"shards must be >= 1, not {shards}"):
+            run_plan(plan, shards=shards)
     with pytest.raises(ValueError, match="planted bug"):
         run_plan(plan, plant="no-such-bug")
     with pytest.raises(ValueError, match="planted bug"):

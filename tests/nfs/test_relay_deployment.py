@@ -24,8 +24,8 @@ def test_disks_persist_per_replica():
     dep = NFSDeployment(memfs_factories(), num_objects=32)
     fs = NFSClient(dep.relay("C0"))
     fs.write_file("/x", b"1")
-    assert set(dep.disks) == {"R0", "R1", "R2", "R3"}
-    for disk in dep.disks.values():
+    assert set(dep.cluster.disks) == {"R0", "R1", "R2", "R3"}
+    for disk in dep.cluster.disks.values():
         assert "memfs:nodes" in disk
 
 

@@ -145,7 +145,7 @@ class TestProactiveRecovery:
         fs.write_file("/w/precious", b"SAFE" * 50)
         dep.sim.run_for(1.0)
         # Flip bits in R0's (MemFS) persistent node table.
-        nodes = dep.disks["R0"]["memfs:nodes"]
+        nodes = dep.cluster.disks["R0"]["memfs:nodes"]
         victim = next(fid for fid, n in nodes.items() if n.get("data"))
         nodes[victim]["data"] = b"EVIL"
         host = dep.cluster.hosts["R0"]

@@ -199,7 +199,7 @@ class TestReplicatedDatabase:
         node = db.new("Node")
         db.set(node, "precious", b"SAFE")
         dep.sim.run_for(1.0)
-        heap = dep.disks["R0"]["thor:heap"]
+        heap = dep.cluster.disks["R0"]["thor:heap"]
         victim = dep.wrapper("R0").handles[1]
         heap[victim]["attrs"]["precious"] = b"EVIL"
         host = dep.cluster.hosts["R0"]

@@ -167,6 +167,16 @@ def _artifact(step, topology=""):
             "none of the variants",
             id="leases-alone",
         ),
+        pytest.param(
+            dict(_artifact({"at": 0.1, "kind": "heal"}), shards=0),
+            "shards must be >= 1, not 0",
+            id="zero-shards",
+        ),
+        pytest.param(
+            dict(_artifact({"at": 0.1, "kind": "heal"}), shards=-1),
+            "shards must be >= 1, not -1",
+            id="negative-shards",
+        ),
     ],
 )
 def test_replay_malformed_artifact_exits_2(
@@ -174,8 +184,8 @@ def test_replay_malformed_artifact_exits_2(
 ):
     """Refused with exit 2 before any cluster is built — not run (the R9
     crash, the group-less partition and the leases-only overrides used to
-    replay clean, the misspelt key to a default), not a traceback with the
-    violation exit code."""
+    replay clean, the misspelt key to a default, a shard count below one as
+    one group), not a traceback with the violation exit code."""
     import repro.explore.runner as runner
 
     monkeypatch.setattr(runner, "recording_cluster", None)  # calling it fails
@@ -230,6 +240,8 @@ def test_artifact_replays_under_its_recorded_configuration(
 def test_explore_usage_error_exits_2(capsys):
     assert main(["explore", "--budget", "0"]) == 2
     assert main(["explore", "--fast-path"]) == 2  # now --variant fast-path
+    assert main(["explore", "--shards", "0"]) == 2
+    assert "shards must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -61,7 +61,7 @@ def test_cluster_tracing_end_to_end():
     from repro.bft.testing import KVStateMachine
 
     cluster = Cluster(
-        lambda rid: (lambda: KVStateMachine(num_slots=16)),
+        lambda rid: (lambda disk: KVStateMachine(num_slots=16)),
         config=BFTConfig(checkpoint_interval=8, log_window=16),
         trace=True,
     )
