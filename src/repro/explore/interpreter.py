@@ -32,7 +32,7 @@ from repro.bft.repair import RepairPolicy
 from repro.bft.sharding import sharded_recording_cluster
 from repro.bft.testing import canonical_committed_history, encode_set
 from repro.crypto.digest import digest
-from repro.explore.oracles import OracleSuite, ShardedOracleSuite
+from repro.explore.oracles import OracleSuite
 from repro.explore.plan import REPLICA_IDS, STEP_FIELDS, FaultPlan, FaultStep
 from repro.faults import (
     POISON,
@@ -106,7 +106,7 @@ class Session:
 
     ``system`` is the caller-built deployment (a ``Cluster`` or, for
     ``SHARDED``, a ``ShardedCluster``) and ``recorders`` its history
-    recorders in group order; the ``deployment`` row names the oracle suite
+    recorders in group order; the ``deployment`` row names the oracles
     installed over them.  The session owns everything the appliers share:
     drop interceptors, open-loop swarms, the placed topology, storm cuts, the
     aging model, flagged destroy steps and the fused-backup tier.
@@ -135,8 +135,9 @@ class Session:
                 topology_preset(plan.topology), self.cluster.network
             )
             self.placed.compile()
-        self.suite = DEPLOYMENTS[deployment].oracles(
-            system, recorders, targets(plan, BYZANTINE), check_interval
+        oracles = DEPLOYMENTS[deployment].oracles
+        self.suite = OracleSuite(
+            system, recorders, oracles, targets(plan, BYZANTINE), check_interval
         )
         self.suite.install()
         if plan.perturb_seed is not None:
@@ -347,14 +348,14 @@ def _overload(session: Session, step: FaultStep) -> None:
     previous_bandwidth = net_config.bandwidth
     if step.bandwidth > 0:
         net_config.bandwidth = step.bandwidth
-    session.suite.begin_overload(strict=families(session.plan) == {OVERLOAD})
+    snapshot = session.suite.begin_overload(strict=families(session.plan) == {OVERLOAD})
     swarm.start()
 
     def end_overload() -> None:
         swarm.stop()
         if step.bandwidth > 0:
             net_config.bandwidth = previous_bandwidth
-        session.suite.end_overload()
+        session.suite.end_overload(snapshot)
 
     session.sim.schedule(step.duration, end_overload)
 
@@ -614,8 +615,9 @@ def unsupported_kinds(kinds: Iterable[str], deployment: str) -> List[str]:
 
 def malformed(plan: FaultPlan) -> List[str]:
     """Rule one, *per-step well-formedness*: each step carries what its row
-    says it must.  Every run demands it (:func:`check_supported`), shrunk
-    plans included — ddmin drops whole steps and cannot break one."""
+    says it must, and no two overload episodes overlap or touch.  Every run
+    demands it (:func:`check_supported`), shrunk plans included — ddmin drops
+    whole steps and cannot break one."""
     problems: List[str] = []
     topo = PRESETS.get(plan.topology)
     if plan.topology and topo is None:
@@ -642,6 +644,12 @@ def malformed(plan: FaultPlan) -> List[str]:
                 problems.append(f"{step.kind} of unknown region {step.region!r}")
             elif "region" in row.needs and not topo.region(step.region).replicas:
                 problems.append(f"{step.kind} of replica-less region {step.region!r}")
+    # The goodput oracle judges one episode at a time; one starting the
+    # instant another ends fires first (it was scheduled first, by arm).
+    episodes = sorted((s.at, s.at + s.duration) for s in plan.steps if s.kind == "overload")
+    for (start, end), (later, _) in zip(episodes, episodes[1:]):
+        if later <= end:
+            problems.append(f"overload episodes at t={start} and t={later} overlap")
     return problems
 
 
@@ -809,10 +817,6 @@ def _shard_groups(_group: Callable, plan: FaultPlan, config, net_config, shards:
     return system, recorders, None
 
 
-def _one_suite(cluster, recorders: List, byzantine, check_interval: int) -> OracleSuite:
-    return OracleSuite(cluster, recorders[0], byzantine, check_interval)
-
-
 class _Workload:
     """The closed-loop client ``C0`` and how to ask it for one operation."""
 
@@ -913,24 +917,29 @@ class Deployment:
     """One deployment a plan runs on: the entry point's base
     :class:`BFTConfig` ``fields``; ``build(group, plan, config, net_config,
     shards) -> (system, recorders, poisoned)``, ``group`` being the entry
-    point's one-group builder; the ``oracles`` suite over what it built; its
-    planted bugs; and for ``run_plan``, the ``workload`` and the ``counters``
-    its verdicts add."""
+    point's one-group builder; the ``oracles`` (``ORACLES`` rows, in table
+    order) the suite runs over what it built; its planted bugs; and for
+    ``run_plan``, the ``workload`` and the ``counters`` its verdicts add."""
 
     fields: Dict[str, object]
     build: Callable[..., Tuple[object, List, Optional[Set[str]]]]
-    oracles: Callable[..., object]
+    oracles: Tuple[str, ...]
     plants: Dict[str, Callable] = field(default_factory=dict)
     workload: Optional[type] = None
     counters: Tuple[str, ...] = ()
 
+
+#: The rows of ``ORACLES`` (explore/oracles.py) that every group is held to.
+_GROUP_ORACLES = (
+    "prefix", "commit-agreement", "at-most-once", "view-monotonicity", "checkpoint-stability"
+)
 
 #: The deployments a fault plan runs on (docs/simulation.md has the table).
 DEPLOYMENTS: Dict[str, Deployment] = {
     SINGLE: Deployment(
         fields={"checkpoint_interval": 8, "log_window": 16},
         build=_one_group,
-        oracles=_one_suite,
+        oracles=_GROUP_ORACLES,
         plants=PLANTED_BUGS,
         workload=_SingleWorkload,
         # The open-loop swarms' load, which run_plan counts on the session.
@@ -939,7 +948,7 @@ DEPLOYMENTS: Dict[str, Deployment] = {
     SHARDED: Deployment(
         fields={"checkpoint_interval": 8, "log_window": 16},
         build=_shard_groups,
-        oracles=ShardedOracleSuite,
+        oracles=_GROUP_ORACLES + ("cross-shard-atomicity", "reconstruction"),
         plants=SHARDED_PLANTED_BUGS,
         workload=_ShardedWorkload,
         counters=(
@@ -956,7 +965,7 @@ DEPLOYMENTS: Dict[str, Deployment] = {
     SOAK: Deployment(
         fields={"checkpoint_interval": 16, "log_window": 64},
         build=_one_group,
-        oracles=_one_suite,
+        oracles=_GROUP_ORACLES,
     ),
 }
 

@@ -1,8 +1,10 @@
 """Continuous safety oracles, checked *during* a simulated run.
 
-Each oracle states one piece of the SMR safety contract as an explicitly
-checkable property over the live cluster plus the execution evidence a
-:class:`~repro.bft.testing.HistoryRecorder` collects:
+``ORACLES`` declares each continuously checked oracle as one row, in check
+order.  A row states one piece of the safety contract as an explicitly
+checkable property over the live deployment — its replicas, plus the
+execution evidence a :class:`~repro.bft.testing.HistoryRecorder` collects —
+and either checks each group on its own or looks across the groups:
 
 * **prefix** — any two correct incarnation histories executed their common
   operations in the same relative order (the safety invariant itself, in
@@ -15,19 +17,32 @@ checkable property over the live cluster plus the execution evidence a
   one incarnation;
 * **checkpoint-stability** — for each sequence number there is exactly one
   certifiable state digest: every stable certificate and every correct
-  replica's own checkpoint at that seqno carry the same digest.
-* **overload-goodput** — bracketing an ``overload`` episode
-  (:meth:`OracleSuite.begin_overload` / :meth:`OracleSuite.end_overload`):
-  the cluster must keep committing while saturated, and during a *pure*
-  (fault-free) episode it must shed rather than collapse — requests are
-  dropped by admission control, yet not a single view change starts
-  (overload must never be misdiagnosed as a faulty primary).
+  replica's own checkpoint at that seqno carry the same digest;
+* **cross-shard-atomicity** — every correct replica, of any shard, that
+  records an outcome for a transaction records the *same* one; the evidence,
+  the participants' decided-txn tombstones, is first-seen-wins, so even a
+  flip later garbage-collected or rolled back is caught;
+* **reconstruction** — every finished fused-backup rebuild restored the
+  exact certified abstract state: a failed one (missing parity, a timeout, a
+  root that does not match the latest checkpoint certificate) is a *safety*
+  signal, since the tier must otherwise refuse to serve.
 
-The suite registers itself as a simulator step hook, so properties are
-checked as the run unfolds (catching violations that later garbage
-collection, state transfer, or recovery would paper over), and raises
-:class:`OracleViolation` at the first offense.  Byzantine replicas named by
-the fault plan are excluded — the guarantees quantify over correct replicas.
+A deployment names the rows it runs (``DEPLOYMENTS`` in
+:mod:`repro.explore.interpreter`), and one :class:`OracleSuite` runs them
+over ``system.clusters`` — one group or several shards alike — as a
+simulator step hook, so properties are checked as the run unfolds (catching
+violations that later garbage collection, state transfer, or recovery would
+paper over), and raises :class:`OracleViolation` at the first offense.
+Byzantine replicas named by the fault plan are excluded — the guarantees
+quantify over correct replicas.
+
+One more oracle is judged per episode rather than continuously:
+**overload-goodput**, bracketing an ``overload`` episode
+(:meth:`OracleSuite.begin_overload` / :meth:`OracleSuite.end_overload`):
+the cluster must keep committing while saturated, and during a *pure*
+(fault-free) episode it must shed rather than collapse — requests are
+dropped by admission control, yet not a single view change starts
+(overload must never be misdiagnosed as a faulty primary).
 
 A check costs time proportional to the evidence recorded *since the previous
 check*, never to the length of the run: ``prefix`` and ``at-most-once`` keep
@@ -41,8 +56,8 @@ against them, they describe a violation once the index suspects one, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.bft.cluster import Cluster
 from repro.bft.testing import HistoryRecorder, order_divergence
@@ -213,54 +228,23 @@ class _ReplyIndex(_EvidenceIndex):
         segment.last_reqid[client_id] = reqid
 
 
-class OracleSuite:
-    """All safety oracles over one recording cluster."""
+@dataclass(eq=False)
+class GroupEvidence:
+    """One group under the oracles: its cluster and recorder, the replicas
+    excluded as Byzantine, the label its violations carry, and what the
+    per-group rows have seen.  The maps are first-seen-wins; keeping them
+    across checks is what defeats garbage collection: a committed batch is
+    remembered here even after the log drops it."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        recorder: HistoryRecorder,
-        byzantine: Iterable[str] = (),
-        check_interval: int = 10,
-        label: str = "",
-    ) -> None:
-        self.cluster = cluster
-        self.recorder = recorder
-        self.byzantine: FrozenSet[str] = frozenset(byzantine)
-        self.check_interval = max(1, check_interval)
-        self.label = label
-        self.violations: List[Violation] = []
-        # First-seen-wins evidence maps; conflicts are violations.  Keeping
-        # them across checks is what defeats garbage collection: a committed
-        # batch is remembered here even after the log drops it.
-        self._committed: Dict[int, Tuple[bytes, str]] = {}
-        self._checkpoints: Dict[int, Tuple[bytes, str]] = {}
-        self._views: Dict[str, Tuple[object, int]] = {}
-        self._order = _OrderIndex()
-        self._replies = _ReplyIndex()
-        self._events_since_check = 0
-        self._uninstall: Optional[Callable[[], None]] = None
-        self._overload: Optional[Dict[str, object]] = None
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def install(self) -> Callable[[], None]:
-        """Register as a simulator step hook; returns the removal callback."""
-        self._uninstall = self.cluster.sim.add_step_hook(self._on_event)
-        return self._uninstall
-
-    def uninstall(self) -> None:
-        if self._uninstall is not None:
-            self._uninstall()
-            self._uninstall = None
-
-    def _on_event(self) -> None:
-        self._events_since_check += 1
-        if self._events_since_check >= self.check_interval:
-            self._events_since_check = 0
-            self.check_now()
-
-    # -- the oracles ---------------------------------------------------------------
+    cluster: Cluster
+    recorder: Optional[HistoryRecorder]
+    byzantine: FrozenSet[str]
+    label: str
+    committed: Dict[int, Tuple[bytes, str]] = field(default_factory=dict)
+    checkpoints: Dict[int, Tuple[bytes, str]] = field(default_factory=dict)
+    views: Dict[str, Tuple[object, int]] = field(default_factory=dict)
+    order: _OrderIndex = field(default_factory=_OrderIndex)
+    replies: _ReplyIndex = field(default_factory=_ReplyIndex)
 
     def correct_hosts(self):
         return [
@@ -269,44 +253,7 @@ class OracleSuite:
             if rid not in self.byzantine
         ]
 
-    def check_now(self) -> None:
-        """Run every oracle; raises :class:`OracleViolation` on the first."""
-        self._check_prefix()
-        self._check_commit_agreement()
-        self._check_at_most_once()
-        self._check_view_monotonicity()
-        self._check_checkpoint_stability()
-
-    def sweep(self) -> None:
-        """The end-of-run check: every oracle once more, then the reference
-        walks over all the evidence (which cross-checks the index)."""
-        self.check_now()
-        self.check_reference()
-
-    def check_reference(self) -> None:
-        """``prefix`` and ``at-most-once`` by their full-history walks."""
-        self._walk_prefix()
-        self._walk_at_most_once()
-
-    def record_violation(self, oracle: str, detail: str) -> None:
-        violation = Violation(
-            oracle=oracle,
-            detail=self.label + detail,
-            time=self.cluster.sim.now(),
-            event_index=self.cluster.sim.events_processed,
-        )
-        self.violations.append(violation)
-        raise OracleViolation(violation)
-
-    def _check_prefix(self) -> None:
-        # Committed view: entries past a replica's oldest open speculation
-        # frame are tentative and may legitimately be rolled back and
-        # re-executed in a different order after a view change — they are not
-        # evidence of divergence until promoted.
-        if self._feed(self._order, self.recorder.history_segments, 0):
-            self._walk_prefix()
-
-    def _feed(
+    def feed(
         self, index: _EvidenceIndex, logs: Dict[str, List[list]], which: int
     ) -> bool:
         """Hand ``index`` the correct replicas' new committed evidence from
@@ -318,204 +265,211 @@ class OracleSuite:
                 )
         return index.suspect
 
-    def _walk_prefix(self) -> None:
-        problem = order_divergence(
-            self.recorder.committed_history_segments(), exclude=self.byzantine
-        )
-        if problem is not None:
-            self.record_violation("prefix", problem)
 
-    def _check_commit_agreement(self) -> None:
-        for rid, host in self.correct_hosts():
-            for seqno, pre_prepare in host.replica.committed.items():
-                digest = pre_prepare.batch_digest()
-                seen = self._committed.get(seqno)
-                if seen is None:
-                    self._committed[seqno] = (digest, rid)
-                elif seen[0] != digest:
-                    self.record_violation(
-                        "commit-agreement",
-                        f"seqno {seqno}: {rid} committed batch "
-                        f"{digest.hex()[:12]} but {seen[1]} committed "
-                        f"{seen[0].hex()[:12]}",
-                    )
+# -- the rows: each returns what is wrong, None while the property holds ---------
 
-    def _check_at_most_once(self) -> None:
-        if self._feed(self._replies, self.recorder.reply_logs, 1):
-            self._walk_at_most_once()
 
-    def _walk_at_most_once(self) -> None:
-        problem = check_reply_segments(
-            self.recorder.committed_reply_logs(), exclude=self.byzantine
-        )
-        if problem is not None:
-            self.record_violation("at-most-once", problem)
+def _check_prefix(group: GroupEvidence) -> Optional[str]:
+    # Committed view: entries past a replica's oldest open speculation
+    # frame are tentative and may legitimately be rolled back and
+    # re-executed in a different order after a view change — they are not
+    # evidence of divergence until promoted.
+    if group.feed(group.order, group.recorder.history_segments, 0):
+        return _walk_prefix(group)
+    return None
 
-    def _check_view_monotonicity(self) -> None:
-        for rid, host in self.correct_hosts():
-            replica = host.replica
-            seen = self._views.get(rid)
-            if seen is None or seen[0] is not replica:
-                # New incarnation (reboot swaps the replica object): restart
-                # tracking; monotonicity is per incarnation.
-                self._views[rid] = (replica, replica.view)
-                continue
-            if replica.view < seen[1]:
-                self.record_violation(
-                    "view-monotonicity",
-                    f"{rid} moved backwards from view {seen[1]} to {replica.view}",
+
+def _walk_prefix(group: GroupEvidence) -> Optional[str]:
+    return order_divergence(
+        group.recorder.committed_history_segments(), exclude=group.byzantine
+    )
+
+
+def _check_commit_agreement(group: GroupEvidence) -> Optional[str]:
+    for rid, host in group.correct_hosts():
+        for seqno, pre_prepare in host.replica.committed.items():
+            digest = pre_prepare.batch_digest()
+            seen = group.committed.get(seqno)
+            if seen is None:
+                group.committed[seqno] = (digest, rid)
+            elif seen[0] != digest:
+                return (
+                    f"seqno {seqno}: {rid} committed batch "
+                    f"{digest.hex()[:12]} but {seen[1]} committed "
+                    f"{seen[0].hex()[:12]}"
                 )
-            self._views[rid] = (replica, replica.view)
+    return None
 
-    # -- goodput under overload ----------------------------------------------------
 
-    def _overload_totals(self) -> Dict[str, int]:
-        executed = 0
-        shed = 0
-        view_changes = 0
-        for _rid, host in self.correct_hosts():
-            replica = host.replica
-            executed = max(executed, replica.last_executed)
-            shed += replica.counters.get("requests_shed")
-            view_changes += replica.counters.get("view_changes_started")
-        return {
-            "last_executed": executed,
-            "requests_shed": shed,
-            "view_changes_started": view_changes,
-        }
+def _check_at_most_once(group: GroupEvidence) -> Optional[str]:
+    if group.feed(group.replies, group.recorder.reply_logs, 1):
+        return _walk_at_most_once(group)
+    return None
 
-    def begin_overload(self, strict: bool) -> None:
-        """Snapshot progress/shedding/view counters at episode start.
 
-        ``strict`` means the plan is pure overload (no faults anywhere): the
-        episode must then also shed (otherwise it was not an overload at all)
-        and must not start a single view change."""
-        if self._overload is not None:
-            raise ValueError("overlapping overload episodes")
-        totals = self._overload_totals()
-        totals["strict"] = strict
-        self._overload = totals
+def _walk_at_most_once(group: GroupEvidence) -> Optional[str]:
+    return check_reply_segments(
+        group.recorder.committed_reply_logs(), exclude=group.byzantine
+    )
 
-    def end_overload(self) -> None:
-        """Judge the bracketed episode; raises on the first offense."""
-        snapshot = self._overload
-        if snapshot is None:
-            raise ValueError("end_overload without begin_overload")
-        self._overload = None
-        totals = self._overload_totals()
-        committed = totals["last_executed"] - snapshot["last_executed"]
-        shed = totals["requests_shed"] - snapshot["requests_shed"]
-        view_changes = (
-            totals["view_changes_started"] - snapshot["view_changes_started"]
-        )
-        if committed <= 0:
-            self.record_violation(
-                "overload-goodput",
-                "cluster stopped committing under overload "
-                "(shed {0}, view changes {1})".format(shed, view_changes),
-            )
-        if snapshot["strict"] and shed <= 0:
-            self.record_violation(
-                "overload-goodput",
-                "offered load was fully absorbed: the episode never "
-                "overloaded the cluster (calibration error)",
-            )
-        if snapshot["strict"] and view_changes > 0:
-            self.record_violation(
-                "overload-goodput",
-                f"{view_changes} view change(s) started during a fault-free "
-                f"overload episode — saturation was misdiagnosed as a "
-                f"faulty primary",
-            )
 
-    def _check_checkpoint_stability(self) -> None:
-        for rid, host in self.correct_hosts():
-            replica = host.replica
-            sources: List[Tuple[int, bytes, str]] = [
-                (seqno, checkpoint.state_digest, f"{rid} own checkpoint")
-                for seqno, checkpoint in replica.own_checkpoints.items()
-            ]
-            if replica.stable_cert is not None:
-                sources.append(
-                    (
-                        replica.stable_cert.seqno,
-                        replica.stable_cert.state_digest,
-                        f"{rid} stable certificate",
-                    )
+def _check_view_monotonicity(group: GroupEvidence) -> Optional[str]:
+    for rid, host in group.correct_hosts():
+        replica = host.replica
+        seen = group.views.get(rid)
+        if seen is None or seen[0] is not replica:
+            # New incarnation (reboot swaps the replica object): restart
+            # tracking; monotonicity is per incarnation.
+            group.views[rid] = (replica, replica.view)
+            continue
+        if replica.view < seen[1]:
+            return f"{rid} moved backwards from view {seen[1]} to {replica.view}"
+        group.views[rid] = (replica, replica.view)
+    return None
+
+
+def _check_checkpoint_stability(group: GroupEvidence) -> Optional[str]:
+    for rid, host in group.correct_hosts():
+        replica = host.replica
+        sources: List[Tuple[int, bytes, str]] = [
+            (seqno, checkpoint.state_digest, f"{rid} own checkpoint")
+            for seqno, checkpoint in replica.own_checkpoints.items()
+        ]
+        if replica.stable_cert is not None:
+            sources.append(
+                (
+                    replica.stable_cert.seqno,
+                    replica.stable_cert.state_digest,
+                    f"{rid} stable certificate",
                 )
-            for seqno, digest, source in sources:
-                seen = self._checkpoints.get(seqno)
+            )
+        for seqno, digest, source in sources:
+            seen = group.checkpoints.get(seqno)
+            if seen is None:
+                group.checkpoints[seqno] = (digest, source)
+            elif seen[0] != digest:
+                return (
+                    f"seqno {seqno}: {source} has digest "
+                    f"{digest.hex()[:12]} but {seen[1]} has "
+                    f"{seen[0].hex()[:12]}"
+                )
+    return None
+
+
+def _check_cross_shard_atomicity(suite: "OracleSuite"):
+    for shard, group in enumerate(suite.groups):
+        for rid, host in group.correct_hosts():
+            decisions = host.service.participant.decisions
+            for txid in sorted(decisions):
+                committed = decisions[txid]
+                source = f"shard{shard}/{rid}"
+                seen = suite.decisions.get(txid)
                 if seen is None:
-                    self._checkpoints[seqno] = (digest, source)
-                elif seen[0] != digest:
-                    self.record_violation(
-                        "checkpoint-stability",
-                        f"seqno {seqno}: {source} has digest "
-                        f"{digest.hex()[:12]} but {seen[1]} has "
-                        f"{seen[0].hex()[:12]}",
-                    )
+                    suite.decisions[txid] = (committed, source)
+                elif seen[0] != committed:
+                    return (
+                        f"txn {txid} {'committed' if committed else 'aborted'}"
+                        f" at {source} but "
+                        f"{'committed' if seen[0] else 'aborted'} at "
+                        f"{seen[1]}"
+                    ), group
+    return None
 
 
-class ShardedOracleSuite:
-    """Safety oracles over a sharded deployment.
+def _check_reconstruction(suite: "OracleSuite"):
+    tier = suite.system.fusion  # attached only by a destruction plan
+    if tier is None:
+        return None
+    for record in tier.reconstructions:
+        key = (record.shard, record.started_at)
+        if record.completed_at is None or record.ok or key in suite.rebuilds_flagged:
+            continue
+        suite.rebuilds_flagged.add(key)  # each episode is reported once
+        return (
+            f"fused-backup rebuild of shard{record.shard} failed: "
+            f"{record.detail or 'no detail'}"
+        ), suite.groups[record.shard % len(suite.groups)]
+    return None
 
-    The one-group properties (prefix, commit-agreement, at-most-once,
-    view-monotonicity, checkpoint-stability) generalize to per-shard
-    histories by construction: each shard is an independent ordering domain,
-    so one labelled :class:`OracleSuite` runs against each group's recorder
-    and its violations name the shard.  On top of those, one property no
-    single group can state:
 
-    * **cross-shard-atomicity** — every correct replica (of any shard) that
-      records an outcome for a transaction records the *same* outcome: a
-      txid committed on one shard and aborted on another is the canonical
-      2PC atomicity violation.  Evidence is the participants' decided-txn
-      tombstones, which live in the Merkle abstract state and are
-      first-seen-wins here — a later flip (even one later garbage-collected
-      or rolled back) is still caught.
-    """
+# -- the oracle table: the one place that knows a continuously checked oracle ----
+
+EACH_GROUP, ACROSS_GROUPS = "each group", "across groups"
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """One continuously checked oracle.  An ``EACH_GROUP`` row's
+    ``check(group)`` judges one :class:`GroupEvidence`, and the suite runs it
+    on every group in turn; an ``ACROSS_GROUPS`` row's ``check(suite)`` looks
+    at all of them at once and returns ``(detail, group)``, the group being
+    the one its violation is charged to.  ``walk`` is an ``EACH_GROUP`` row's
+    reference: the full-history walk :meth:`OracleSuite.sweep` runs after
+    the incremental checks."""
+
+    scope: str
+    check: Callable
+    walk: Optional[Callable[[GroupEvidence], Optional[str]]] = None
+
+
+#: The continuously checked oracles, in check order: the ``EACH_GROUP`` rows
+#: group by group, then the ``ACROSS_GROUPS`` rows (docs/simulation.md has
+#: the table).  A ``DEPLOYMENTS`` row names the ones it runs.
+ORACLES: Dict[str, Oracle] = {
+    "prefix": Oracle(EACH_GROUP, _check_prefix, _walk_prefix),
+    "commit-agreement": Oracle(EACH_GROUP, _check_commit_agreement),
+    "at-most-once": Oracle(EACH_GROUP, _check_at_most_once, _walk_at_most_once),
+    "view-monotonicity": Oracle(EACH_GROUP, _check_view_monotonicity),
+    "checkpoint-stability": Oracle(EACH_GROUP, _check_checkpoint_stability),
+    "cross-shard-atomicity": Oracle(ACROSS_GROUPS, _check_cross_shard_atomicity),
+    "reconstruction": Oracle(ACROSS_GROUPS, _check_reconstruction),
+}
+
+
+class OracleSuite:
+    """The named ``oracles`` (``ORACLES`` rows, run in the order given) over
+    every group of ``system``: ``system.clusters``, with their history
+    ``recorders`` in the same order.  Fault steps land on group 0, so only
+    there are the plan's ``byzantine`` replicas excluded; a sharded
+    deployment's violations name their shard."""
 
     def __init__(
         self,
-        sharded,
-        recorders: List[HistoryRecorder],
+        system,
+        recorders: List[Optional[HistoryRecorder]],
+        oracles: Iterable[str],
         byzantine: Iterable[str] = (),
         check_interval: int = 10,
     ) -> None:
-        self.sharded = sharded
-        # Fault steps target shard 0 (see explore/interpreter.py), so only its
-        # suite excludes the plan's byzantine replicas.
-        self.suites: List[OracleSuite] = [
-            OracleSuite(
+        self.system = system
+        self.sim = system.sim
+        clusters = system.clusters
+        self.groups: List[GroupEvidence] = [
+            GroupEvidence(
                 cluster,
                 recorder,
-                byzantine=byzantine if shard == 0 else (),
-                check_interval=check_interval,
-                label=f"shard{shard}:",
+                frozenset(byzantine if index == 0 else ()),
+                f"shard{index}:" if len(clusters) > 1 else "",
             )
-            for shard, (cluster, recorder) in enumerate(
-                zip(sharded.clusters, recorders)
-            )
+            for index, (cluster, recorder) in enumerate(zip(clusters, recorders))
         ]
+        rows = [(name, ORACLES[name]) for name in oracles]
+        self._each = [(name, row) for name, row in rows if row.scope == EACH_GROUP]
+        self._across = [(name, row) for name, row in rows if row.scope == ACROSS_GROUPS]
         self.check_interval = max(1, check_interval)
-        self._decisions: Dict[str, Tuple[bool, str]] = {}
-        self._reconstructions_flagged: set = set()
+        self.violations: List[Violation] = []
+        # What the ACROSS_GROUPS rows have seen: first-seen transaction
+        # outcomes, and the failed rebuilds already reported.
+        self.decisions: Dict[str, Tuple[bool, str]] = {}
+        self.rebuilds_flagged: Set[Tuple[int, float]] = set()
         self._events_since_check = 0
         self._uninstall: Optional[Callable[[], None]] = None
-
-    @property
-    def violations(self) -> List[Violation]:
-        merged: List[Violation] = []
-        for suite in self.suites:
-            merged.extend(suite.violations)
-        return merged
 
     # -- lifecycle ----------------------------------------------------------------
 
     def install(self) -> Callable[[], None]:
-        """One step hook drives the per-shard checks and the cross-shard one
-        (the shards share a simulator)."""
-        self._uninstall = self.sharded.sim.add_step_hook(self._on_event)
+        """Register as a simulator step hook; returns the removal callback."""
+        self._uninstall = self.sim.add_step_hook(self._on_event)
         return self._uninstall
 
     def uninstall(self) -> None:
@@ -532,62 +486,92 @@ class ShardedOracleSuite:
     # -- the oracles ---------------------------------------------------------------
 
     def check_now(self) -> None:
-        for suite in self.suites:
-            suite.check_now()
-        self._check_cross_shard_atomicity()
-        self._check_reconstruction_integrity()
+        """Run every row; raises :class:`OracleViolation` on the first."""
+        for group in self.groups:
+            for name, row in self._each:
+                self._judge(name, row.check(group), group)
+        for name, row in self._across:
+            found = row.check(self)
+            if found is not None:
+                self._judge(name, *found)
 
     def sweep(self) -> None:
-        """The end-of-run check (see :meth:`OracleSuite.sweep`)."""
+        """The end-of-run check: every row once more, then the reference
+        walks over all the evidence (which cross-checks the index)."""
         self.check_now()
-        for suite in self.suites:
-            suite.check_reference()
+        for group in self.groups:
+            for name, row in self._each:
+                if row.walk is not None:
+                    self._judge(name, row.walk(group), group)
 
-    def _check_cross_shard_atomicity(self) -> None:
-        for shard, suite in enumerate(self.suites):
-            for rid, host in suite.correct_hosts():
-                participant = getattr(host.service, "participant", None)
-                if participant is None:
-                    continue
-                decisions = participant.decisions
-                for txid in sorted(decisions):
-                    committed = decisions[txid]
-                    source = f"shard{shard}/{rid}"
-                    seen = self._decisions.get(txid)
-                    if seen is None:
-                        self._decisions[txid] = (committed, source)
-                    elif seen[0] != committed:
-                        suite.record_violation(
-                            "cross-shard-atomicity",
-                            f"txn {txid} {'committed' if committed else 'aborted'}"
-                            f" at {source} but "
-                            f"{'committed' if seen[0] else 'aborted'} at "
-                            f"{seen[1]}",
-                        )
-
-    def _check_reconstruction_integrity(self) -> None:
-        """Every finished fused-backup reconstruction must have succeeded.
-
-        A failed rebuild — missing parity coverage, a timeout, or (worst)
-        a rebuilt Merkle root that does not match the group's latest
-        checkpoint certificate — is a *safety* signal here, not mere
-        unavailability: the tier either restores the exact certified
-        abstract state or it must refuse to serve.  Each episode is
-        reported at most once.
-        """
-        tier = getattr(self.sharded, "fusion", None)
-        if tier is None:
+    def _judge(
+        self, oracle: str, detail: Optional[str], group: Optional[GroupEvidence] = None
+    ) -> None:
+        """Raise ``oracle``'s violation, charged to ``group`` (group 0 by
+        default), unless ``detail`` is None."""
+        if detail is None:
             return
-        for record in tier.reconstructions:
-            if record.completed_at is None or record.ok:
-                continue
-            key = (record.shard, record.started_at)
-            if key in self._reconstructions_flagged:
-                continue
-            self._reconstructions_flagged.add(key)
-            suite = self.suites[record.shard % len(self.suites)]
-            suite.record_violation(
-                "reconstruction",
-                f"fused-backup rebuild of shard{record.shard} failed: "
-                f"{record.detail or 'no detail'}",
+        violation = Violation(
+            oracle=oracle,
+            detail=(group or self.groups[0]).label + detail,
+            time=self.sim.now(),
+            event_index=self.sim.events_processed,
+        )
+        self.violations.append(violation)
+        raise OracleViolation(violation)
+
+    # -- goodput under overload ----------------------------------------------------
+
+    def _overload_totals(self) -> Dict[str, int]:
+        executed = 0
+        shed = 0
+        view_changes = 0
+        for _rid, host in self.groups[0].correct_hosts():
+            replica = host.replica
+            executed = max(executed, replica.last_executed)
+            shed += replica.counters.get("requests_shed")
+            view_changes += replica.counters.get("view_changes_started")
+        return {
+            "last_executed": executed,
+            "requests_shed": shed,
+            "view_changes_started": view_changes,
+        }
+
+    def begin_overload(self, strict: bool) -> Dict[str, int]:
+        """Snapshot group 0's progress/shedding/view counters at episode
+        start, for :meth:`end_overload` to judge the episode by.
+
+        ``strict`` means the plan is pure overload (no faults anywhere): the
+        episode must then also shed (otherwise it was not an overload at all)
+        and must not start a single view change."""
+        totals = self._overload_totals()
+        totals["strict"] = strict
+        return totals
+
+    def end_overload(self, snapshot: Dict[str, int]) -> None:
+        """Judge the episode ``snapshot`` began; raises on the first offense."""
+        totals = self._overload_totals()
+        committed = totals["last_executed"] - snapshot["last_executed"]
+        shed = totals["requests_shed"] - snapshot["requests_shed"]
+        view_changes = (
+            totals["view_changes_started"] - snapshot["view_changes_started"]
+        )
+        if committed <= 0:
+            self._judge(
+                "overload-goodput",
+                "cluster stopped committing under overload "
+                "(shed {0}, view changes {1})".format(shed, view_changes),
+            )
+        if snapshot["strict"] and shed <= 0:
+            self._judge(
+                "overload-goodput",
+                "offered load was fully absorbed: the episode never "
+                "overloaded the cluster (calibration error)",
+            )
+        if snapshot["strict"] and view_changes > 0:
+            self._judge(
+                "overload-goodput",
+                f"{view_changes} view change(s) started during a fault-free "
+                f"overload episode — saturation was misdiagnosed as a "
+                f"faulty primary",
             )

@@ -175,16 +175,19 @@ def run_soak(
     gap: float = 1.0,
     check_interval: int = 100,
     log: Optional[Callable[[str], None]] = None,
-    config_overrides: Optional[Dict] = None,
+    overload_damping: bool = True,
 ) -> SoakReport:
-    """Execute one campaign plan over its full horizon; fully deterministic."""
+    """Execute one campaign plan over its full horizon; fully deterministic
+    (``overload_damping`` as in ``run_plan``)."""
     slo = slo or SoakSLO()
     row = DEPLOYMENTS[SOAK]
     check_supported(plan, SOAK)
     problems = outside_assumptions(plan)
     if problems:  # a campaign, unlike a shrunk plan, must also stay inside them
         raise PlanError(f"invalid campaign plan: {problems}")
-    config, net_config = deployment_configs(plan, row.fields, config_overrides)
+    config, net_config = deployment_configs(
+        plan, dict(row.fields, overload_damping=overload_damping)
+    )
     # Looked up at call time: the perf harness captures the deployment by
     # rebinding this module's ``recording_cluster``.
     cluster, recorders, _poisoned = row.build(

@@ -10,6 +10,7 @@ import pytest
 from repro.bft.client import InvocationTimeout
 from repro.bft.config import BFTConfig
 from repro.bft.testing import encode_get, encode_set, recording_cluster
+from repro.explore.interpreter import DEPLOYMENTS, SINGLE
 from repro.explore.oracles import OracleSuite
 from repro.net.network import NetworkConfig
 
@@ -25,7 +26,7 @@ def chaos_cluster(seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_chaos_run_converges(seed):
     cluster, recorder = chaos_cluster(seed)
-    suite = OracleSuite(cluster, recorder, check_interval=20)
+    suite = OracleSuite(cluster, [recorder], DEPLOYMENTS[SINGLE].oracles, check_interval=20)
     suite.install()
     cluster.start_proactive_recovery()
     client = cluster.client("C0")

@@ -24,6 +24,7 @@ from repro.explore.interpreter import (
     unsupported_kinds,
     validate_plan,
 )
+from repro.explore.oracles import ORACLES
 from repro.explore.plan import FaultPlan, FaultStep, generate_plan
 from repro.explore.runner import explore, run_plan
 from repro.soak.campaign import generate_campaign
@@ -92,26 +93,52 @@ def test_the_documented_table_is_the_step_table():
 
 def test_the_documented_deployments_are_the_deployment_table():
     """docs/simulation.md's deployment table: every cell that is data rather
-    than prose (base fields, planted bugs, verdict counters), compared with
-    the ``DEPLOYMENTS`` row it describes."""
+    than prose (base fields, planted bugs, oracles, verdict counters),
+    compared with the ``DEPLOYMENTS`` row it describes."""
     doc = Path(__file__).resolve().parents[2] / "docs" / "simulation.md"
     section = doc.read_text().split("#### One interpreter, three deployments")[1]
     table = section.split("| deployment |")[1].split("\n\n")[0]
     documented = {}
     for line in table.splitlines()[2:]:  # past the header's tail and the rule
-        name, _entry, fields, plants, counters, _built, _driven = (
+        name, _entry, fields, plants, oracles, counters, _built, _driven = (
             cell.strip() for cell in line.strip("|").split("|")
         )
         documented[name.strip("`")] = (
             {key: int(value) for key, value in re.findall(r"`(\w+)=(\d+)`", fields)},
             set(re.findall(r"`([\w-]+)`", plants)),
+            tuple(re.findall(r"`([\w-]+)`", oracles)),
             tuple(re.findall(r"`(\w+)`", counters)),
         )
     assert list(documented) == list(DEPLOYMENTS)
     assert documented == {
-        name: (row.fields, set(row.plants), row.counters)
+        name: (row.fields, set(row.plants), row.oracles, row.counters)
         for name, row in DEPLOYMENTS.items()
     }
+
+
+def test_the_documented_oracles_are_the_oracle_table():
+    """docs/simulation.md's oracle table: its continuously judged rows are
+    ``ORACLES``, cell by cell and in check order, beside the two oracles
+    judged once; and every deployment names its rows in that order."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "simulation.md"
+    table = doc.read_text().split("| oracle |")[1].split("\n\n")[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table.splitlines()[2:]  # past the header's tail and the rule
+    ]
+    continuous = [
+        (name.strip("`"), checks)
+        for name, checks, judged, _property in rows
+        if judged == "every `check_interval` events"
+    ]
+    assert continuous == [(name, row.scope) for name, row in ORACLES.items()]
+    judged_once = {name.strip("`"): judged for name, _checks, judged, _ in rows[len(continuous):]}
+    assert judged_once == {
+        "overload-goodput": "at an overload episode's end",
+        "liveness": "after the heal",
+    }
+    for row in DEPLOYMENTS.values():
+        assert list(row.oracles) == [name for name in ORACLES if name in row.oracles]
 
 
 def test_every_deployment_named_anywhere_is_a_row():

@@ -19,6 +19,7 @@ from repro.bft.testing import (
     encode_set,
     order_divergence,
 )
+from repro.explore.interpreter import DEPLOYMENTS, SINGLE
 from repro.explore.oracles import (
     OracleSuite,
     OracleViolation,
@@ -41,7 +42,8 @@ def _op(k):
 def _suite(recorder, byzantine=()):
     """An oracle suite over hand-fed evidence: no replicas, just a clock."""
     stub = SimpleNamespace(hosts={}, sim=Simulator())
-    return OracleSuite(stub, recorder, byzantine=byzantine)
+    stub.clusters = [stub]
+    return OracleSuite(stub, [recorder], DEPLOYMENTS[SINGLE].oracles, byzantine=byzantine)
 
 
 class _Replica:
@@ -145,7 +147,8 @@ def _drive(seed):
         )
         # Two-sided: a false suspicion would be masked by the reference walk
         # it triggers, and silently bring the per-check cost back.
-        assert not suite._order.suspect and not suite._replies.suspect
+        group = suite.groups[0]
+        assert not group.order.suspect and not group.replies.suspect
     suite.sweep()  # the epilogue's full walk agrees: nothing to find
     return None, None
 

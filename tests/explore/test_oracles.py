@@ -4,10 +4,12 @@ small live clusters with targeted tampering."""
 import pytest
 
 from repro.bft.config import BFTConfig
+from repro.bft.fusion import FusedBackupTier, ReconstructionRecord
 from repro.bft.messages import Checkpoint
+from repro.bft.sharding import sharded_recording_cluster
 from repro.bft.testing import encode_set, recording_cluster
 from repro.crypto.digest import digest
-from repro.explore.interpreter import SINGLE, Session
+from repro.explore.interpreter import DEPLOYMENTS, SHARDED, SINGLE, Session
 from repro.explore.oracles import (
     OracleSuite,
     OracleViolation,
@@ -22,7 +24,11 @@ def _suite(seed=0, byzantine=(), check_interval=10):
         config=BFTConfig(checkpoint_interval=8, log_window=16), seed=seed
     )
     suite = OracleSuite(
-        cluster, recorder, byzantine=byzantine, check_interval=check_interval
+        cluster,
+        [recorder],
+        DEPLOYMENTS[SINGLE].oracles,
+        byzantine=byzantine,
+        check_interval=check_interval,
     )
     return cluster, recorder, suite
 
@@ -164,7 +170,7 @@ def test_commit_agreement_survives_log_garbage_collection():
     cluster.settle(1.0)
     suite.check_now()
     assert suite.violations == []
-    assert 1 in suite._committed  # seqno 1 remembered even after GC
+    assert 1 in suite.groups[0].committed  # seqno 1 remembered even after GC
 
 
 # -- checkpoint stability --------------------------------------------------------------
@@ -185,6 +191,32 @@ def test_checkpoint_stability_fires_on_conflicting_digest():
     with pytest.raises(OracleViolation) as exc:
         suite.check_now()
     assert exc.value.violation.oracle == "checkpoint-stability"
+
+
+# -- reconstruction ---------------------------------------------------------------------
+
+
+def test_reconstruction_oracle_reports_a_failed_rebuild_once():
+    system, recorders = sharded_recording_cluster(
+        2, config=BFTConfig(checkpoint_interval=8, log_window=16)
+    )
+    suite = OracleSuite(system, recorders, DEPLOYMENTS[SHARDED].oracles)
+    tier = FusedBackupTier(system)
+    tier.attach()
+    system.settle(0.5)
+    suite.check_now()  # the parity bootstrap alone is no violation
+    tier.reconstructions.append(
+        ReconstructionRecord(
+            shard=1, started_at=0.2, completed_at=0.4, ok=False, detail="root mismatch"
+        )
+    )
+    with pytest.raises(OracleViolation) as exc:
+        suite.check_now()
+    violation = exc.value.violation
+    assert violation.oracle == "reconstruction"
+    assert violation.detail == "shard1:fused-backup rebuild of shard1 failed: root mismatch"
+    suite.check_now()  # the episode is not reported again
+    assert suite.violations == [violation]
 
 
 # -- plumbing ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ def reports():
         damping: run_soak(
             rotation_plan(),
             slo=SoakSLO(window=60.0),
-            config_overrides={"overload_damping": damping},
+            overload_damping=damping,
         )
         for damping in (True, False)
     }

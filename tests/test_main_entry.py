@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.bft.config import VARIANTS
+from repro.explore.plan import make_overload_step
 
 #: What the fast-path row adds to the speculation row, on its own: no row.
 LEASES_ALONE = dict(
@@ -104,9 +105,9 @@ def test_replay_missing_artifact_exits_2(capsys):
     assert "no such artifact" in capsys.readouterr().err
 
 
-def _artifact(step, topology=""):
-    """A version-1 explore artifact whose plan has the one given step."""
-    plan = {"seed": 1, "requests": 4, "steps": [step]}
+def _artifact(*steps, topology=""):
+    """A version-1 explore artifact whose plan has the given steps."""
+    plan = {"seed": 1, "requests": 4, "steps": list(steps)}
     if topology:
         plan["topology"] = topology
     return {"version": 1, "plan": plan, "violation": {}, "plant": None}
@@ -176,6 +177,15 @@ def _artifact(step, topology=""):
             dict(_artifact({"at": 0.1, "kind": "heal"}), shards=-1),
             "shards must be >= 1, not -1",
             id="negative-shards",
+        ),
+        pytest.param(
+            # Back to back: the second episode starts the instant the first
+            # ends, which used to raise mid-run.
+            _artifact(
+                make_overload_step(at=0.1).to_dict(), make_overload_step(at=1.6).to_dict()
+            ),
+            "overload episodes at t=0.1 and t=1.6 overlap",
+            id="overlapping-overloads",
         ),
     ],
 )
