@@ -112,8 +112,9 @@ def explore_main(argv: List[str]) -> int:
         args = _explore_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.budget < 1 or args.requests < 1:
-        print("explore: --budget and --requests must be >= 1", file=sys.stderr)
+    if min(args.budget, args.requests, args.check_interval) < 1 or args.max_steps < 0:
+        print("explore: --budget, --requests and --check-interval must be >= 1, "
+              "--max-steps >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         deployment = deployment_for(args.shards)

@@ -14,6 +14,7 @@ the BFT library as request/result byte strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module  # nfs.spec, which makes oids, imports this module
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.util.xdr import (
@@ -26,6 +27,7 @@ from repro.util.xdr import (
     XdrEncoder,
     array,
     codec,
+    handle,
     optional,
     record,
     reserved,
@@ -118,7 +120,7 @@ class Sattr:
 
 #: Procedure number -> the one call class that declared it.
 _CALL_REGISTRY: Dict[int, Type["NfsCall"]] = {}
-_SATTR = record(Sattr)
+_SATTR, _FH = record(Sattr), handle(OPAQUE, lambda *oid: import_module("repro.nfs.spec").make_oid(*oid))
 
 
 @dataclass
@@ -145,57 +147,57 @@ class NfsCall:
 
 
 @dataclass
-class GetattrCall(NfsCall, proc=1, args={"fh": OPAQUE}, read_only=True):
+class GetattrCall(NfsCall, proc=1, args={"fh": _FH}, read_only=True):
     fh: bytes = b""
 
 
 @dataclass
-class SetattrCall(NfsCall, proc=2, args={"fh": OPAQUE, "sattr": _SATTR}):
+class SetattrCall(NfsCall, proc=2, args={"fh": _FH, "sattr": _SATTR}):
     fh: bytes = b""
     sattr: Sattr = field(default_factory=Sattr)
 
 
 @dataclass
-class LookupCall(NfsCall, proc=4, args={"dir_fh": OPAQUE, "name": STRING}, read_only=True):
+class LookupCall(NfsCall, proc=4, args={"dir_fh": _FH, "name": STRING}, read_only=True):
     dir_fh: bytes = b""
     name: str = ""
 
 
 @dataclass
-class ReadlinkCall(NfsCall, proc=5, args={"fh": OPAQUE}, read_only=True):
+class ReadlinkCall(NfsCall, proc=5, args={"fh": _FH}, read_only=True):
     fh: bytes = b""
 
 
 @dataclass
-class ReadCall(NfsCall, proc=6, args={"fh": OPAQUE, "offset": U64, "count": U32}, read_only=True):
+class ReadCall(NfsCall, proc=6, args={"fh": _FH, "offset": U64, "count": U32}, read_only=True):
     fh: bytes = b""
     offset: int = 0
     count: int = 0
 
 
 @dataclass
-class WriteCall(NfsCall, proc=8, args={"fh": OPAQUE, "offset": U64, "data": OPAQUE}):
+class WriteCall(NfsCall, proc=8, args={"fh": _FH, "offset": U64, "data": OPAQUE}):
     fh: bytes = b""
     offset: int = 0
     data: bytes = b""
 
 
 @dataclass
-class CreateCall(NfsCall, proc=9, args={"dir_fh": OPAQUE, "name": STRING, "sattr": _SATTR}):
+class CreateCall(NfsCall, proc=9, args={"dir_fh": _FH, "name": STRING, "sattr": _SATTR}):
     dir_fh: bytes = b""
     name: str = ""
     sattr: Sattr = field(default_factory=Sattr)
 
 
 @dataclass
-class RemoveCall(NfsCall, proc=10, args={"dir_fh": OPAQUE, "name": STRING}):
+class RemoveCall(NfsCall, proc=10, args={"dir_fh": _FH, "name": STRING}):
     dir_fh: bytes = b""
     name: str = ""
 
 
 @dataclass
-class RenameCall(NfsCall, proc=11, args={"from_dir": OPAQUE, "from_name": STRING,
-                                         "to_dir": OPAQUE, "to_name": STRING}):
+class RenameCall(NfsCall, proc=11, args={"from_dir": _FH, "from_name": STRING,
+                                         "to_dir": _FH, "to_name": STRING}):
     from_dir: bytes = b""
     from_name: str = ""
     to_dir: bytes = b""
@@ -203,7 +205,7 @@ class RenameCall(NfsCall, proc=11, args={"from_dir": OPAQUE, "from_name": STRING
 
 
 @dataclass
-class SymlinkCall(NfsCall, proc=13, args={"dir_fh": OPAQUE, "name": STRING, "target": STRING,
+class SymlinkCall(NfsCall, proc=13, args={"dir_fh": _FH, "name": STRING, "target": STRING,
                                           "sattr": _SATTR}):
     dir_fh: bytes = b""
     name: str = ""
@@ -212,25 +214,25 @@ class SymlinkCall(NfsCall, proc=13, args={"dir_fh": OPAQUE, "name": STRING, "tar
 
 
 @dataclass
-class MkdirCall(NfsCall, proc=14, args={"dir_fh": OPAQUE, "name": STRING, "sattr": _SATTR}):
+class MkdirCall(NfsCall, proc=14, args={"dir_fh": _FH, "name": STRING, "sattr": _SATTR}):
     dir_fh: bytes = b""
     name: str = ""
     sattr: Sattr = field(default_factory=Sattr)
 
 
 @dataclass
-class RmdirCall(NfsCall, proc=15, args={"dir_fh": OPAQUE, "name": STRING}):
+class RmdirCall(NfsCall, proc=15, args={"dir_fh": _FH, "name": STRING}):
     dir_fh: bytes = b""
     name: str = ""
 
 
 @dataclass
-class ReaddirCall(NfsCall, proc=16, args={"fh": OPAQUE}, read_only=True):
+class ReaddirCall(NfsCall, proc=16, args={"fh": _FH}, read_only=True):
     fh: bytes = b""
 
 
 @dataclass
-class StatfsCall(NfsCall, proc=17, args={"fh": OPAQUE}, read_only=True):
+class StatfsCall(NfsCall, proc=17, args={"fh": _FH}, read_only=True):
     fh: bytes = b""
 
 

@@ -30,6 +30,7 @@ from repro.util.xdr import (
     codec,
     declare_op,
     fixed_opaque,
+    handle,
     tuple_of,
 )
 
@@ -103,7 +104,7 @@ def unpack_value(dec: XdrDecoder) -> AbstractValue:
     raise ValueError(f"bad OODB value tag {tag}")
 
 
-_AOID = fixed_opaque(8)
+_AOID = handle(fixed_opaque(8), make_aoid)
 _VALUE = Kind(lambda value: f"pack_value(enc, {value})", "unpack_value(dec)",
               (("pack_value", pack_value), ("unpack_value", unpack_value)))
 _ITEMS = array(tuple_of(STRING, _VALUE))

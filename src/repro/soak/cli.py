@@ -84,8 +84,17 @@ def soak_main(argv: List[str]) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.hours <= 0:
-        print("soak: --hours must be > 0", file=sys.stderr)
+    if args.hours <= 0 or args.recovery_period < 0:
+        print("soak: --hours must be > 0 and --recovery-period >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        slo = SoakSLO(
+            window=args.window,
+            availability_floor=args.availability_floor,
+            max_outage_span=args.max_outage,
+        )
+    except ValueError as exc:
+        print(f"soak: {exc}", file=sys.stderr)
         return EXIT_USAGE
     plan = generate_campaign(
         args.seed,
@@ -93,11 +102,6 @@ def soak_main(argv: List[str]) -> int:
         hours=args.hours,
         watchdog=not args.no_watchdog,
         recovery_period=args.recovery_period,
-    )
-    slo = SoakSLO(
-        window=args.window,
-        availability_floor=args.availability_floor,
-        max_outage_span=args.max_outage,
     )
     log = None if args.quiet else print
     report = run_soak(plan, slo=slo, log=log)

@@ -61,6 +61,12 @@ class SoakSLO:
     max_outage_span: float = 90.0
     assumption_margin: float = 30.0
 
+    def __post_init__(self) -> None:  # out of range, a field turns the SLO off
+        if not (self.window > 0 and 0 <= self.availability_floor <= 1
+                and self.max_outage_span >= 0 and self.assumption_margin >= 0):
+            raise ValueError("SLO needs window > 0, 0 <= availability_floor <= 1 and "
+                             f"spans >= 0, not {self.to_dict()}")
+
     def to_dict(self) -> Dict:
         return {
             "window": self.window,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from contextlib import suppress
 from dataclasses import make_dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
@@ -237,6 +238,15 @@ class Kind(NamedTuple):
     pack: Callable[[str], str]  #: value expression -> expression packing it on ``enc``
     unpack: Optional[str]  #: expression reading it from ``dec``; None: not in the bytes
     names: Tuple[Tuple[str, object], ...] = ()  #: what the expressions name besides enc / dec
+    draw: Optional[Callable[[object], object]] = None  #: a value from a source of draws
+
+    def drawn(self, source: object) -> object:
+        """A random value: ``draw(source)``, else ``unpack`` run until it decodes
+        on ``source``, which answers the ``unpack_*`` reads with drawn values."""
+        while self.draw is None:
+            with suppress(ValueError):  # a drawn union tag the kind does not have
+                return eval(self.unpack, dict(self.names, dec=source))  # the repo's own kinds only
+        return self.draw(source)
 
 
 def _scalar(method: str, size: str = "") -> Kind:
@@ -253,12 +263,18 @@ def fixed_opaque(size: int) -> Kind:
     return _scalar("fixed_opaque", str(size))
 
 
+def handle(item: Kind, make: Callable[[int, int], bytes]) -> Kind:
+    """An object id: the bytes of ``item``, drawn as ``make(index, generation)``."""
+    return item._replace(draw=lambda source: make(*source.handle()))
+
+
 def array(item: Kind) -> Kind:
     """Variable-length array: u32 count, then each element."""
     return Kind(
         lambda value: f"enc.pack_array({value}, lambda enc, item: {item.pack('item')})",
         item.unpack and f"dec.unpack_array(lambda dec: {item.unpack})",
         item.names,
+        lambda source: source.unpack_array(item.drawn),
     )
 
 
@@ -287,6 +303,7 @@ def reserved(item: Kind, none: int) -> Kind:
     return Kind(
         lambda value: item.pack(f"({none} if {value} is None else {value})"),
         f"(None if (value := {item.unpack}) == {none} else value)",
+        draw=lambda source: None if source.unpack_bool() else item.drawn(source),
     )
 
 
@@ -297,7 +314,7 @@ def record(cls: type) -> Kind:
     """A nested record.  The class object itself goes into the generated
     source's namespace, so two records may share a ``__name__``."""
     name = f"_record{next(_record_serial)}"
-    return Kind(lambda value: f"{value}.pack(enc)", f"{name}.unpack(dec)", ((name, cls),))
+    return Kind(lambda value: f"{value}.pack(enc)", f"{name}.unpack(dec)", ((name, cls),), cls.draw)
 
 
 def codec(
@@ -311,9 +328,10 @@ def codec(
     ``cls.pack(self, enc)`` packs ``tag`` — a (kind, constant) pair that opens
     the encoding; reading it back to pick the class out of ``registry`` is the
     caller's — and then every field.  ``cls.unpack(dec)`` reads the fields and
-    builds ``cls(field=value, ...)``; it is ``None`` where a field is derived
-    (``"batch_digest()"``) or of a kind that is not in the bytes.  A tag that
-    ``registry`` already holds for another class is a ``TypeError``."""
+    builds ``cls(field=value, ...)``, ``cls.draw(source)`` from :meth:`Kind.drawn`
+    values; both are ``None`` where a field is derived (``"batch_digest()"``)
+    or of a kind that is not in the bytes.  A tag that ``registry`` already
+    holds for another class is a ``TypeError``."""
 
     def derive(cls: type) -> type:
         if registry is not None and registry.setdefault(tag[1], cls) is not cls:
@@ -333,6 +351,8 @@ def codec(
             source += ["@staticmethod", "def unpack(dec):", f"    return cls({args})"]
         exec("\n".join(source), names)  # input: the repo's own declarations only
         cls.pack, cls.unpack = names["pack"], names["unpack"]
+        cls.draw = cls.unpack and staticmethod(
+            lambda source: cls(**{attr: kind.drawn(source) for attr, kind in fields.items()}))
         return cls
 
     return derive

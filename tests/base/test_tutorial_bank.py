@@ -4,9 +4,12 @@ A toy bank service wrapped with BASE: demonstrates that the public API
 generalizes beyond the NFS and OODB examples, and keeps the tutorial honest.
 """
 
+import random
+
 import pytest
 
 from repro.base.abstraction import AbstractSpec
+from repro.base.conformance import check, draw_script
 from repro.base.library import BASEService
 from repro.base.wrapper import ConformanceWrapper
 from repro.bft.cluster import Cluster
@@ -86,6 +89,11 @@ class BankWrapper(ConformanceWrapper):
         for index, blob in objects.items():
             balance = XdrDecoder(blob).unpack_i64()
             self.ledger.force_balance(index, balance)
+
+
+def test_the_wrapper_conforms():
+    ledger = lambda disk: BankWrapper(Ledger(disk=disk), BankSpec())  # make(disk) -> wrapper
+    assert check([ledger, ledger], draw_script(BANK_OPS, random.Random(7), 16, 40)) is None
 
 
 # --- Step 3: deploy ----------------------------------------------------------------------

@@ -1,153 +1,55 @@
-"""Property-based conformance: for *any* operation sequence, wrappers over
-all four vendors produce byte-identical replies and abstract states.
+"""Property-based conformance (``repro.base.conformance``): for *any* script
+of declared NFS calls, invalid ones included, wrappers over the vendors agree
+after every call, install through the inverse and survive a rebuild.  The
+paper's determinism requirement, tested adversarially from a hypothesis ``Random``."""
 
-This is the paper's determinism requirement tested adversarially: hypothesis
-generates random scripts of file-system operations (including invalid ones —
-error paths must also agree) and we run the same script with the same agreed
-timestamps through four wrappers, one per vendor.
-"""
+from hypothesis import HealthCheck, given, note, settings, strategies as st
 
-from typing import List
-
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-from repro.nfs.conversion import abstraction_function
+from repro.base.conformance import check, draw_script
 from repro.nfs.fileserver import BtrFS, Ext2FS, FFS, LogFS, MemFS
-from repro.nfs.protocol import (
-    CreateCall,
-    GetattrCall,
-    LookupCall,
-    MkdirCall,
-    NfsReply,
-    ReadCall,
-    ReaddirCall,
-    RemoveCall,
-    RenameCall,
-    RmdirCall,
-    Sattr,
-    SetattrCall,
-    SymlinkCall,
-    WriteCall,
-)
-from repro.nfs.spec import NFSAbstractSpec, ROOT_OID, make_oid
+from repro.nfs.protocol import _CALL_REGISTRY
+from repro.nfs.spec import NFSAbstractSpec
 from repro.nfs.wrapper import NFSConformanceWrapper
 
 VENDORS = [MemFS, Ext2FS, FFS, LogFS, BtrFS]
 N_OBJECTS = 16
-
-# Small universes make collisions (and thus interesting error paths) likely.
-names = st.sampled_from(["a", "b", "c", "dir1", "f.txt"])
-oids = st.builds(
-    make_oid, st.integers(0, N_OBJECTS - 1), st.integers(0, 3)
-) | st.just(ROOT_OID)
-payloads = st.binary(max_size=64)
-offsets = st.integers(0, 128)
+SLOW_OK = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-def _sattrs() -> st.SearchStrategy[Sattr]:
-    return st.builds(
-        Sattr,
-        mode=st.none() | st.integers(0, 0o777),
-        size=st.none() | st.integers(0, 64),
-        mtime=st.none() | st.integers(0, 2**31),
+def vendor(impl, seed, clock=9.0, clock_skew=0.0):
+    return lambda disk: NFSConformanceWrapper(
+        impl(disk=disk, seed=seed, clock=lambda: clock, clock_skew=clock_skew),
+        NFSAbstractSpec(N_OBJECTS),
+        disk=disk,
     )
 
 
-calls = st.one_of(
-    st.builds(MkdirCall, dir_fh=oids, name=names, sattr=_sattrs()),
-    st.builds(CreateCall, dir_fh=oids, name=names, sattr=_sattrs()),
-    st.builds(WriteCall, fh=oids, offset=offsets, data=payloads),
-    st.builds(SetattrCall, fh=oids, sattr=_sattrs()),
-    st.builds(LookupCall, dir_fh=oids, name=names),
-    st.builds(GetattrCall, fh=oids),
-    st.builds(ReadCall, fh=oids, offset=offsets, count=st.integers(0, 128)),
-    st.builds(ReaddirCall, fh=oids),
-    st.builds(RemoveCall, dir_fh=oids, name=names),
-    st.builds(RmdirCall, dir_fh=oids, name=names),
-    st.builds(
-        RenameCall, from_dir=oids, from_name=names, to_dir=oids, to_name=names
-    ),
-    st.builds(
-        SymlinkCall, dir_fh=oids, name=names, target=st.just("/t"), sattr=_sattrs()
-    ),
-)
+def conforms(factories, rng, length):
+    script = draw_script(_CALL_REGISTRY, rng, N_OBJECTS, length)
+    note(script)  # shown for a falsifying example
+    return check(factories, script)
 
 
-def fresh_wrappers() -> List[NFSConformanceWrapper]:
-    return [
-        NFSConformanceWrapper(
-            vendor(disk={}, seed=31 * i + 7, clock=lambda: 9.0, clock_skew=0.1 * i),
-            NFSAbstractSpec(N_OBJECTS),
-            disk={},
-        )
-        for i, vendor in enumerate(VENDORS)
-    ]
+@settings(max_examples=40, **SLOW_OK)
+@given(rng=st.randoms())
+def test_vendors_agree_on_any_script(rng):
+    factories = [vendor(impl, 31 * i + 7, clock_skew=0.1 * i) for i, impl in enumerate(VENDORS)]
+    assert conforms(factories, rng, 15) is None
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(script=st.lists(calls, min_size=1, max_size=15))
-def test_vendors_agree_on_any_script(script):
-    wrappers = fresh_wrappers()
-    for step, call in enumerate(script):
-        op = call.encode()
-        replies = {
-            wrapper.execute(op, "C0", 1_000_000 + step * 1000) for wrapper in wrappers
-        }
-        assert len(replies) == 1, (
-            f"replies diverged at step {step} ({type(call).__name__}): "
-            f"{[NfsReply.decode(r).status for r in replies]}"
-        )
-    for index in range(N_OBJECTS):
-        values = {abstraction_function(wrapper, index) for wrapper in wrappers}
-        assert len(values) == 1, f"abstract object {index} diverged"
+@settings(max_examples=25, **SLOW_OK)
+@given(rng=st.randoms())
+def test_transplant_after_any_script(rng):
+    """Before every op of any script, the abstract state extracted from one
+    vendor installs into a fresh wrapper over another, which then answers the
+    rest of the script exactly as the source does."""
+    assert conforms([vendor(MemFS, 5), vendor(LogFS, 99, clock=1.0)], rng, 12) is None
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(script=st.lists(calls, min_size=1, max_size=12))
-def test_transplant_after_any_script(script):
-    """After any script, the full abstract state extracted from one vendor
-    installs losslessly into a fresh wrapper over another vendor."""
-    from repro.nfs.conversion import inverse_abstraction_function
-
-    source = NFSConformanceWrapper(
-        MemFS(disk={}, seed=5, clock=lambda: 9.0), NFSAbstractSpec(N_OBJECTS), disk={}
-    )
-    for step, call in enumerate(script):
-        source.execute(call.encode(), "C0", 1_000_000 + step * 1000)
-    state = [abstraction_function(source, index) for index in range(N_OBJECTS)]
-
-    target = NFSConformanceWrapper(
-        LogFS(disk={}, seed=99, clock=lambda: 1.0), NFSAbstractSpec(N_OBJECTS), disk={}
-    )
-    spec = NFSAbstractSpec(N_OBJECTS)
-    delta = {
-        index: blob
-        for index, blob in enumerate(state)
-        if blob != spec.initial_object(index)
-    }
-    inverse_abstraction_function(target, delta)
-    assert [abstraction_function(target, index) for index in range(N_OBJECTS)] == state
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(script=st.lists(calls, min_size=1, max_size=12))
-def test_rep_reconstruction_after_any_script(script):
+@settings(max_examples=25, **SLOW_OK)
+@given(rng=st.randoms())
+def test_rep_reconstruction_after_any_script(rng):
     """Saving the rep, rebooting the implementation from disk, and
     reconstructing must preserve the abstract state exactly (section 3.4),
     even for LogFS whose handles all go stale."""
-    disk: dict = {}
-    impl = LogFS(disk=disk, seed=13, clock=lambda: 9.0)
-    wrapper = NFSConformanceWrapper(impl, NFSAbstractSpec(N_OBJECTS), disk=disk)
-    for step, call in enumerate(script):
-        wrapper.execute(call.encode(), "C0", 1_000_000 + step * 1000)
-    state = [abstraction_function(wrapper, index) for index in range(N_OBJECTS)]
-
-    wrapper.save_for_recovery()
-    reborn_impl = LogFS(disk=disk, seed=13, clock=lambda: 9.0)
-    reborn = NFSConformanceWrapper(reborn_impl, NFSAbstractSpec(N_OBJECTS), disk=disk)
-    assert [abstraction_function(reborn, index) for index in range(N_OBJECTS)] == state
+    assert conforms([vendor(LogFS, 13)], rng, 12) is None

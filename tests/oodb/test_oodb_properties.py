@@ -1,97 +1,44 @@
-"""Property-based OODB conformance: any script of database operations run
-through two wrappers over differently-seeded ThorDB instances produces
-identical replies and abstract states."""
+"""Property-based OODB conformance: any script of declared database ops run
+through wrappers over differently-seeded ThorDB instances agrees after every
+op, installs through the inverse and survives a rebuild
+(``repro.base.conformance``)."""
 
-from typing import List, Tuple
+from hypothesis import HealthCheck, given, note, settings, strategies as st
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
+from repro.base.conformance import check, draw_script
 from repro.oodb.db import ThorDB
-from repro.oodb.spec import (
-    OODBAbstractSpec,
-    ROOT_AOID,
-    encode_del,
-    encode_free,
-    encode_get,
-    encode_new,
-    encode_set,
-    make_aoid,
-)
+from repro.oodb.spec import OPS, OODBAbstractSpec
 from repro.oodb.wrapper import OODBConformanceWrapper
 
 N_OBJECTS = 12
-
-aoids = st.builds(make_aoid, st.integers(0, N_OBJECTS - 1), st.integers(0, 3)) | st.just(
-    ROOT_AOID
-)
-attr_names = st.sampled_from(["name", "next", "size", "blob"])
-classes = st.sampled_from(["Node", "Person", "Doc"])
-values = (
-    st.integers(-1000, 1000)
-    | st.text(max_size=8)
-    | st.binary(max_size=8)
-)
-
-ops = st.one_of(
-    st.builds(encode_new, classes),
-    st.builds(encode_free, aoids),
-    st.builds(encode_set, aoids, attr_names, values),
-    st.builds(encode_del, aoids, attr_names),
-    st.builds(encode_get, aoids),
-)
+SLOW_OK = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-def fresh_pair() -> Tuple[OODBConformanceWrapper, OODBConformanceWrapper]:
-    return tuple(
-        OODBConformanceWrapper(
-            ThorDB(disk={}, seed=1000 + i * 37), OODBAbstractSpec(N_OBJECTS), disk={}
-        )
-        for i in range(2)
+def thordb(seed):
+    return lambda disk: OODBConformanceWrapper(
+        ThorDB(disk=disk, seed=seed), OODBAbstractSpec(N_OBJECTS), disk=disk
     )
 
 
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(script=st.lists(ops, min_size=1, max_size=20))
-def test_oodb_wrappers_agree_on_any_script(script):
-    a, b = fresh_pair()
-    for step, op in enumerate(script):
-        ts = 1_000_000 + step * 1000
-        assert a.execute(op, "C0", ts) == b.execute(op, "C0", ts), (
-            f"replies diverged at step {step}"
-        )
-    for index in range(N_OBJECTS):
-        assert a.get_obj(index) == b.get_obj(index), f"object {index} diverged"
+def conforms(seeds, rng, length):
+    script = draw_script(OPS, rng, N_OBJECTS, length)
+    note(script)  # shown for a falsifying example
+    return check([thordb(seed) for seed in seeds], script)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(script=st.lists(ops, min_size=1, max_size=15))
-def test_oodb_transplant_after_any_script(script):
-    source, target = fresh_pair()
-    for step, op in enumerate(script):
-        source.execute(op, "C0", 1_000_000 + step * 1000)
-    state = {index: source.get_obj(index) for index in range(N_OBJECTS)}
-    spec = OODBAbstractSpec(N_OBJECTS)
-    delta = {
-        index: blob
-        for index, blob in state.items()
-        if blob != spec.initial_object(index)
-    }
-    target.put_objs(delta)
-    assert {index: target.get_obj(index) for index in range(N_OBJECTS)} == state
+@settings(max_examples=50, **SLOW_OK)
+@given(rng=st.randoms())
+def test_oodb_wrappers_agree_on_any_script(rng):
+    assert conforms([1000, 1037], rng, 20) is None
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(script=st.lists(ops, min_size=1, max_size=15))
-def test_oodb_reconstruction_after_any_script(script):
-    disk: dict = {}
-    impl = ThorDB(disk=disk, seed=55)
-    wrapper = OODBConformanceWrapper(impl, OODBAbstractSpec(N_OBJECTS), disk=disk)
-    for step, op in enumerate(script):
-        wrapper.execute(op, "C0", 1_000_000 + step * 1000)
-    state = {index: wrapper.get_obj(index) for index in range(N_OBJECTS)}
-    wrapper.save_for_recovery()
-    reborn = OODBConformanceWrapper(
-        ThorDB(disk=disk, seed=55), OODBAbstractSpec(N_OBJECTS), disk=disk
-    )
-    assert {index: reborn.get_obj(index) for index in range(N_OBJECTS)} == state
+@settings(max_examples=30, **SLOW_OK)
+@given(rng=st.randoms())
+def test_oodb_transplant_after_any_script(rng):
+    assert conforms([1000, 1037], rng, 15) is None
+
+
+@settings(max_examples=30, **SLOW_OK)
+@given(rng=st.randoms())
+def test_oodb_reconstruction_after_any_script(rng):
+    assert conforms([55], rng, 15) is None

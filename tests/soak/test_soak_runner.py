@@ -175,3 +175,9 @@ def test_logged_soak_cli_run_replays_exactly_and_a_mismatch_fails(tmp_path, caps
 def test_soak_cli_rejects_bad_usage(capsys):
     assert soak_main(["--hours", "0"]) == 2
     capsys.readouterr()
+    # Each of these used to run: no window judged ("SLO held"), a floor no
+    # window can meet, or the rotation silently off.
+    for flags in (["--window", "0"], ["--window", "-60"], ["--max-outage", "-1"],
+                  ["--availability-floor", "1.5"], ["--recovery-period", "-5"]):
+        assert soak_main(["--hours", "0.1"] + flags) == 2, flags
+        assert capsys.readouterr().err.startswith("soak: ")

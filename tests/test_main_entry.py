@@ -187,6 +187,14 @@ def _artifact(*steps, topology=""):
             "overload episodes at t=0.1 and t=1.6 overlap",
             id="overlapping-overloads",
         ),
+        pytest.param(
+            # Used to replay "SLO held": a zero-width window judges nothing.
+            {"format": "soak", "version": 1, "plan": {"seed": 1, "requests": 0, "steps": []},
+             "slo": {"window": 0, "availability_floor": 0.99, "max_outage_span": 90,
+                     "assumption_margin": 30}, "report": {}},
+            "SLO needs window > 0",
+            id="soak-zero-window",
+        ),
     ],
 )
 def test_replay_malformed_artifact_exits_2(
@@ -252,6 +260,11 @@ def test_explore_usage_error_exits_2(capsys):
     assert main(["explore", "--fast-path"]) == 2  # now --variant fast-path
     assert main(["explore", "--shards", "0"]) == 2
     assert "shards must be >= 1" in capsys.readouterr().err
+    # Each used to run: fault-free plans, or an interval the suite clamped to
+    # 1 while the artifact recorded the value as given.
+    for flags in (["--max-steps", "-1"], ["--check-interval", "0"], ["--check-interval", "-3"]):
+        assert main(["explore"] + flags) == 2, flags
+        assert "--max-steps >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
