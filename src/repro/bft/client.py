@@ -101,7 +101,7 @@ class Client(Node):
         """Blocking invoke: drives the simulator until the result is known."""
         box: list = []
         self.invoke_async(op, box.append, read_only=read_only)
-        ok = self.sim.run_until_condition(lambda: bool(box), timeout=timeout)
+        ok = self.sim.run_until_condition(box.__len__, timeout=timeout)
         if not ok:
             raise InvocationTimeout(
                 f"request {self._reqid} from {self.node_id} got no quorum "

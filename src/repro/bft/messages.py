@@ -21,7 +21,7 @@ attached after the signable prefix is taken and are never part of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, methodcaller
 from typing import Dict, List, NamedTuple, Optional, Tuple, Type
 
@@ -106,9 +106,40 @@ def decode_message(data: bytes) -> "Message":
     return dec.unpack_last(cls)
 
 
+_FROM_FACTORY = object()  #: the default of a field with a ``default_factory``
+
+
+def message(cls: type) -> type:
+    """``dataclass(cls)`` with an ``__init__`` that writes the fields into the
+    instance ``__dict__`` directly.  A message under construction cannot be
+    frozen yet, so the guard in :meth:`Message.__setattr__` has nothing to
+    check there; it still runs for every assignment after construction."""
+    cls = dataclass(cls, init=False)
+    params, body = [], ["    state = self.__dict__"]
+    names: Dict[str, object] = {"_FROM_FACTORY": _FROM_FACTORY}
+    for f in fields(cls):
+        param = value = f.name
+        if f.default is not MISSING:
+            names[f"_default_{f.name}"] = f.default
+            param = f"{f.name}=_default_{f.name}"
+        elif f.default_factory is not MISSING:
+            names[f"_factory_{f.name}"] = f.default_factory
+            param = f"{f.name}=_FROM_FACTORY"
+            value = f"_factory_{f.name}() if {f.name} is _FROM_FACTORY else {f.name}"
+        params.append(param)
+        body.append(f"    state[{f.name!r}] = {value}")
+    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
+    exec(source, names)  # input: the repo's own message declarations only
+    init = names["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
 @dataclass
 class Message:
-    """Base class; a subclass declares ``WIRE`` and the rest is derived."""
+    """Base class; a subclass is a :func:`message` that declares ``WIRE``, and
+    the rest is derived."""
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         """Register the tag and derive, from ``WIRE``: ``pack(self, enc)``, the
@@ -179,7 +210,7 @@ class Message:
         return size
 
 
-@dataclass
+@message
 class Request(Message):
     """Client operation submitted for ordered (or read-only) execution."""
 
@@ -199,7 +230,7 @@ class Request(Message):
         return cached
 
 
-@dataclass
+@message
 class Reply(Message):
     """Replica's answer to one request."""
 
@@ -215,7 +246,7 @@ class Reply(Message):
                           "result": OPAQUE, "read_only": BOOL})
 
 
-@dataclass
+@message
 class SpecReply(Message):
     """Tentative (speculative) answer to one request, sent when the batch
     reached its prepare quorum but has not committed yet.  A client accepts a
@@ -235,7 +266,7 @@ class SpecReply(Message):
                                "replica_id": STRING, "result": OPAQUE})
 
 
-@dataclass
+@message
 class Lease(Message):
     """Primary-granted read lease: while it is the newest grant and no
     revocation for it has arrived, a replica in the same view whose
@@ -252,7 +283,7 @@ class Lease(Message):
     WIRE = Wire("LEASE", {"view": U64, "epoch": U64, "seqno": U64, "primary_id": STRING})
 
 
-@dataclass
+@message
 class LeaseRevoke(Message):
     """Revocation of every lease with epoch <= ``epoch``: multicast by the
     primary before it proposes a conflicting write, so no replica serves a
@@ -266,7 +297,7 @@ class LeaseRevoke(Message):
     WIRE = Wire("LEASE-REVOKE", {"view": U64, "epoch": U64, "primary_id": STRING})
 
 
-@dataclass
+@message
 class Busy(Message):
     """Authenticated load-shed notice: the primary accepted nothing for this
     request and suggests a retry delay (micros, so the encoding stays
@@ -290,7 +321,7 @@ def batch_digest(requests: List[Request], nondet: bytes) -> bytes:
     return combine_digests([r.digest() for r in requests] + [digest(nondet)])
 
 
-@dataclass
+@message
 class PrePrepare(Message):
     """Primary's ordering proposal for one batch at (view, seqno)."""
 
@@ -316,7 +347,7 @@ class PrePrepare(Message):
         return cached
 
 
-@dataclass
+@message
 class Prepare(Message):
     """Backup's agreement to the primary's (view, seqno, digest) binding."""
 
@@ -330,7 +361,7 @@ class Prepare(Message):
     WIRE = Wire("PREPARE", {"view": U64, "seqno": U64, "digest": DIGEST, "replica_id": STRING})
 
 
-@dataclass
+@message
 class Commit(Message):
     """Second-phase vote: sender has a prepared certificate.
 
@@ -348,7 +379,7 @@ class Commit(Message):
     WIRE = Wire("COMMIT", {"view": U64, "seqno": U64, "digest": DIGEST, "replica_id": STRING})
 
 
-@dataclass
+@message
 class Checkpoint(Message):
     """Proof share that the sender's state at ``seqno`` has ``state_digest``."""
 
@@ -382,7 +413,7 @@ class PreparedProof:
         return self.pre_prepare.wire_size() + sum(p.wire_size() for p in self.prepares)
 
 
-@dataclass
+@message
 class ViewChange(Message):
     """Vote to move to ``new_view``; carries the sender's stable-checkpoint
     proof and every prepared certificate above it."""
@@ -403,7 +434,7 @@ class ViewChange(Message):
         return [proof.pre_prepare for proof in self.prepared]
 
 
-@dataclass
+@message
 class NewView(Message):
     """New primary's certificate for ``view``: 2f+1 view-changes plus the
     pre-prepares re-issued for in-flight sequence numbers."""
@@ -419,7 +450,7 @@ class NewView(Message):
                 carried=("view_changes", "pre_prepares"))
 
 
-@dataclass
+@message
 class Status(Message):
     """Periodic gossip: lets peers retransmit what the sender is missing."""
 
@@ -434,7 +465,7 @@ class Status(Message):
                            "last_executed": U64, "in_view_change": BOOL})
 
 
-@dataclass
+@message
 class CheckpointCert(Message):
     """2f+1 matching signed checkpoint messages: a transferable proof that
     the state at ``seqno`` has digest ``state_digest``."""
@@ -456,7 +487,7 @@ class CheckpointCert(Message):
         return [checkpoint.sig for checkpoint in self.proof]
 
 
-@dataclass
+@message
 class RetransmitCommitted(Message):
     """Catch-up help for a lagging replica: committed pre-prepares plus the
     prepare certificates (signed, so they survive key-epoch refreshes) and
@@ -476,7 +507,7 @@ class RetransmitCommitted(Message):
 # --- state transfer -----------------------------------------------------------
 
 
-@dataclass
+@message
 class FetchRoot(Message):
     """Ask a donor for its stable checkpoint certificate (transfer session
     setup)."""
@@ -487,7 +518,7 @@ class FetchRoot(Message):
     WIRE = Wire("FETCH-ROOT", {"requester": STRING, "min_seqno": U64})
 
 
-@dataclass
+@message
 class TransferRoot(Message):
     """Donor's stable checkpoint certificate, anchoring a transfer session."""
 
@@ -497,7 +528,7 @@ class TransferRoot(Message):
     WIRE = Wire("TRANSFER-ROOT", {"replica_id": STRING, "cert": EMBEDDED}, carried=("cert",))
 
 
-@dataclass
+@message
 class FetchMeta(Message):
     """Ask for partition-tree metadata (children of one interior node) at the
     newest checkpoint >= ``min_seqno``."""
@@ -510,7 +541,7 @@ class FetchMeta(Message):
     WIRE = Wire("FETCH-META", {"requester": STRING, "level": U32, "index": U64, "min_seqno": U64})
 
 
-@dataclass
+@message
 class MetaReply(Message):
     """Children ⟨lm, digest⟩ pairs for one partition at checkpoint ``seqno``."""
 
@@ -524,7 +555,7 @@ class MetaReply(Message):
                                "children": array(tuple_of(U64, DIGEST))})
 
 
-@dataclass
+@message
 class FetchObject(Message):
     """Ask for the value of abstract object ``index`` at checkpoint >= min_seqno."""
 
@@ -535,7 +566,7 @@ class FetchObject(Message):
     WIRE = Wire("FETCH-OBJECT", {"requester": STRING, "index": U64, "min_seqno": U64})
 
 
-@dataclass
+@message
 class ObjectReply(Message):
     """Value of abstract object ``index`` at checkpoint ``seqno``."""
 
@@ -550,7 +581,7 @@ class ObjectReply(Message):
 # --- proactive recovery --------------------------------------------------------
 
 
-@dataclass
+@message
 class Recovering(Message):
     """Announcement that a replica has begun a proactive recovery."""
 
@@ -560,7 +591,7 @@ class Recovering(Message):
     WIRE = Wire("RECOVERING", {"replica_id": STRING, "epoch": U64})
 
 
-@dataclass
+@message
 class Recovered(Message):
     """Announcement that a replica finished proactive recovery."""
 
@@ -573,7 +604,7 @@ class Recovered(Message):
 # --- cross-shard transactions (client-coordinated 2PC) -------------------------
 
 
-@dataclass
+@message
 class TxnPrepare(Message):
     """Phase-1 PREPARE for cross-shard transaction ``txid``.
 
@@ -591,7 +622,7 @@ class TxnPrepare(Message):
     WIRE = Wire("TXN-PREPARE", {"txid": STRING, "writes": array(tuple_of(U32, OPAQUE))})
 
 
-@dataclass
+@message
 class TxnDecide(Message):
     """Phase-2 decision for cross-shard transaction ``txid``.
 
@@ -618,7 +649,7 @@ class TxnDecide(Message):
 # --- fused-backup tier (erasure-coded parity over abstract state) ---------------
 
 
-@dataclass
+@message
 class ParityUpdate(Message):
     """Incremental parity feed from one shard replica to a fused node.
 
@@ -647,7 +678,7 @@ class ParityUpdate(Message):
                 carried=("cert",))
 
 
-@dataclass
+@message
 class ParityAck(Message):
     """Fused node's acknowledgement that shard ``shard`` is covered through
     checkpoint ``seqno`` — the feeding replica may release its GC pin on the
@@ -661,7 +692,7 @@ class ParityAck(Message):
     WIRE = Wire("PARITY-ACK", {"parity_id": STRING, "shard": U32, "seqno": U64})
 
 
-@dataclass
+@message
 class FusionFetch(Message):
     """Ask a shard replica for its full abstract state as one fusion data
     block.  ``seqno == 0`` means "your latest stable checkpoint" (bootstrap
@@ -679,7 +710,7 @@ class FusionFetch(Message):
                                  "slot_width": U32})
 
 
-@dataclass
+@message
 class FusionBlock(Message):
     """One shard replica's full abstract state at checkpoint ``seqno``,
     packed into fixed-width fusion cells, plus the matching checkpoint

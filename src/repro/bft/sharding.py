@@ -186,7 +186,7 @@ class ShardedClient:
     def invoke(self, op: bytes, read_only: bool = False, timeout: float = 60.0) -> bytes:
         box: list = []
         self.invoke_async(op, box.append, read_only=read_only)
-        ok = self.sim.run_until_condition(lambda: bool(box), timeout=timeout)
+        ok = self.sim.run_until_condition(box.__len__, timeout=timeout)
         if not ok:
             from repro.bft.client import InvocationTimeout
 
@@ -261,7 +261,7 @@ class ShardedClient:
         (outcome delegated to retransmission after a timeout)."""
         box: list = []
         self.invoke_txn_async(writes, box.append)
-        ok = self.sim.run_until_condition(lambda: bool(box), timeout=timeout)
+        ok = self.sim.run_until_condition(box.__len__, timeout=timeout)
         if not ok:
             self.abandon_txn()
             return None

@@ -211,11 +211,13 @@ class Simulator:
 
     def run_until_condition(
         self,
-        predicate: Callable[[], bool],
+        predicate: Callable[[], object],
         timeout: float = 3600.0,
         max_events: int = 10_000_000,
     ) -> bool:
-        """Step until ``predicate()`` is true; returns whether it became true."""
+        """Step until ``predicate()`` is true; returns whether it became true
+        within ``timeout`` of virtual time (``max_events`` spent first raises,
+        as in :meth:`run_until`)."""
         deadline = self.now() + timeout
         count = 0
         if predicate():
@@ -228,7 +230,9 @@ class Simulator:
             count += 1
             if predicate():
                 return True
-        return predicate()
+        if count >= max_events:
+            raise RuntimeError(f"simulator did not quiesce within {max_events} events")
+        return bool(predicate())
 
     def _peek_time(self) -> Optional[float]:
         while self._queue:

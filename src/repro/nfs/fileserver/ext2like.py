@@ -2,7 +2,8 @@
 
 Concrete representation: a fixed inode table with first-free allocation and
 **inode reuse** (generation numbers bump on reuse, as in real ext2), file
-data in 512-byte blocks allocated first-fit from a bitmap, directories as
+data in 512-byte blocks allocated first-fit (a high-water mark plus a
+min-heap of freed blocks below it), directories as
 insertion-ordered entry lists.  readdir returns **insertion order**;
 timestamps have **one-second granularity**; handles embed
 ⟨fsid, inode, generation⟩.
@@ -14,6 +15,7 @@ differences the conformance wrapper has to hide.
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Dict, Optional, Tuple
 
@@ -82,7 +84,10 @@ class Ext2FS(NFSServer):
                 "fsid": self._rng.randrange(1, 2**31),
                 "num_inodes": num_inodes,
                 "num_blocks": num_blocks,
-                "free_blocks": list(range(num_blocks)),
+                # Free blocks are [high_water, num_blocks) plus the freed ones
+                # below it, so the lowest free block is one heap read.
+                "high_water": 0,
+                "freed_blocks": [],
             }
             self.disk[_INODES] = {}
             self.disk[_BLOCKS] = {}
@@ -140,19 +145,25 @@ class Ext2FS(NFSServer):
 
     def _free_inode(self, ino: int) -> None:
         inode = self._inodes()[ino]
-        for block in inode["blocks"]:
-            self._blocks().pop(block, None)
-            self.disk[_SB]["free_blocks"].append(block)
-        inode["blocks"] = []
+        self._release_blocks(inode)
         inode["entries"] = []
         inode["free"] = True
 
+    def _release_blocks(self, inode: dict) -> None:
+        for block in inode["blocks"]:
+            self._blocks().pop(block, None)
+            heapq.heappush(self.disk[_SB]["freed_blocks"], block)
+        inode["blocks"] = []
+
     def _alloc_block(self) -> Optional[int]:
-        free = self.disk[_SB]["free_blocks"]
-        if not free:
+        """First-fit: the lowest freed block, else the high-water mark."""
+        sb = self.disk[_SB]
+        if sb["freed_blocks"]:
+            return heapq.heappop(sb["freed_blocks"])
+        if sb["high_water"] == sb["num_blocks"]:
             return None
-        free.sort()  # first-fit
-        return free.pop(0)
+        sb["high_water"] += 1
+        return sb["high_water"] - 1
 
     # -- file data as blocks ----------------------------------------------------------
 
@@ -162,11 +173,8 @@ class Ext2FS(NFSServer):
         return raw[: inode["size"]]
 
     def _write_data(self, inode: dict, data: bytes) -> bool:
+        self._release_blocks(inode)
         blocks = self._blocks()
-        for block in inode["blocks"]:
-            blocks.pop(block, None)
-            self.disk[_SB]["free_blocks"].append(block)
-        inode["blocks"] = []
         for start in range(0, len(data), BLOCK_SIZE):
             block = self._alloc_block()
             if block is None:
@@ -468,7 +476,7 @@ class Ext2FS(NFSServer):
             .pack_u32(8192)
             .pack_u32(BLOCK_SIZE)
             .pack_u64(sb["num_blocks"])
-            .pack_u64(len(sb["free_blocks"]))
+            .pack_u64(sb["num_blocks"] - sb["high_water"] + len(sb["freed_blocks"]))
             .getvalue()
         )
         return NfsReply(status=NFS_OK, data=payload)

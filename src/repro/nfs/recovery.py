@@ -49,6 +49,7 @@ def reconstruct_rep(wrapper: NFSConformanceWrapper) -> None:
         entry.mtime = snapshot["mtime"]
         entry.ctime = snapshot["ctime"]
         entry.fh = None  # rebound during the walk if the object still exists
+    wrapper._free_floor = 0
 
     impl = wrapper.impl
     root_fh = impl.root_handle()

@@ -103,6 +103,8 @@ class NFSConformanceWrapper(ConformanceWrapper):
         self.fh_to_index: Dict[bytes, int] = {}
         self.id_to_index: Dict[Tuple[int, int], int] = {}  # (fsid, fileid) -> index
         self._limbo_fh: Optional[bytes] = None
+        #: Every entry below this index is allocated; the free-index scan starts here.
+        self._free_floor = 0
         if _REP_KEY in self.disk:
             self._reconstruct_after_reboot()
         else:
@@ -131,11 +133,13 @@ class NFSConformanceWrapper(ConformanceWrapper):
         entry.fh = None
         entry.name = ""
         entry.parent = 0
+        self._free_floor = min(self._free_floor, index)
 
     def _lowest_free_index(self) -> Optional[int]:
         """Deterministic oid assignment (paper 3.1)."""
-        for index, entry in enumerate(self.entries):
-            if not entry.allocated:
+        for index in range(self._free_floor, len(self.entries)):
+            if not self.entries[index].allocated:
+                self._free_floor = index
                 return index
         return None
 

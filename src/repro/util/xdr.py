@@ -254,7 +254,23 @@ def _scalar(method: str, size: str = "") -> Kind:
     return Kind(lambda value: f"enc.pack_{method}({value}{sized})", f"dec.unpack_{method}({size})")
 
 
-U32, U64, I64, BOOL = _scalar("u32"), _scalar("u64"), _scalar("i64"), _scalar("bool")
+def _integer(method: str, packer: struct.Struct, low: int, high: int) -> Kind:
+    """An integer kind packed inline: one ``Struct.pack`` appended when the
+    value is in range, else ``pack_<method>``, which raises its ``XdrError``."""
+    name = f"_pack_{method}"
+    return Kind(
+        lambda value: f"(enc._chunks.append({name}(_v)) if {low} <= (_v := {value}) <= {high}"
+        f" else enc.pack_{method}(_v))",
+        f"dec.unpack_{method}()",
+        ((name, packer.pack),),
+    )
+
+
+U32 = _integer("u32", _U32, 0, U32_MAX)
+U64 = _integer("u64", _U64, 0, U64_MAX)
+I64 = _integer("i64", _I64, -(2**63), 2**63 - 1)
+BOOL = Kind(lambda value: f"enc._chunks.append(_TRUE if {value} else _FALSE)", "dec.unpack_bool()",
+            (("_TRUE", _TRUE), ("_FALSE", _FALSE)))
 STRING, OPAQUE = _scalar("string"), _scalar("opaque")
 
 
@@ -303,7 +319,8 @@ def reserved(item: Kind, none: int) -> Kind:
     return Kind(
         lambda value: item.pack(f"({none} if {value} is None else {value})"),
         f"(None if (value := {item.unpack}) == {none} else value)",
-        draw=lambda source: None if source.unpack_bool() else item.drawn(source),
+        item.names,
+        lambda source: None if source.unpack_bool() else item.drawn(source),
     )
 
 
@@ -343,6 +360,7 @@ def codec(
         source = ["def pack(self, enc):"]
         if tag is not None:
             source.append(f"    {tag[0].pack(repr(tag[1]))}")
+            names.update(tag[0].names)
         for attr, kind in fields.items():
             source.append(f"    {kind.pack('self.' + attr)}")
             names.update(kind.names)

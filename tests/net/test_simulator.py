@@ -89,6 +89,19 @@ def test_run_until_condition_timeout():
     assert not sim.run_until_condition(lambda: False, timeout=1.0)
 
 
+def test_run_until_condition_out_of_events_raises():
+    """Spending ``max_events`` is not a timeout: no virtual time passed here."""
+    sim = Simulator()
+
+    def spin():
+        sim.schedule(0.0, spin)
+
+    sim.schedule(0.0, spin)
+    with pytest.raises(RuntimeError, match="did not quiesce within 100 events"):
+        sim.run_until_condition(lambda: False, timeout=60.0, max_events=100)
+    assert sim.now() == 0.0
+
+
 def test_determinism_same_seed():
     def run(seed):
         sim = Simulator(seed=seed)

@@ -1,9 +1,27 @@
 """XDR codec: round-trips, alignment, and malformed-input rejection."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.xdr import U32_MAX, U64_MAX, XdrDecoder, XdrEncoder, XdrError
+from repro.util.xdr import (
+    BOOL,
+    I64,
+    U32,
+    U32_MAX,
+    U64,
+    U64_MAX,
+    XdrDecoder,
+    XdrEncoder,
+    XdrError,
+    array,
+    codec,
+    optional,
+    record,
+    reserved,
+)
 
 
 class TestScalars:
@@ -118,3 +136,76 @@ def test_opaque_array_roundtrip_property(blobs):
     enc = XdrEncoder().pack_array(blobs, lambda e, b: e.pack_opaque(b))
     out = XdrDecoder(enc.getvalue()).unpack_array(lambda d: d.unpack_opaque())
     assert out == blobs
+
+
+@codec({"u32": U32, "u64": U64, "i64": I64, "flag": BOOL, "more": array(U32), "maybe": optional(I64)})
+@dataclass
+class Scalars:
+    u32: int
+    u64: int
+    i64: int
+    flag: bool
+    more: list
+    maybe: Optional[int]
+
+
+def _by_method(value: Scalars) -> bytes:
+    enc = XdrEncoder().pack_u32(value.u32).pack_u64(value.u64).pack_i64(value.i64)
+    enc.pack_bool(value.flag).pack_array(value.more, XdrEncoder.pack_u32)
+    enc.pack_bool(value.maybe is not None)
+    if value.maybe is not None:
+        enc.pack_i64(value.maybe)
+    return enc.getvalue()
+
+
+@given(
+    st.builds(
+        Scalars,
+        st.integers(0, U32_MAX),
+        st.integers(0, U64_MAX),
+        st.integers(-(2**63), 2**63 - 1),
+        st.booleans(),
+        st.lists(st.integers(0, U32_MAX), max_size=4),
+        st.none() | st.integers(-(2**63), 2**63 - 1),
+    )
+)
+def test_declared_scalars_pack_as_the_encoder_methods_do(value):
+    encoded = XdrEncoder.encode(value)
+    assert encoded == _by_method(value)
+    assert XdrDecoder(encoded).unpack_last(Scalars) == value
+
+
+@pytest.mark.parametrize(
+    "field, bad, method",
+    [("u32", -1, "pack_u32"), ("u32", U32_MAX + 1, "pack_u32"), ("u64", U64_MAX + 1, "pack_u64"),
+     ("i64", 2**63, "pack_i64"), ("i64", -(2**63) - 1, "pack_i64"), ("more", [U32_MAX + 1], "pack_u32")],
+)
+def test_declared_scalar_out_of_range_raises_the_method_error(field, bad, method):
+    value = Scalars(1, 2, -3, True, [4], None)
+    setattr(value, field, bad)
+    with pytest.raises(XdrError) as declared:
+        XdrEncoder.encode(value)
+    with pytest.raises(XdrError) as direct:
+        getattr(XdrEncoder(), method)(bad[0] if isinstance(bad, list) else bad)
+    assert str(declared.value) == str(direct.value)
+
+
+@codec({"value": U32})
+@dataclass
+class Inner:
+    value: int
+
+
+@codec({"inner": reserved(record(Inner), 0), "count": reserved(U32, U32_MAX)})
+@dataclass
+class WithReserved:
+    inner: Inner
+    count: Optional[int]
+
+
+@pytest.mark.parametrize("count", [None, 0, 7])
+def test_reserved_round_trips_an_item_that_names_a_record(count):
+    value = WithReserved(Inner(5), count)
+    encoded = XdrEncoder.encode(value)
+    assert encoded[-4:] == (b"\xff" * 4 if count is None else count.to_bytes(4, "big"))
+    assert XdrDecoder(encoded).unpack_last(WithReserved) == value
