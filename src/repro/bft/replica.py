@@ -350,7 +350,12 @@ class Replica(Node):
     # -- primary: batching and pre-prepare ---------------------------------------------------
 
     def try_send_pre_prepare(self) -> None:
-        if not self.is_primary() or self.view_changes.in_view_change or self.recovering:
+        if (
+            self._stopped
+            or not self.is_primary()
+            or self.view_changes.in_view_change
+            or self.recovering
+        ):
             return
         self.fast_path.revoke_for_write()
         while self.pending:
@@ -573,12 +578,16 @@ class Replica(Node):
 
     def execute_ready(self) -> None:
         """Execute committed batches in sequence-number order, promoting
-        batches the fast path already ran tentatively."""
-        while (self.last_executed + 1) in self.committed:
+        batches the fast path already ran tentatively.  A service that dies
+        (``crash_self``) stops the loop where it died: the half-run batch does
+        not count executed, and nothing after it runs."""
+        while not self._stopped and (self.last_executed + 1) in self.committed:
             seqno = self.last_executed + 1
             pre_prepare = self.committed[seqno]
             if not self.fast_path.promote(seqno, pre_prepare):
                 self._execute_batch(seqno, pre_prepare)
+                if self._stopped:
+                    return
             self.last_executed = seqno
             if self.next_seqno < seqno:
                 # Replayed past our own last assignment (a primary rebooted
@@ -588,6 +597,8 @@ class Replica(Node):
             self.overload.progressed()
             if seqno % self.config.checkpoint_interval == 0:
                 self._take_checkpoint(seqno)
+        if self._stopped:
+            return
         self._rearm_request_timer()
         self.fast_path.speculate()
         if self.is_primary():
