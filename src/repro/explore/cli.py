@@ -13,16 +13,7 @@ from pathlib import Path
 from typing import List
 
 from repro.bft.config import VARIANTS
-from repro.explore.interpreter import (
-    DEPLOYMENTS,
-    DESTRUCTION,
-    IMPLEMENTATION,
-    OVERLOAD,
-    PlanError,
-    deployment_for,
-    kinds_of,
-    unsupported_kinds,
-)
+from repro.explore.interpreter import DEPLOYMENTS, OPT_IN_FAMILIES, PlanError
 from repro.explore.runner import explore, run_plan
 from repro.explore.shrink import load_artifact, write_artifact
 from repro.soak.runner import is_soak_artifact, load_soak_artifact, run_soak
@@ -73,16 +64,11 @@ def _explore_parser() -> argparse.ArgumentParser:
         help=f"repro artifact path on violation (default {DEFAULT_ARTIFACT})",
     )
     parser.add_argument(
-        "--impl-faults",
-        action="store_true",
-        help="add implementation-fault steps (poison_request, corrupt_object) "
-        "to generated plans, exercising reactive repair and the scrubber",
-    )
-    parser.add_argument(
-        "--overload",
-        action="store_true",
-        help="generate pure-overload saturation plans (open-loop client swarm "
-        "at >= 4x sustainable load) judged by the goodput-under-overload oracle",
+        "--family",
+        choices=OPT_IN_FAMILIES,
+        default=None,
+        help="add one step family to every generated plan (docs/simulation.md "
+        "has the support matrix of deployments, variants and families)",
     )
     parser.add_argument(
         "--variant",
@@ -92,13 +78,6 @@ def _explore_parser() -> argparse.ArgumentParser:
         "each turns on one more of pipelined ordering, speculative execution "
         "and read leases, and the oracles must hold exactly as they do for "
         "the baseline protocol",
-    )
-    parser.add_argument(
-        "--destroy-group",
-        action="store_true",
-        help="end every generated plan with a destroy_group catastrophe "
-        "(all replicas and disks of one shard group wiped at once) that the "
-        "fused-backup tier must survive; requires --shards 2 (or more)",
     )
     parser.add_argument(
         "--no-shrink", action="store_true", help="skip shrinking the violating plan"
@@ -117,54 +96,24 @@ def explore_main(argv: List[str]) -> int:
               "--max-steps >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
-        deployment = deployment_for(args.shards)
+        result = explore(
+            budget=args.budget,
+            seed=args.seed,
+            requests=args.requests,
+            max_steps=args.max_steps,
+            plant=args.plant,
+            check_interval=args.check_interval,
+            shrink=not args.no_shrink,
+            family=args.family,
+            log=None if args.quiet else print,
+            variant=args.variant,
+            shards=args.shards,
+        )
     except PlanError as exc:
+        # Refused before a cluster was built: a shard count below one, a
+        # refused cell of the support matrix, or a plant of another deployment.
         print(f"explore: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # What the flags ask for is checked against the interpreter's support
-    # matrix, the same one run_plan applies to every generated plan.
-    asked = {
-        "--impl-faults": kinds_of(IMPLEMENTATION) if args.impl_faults else (),
-        "--overload": kinds_of(OVERLOAD) if args.overload else (),
-        "--destroy-group": kinds_of(DESTRUCTION) if args.destroy_group else (),
-    }
-    rejected = [
-        flag for flag, kinds in asked.items() if unsupported_kinds(kinds, deployment)
-    ]
-    if deployment not in VARIANTS[args.variant].deployments:
-        rejected.append(f"--variant {args.variant}")
-    if rejected:
-        print(
-            f"explore: {'/'.join(rejected)} not supported on a {deployment} "
-            f"deployment (--shards {args.shards}); see the support matrix in "
-            f"docs/simulation.md",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    plants = sorted(DEPLOYMENTS[deployment].plants)
-    if args.plant is not None and args.plant not in plants:
-        print(
-            f"explore: plant {args.plant!r} does not apply to a {deployment} "
-            f"deployment; its plants: {plants}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    overrides = VARIANTS[args.variant].overrides
-    result = explore(
-        budget=args.budget,
-        seed=args.seed,
-        requests=args.requests,
-        max_steps=args.max_steps,
-        plant=args.plant,
-        check_interval=args.check_interval,
-        shrink=not args.no_shrink,
-        implementation_faults=args.impl_faults,
-        overload=args.overload,
-        log=None if args.quiet else print,
-        config_overrides=overrides,
-        shards=args.shards,
-        destruction=args.destroy_group,
-    )
     if not result.found:
         print(
             f"explore: {result.plans_run} plans (seed {result.seed}) "
@@ -182,7 +131,7 @@ def explore_main(argv: List[str]) -> int:
         original_plan=result.plan if result.shrunk_plan else None,
         shards=args.shards,
         check_interval=args.check_interval,
-        config_overrides=overrides,
+        config_overrides=VARIANTS[args.variant].overrides,
     )
     print(
         f"explore: VIOLATION [{final_violation.oracle}] after "

@@ -33,7 +33,19 @@ from repro.bft.sharding import sharded_recording_cluster
 from repro.bft.testing import canonical_committed_history, encode_set
 from repro.crypto.digest import digest
 from repro.explore.oracles import OracleSuite
-from repro.explore.plan import REPLICA_IDS, STEP_FIELDS, FaultPlan, FaultStep
+from repro.explore.plan import (
+    BENIGN,
+    BYZANTINE,
+    CAMPAIGN,
+    DESTRUCTION,
+    IMPLEMENTATION,
+    OPT_IN_FAMILIES,
+    OVERLOAD,
+    REPLICA_IDS,
+    STEP_FIELDS,
+    FaultPlan,
+    FaultStep,
+)
 from repro.faults import (
     POISON,
     drop_fraction_from,
@@ -461,9 +473,6 @@ class PlanError(ValueError):
     """A plan refused before any cluster was built; any other error is the run's."""
 
 
-BENIGN, BYZANTINE, IMPLEMENTATION = "benign", "byzantine", "implementation"
-OVERLOAD, CAMPAIGN, DESTRUCTION = "overload", "campaign", "destruction"
-
 _ANYWHERE = frozenset({SINGLE, SHARDED, SOAK})
 # Campaign steps speak in regions, swarms and aging of *one* group's network.
 _ONE_GROUP = frozenset({SINGLE, SOAK})
@@ -741,6 +750,13 @@ def beyond_assumption_windows(
     return merged
 
 
+def not_supported(deployment: str, unsupported: Iterable[str]) -> str:
+    return (
+        f"a {deployment} deployment does not support {list(unsupported)} "
+        f"(see the support matrix in docs/simulation.md)"
+    )
+
+
 def check_supported(
     plan: FaultPlan, deployment: str, overrides: Optional[Dict] = None
 ) -> None:
@@ -761,13 +777,9 @@ def check_supported(
     if plan.topology and unsupported_kinds(kinds_of(CAMPAIGN), deployment):
         # Presets are compiled by the campaign machinery: same support.
         unsupported.append(f"topology {plan.topology!r}")
-    if deployment not in VARIANTS[variant].deployments:
-        unsupported.append(f"variant {variant!r}")
+    unsupported += support_cell(deployment, variant, None).refused
     if unsupported:
-        raise PlanError(
-            f"a {deployment} deployment does not support {unsupported} "
-            f"(see the support matrix in docs/simulation.md)"
-        )
+        raise PlanError(not_supported(deployment, unsupported))
     problems = malformed(plan)
     if problems:
         raise PlanError(f"malformed plan: {problems}")
@@ -968,6 +980,53 @@ DEPLOYMENTS: Dict[str, Deployment] = {
         oracles=_GROUP_ORACLES,
     ),
 }
+
+
+# -- the support matrix: what explore can run, and what CI runs ------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A (deployment, variant, family) cell: what of it the deployment cannot
+    run (``refused``; empty when runnable), and the artifact of the open
+    violation that keeps a runnable cell out of CI (``kept_out``)."""
+
+    deployment: str
+    variant: str
+    family: Optional[str]
+    refused: Tuple[str, ...]
+    kept_out: str
+
+
+#: Runnable cells CI skips, each with its open violation's artifact (which
+#: tests/explore/test_open_violations.py replays as a strict xfail).
+KEPT_OUT = {
+    (SINGLE, "speculation", OVERLOAD): "tests/explore/artifacts/speculation-overload.json",
+    (SINGLE, "fast-path", OVERLOAD): "tests/explore/artifacts/fast-path-overload.json",
+}
+
+
+def support_cell(deployment: str, variant: str, family: Optional[str]) -> Cell:
+    """Whether ``run_plan`` on ``deployment`` under ``VARIANTS[variant]`` can
+    run the plans ``generate_plan(family=family)`` makes: the one decision
+    behind the matrix, ``explore`` and so ``repro explore``."""
+    refused = unsupported_kinds(kinds_of(family) if family else (), deployment)
+    if variant not in VARIANTS or deployment not in VARIANTS[variant].deployments:
+        refused.append(f"variant {variant!r}")
+    kept_out = KEPT_OUT.get((deployment, variant, family), "")
+    return Cell(deployment, variant, family, tuple(refused), kept_out)
+
+
+def support_matrix() -> List[Cell]:
+    """Every deployment ``run_plan`` drives x every variant x no family or one
+    of ``OPT_IN_FAMILIES`` (the table in docs/simulation.md)."""
+    return [
+        support_cell(deployment, variant, family)
+        for deployment, row in DEPLOYMENTS.items()
+        if row.workload is not None
+        for variant in VARIANTS
+        for family in (None,) + OPT_IN_FAMILIES
+    ]
 
 
 def deployment_for(shards: int) -> str:

@@ -23,6 +23,12 @@ PLAN_FORMAT_VERSION = 1
 
 REPLICA_IDS: Tuple[str, ...] = ("R0", "R1", "R2", "R3")
 
+#: The step families; the interpreter's ``STEP_TABLE`` puts every kind in one.
+BENIGN, BYZANTINE, IMPLEMENTATION = "benign", "byzantine", "implementation"
+OVERLOAD, CAMPAIGN, DESTRUCTION = "overload", "campaign", "destruction"
+#: The families :func:`generate_plan` can add to a plan, one at a time.
+OPT_IN_FAMILIES: Tuple[str, ...] = (IMPLEMENTATION, OVERLOAD, DESTRUCTION)
+
 
 @dataclass(frozen=True)
 class FaultStep:
@@ -165,12 +171,7 @@ def make_overload_step(at: float = 0.1, rate: float = OVERLOAD_RATES[0]) -> Faul
 
 
 def generate_plan(
-    seed: int,
-    requests: int = 24,
-    max_steps: int = 6,
-    implementation_faults: bool = False,
-    overload: bool = False,
-    destruction: bool = False,
+    seed: int, requests: int = 24, max_steps: int = 6, family: Optional[str] = None
 ) -> FaultPlan:
     """Deterministically generate one exploration plan from a seed.
 
@@ -181,28 +182,21 @@ def generate_plan(
     satisfy every safety oracle on *every* generated plan.  Violations on
     generated plans therefore always indicate implementation bugs.
 
-    ``implementation_faults`` (opt-in, so default plans stay byte-identical
-    across versions) mixes in ``poison_request`` / ``corrupt_object`` steps
-    targeting one replica, dropping any crash or Byzantine groups so the
-    combined fault count stays within ``f``.
-
-    ``overload`` (also opt-in) generates a *pure-overload* plan instead: one
-    fault-free open-loop saturation episode at a seeded rate >= 4x the
-    sustainable load, judged strictly by the goodput oracle (sheds happen,
-    commits continue, the view number stays put).
-
-    ``destruction`` (opt-in, sharded runs only) appends one ``destroy_group``
-    step after every other fault has resolved: the named shard group loses
-    all replicas *and* disks at once and must be rebuilt from the fused
-    backup tier.  Crash/restart, Byzantine, and implementation groups are
-    dropped from such plans — a destroyed group is replaced wholesale, which
-    would invalidate their paired bookkeeping — leaving drops, partitions,
-    and proactive recoveries to run alongside the catastrophe.  With the
-    flag off no extra randomness is drawn, so default plans stay
-    byte-identical across versions.
+    ``family`` adds one of ``OPT_IN_FAMILIES`` (None, the default, draws no
+    extra randomness, so default plans stay byte-identical across versions):
+    ``IMPLEMENTATION`` mixes in ``poison_request`` / ``corrupt_object`` steps
+    on one replica in place of any crash or Byzantine group (the f budget);
+    ``OVERLOAD`` makes a *pure-overload* plan instead, one fault-free
+    open-loop episode at a seeded rate >= 4x the sustainable load, judged
+    strictly by the goodput oracle; ``DESTRUCTION`` (sharded runs only) drops
+    the crash and Byzantine groups — a group replaced wholesale breaks their
+    pairing — and ends the plan, after every other fault has resolved, with
+    one ``destroy_group`` step that the fused backup tier must survive.
     """
+    if family is not None and family not in OPT_IN_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; the families: {list(OPT_IN_FAMILIES)}")
     rng = random.Random(seed)
-    if overload:
+    if family == OVERLOAD:
         step = make_overload_step(
             at=round(rng.uniform(0.05, 0.2), 4),
             rate=rng.choice(OVERLOAD_RATES),
@@ -278,7 +272,7 @@ def generate_plan(
         faulty.append(groups[-1])
 
     impl_group: List[FaultStep] = []
-    if implementation_faults:
+    if family == IMPLEMENTATION:
         impl_target = rng.choice(REPLICA_IDS)
         if rng.random() < 0.7:
             impl_group.append(
@@ -310,9 +304,9 @@ def generate_plan(
         if sum(map(len, kept)) + len(group) <= max_steps:
             kept.append(group)
 
-    if destruction:
+    if family == DESTRUCTION:
         # Wholesale-replacement of a group cannot honor crash/restart pairing
-        # or keep a Byzantine/poisoned replica faulty through the rebuild.
+        # or keep a Byzantine replica faulty through the rebuild.
         kept = [group for group in kept if group not in faulty]
         kept.append(
             [

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
+from repro.bft.config import VARIANTS
 from repro.bft.testing import recording_cluster
 from repro.explore.interpreter import (
     CAMPAIGN,
@@ -36,6 +37,8 @@ from repro.explore.interpreter import (
     deployment_for,
     families,
     kinds_of,
+    not_supported,
+    support_cell,
 )
 from repro.explore.oracles import OracleViolation, Violation
 from repro.explore.plan import FaultPlan, generate_plan
@@ -171,7 +174,7 @@ def run_plan(
     row = DEPLOYMENTS[deployment]
     check_supported(plan, deployment, config_overrides)
     if plant is not None and plant not in row.plants:
-        raise PlanError(f"unknown {deployment} planted bug {plant!r}")
+        raise PlanError(f"a {deployment} deployment has no planted bug {plant!r}")
     config, net_config = deployment_configs(
         plan, dict(row.fields, overload_damping=overload_damping), config_overrides
     )
@@ -247,32 +250,28 @@ def explore(
     check_interval: int = 10,
     shrink: bool = True,
     max_shrink_runs: int = 64,
-    implementation_faults: bool = False,
-    overload: bool = False,
+    family: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
-    config_overrides: Optional[Dict] = None,
+    variant: str = "baseline",
     shards: int = 1,
-    destruction: bool = False,
 ) -> ExploreResult:
     """Run up to ``budget`` seeded random plans; stop at the first violation.
 
     With a fixed ``seed`` the generated plans, their verdicts, and any shrunk
-    repro are identical across runs.  ``implementation_faults`` adds
-    poison_request / corrupt_object steps to the generated plans, exercising
-    the fault-containment supervisor under the oracles.  ``overload``
-    generates pure-overload saturation plans judged strictly by the
-    goodput-under-overload oracle.  ``config_overrides`` (a ``VARIANTS`` row)
-    apply to every plan run, including shrinking.  ``shards=N`` runs the same
-    plan stream against N groups with the cross-shard workload and oracles,
-    and there ``destruction=True`` makes every generated plan end in a
-    ``destroy_group`` catastrophe that the fused-backup tier must survive.
+    repro are identical across runs.  ``generate_plan`` adds ``family``'s
+    steps to every plan, the ``VARIANTS`` row ``variant`` applies to every
+    run (shrinking included), and ``shards=N`` runs the plans against N
+    groups.  A cell ``support_cell`` refuses raises :class:`PlanError` first.
     """
+    cell = support_cell(deployment_for(shards), variant, family)
+    if cell.refused:
+        raise PlanError(not_supported(cell.deployment, cell.refused))
     run = partial(
         run_plan,
         shards=shards,
         plant=plant,
         check_interval=check_interval,
-        config_overrides=config_overrides,
+        config_overrides=VARIANTS[variant].overrides,
     )
     master = random.Random(seed)
     result = ExploreResult(seed=seed, budget=budget, plans_run=0)
@@ -281,9 +280,7 @@ def explore(
             master.randrange(2**31),
             requests=requests,
             max_steps=max_steps,
-            implementation_faults=implementation_faults,
-            overload=overload,
-            destruction=destruction,
+            family=family,
         )
         outcome = run(plan)
         result.plans_run += 1

@@ -14,6 +14,8 @@ import repro.soak.runner as soak_runner
 from repro.bft.config import VARIANTS
 from repro.explore.interpreter import (
     DEPLOYMENTS,
+    DESTRUCTION,
+    IMPLEMENTATION,
     SHARDED,
     SINGLE,
     SOAK,
@@ -368,11 +370,11 @@ def test_sharded_runs_match_the_parent_commit(seed):
 
 @pytest.mark.parametrize("seed", sorted(DESTROY_PINS))
 def test_destruction_runs_match_the_parent_commit(seed):
-    plan = generate_plan(seed, requests=12, destruction=True)
+    plan = generate_plan(seed, requests=12, family=DESTRUCTION)
     assert pin(run_plan(plan, shards=2)) == DESTROY_PINS[seed]
 
 
-#: ``explore(budget=12, seed=5, requests=24, implementation_faults=True)``:
+#: ``explore(budget=12, seed=5, requests=24, family=IMPLEMENTATION)``:
 #: poison_request / corrupt_object plans, i.e. the supervisor's recoveries and
 #: the scrubber's partial transfers under the oracles.  Recorded before the
 #: scrub session became a client of the transfer session; that change must
@@ -407,7 +409,7 @@ IMPL_FAULT_PINS = [
 
 def test_implementation_fault_exploration_matches_the_parent_commit():
     result = explore(
-        budget=12, seed=5, requests=24, implementation_faults=True, shrink=False
+        budget=12, seed=5, requests=24, family=IMPLEMENTATION, shrink=False
     )
     assert not result.found
     verdicts = [

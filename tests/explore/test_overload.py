@@ -78,7 +78,7 @@ def test_overload_run_is_deterministic():
 
 def test_generated_overload_plans_are_pure_and_valid():
     for seed in range(8):
-        plan = generate_plan(seed, requests=8, overload=True)
+        plan = generate_plan(seed, requests=8, family=OVERLOAD)
         assert families(plan) == {OVERLOAD}  # pure overload
         assert validate_plan(plan) == []
         (step,) = plan.steps
@@ -90,7 +90,7 @@ def test_generated_overload_plans_are_pure_and_valid():
 
 
 def test_overload_plan_round_trips_through_json():
-    plan = generate_plan(3, requests=8, overload=True)
+    plan = generate_plan(3, requests=8, family=OVERLOAD)
     clone = FaultPlan.from_json(plan.to_json())
     assert clone == plan
     assert clone.to_json() == plan.to_json()
@@ -122,12 +122,12 @@ def test_overload_step_validation_catches_bad_parameters():
 
 
 def test_explore_overload_smoke():
-    """A small --overload exploration session: every plan holds, and the
+    """A small overload exploration session: every plan holds, and the
     session is deterministic."""
-    result = explore(budget=2, seed=0, requests=8, shrink=False, overload=True)
+    result = explore(budget=2, seed=0, requests=8, shrink=False, family=OVERLOAD)
     assert not result.found, result.violation
     assert result.plans_run == 2
-    again = explore(budget=2, seed=0, requests=8, shrink=False, overload=True)
+    again = explore(budget=2, seed=0, requests=8, shrink=False, family=OVERLOAD)
     assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
         again.to_dict(), sort_keys=True
     )

@@ -79,7 +79,7 @@ def test_forged_decide_is_rejected_not_split_brained():
 
 
 def test_destruction_plan_reconstructs_and_stays_safe():
-    plan = generate_plan(1, destruction=True)
+    plan = generate_plan(1, family=DESTRUCTION)
     assert DESTRUCTION in families(plan)
     outcome = run_plan(plan, shards=2)
     assert outcome.violation is None
@@ -90,7 +90,7 @@ def test_destruction_plan_reconstructs_and_stays_safe():
 
 
 def test_group_destroyed_while_the_rotation_has_a_replica_mid_reboot():
-    """The sixth plan of ``repro explore --shards 2 --destroy-group --seed 0``:
+    """The sixth plan of ``repro explore --shards 2 --family destruction``:
     the proactive rotation (period 2.88) took one replica of shard 1 down for
     its reboot just before the group is destroyed, so that host refuses the
     tier's ``recover_now`` until its own reboot ends.  The tier has to come
@@ -108,14 +108,14 @@ def test_group_destroyed_while_the_rotation_has_a_replica_mid_reboot():
 
 
 def test_destruction_runs_are_deterministic():
-    plan = generate_plan(2, destruction=True)
+    plan = generate_plan(2, family=DESTRUCTION)
     first = run_plan(plan, shards=2)
     second = run_plan(plan, shards=2)
     assert first.to_dict() == second.to_dict()
 
 
 def test_default_plans_never_destroy():
-    """``destruction`` is opt-in: the default plan stream must stay
+    """The destruction family is opt-in: the default plan stream must stay
     byte-identical across versions, destroy steps included."""
     for seed in range(30):
         assert DESTRUCTION not in families(generate_plan(seed))

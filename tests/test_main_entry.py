@@ -270,10 +270,10 @@ def test_explore_usage_error_exits_2(capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--shards", "2", "--impl-faults"],
-        ["--shards", "2", "--overload"],
+        ["--shards", "2", "--family", "implementation"],
+        ["--shards", "2", "--family", "overload"],
         ["--shards", "2", "--variant", "speculation"],
-        ["--destroy-group"],
+        ["--family", "destruction"],
         ["--plant", "split-brain-decide"],
         ["--shards", "2", "--plant", "weak-prepare-quorum"],
     ],
