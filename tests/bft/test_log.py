@@ -1,6 +1,7 @@
 """Message log certificates: prepared, committed-local, proofs, GC."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bft.config import BFTConfig
 from repro.bft.log import MessageLog
@@ -126,3 +127,89 @@ def test_max_seqno(log):
     log.slot(0, 3)
     log.slot(1, 7)
     assert log.max_seqno() == 7
+
+
+# -- the certificate rule, against its set-based definition ------------------------
+
+MATCH, OTHER = "match", "other"
+VOTE = st.sampled_from([None, MATCH, OTHER])  # no vote, matching digest, another one
+
+
+def reference_prepared(slot, f):
+    """The definition: 2f distinct backups whose prepare matches the
+    pre-prepare's batch digest; the primary's own prepare is not a vote."""
+    if slot.pre_prepare is None:
+        return False
+    d = slot.pre_prepare.batch_digest()
+    senders = {p.replica_id for p in slot.prepares.values()
+               if p.digest == d and p.replica_id != slot.pre_prepare.primary_id}
+    return len(senders) >= 2 * f
+
+
+def reference_committed_local(slot, f):
+    if not reference_prepared(slot, f):
+        return False
+    d = slot.pre_prepare.batch_digest()
+    return len({c.replica_id for c in slot.commits.values() if c.digest == d}) >= 2 * f + 1
+
+
+def fill_slot(f, primary, prepares, commits, with_pre_prepare=True):
+    """Slot (0, 1) of a 3f+1 log: ``primary``'s pre-prepare (or none), then
+    each replica's prepare and commit as ``VOTE`` values in replica order."""
+    config = config_for(f)
+    log = MessageLog(config)
+    slot = log.slot(0, 1)
+    pp = make_pre_prepare()
+    pp.primary_id = config.replica_ids[primary]
+    good = pp.batch_digest()
+    if with_pre_prepare:
+        slot.pre_prepare = pp
+    digests = {MATCH: good, OTHER: b"\xee" * 32}
+    for rid, vote in zip(config.replica_ids, prepares):
+        if vote is not None:
+            add_prepares(slot, digests[vote], [rid])
+    for rid, vote in zip(config.replica_ids, commits):
+        if vote is not None:
+            add_commits(slot, digests[vote], [rid])
+    return log, slot
+
+
+@st.composite
+def slots(draw):
+    f = draw(st.sampled_from([1, 2]))
+    n = 3 * f + 1
+    return (
+        f,
+        draw(st.integers(0, n - 1)),
+        draw(st.lists(VOTE, min_size=n, max_size=n)),
+        draw(st.lists(VOTE, min_size=n, max_size=n)),
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(slots())
+def test_certificates_agree_with_the_set_based_definition(case):
+    f, primary, prepares, commits, with_pre_prepare = case
+    log, slot = fill_slot(f, primary, prepares, commits, with_pre_prepare)
+    assert log.prepared(slot, "R1") == reference_prepared(slot, f)
+    assert log.committed_local(slot, "R1") == reference_committed_local(slot, f)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_certificates_at_exactly_2f_and_2f_plus_1_votes(f):
+    n = 3 * f + 1
+    backups = [None] + [MATCH] * (2 * f) + [None] * (n - 1 - 2 * f)
+    commits = [MATCH] * (2 * f + 1) + [None] * (n - 2 * f - 1)
+    log, slot = fill_slot(f, 0, backups, commits)
+    assert log.prepared(slot, "R1") and log.committed_local(slot, "R1")
+    # The primary's prepare on top of 2f - 1 backups is still 2f - 1 votes.
+    short = [MATCH] + [MATCH] * (2 * f - 1) + [None] * (n - 2 * f)
+    log, slot = fill_slot(f, 0, short, commits)
+    assert not log.prepared(slot, "R1") and not reference_prepared(slot, f)
+    # 2f commits (the primary's included) are one short of committed-local.
+    log, slot = fill_slot(f, 0, backups, commits[: 2 * f] + [None] * (n - 2 * f))
+    assert log.prepared(slot, "R1") and not log.committed_local(slot, "R1")
+    # Missing pre-prepare: no certificate, whatever the votes.
+    log, slot = fill_slot(f, 0, [MATCH] * n, [MATCH] * n, with_pre_prepare=False)
+    assert not log.prepared(slot, "R1") and not log.committed_local(slot, "R1")

@@ -1,11 +1,13 @@
 """Overload robustness: the bounded admission queue, deterministic shedding,
 Busy replies, batching fairness, request relay, and anti-storm damping."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.bft.config import BFTConfig
 from repro.bft.messages import Busy, Request
-from repro.bft.overload import AdmissionQueue, OpenLoopLoadGenerator
+from repro.bft.overload import EXPIRY_SWEEP_LIMIT, AdmissionQueue, OpenLoopLoadGenerator
 from repro.bft.testing import encode_get, encode_set, kv_cluster
 
 
@@ -381,3 +383,40 @@ def test_damping_requires_local_overload_evidence():
     client.invoke(encode_set(0, b"fail-over"), timeout=30.0)
     for replica_id in ("R1", "R2", "R3"):
         assert not cluster.replica(replica_id).counters.get("view_changes_damped")
+
+
+def _full_queue():
+    """64 entries from eight clients, the front row refreshed in part."""
+    q = AdmissionQueue(capacity=64, per_client=16, ttl=1.0)
+    for i in range(64):
+        assert q.admit(req(f"C{i % 8}", i // 8 + 1), now=i * 0.01).admitted
+    for client in ("C1", "C4"):
+        assert q.admit(req(client, 1), now=1.5).refreshed
+    return q
+
+
+def test_sweep_at_capacity_expires_the_same_keys_in_the_same_order():
+    q = _full_queue()
+    outcome = q.admit(req("C9", 1), now=2.0)
+    assert outcome.expired == [("C0", 1), ("C2", 1), ("C3", 1), ("C5", 1), ("C6", 1), ("C7", 1)]
+    assert outcome.admitted and outcome.evicted is None
+    assert list(q)[:3] == [("C1", 1), ("C4", 1), ("C0", 2)]
+    # The two live entries still count toward the eight looked at.
+    assert q.expire_stale(now=2.0) == [("C0", 2), ("C1", 2), ("C2", 2), ("C3", 2), ("C4", 2), ("C5", 2)]
+    assert len(q) == 53
+
+
+def test_sweep_at_capacity_examines_at_most_the_limit():
+    class Counting(OrderedDict):
+        looked_up = 0
+
+        def __getitem__(self, key):
+            Counting.looked_up += 1
+            return super().__getitem__(key)
+
+    q = _full_queue()
+    q._entries = Counting(q._entries)
+    expired = q.expire_stale(now=10.0)
+    assert expired == [(f"C{i}", 1) for i in range(EXPIRY_SWEEP_LIMIT)]
+    assert Counting.looked_up <= EXPIRY_SWEEP_LIMIT
+    assert len(q) == 64 - EXPIRY_SWEEP_LIMIT

@@ -10,6 +10,7 @@ seeded RNG, so an extra, missing or reordered draw anywhere in
 import hashlib
 
 from repro.bft.messages import PrePrepare, Request
+from repro.crypto.auth import Authenticator
 from repro.net.network import Network, NetworkConfig
 from repro.net.simulator import Simulator
 
@@ -163,3 +164,50 @@ def test_per_pair_override_applies_only_to_its_link():
     net.multicast("A", ["B", "C"], "m")
     sim.run_until_idle()
     assert arrivals == [(0.001, "B"), (0.25, "C")]
+
+
+def _unicast_charge(message):
+    sim = Simulator(seed=0)
+    net = Network(sim)
+    for node_id in NODES:
+        net.register(node_id, lambda message, src: None)
+    net.send("R0", "R1", message)
+    return net.counters.get("bytes_sent")
+
+
+def test_each_multicast_recipient_is_charged_what_a_unicast_is():
+    authed = _pre_prepare()
+    authed.auth = Authenticator(sender="R0", tags={rid: (0, b"t" * 8) for rid in NODES})
+    for message in (_pre_prepare(), authed, Sized(77), "plain"):
+        sim = Simulator(seed=0)
+        net = Network(sim)
+        for node_id in NODES:
+            net.register(node_id, lambda message, src: None)
+        net.multicast("R1", NODES, message)
+        assert net.counters.get("bytes_sent") == 3 * _unicast_charge(message)
+
+
+def test_an_empty_multicast_neither_sizes_nor_freezes_its_message():
+    sim = Simulator(seed=0)
+    net = Network(sim)
+    for node_id in NODES:
+        net.register(node_id, lambda message, src: None)
+    message = _pre_prepare()
+    net.multicast("R0", [], message)
+    net.multicast("R0", ["R0"], message)
+    assert "_signable" not in message.__dict__
+    message.view = 1  # still assignable: nothing froze it
+    assert dict(net.counters) == {}
+
+
+def test_a_capped_multicast_sizes_again_what_an_interceptor_replaced():
+    sim = Simulator(seed=0)
+    net = Network(sim, NetworkConfig(delay=0.001, jitter=0.0, bandwidth=1000.0))
+    arrivals = []
+    for node_id in ("A", "B", "C"):
+        net.register(node_id, lambda message, src, dst=node_id: arrivals.append((sim.now(), dst, message.size)))
+    net.add_interceptor(lambda src, dst, message: Sized(500) if dst == "B" else message)
+    net.multicast("A", ["A", "B", "C"], Sized(100))
+    sim.run_until_idle()
+    assert arrivals == [(0.101, "C", 100), (0.501, "B", 500)]
+    assert net.counters.get("bytes_sent") == 200

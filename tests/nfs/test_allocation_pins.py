@@ -121,3 +121,50 @@ def test_lowest_free_index_after_reconstruction_and_after_an_install():
     assert _run(installed, RemoveCall(dir_fh=ROOT_OID, name="a")).ok
     assert _create(installed, "j") == make_oid(1, 2)
     assert _create(installed, "k") == make_oid(5, 1)
+
+
+def _ino_gen(fh):
+    dec = XdrDecoder(fh)
+    dec.unpack_string(), dec.unpack_u64()
+    return dec.unpack_u32(), dec.unpack_u32()
+
+
+def _inode_table(server):
+    return {
+        ino: (inode["generation"], inode["free"])
+        for ino, inode in sorted(server.disk["ext2:inodes"].items())
+    }
+
+
+def test_ext2_inodes_are_lowest_free_across_removes_and_a_reboot():
+    disk = {}
+    fs = Ext2FS(disk=disk, seed=5)
+    root = fs.root_handle()
+    assert _ino_gen(root) == (0, 1)
+    made = [fs.create(root, n, Sattr()).fh for n in "abc"]
+    made.append(fs.mkdir(root, "d", Sattr()).fh)
+    made.append(fs.symlink(made[3], "e", "/a", Sattr()).fh)
+    assert [_ino_gen(fh) for fh in made] == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]
+
+    assert fs.remove(root, "b").ok and fs.remove(root, "a").ok
+    again = [fs.create(root, n, Sattr()).fh for n in "fgh"]
+    assert [_ino_gen(fh) for fh in again] == [(1, 2), (2, 2), (6, 1)]
+    assert fs.remove(root, "c").ok
+    assert fs.rename(root, "f", root, "h").ok  # h's inode 6 is freed
+    assert _inode_table(fs) == {
+        0: (1, False), 1: (2, False), 2: (2, False), 3: (1, True),
+        4: (1, False), 5: (1, False), 6: (1, True),
+    }
+
+    rebooted = Ext2FS(disk=disk, seed=99)
+    root = rebooted.root_handle()
+    late = [rebooted.create(root, n, Sattr()).fh for n in "xyz"]
+    assert [_ino_gen(fh) for fh in late] == [(3, 2), (6, 2), (7, 1)]
+    assert rebooted.rmdir(root, "d").status != 0  # not empty: nothing freed
+    assert rebooted.remove(made[3], "e").ok and rebooted.rmdir(root, "d").ok
+    last = [rebooted.mkdir(root, n, Sattr()).fh for n in "uv"]
+    assert [_ino_gen(fh) for fh in last] == [(4, 2), (5, 2)]
+    assert _inode_table(rebooted) == {
+        0: (1, False), 1: (2, False), 2: (2, False), 3: (2, False),
+        4: (2, False), 5: (2, False), 6: (2, False), 7: (1, False),
+    }

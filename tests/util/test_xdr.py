@@ -6,9 +6,11 @@ from typing import Optional
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bft.messages import MESSAGE_TYPES
 from repro.util.xdr import (
     BOOL,
     I64,
+    STRING,
     U32,
     U32_MAX,
     U64,
@@ -209,3 +211,22 @@ def test_reserved_round_trips_an_item_that_names_a_record(count):
     encoded = XdrEncoder.encode(value)
     assert encoded[-4:] == (b"\xff" * 4 if count is None else count.to_bytes(4, "big"))
     assert XdrDecoder(encoded).unpack_last(WithReserved) == value
+
+
+@pytest.mark.parametrize("tag", [(STRING, "OPEN"), (U32, 7)])
+def test_a_tag_opens_every_encoding_as_its_kind_packs_it(tag):
+    @codec({"value": U32}, tag)
+    @dataclass
+    class Tagged:
+        value: int
+
+    enc = XdrEncoder()
+    opening = (enc.pack_string(tag[1]) if tag[0] is STRING else enc.pack_u32(tag[1])).getvalue()
+    for value in (0, 5, U32_MAX):
+        assert XdrEncoder.encode(Tagged(value)) == opening + XdrEncoder().pack_u32(value).getvalue()
+
+
+def test_every_message_class_opens_with_its_wire_tag():
+    for tag, cls in MESSAGE_TYPES.items():
+        assert cls.wire_tag == XdrEncoder().pack_string(tag).getvalue(), cls.__name__
+        assert cls.WIRE.tag == tag
