@@ -164,7 +164,8 @@ class BFTConfig:
         return self.f + 1
 
     def primary(self, view: int) -> str:
-        return self.replica_ids[view % self.n]
+        ids = self.replica_ids
+        return ids[view % len(ids)]
 
     def replica_index(self, replica_id: str) -> int:
         return self.replica_ids.index(replica_id)

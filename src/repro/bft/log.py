@@ -14,7 +14,7 @@ stable checkpoint are discarded by garbage collection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bft.config import BFTConfig
 from repro.bft.messages import Commit, Prepare, PrePrepare, PreparedProof
@@ -78,22 +78,29 @@ class MessageLog:
     def prepared(self, slot: Slot, replica_id: str) -> bool:
         """Prepared certificate: a pre-prepare plus 2f matching prepares from
         distinct backups (the sender's own prepare is in the log; the primary
-        never sends prepares — its pre-prepare is its vote)."""
-        if slot.pre_prepare is None:
+        never sends prepares — its pre-prepare is its vote).  ``prepares`` is
+        keyed by sender, so its matching entries are the distinct votes."""
+        pre_prepare = slot.pre_prepare
+        if pre_prepare is None:
             return False
-        votes: Set[str] = {
-            p.replica_id
-            for p in slot.matching_prepares()
-            if p.replica_id != slot.pre_prepare.primary_id
-        }
-        return len(votes) >= 2 * self.config.f
+        d = pre_prepare.batch_digest()
+        primary = pre_prepare.primary_id
+        votes = 0
+        for sender, p in slot.prepares.items():
+            if p.digest == d and sender != primary:
+                votes += 1
+        return votes >= 2 * self.config.f
 
     def committed_local(self, slot: Slot, replica_id: str) -> bool:
         """Prepared plus 2f+1 matching commits from distinct replicas."""
         if not self.prepared(slot, replica_id):
             return False
-        votes: Set[str] = {c.replica_id for c in slot.matching_commits()}
-        return len(votes) >= self.config.quorum
+        d = slot.pre_prepare.batch_digest()  # type: ignore[union-attr]
+        votes = 0
+        for c in slot.commits.values():
+            if c.digest == d:
+                votes += 1
+        return votes >= self.config.quorum
 
     def prepared_proof(self, slot: Slot) -> Optional[PreparedProof]:
         """Materialize a transferable prepared certificate, if one exists."""

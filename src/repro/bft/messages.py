@@ -156,8 +156,6 @@ class Message:
                        for attr in wire.carried]
             cls._carried = lambda self: [get(self) for get in getters]
             cls.unpack = None
-        #: What every encoding of the class starts with.
-        cls.wire_tag = XdrEncoder().pack_string(wire.tag).getvalue()
 
     def __setattr__(self, name: str, value: object) -> None:
         if name not in _POST_FREEZE_MUTABLE and self.__dict__.get("_frozen"):
@@ -194,7 +192,7 @@ class Message:
         """Bytes on the wire, by one rule: signed prefix + carried fields +
         authenticator + signature."""
         state = self.__dict__
-        # Sized once per recipient: read the cached encoding directly.
+        # Sized once per send or multicast: read the cached encoding directly.
         size = len(state.get("_signable") or self.signable_bytes())
         if self._carried is not None:
             carried = state.get("_carried_size")

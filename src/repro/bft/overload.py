@@ -36,6 +36,7 @@ actually produce saturation inside the deterministic simulator.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.bft.messages import Busy, Request
@@ -234,13 +235,8 @@ class AdmissionQueue:
     # -- internals -----------------------------------------------------------
 
     def _expire_stale(self, now: float, outcome: AdmissionOutcome) -> None:
-        examined = 0
-        for key in list(self._entries):
-            if examined >= EXPIRY_SWEEP_LIMIT:
-                break
-            examined += 1
-            entry = self._entries[key]
-            if entry.last_seen + self.ttl <= now:
+        for key in list(islice(self._entries, EXPIRY_SWEEP_LIMIT)):
+            if self._entries[key].last_seen + self.ttl <= now:
                 del self._entries[key]
                 self._drop_count(key[0])
                 outcome.expired.append(key)

@@ -180,7 +180,7 @@ class Replica(Node):
             self.node_id, self.config.replica_ids, payload
         )
         self.counters.add("auth_broadcasts")
-        self.multicast(self.other_replicas(), message)
+        self.multicast(self.config.replica_ids, message)  # the network skips the sender
 
     def auth_send(self, dst: str, message: Message) -> None:
         message.auth = self.keys.make_authenticator(  # type: ignore[attr-defined]

@@ -171,14 +171,16 @@ class Network:
 
     # -- transmission --------------------------------------------------------
 
-    def send(self, src: str, dst: str, message: Any) -> None:
-        """Queue a one-way message from src to dst."""
+    def send(self, src: str, dst: str, message: Any, size: Optional[int] = None) -> None:
+        """Queue a one-way message from src to dst.  ``size`` is the
+        message's :func:`wire_size` when the caller already has it."""
         if dst not in self._handlers:
             raise KeyError(f"unknown destination {dst!r}")
         counters = self.counters
         counters.add("messages_sent")
         sent = message
-        size = wire_size(sent)
+        if size is None:
+            size = wire_size(sent)
         counters.add("bytes_sent", size)
         if src in self._down:
             counters.add("messages_dropped_sender_down")
@@ -226,9 +228,14 @@ class Network:
         self.sim.schedule(latency, lambda: self._deliver(src, dst, message))
 
     def multicast(self, src: str, dsts: Sequence[str], message: Any) -> None:
+        """``send`` to every one of ``dsts`` but ``src``.  The size does not
+        depend on the recipient, so it is taken once, at the first one."""
+        size = None
         for dst in dsts:
             if dst != src:
-                self.send(src, dst, message)
+                if size is None:
+                    size = wire_size(message)
+                self.send(src, dst, message, size)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
         if dst in self._down:

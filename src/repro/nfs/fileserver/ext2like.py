@@ -2,8 +2,8 @@
 
 Concrete representation: a fixed inode table with first-free allocation and
 **inode reuse** (generation numbers bump on reuse, as in real ext2), file
-data in 512-byte blocks allocated first-fit (a high-water mark plus a
-min-heap of freed blocks below it), directories as
+data in 512-byte blocks allocated first-fit (each allocator a high-water
+mark plus a min-heap of what was freed below it), directories as
 insertion-ordered entry lists.  readdir returns **insertion order**;
 timestamps have **one-second granularity**; handles embed
 ⟨fsid, inode, generation⟩.
@@ -84,8 +84,11 @@ class Ext2FS(NFSServer):
                 "fsid": self._rng.randrange(1, 2**31),
                 "num_inodes": num_inodes,
                 "num_blocks": num_blocks,
-                # Free blocks are [high_water, num_blocks) plus the freed ones
-                # below it, so the lowest free block is one heap read.
+                # Free inodes are [inode_high_water, num_inodes) plus the freed
+                # ones below it, and free blocks likewise, so the lowest free
+                # one of each is one heap read.
+                "inode_high_water": 0,
+                "freed_inodes": [],
                 "high_water": 0,
                 "freed_blocks": [],
             }
@@ -112,16 +115,16 @@ class Ext2FS(NFSServer):
             raise FaultInjected(f"Ext2FS aged out ({self._leaked} bytes leaked)")
 
     def _make_inode(self, ftype: int) -> int:
-        """First-free inode allocation with generation bump on reuse."""
+        """First-free inode allocation with generation bump on reuse: the
+        lowest freed inode, else the high-water mark."""
         table = self._inodes()
         sb = self.disk[_SB]
-        ino = None
-        for candidate in range(sb["num_inodes"]):
-            entry = table.get(candidate)
-            if entry is None or entry.get("free", False):
-                ino = candidate
-                break
-        if ino is None:
+        if sb["freed_inodes"]:
+            ino = heapq.heappop(sb["freed_inodes"])
+        elif sb["inode_high_water"] < sb["num_inodes"]:
+            ino = sb["inode_high_water"]
+            sb["inode_high_water"] += 1
+        else:
             raise MemoryError("inode table full")
         previous = table.get(ino)
         generation = (previous["generation"] + 1) if previous else 1
@@ -148,6 +151,7 @@ class Ext2FS(NFSServer):
         self._release_blocks(inode)
         inode["entries"] = []
         inode["free"] = True
+        heapq.heappush(self.disk[_SB]["freed_inodes"], ino)
 
     def _release_blocks(self, inode: dict) -> None:
         for block in inode["blocks"]:
