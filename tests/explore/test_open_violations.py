@@ -15,6 +15,12 @@ entry (and, for a kept-out cell, its ``KEPT_OUT`` row) is removed.
   quorum after the heal.
 
 The last four cells stay in CI: its budget does not reach these plans.
+
+The rest are the acceptance sweep of the support matrix: every cell CI runs,
+at ``--budget 300 --requests 16`` and seeds 0-3 (docs/simulation.md,
+"Acceptance sweep"), one artifact ``<variant>-<family or none>-s<seed>`` per
+violating seed; ``pipelined-overload`` is the sweep's seed 3 too.  The
+earliest is plan 42 at seed 0, so these cells stay in CI as well.
 """
 
 from pathlib import Path
@@ -33,6 +39,29 @@ OPEN = {
     "baseline-implementation": "liveness",
     "speculation-implementation": "liveness",
     "fast-path-implementation": "liveness",
+    "baseline-none-s1": "liveness",
+    "baseline-implementation-s1": "liveness",
+    "baseline-implementation-s2": "liveness",
+    "baseline-implementation-s3": "liveness",
+    "baseline-overload-s0": "overload-goodput",
+    "baseline-overload-s1": "overload-goodput",
+    "baseline-overload-s2": "overload-goodput",
+    "baseline-overload-s3": "overload-goodput",
+    "pipelined-none-s1": "liveness",
+    "pipelined-implementation-s0": "liveness",
+    "pipelined-implementation-s1": "liveness",
+    "pipelined-implementation-s2": "liveness",
+    "pipelined-implementation-s3": "liveness",
+    "pipelined-overload-s0": "overload-goodput",
+    "pipelined-overload-s1": "overload-goodput",
+    "pipelined-overload-s2": "overload-goodput",
+    "speculation-implementation-s1": "liveness",
+    "speculation-implementation-s2": "liveness",
+    "speculation-implementation-s3": "liveness",
+    "fast-path-implementation-s0": "liveness",
+    "fast-path-implementation-s1": "liveness",
+    "fast-path-implementation-s2": "liveness",
+    "fast-path-implementation-s3": "liveness",
 }
 
 
