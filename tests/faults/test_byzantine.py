@@ -56,6 +56,7 @@ def test_lying_checkpointer_cannot_stall_garbage_collection():
     cluster.settle(2.0)
     for rid in ("R0", "R1", "R2"):
         assert cluster.replica(rid).stable_seqno >= 16
+    assert cluster.replica("R3").counters.get("byzantine_checkpoint_lies") >= 1
 
 
 def test_vote_corruptor_is_harmless():
