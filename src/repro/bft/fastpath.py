@@ -233,7 +233,7 @@ class FastPathManager:
         if replica.view_changes.in_view_change or replica.recovering:
             return  # adopting the new view calls again
         for client_id, request in list(self.parked.items()):
-            recorded = replica.service.last_recorded(client_id)
+            recorded = replica.service.manager.last_recorded(client_id)
             if recorded is not None and recorded[0] > request.reqid:
                 # The client has moved on: nobody is waiting for this answer.
                 del self.parked[client_id]

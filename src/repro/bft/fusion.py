@@ -133,10 +133,10 @@ class FusionFeeder:
     def on_stable(self, replica, cert: CheckpointCert) -> None:
         """Replica hook, called inside ``_mark_stable`` *before* checkpoint
         GC — both the previous stable checkpoint and the new one are live."""
-        service = replica.service
+        manager = replica.service.manager
         if cert.seqno == 0:
             return
-        seqnos = [s for s in service.checkpoint_seqnos() if s < cert.seqno]
+        seqnos = [s for s in manager.checkpoint_seqnos() if s < cert.seqno]
         if not seqnos:
             # Nothing to diff against (first stable after a state-transfer
             # install); the fused node resyncs a full block if it needs one.
@@ -147,15 +147,15 @@ class FusionFeeder:
         deltas: List[Tuple[int, bytes]] = []
         overflow = False
         for index in range(tier.num_leaves):
-            old_leaf = service.get_leaf(base, index)
-            new_leaf = service.get_leaf(cert.seqno, index)
+            old_leaf = manager.get_leaf(base, index)
+            new_leaf = manager.get_leaf(cert.seqno, index)
             if old_leaf is None or new_leaf is None:
                 replica.counters.add("fusion_feed_skipped")
                 return
             if old_leaf == new_leaf:
                 continue
-            old_value = service.get_object_at(base, index)
-            new_value = service.get_object_at(cert.seqno, index)
+            old_value = manager.get_object_at(base, index)
+            new_value = manager.get_object_at(cert.seqno, index)
             if old_value is None or new_value is None:
                 replica.counters.add("fusion_feed_skipped")
                 return
@@ -224,7 +224,7 @@ class FusionFeeder:
         """Send a full fixed-width block of our abstract state to a fused
         node — for bootstrap (seqno 0 = latest stable) or reconstruction
         (exact pinned seqno)."""
-        service = replica.service
+        manager = replica.service.manager
         seqno = message.seqno
         cert: Optional[CheckpointCert] = None
         if seqno == 0:
@@ -241,8 +241,8 @@ class FusionFeeder:
         # the certified root it already holds for that seqno.
         leaves = []
         for index in range(self.tier.num_leaves):
-            leaf = service.get_leaf(seqno, index)
-            value = service.get_object_at(seqno, index)
+            leaf = manager.get_leaf(seqno, index)
+            value = manager.get_object_at(seqno, index)
             if leaf is None or value is None:
                 # We no longer (or never did) hold that checkpoint.
                 replica.counters.add("fusion_fetches_refused")

@@ -278,7 +278,7 @@ class FaultContainmentSupervisor:
                 seqno=cert.seqno,
             )
             return host.recover_now()
-        corrupt, self._scrub_cursor = replica.service.scan_corruption(
+        corrupt, self._scrub_cursor = replica.service.manager.scan_for_corruption(
             self._scrub_cursor, self.policy.scrub_batch
         )
         if not corrupt:

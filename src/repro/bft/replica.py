@@ -141,9 +141,9 @@ class Replica(Node):
         # so this replica can serve it to recovering peers before the first
         # real checkpoint stabilizes.  A replica rebuilt from disk whose
         # state is no longer pristine must not claim to hold genesis.
-        if not service.checkpoint_seqnos():
+        if not service.manager.checkpoint_seqnos():
             if service.current_node(0, 0)[1] == service.genesis_root_digest():
-                service.take_checkpoint(0)
+                service.manager.take_checkpoint(0)
 
         self._request_timer: Optional[EventHandle] = None
 
@@ -252,7 +252,7 @@ class Replica(Node):
         if not self.check_auth(request, expected_sender=request.client_id):
             return
         key = (request.client_id, request.reqid)
-        recorded = self.service.last_recorded(request.client_id)
+        recorded = self.service.manager.last_recorded(request.client_id)
         if recorded is not None and request.reqid <= recorded[0]:
             if request.reqid == recorded[0]:
                 # Retransmission of the latest executed request: resend the
@@ -458,7 +458,7 @@ class Replica(Node):
         for request in pre_prepare.requests:
             key = (request.client_id, request.reqid)
             self.pending.pop(key, None)
-            recorded = self.service.last_recorded(request.client_id)
+            recorded = self.service.manager.last_recorded(request.client_id)
             if recorded is not None and request.reqid <= recorded[0]:
                 continue
             self.in_flight.add(key)
@@ -613,7 +613,7 @@ class Replica(Node):
         reply = reply or self.send_reply
         for request in pre_prepare.requests:
             key = (request.client_id, request.reqid)
-            recorded = self.service.last_recorded(request.client_id)
+            recorded = self.service.manager.last_recorded(request.client_id)
             if recorded is not None and request.reqid <= recorded[0]:
                 self.counters.add("skipped_duplicates")
                 self._purge_superseded(request.client_id, request.reqid)
@@ -651,7 +651,7 @@ class Replica(Node):
             self.counters.add("checkpoints_skipped_mid_transfer")
             return
         try:
-            state_digest = self.service.take_checkpoint(seqno)
+            state_digest = self.service.manager.take_checkpoint(seqno)
         except FaultInjected as fault:
             self.crash_self(str(fault))
             return
@@ -715,7 +715,7 @@ class Replica(Node):
                 # their target.
                 self.fusion_feeder.on_stable(self, cert)
                 floor = min(floor, self.fusion_feeder.gc_floor(cert.seqno))
-            self.service.discard_checkpoints_below(floor)
+            self.service.manager.discard_checkpoints_below(floor)
         self.counters.add("stable_checkpoints")
         emit(self.tracer, self.node_id, "checkpoint_stable", seqno=cert.seqno)
         # If the quorum certified state we never executed, we are behind:
@@ -741,7 +741,7 @@ class Replica(Node):
         checkpoint stabilizes — the implicit genesis certificate."""
         if self.stable_cert is not None:
             return self.stable_cert if self.last_executed >= self.stable_seqno else None
-        if 0 in self.service.checkpoint_seqnos():
+        if 0 in self.service.manager.checkpoint_seqnos():
             return CheckpointCert(
                 seqno=0, state_digest=self.service.genesis_root_digest(), proof=[]
             )
@@ -804,7 +804,7 @@ class Replica(Node):
         self.pending.clear()
         self._rearm_request_timer()
         self._mark_stable(cert)
-        self.service.discard_checkpoints_below(seqno)
+        self.service.manager.discard_checkpoints_below(seqno)
         if self.recovering:
             self.finish_recovery()
         self.execute_ready()

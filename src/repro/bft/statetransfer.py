@@ -154,16 +154,16 @@ class StateTransferManager:
         checkpointed past a cert we no longer hold, we cannot verify against
         it; re-anchor at a fresher one instead of comparing garbage."""
         replica = self.replica
-        service = replica.service
-        recorded = service.root_digest(cert.seqno)
+        manager = replica.service.manager
+        recorded = manager.root_digest(cert.seqno)
         if recorded is not None:
             current_root = recorded
         else:
-            seqnos = service.checkpoint_seqnos()
+            seqnos = manager.checkpoint_seqnos()
             if seqnos and max(seqnos) > cert.seqno:
                 self.begin_from_root(min_seqno=replica.last_executed)
                 return
-            _lm, current_root = service.current_node(0, 0)
+            _lm, current_root = manager.current_node(0, 0)
         if current_root == cert.state_digest:
             replica.finish_recovery()
         elif replica.last_executed > cert.seqno:
@@ -291,20 +291,20 @@ class StateTransferManager:
             self.replica.counters.add("meta_reply_bad_digest")
             return
         del self._meta_pending[key]
-        service = self.replica.service
-        leaves_level = service.num_levels()
+        manager = self.replica.service.manager
+        leaves_level = manager.num_levels()
         child_level = message.level + 1
-        base = message.index * service.manager.tree.arity
+        base = message.index * manager.tree.arity
         # One walk fetches every live child pair; per-child current_node calls
         # would each re-walk the tree spine from the root.
-        current_children = service.current_children(message.level, message.index)
+        current_children = manager.current_children(message.level, message.index)
         for offset, (lm, child_digest) in enumerate(message.children):
             child_index = base + offset
             current_lm, current_digest = current_children[offset]
             if child_level == leaves_level:
                 if current_digest == child_digest:
                     if current_lm != lm:
-                        service.adopt_leaf_lm(child_index, lm)
+                        manager.set_leaf_lm(child_index, lm)
                 elif child_index in self._fetched and digest(
                     self._fetched[child_index][0]
                 ) == child_digest:
@@ -391,7 +391,9 @@ class StateTransferManager:
         replica = self.replica
         self._awaiting_root = False
         self._close()
-        if replica.service.install_fetched(objects, cert.seqno) != cert.state_digest:
+        service = replica.service
+        root = service.manager.install_fetched(objects, cert.seqno, service.put_objs)
+        if root != cert.state_digest:
             return False
         replica.after_state_transfer(cert.seqno, cert)
         return True
@@ -400,7 +402,7 @@ class StateTransferManager:
 
     def _serve_fetch(self, message, src: str) -> None:
         replica = self.replica
-        service = replica.service
+        manager = replica.service.manager
         if src not in replica.config.replica_ids:
             # Checkpointed state is for the group: ``KeyTable`` and the
             # network will carry a fetch from any principal.
@@ -413,7 +415,7 @@ class StateTransferManager:
             if cert is not None and (cert.seqno == 0 or cert.seqno >= message.min_seqno):
                 replica.send(src, TransferRoot(replica_id=replica.node_id, cert=cert))
         elif isinstance(message, FetchMeta):
-            children = service.get_meta(message.min_seqno, message.level, message.index)
+            children = manager.get_meta(message.min_seqno, message.level, message.index)
             if children is not None:
                 replica.counters.add("meta_served")
                 replica.send(
@@ -427,7 +429,7 @@ class StateTransferManager:
                     ),
                 )
         elif isinstance(message, FetchObject):
-            data = service.get_object_at(message.min_seqno, message.index)
+            data = manager.get_object_at(message.min_seqno, message.index)
             if data is not None:
                 replica.counters.add("objects_served")
                 replica.counters.add("object_bytes_served", len(data))
@@ -457,10 +459,11 @@ class StateTransferManager:
         replica = self.replica
         if self.active or self.scrub_active or self._awaiting_root or replica.recovering:
             return False
-        leaves_level = replica.service.num_levels()
+        manager = replica.service.manager
+        leaves_level = manager.num_levels()
         targets: Dict[int, Tuple[int, bytes]] = {}
         for index in sorted(indices):
-            lm, leaf_digest = replica.service.current_node(leaves_level, index)
+            lm, leaf_digest = manager.current_node(leaves_level, index)
             if lm <= cert.seqno:
                 targets[index] = (lm, leaf_digest)
         if not targets:
@@ -486,17 +489,18 @@ class StateTransferManager:
         # ours to repair; installing the old value would roll it back.  The
         # tree shows a rewrite once a checkpoint has digested it; one more
         # recent than that is skipped by the service.
-        leaves_level = replica.service.num_levels()
+        service = replica.service
+        leaves_level = service.manager.num_levels()
         repairs: Dict[int, Tuple[bytes, int]] = {}
         for index in sorted(fetched):
             value, lm = fetched[index]
-            current_lm, current_digest = replica.service.current_node(leaves_level, index)
+            current_lm, current_digest = service.manager.current_node(leaves_level, index)
             if current_lm == lm and digest(value) == current_digest:
                 repairs[index] = (value, lm)
         if not repairs:
             return
         try:
-            repaired = replica.service.repair_objects(repairs)
+            repaired = service.manager.repair_objects(repairs, service.put_objs)
         except FaultInjected as fault:
             replica.crash_self(str(fault))
             return

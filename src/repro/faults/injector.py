@@ -55,14 +55,15 @@ def make_equivocating_primary(replica: Replica) -> None:
 
 def make_lying_checkpointer(replica: Replica) -> None:
     """Advertise checkpoints with bogus state digests."""
-    original = replica.service.take_checkpoint
+    manager = replica.service.manager
+    original = manager.take_checkpoint
 
     def lie(seqno: int) -> bytes:
         original(seqno)
         replica.counters.add("byzantine_checkpoint_lies")
         return digest(b"liar" + seqno.to_bytes(8, "big"))
 
-    replica.service.take_checkpoint = lie  # type: ignore[method-assign]
+    manager.take_checkpoint = lie  # type: ignore[method-assign]
 
 
 def make_result_corruptor(replica: Replica) -> None:

@@ -83,20 +83,20 @@ def test_check_rejects_garbage_nondet(service):
 
 def test_modify_wired_into_wrapper(service):
     service.execute(op(1, b"new"), "C0", encode_timestamp(6_000_000))
-    service.take_checkpoint(10)
+    service.manager.take_checkpoint(10)
     service.execute(op(1, b"newer"), "C0", encode_timestamp(6_100_000))
-    assert service.get_object_at(10, 1) == b"new"
+    assert service.manager.get_object_at(10, 1) == b"new"
 
 
 def test_checkpoint_and_root_digest(service):
-    digest_a = service.take_checkpoint(10)
-    assert service.root_digest(10) == digest_a
+    digest_a = service.manager.take_checkpoint(10)
+    assert service.manager.root_digest(10) == digest_a
     service.execute(op(2, b"dirty"), "C0", encode_timestamp(6_000_000))
-    digest_b = service.take_checkpoint(20)
+    digest_b = service.manager.take_checkpoint(20)
     assert digest_a != digest_b
-    assert service.checkpoint_seqnos() == [10, 20]
-    service.discard_checkpoints_below(20)
-    assert service.checkpoint_seqnos() == [20]
+    assert service.manager.checkpoint_seqnos() == [10, 20]
+    service.manager.discard_checkpoints_below(20)
+    assert service.manager.checkpoint_seqnos() == [20]
 
 
 def test_genesis_digest_is_cached_and_matches_fresh_state(service):
@@ -106,9 +106,9 @@ def test_genesis_digest_is_cached_and_matches_fresh_state(service):
 
 
 def test_install_fetched_routes_through_put_objs(service):
-    root = service.install_fetched({1: (b"installed", 3)}, seqno=30)
+    root = service.manager.install_fetched({1: (b"installed", 3)}, 30, service.put_objs)
     assert service.wrapper.values[1] == b"installed"
-    assert service.root_digest(30) == root
+    assert service.manager.root_digest(30) == root
 
 
 def _committed_twin():
@@ -116,7 +116,7 @@ def _committed_twin():
     twin = BASEService(TinyWrapper(), ManualClock(start=5.0), arity=2)
     twin.execute(op(1, b"kept"), "C0", encode_timestamp(6_000_000))
     twin.record_reply("C0", 1, b"ok")
-    twin.take_checkpoint(8)
+    twin.manager.take_checkpoint(8)
     return twin
 
 
@@ -124,7 +124,7 @@ def test_speculation_rollback_restores_objects_replies_and_root():
     service = _committed_twin()
     before = (
         list(service.wrapper.values),
-        service.last_recorded("C0"),
+        service.manager.last_recorded("C0"),
         service.current_node(0, 0),
     )
     service.begin_speculation()
@@ -136,13 +136,13 @@ def test_speculation_rollback_restores_objects_replies_and_root():
     assert service.rollback_speculation() == 1
     after = (
         list(service.wrapper.values),
-        service.last_recorded("C0"),
+        service.manager.last_recorded("C0"),
         service.current_node(0, 0),
     )
     assert after == before
     assert [service.wrapper.get_obj(i) for i in range(4)] == [b"", b"kept", b"", b""]
     # Nothing of the frame is left to leak into the next checkpoint.
-    assert service.take_checkpoint(16) == _committed_twin().take_checkpoint(16)
+    assert service.manager.take_checkpoint(16) == _committed_twin().manager.take_checkpoint(16)
 
 
 def test_promoted_speculation_equals_plain_execution():
@@ -154,23 +154,23 @@ def test_promoted_speculation_equals_plain_execution():
     service.commit_speculation()
     assert service.rollback_speculation() == 0  # no frame left to undo
     assert service.wrapper.values == twin.wrapper.values
-    assert service.last_recorded("C0") == twin.last_recorded("C0") == (2, b"ok")
-    assert service.take_checkpoint(16) == twin.take_checkpoint(16)
-    assert service.get_object_at(8, 2) == twin.get_object_at(8, 2) == b""
+    assert service.manager.last_recorded("C0") == twin.manager.last_recorded("C0") == (2, b"ok")
+    assert service.manager.take_checkpoint(16) == twin.manager.take_checkpoint(16)
+    assert service.manager.get_object_at(8, 2) == twin.manager.get_object_at(8, 2) == b""
 
 
 def test_get_leaf_is_the_checkpointed_lm_and_digest(service):
     service.execute(op(1, b"v"), "C0", encode_timestamp(6_000_000))
-    service.take_checkpoint(8)
-    assert service.get_leaf(8, 1) == service.current_node(service.num_levels(), 1)
-    assert service.get_leaf(8, 1)[0] == 8
-    assert service.get_leaf(9, 1) is None
+    service.manager.take_checkpoint(8)
+    assert service.manager.get_leaf(8, 1) == service.current_node(service.manager.num_levels(), 1)
+    assert service.manager.get_leaf(8, 1)[0] == 8
+    assert service.manager.get_leaf(9, 1) is None
 
 
 def test_record_reply_round_trip(service):
-    assert service.last_recorded("C9") is None
+    assert service.manager.last_recorded("C9") is None
     service.record_reply("C9", 4, b"res")
-    assert service.last_recorded("C9") == (4, b"res")
+    assert service.manager.last_recorded("C9") == (4, b"res")
 
 
 def test_save_for_recovery_delegates(service):

@@ -167,7 +167,7 @@ def test_a_rollback_drops_an_answer_computed_on_tentative_state():
     service = _service()
     nfs = _Driver(service)
     fh = nfs.write(CreateCall(dir_fh=ROOT_OID, name="f", sattr=Sattr(mode=0o644))).fh
-    service.take_checkpoint(8)
+    service.manager.take_checkpoint(8)
     service.begin_speculation()
     nfs.write(WriteCall(fh=fh, offset=0, data=b"tentative"))
     assert nfs.read(GetattrCall(fh=fh)).attr.size == 9

@@ -63,8 +63,8 @@ def test_a_crash_mid_batch_at_a_checkpoint_boundary_stops_execution():
     assert replica.last_executed == 7
     assert 8 not in replica.own_checkpoints
     assert replica.counters.get("requests_executed") == executed + 1  # X8-0 only
-    assert replica.service.last_recorded("X8-2") is None
-    assert replica.service.last_recorded("X9-0") is None
+    assert replica.service.manager.last_recorded("X8-2") is None
+    assert replica.service.manager.last_recorded("X9-0") is None
     assert at_crash == [_state(replica)]
 
 

@@ -11,7 +11,7 @@ def test_transfer_scales_with_tree_depth():
     config = BFTConfig(checkpoint_interval=8, log_window=16)
     cluster = kv_cluster(config=config, num_slots=1024)
     service = cluster.service("R0")
-    assert service.num_levels() >= 3  # depth check: arity 4 over 1024+
+    assert service.manager.num_levels() >= 3  # depth check: arity 4 over 1024+
 
     client = cluster.client("C0")
     # Touch a scattered handful of the 1024 objects.
@@ -32,7 +32,7 @@ def test_transfer_scales_with_tree_depth():
     assert replica.counters.get("objects_fetched") <= 8
     # ...after a walk that descended a few tree paths, not 1024 leaves.
     meta_queries = replica.counters.get("fetch_meta_sent")
-    assert meta_queries <= 6 * service.num_levels()
+    assert meta_queries <= 6 * service.manager.num_levels()
     states = {
         rid: tuple(cluster.service(rid).cells) for rid in cluster.hosts
     }

@@ -73,7 +73,7 @@ def test_checkpoints_stabilize_and_gc():
         assert replica.stable_seqno >= 16
         assert len(replica.log) <= config.log_window + 1
         service = cluster.service(replica.node_id)
-        assert all(s >= replica.stable_seqno for s in service.checkpoint_seqnos())
+        assert all(s >= replica.stable_seqno for s in service.manager.checkpoint_seqnos())
 
 
 def test_batching_under_concurrency():

@@ -204,7 +204,7 @@ def test_parked_read_of_a_client_that_moved_on_is_never_answered():
     ordered = reader.request(2, encode_set(5, b"five"), read_only=False)
     cluster.network.multicast("RD", cluster.config.replica_ids, ordered)
     cluster.settle()
-    assert r2.service.last_recorded("RD")[0] == 2
+    assert r2.service.manager.last_recorded("RD")[0] == 2
     src, lease = leases[-1]
     r2.on_message(lease, src)
     assert r2.fast_path.parked == {} and reader.replies == []

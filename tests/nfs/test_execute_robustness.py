@@ -68,11 +68,11 @@ def _kv_probe(service, op, read_only=False):
     """Execute one op between two checkpoints: (reply, root before, root
     after, whether any object was COW-copied i.e. ``modify`` was called)."""
     seqno = len(service.manager.checkpoint_seqnos()) + 1
-    before = service.take_checkpoint(seqno)
+    before = service.manager.take_checkpoint(seqno)
     copies = service.manager.counters.get("cow_copies")
     reply = service.execute(op, "C0", b"", read_only=read_only)
     modified = service.manager.counters.get("cow_copies") != copies
-    return reply, before, service.take_checkpoint(seqno + 1), modified
+    return reply, before, service.manager.take_checkpoint(seqno + 1), modified
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +127,7 @@ def test_malformed_kv_op_does_not_kill_the_cluster():
     for index in range(4):  # past a checkpoint, so the roots are compared
         assert client.invoke(encode_set(3, b"%d" % index)) == b"OK"
     assert_converged(cluster)
-    roots = {cluster.service(rid).root_digest(4) for rid in cluster.hosts}
+    roots = {cluster.service(rid).manager.root_digest(4) for rid in cluster.hosts}
     assert len(roots) == 1 and None not in roots
 
 
@@ -210,5 +210,5 @@ def test_truncated_oodb_op_does_not_kill_the_cluster():
     for index in range(4):
         db.set(person, "n", index)
     dep.sim.run_for(1.0)
-    roots = {dep.cluster.service(rid).root_digest(4) for rid in dep.cluster.hosts}
+    roots = {dep.cluster.service(rid).manager.root_digest(4) for rid in dep.cluster.hosts}
     assert len(roots) == 1 and None not in roots

@@ -99,7 +99,7 @@ def _committed_prefix(service):
     keep = _run(service, CreateCall(dir_fh=directory, name="keep", sattr=Sattr(mode=0o644)), 6_000_001).fh
     _run(service, WriteCall(fh=keep, offset=0, data=b"before"), 6_000_002)
     service.record_reply("C0", 1, b"r1")
-    service.take_checkpoint(8)
+    service.manager.take_checkpoint(8)
     return directory, keep
 
 
@@ -129,7 +129,7 @@ def test_rollback_of_nested_frames_restores_the_abstract_state(vendor):
 
     assert service.rollback_speculation() == 2
     assert [service.wrapper.get_obj(i) for i in range(32)] == before
-    assert service.last_recorded("C0") == (1, b"r1")
+    assert service.manager.last_recorded("C0") == (1, b"r1")
     assert service.current_node(0, 0) == live_root
     assert _run(service, ReadCall(fh=keep, offset=0, count=100), 6_000_008).data == b"before"
 
@@ -139,4 +139,4 @@ def test_rollback_of_nested_frames_restores_the_abstract_state(vendor):
     _committed_prefix(twin)
     for machine in (service, twin):
         _run(machine, CreateCall(dir_fh=directory, name="next", sattr=Sattr(mode=0o644)), 6_000_010)
-    assert service.take_checkpoint(16) == twin.take_checkpoint(16)
+    assert service.manager.take_checkpoint(16) == twin.manager.take_checkpoint(16)
