@@ -18,10 +18,12 @@ from repro.bft.messages import (
     FusionFetch,
     ParityAck,
 )
+from repro.bft.service import StateMachine
 from repro.bft.sharding import sharded_kv_cluster
 from repro.bft.testing import encode_get, encode_set, kv_cluster
 
-BFT = Path(__file__).resolve().parents[2] / "src" / "repro" / "bft"
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+BFT = SRC / "bft"
 
 
 def _tree(name):
@@ -98,6 +100,73 @@ def test_no_module_writes_a_private_attribute_of_a_replica():
                 if isinstance(target, ast.Attribute) and _reaches_into_a_replica(target)
             ]
         assert writes == []
+
+
+def test_state_machine_is_its_upcalls_plus_the_execution_evidence():
+    """A service supplies the paper's upcalls; checkpoints, the reply table
+    and state transfer are the library's, reached as ``service.manager``.
+    Five library calls stay on the class: ``record_reply`` and the three
+    ``*_speculation`` calls change execution evidence, so ``RecordingKV``
+    overrides them to feed its recorder (``rollback_speculation`` also
+    hands the manager ``put_objs``), and ``current_node`` is the state root
+    ``repro demo`` and the host-time benchmark's agreement check read."""
+    public = sorted(name for name in dir(StateMachine) if not name.startswith("_"))
+    assert public == [
+        "begin_speculation",
+        "check_nondet",
+        "commit_speculation",
+        "current_node",
+        "execute",
+        "genesis_root_digest",
+        "propose_nondet",
+        "put_objs",
+        "record_reply",
+        "rollback_speculation",
+        "save_for_recovery",
+    ]
+
+
+MANAGER_ONLY = {
+    "last_recorded",
+    "take_checkpoint",
+    "discard_checkpoints_below",
+    "checkpoint_seqnos",
+    "num_levels",
+    "root_digest",
+    "get_meta",
+    "get_object_at",
+    "get_leaf",
+    "current_children",
+    "adopt_leaf_lm",
+    "install_fetched",
+    "scan_corruption",
+    "repair_objects",
+}
+
+
+def _ends_in_service(expr):
+    """``service``, ``<anything>.service`` or ``<anything>.service(...)``."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    return (isinstance(expr, ast.Name) and expr.id == "service") or (
+        isinstance(expr, ast.Attribute) and expr.attr == "service"
+    )
+
+
+def test_no_module_calls_the_state_manager_through_the_service():
+    """Checked on the source, so a call on a path no test runs is caught."""
+    paths = sorted(SRC.rglob("*.py"))
+    assert BFT / "statetransfer.py" in paths
+    calls = [
+        f"{path.relative_to(SRC)}:{node.lineno} {ast.unparse(node.func)}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in MANAGER_ONLY
+        and _ends_in_service(node.func.value)
+    ]
+    assert calls == []
 
 
 # -- absent when off ------------------------------------------------------------------
