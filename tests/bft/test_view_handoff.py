@@ -15,12 +15,12 @@ import pytest
 
 from repro.bft.config import BFTConfig
 from repro.bft.messages import ViewChange
-from repro.bft.testing import (
+from repro.bft.testing import encode_set, kv_cluster, recording_cluster
+
+from tests.bft.history import (
     assert_order_consistent,
     assert_prefix_consistent,
-    encode_set,
-    kv_cluster,
-    recording_cluster,
+    cumulative_histories,
 )
 
 SHAPE = dict(checkpoint_interval=8, log_window=16)
@@ -193,7 +193,7 @@ def test_byzantine_primary_handing_off_to_one_backup_stops_nobody_else():
     assert [cluster.replica(r).view for r in ("R0", "R1", "R3")] == [0, 0, 0]
     assert [cluster.replica(r).last_executed for r in ("R0", "R1", "R3")] == [20, 20, 20]
     assert total(cluster, "new_views_sent") == 0
-    assert_prefix_consistent(recorder.cumulative_histories())
+    assert_prefix_consistent(cumulative_histories(recorder))
     assert_order_consistent(recorder)
 
 
