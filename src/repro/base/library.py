@@ -38,7 +38,6 @@ class BASEService(StateMachine):
         wrapper: ConformanceWrapper,
         clock: VirtualClock,
         arity: int = 8,
-        max_clock_skew: float = 1.0,
     ) -> None:
         super().__init__(
             AbstractStateManager(wrapper.spec.num_objects, wrapper.get_obj, arity=arity)
@@ -47,7 +46,7 @@ class BASEService(StateMachine):
         self.arity = arity
         wrapper.set_modify_callback(self._modify)
         wrapper.set_reads_callback(self._note_read)
-        self.timestamps = TimestampAgreement(clock, max_skew=max_clock_skew)
+        self.timestamps = TimestampAgreement(clock)
         self._genesis_digest: Optional[bytes] = None
         # Read-only answers: op bytes -> (reply, the objects it declared), and
         # object -> the ops whose kept answer declared it (insertion-ordered).

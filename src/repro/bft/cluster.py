@@ -40,7 +40,6 @@ class Cluster:
         config: Optional[BFTConfig] = None,
         seed: int = 0,
         net_config: Optional[NetworkConfig] = None,
-        reboot_time: float = 0.02,
         sim: Optional[Simulator] = None,
         trace: bool = False,
         repair: Optional[RepairPolicy] = None,
@@ -64,7 +63,6 @@ class Cluster:
                 self.disks[replica_id],
                 self.keys,
                 self.sigs,
-                reboot_time=reboot_time,
                 tracer=self.tracer,
                 repair=repair,
             )

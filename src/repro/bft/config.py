@@ -17,6 +17,11 @@ SINGLE, SHARDED, SOAK = "single", "sharded", "soak"
 class BFTConfig:
     """Parameters shared by every replica and client of one service.
 
+    A field is a value some caller sets.  Fixed behaviour is a constant of
+    the module that owns it: anti-storm damping of an expired request timer,
+    for one, is always on (``DAMPING_WINDOW_FACTOR`` and
+    ``DAMPING_STREAK_MAX`` in ``bft/overload.py``).
+
     replica_ids:        ordered replica identities; primary(v) = ids[v mod n].
     f:                  tolerated Byzantine faults; requires n >= 3f + 1.
     checkpoint_interval: take a checkpoint every k requests (paper: k = 128).
@@ -50,13 +55,6 @@ class BFTConfig:
                         retransmission within this many seconds are expired —
                         an abandoned (cancelled / satisfied-elsewhere) request
                         must not pin the request timer forever.
-    overload_damping:   stretch the view-change timer while commits are still
-                        being observed, so a busy-but-alive primary is not
-                        mistaken for a silent one (anti-view-change-storm).
-    overload_damping_max: consecutive damped timer firings allowed while the
-                        oldest queued request makes no progress; after that a
-                        view change proceeds even under load (starvation
-                        escape hatch).
     pipeline_depth:     fast path — let the primary run this many instances
                         ahead of *execution* (0: ``max_outstanding``).  It
                         bounds the prepared instances waiting for their
@@ -96,8 +94,6 @@ class BFTConfig:
     admission_capacity: int = 64
     admission_per_client: int = 8
     pending_ttl: float = 2.0
-    overload_damping: bool = True
-    overload_damping_max: int = 8
     pipeline_depth: int = 0
     speculative_execution: bool = False
     read_leases: bool = False
@@ -133,8 +129,6 @@ class BFTConfig:
                 "pending_ttl must exceed client_retry_max (a live client's "
                 "retransmissions must be able to refresh its queue entry)"
             )
-        if self.overload_damping_max < 1:
-            raise ConfigurationError("overload_damping_max must be >= 1")
         if self.pipeline_depth < 0:
             raise ConfigurationError("pipeline_depth must be >= 0 (0 disables)")
         if self.pipeline_depth >= self.log_window:

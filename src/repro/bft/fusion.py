@@ -75,6 +75,7 @@ from repro.bft.messages import (
     ParityAck,
     ParityUpdate,
 )
+from repro.bft.recovery import REBOOT_TIME
 from repro.bft.replica import verify_checkpoint_cert
 from repro.crypto.auth import MacVerificationError
 from repro.crypto.digest import digest
@@ -851,7 +852,7 @@ class FusedBackupTier:
                 # The proactive rotation had this host down for its own
                 # reboot when the group was destroyed; it refuses until that
                 # recovery (of a blank replica, from its seeded peers) is over.
-                self.sim.schedule(host.reboot_time, lambda: reboot(rid))
+                self.sim.schedule(REBOOT_TIME, lambda: reboot(rid))
 
         for rid in sorted(hosts):
             reboot(rid)

@@ -53,6 +53,11 @@ Key = Tuple[str, int]
 #: re-arms the timer), so the window must exceed one period to be satisfiable.
 DAMPING_WINDOW_FACTOR = 2.0
 
+#: Consecutive damped timer firings allowed while the oldest queued request
+#: makes no progress; after that a view change proceeds even under load (the
+#: starvation escape hatch).
+DAMPING_STREAK_MAX = 8
+
 #: Entries examined from the queue front per admission when looking for
 #: TTL-stale entries; bounds per-message work at O(1).
 EXPIRY_SWEEP_LIMIT = 8
@@ -376,13 +381,11 @@ class OverloadPolicy:
         valid timer firing already proves no commit landed in the *current*
         period, so the window must look further back to distinguish a slow
         primary from a dead one.  The escape hatch: if the *same* oldest
-        queued request starves across ``overload_damping_max`` consecutive
+        queued request starves across ``DAMPING_STREAK_MAX`` consecutive
         damped firings, the primary is making progress while discriminating
         against someone — view-change anyway."""
         replica = self.replica
         pending = replica.pending
-        if not replica.config.overload_damping:
-            return False
         if 2 * len(pending) < pending.capacity:
             # No local overload evidence: a near-empty admission queue means
             # the stall is about one slow request, not saturation — treat the
@@ -405,7 +408,7 @@ class OverloadPolicy:
         else:
             self._damped_streak = 1
             self._damp_oldest = marker
-        return self._damped_streak <= replica.config.overload_damping_max
+        return self._damped_streak <= DAMPING_STREAK_MAX
 
 
 class OpenLoopLoadGenerator:

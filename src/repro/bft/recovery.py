@@ -2,10 +2,14 @@
 
 A :class:`ReplicaHost` owns one replica slot: the live :class:`Replica`
 instance, the factory that (re)builds its service from persistent storage,
-and the watchdog that periodically reboots it.  Recoveries are staggered —
-replica ``i`` fires at phase ``(i+1)/n`` of each rotation — so fewer than
-1/3 of the replicas are ever recovering at once and the service stays
-available.
+and the watchdog that periodically reboots it.  The watchdog staggers
+recoveries: replica ``i`` fires at phase ``(i+1)/n`` of each rotation, so
+two watchdog reboots start ``recovery_period / n`` apart.  Nothing bounds how
+many replicas are recovering at once: ``recover_now`` checks only its own
+replica, a recovery lasts until its state transfer finishes, and the
+supervisor and the explore ``recover`` step start recoveries too.  Recoveries
+can overlap, and a group whose every replica is recovering stops (ROADMAP
+item 1).
 
 A recovery:
 
@@ -14,7 +18,7 @@ A recovery:
    follow at once, so a planned reboot costs them no request timeout
    (OSDI'00 section 4.3) — and asks the service to save its recovery metadata
    (the BASE conformance rep, the ⟨fsid, fileid⟩→oid map, partition lm's);
-2. stops the replica and takes it off the network for ``reboot_time``;
+2. stops the replica and takes it off the network for ``REBOOT_TIME``;
 3. refreshes the replica's inbound session keys (stale MACs stop verifying);
 4. rebuilds the service *from a clean implementation instance plus the saved
    metadata* — in-memory corruption and aging are discarded here;
@@ -41,6 +45,9 @@ from repro.util.trace import emit
 #: Builds a replica's service over its persistent disk dict.
 ServiceFactory = Callable[[dict], StateMachine]
 
+#: Virtual seconds a recovering replica stays stopped and off the network.
+REBOOT_TIME = 0.02
+
 
 class ReplicaHost:
     """One replica slot with reboot capability.
@@ -64,7 +71,6 @@ class ReplicaHost:
         disk: dict,
         keys: KeyTable,
         sigs: SignatureScheme,
-        reboot_time: float = 0.02,
         tracer=None,
         repair: Optional[RepairPolicy] = None,
     ) -> None:
@@ -82,7 +88,6 @@ class ReplicaHost:
         self.disk = disk
         self.keys = keys
         self.sigs = sigs
-        self.reboot_time = reboot_time
         self.tracer = tracer
 
         self.service = self.service_factory(disk)
@@ -207,7 +212,7 @@ class ReplicaHost:
         self.network.set_down(self.replica_id, True)
         self._mid_reboot = True
         self.sim.schedule(
-            self.reboot_time, lambda: self._reboot(saved_view, saved_counters, restore)
+            REBOOT_TIME, lambda: self._reboot(saved_view, saved_counters, restore)
         )
         return True
 

@@ -54,9 +54,9 @@ _PROBE_INTERVAL = 0.05
 class RepairPolicy:
     """Knobs of the containment ladder.
 
-    backoff_initial / backoff_factor / backoff_max:
+    backoff_initial / backoff_max:
         capped exponential backoff between a crash and the repair it triggers
-        (round ``k`` waits ``initial * factor**(k-1)``, capped).
+        (round ``k`` waits ``initial * 2**(k-1)``, capped).
     deterministic_after:
         consecutive same-reason crashes before the fault is classified
         deterministic and repairs start skipping past the poisoning seqno.
@@ -70,7 +70,6 @@ class RepairPolicy:
     """
 
     backoff_initial: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max: float = 0.8
     deterministic_after: int = 2
     failover_after: int = 4
@@ -79,7 +78,7 @@ class RepairPolicy:
 
     def backoff(self, round_index: int) -> float:
         exponent = max(0, round_index - 1)
-        return min(self.backoff_initial * (self.backoff_factor ** exponent), self.backoff_max)
+        return min(self.backoff_initial * (2.0 ** exponent), self.backoff_max)
 
 
 @dataclass(frozen=True)
@@ -291,30 +290,7 @@ class FaultContainmentSupervisor:
             seqno=cert.seqno,
             leaves=sorted(corrupt),
         )
-        self._emit_localization(corrupt)
         return replica.transfer.begin_scrub(cert, corrupt)
-
-    def _emit_localization(self, corrupt: List[int]) -> None:
-        """For NFS services, run the wrapper audit so the trace pinpoints
-        what the corruption broke (referential integrity, reachability)."""
-        wrapper = getattr(self.host.service, "wrapper", None)
-        if wrapper is None:
-            return
-        try:
-            from repro.nfs.audit import audit_wrapper
-            from repro.nfs.wrapper import NFSConformanceWrapper
-        except ImportError:  # pragma: no cover - nfs is part of the tree
-            return
-        if not isinstance(wrapper, NFSConformanceWrapper):
-            return
-        report = audit_wrapper(wrapper)
-        emit(
-            self.host.tracer,
-            self.host.replica_id,
-            "scrub_localization",
-            leaves=sorted(corrupt),
-            problems=list(report.problems),
-        )
 
     # -- observability -----------------------------------------------------------
 

@@ -156,15 +156,10 @@ def run_plan(
     plant: Optional[str] = None,
     check_interval: int = 10,
     liveness_timeout: float = 30.0,
-    overload_damping: bool = True,
     config_overrides: Optional[Dict] = None,
 ) -> RunOutcome:
     """Execute one fault plan against a fresh deployment; fully deterministic:
     (plan, shards, plant, configuration) determine the verdict.
-
-    ``overload_damping=False`` disables the anti-view-change-storm damping —
-    used by the acceptance tests to demonstrate that without it, a pure
-    overload episode degenerates into view changes.
 
     ``config_overrides`` are the :class:`BFTConfig` overrides of one row of
     ``VARIANTS`` valid on the deployment (None: the baseline) — the
@@ -175,9 +170,7 @@ def run_plan(
     check_supported(plan, deployment, config_overrides)
     if plant is not None and plant not in row.plants:
         raise PlanError(f"a {deployment} deployment has no planted bug {plant!r}")
-    config, net_config = deployment_configs(
-        plan, dict(row.fields, overload_damping=overload_damping), config_overrides
-    )
+    config, net_config = deployment_configs(plan, row.fields, config_overrides)
     system, recorders, poisoned = row.build(
         recording_cluster, plan, config, net_config, shards
     )
@@ -249,7 +242,6 @@ def explore(
     plant: Optional[str] = None,
     check_interval: int = 10,
     shrink: bool = True,
-    max_shrink_runs: int = 64,
     family: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
     variant: str = "baseline",
@@ -300,12 +292,7 @@ def explore(
             if shrink:
                 if log is not None:
                     log(f"shrinking {len(plan.steps)}-step violating plan ...")
-                shrunk = shrink_plan(
-                    plan,
-                    outcome.violation,
-                    lambda p: run(p).violation,
-                    max_runs=max_shrink_runs,
-                )
+                shrunk = shrink_plan(plan, outcome.violation, lambda p: run(p).violation)
                 result.shrunk_plan = shrunk.plan
                 result.shrunk_violation = shrunk.violation
                 result.shrink_runs = shrunk.runs

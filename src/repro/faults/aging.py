@@ -14,9 +14,10 @@ from persistent state (a fresh instance starts unfragmented).
 Mechanically, :class:`FragmentationAging` wraps an armed replica's network
 delivery handler: each inbound message is deferred by a stall proportional
 to the operations the *current service incarnation* has executed (capped at
-``stall_cap``).  A proactive recovery swaps in a fresh replica handler and a
-fresh service — the periodic re-arm tick notices the swap, re-wraps the new
-handler, and the stall restarts from zero because ``executed_ops`` does.
+``DEFAULT_STALL_CAP``).  A proactive recovery swaps in a fresh replica
+handler and a fresh service — the periodic re-arm tick notices the swap,
+re-wraps the new handler, and the stall restarts from zero because
+``executed_ops`` does.
 Everything is deterministic: no RNG, virtual-time only.
 """
 
@@ -44,13 +45,11 @@ class FragmentationAging:
         self,
         cluster,
         per_op_stall: float = DEFAULT_PER_OP_STALL,
-        stall_cap: float = DEFAULT_STALL_CAP,
     ) -> None:
-        if per_op_stall < 0 or stall_cap < 0:
-            raise ValueError("stall parameters must be >= 0")
+        if per_op_stall < 0:
+            raise ValueError("per_op_stall must be >= 0")
         self.cluster = cluster
         self.per_op_stall = per_op_stall
-        self.stall_cap = stall_cap
         self._armed: List[str] = []
         self._wrappers: Dict[str, Callable] = {}
         self._running = False
@@ -59,7 +58,7 @@ class FragmentationAging:
         """The stall the named replica's next message will suffer."""
         service = self.cluster.hosts[replica_id].service
         executed = getattr(service, "executed_ops", 0)
-        return min(self.stall_cap, self.per_op_stall * executed)
+        return min(DEFAULT_STALL_CAP, self.per_op_stall * executed)
 
     def arm(self, *replica_ids: str) -> None:
         """Start aging the named replicas (all replicas when none named)."""

@@ -4,8 +4,9 @@ Unlike the injectors in :mod:`repro.faults.injector` — which model *allowed*
 Byzantine behaviour the protocol must mask — a planted bug weakens the
 protocol implementation itself, the way a bad refactor would.  Exploration
 (``repro explore --plant NAME``) must then find a fault schedule that turns
-the weakness into a safety-oracle violation, and the shrinker must reduce
-that schedule to a minimal repro.
+the weakness into an oracle violation — a safety oracle, or the
+overload-goodput check for ``undamped-timers`` — and the shrinker must
+reduce that schedule to a minimal repro.
 
 Each plant takes a :class:`~repro.bft.cluster.Cluster` and returns an
 ``ensure()`` callback that (re)applies the sabotage idempotently; the
@@ -73,6 +74,23 @@ def plant_blind_checkpoint_certs(cluster) -> Callable[[], None]:
     return _make_ensure(cluster, sabotage)
 
 
+def plant_undamped_timers(cluster) -> Callable[[], None]:
+    """Regression in the overload policy: an expired request timer always
+    blames the primary, even while commits keep landing — the anti-storm
+    damping of ``OverloadPolicy._should_damp`` is gone.
+
+    Harmless while the cluster is idle or a primary is really silent; under
+    a pure ``overload`` episode a saturated but live primary is voted out,
+    view change after view change, and the overload-goodput check flags the
+    collapse.
+    """
+
+    def sabotage(replica) -> None:
+        replica.overload._should_damp = lambda: False  # type: ignore[method-assign]
+
+    return _make_ensure(cluster, sabotage)
+
+
 def _make_ensure(cluster, sabotage: Callable) -> Callable[[], None]:
     def ensure() -> None:
         for host in cluster.hosts.values():
@@ -88,6 +106,7 @@ def _make_ensure(cluster, sabotage: Callable) -> Callable[[], None]:
 PLANTED_BUGS: Dict[str, Callable] = {
     "weak-prepare-quorum": plant_weak_prepare_quorum,
     "blind-checkpoint-certs": plant_blind_checkpoint_certs,
+    "undamped-timers": plant_undamped_timers,
 }
 
 

@@ -17,11 +17,21 @@ from typing import List
 from repro.explore.plan import FaultPlan, FaultStep
 from repro.net.topology import topology_preset
 
+#: Virtual seconds a campaign runs past its last step's activity.
+CAMPAIGN_TAIL = 60.0
 
-def campaign_horizon(plan: FaultPlan, tail: float = 60.0) -> float:
+#: Aggregate request rate of each flash crowd, requests per virtual second.
+CROWD_PEAK_RATE = 24.0
+
+#: Per-executed-operation stall of the campaign's fragmentation aging.
+PER_OP_STALL = 1.5e-4
+
+
+def campaign_horizon(plan: FaultPlan) -> float:
     """Virtual end time of a campaign: last step activity plus a tail."""
     return (
-        max((step.at + step.duration for step in plan.steps), default=0.0) + tail
+        max((step.at + step.duration for step in plan.steps), default=0.0)
+        + CAMPAIGN_TAIL
     )
 
 
@@ -34,10 +44,6 @@ def generate_campaign(
     storms: int = 3,
     flash_crowds: int = 2,
     crowd_clients: int = 4,
-    crowd_peak_rate: float = 24.0,
-    include_outage: bool = True,
-    aging: bool = True,
-    per_op_stall: float = 1.5e-4,
 ) -> FaultPlan:
     """Deterministically compose one long-horizon campaign from a seed.
 
@@ -52,11 +58,8 @@ def generate_campaign(
     horizon = hours * 3600.0
     steps: List[FaultStep] = []
 
-    if aging:
-        # Aging arms early so the full horizon accumulates fragmentation.
-        steps.append(
-            FaultStep(at=5.0, kind="age_replicas", fraction=per_op_stall)
-        )
+    # Aging arms early so the full horizon accumulates fragmentation.
+    steps.append(FaultStep(at=5.0, kind="age_replicas", fraction=PER_OP_STALL))
 
     for _ in range(storms):
         steps.append(
@@ -85,25 +88,24 @@ def generate_campaign(
             FaultStep(
                 at=round(center - duration / 2.0, 2),
                 kind="flash_crowd",
-                rate=crowd_peak_rate,
+                rate=CROWD_PEAK_RATE,
                 clients=crowd_clients,
                 duration=duration,
             )
         )
 
-    if include_outage:
-        # Take out the *largest* region: on wan3 that is two replicas at
-        # once — deliberately beyond the <= f assumption, so the outage span
-        # becomes a declared beyond-assumption window.
-        largest = max(topo.regions, key=lambda r: (len(r.replicas), r.name))
-        steps.append(
-            FaultStep(
-                at=round(rng.uniform(0.45, 0.6) * horizon, 2),
-                kind="region_outage",
-                region=largest.name,
-                duration=round(rng.uniform(45.0, 75.0), 2),
-            )
+    # Take out the *largest* region: on wan3 that is two replicas at once —
+    # deliberately beyond the <= f assumption, so the outage span becomes a
+    # declared beyond-assumption window.
+    largest = max(topo.regions, key=lambda r: (len(r.replicas), r.name))
+    steps.append(
+        FaultStep(
+            at=round(rng.uniform(0.45, 0.6) * horizon, 2),
+            kind="region_outage",
+            region=largest.name,
+            duration=round(rng.uniform(45.0, 75.0), 2),
         )
+    )
 
     steps.sort(key=lambda s: s.at)
     return FaultPlan(

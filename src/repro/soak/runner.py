@@ -43,6 +43,9 @@ from repro.soak.campaign import campaign_horizon
 
 SOAK_ARTIFACT_VERSION = 1
 
+#: Simulator events between two continuous oracle checks of a soak run.
+CHECK_INTERVAL = 100
+
 
 @dataclass(frozen=True)
 class SoakSLO:
@@ -179,27 +182,22 @@ def run_soak(
     slo: Optional[SoakSLO] = None,
     op_timeout: float = 8.0,
     gap: float = 1.0,
-    check_interval: int = 100,
     log: Optional[Callable[[str], None]] = None,
-    overload_damping: bool = True,
 ) -> SoakReport:
-    """Execute one campaign plan over its full horizon; fully deterministic
-    (``overload_damping`` as in ``run_plan``)."""
+    """Execute one campaign plan over its full horizon; fully deterministic."""
     slo = slo or SoakSLO()
     row = DEPLOYMENTS[SOAK]
     check_supported(plan, SOAK)
     problems = outside_assumptions(plan)
     if problems:  # a campaign, unlike a shrunk plan, must also stay inside them
         raise PlanError(f"invalid campaign plan: {problems}")
-    config, net_config = deployment_configs(
-        plan, dict(row.fields, overload_damping=overload_damping)
-    )
+    config, net_config = deployment_configs(plan, row.fields)
     # Looked up at call time: the perf harness captures the deployment by
     # rebinding this module's ``recording_cluster``.
     cluster, recorders, _poisoned = row.build(
         recording_cluster, plan, config, net_config, 1
     )
-    session = Session(plan, cluster, recorders, SOAK, check_interval)
+    session = Session(plan, cluster, recorders, SOAK, CHECK_INTERVAL)
     # Rotation before steps: the simulator breaks same-instant ties by
     # scheduling order, and the wan baselines pin a rotation and a flash
     # crowd that share t=30 in this order.

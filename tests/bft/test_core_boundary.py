@@ -2,13 +2,16 @@
 that a sub-protocol which is off (or not attached) leaves no trace.
 
 The first half reads source: every sub-protocol besides the three-phase core
-has one owner module (docs/protocol.md, "Module map"), and the core reaches
-an owner only through its public methods.  The second half runs clusters.
+has one owner module (docs/protocol.md, "Module map"), the core reaches an
+owner only through its public methods, and the BFT library imports no
+service or tool built on it.  The second half runs clusters.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
+from repro.bft.config import BFTConfig
 from repro.bft.fusion import FusedBackupTier
 from repro.bft.messages import (
     FetchMeta,
@@ -18,6 +21,7 @@ from repro.bft.messages import (
     FusionFetch,
     ParityAck,
 )
+from repro.bft.repair import RepairPolicy
 from repro.bft.service import StateMachine
 from repro.bft.sharding import sharded_kv_cluster
 from repro.bft.testing import encode_get, encode_set, kv_cluster
@@ -65,6 +69,68 @@ def test_replica_core_names_no_fast_path_or_damping_state():
         if name.startswith(("_lease", "_damp")) or name == "spec_frames"
     )
     assert leaked == []
+
+
+#: Packages built on the BFT library: the services and the tools that drive
+#: it.  The library serves any ``StateMachine`` and knows none of them.
+ABOVE_THE_LIBRARY = ("repro.nfs", "repro.oodb", "repro.explore", "repro.soak", "repro.bench")
+
+
+def test_the_bft_library_imports_no_service_or_tool():
+    """Checked on the source, function-local imports included."""
+    imports = []
+    for path in sorted(BFT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            imports += [
+                f"{path.relative_to(SRC)}:{node.lineno} {module}"
+                for module in modules
+                if any(module == pkg or module.startswith(pkg + ".") for pkg in ABOVE_THE_LIBRARY)
+            ]
+    assert imports == []
+
+
+def test_the_settable_surface_is_pinned():
+    """Every field here is a value some caller sets.  A new field needs two
+    non-test callers that set different values; a value nothing varies is a
+    module constant (``DAMPING_STREAK_MAX``, ``REBOOT_TIME``), and a switch
+    that only tests flip is a planted bug (``repro.faults.plant``).
+    Deployment settings (replica ids, f, the protocol timers a WAN preset
+    scales, the fast-path variants) are the exception: an operator sets
+    them, whatever the code base does."""
+    assert [field.name for field in fields(BFTConfig)] == [
+        "replica_ids",
+        "f",
+        "checkpoint_interval",
+        "log_window",
+        "batch_max",
+        "max_outstanding",
+        "view_change_timeout",
+        "status_interval",
+        "client_retry",
+        "client_retry_max",
+        "read_only_timeout",
+        "recovery_period",
+        "admission_capacity",
+        "admission_per_client",
+        "pending_ttl",
+        "pipeline_depth",
+        "speculative_execution",
+        "read_leases",
+    ]
+    assert [field.name for field in fields(RepairPolicy)] == [
+        "backoff_initial",
+        "backoff_max",
+        "deterministic_after",
+        "failover_after",
+        "scrub_interval",
+        "scrub_batch",
+    ]
 
 
 def _is_replica(expr):

@@ -10,6 +10,7 @@ fused tier's cross-group parity can bring the shard back.
 import pytest
 
 from repro.bft.fusion import DEFAULT_SLOT_WIDTH, FusedBackupTier
+from repro.bft.recovery import REBOOT_TIME
 from repro.bft.sharding import sharded_kv_cluster
 from repro.bft.testing import encode_get, encode_set
 
@@ -236,7 +237,7 @@ def test_reconstruction_with_any_one_surviving_donor_down(crashed):
     record = tier.reconstructions[0]
     assert record.ok is True, record.detail
     # Four concurrent reboots and one block fetch, not four reboots in a row.
-    assert record.mttr < 1.5 * sharded.shard(2).hosts["R0"].reboot_time
+    assert record.mttr < 1.5 * REBOOT_TIME
     assert tier.total_counters().get("fusion_replicas_seeded") == 4
     # Nobody was handed a MAC meant for somebody else.
     totals = sharded.total_counters()

@@ -3,9 +3,10 @@
 The pinned criterion: a deterministic pure-overload run at >= 4x the
 sustainable load *passes* the goodput oracle — commits continue, requests
 are shed, and the view number never moves — while the *same* plan with
-anti-storm damping disabled regresses into view changes.  That contrast is
-the whole point of the layer: overload is survived by shedding, not by
-electing a new primary that would inherit the same queue.
+anti-storm damping planted out (``undamped-timers``) regresses into view
+changes.  That contrast is the whole point of the layer: overload is
+survived by shedding, not by electing a new primary that would inherit the
+same queue.
 """
 
 import json
@@ -62,7 +63,7 @@ def test_disabling_damping_regresses_into_view_changes():
     the primary to timeout-driven view changes mid-episode, which the strict
     goodput oracle reports as a violation."""
     plan = overload_plan(OVERLOAD_RATES[0])
-    verdict = run_plan(plan, overload_damping=False)
+    verdict = run_plan(plan, plant="undamped-timers")
     assert verdict.violation is not None
     assert verdict.violation.oracle == "overload-goodput"
     assert verdict.counters["view_changes_started"] > 0

@@ -42,16 +42,26 @@ def test_run_plan_verdict_is_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
+#: The fault family a plant's plans need; the others are reached by the
+#: default (benign) plans.  Damping only acts under saturation.
+PLANT_FAMILY = {"undamped-timers": "overload"}
+
+
 @pytest.mark.parametrize(
     "plant,seed,budget",
-    [("weak-prepare-quorum", 0, 10), ("blind-checkpoint-certs", 1, 10)],
+    [
+        ("weak-prepare-quorum", 0, 10),
+        ("blind-checkpoint-certs", 1, 10),
+        ("undamped-timers", 0, 5),
+    ],
 )
 def test_planted_bug_found_and_shrunk(plant, seed, budget, tmp_path):
     """The acceptance criterion: exploration finds the planted regression
     within budget, shrinks the repro to <= 3 fault steps, and the artifact
     replays to the exact same violation."""
     assert plant in PLANTED_BUGS
-    result = explore(budget=budget, seed=seed, requests=16, plant=plant)
+    family = PLANT_FAMILY.get(plant)
+    result = explore(budget=budget, seed=seed, requests=16, plant=plant, family=family)
     assert result.found, f"{plant} not found in {budget} plans"
     assert result.shrunk_plan is not None
     assert len(result.shrunk_plan.steps) <= 3
