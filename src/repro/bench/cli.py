@@ -1,10 +1,10 @@
 """``repro bench`` — deterministic benchmark suites from the command line.
 
 Runs a named suite of simulator scenarios (:mod:`repro.bench.suites`), writes
-machine-readable ``BENCH_<suite>.json``, and optionally compares against a
-committed baseline with a regression threshold.
+machine-readable ``BENCH_<suite>.json``, and optionally compares it against a
+committed baseline, exactly: the report must equal the baseline byte for byte.
 
-Exit codes: 0 = ok, 1 = regression against the baseline, 2 = usage error.
+Exit codes: 0 = ok, 1 = the report differs from the baseline, 2 = usage error.
 
 The report is deliberately free of wall-clock timestamps and host identifiers:
 two runs of the same code produce byte-identical JSON, so baselines can be
@@ -26,53 +26,6 @@ EXIT_REGRESSION = 1
 EXIT_USAGE = 2
 
 SCHEMA_VERSION = 1
-
-#: Metrics compared against a baseline, with the direction that counts as a
-#: regression.  Anything not listed is informational only.
-LOWER_IS_BETTER = {
-    "virtual_seconds",
-    "latency_p50_ms",
-    "latency_p99_ms",
-    "messages_sent",
-    "bytes_sent",
-    "message_encodes",
-    "message_encode_bytes",
-    "encodes_per_send",
-    "mac_generate",
-    "mac_verify",
-    "key_derivations",
-    "digests",
-    "digest_combines",
-    "checkpoint_digests",
-    "cow_copies",
-    "cow_bytes",
-    "tree_nodes_copied",
-    "tree_nodes_copied_per_checkpoint",
-    "copy_scaling_ratio",
-    "objects_fetched",
-    "fetch_meta_sent",
-    "fetch_object_sent",
-    "view_changes_started",
-    "read_only_fallbacks",
-    "storage_ratio",
-    "fused_storage_bytes",
-    "reconstruction_vseconds",
-    "block_bytes_fetched",
-}
-HIGHER_IS_BETTER = {
-    "ops_per_vsec",
-    "transfers_completed",
-    "goodput_per_vsec",
-    "completed",
-    "executed",
-    "txns_committed",
-    "availability",
-    "min_window_availability",
-    "probe_ops",
-    "root_match",
-    "resumed",
-    "replicas_seeded",
-}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -100,30 +53,11 @@ def _parser() -> argparse.ArgumentParser:
         "--compare",
         default=None,
         metavar="BASELINE",
-        help="baseline BENCH_*.json to compare against; regressions exit 1",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="allowed fractional regression vs the baseline (default 0.05)",
+        help="baseline BENCH_*.json the report must equal byte for byte; "
+        "any difference exits 1",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
-
-
-def _compare_metric(name: str, current: float, baseline: float) -> Optional[float]:
-    """Fractional regression of ``current`` vs ``baseline`` (None if the
-    metric is informational or did not regress)."""
-    if name in LOWER_IS_BETTER:
-        if current <= baseline:
-            return None
-        return (current - baseline) / baseline if baseline else float("inf")
-    if name in HIGHER_IS_BETTER:
-        if current >= baseline:
-            return None
-        return (baseline - current) / baseline if baseline else float("inf")
-    return None
 
 
 def _validate_baseline(baseline) -> Optional[str]:
@@ -150,28 +84,29 @@ def _validate_baseline(baseline) -> Optional[str]:
     return None
 
 
-def compare_reports(current: Dict, baseline: Dict, threshold: float) -> List[Tuple[str, str]]:
-    """Regressions against ``baseline``, as (``scenario[.metric]``, what
-    happened) pairs: a compared metric worse by more than ``threshold``, or a
-    baselined scenario or metric this run did not produce — renaming or
-    deleting one must not silently take it out from under the gate."""
-    regressions: List[Tuple[str, str]] = []
-    for scenario, base_metrics in baseline.get("scenarios", {}).items():
-        current_metrics = current.get("scenarios", {}).get(scenario)
-        if current_metrics is None:
-            regressions.append((scenario, "missing from this run"))
-            continue
-        for metric, base_value in base_metrics.items():
-            if metric not in current_metrics:
-                regressions.append((f"{scenario}.{metric}", "missing from this run"))
-                continue
-            value = current_metrics[metric]
-            frac = _compare_metric(metric, value, base_value)
-            if frac is not None and frac > threshold:
-                regressions.append(
-                    (f"{scenario}.{metric}", f"{value} vs baseline {base_value} ({frac:+.1%})")
-                )
-    return regressions
+def compare_reports(current: Dict, baseline: Dict) -> List[Tuple[str, str]]:
+    """Every difference from ``baseline``, as (``scenario[.metric]``, what)
+    pairs sorted by name: a value that moved in either direction, or a
+    scenario or metric present on one side only.  The baselines pin protocol
+    work exactly, so an improvement must be re-recorded as much as a
+    regression must be explained, and renaming or deleting an entry must not
+    silently take it out from under the gate."""
+    differences: List[Tuple[str, str]] = []
+
+    def walk(prefix: str, ours: Dict, theirs: Dict) -> None:
+        for key in sorted(set(ours) | set(theirs)):
+            name = f"{prefix}{key}"
+            if key not in ours:
+                differences.append((name, "missing from this run"))
+            elif key not in theirs:
+                differences.append((name, "not in the baseline"))
+            elif isinstance(ours[key], dict):
+                walk(f"{name}.", ours[key], theirs[key])
+            elif ours[key] != theirs[key]:
+                differences.append((name, f"{ours[key]} vs baseline {theirs[key]}"))
+
+    walk("", current.get("scenarios", {}), baseline.get("scenarios", {}))
+    return differences
 
 
 def write_report(path: Path, suite: str, scenarios: Dict[str, Dict[str, float]]) -> Dict:
@@ -193,9 +128,6 @@ def bench_main(argv: List[str]) -> int:
             for name in SUITES[suite]:
                 print(f"{suite}: {name}")
         return EXIT_OK
-    if args.threshold < 0:
-        print("bench: --threshold must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
 
     baseline = None
     if args.compare is not None:
@@ -204,7 +136,8 @@ def bench_main(argv: List[str]) -> int:
             print(f"bench: no such baseline: {baseline_path}", file=sys.stderr)
             return EXIT_USAGE
         try:
-            baseline = json.loads(baseline_path.read_text())
+            baseline_bytes = baseline_path.read_bytes()
+            baseline = json.loads(baseline_bytes)
         except OSError as exc:
             print(f"bench: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -227,13 +160,14 @@ def bench_main(argv: List[str]) -> int:
 
     if baseline is None:
         return EXIT_OK
-    regressions = compare_reports(report, baseline, args.threshold)
-    if not regressions:
-        print(
-            f"bench: no regressions vs {baseline_path} "
-            f"(threshold {args.threshold:.0%})"
-        )
+    if out_path.read_bytes() == baseline_bytes:
+        print(f"bench: {out_path} equals {baseline_path} byte for byte")
         return EXIT_OK
-    for name, what in regressions:
+    # The same numbers in other bytes (a hand-formatted baseline, a schema or
+    # suite field) still fail: the gate is byte equality.
+    differences = compare_reports(report, baseline) or [
+        (str(baseline_path), "same metrics, different bytes")
+    ]
+    for name, what in differences:
         print(f"bench: REGRESSION {name}: {what}")
     return EXIT_REGRESSION

@@ -4,8 +4,8 @@ Every scenario runs a fixed workload under the seeded discrete-event
 simulator, so every metric — ops per virtual second, latency percentiles,
 message/byte/hash counts, COW bytes — is a protocol-level quantity that is
 bit-identical across runs and hosts.  That is what lets ``repro bench
---compare`` hold regressions to a tight threshold: any drift is a real
-change in protocol work, never scheduler noise.
+--compare`` hold a report to its committed baseline byte for byte: any
+drift is a real change in protocol work, never scheduler noise.
 
 A scenario is a zero-argument callable returning a flat ``{metric: number}``
 dict; a suite is a named list of scenarios.  The drivers the scenarios are
@@ -37,6 +37,7 @@ from repro.explore.plan import (
 )
 from repro.net.network import NetworkConfig
 from repro.soak.runner import SoakSLO, run_soak
+from repro.util.stats import percentile
 
 Metrics = Dict[str, float]
 
@@ -49,15 +50,6 @@ def scenario(name: str) -> Callable[[Callable[[], Metrics]], Callable[[], Metric
         return fn
 
     return register
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation surprises)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
 
 
 def _round(value: float) -> float:
@@ -147,8 +139,8 @@ def _kv_throughput(
         "ops": ops,
         "virtual_seconds": _round(elapsed),
         "ops_per_vsec": _round(ops / elapsed),
-        "latency_p50_ms": _round(_percentile(latencies, 0.50) * 1000.0),
-        "latency_p99_ms": _round(_percentile(latencies, 0.99) * 1000.0),
+        "latency_p50_ms": _round(percentile(latencies, 0.50) * 1000.0),
+        "latency_p99_ms": _round(percentile(latencies, 0.99) * 1000.0),
         "messages_sent": totals.get("messages_sent"),
         "bytes_sent": totals.get("bytes_sent"),
     }
@@ -305,6 +297,30 @@ def state_transfer() -> Metrics:
     }
 
 
+def _run_swarm(system, swarm) -> int:
+    """Drive one swarm rung against ``system`` (a cluster or a sharded
+    cluster): squeeze every group's links to :data:`OVERLOAD_BANDWIDTH`, run
+    the swarm for :data:`OVERLOAD_DURATION`, unsqueeze, drain, and return how
+    many requests the groups' primaries executed meanwhile."""
+
+    def executed() -> int:
+        return sum(
+            cluster.replica("R0").counters.get("requests_executed")
+            for cluster in system.clusters
+        )
+
+    before = executed()
+    for cluster in system.clusters:
+        cluster.network.config.bandwidth = OVERLOAD_BANDWIDTH
+    swarm.start()
+    system.sim.run_for(OVERLOAD_DURATION)
+    swarm.stop()
+    for cluster in system.clusters:
+        cluster.network.config.bandwidth = 0.0
+    system.sim.run_for(0.5)  # drain in-flight work before reading counters
+    return executed() - before
+
+
 def overload_rung(rate: float) -> Metrics:
     """One rung of the overload ladder: an open-loop swarm offers ``rate``
     requests/second for :data:`OVERLOAD_DURATION` virtual seconds against
@@ -331,16 +347,7 @@ def overload_rung(rate: float) -> Metrics:
     cluster.client("C0").invoke(encode_set(0, b"warm"))
     clients = [cluster.client(f"L{i}") for i in range(OVERLOAD_CLIENTS)]
     swarm = OpenLoopLoadGenerator(cluster.sim, clients, rate, swarm_op)
-    primary = cluster.replica("R0")
-    executed_before = primary.counters.get("requests_executed")
-    cluster.network.config.bandwidth = OVERLOAD_BANDWIDTH
-    swarm.start()
-    cluster.sim.run_for(OVERLOAD_DURATION)
-    swarm.stop()
-    cluster.network.config.bandwidth = 0.0
-    cluster.sim.run_for(0.5)  # drain in-flight work before reading counters
-
-    executed = primary.counters.get("requests_executed") - executed_before
+    executed = _run_swarm(cluster, swarm)
     totals = cluster.total_counters()
     return {
         "offered": swarm.offered,
@@ -516,24 +523,7 @@ def _shard_rung(num_shards: int, txn_fraction: float = 0.0) -> Metrics:
         txn_fraction=txn_fraction,
         txn_factory=swarm_txn,
     )
-    executed_before = [
-        sharded.shard(s).replica("R0").counters.get("requests_executed")
-        for s in range(num_shards)
-    ]
-    for cluster in sharded.clusters:
-        cluster.network.config.bandwidth = OVERLOAD_BANDWIDTH
-    swarm.start()
-    sharded.sim.run_for(OVERLOAD_DURATION)
-    swarm.stop()
-    for cluster in sharded.clusters:
-        cluster.network.config.bandwidth = 0.0
-    sharded.sim.run_for(0.5)  # drain in-flight work before reading counters
-
-    executed = sum(
-        sharded.shard(s).replica("R0").counters.get("requests_executed")
-        - executed_before[s]
-        for s in range(num_shards)
-    )
+    executed = _run_swarm(sharded, swarm)
     totals = sharded.total_counters()
     return {
         "shards": num_shards,

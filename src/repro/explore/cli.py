@@ -198,6 +198,12 @@ def _replay_plan(plan, recorded, plant, options) -> int:
         if observed.to_dict() == recorded
         else "replay: WARNING - violation differs from the recorded one"
     )
+    print("replay: where the run left each replica:")
+    for row in outcome.replica_states:
+        state = " ".join(
+            f"{key}={value}" for key, value in row.items() if key not in ("group", "replica")
+        )
+        print(f"replay:   group {row['group']} {row['replica']}: {state}")
     return EXIT_VIOLATION
 
 

@@ -93,6 +93,9 @@ class RunOutcome:
     # them in-process).
     client_replies: Optional[List[Optional[bytes]]] = None
     committed_history: Optional[List] = None
+    # Where the run left every replica of every group (not serialized either:
+    # ``repro replay`` prints it after a violation).
+    replica_states: Optional[List[Dict]] = None
 
     def to_dict(self) -> Dict:
         return {
@@ -227,8 +230,34 @@ def run_plan(
         names += _CAMPAIGN_COUNTERS
     outcome.counters = {name: totals.get(name) for name in names}
     outcome.events = sim.events_processed
+    outcome.replica_states = _replica_states(system)
     workload.evidence(outcome)
     return outcome
+
+
+def _replica_states(system) -> List[Dict]:
+    """One row per replica of every group: its view and view-change state,
+    whether it is recovering, how far it executed and checkpointed, and
+    whether its host is mid-reboot or its link is down."""
+    rows = []
+    for group, cluster in enumerate(system.clusters):
+        for rid, host in cluster.hosts.items():
+            replica = host.replica
+            rows.append(
+                {
+                    "group": group,
+                    "replica": rid,
+                    "view": replica.view,
+                    "in_view_change": replica.view_changes.in_view_change,
+                    "pending_view": replica.view_changes.pending_view,
+                    "recovering": replica.recovering,
+                    "last_executed": replica.last_executed,
+                    "stable_seqno": replica.stable_seqno,
+                    "mid_reboot": host._mid_reboot,
+                    "link_down": cluster.network.is_down(rid),
+                }
+            )
+    return rows
 
 
 # -- exploration sessions -----------------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.bft.client import Client, InvocationTimeout
 from repro.net.simulator import Simulator
+from repro.util.stats import percentile
 
 
 @dataclass
@@ -78,14 +79,6 @@ class AvailabilitySummary:
         if not self.outage_spans:
             return 0.0
         return max(end - start for start, end in self.outage_spans)
-
-
-def _p99(latencies: List[float]) -> float:
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    rank = max(0, min(len(ordered) - 1, int(round(0.99 * (len(ordered) - 1)))))
-    return ordered[rank]
 
 
 class AvailabilityProbe:
@@ -177,7 +170,7 @@ class AvailabilityProbe:
                     total=len(samples),
                     succeeded=succeeded,
                     availability=succeeded / len(samples),
-                    p99_latency=_p99([s.latency for s in samples if s.ok]),
+                    p99_latency=percentile([s.latency for s in samples if s.ok], 0.99),
                 )
             )
 

@@ -10,7 +10,7 @@ them around a measured region.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 
 class Counters:
@@ -54,3 +54,13 @@ class Counters:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self)
         return f"Counters({inner})"
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q`` percentile of ``values`` (deterministic, no
+    interpolation surprises); 0.0 when there are none."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))
+    return ordered[rank]

@@ -36,27 +36,27 @@ def _report(**metrics):
 
 
 def test_compare_flags_cost_increase():
-    regressions = compare_reports(
-        _report(messages_sent=120), _report(messages_sent=100), threshold=0.05
-    )
+    regressions = compare_reports(_report(messages_sent=120), _report(messages_sent=100))
     assert [name for name, _what in regressions] == ["s.messages_sent"]
 
 
 def test_compare_flags_throughput_drop():
-    regressions = compare_reports(
-        _report(ops_per_vsec=80.0), _report(ops_per_vsec=100.0), threshold=0.05
-    )
+    regressions = compare_reports(_report(ops_per_vsec=80.0), _report(ops_per_vsec=100.0))
     assert [name for name, _what in regressions] == ["s.ops_per_vsec"]
 
 
-def test_compare_respects_direction_and_threshold():
-    # Improvements and sub-threshold noise never flag; informational metrics
-    # (not in either direction set) never flag.
-    current = _report(messages_sent=90, ops_per_vsec=104.0, ops=999)
-    baseline = _report(messages_sent=100, ops_per_vsec=100.0, ops=1)
-    assert compare_reports(current, baseline, threshold=0.05) == []
-    barely = _report(messages_sent=104)
-    assert compare_reports(barely, _report(messages_sent=100), threshold=0.05) == []
+def test_compare_names_every_moved_metric_in_either_direction():
+    """The gate is exact: a safety count, a checkpoint metric no direction
+    was ever declared for, and an "improvement" are each a difference from
+    the pinned baseline, named with both values."""
+    current = _report(safety_violations=1, small_cow_bytes=4160, messages_sent=90, ops=7)
+    baseline = _report(safety_violations=0, small_cow_bytes=4096, messages_sent=100, ops=7)
+    assert compare_reports(current, baseline) == [
+        ("s.messages_sent", "90 vs baseline 100"),
+        ("s.safety_violations", "1 vs baseline 0"),
+        ("s.small_cow_bytes", "4160 vs baseline 4096"),
+    ]
+    assert compare_reports(baseline, baseline) == []
 
 
 def test_compare_flags_scenarios_and_metrics_missing_from_current():
@@ -64,15 +64,15 @@ def test_compare_flags_scenarios_and_metrics_missing_from_current():
     take it out from under the gate — even an informational metric."""
     baseline = {"scenarios": {"gone": {"messages_sent": 1}, "s": {"ops": 1, "bytes_sent": 2}}}
     current = {"scenarios": {"s": {"bytes_sent": 2}, "new": {"ops": 5}}}
-    assert compare_reports(current, baseline, threshold=0.0) == [
+    assert compare_reports(current, baseline) == [
         ("gone", "missing from this run"),
+        ("new", "not in the baseline"),
         ("s.ops", "missing from this run"),
     ]
 
 
 def test_usage_errors():
     assert bench_main(["--suite", "nonsense"]) == EXIT_USAGE
-    assert bench_main(["--threshold", "-1"]) == EXIT_USAGE
 
 
 def test_list_prints_every_scenario_without_running_any(capsys, tmp_path, monkeypatch):
@@ -154,3 +154,24 @@ def test_smoke_suite_end_to_end(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("bench: REGRESSION kv_throughput.messages_sent: ")
     assert lines[1] == "bench: REGRESSION renamed_away: missing from this run"
+
+
+def test_the_gate_is_byte_equality(tmp_path, monkeypatch, capsys):
+    """A baseline holding the same numbers in other bytes still fails: the
+    report must equal the baseline exactly, as CI's ``cmp`` once checked."""
+    monkeypatch.setattr(
+        "repro.bench.cli.run_suite", lambda suite, log=None: {"s": {"ops": 1}}
+    )
+    out = tmp_path / "BENCH_smoke.json"
+    assert bench_main(["--out", str(out), "--quiet"]) == EXIT_OK
+    assert bench_main(["--out", str(out), "--compare", str(out), "--quiet"]) == EXIT_OK
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(out.read_text())))
+    capsys.readouterr()
+    assert (
+        bench_main(["--out", str(out), "--compare", str(compact), "--quiet"])
+        == EXIT_REGRESSION
+    )
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"bench: REGRESSION {compact}: same metrics, different bytes"
+    )

@@ -1,6 +1,7 @@
 """The ``python -m repro`` / ``repro`` entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_replay_of_benign_plan_exits_0(tmp_path, capsys):
     )
     assert main(["replay", str(path)]) == 0
     assert "no violation" in capsys.readouterr().out
+
+
+def test_replay_shows_where_a_violating_plan_left_each_replica(capsys):
+    """After a violation, ``repro replay`` prints one row per replica.  The
+    open liveness violation at ``baseline-none-s1`` ends with all four
+    replicas recovering and none having executed anything."""
+    artifact = Path(__file__).resolve().parent / "explore/artifacts/baseline-none-s1.json"
+    assert main(["replay", str(artifact)]) == 1
+    rows = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("replay:   group 0 ")
+    ]
+    assert [row.split()[3] for row in rows] == ["R0:", "R1:", "R2:", "R3:"]
+    for row in rows:
+        assert "recovering=True" in row.split() and "last_executed=0" in row.split()
 
 
 def test_replay_missing_artifact_exits_2(capsys):
