@@ -1,5 +1,4 @@
-"""GF(256) erasure codec over *abstract* object encodings (the fused-backup
-tier's math).
+"""XOR parity over *abstract* object encodings (the fused-backup tier's math).
 
 Fused state machines (Balasubramanian & Garg) replace full backup replicas
 with nodes that hold *coded* combinations of several primaries' state.  BASE
@@ -14,78 +13,22 @@ packed into a fixed-width **cell**::
     u64 lm | u32 len(value) | value | zero padding to slot_width
 
 A shard group's **data block** is the concatenation of its ``total_leaves``
-cells; the codec then treats the S data blocks as the data words of a
-Reed-Solomon code with ``t`` parity blocks.  The parity matrix is a Cauchy
-matrix (``a[j][i] = 1 / (x_j + y_i)`` over GF(256) with distinct points), so
-*every* square submatrix is invertible — any subset of S surviving blocks
-(data or parity) reconstructs the rest.  With ``t == 1`` the single parity
-row can be scaled to all-ones, degenerating to plain XOR; we keep the Cauchy
-coefficients uniformly so the t=1 and t>1 paths share every line of code.
+cells.  The one parity block is the XOR of the S data blocks, so the XOR of
+the parity and any S-1 data blocks is the remaining one: one lost group is
+repaired, two are not.
 
-Arithmetic is GF(2^8) with the AES-adjacent polynomial 0x11d.  Scalar
-multiplication of a whole block uses ``bytes.translate`` with a precomputed
-256-byte table per coefficient — one C-speed pass per (row, block) pair.
-
-Failure behaviour is loud by design: fewer than S available shares, width
-mismatches, oversized values, and corrupt cells all raise :class:`FusionError`
-rather than returning a silently wrong answer.
+Failure behaviour is loud by design: too few blocks, width mismatches,
+oversized values, and corrupt cells all raise :class:`FusionError` rather
+than returning a silently wrong answer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-_GF_POLY = 0x11D
-
-# log/exp tables for GF(2^8).  exp is doubled so exp[log a + log b] needs no
-# modular reduction.
-_EXP: List[int] = [0] * 512
-_LOG: List[int] = [0] * 256
-_value = 1
-for _power in range(255):
-    _EXP[_power] = _value
-    _LOG[_value] = _power
-    _value <<= 1
-    if _value & 0x100:
-        _value ^= _GF_POLY
-for _power in range(255, 512):
-    _EXP[_power] = _EXP[_power - 255]
+from typing import List, Sequence, Tuple
 
 
 class FusionError(Exception):
     """Unrecoverable codec condition (too many erasures, malformed cells)."""
-
-
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise FusionError("division by zero in GF(256)")
-    return _EXP[255 - _LOG[a]]
-
-
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
-
-
-def _mul_table(coeff: int) -> bytes:
-    """256-byte translation table computing ``coeff * b`` for every byte b."""
-    return bytes(gf_mul(coeff, b) for b in range(256))
-
-
-_TABLE_CACHE: Dict[int, bytes] = {}
-
-
-def _table(coeff: int) -> bytes:
-    cached = _TABLE_CACHE.get(coeff)
-    if cached is None:
-        cached = _mul_table(coeff)
-        _TABLE_CACHE[coeff] = cached
-    return cached
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -96,13 +39,27 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     ).to_bytes(len(a), "big")
 
 
-def gf_scale(coeff: int, block: bytes) -> bytes:
-    """``coeff * block`` elementwise over GF(256)."""
-    if coeff == 0:
-        return bytes(len(block))
-    if coeff == 1:
-        return block
-    return block.translate(_table(coeff))
+def xor_blocks(blocks: Sequence[bytes], count: int) -> bytes:
+    """XOR of exactly ``count`` equal-width blocks.
+
+    With ``count`` the number S of data blocks, this is both halves of the
+    code: the parity of the S data blocks, and the one data block missing
+    from the parity plus the other S-1.  Fewer blocks means more erasures
+    than one parity block repairs, and raises instead of returning a wrong
+    block.
+    """
+    if len(blocks) != count:
+        raise FusionError(
+            f"need {count} blocks, have {len(blocks)}: one parity block "
+            f"repairs exactly one erasure"
+        )
+    widths = sorted({len(block) for block in blocks})
+    if len(widths) != 1:
+        raise FusionError(f"blocks differ in width: {widths}")
+    acc = 0
+    for block in blocks:
+        acc ^= int.from_bytes(block, "big")
+    return acc.to_bytes(widths[0], "big")
 
 
 # -- cell packing -------------------------------------------------------------------
@@ -161,131 +118,3 @@ def unpack_block(
         decode_cell(block[i * slot_width : (i + 1) * slot_width])
         for i in range(num_leaves)
     ]
-
-
-# -- the codec ----------------------------------------------------------------------
-
-
-class FusionCodec:
-    """Systematic Reed-Solomon code: S data blocks, t Cauchy parity blocks.
-
-    Share indices 0..S-1 are the data blocks (one per shard group); indices
-    S..S+t-1 are the parity blocks (one per fused node).  Any S shares
-    reconstruct everything; fewer raise :class:`FusionError`.
-    """
-
-    def __init__(self, num_data: int, num_parity: int) -> None:
-        if num_data < 1 or num_parity < 1:
-            raise FusionError("need at least one data and one parity block")
-        if num_data + num_parity > 256:
-            raise FusionError("GF(256) Cauchy construction needs S + t <= 256")
-        self.num_data = num_data
-        self.num_parity = num_parity
-        # Cauchy points: x_j = j for parity rows, y_i = t + i for data
-        # columns — all distinct in GF(256), so a[j][i] = 1/(x_j ^ y_i) gives
-        # a matrix whose every square submatrix is invertible.
-        self.matrix: List[List[int]] = [
-            [gf_inv(j ^ (num_parity + i)) for i in range(num_data)]
-            for j in range(num_parity)
-        ]
-
-    def coeff(self, parity_row: int, data_index: int) -> int:
-        return self.matrix[parity_row][data_index]
-
-    def _check_widths(self, blocks: Iterable[bytes]) -> int:
-        widths = sorted({len(b) for b in blocks})
-        if len(widths) != 1:
-            raise FusionError(f"blocks differ in width: {widths}")
-        return widths[0]
-
-    def encode(self, blocks: Sequence[bytes]) -> List[bytes]:
-        """Parity blocks for the S data blocks (all equal width)."""
-        if len(blocks) != self.num_data:
-            raise FusionError(
-                f"expected {self.num_data} data blocks, got {len(blocks)}"
-            )
-        width = self._check_widths(blocks)
-        parity: List[bytes] = []
-        for row in self.matrix:
-            acc = bytes(width)
-            for coeff, block in zip(row, blocks):
-                acc = xor_bytes(acc, gf_scale(coeff, block))
-            parity.append(acc)
-        return parity
-
-    def delta_update(self, parity_row: int, parity: bytes, data_index: int,
-                     delta: bytes, offset: int) -> bytes:
-        """Fold an incremental data change into one parity block.
-
-        ``delta`` is ``old_bytes XOR new_bytes`` for the region of data block
-        ``data_index`` starting at ``offset``.  Linearity of the code means
-        the parity update is just the coefficient-scaled delta XORed in
-        place — no other data block is needed.
-        """
-        if offset < 0 or offset + len(delta) > len(parity):
-            raise FusionError("delta region outside parity block")
-        scaled = gf_scale(self.coeff(parity_row, data_index), delta)
-        patched = xor_bytes(parity[offset : offset + len(delta)], scaled)
-        return parity[:offset] + patched + parity[offset + len(delta) :]
-
-    def reconstruct(self, shares: Dict[int, bytes]) -> List[bytes]:
-        """Rebuild all S data blocks from any >= S shares.
-
-        ``shares`` maps share index -> block: data shares at 0..S-1, parity
-        shares at S..S+t-1.  Raises :class:`FusionError` when fewer than S
-        shares are supplied (more erasures than the code tolerates) or on
-        width mismatches — never a silently wrong answer.
-        """
-        for index in shares:
-            if not 0 <= index < self.num_data + self.num_parity:
-                raise FusionError(f"share index {index} out of range")
-        if len(shares) < self.num_data:
-            raise FusionError(
-                f"{self.num_data - len(shares)} too few shares: have "
-                f"{sorted(shares)}, need any {self.num_data} of "
-                f"{self.num_data + self.num_parity}"
-            )
-        width = self._check_widths(shares.values())
-        missing = [i for i in range(self.num_data) if i not in shares]
-        if not missing:
-            return [shares[i] for i in range(self.num_data)]
-        # Build the linear system: one row per chosen share expressing it as
-        # a combination of the S data blocks (identity rows for data shares,
-        # Cauchy rows for parity shares), then eliminate.
-        chosen = sorted(shares)[: self.num_data]
-        rows: List[List[int]] = []
-        rhs: List[bytes] = []
-        for share in chosen:
-            if share < self.num_data:
-                row = [0] * self.num_data
-                row[share] = 1
-            else:
-                row = list(self.matrix[share - self.num_data])
-            rows.append(row)
-            rhs.append(shares[share])
-        for col in range(self.num_data):
-            pivot = next(
-                (r for r in range(col, len(rows)) if rows[r][col] != 0), None
-            )
-            if pivot is None:
-                raise FusionError("singular share matrix (duplicate shares?)")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-            inv = gf_inv(rows[col][col])
-            rows[col] = [gf_mul(inv, v) for v in rows[col]]
-            rhs[col] = gf_scale(inv, rhs[col])
-            for r in range(len(rows)):
-                if r != col and rows[r][col] != 0:
-                    factor = rows[r][col]
-                    rows[r] = [
-                        rows[r][c] ^ gf_mul(factor, rows[col][c])
-                        for c in range(self.num_data)
-                    ]
-                    rhs[r] = xor_bytes(rhs[r], gf_scale(factor, rhs[col]))
-        return [rhs[i] for i in range(self.num_data)]
-
-    def reconstruct_one(self, shares: Dict[int, bytes], want: int) -> bytes:
-        """Convenience: rebuild just data block ``want``."""
-        if not 0 <= want < self.num_data:
-            raise FusionError(f"data block {want} out of range")
-        return self.reconstruct(shares)[want]

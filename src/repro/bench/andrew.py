@@ -31,22 +31,18 @@ from repro.nfs.fileserver import HETEROGENEOUS, MemFS
 from repro.nfs.relay import NFSDeployment
 
 
-def synthesize_source_tree(
-    scale: int = 1,
-    modules_per_unit: int = 3,
-    files_per_module: int = 4,
-    mean_file_size: int = 600,
-    seed: int = 42,
-) -> List[Tuple[str, bytes]]:
-    """Deterministic synthetic project: (relative path, contents) pairs."""
+def synthesize_source_tree(scale: int = 1, seed: int = 42) -> List[Tuple[str, bytes]]:
+    """Deterministic synthetic project: (relative path, contents) pairs.
+    Each unit of ``scale`` is three modules of four C files (about 600 bytes
+    each) and a Makefile."""
     rng = random.Random(seed)
     files: List[Tuple[str, bytes]] = []
     for unit in range(scale):
-        for module in range(modules_per_unit):
+        for module in range(3):
             directory = f"unit{unit}/mod{module}"
-            for file_number in range(files_per_module):
+            for file_number in range(4):
                 name = f"{directory}/src{file_number}.c"
-                size = max(64, int(rng.gauss(mean_file_size, mean_file_size / 3)))
+                size = max(64, int(rng.gauss(600, 600 / 3)))
                 body = (
                     f"/* {name} */\n".encode()
                     + b"int work(int x) { return x * 31 + 7; }\n" * (size // 40)

@@ -575,7 +575,7 @@ def fusion_overhead() -> Metrics:
     one additional full replica per group.  ``storage_ratio`` is the headline
     — bounded at 0.5 in CI, ~1/num_shards by construction."""
     sharded, tier, _client = _fusion_cluster()
-    node = tier.nodes[0]
+    node = tier.node
     fused = tier.storage_bytes()
     full = tier.abstract_state_bytes()
     totals = sharded.total_counters()

@@ -1,9 +1,9 @@
-"""The fused-backup tier: erasure-coded backups spanning the shard groups.
+"""The fused-backup tier: one XOR-parity backup spanning the shard groups.
 
 3f+1 full replicas *per shard* is the cost that makes sharding expensive.
 Following the fused-state-machine line of work (Balasubramanian & Garg) and
-Shoker's universal-redundancy argument (PAPERS.md), this tier keeps ``t``
-extra **fused nodes**, each holding ONE parity block spanning the S shard
+Shoker's universal-redundancy argument (PAPERS.md), this tier keeps one
+extra **fused node** holding ONE parity block, the XOR of the S shard
 groups' abstract arrays — instead of S extra full replicas — yet can rebuild
 any one group's entire abstract state after a catastrophic loss (> f
 correlated faults: every disk of the group gone, the scenario the
@@ -21,24 +21,25 @@ Currency protocol (checkpoint granularity):
   checkpoint becomes stable, the feeder diffs the new checkpoint against the
   previous stable one leaf-by-leaf and sends a
   :class:`~repro.bft.messages.ParityUpdate` — XORed fixed-width cell deltas
-  plus the stable-checkpoint certificate — to every fused node.
-* A fused node applies an update once ``f+1`` replicas of the shard sent
+  plus the stable-checkpoint certificate — to the fused node.
+* The fused node applies an update once ``f+1`` replicas of the shard sent
   byte-identical deltas (one of them is honest) and the attached certificate
-  verifies; linearity of the code lets it fold the coefficient-scaled delta
-  straight into its parity block.  It then acks, letting feeders advance
-  their garbage-collection pin: a shard replica never discards the
-  checkpoint a fused node's parity still stands at, so the tier can always
+  verifies; the parity is an XOR, so it folds the delta straight into its
+  parity block.  It then acks, letting feeders advance their
+  garbage-collection pin: a shard replica never discards the checkpoint the
+  fused node's parity still stands at, so the tier can always
   fetch a consistent full block (:class:`~repro.bft.messages.FusionFetch`)
   for bootstrap, resync, or reconstruction.
 
 Reconstruction (wired into the existing recovery path):
 
 1. :meth:`ShardedCluster.destroy_group` declares a group lost; the tier
-   opens an MTTR episode and the primary fused node freezes its parity.
+   opens an MTTR episode and the fused node freezes its parity.
 2. It fetches the S-1 surviving groups' full blocks at exactly the seqnos
    its parity stands at (the GC pin guarantees the donors still hold them),
    verifying each against its checkpoint certificate leaf-by-leaf.
-3. ``codec.reconstruct`` solves for the lost block; the rebuilt leaves are
+3. The XOR of the parity and the S-1 survivors is the lost block
+   (:func:`~repro.base.fusion.xor_blocks`); the rebuilt leaves are
    verified against the Merkle root in the lost group's *latest checkpoint
    certificate* — byte-identical or the episode fails loudly.
 4. Every replica of the lost group is rebooted at once through the existing
@@ -59,12 +60,12 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.base.fusion import (
-    FusionCodec,
     FusionError,
     cell_width_for,
     encode_cell,
     pack_block,
     unpack_block,
+    xor_blocks,
     xor_bytes,
 )
 from repro.base.partition import PartitionTree
@@ -122,14 +123,13 @@ class FusionFeeder:
     def __init__(self, tier: "FusedBackupTier", shard: int) -> None:
         self.tier = tier
         self.shard = shard
-        #: Per fused node, the newest checkpoint seqno it acknowledged.  The
-        #: GC floor is the minimum: a checkpoint a fused node's parity still
-        #: stands at must remain fetchable for resync and reconstruction.
-        self.acked: Dict[str, int] = {pid: 0 for pid in tier.parity_ids}
+        #: The newest checkpoint seqno the fused node acknowledged: the GC
+        #: floor, since a checkpoint its parity still stands at must remain
+        #: fetchable for resync and reconstruction.
+        self.acked = 0
 
     def gc_floor(self, stable_seqno: int) -> int:
-        floor = min(self.acked.values(), default=stable_seqno)
-        return min(floor, stable_seqno)
+        return min(self.acked, stable_seqno)
 
     def on_stable(self, replica, cert: CheckpointCert) -> None:
         """Replica hook, called inside ``_mark_stable`` *before* checkpoint
@@ -194,26 +194,21 @@ class FusionFeeder:
         replica.counters.add(
             "fusion_update_bytes", sum(len(d) for _i, d in deltas)
         )
-        # One message object, so one MAC vector with an entry per fused node:
-        # the copies are still in flight when the next would be authenticated.
-        update.auth = tier.keys(self.shard).make_authenticator(
-            replica.node_id, tier.parity_ids, update.signable_bytes()
-        )
-        replica.multicast(tier.parity_ids, update)
+        replica.auth_send(tier.node.node_id, update)
 
     def on_message(self, replica, message, src: str) -> None:
         """Fused-tier traffic reaching our replica (it routes here only while
-        a feeder is attached).  Only this tier's own fused nodes are heard:
+        a feeder is attached).  Only this tier's own fused node is heard:
         ``KeyTable`` derives a session key for any principal, so a valid MAC
         alone says nothing about who may read our state."""
         if not replica.check_auth(message, expected_sender=src):
             return
-        known = src == message.parity_id and src in self.acked
+        known = src == message.parity_id == self.tier.node.node_id
         if isinstance(message, ParityAck):
             if not known:
                 replica.counters.add("fusion_acks_ignored")
-            elif message.seqno > self.acked[src]:
-                self.acked[src] = message.seqno
+            elif message.seqno > self.acked:
+                self.acked = message.seqno
                 replica.counters.add("fusion_acks")
         elif isinstance(message, FusionFetch):
             if known:
@@ -271,18 +266,17 @@ class FusionFeeder:
 
 
 class FusedNode:
-    """One fused node: a single parity block spanning every shard group.
+    """The fused node: a single parity block spanning every shard group.
 
-    Registered under one id (``F<k>``) on *every* shard's network; each
+    Registered under one id (``F0``) on *every* shard's network; each
     shard's traffic is authenticated with that shard's key table.  Not a
     replica — it holds no abstract state of its own, orders nothing, and
     speaks only the parity-currency and block-fetch protocol.
     """
 
-    def __init__(self, tier: "FusedBackupTier", row: int) -> None:
+    def __init__(self, tier: "FusedBackupTier") -> None:
         self.tier = tier
-        self.row = row
-        self.node_id = f"F{row}"
+        self.node_id = "F0"
         self.counters = Counters()
         self.parity: Optional[bytes] = None
         #: Per shard, the checkpoint seqno the parity stands at.
@@ -399,14 +393,9 @@ class FusedNode:
             if message.base_seqno != staged[0]:
                 self.counters.add("fusion_updates_gap")
                 return
-            seqno, block, _cert = staged
-            for index, delta in message.deltas:
-                offset = index * self.tier.slot_width
-                patched = xor_bytes(
-                    block[offset : offset + self.tier.slot_width], delta
-                )
-                block = block[:offset] + patched + block[offset + len(delta) :]
-            self._staged[shard] = (message.seqno, block, message.cert)
+            self._staged[shard] = (
+                message.seqno, self._fold(staged[1], message), message.cert
+            )
             self._finish_apply(shard, message)
             return
         if applied is None or message.base_seqno != applied or self.parity is None:
@@ -414,16 +403,21 @@ class FusedNode:
             # or not bootstrapped yet): a full block resync is the only way
             # to re-establish currency for this shard.
             self.counters.add("fusion_updates_gap")
-            self.tier.request_rebuild(self)
+            self.tier.request_rebuild()
             return
-        parity = self.parity
+        self.parity = self._fold(self.parity, message)
+        self._finish_apply(shard, message)
+
+    def _fold(self, block: bytes, message: ParityUpdate) -> bytes:
+        """XOR an update's cell deltas into ``block``: a staged data block
+        while bootstrapping, the parity after, the same operation."""
         for index, delta in message.deltas:
             offset = index * self.tier.slot_width
-            parity = self.tier.codec.delta_update(
-                self.row, parity, shard, delta, offset
-            )
-        self.parity = parity
-        self._finish_apply(shard, message)
+            end = offset + len(delta)
+            if offset < 0 or end > len(block):
+                raise FusionError("delta region outside the block")
+            block = block[:offset] + xor_bytes(block[offset:end], delta) + block[end:]
+        return block
 
     def _finish_apply(self, shard: int, message: ParityUpdate) -> None:
         self.applied[shard] = message.seqno
@@ -517,7 +511,7 @@ class FusedNode:
 
     def _assemble_parity(self) -> None:
         blocks = [self._staged[s][1] for s in range(self.tier.num_shards)]
-        self.parity = self.tier.codec.encode(blocks)[self.row]
+        self.parity = xor_blocks(blocks, self.tier.num_shards)
         for shard in range(self.tier.num_shards):
             seqno, _block, cert = self._staged[shard]
             self.applied[shard] = seqno
@@ -565,12 +559,11 @@ class FusedNode:
 
 
 class FusedBackupTier:
-    """t fused nodes + per-host feeders + the reconstruction coordinator."""
+    """The fused node + per-host feeders + the reconstruction coordinator."""
 
     def __init__(
         self,
         sharded,
-        num_parity: int = 1,
         slot_width: int = DEFAULT_SLOT_WIDTH,
         tracer=None,
     ) -> None:
@@ -581,9 +574,7 @@ class FusedBackupTier:
         self.slot_width = slot_width
         self.tracer = tracer
         self.counters = Counters()
-        self.codec = FusionCodec(self.num_shards, num_parity)
-        self.nodes = [FusedNode(self, row) for row in range(num_parity)]
-        self.parity_ids = [node.node_id for node in self.nodes]
+        self.node = FusedNode(self)
         self.reconstructions: List[ReconstructionRecord] = []
         self._reconstructing = False
         self._rebuild_pending = False
@@ -643,27 +634,26 @@ class FusedBackupTier:
     # -- attach -------------------------------------------------------------------------
 
     def attach(self) -> None:
-        """Register the fused nodes, hook every replica host's feeder, and
+        """Register the fused node, hook every replica host's feeder, and
         bootstrap parity from the groups' latest stable checkpoints."""
         self.sharded.fusion = self
-        for node in self.nodes:
-            node.attach()
+        self.node.attach()
         for shard, cluster in enumerate(self.sharded.clusters):
             for host in cluster.hosts.values():
                 feeder = FusionFeeder(self, shard)
                 host.fusion_feeder = feeder
                 host.replica.fusion_feeder = feeder
-        for node in self.nodes:
-            for shard in range(self.num_shards):
-                node.request_block(shard, 0)
+        for shard in range(self.num_shards):
+            self.node.request_block(shard, 0)
 
     def ready(self) -> bool:
-        return all(node.parity is not None for node in self.nodes)
+        return self.node.parity is not None
 
-    def request_rebuild(self, node: FusedNode) -> None:
+    def request_rebuild(self) -> None:
         """Full parity rebuild after a currency gap: refetch every shard's
         latest certified block and re-encode.  Not possible while a group is
         lost — reconstruction must finish first."""
+        node = self.node
         if self._reconstructing or node.frozen:
             self._rebuild_pending = True
             return
@@ -676,7 +666,7 @@ class FusedBackupTier:
     # -- storage accounting --------------------------------------------------------------
 
     def storage_bytes(self) -> int:
-        return sum(node.storage_bytes() for node in self.nodes)
+        return self.node.storage_bytes()
 
     def abstract_state_bytes(self) -> int:
         """Total abstract-state bytes across all groups — the cost one
@@ -693,21 +683,8 @@ class FusedBackupTier:
     def total_counters(self) -> Counters:
         merged = Counters()
         merged.merge(self.counters)
-        for node in self.nodes:
-            merged.merge(node.counters)
+        merged.merge(self.node.counters)
         return merged
-
-    def status(self) -> Dict:
-        return {
-            "parity_nodes": len(self.nodes),
-            "ready": self.ready(),
-            "applied": {
-                node.node_id: dict(sorted(node.applied.items()))
-                for node in self.nodes
-            },
-            "storage_bytes": self.storage_bytes(),
-            "reconstructions": [r.to_dict() for r in self.reconstructions],
-        }
 
     def idle(self) -> bool:
         return not self._reconstructing
@@ -718,7 +695,7 @@ class FusedBackupTier:
         """Entry point, called by :meth:`ShardedCluster.destroy_group`."""
         record = ReconstructionRecord(shard, self.sim.now())
         self.reconstructions.append(record)
-        node = self.nodes[0]
+        node = self.node
         if self._reconstructing:
             record.ok = False
             record.detail = "reconstruction already in progress"
@@ -767,19 +744,17 @@ class FusedBackupTier:
             detail=detail,
         )
         self._reconstructing = False
-        self.nodes[0].unfreeze()
+        self.node.unfreeze()
 
     def _rebuild_lost(
         self, record: ReconstructionRecord, blocks: Dict[int, bytes]
     ) -> None:
-        node = self.nodes[0]
+        node = self.node
         record.blocks_fetched = len(blocks)
         record.bytes_fetched = sum(len(b) for b in blocks.values())
-        shares = dict(blocks)
         assert node.parity is not None
-        shares[self.num_shards + node.row] = node.parity
         try:
-            rebuilt = self.codec.reconstruct_one(shares, record.shard)
+            rebuilt = xor_blocks([*blocks.values(), node.parity], self.num_shards)
         except FusionError as exc:
             self._fail(record, f"decode failed: {exc}")
             return
@@ -872,8 +847,7 @@ class FusedBackupTier:
             mttr=record.mttr,
         )
         self._reconstructing = False
-        node = self.nodes[0]
-        node.unfreeze()
+        self.node.unfreeze()
         if self._rebuild_pending:
             self._rebuild_pending = False
-            self.request_rebuild(node)
+            self.request_rebuild()

@@ -644,7 +644,7 @@ class TxnDecide(Message):
     WIRE = Wire("TXN-DECIDE", {"txid": STRING, "commit": BOOL,
                                "votes": array(tuple_of(U32, array(STRING)))})
 
-# --- fused-backup tier (erasure-coded parity over abstract state) ---------------
+# --- fused-backup tier (XOR parity over abstract state) -----------------------
 
 
 @message
@@ -653,9 +653,9 @@ class ParityUpdate(Message):
 
     Sent when checkpoint ``seqno`` becomes stable: ``deltas`` holds, per
     modified abstract leaf, the XOR of the leaf's fixed-width fusion cells at
-    the previous stable checkpoint ``base_seqno`` and at ``seqno``.  Linearity
-    of the code lets the fused node fold the scaled delta straight into its
-    parity block.  ``cert`` is the stable-checkpoint certificate for
+    the previous stable checkpoint ``base_seqno`` and at ``seqno``.  The parity
+    is an XOR, so the fused node folds the delta straight into its parity
+    block.  ``cert`` is the stable-checkpoint certificate for
     ``seqno``; it is *self-verifying* (2f+1 signed checkpoints) and its proof
     set legitimately differs between senders, so it rides outside the signable
     prefix — the fused node verifies the proof quorum itself and matches
@@ -680,7 +680,7 @@ class ParityUpdate(Message):
 class ParityAck(Message):
     """Fused node's acknowledgement that shard ``shard`` is covered through
     checkpoint ``seqno`` — the feeding replica may release its GC pin on the
-    previous checkpoint once every fused node has acked past it."""
+    previous checkpoint once the fused node has acked past it."""
 
     parity_id: str
     shard: int

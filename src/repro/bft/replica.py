@@ -62,7 +62,7 @@ def verify_checkpoint_cert(
     cert: CheckpointCert, config: BFTConfig, sigs: SignatureScheme, service: StateMachine
 ) -> bool:
     """Is ``cert`` proof that a quorum checkpointed its digest at its seqno?
-    The one implementation: replicas and fused nodes both call it."""
+    The one implementation: replicas and the fused node both call it."""
     if cert.seqno == 0:
         # Genesis needs no proof: its digest is a pure function of the
         # abstract specification, known to every replica a priori.

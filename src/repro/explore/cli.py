@@ -79,9 +79,6 @@ def _explore_parser() -> argparse.ArgumentParser:
         "and read leases, and the oracles must hold exactly as they do for "
         "the baseline protocol",
     )
-    parser.add_argument(
-        "--no-shrink", action="store_true", help="skip shrinking the violating plan"
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -103,7 +100,6 @@ def explore_main(argv: List[str]) -> int:
             max_steps=args.max_steps,
             plant=args.plant,
             check_interval=args.check_interval,
-            shrink=not args.no_shrink,
             family=args.family,
             log=None if args.quiet else print,
             variant=args.variant,

@@ -244,7 +244,7 @@ class Session:
                 and executed > 0
                 and executed % interval == 0
                 and stable == executed
-                and all(node.applied.get(shard) == stable for node in self.tier.nodes)
+                and self.tier.node.applied.get(shard) == stable
             ):
                 return True
             try:

@@ -19,9 +19,8 @@ POISON = b"\xDE\xAD\xBE\xEF-trigger"
 class BuggyServer(NFSServer):
     """Delegating wrapper that adds one input-triggered deterministic bug."""
 
-    def __init__(self, inner: NFSServer, poison: bytes = POISON) -> None:
+    def __init__(self, inner: NFSServer) -> None:
         self.inner = inner
-        self.poison = poison
         self.crashed = False
 
     @property
@@ -34,7 +33,7 @@ class BuggyServer(NFSServer):
 
     def write(self, fh: bytes, offset: int, data: bytes) -> NfsReply:
         self._check_alive()
-        if self.poison in data:
+        if POISON in data:
             self.crashed = True
             raise FaultInjected("deterministic bug: poison write pattern")
         return self.inner.write(fh, offset, data)

@@ -126,14 +126,11 @@ class OODBDeployment:
         config: Optional[BFTConfig] = None,
         seed: int = 0,
         num_objects: int = 128,
-        impl_seeds: Optional[Dict[str, int]] = None,
         arity: int = 8,
     ) -> None:
         self.config = config or BFTConfig()
         sim = Simulator(seed=seed)
-        seeds = impl_seeds or {
-            rid: 1000 + i for i, rid in enumerate(self.config.replica_ids)
-        }
+        seeds = {rid: 1000 + i for i, rid in enumerate(self.config.replica_ids)}
 
         def service_factory_for(replica_id: str):
             def make(disk: dict) -> BASEService:

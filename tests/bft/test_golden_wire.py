@@ -426,7 +426,7 @@ def undelivered(kind, message):
         client.on_message(message, "R1")
         return client.counters.get("unknown_message")
     if kind == "fused":
-        node = FusedBackupTier(sharded_kv_cluster(2)).nodes[0]
+        node = FusedBackupTier(sharded_kv_cluster(2)).node
         node.on_message(1, message, "R2")
         return node.counters.get("fusion_unknown_message")
     participant = KVStateMachine(num_slots=5, disk={}, transactional=True).participant

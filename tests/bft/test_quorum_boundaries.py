@@ -166,7 +166,7 @@ def new_primary_sends_new_view(config, votes):
 def fused_node_takes_parity_update(config, votes):
     sharded = sharded_kv_cluster(2, config=config)
     cluster = sharded.clusters[1]
-    node = FusedBackupTier(sharded).nodes[0]
+    node = FusedBackupTier(sharded).node
     node.frozen = True  # a certified update is then buffered, nothing else moves
     proof = [signed_checkpoint(cluster, rid, 32) for rid in config.replica_ids[: config.quorum]]
     cert = CheckpointCert(seqno=32, state_digest=DIGEST, proof=proof)
