@@ -100,7 +100,7 @@ def test_n_version_plus_recovery_restores_full_strength():
         fs.write_file(f"/progress{i}.txt", bytes([i]) * 32)
     dep.sim.run_for(1.0)
     host = dep.cluster.hosts["R0"]
-    assert host.recover_now()
+    assert dep.cluster.recover("R0")
     dep.sim.run_for(5.0)
     # Now crash a second replica: with R0 restored, still live.
     dep.cluster.crash("R1")

@@ -71,7 +71,7 @@ def test_oodb_recovery_during_updates():
         db.set(node, "n", i)
     dep.sim.run_for(1.0)
     host = dep.cluster.hosts["R2"]
-    assert host.recover_now()
+    assert dep.cluster.recover("R2")
     for i in range(20, 30):
         db.set(node, "n", i)
     dep.sim.run_for(5.0)

@@ -83,7 +83,7 @@ def main() -> None:
         fs.write_file(f"/progress{i}.txt", bytes([i]) * 16)
     deployment.sim.run_for(1.0)
     host = deployment.cluster.hosts["R0"]
-    host.recover_now()
+    deployment.cluster.recover("R0")
     deployment.sim.run_for(5.0)
     print(
         "\nproactive recovery of the crashed vendor:",

@@ -56,7 +56,7 @@ def main() -> None:
     deployment.cluster.disks["R1"]["thor:heap"][victim_handle]["attrs"]["name"] = "EVIL"
     print("\ncorrupted 'alice' in R1's heap; recovering R1 ...")
     host = deployment.cluster.hosts["R1"]
-    host.recover_now()
+    deployment.cluster.recover("R1")
     deployment.sim.run_for(5.0)
     print(
         "recovery:",

@@ -29,7 +29,7 @@ def main() -> None:
     cluster.restart("R0")
     cluster.settle(2.0)
 
-    cluster.hosts["R2"].recover_now()  # proactive recovery: watch the reboot
+    cluster.recover("R2")  # proactive recovery: watch the reboot
     cluster.settle(3.0)
 
     print("protocol timeline:")

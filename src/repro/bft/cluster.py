@@ -55,16 +55,7 @@ class Cluster:
         for replica_id in self.config.replica_ids:
             self.disks[replica_id] = {}
             self.hosts[replica_id] = ReplicaHost(
-                replica_id,
-                self.sim,
-                self.network,
-                self.config,
-                service_factory_for(replica_id),
-                self.disks[replica_id],
-                self.keys,
-                self.sigs,
-                tracer=self.tracer,
-                repair=repair,
+                replica_id, self, service_factory_for(replica_id), repair=repair
             )
         self._clients: Dict[str, Client] = {}
 
@@ -101,8 +92,19 @@ class Cluster:
     # -- control --------------------------------------------------------------------
 
     def start_proactive_recovery(self) -> None:
-        for host in self.hosts.values():
-            host.schedule_proactive_recovery()
+        """Arm the staggered watchdog: replica ``i`` recovers at phase
+        ``(i+1)/n`` of every ``recovery_period`` (no-op when it is zero)."""
+        period = self.config.recovery_period
+        if period <= 0:
+            return
+
+        def fire(replica_id: str) -> None:
+            self.recover(replica_id)
+            self.sim.schedule(period, lambda: fire(replica_id))
+
+        for replica_id in self.hosts:
+            index = self.config.replica_index(replica_id)
+            self.sim.schedule(period * (index + 1) / self.config.n, lambda r=replica_id: fire(r))
 
     def crash(self, replica_id: str) -> None:
         """Silence a replica (crash fault)."""
@@ -111,9 +113,15 @@ class Cluster:
     def restart(self, replica_id: str) -> None:
         self.network.set_down(replica_id, False)
 
-    def recover(self, replica_id: str) -> bool:
-        """Trigger one proactive recovery of a replica right now."""
-        return self.hosts[replica_id].recover_now()
+    def recover(
+        self,
+        replica_id: str,
+        min_seqno: Optional[int] = None,
+        restore: Optional[Callable[[Replica], None]] = None,
+    ) -> bool:
+        """Start one recovery of a replica now; False if it is refused.  The
+        only caller of ``ReplicaHost.recover_now``: every recovery starts here."""
+        return self.hosts[replica_id].recover_now(min_seqno=min_seqno, restore=restore)
 
     def heal(self) -> None:
         """Remove any network partition."""

@@ -42,13 +42,13 @@ Reconstruction (wired into the existing recovery path):
    (:func:`~repro.base.fusion.xor_blocks`); the rebuilt leaves are
    verified against the Merkle root in the lost group's *latest checkpoint
    certificate* — byte-identical or the episode fails loudly.
-4. Every replica of the lost group is rebooted at once through the existing
-   ``recover_now``, with the rebuilt objects handed over as what the reboot
-   restores: where an ordinary recovery asks the group for a certificate,
-   each replacement replica installs the verified block through
-   ``StateTransferManager.install`` the moment its reboot ends.  (No blank
-   replica ever asks a blank peer for state: a pristine replica would serve
-   its implicit genesis certificate.)
+4. Every replica of the lost group is rebooted at once through
+   ``Cluster.recover``, where every recovery starts, with the rebuilt
+   objects handed over as what the reboot restores: where an ordinary
+   recovery asks the group for a certificate, each replacement replica
+   installs the verified block through ``StateTransferManager.install`` the
+   moment its reboot ends.  (No blank replica ever asks a blank peer for
+   state: a pristine replica would serve its implicit genesis certificate.)
 5. Service resumes; the episode records MTTR, bytes, and outcome for
    :meth:`ShardedCluster.repair_status` and the reconstruction-integrity
    oracle.
@@ -797,8 +797,8 @@ class FusedBackupTier:
         peer's root fetch with its implicit *genesis* certificate whatever
         ``min_seqno`` says, so blank replicas asking each other could
         complete one another's recovery at seqno 0."""
-        hosts = self.cluster(record.shard).hosts
-        waiting = set(hosts)
+        cluster = self.cluster(record.shard)
+        waiting = set(cluster.hosts)
 
         def restore(replica) -> None:
             try:
@@ -822,14 +822,13 @@ class FusedBackupTier:
                 self._complete(record, cert)
 
         def reboot(rid: str) -> None:
-            host = hosts[rid]
-            if record.completed_at is None and not host.recover_now(restore=restore):
+            if record.completed_at is None and not cluster.recover(rid, restore=restore):
                 # The proactive rotation had this host down for its own
                 # reboot when the group was destroyed; it refuses until that
                 # recovery (of a blank replica, from its seeded peers) is over.
                 self.sim.schedule(REBOOT_TIME, lambda: reboot(rid))
 
-        for rid in sorted(hosts):
+        for rid in sorted(cluster.hosts):
             reboot(rid)
 
     def _complete(self, record: ReconstructionRecord, cert: CheckpointCert) -> None:

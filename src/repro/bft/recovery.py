@@ -1,15 +1,16 @@
 """Proactive recovery / software rejuvenation (OSDI'00 + paper section 2.2).
 
 A :class:`ReplicaHost` owns one replica slot: the live :class:`Replica`
-instance, the factory that (re)builds its service from persistent storage,
-and the watchdog that periodically reboots it.  The watchdog staggers
-recoveries: replica ``i`` fires at phase ``(i+1)/n`` of each rotation, so
-two watchdog reboots start ``recovery_period / n`` apart.  Nothing bounds how
+instance and the factory that (re)builds its service from persistent
+storage.  Every recovery starts at :meth:`Cluster.recover
+<repro.bft.cluster.Cluster.recover>`, the only caller of ``recover_now``:
+the cluster's staggered watchdog (replica ``i`` fires at phase ``(i+1)/n``
+of each rotation), the supervisor and scrubber through ``host.cluster``, the
+fused tier and the explore ``recover`` step.  Nothing there yet bounds how
 many replicas are recovering at once: ``recover_now`` checks only its own
-replica, a recovery lasts until its state transfer finishes, and the
-supervisor and the explore ``recover`` step start recoveries too.  Recoveries
-can overlap, and a group whose every replica is recovering stops (ROADMAP
-item 1).
+replica, and a recovery lasts until its state transfer finishes.
+Recoveries can overlap, and a group whose every replica is recovering stops
+(ROADMAP item 1).
 
 A recovery:
 
@@ -29,18 +30,16 @@ A recovery:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.bft.config import BFTConfig
 from repro.bft.messages import Recovering
 from repro.bft.repair import FaultContainmentSupervisor, RepairPolicy
 from repro.bft.replica import Replica
 from repro.bft.service import StateMachine
-from repro.crypto.auth import KeyTable
-from repro.crypto.sign import SignatureScheme
-from repro.net.network import Network
-from repro.net.simulator import Simulator
 from repro.util.trace import emit
+
+if TYPE_CHECKING:
+    from repro.bft.cluster import Cluster
 
 #: Builds a replica's service over its persistent disk dict.
 ServiceFactory = Callable[[dict], StateMachine]
@@ -58,26 +57,22 @@ class ReplicaHost:
     repairs keep failing.  Every build of any of them is handed the same
     ``disk``, the replica's persistent state.  Passing ``repair`` (a
     :class:`RepairPolicy`) attaches the supervisor; without it crashes wait
-    for the proactive watchdog, as before.
+    for the cluster's proactive watchdog.  ``cluster`` built the host and
+    lends it its sim, network, keys and disks; recoveries start there.
     """
 
     def __init__(
         self,
         replica_id: str,
-        sim: Simulator,
-        network: Network,
-        config: BFTConfig,
+        cluster: Cluster,
         service_factory: Union[ServiceFactory, Sequence[ServiceFactory]],
-        disk: dict,
-        keys: KeyTable,
-        sigs: SignatureScheme,
-        tracer=None,
         repair: Optional[RepairPolicy] = None,
     ) -> None:
         self.replica_id = replica_id
-        self.sim = sim
-        self.network = network
-        self.config = config
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.network = cluster.network
+        self.config = cluster.config
         if callable(service_factory):
             self.factories: List[ServiceFactory] = [service_factory]
         else:
@@ -85,14 +80,16 @@ class ReplicaHost:
             if not self.factories:
                 raise ValueError("service_factory sequence must not be empty")
         self.factory_index = 0
-        self.disk = disk
-        self.keys = keys
-        self.sigs = sigs
-        self.tracer = tracer
+        self.disk = cluster.disks[replica_id]
+        self.keys = cluster.keys
+        self.sigs = cluster.sigs
+        self.tracer = cluster.tracer
 
-        self.service = self.service_factory(disk)
-        self.replica = Replica(replica_id, sim, network, config, self.service, keys, sigs)
-        self.replica.tracer = tracer
+        self.service = self.service_factory(self.disk)
+        self.replica = Replica(
+            replica_id, self.sim, self.network, self.config, self.service, self.keys, self.sigs
+        )
+        self.replica.tracer = self.tracer
         self.recovery_log: List[Tuple[float, float]] = []
         self._recovery_epoch = 0
         self._recovery_started_at: Optional[float] = None
@@ -126,22 +123,6 @@ class ReplicaHost:
             factory_index=self.factory_index,
         )
         return True
-
-    # -- the watchdog -------------------------------------------------------------
-
-    def schedule_proactive_recovery(self) -> None:
-        """Arm the staggered watchdog (no-op when the period is zero)."""
-        period = self.config.recovery_period
-        if period <= 0:
-            return
-        index = self.config.replica_index(self.replica_id)
-        first = period * (index + 1) / self.config.n
-
-        def fire() -> None:
-            self.recover_now()
-            self.sim.schedule(period, fire)
-
-        self.sim.schedule(first, fire)
 
     # -- one recovery --------------------------------------------------------------
 

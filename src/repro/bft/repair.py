@@ -28,7 +28,9 @@ staggered rejuvenation watchdog.
 Independently, a **scrubber** periodically audits the live abstract state
 for silent corruption — values mutated without a ``modify`` upcall keep
 stale digests in the partition tree — and repairs affected leaves through a
-targeted partial state transfer (no reboot, no rollback).
+targeted partial state transfer (no reboot, no rollback); a replica whose
+own checkpoint diverged gets a full recovery.  That one and every crash
+repair start at ``host.cluster.recover``, the one recovery entry point.
 
 Everything here runs on simulator virtual time and is fully deterministic.
 """
@@ -177,7 +179,7 @@ class FaultContainmentSupervisor:
             and not replica._stopped
         ):
             return  # already healthy (an operator or the watchdog beat us)
-        if host.recover_now(min_seqno=self._skip_min_seqno):
+        if host.cluster.recover(host.replica_id, min_seqno=self._skip_min_seqno):
             self.counters.add("supervisor_repairs_started")
             if self._skip_min_seqno is not None:
                 self.counters.add("supervisor_skip_transfers")
@@ -276,7 +278,7 @@ class FaultContainmentSupervisor:
                 "scrub_divergence_detected",
                 seqno=cert.seqno,
             )
-            return host.recover_now()
+            return host.cluster.recover(host.replica_id)
         corrupt, self._scrub_cursor = replica.service.manager.scan_for_corruption(
             self._scrub_cursor, self.policy.scrub_batch
         )

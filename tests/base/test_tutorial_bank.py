@@ -189,7 +189,7 @@ def test_bank_proactive_recovery_heals_corruption():
     # Cook R1's books.
     cluster.disks["R1"]["journal"].append((2, 999_999, 0))
     host = cluster.hosts["R1"]
-    assert host.recover_now()
+    assert cluster.recover("R1")
     cluster.settle(5.0)
     assert host.replica.counters.get("recoveries_completed") == 1
     assert decode_balance(cluster.service("R1").wrapper.get_obj(2)) == 200

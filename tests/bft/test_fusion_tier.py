@@ -191,7 +191,7 @@ def test_feeder_survives_proactive_reboot():
     sharded, tier = _cluster_with_tier(seed=5)
     _write_past_checkpoints(sharded, count=80)
     cluster = sharded.shard(0)
-    cluster.hosts["R1"].recover_now()
+    cluster.recover("R1")
     sharded.settle(2.0)
     assert cluster.hosts["R1"].replica.fusion_feeder is not None
     before = tier.node.applied[0]

@@ -22,7 +22,7 @@ def test_manual_recovery_completes():
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     host = cluster.hosts["R2"]
-    assert host.recover_now()
+    assert cluster.recover("R2")
     cluster.settle(3.0)
     replica = host.replica
     assert not replica.recovering
@@ -33,7 +33,7 @@ def test_manual_recovery_completes():
 
 def test_recovery_skipped_before_any_state():
     cluster = kv_cluster()
-    assert not cluster.hosts["R0"].recover_now()
+    assert not cluster.recover("R0")
 
 
 def test_recovery_replaces_service_instance():
@@ -41,7 +41,7 @@ def test_recovery_replaces_service_instance():
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     old_service = cluster.hosts["R1"].service
-    cluster.hosts["R1"].recover_now()
+    cluster.recover("R1")
     cluster.settle(3.0)
     rebuilt = cluster.hosts["R1"].service
     assert rebuilt is not old_service
@@ -54,7 +54,7 @@ def test_recovery_refreshes_session_keys():
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     epoch_before = cluster.keys.epoch_of("R1")
-    cluster.hosts["R1"].recover_now()
+    cluster.recover("R1")
     cluster.settle(3.0)
     assert cluster.keys.epoch_of("R1") == epoch_before + 1
 
@@ -69,7 +69,7 @@ def test_recovery_repairs_corrupt_disk_state():
     # Corrupt R2's persistent state behind the service's back.
     cluster.disks["R2"][3] = b"CORRUPTED"
     host = cluster.hosts["R2"]
-    host.recover_now()
+    cluster.recover("R2")
     cluster.settle(3.0)
     assert host.replica.counters.get("objects_fetched") >= 1
     run_ops(cluster, client, 4)
@@ -84,7 +84,7 @@ def test_corruption_of_untouched_object_detected():
     cluster.settle(1.0)
     cluster.disks["R2"][20] = b"ROT"  # corrupt an object that was never written
     host = cluster.hosts["R2"]
-    host.recover_now()
+    cluster.recover("R2")
     cluster.settle(3.0)
     assert host.replica.counters.get("objects_fetched") >= 1
     assert cluster.service("R2").cells[20] == b""
@@ -155,7 +155,7 @@ def test_recovery_durations_recorded():
     client = cluster.client("C0")
     run_ops(cluster, client, 20)
     host = cluster.hosts["R3"]
-    host.recover_now()
+    cluster.recover("R3")
     cluster.settle(3.0)
     durations = host.recovery_durations()
     assert len(durations) == 1

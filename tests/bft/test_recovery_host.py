@@ -20,9 +20,9 @@ def warmed_cluster(**config_overrides):
 def test_recovery_skipped_while_recovering():
     cluster = warmed_cluster()
     host = cluster.hosts["R1"]
-    assert host.recover_now()
+    assert cluster.recover("R1")
     # Second call while the first is mid-flight must refuse.
-    assert not host.recover_now()
+    assert not cluster.recover("R1")
     cluster.settle(3.0)
     assert host.replica.counters.get("recoveries_started") == 1
 
@@ -47,7 +47,7 @@ def test_staggered_offsets_cover_the_period():
 def test_recovery_log_and_durations_align():
     cluster = warmed_cluster()
     host = cluster.hosts["R2"]
-    host.recover_now()
+    cluster.recover("R2")
     cluster.settle(3.0)
     assert len(host.recovery_log) == 1
     (start, end), = host.recovery_log
@@ -60,7 +60,7 @@ def test_counters_survive_reboot():
     host = cluster.hosts["R3"]
     executed_before = host.replica.counters.get("requests_executed")
     assert executed_before > 0
-    host.recover_now()
+    cluster.recover("R3")
     cluster.settle(3.0)
     # Counter totals were merged into the new replica instance.
     assert host.replica.counters.get("requests_executed") >= executed_before
@@ -84,6 +84,6 @@ def test_service_factory_called_per_reboot():
     for i in range(10):
         client.invoke(encode_set(i % 4, bytes([i])), timeout=60)
     assert calls.count("R0") == 1
-    cluster.hosts["R0"].recover_now()
+    cluster.recover("R0")
     cluster.settle(3.0)
     assert calls.count("R0") == 2

@@ -93,7 +93,7 @@ def test_group_destroyed_while_the_rotation_has_a_replica_mid_reboot():
     """The sixth plan of ``repro explore --shards 2 --family destruction``:
     the proactive rotation (period 2.88) took one replica of shard 1 down for
     its reboot just before the group is destroyed, so that host refuses the
-    tier's ``recover_now`` until its own reboot ends.  The tier has to come
+    tier's ``Cluster.recover`` until its own reboot ends.  The tier has to come
     back for it, or the episode times out with three replicas seeded."""
     plan = FaultPlan(
         seed=1746026529,

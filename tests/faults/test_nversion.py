@@ -70,7 +70,7 @@ def test_crashed_buggy_replica_rejuvenated_by_recovery():
     dep.sim.run_for(1.0)
     assert dep.cluster.network.is_down("R0")
     host = dep.cluster.hosts["R0"]
-    assert host.recover_now()  # reboot from disk; fresh implementation
+    assert dep.cluster.recover("R0")  # reboot from disk; fresh implementation
     dep.sim.run_for(5.0)
     assert host.replica.counters.get("recoveries_completed") >= 1
     roots = {
@@ -99,7 +99,7 @@ def test_aging_crash_healed_by_proactive_recovery():
     dep.sim.run_for(1.0)
     assert dep.cluster.network.is_down("R0")  # aged out and crashed
     host = dep.cluster.hosts["R0"]
-    assert host.recover_now()
+    assert dep.cluster.recover("R0")
     dep.sim.run_for(5.0)
     assert host.replica.counters.get("recoveries_completed") >= 1
     # The leak is gone after reboot; a few more writes do not kill it again.

@@ -131,7 +131,7 @@ class TestProactiveRecovery:
             fs.write_file(f"/w/f{i}", b"d" * (20 + i))
         dep.sim.run_for(1.0)
         host = dep.cluster.hosts[victim]
-        assert host.recover_now()
+        assert dep.cluster.recover(victim)
         dep.sim.run_for(5.0)
         assert host.replica.counters.get("recoveries_completed") == 1
         assert_converged(dep)
@@ -149,7 +149,7 @@ class TestProactiveRecovery:
         victim = next(fid for fid, n in nodes.items() if n.get("data"))
         nodes[victim]["data"] = b"EVIL"
         host = dep.cluster.hosts["R0"]
-        host.recover_now()
+        dep.cluster.recover("R0")
         dep.sim.run_for(5.0)
         assert host.replica.counters.get("objects_fetched") >= 1
         assert_converged(dep)
@@ -164,7 +164,7 @@ class TestProactiveRecovery:
         dep.sim.run_for(1.0)
         for victim in ("R0", "R1", "R2", "R3"):
             host = dep.cluster.hosts[victim]
-            assert host.recover_now()
+            assert dep.cluster.recover(victim)
             dep.sim.run_for(4.0)
             assert host.replica.counters.get("recoveries_completed") >= 1
         assert_converged(dep)

@@ -61,7 +61,7 @@ def test_recovery_in_seven_replica_deployment():
         fs.write_file(f"/f{i}", bytes([i]) * 30)
     dep.sim.run_for(1.0)
     host = dep.cluster.hosts["R4"]  # the BtrFS replica
-    assert host.recover_now()
+    assert dep.cluster.recover("R4")
     dep.sim.run_for(5.0)
     assert host.replica.counters.get("recoveries_completed") == 1
     assert diff_wrappers(dep.wrapper("R4"), dep.wrapper("R0")) == []

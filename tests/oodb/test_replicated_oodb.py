@@ -188,7 +188,7 @@ class TestReplicatedDatabase:
             db.set(node, f"k{i}", i)
         dep.sim.run_for(1.0)
         host = dep.cluster.hosts["R1"]
-        assert host.recover_now()
+        assert dep.cluster.recover("R1")
         dep.sim.run_for(5.0)
         assert host.replica.counters.get("recoveries_completed") == 1
         assert len(set(roots(dep).values())) == 1
@@ -203,7 +203,7 @@ class TestReplicatedDatabase:
         victim = dep.wrapper("R0").handles[1]
         heap[victim]["attrs"]["precious"] = b"EVIL"
         host = dep.cluster.hosts["R0"]
-        host.recover_now()
+        dep.cluster.recover("R0")
         dep.sim.run_for(5.0)
         assert host.replica.counters.get("objects_fetched") >= 1
         assert len(set(roots(dep).values())) == 1
