@@ -43,6 +43,7 @@ NFSERR_IO = 5
 NFSERR_EXIST = 17
 NFSERR_NOTDIR = 20
 NFSERR_ISDIR = 21
+NFSERR_INVAL = 22
 NFSERR_FBIG = 27
 NFSERR_NOSPC = 28
 NFSERR_ROFS = 30
@@ -58,6 +59,7 @@ STATUS_NAMES = {
     NFSERR_EXIST: "NFSERR_EXIST",
     NFSERR_NOTDIR: "NFSERR_NOTDIR",
     NFSERR_ISDIR: "NFSERR_ISDIR",
+    NFSERR_INVAL: "NFSERR_INVAL",
     NFSERR_FBIG: "NFSERR_FBIG",
     NFSERR_NOSPC: "NFSERR_NOSPC",
     NFSERR_ROFS: "NFSERR_ROFS",

@@ -34,6 +34,7 @@ from repro.nfs.protocol import (
     NFLNK,
     NFNON,
     NFREG,
+    NFSERR_INVAL,
     NFSERR_IO,
     NFSERR_NOENT,
     NFSERR_NOSPC,
@@ -391,6 +392,12 @@ class NFSConformanceWrapper(ConformanceWrapper):
         if not moving_lookup.ok:
             return error_reply(moving_lookup.status)
         moving = self.fh_to_index.get(moving_lookup.fh)
+        # Into itself or below it: every vendor would cut it off the tree.
+        ancestor = dst_index
+        while ancestor > 0 and ancestor != moving:
+            ancestor = self.entries[ancestor].parent
+        if ancestor == moving:
+            return error_reply(NFSERR_INVAL)
         overwritten: Optional[int] = None
         existing_lookup = self.impl.lookup(dst_dir.fh, call.to_name)
         if existing_lookup.ok:
