@@ -3,17 +3,22 @@ that a sub-protocol which is off (or not attached) leaves no trace.
 
 The first half reads source: every sub-protocol besides the three-phase core
 has one owner module (docs/protocol.md, "Module map"), the core reaches an
-owner only through its public methods, and the BFT library imports no
-service or tool built on it.  The second half runs clusters.
+owner only through its public methods, the BFT library imports no service
+or tool built on it, and only ``Cluster.recover`` starts a recovery.  The
+second half runs clusters, and drives each recovery starter once.
 """
 
 import ast
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
+from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
 from repro.bft.fusion import FusedBackupTier
 from repro.bft.messages import (
+    Checkpoint,
     FetchMeta,
     FetchObject,
     FetchRoot,
@@ -24,7 +29,9 @@ from repro.bft.messages import (
 from repro.bft.repair import RepairPolicy
 from repro.bft.service import StateMachine
 from repro.bft.sharding import sharded_kv_cluster
-from repro.bft.testing import encode_get, encode_set, kv_cluster
+from repro.bft.testing import encode_get, encode_set, kv_cluster, recording_cluster
+from repro.explore.plan import FaultPlan, FaultStep
+from repro.explore.runner import run_plan
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 BFT = SRC / "bft"
@@ -93,6 +100,27 @@ def test_the_bft_library_imports_no_service_or_tool():
                 if any(module == pkg or module.startswith(pkg + ".") for pkg in ABOVE_THE_LIBRARY)
             ]
     assert imports == []
+
+
+#: Where a call may start a recovery: the trees that can call into the
+#: library.  ``perf/`` wraps ``recover_now`` by name and calls none.
+REPO = SRC.parents[1]
+CALLERS = ("src", "tests", "benchmarks", "examples")
+
+
+def test_only_cluster_recover_calls_recover_now():
+    """Every recovery starts at ``Cluster.recover``: the one place a rule
+    about which recoveries may start can sit."""
+    calls = [
+        f"{path.relative_to(REPO)}:{node.lineno}"
+        for tree in CALLERS
+        for path in sorted((REPO / tree).rglob("*.py"))
+        if path != BFT / "cluster.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "recover_now"
+    ]
+    assert calls == []
 
 
 def test_the_settable_surface_is_pinned():
@@ -336,3 +364,65 @@ def test_state_transfer_fetches_are_answered_to_the_group_only():
     assert donor.counters.get("meta_served") == 1
     assert donor.counters.get("objects_served") == 1
     assert donor.counters.get("fetches_refused") == 3
+
+
+# -- one recovery entry point -------------------------------------------------------
+
+
+@pytest.fixture
+def recoveries(monkeypatch):
+    """Every ``Cluster.recover`` call, as (replica id, keyword arguments)."""
+    calls = []
+    recover = Cluster.recover
+
+    def spy(cluster, replica_id, **kwargs):
+        calls.append((replica_id, kwargs))
+        return recover(cluster, replica_id, **kwargs)
+
+    monkeypatch.setattr(Cluster, "recover", spy)
+    return calls
+
+
+def _warmed(cluster):
+    client = cluster.client("C0")
+    for i in range(8):
+        assert client.invoke(encode_set(i, b"v%d" % i)) == b"OK"
+    cluster.settle()
+    return cluster
+
+
+def test_the_rotation_starts_at_cluster_recover(recoveries):
+    cluster = _warmed(kv_cluster(config=BFTConfig(recovery_period=4.0)))
+    cluster.start_proactive_recovery()
+    cluster.sim.run_for(4.5)
+    assert recoveries == [(rid, {}) for rid in ("R0", "R1", "R2", "R3")]
+
+
+def test_a_crash_repair_starts_at_cluster_recover(recoveries):
+    cluster, _recorder = recording_cluster(repair=RepairPolicy())
+    _warmed(cluster).replica("R2").crash_self("aging: heap exhausted")
+    cluster.settle()
+    assert recoveries == [("R2", {"min_seqno": None})]
+
+
+def test_a_diverged_checkpoint_recovers_at_cluster_recover(recoveries):
+    cluster, _recorder = recording_cluster(
+        config=BFTConfig(checkpoint_interval=8), repair=RepairPolicy()
+    )
+    replica = _warmed(cluster).replica("R1")
+    replica.own_checkpoints[8] = Checkpoint(seqno=8, state_digest=b"\0" * 32, replica_id="R1")
+    assert cluster.host("R1").supervisor.scrub_once()
+    assert recoveries == [("R1", {})]
+
+
+def test_fused_tier_seeding_starts_at_cluster_recover(recoveries):
+    plan = FaultPlan(seed=3, requests=16, steps=(FaultStep(at=2.0, kind="destroy_group", index=1),))
+    assert run_plan(plan, shards=2).counters["fusion_replicas_seeded"] == 4
+    assert [rid for rid, _kwargs in recoveries] == ["R0", "R1", "R2", "R3"]
+    assert all(list(kwargs) == ["restore"] for _rid, kwargs in recoveries)
+
+
+def test_the_explore_recover_step_starts_at_cluster_recover(recoveries):
+    plan = FaultPlan(seed=3, requests=16, steps=(FaultStep(at=1.0, kind="recover", target="R1"),))
+    assert run_plan(plan).violation is None
+    assert recoveries == [("R1", {})]

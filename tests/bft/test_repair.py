@@ -10,7 +10,7 @@ import pytest
 
 from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
-from repro.bft.messages import CheckpointCert
+from repro.bft.messages import Checkpoint, CheckpointCert
 from repro.bft.repair import RepairPolicy
 from repro.bft.statetransfer import _RETRY
 from repro.bft.testing import (
@@ -147,6 +147,30 @@ def test_scrubber_repairs_silent_corruption_without_reboot():
     assert cluster.host("R1").supervisor.counters.get("scrub_corruption_detected") >= 1
     assert replica.counters.get("scrub_repairs") >= 1
     assert replica.counters.get("recoveries_started") == recoveries_before
+    assert_order_consistent(recorder)
+
+
+def test_scrubber_recovers_a_replica_whose_checkpoint_diverged():
+    """Tier one of the scrub: R1's own checkpoint digest at the stable seqno
+    differs from the certificate's, so the partition tree itself diverged and
+    only a full recovery helps.  ``scrub_once`` starts exactly one, through
+    the cluster, and it completes."""
+    cluster, recorder, _poisoned = poisoned_cluster(policy=RepairPolicy())
+    warm_up(cluster)
+    cluster.settle(0.5)  # checkpoint at 8 stabilizes
+    host = cluster.host("R1")
+    cert = host.replica.stable_cert
+    assert cert.seqno == 8 and host.replica.own_checkpoints[8].state_digest == cert.state_digest
+    host.replica.own_checkpoints[8] = Checkpoint(
+        seqno=8, state_digest=b"\x00" * 32, replica_id="R1"
+    )
+    assert host.supervisor.scrub_once()
+    assert cluster.network.is_down("R1")  # rebooting
+    cluster.settle(2.0)
+    assert host.supervisor.counters.get("scrub_full_recoveries") == 1
+    assert host.replica.counters.get("recoveries_started") == 1
+    assert host.replica.counters.get("recoveries_completed") == 1
+    assert len(host.recovery_log) == 1 and not host.replica.recovering
     assert_order_consistent(recorder)
 
 
