@@ -6,6 +6,8 @@ from repro.net.network import Network, NetworkConfig
 from repro.net.node import Node
 from repro.net.simulator import Simulator
 
+from tests.conftest import STOPPED_NODE_EVENTS
+
 
 class Recorder(Node):
     def __init__(self, node_id, sim, network, takeover=False):
@@ -65,6 +67,9 @@ def test_old_instance_cannot_send_after_stop(rig):
     first.send("B", "zombie")
     sim.run_until_idle()
     assert target.received == []
+    # Dropped silently; the guard in tests/conftest.py saw it, on purpose here.
+    assert STOPPED_NODE_EVENTS == [("A", "send")]
+    STOPPED_NODE_EVENTS.clear()
 
 
 # -- timer bookkeeping: O(live), never O(timers ever set) -------------------------
