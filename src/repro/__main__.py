@@ -4,7 +4,7 @@
     python -m repro andrew 2   # Andrew benchmark at a given scale
     python -m repro lint       # determinism linter (DET rules + call-graph taint)
     python -m repro explore    # fault-schedule exploration under safety oracles
-    python -m repro replay F   # re-execute a saved repro or soak artifact
+    python -m repro replay F   # re-execute a repro artifact (of explore or soak)
     python -m repro soak       # long-horizon fault campaign vs availability SLO
     python -m repro bench      # deterministic benchmark suites (BENCH_*.json)
     python -m repro version

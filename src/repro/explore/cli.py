@@ -1,7 +1,8 @@
 """``repro explore`` / ``repro replay`` — exploration from the command line.
 
-Exit codes (both subcommands): 0 = no safety violation, 1 = a violation was
-found (explore writes the shrunk repro artifact), 2 = usage error.
+Exit codes (both subcommands): 0 = no oracle violation, 1 = a violation was
+found (explore writes the shrunk repro artifact) or, for replay, the artifact
+recorded a whole verdict that the replay does not reproduce, 2 = usage error.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from pathlib import Path
 from typing import List
 
 from repro.bft.config import VARIANTS
-from repro.explore.interpreter import DEPLOYMENTS, OPT_IN_FAMILIES, PlanError
+from repro.explore.interpreter import (
+    DEPLOYMENTS,
+    OPT_IN_FAMILIES,
+    PlanError,
+    deployment_for,
+)
 from repro.explore.runner import explore, run_plan
 from repro.explore.shrink import load_artifact, write_artifact
-from repro.soak.runner import is_soak_artifact, load_soak_artifact, run_soak
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -144,8 +149,8 @@ def _replay_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro replay",
         description=(
-            "Deterministically re-execute a saved exploration repro artifact "
-            "or a soak-run artifact, under the configuration it recorded."
+            "Deterministically re-execute a saved repro artifact (of "
+            "repro explore or repro soak) under the configuration it recorded."
         ),
     )
     parser.add_argument("artifact", help="path to a JSON repro artifact")
@@ -162,13 +167,13 @@ def replay_main(argv: List[str]) -> int:
         print(f"replay: no such artifact: {path}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        soak = is_soak_artifact(json.loads(path.read_text()))
-        loaded = (load_soak_artifact if soak else load_artifact)(path)
-    except (ValueError, KeyError, OSError) as exc:
+        loaded = load_artifact(path)
+        expected = json.loads(path.read_text()).get("outcome")
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"replay: malformed artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return (_replay_soak if soak else _replay_plan)(*loaded)
+        return _replay_plan(*loaded, expected)
     except PlanError as exc:
         # Refused before a cluster was built.  Any other exception came out
         # of the run itself and is a bug to see, not a usage error.
@@ -176,24 +181,35 @@ def replay_main(argv: List[str]) -> int:
         return EXIT_USAGE
 
 
-def _replay_plan(plan, recorded, plant, options) -> int:
+def _replay_plan(plan, recorded, plant, options, expected) -> int:
+    """Re-execute the artifact's plan.  Any difference from a recorded whole
+    verdict (``expected``, a soak's) fails, even when every oracle held."""
     outcome = run_plan(plan, plant=plant, **options)
-    if outcome.violation is None:
-        print(
-            f"replay: no violation (recorded run saw [{recorded.get('oracle')}]); "
-            f"{outcome.events} events"
-        )
-        return EXIT_OK
     observed = outcome.violation
-    print(
-        f"replay: VIOLATION [{observed.oracle}] at t={observed.time:.4f} "
-        f"(event {observed.event_index}): {observed.detail}"
-    )
-    print(
-        "replay: reproduces the recorded violation exactly"
-        if observed.to_dict() == recorded
-        else "replay: WARNING - violation differs from the recorded one"
-    )
+    if observed is None:
+        saw = f" (recorded run saw [{recorded['oracle']}])" if recorded else ""
+        print(f"replay: no violation{saw}; {outcome.events} events")
+    else:
+        print(
+            f"replay: VIOLATION [{observed.oracle}] at t={observed.time:.4f} "
+            f"(event {observed.event_index}): {observed.detail}"
+        )
+    matches = expected is None or outcome.to_dict() == expected
+    if expected is not None:
+        kind = deployment_for(options["shards"], "slo" in options)
+        print(
+            f"replay: reproduces the recorded {kind} run exactly"
+            if matches
+            else f"replay: WARNING - {kind} verdict differs from the recorded one"
+        )
+    elif observed is not None:
+        print(
+            "replay: reproduces the recorded violation exactly"
+            if observed.to_dict() == recorded
+            else "replay: WARNING - violation differs from the recorded one"
+        )
+    if observed is None:
+        return EXIT_OK if matches else EXIT_VIOLATION
     print("replay: where the run left each replica:")
     for row in outcome.replica_states:
         state = " ".join(
@@ -202,23 +218,3 @@ def _replay_plan(plan, recorded, plant, options) -> int:
         print(f"replay:   group {row['group']} {row['replica']}: {state}")
     return EXIT_VIOLATION
 
-
-def _replay_soak(plan, slo, recorded) -> int:
-    """Re-execute a soak artifact and compare against the recorded report;
-    a replay that does not reproduce it fails even when its own SLO held."""
-    report = run_soak(plan, slo=slo)
-    matches = report.to_dict() == recorded
-    status = "SLO held" if report.ok else (
-        f"{len(report.slo_violations)} SLO + "
-        f"{len(report.safety_violations)} safety violations"
-    )
-    print(
-        f"replay: soak {plan.topology or 'flat'} (seed {plan.seed}): {status}; "
-        f"{report.probe_ops} probe ops, {report.events} events"
-    )
-    print(
-        "replay: reproduces the recorded soak run exactly"
-        if matches
-        else "replay: WARNING - soak verdict differs from the recorded one"
-    )
-    return EXIT_OK if report.ok and matches else EXIT_VIOLATION

@@ -6,11 +6,11 @@ family, applier, the deployments it is valid on and what a step of it must
 carry.  ``DEPLOYMENTS`` is the only place that knows a deployment (``single``:
 one BASE group under the explore workload; ``sharded``: several groups plus
 the 2PC layer, fault steps landing on shard 0; ``soak``: one group under the
-availability probe): its base configuration, build, oracles, planted bugs
-and, for ``run_plan``, workload and verdict counters.  :func:`check_supported`
-rejects a malformed plan, or one a deployment cannot run, before any cluster
-is built; a :class:`Session` installs the oracle suite, schedules the plan's
-steps onto the deployment's simulator, and runs the heal-and-sweep epilogue
+availability probe): its base configuration, build, oracles, planted bugs,
+workload and verdict counters.  :func:`check_supported` rejects a malformed
+plan, or one a deployment cannot run, before any cluster is built; a
+:class:`Session` installs the oracle suite, schedules the plan's steps onto
+the deployment's simulator, and runs the heal-and-sweep epilogue
 (docs/simulation.md has both tables and the two rules).
 
 Everything is deterministic: storm geometry derives arithmetically from the
@@ -32,7 +32,7 @@ from repro.bft.repair import RepairPolicy
 from repro.bft.sharding import sharded_recording_cluster
 from repro.bft.testing import canonical_committed_history, encode_set
 from repro.crypto.digest import digest
-from repro.explore.oracles import OracleSuite
+from repro.explore.oracles import AvailabilityWatch, OracleSuite, SoakSLO
 from repro.explore.plan import (
     BENIGN,
     BYZANTINE,
@@ -56,6 +56,7 @@ from repro.faults import (
 )
 from repro.faults.aging import DEFAULT_PER_OP_STALL, FragmentationAging
 from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS
+from repro.faults.scenarios import AvailabilityProbe
 from repro.net.network import NetworkConfig
 from repro.net.topology import PRESETS, PlacedTopology, topology_preset
 
@@ -91,6 +92,9 @@ WAN_CONFIG_OVERRIDES: Dict[str, object] = {
     "client_retry_max": 2.0,
     "pending_ttl": 5.0,
 }
+
+#: Virtual seconds a campaign runs past its last step's activity.
+CAMPAIGN_TAIL = 60.0
 
 #: Rate multipliers over a flash crowd's duration (equal-width segments): the
 #: swarm ramps to the step's peak ``rate`` at the midpoint and back down —
@@ -829,14 +833,48 @@ def _shard_groups(_group: Callable, plan: FaultPlan, config, net_config, shards:
     return system, recorders, None
 
 
+@dataclass(frozen=True)
+class Drive:
+    """``run_plan``'s options for a workload (its parameters of those names)."""
+
+    liveness_timeout: float
+    slo: Optional[SoakSLO]
+    op_timeout: float
+    gap: float
+    log: Optional[Callable[[str], None]]
+
+
 class _Workload:
     """The closed-loop client ``C0`` and how to ask it for one operation."""
 
-    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
+    settle = 2.0  # virtual seconds the healed system settles before the sweep
+
+    def __init__(self, session: Session, plan: FaultPlan, drive: Drive):
         self.session = session
         self.client = session.client("C0")
         self.plan = plan
-        self.liveness_timeout = liveness_timeout
+        self.liveness_timeout = drive.liveness_timeout
+
+    def drive(self, outcome) -> None:
+        """The plan's requests, one at a time, then on to the end of its last
+        episode; a destroy step that fired meanwhile runs between requests."""
+        session, plan = self.session, self.plan
+        for i in range(plan.requests):
+            session.drain_destroys(self.client)
+            if self.request(i):
+                outcome.completed += 1
+        # Let any fault steps scheduled past the workload's end still fire
+        # (overload and campaign episodes occupy [at, at + duration]).
+        episodes = kinds_of(OVERLOAD) | kinds_of(CAMPAIGN)
+        horizon = 0.5 + max(
+            (s.at + (s.duration if s.kind in episodes else 0.0) for s in plan.steps),
+            default=0.0,
+        )
+        if session.sim.now() < horizon:
+            session.sim.run_until(horizon)
+        # A destroy step timed after the workload finished fires during the
+        # horizon run; execute it before judging liveness.
+        session.drain_destroys(self.client)
 
     def invoke(self, op: bytes, timeout: float = 8.0) -> Optional[bytes]:
         try:
@@ -863,8 +901,8 @@ class _Workload:
 class _SingleWorkload(_Workload):
     """Sequential SETs over slots 0..7 of one group, then one liveness probe."""
 
-    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
-        super().__init__(session, plan, liveness_timeout)
+    def __init__(self, session: Session, plan: FaultPlan, drive: Drive):
+        super().__init__(session, plan, drive)
         self.replies: List[Optional[bytes]] = []  # None = timed out
 
     def request(self, i: int) -> bool:
@@ -885,8 +923,8 @@ class _ShardedWorkload(_Workload):
     transactions; liveness is demanded from every shard *and* from the
     cross-shard layer."""
 
-    def __init__(self, session: Session, plan: FaultPlan, liveness_timeout: float):
-        super().__init__(session, plan, liveness_timeout)
+    def __init__(self, session: Session, plan: FaultPlan, drive: Drive):
+        super().__init__(session, plan, drive)
         self.shardmap = session.system.shardmap
         self.shards = len(session.clusters)
 
@@ -924,21 +962,108 @@ class _ShardedWorkload(_Workload):
         return None
 
 
+def campaign_horizon(plan: FaultPlan) -> float:
+    """Virtual end time of a campaign: last step activity plus a tail."""
+    return (
+        max((step.at + step.duration for step in plan.steps), default=0.0)
+        + CAMPAIGN_TAIL
+    )
+
+
+class _SoakWorkload:
+    """The availability probe: client ``S0`` writes slot 31 one op at a time
+    up to the campaign horizon, and the ``availability`` row judges its
+    samples against the run's SLO.  No liveness probe follows the heal."""
+
+    settle = 5.0
+
+    def __init__(self, session: Session, plan: FaultPlan, drive: Drive):
+        self.session = session
+        slo = drive.slo
+        self.probe = AvailabilityProbe(
+            session.sim,
+            session.client("S0"),
+            make_op=lambda n: encode_set(PROBE_SLOT, b"soak:%d" % n),
+            op_timeout=drive.op_timeout,
+            gap=drive.gap,
+            window=slo.window,
+        )
+        excluded = beyond_assumption_windows(plan, margin=slo.assumption_margin)
+        self.watch = AvailabilityWatch(self.probe, slo, excluded)
+        session.suite.availability = self.watch
+        self.horizon = campaign_horizon(plan)
+        if drive.log is not None:
+            self._log_progress(drive.log)
+
+    def _log_progress(self, log: Callable[[str], None]) -> None:
+        """One line per window from a step hook, which makes no events: a
+        logged run makes exactly the probe calls a quiet one does."""
+        sim, probe, horizon = self.session.sim, self.probe, self.horizon
+        next_mark = segment = max(probe.window, 1.0)
+
+        def progress() -> None:
+            nonlocal next_mark
+            now = sim.now()
+            if next_mark <= now < horizon:
+                done = probe.summary()
+                log(
+                    f"t={now:8.1f}/{horizon:.0f}  "
+                    f"ops={done.total}  avail={done.availability:.4f}"
+                )
+                while next_mark <= now:
+                    next_mark += segment
+
+        sim.add_step_hook(progress)
+
+    def drive(self, outcome) -> None:
+        self.probe.run_until(self.horizon, ops_per_segment=32)
+
+    def liveness(self) -> Optional[str]:
+        return None
+
+    def evidence(self, outcome) -> None:
+        """What the probe measured, the judged worst, and the MTTR integrated
+        from the recovery log."""
+        summary = self.probe.summary()
+        durations = [
+            duration
+            for host in self.session.cluster.hosts.values()
+            for duration in host.recovery_durations()
+        ]
+        outcome.probe = {
+            "horizon": self.horizon,
+            "probe_ops": summary.total,
+            "availability": summary.availability,
+            "min_window_availability": self.watch.worst_window,
+            "max_outage_span": self.watch.worst_span,
+            "windows": [w.to_dict() for w in summary.windows],
+            "excluded_windows": [list(w) for w in self.watch.excluded],
+            "outage_spans": [list(s) for s in summary.outage_spans],
+            "mttr": {
+                "recoveries": len(durations),
+                "mean": (sum(durations) / len(durations)) if durations else 0.0,
+                "max": max(durations) if durations else 0.0,
+            },
+        }
+
+
 @dataclass(frozen=True)
 class Deployment:
     """One deployment a plan runs on: the entry point's base
     :class:`BFTConfig` ``fields``; ``build(group, plan, config, net_config,
     shards) -> (system, recorders, poisoned)``, ``group`` being the entry
     point's one-group builder; the ``oracles`` (``ORACLES`` rows, in table
-    order) the suite runs over what it built; its planted bugs; and for
-    ``run_plan``, the ``workload`` and the ``counters`` its verdicts add."""
+    order) the suite runs over what it built; the ``workload`` that drives
+    it; its planted bugs; the ``counters`` its verdicts add; and whether the
+    rotation starts before the plan's steps are armed."""
 
     fields: Dict[str, object]
     build: Callable[..., Tuple[object, List, Optional[Set[str]]]]
     oracles: Tuple[str, ...]
+    workload: type
     plants: Dict[str, Callable] = field(default_factory=dict)
-    workload: Optional[type] = None
     counters: Tuple[str, ...] = ()
+    rotation_first: bool = False
 
 
 #: The rows of ``ORACLES`` (explore/oracles.py) that every group is held to.
@@ -977,7 +1102,14 @@ DEPLOYMENTS: Dict[str, Deployment] = {
     SOAK: Deployment(
         fields={"checkpoint_interval": 16, "log_window": 64},
         build=_one_group,
-        oracles=_GROUP_ORACLES,
+        oracles=_GROUP_ORACLES + ("availability",),
+        workload=_SoakWorkload,
+        counters=("recoveries_started", "request_timeouts")
+        + ("offered", "swarm_completed"),
+        # The simulator breaks same-instant ties by scheduling order, and the
+        # wan baselines pin a rotation and a flash crowd that share t=30 in
+        # this order.
+        rotation_first=True,
     ),
 }
 
@@ -1018,19 +1150,21 @@ def support_cell(deployment: str, variant: str, family: Optional[str]) -> Cell:
 
 
 def support_matrix() -> List[Cell]:
-    """Every deployment ``run_plan`` drives x every variant x no family or one
+    """Every deployment ``explore`` drives x every variant x no family or one
     of ``OPT_IN_FAMILIES`` (the table in docs/simulation.md)."""
     return [
         support_cell(deployment, variant, family)
-        for deployment, row in DEPLOYMENTS.items()
-        if row.workload is not None
+        for deployment in (SINGLE, SHARDED)
         for variant in VARIANTS
         for family in (None,) + OPT_IN_FAMILIES
     ]
 
 
-def deployment_for(shards: int) -> str:
-    """The ``run_plan`` deployment of ``shards`` groups."""
+def deployment_for(shards: int, soak: bool = False) -> str:
+    """The ``run_plan`` deployment of ``shards`` groups; ``soak``: the one
+    judged by an availability SLO."""
     if shards < 1:
         raise PlanError(f"shards must be >= 1, not {shards}")
-    return SINGLE if shards == 1 else SHARDED
+    if soak and shards != 1:
+        raise PlanError(f"a soak deployment has one group, not {shards}")
+    return (SOAK if soak else SINGLE) if shards == 1 else SHARDED

@@ -26,6 +26,9 @@ and either checks each group on its own or looks across the groups:
   exact certified abstract state: a failed one (missing parity, a timeout, a
   root that does not match the latest checkpoint certificate) is a *safety*
   signal, since the tier must otherwise refuse to serve.
+* **availability** — the soak probe meets its :class:`SoakSLO` outside the
+  beyond-assumption windows (every window's availability, every clipped
+  outage span): not safety, but what proactive recovery buys.
 
 A deployment names the rows it runs (``DEPLOYMENTS`` in
 :mod:`repro.explore.interpreter`), and one :class:`OracleSuite` runs them
@@ -56,7 +59,7 @@ against them, they describe a violation once the index suspects one, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.bft.cluster import Cluster
@@ -376,6 +379,113 @@ def _check_cross_shard_atomicity(suite: "OracleSuite"):
     return None
 
 
+@dataclass(frozen=True)
+class SoakSLO:
+    """The availability service-level objective the ``availability`` row
+    judges a soak run by.
+
+    window:             accounting window width, virtual seconds.
+    availability_floor: minimum fraction of probe ops that must succeed in
+                        every judged window.
+    max_outage_span:    longest tolerated coalesced outage, virtual seconds.
+    assumption_margin:  grace period appended to each beyond-assumption
+                        window (post-restart state-transfer catch-up).
+    """
+
+    window: float = 300.0
+    availability_floor: float = 0.99
+    max_outage_span: float = 90.0
+    assumption_margin: float = 30.0
+
+    def __post_init__(self) -> None:  # out of range, a field turns the SLO off
+        if not (self.window > 0 and 0 <= self.availability_floor <= 1
+                and self.max_outage_span >= 0 and self.assumption_margin >= 0):
+            raise ValueError("SLO needs window > 0, 0 <= availability_floor <= 1 and "
+                             f"spans >= 0, not {self.to_dict()}")
+
+    def to_dict(self) -> Dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "SoakSLO":
+        return cls(**{name: float(data[name]) for name in cls().to_dict()})
+
+
+class AvailabilityWatch:
+    """The ``availability`` row's evidence: a soak's
+    :class:`~repro.faults.scenarios.AvailabilityProbe` and the SLO its windows
+    and outage spans are judged by outside the ``excluded`` windows.  The
+    probe is sequential: a window closes once a later one has a sample, a
+    span once a probe op succeeds after it, and each is judged as it closes.
+    The SLO is a verdict over the whole horizon, so the first failure is kept
+    (``found``) and the end-of-run sweep, which closes the rest, raises it."""
+
+    def __init__(self, probe, slo: SoakSLO, excluded: List[Tuple[float, float]]) -> None:
+        self.probe = probe
+        self.slo = slo
+        self.excluded = excluded
+        self.windows = 0  # buckets judged
+        self.spans = 0  # outage spans judged
+        self.worst_window = 1.0
+        self.worst_span = 0.0
+        self.found: Optional[str] = None
+
+    def check(self, closing: bool = False) -> Optional[str]:
+        """Judge what closed since the last check (``closing``: everything
+        left); the first failure of the run, if any."""
+        probe = self.probe
+        closed = len(probe.buckets) if closing else len(probe.buckets) - 1
+        for bucket in probe.buckets[self.windows:closed]:
+            self._judge_window(probe.window_summary(*bucket))
+        self.windows = max(self.windows, closed)
+        spans = probe.outage_spans
+        open_span = spans and not closing and not probe.results[-1].ok
+        closed = len(spans) - 1 if open_span else len(spans)
+        for span in spans[self.spans:closed]:
+            self._judge_span(span)
+        self.spans = closed
+        return self.found
+
+    def _judge_window(self, window) -> None:
+        if any(window.start < end and window.end > start for start, end in self.excluded):
+            return
+        self.worst_window = min(self.worst_window, window.availability)
+        if window.availability < self.slo.availability_floor:
+            self.found = self.found or (
+                f"window [{window.start:.0f}, {window.end:.0f}) availability "
+                f"{window.availability:.4f} below floor {self.slo.availability_floor}"
+            )
+
+    def _judge_span(self, span: Tuple[float, float]) -> None:
+        """Judge the span's pieces outside the excluded windows (which are
+        time-ordered and disjoint); a piece of no length judges nothing."""
+        start, end = span
+        pieces = []
+        for x_start, x_end in self.excluded:
+            if x_start < end and x_end > start:
+                pieces.append((start, x_start))
+                start = x_end
+        for start, end in pieces + [(start, end)]:
+            self.worst_span = max(self.worst_span, end - start)
+            if end - start > self.slo.max_outage_span:
+                self.found = self.found or (
+                    f"outage span [{start:.1f}, {end:.1f}] lasts {end - start:.1f}s, "
+                    f"beyond the {self.slo.max_outage_span}s bound"
+                )
+
+
+def _check_availability(suite: "OracleSuite"):
+    if suite.availability is not None:  # attached only by the soak workload
+        suite.availability.check()
+    return None  # a failure waits for the sweep (AvailabilityWatch)
+
+
+def _close_availability(suite: "OracleSuite"):
+    watch = suite.availability
+    detail = watch.check(closing=True) if watch is not None else None
+    return None if detail is None else (detail, suite.groups[0])
+
+
 def _check_reconstruction(suite: "OracleSuite"):
     tier = suite.system.fusion  # attached only by a destruction plan
     if tier is None:
@@ -403,13 +513,14 @@ class Oracle:
     ``check(group)`` judges one :class:`GroupEvidence`, and the suite runs it
     on every group in turn; an ``ACROSS_GROUPS`` row's ``check(suite)`` looks
     at all of them at once and returns ``(detail, group)``, the group being
-    the one its violation is charged to.  ``walk`` is an ``EACH_GROUP`` row's
-    reference: the full-history walk :meth:`OracleSuite.sweep` runs after
-    the incremental checks."""
+    the one its violation is charged to.  ``walk`` is what
+    :meth:`OracleSuite.sweep` runs after the incremental checks, with the
+    same argument and result: an ``EACH_GROUP`` row's reference, the
+    full-history walk, or the ``availability`` row's closing judgement."""
 
     scope: str
     check: Callable
-    walk: Optional[Callable[[GroupEvidence], Optional[str]]] = None
+    walk: Optional[Callable] = None
 
 
 #: The continuously checked oracles, in check order: the ``EACH_GROUP`` rows
@@ -423,6 +534,7 @@ ORACLES: Dict[str, Oracle] = {
     "checkpoint-stability": Oracle(EACH_GROUP, _check_checkpoint_stability),
     "cross-shard-atomicity": Oracle(ACROSS_GROUPS, _check_cross_shard_atomicity),
     "reconstruction": Oracle(ACROSS_GROUPS, _check_reconstruction),
+    "availability": Oracle(ACROSS_GROUPS, _check_availability, _close_availability),
 }
 
 
@@ -459,9 +571,11 @@ class OracleSuite:
         self.check_interval = max(1, check_interval)
         self.violations: List[Violation] = []
         # What the ACROSS_GROUPS rows have seen: first-seen transaction
-        # outcomes, and the failed rebuilds already reported.
+        # outcomes, the failed rebuilds already reported, and the soak probe
+        # (its workload attaches the watch).
         self.decisions: Dict[str, Tuple[bool, str]] = {}
         self.rebuilds_flagged: Set[Tuple[int, float]] = set()
+        self.availability: Optional[AvailabilityWatch] = None
         self._events_since_check = 0
         self._uninstall: Optional[Callable[[], None]] = None
 
@@ -497,12 +611,17 @@ class OracleSuite:
 
     def sweep(self) -> None:
         """The end-of-run check: every row once more, then the reference
-        walks over all the evidence (which cross-checks the index)."""
+        walks over all the evidence (which cross-checks the index) and the
+        closing judgements."""
         self.check_now()
         for group in self.groups:
             for name, row in self._each:
                 if row.walk is not None:
                     self._judge(name, row.walk(group), group)
+        for name, row in self._across:
+            found = row.walk(self) if row.walk is not None else None
+            if found is not None:
+                self._judge(name, *found)
 
     def _judge(
         self, oracle: str, detail: Optional[str], group: Optional[GroupEvidence] = None

@@ -7,14 +7,16 @@ seeded tie-break shuffle, and stops at the first violation — which it then
 shrinks to a minimal plan and packages as a replayable artifact.
 
 ``run_plan`` is the single-run primitive shared by exploration, shrinking,
-replay, and the tests: one plan in, one verdict out, byte-deterministic.
-``shards=1`` runs the plan against one BASE group; ``shards=N`` against N
-groups with a cross-shard transactional workload, the plan's fault steps
-landing on shard 0 (the other shards stay fault-free), so crash/partition
-windows there overlap in-flight 2PC.  Either way the deployment is a row of
-the shared interpreter's ``DEPLOYMENTS`` (:mod:`repro.explore.interpreter`),
-which also applies the steps; this module builds the row, drives its
-workload, and demands liveness afterwards.
+replay, soak campaigns and the tests: one plan in, one verdict out,
+byte-deterministic.  ``shards=1`` runs the plan against one BASE group;
+``shards=N`` against N groups with a cross-shard transactional workload, the
+plan's fault steps landing on shard 0 (the other shards stay fault-free), so
+crash/partition windows there overlap in-flight 2PC; an ``slo`` runs it as a
+soak, one group under the availability probe, judged by that SLO.  Either
+way the deployment is a row of the shared interpreter's ``DEPLOYMENTS``
+(:mod:`repro.explore.interpreter`), which also applies the steps and drives
+the row's workload; this module builds the row and demands liveness
+afterwards.
 """
 
 from __future__ import annotations
@@ -29,18 +31,17 @@ from repro.bft.testing import recording_cluster
 from repro.explore.interpreter import (
     CAMPAIGN,
     DEPLOYMENTS,
-    OVERLOAD,
+    Drive,
     PlanError,
     Session,
     check_supported,
     deployment_configs,
     deployment_for,
     families,
-    kinds_of,
     not_supported,
     support_cell,
 )
-from repro.explore.oracles import OracleViolation, Violation
+from repro.explore.oracles import OracleViolation, SoakSLO, Violation
 from repro.explore.plan import FaultPlan, generate_plan
 from repro.explore.shrink import shrink_plan
 
@@ -96,14 +97,19 @@ class RunOutcome:
     # Where the run left every replica of every group (not serialized either:
     # ``repro replay`` prints it after a violation).
     replica_states: Optional[List[Dict]] = None
+    # What a soak's availability probe measured (soak runs only).
+    probe: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
-        return {
+        data = {
             "violation": self.violation.to_dict() if self.violation else None,
             "completed": self.completed,
             "events": self.events,
             "counters": self.counters,
         }
+        if self.probe is not None:
+            data["probe"] = self.probe
+        return data
 
 
 @dataclass
@@ -160,6 +166,11 @@ def run_plan(
     check_interval: int = 10,
     liveness_timeout: float = 30.0,
     config_overrides: Optional[Dict] = None,
+    slo: Optional[SoakSLO] = None,
+    op_timeout: float = 8.0,
+    gap: float = 1.0,
+    log: Optional[Callable[[str], None]] = None,
+    group: Optional[Callable] = None,
 ) -> RunOutcome:
     """Execute one fault plan against a fresh deployment; fully deterministic:
     (plan, shards, plant, configuration) determine the verdict.
@@ -167,15 +178,18 @@ def run_plan(
     ``config_overrides`` are the :class:`BFTConfig` overrides of one row of
     ``VARIANTS`` valid on the deployment (None: the baseline) — the
     differential harness replays one fault plan under every row and compares
-    the outcomes."""
-    deployment = deployment_for(shards)
+    the outcomes.  An ``slo`` makes the run a soak: the availability probe
+    (``op_timeout`` / ``gap`` per op) runs to the campaign horizon, logging
+    progress to ``log``.  ``group`` builds a one-group deployment (default:
+    this module's ``recording_cluster``, which tests rebind)."""
+    deployment = deployment_for(shards, soak=slo is not None)
     row = DEPLOYMENTS[deployment]
     check_supported(plan, deployment, config_overrides)
     if plant is not None and plant not in row.plants:
         raise PlanError(f"a {deployment} deployment has no planted bug {plant!r}")
     config, net_config = deployment_configs(plan, row.fields, config_overrides)
     system, recorders, poisoned = row.build(
-        recording_cluster, plan, config, net_config, shards
+        group or recording_cluster, plan, config, net_config, shards
     )
     session = Session(plan, system, recorders, deployment, check_interval, poisoned)
     sim = system.sim
@@ -183,31 +197,21 @@ def run_plan(
         # Re-apply each event so the bug survives reboots (recovery swaps
         # the replica and service objects the sabotage was patched onto).
         sim.add_step_hook(row.plants[plant](system))
-    # Steps before rotation: a destruction plan's parity bootstrap (inside
-    # arm) takes 0.5 vsec and the rotation timers count from after it.
+    # Steps before rotation unless the row says otherwise: a destruction
+    # plan's parity bootstrap (inside arm) takes 0.5 vsec and the rotation
+    # timers count from after it.
+    if row.rotation_first:
+        session.start_rotation()
     session.arm()
-    session.start_rotation()
-    workload = row.workload(session, plan, liveness_timeout)
+    if not row.rotation_first:
+        session.start_rotation()
+    drive = Drive(liveness_timeout, slo, op_timeout, gap, log)
+    workload = row.workload(session, plan, drive)
     outcome = RunOutcome(violation=None, completed=0, events=0)
     try:
-        for i in range(plan.requests):
-            session.drain_destroys(workload.client)
-            if workload.request(i):
-                outcome.completed += 1
-        # Let any fault steps scheduled past the workload's end still fire
-        # (overload and campaign episodes occupy [at, at + duration]).
-        episodes = kinds_of(OVERLOAD) | kinds_of(CAMPAIGN)
-        horizon = 0.5 + max(
-            (s.at + (s.duration if s.kind in episodes else 0.0) for s in plan.steps),
-            default=0.0,
-        )
-        if sim.now() < horizon:
-            sim.run_until(horizon)
-        # A destroy step timed after the workload finished fires during the
-        # horizon run; execute it before judging liveness.
-        session.drain_destroys(workload.client)
+        workload.drive(outcome)
         # Heal the world, then demand liveness.
-        session.heal_and_sweep(settle=2.0)
+        session.heal_and_sweep(settle=workload.settle)
         stalled = workload.liveness()
         if stalled is None:
             session.suite.check_now()

@@ -7,7 +7,8 @@ oracle.  Every candidate is re-run through the caller-supplied ``violates``
 function, so the result is verified, not guessed.
 
 The shrunk plan and the violation it reproduces are saved as a JSON artifact
-(:func:`write_artifact`) that ``repro replay`` re-executes deterministically.
+(:func:`write_artifact`) that ``repro replay`` re-executes deterministically;
+a soak run's artifact also records its SLO and its whole verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.explore.oracles import Violation
+from repro.explore.oracles import SoakSLO, Violation
 from repro.explore.plan import FaultPlan, FaultStep
 
 ARTIFACT_VERSION = 1
@@ -119,20 +120,26 @@ def shrink_plan(
 
 def artifact_dict(
     plan: FaultPlan,
-    violation: Violation,
+    violation: Optional[Violation],
     plant: Optional[str] = None,
     original_plan: Optional[FaultPlan] = None,
     shards: int = 1,
     check_interval: int = 10,
     config_overrides: Optional[Dict] = None,
+    slo: Optional[SoakSLO] = None,
+    op_timeout: Optional[float] = None,
+    gap: Optional[float] = None,
+    outcome: Optional[Dict] = None,
 ) -> Dict:
-    """``shards`` / ``check_interval`` / ``config_overrides`` are the
-    ``run_plan`` options the recording run used; replay needs them to
-    reproduce it."""
+    """``shards`` / ``check_interval`` / ``config_overrides`` and a soak's
+    ``slo`` / ``op_timeout`` / ``gap`` are the ``run_plan`` options the
+    recording run used; replay needs them to reproduce it.  ``outcome``, the
+    recording run's whole verdict (``RunOutcome.to_dict()``), makes replay
+    compare all of it, not only the violation (None when the run held)."""
     data: Dict = {
         "version": ARTIFACT_VERSION,
         "plan": plan.to_dict(),
-        "violation": violation.to_dict(),
+        "violation": violation.to_dict() if violation else None,
         "plant": plant,
     }
     if original_plan is not None:
@@ -146,16 +153,23 @@ def artifact_dict(
         data["check_interval"] = check_interval
     if config_overrides:
         data["config_overrides"] = dict(config_overrides)
+    if slo is not None:
+        data["slo"] = slo.to_dict()
+    for name, value in (("op_timeout", op_timeout), ("gap", gap)):
+        if value is not None:
+            data[name] = value
+    if outcome is not None:
+        data["outcome"] = outcome
     return data
 
 
-def write_artifact(path, plan: FaultPlan, violation: Violation, **recorded) -> None:
+def write_artifact(path, plan: FaultPlan, violation: Optional[Violation], **recorded) -> None:
     """Write :func:`artifact_dict` (same keyword arguments) as JSON."""
     data = artifact_dict(plan, violation, **recorded)
     Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def load_artifact(path) -> Tuple[FaultPlan, Dict, Optional[str], Dict]:
+def load_artifact(path) -> Tuple[FaultPlan, Optional[Dict], Optional[str], Dict]:
     """Returns ``(plan, recorded_violation_dict, plant_name, run_options)``;
     ``run_plan(plan, plant=plant_name, **run_options)`` is the replay."""
     data = json.loads(Path(path).read_text())
@@ -168,4 +182,7 @@ def load_artifact(path) -> Tuple[FaultPlan, Dict, Optional[str], Dict]:
         "check_interval": int(data.get("check_interval", 10)),
         "config_overrides": data.get("config_overrides"),
     }
+    if "slo" in data:
+        options["slo"] = SoakSLO.from_dict(data["slo"])
+    options.update((name, float(data[name])) for name in ("op_timeout", "gap") if name in data)
     return plan, data["violation"], data.get("plant"), options

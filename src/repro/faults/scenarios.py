@@ -20,7 +20,7 @@ outage probed five times is one span, not five).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.bft.client import Client, InvocationTimeout
 from repro.net.simulator import Simulator
@@ -88,7 +88,11 @@ class AvailabilityProbe:
     fixed-width windows anchored at ``window_origin`` for the summary's
     per-window accounting.  The probe keeps a running operation counter, so
     repeated :meth:`run` calls continue the same stream (unique ops per
-    call, one accumulated result list).
+    call, one accumulated result list).  The accounting is kept as samples
+    arrive: ``buckets`` holds one ``(window index, samples)`` pair per window
+    that has any, in order, and ``outage_spans`` the coalesced outages — a
+    run of adjacent failed samples is one span, from the first failure's
+    start to the last failure's end (start + latency).
     """
 
     def __init__(
@@ -109,6 +113,8 @@ class AvailabilityProbe:
         self.window = window
         self.window_origin = window_origin
         self.results: List[ProbeResult] = []
+        self.buckets: List[Tuple[int, List[ProbeResult]]] = []
+        self.outage_spans: List[Tuple[float, float]] = []
         self._op_number = 0
 
     def run(self, ops: int) -> None:
@@ -122,7 +128,7 @@ class AvailabilityProbe:
                 self.client.cancel()
                 ok = False
             self._op_number += 1
-            self.results.append(ProbeResult(start, ok, self.sim.now() - start))
+            self._record(ProbeResult(start, ok, self.sim.now() - start))
             if self.gap:
                 self.sim.run_for(self.gap)
 
@@ -133,58 +139,31 @@ class AvailabilityProbe:
 
     # -- accounting ----------------------------------------------------------
 
-    def _coalesced_outages(self) -> List[Tuple[float, float]]:
-        """Adjacent failed samples merge into one span running from the first
-        failure's start to the last failure's end (start + latency)."""
-        outages: List[Tuple[float, float]] = []
-        span_start: Optional[float] = None
-        span_end = 0.0
-        for result in self.results:
-            if not result.ok:
-                if span_start is None:
-                    span_start = result.started_at
-                span_end = result.started_at + result.latency
-            elif span_start is not None:
-                outages.append((span_start, span_end))
-                span_start = None
-        if span_start is not None:
-            outages.append((span_start, span_end))
-        return outages
+    def _record(self, result: ProbeResult) -> None:
+        failing = bool(self.results) and not self.results[-1].ok
+        self.results.append(result)
+        if self.window > 0:
+            index = int((result.started_at - self.window_origin) // self.window)
+            if not self.buckets or self.buckets[-1][0] != index:
+                self.buckets.append((index, []))
+            self.buckets[-1][1].append(result)
+        if not result.ok:
+            end = result.started_at + result.latency
+            start = self.outage_spans.pop()[0] if failing else result.started_at
+            self.outage_spans.append((start, end))
 
-    def _windows(self) -> List[WindowSummary]:
-        if self.window <= 0 or not self.results:
-            return []
-        windows: List[WindowSummary] = []
-        bucket: List[ProbeResult] = []
-        index = int((self.results[0].started_at - self.window_origin) // self.window)
-
-        def flush(bucket_index: int, samples: List[ProbeResult]) -> None:
-            if not samples:
-                return
-            start = self.window_origin + bucket_index * self.window
-            succeeded = sum(1 for sample in samples if sample.ok)
-            windows.append(
-                WindowSummary(
-                    start=start,
-                    end=start + self.window,
-                    total=len(samples),
-                    succeeded=succeeded,
-                    availability=succeeded / len(samples),
-                    p99_latency=percentile([s.latency for s in samples if s.ok], 0.99),
-                )
-            )
-
-        for result in self.results:
-            result_index = int(
-                (result.started_at - self.window_origin) // self.window
-            )
-            if result_index != index:
-                flush(index, bucket)
-                bucket = []
-                index = result_index
-            bucket.append(result)
-        flush(index, bucket)
-        return windows
+    def window_summary(self, index: int, samples: List[ProbeResult]) -> WindowSummary:
+        """The accounting of one bucket, window ``index`` of the grid."""
+        start = self.window_origin + index * self.window
+        succeeded = sum(1 for sample in samples if sample.ok)
+        return WindowSummary(
+            start=start,
+            end=start + self.window,
+            total=len(samples),
+            succeeded=succeeded,
+            availability=succeeded / len(samples),
+            p99_latency=percentile([s.latency for s in samples if s.ok], 0.99),
+        )
 
     def summary(self) -> AvailabilitySummary:
         total = len(self.results)
@@ -196,6 +175,6 @@ class AvailabilityProbe:
             availability=(succeeded / total) if total else 1.0,
             mean_latency=(sum(latencies) / len(latencies)) if latencies else 0.0,
             max_latency=max(latencies) if latencies else 0.0,
-            outage_spans=self._coalesced_outages(),
-            windows=self._windows(),
+            outage_spans=list(self.outage_spans),
+            windows=[self.window_summary(*bucket) for bucket in self.buckets],
         )

@@ -6,7 +6,7 @@ geo-scale kinds (``region_outage``, ``partition_storm``, ``latency_spike``,
 shared interpreter (:mod:`repro.explore.interpreter`) turns each such step
 into concrete simulator actions at fire time, for ``run_plan`` and the
 long-horizon soak harness alike; this module composes campaigns from a seed
-and says how long one runs.
+(how long one runs, ``campaign_horizon``, is the interpreter's).
 """
 
 from __future__ import annotations
@@ -14,25 +14,15 @@ from __future__ import annotations
 import random
 from typing import List
 
+from repro.explore.interpreter import campaign_horizon
 from repro.explore.plan import FaultPlan, FaultStep
 from repro.net.topology import topology_preset
-
-#: Virtual seconds a campaign runs past its last step's activity.
-CAMPAIGN_TAIL = 60.0
 
 #: Aggregate request rate of each flash crowd, requests per virtual second.
 CROWD_PEAK_RATE = 24.0
 
 #: Per-executed-operation stall of the campaign's fragmentation aging.
 PER_OP_STALL = 1.5e-4
-
-
-def campaign_horizon(plan: FaultPlan) -> float:
-    """Virtual end time of a campaign: last step activity plus a tail."""
-    return (
-        max((step.at + step.duration for step in plan.steps), default=0.0)
-        + CAMPAIGN_TAIL
-    )
 
 
 def generate_campaign(

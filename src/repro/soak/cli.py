@@ -1,8 +1,10 @@
 """``repro soak`` — run a seeded long-horizon campaign from the command line.
 
-Exit codes: 0 = every SLO and safety oracle held, 1 = an SLO or safety
-violation was recorded (the artifact is written either way so any verdict
-can be replayed), 2 = usage error.
+The campaign runs through ``run_plan`` on the ``soak`` deployment row, and
+a violation (of the ``availability`` row or a safety oracle) shrinks the way
+``repro explore``'s does.  Exit codes: 0 = every oracle held, 1 = a violation
+(the artifact is written either way — the run's whole verdict, or the shrunk
+plan's — so any verdict can be replayed), 2 = usage error.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ import argparse
 import sys
 from typing import List
 
+from repro.explore.runner import run_plan
+from repro.explore.shrink import shrink_plan, write_artifact
 from repro.net.topology import PRESETS
 from repro.soak.campaign import generate_campaign
-from repro.soak.runner import SoakSLO, run_soak, write_soak_artifact
+from repro.soak.runner import CHECK_INTERVAL, SoakSLO
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -103,25 +107,35 @@ def soak_main(argv: List[str]) -> int:
         watchdog=not args.no_watchdog,
         recovery_period=args.recovery_period,
     )
-    log = None if args.quiet else print
-    report = run_soak(plan, slo=slo, log=log)
-    write_soak_artifact(args.out, plan, slo, report)
+    options = {"check_interval": CHECK_INTERVAL, "slo": slo}
+    outcome = run_plan(plan, log=None if args.quiet else print, **options)
+    measured = outcome.probe
     rotation = plan.recovery_period if plan.recovery_period > 0 else "off"
     print(
         f"soak: {args.topology} x {args.hours}h (seed {args.seed}, rotation "
-        f"{rotation}): {report.probe_ops} probe ops, availability "
-        f"{report.availability:.4f} (worst window "
-        f"{report.min_window_availability:.4f}), {report.events} events"
+        f"{rotation}): {measured['probe_ops']} probe ops, availability "
+        f"{measured['availability']:.4f} (worst window "
+        f"{measured['min_window_availability']:.4f}), {outcome.events} events"
     )
-    if report.ok:
+    final = plan
+    if outcome.violation is not None:
+        print(f"soak: VIOLATION [{outcome.violation.oracle}]: {outcome.violation.detail}")
+        print(f"soak: shrinking the {len(plan.steps)}-step campaign ...")
+        shrunk = shrink_plan(plan, outcome.violation, lambda p: run_plan(p, **options).violation)
+        final = shrunk.plan
+        if final != plan:  # the artifact records the shrunk run's whole verdict
+            outcome = run_plan(final, **options)
+        print(f"soak: shrunk to {len(final.steps)} steps in {shrunk.runs} runs")
+    write_artifact(
+        args.out,
+        final,
+        outcome.violation,
+        original_plan=plan if final != plan else None,
+        outcome=outcome.to_dict(),
+        **options,
+    )
+    if outcome.violation is None:
         print(f"soak: SLO held; artifact written to {args.out}")
         return EXIT_OK
-    for violation in report.safety_violations:
-        print(f"soak: SAFETY VIOLATION [{violation.get('oracle')}]: {violation.get('detail')}")
-    for violation in report.slo_violations[:5]:
-        print(f"soak: SLO VIOLATION: {violation.get('detail')}")
-    extra = len(report.slo_violations) - 5
-    if extra > 0:
-        print(f"soak: ... and {extra} more SLO violations")
     print(f"soak: artifact written to {args.out} (replay with: repro replay {args.out})")
     return EXIT_VIOLATION

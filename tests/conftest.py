@@ -1,7 +1,9 @@
-"""Shared test helpers: quick cluster construction over the KV service, and
-a guard that fails any test in which a stopped node still acts."""
+"""Shared test helpers: quick cluster construction over the KV service, a
+guard that fails any test in which a stopped node still acts, and the
+hypothesis profiles."""
 
 import pytest
+from hypothesis import settings
 
 from repro.bft.cluster import Cluster
 from repro.bft.config import BFTConfig
@@ -9,6 +11,14 @@ from repro.bft.messages import Checkpoint
 from repro.bft.replica import Replica
 from repro.bft.testing import kv_cluster  # re-exported for test modules
 from repro.net.node import Node
+
+#: Hypothesis draws the same examples on every run of the suite, so its
+#: verdict on a commit does not depend on the draw; a test's own
+#: ``max_examples`` still sets how many.  ``--hypothesis-profile=random``
+#: (with ``--hypothesis-seed=N`` to repeat one) searches fresh draws instead.
+settings.register_profile("repeatable", derandomize=True)
+settings.register_profile("random", derandomize=False)
+settings.load_profile("repeatable")
 
 #: (node id, method) for each send, multicast or batch execution by a stopped
 #: node since the current test's setup began.  ``Node`` drops such a send

@@ -12,8 +12,10 @@ argument that proactive recovery buys availability, never correctness.
 import pytest
 
 from repro.explore.cli import replay_main
+from repro.explore.runner import run_plan
+from repro.explore.shrink import write_artifact
 from repro.soak.campaign import generate_campaign
-from repro.soak.runner import SoakSLO, run_soak, write_soak_artifact
+from repro.soak.runner import CHECK_INTERVAL, SoakReport, SoakSLO
 
 SEED = 7
 HOURS = 2.0
@@ -34,15 +36,17 @@ def campaign(watchdog):
 
 @pytest.fixture(scope="module")
 def contrast(tmp_path_factory):
-    """Run the ON and OFF campaigns once for the whole module."""
+    """Run the ON and OFF campaigns once for the whole module, each through
+    run_plan as ``repro soak`` does, and write each one's whole verdict."""
     directory = tmp_path_factory.mktemp("soak-acceptance")
     runs = {}
+    options = {"check_interval": CHECK_INTERVAL, "slo": SLO}
     for watchdog in (True, False):
         plan = campaign(watchdog)
-        report = run_soak(plan, slo=SLO)
+        outcome = run_plan(plan, **options)
         path = directory / f"soak-{'on' if watchdog else 'off'}.json"
-        write_soak_artifact(path, plan, SLO, report)
-        runs[watchdog] = (plan, report, path)
+        write_artifact(path, plan, outcome.violation, outcome=outcome.to_dict(), **options)
+        runs[watchdog] = (plan, SoakReport.of(outcome), path)
     return runs
 
 

@@ -1,20 +1,20 @@
 """Soak harness mechanics on short campaigns: determinism, artifacts,
-beyond-assumption exclusion, aging under view-change churn, and the CLI."""
+beyond-assumption exclusion, aging under view-change churn, shrinking an SLO
+violation, and the CLI."""
 
+import io
 import json
+from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
 from repro.explore.cli import replay_main
 from repro.explore.plan import FaultPlan, FaultStep
+from repro.explore.runner import run_plan
+from repro.explore.shrink import load_artifact, shrink_plan, write_artifact
 from repro.soak.cli import soak_main
-from repro.soak.runner import (
-    SoakSLO,
-    is_soak_artifact,
-    load_soak_artifact,
-    run_soak,
-    write_soak_artifact,
-)
+from repro.soak.runner import CHECK_INTERVAL, SoakReport, SoakSLO, run_soak
 
 
 def small_campaign(recovery_period=0.0):
@@ -30,8 +30,18 @@ def small_campaign(recovery_period=0.0):
     )
 
 
-def test_short_soak_runs_clean_and_counts_campaign_work():
-    report = run_soak(small_campaign(), slo=SoakSLO(window=30.0))
+#: The small campaign's run, as ``repro soak`` makes it; the tests below that
+#: read this run share it.
+SMALL = {"check_interval": CHECK_INTERVAL, "slo": SoakSLO(window=30.0)}
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    return run_plan(small_campaign(), **SMALL)
+
+
+def test_short_soak_runs_clean_and_counts_campaign_work(small_run):
+    report = SoakReport.of(small_run)
     assert report.ok
     assert report.safety_violations == []
     assert report.probe_ops > 0
@@ -43,10 +53,10 @@ def test_short_soak_runs_clean_and_counts_campaign_work():
     assert report.horizon == 110.0  # max step end (50) + 60s tail
 
 
-def test_soak_is_deterministic():
-    a = run_soak(small_campaign(), slo=SoakSLO(window=30.0))
-    b = run_soak(small_campaign(), slo=SoakSLO(window=30.0))
-    assert a.to_dict() == b.to_dict()
+def test_soak_is_deterministic(small_run):
+    """A second run, through run_soak, reports the first one exactly."""
+    again = run_soak(small_campaign(), slo=SoakSLO(window=30.0))
+    assert again.to_dict() == SoakReport.of(small_run).to_dict()
 
 
 def test_invalid_plan_rejected():
@@ -59,23 +69,23 @@ def test_invalid_plan_rejected():
         run_soak(plan)
 
 
-def test_artifact_round_trip_and_replay_equality(tmp_path):
+def test_artifact_round_trip_and_replay_equality(small_run, tmp_path):
     path = tmp_path / "soak.json"
     plan = small_campaign()
-    slo = SoakSLO(window=30.0)
-    report = run_soak(plan, slo=slo)
-    write_soak_artifact(path, plan, slo, report)
+    options = dict(SMALL, op_timeout=8.0, gap=1.0)  # the probe's, recorded
+    write_artifact(path, plan, small_run.violation, outcome=small_run.to_dict(), **options)
 
-    data = json.loads(path.read_text())
-    assert is_soak_artifact(data)
-    loaded_plan, loaded_slo, recorded = load_soak_artifact(path)
+    # One artifact format: the soak run's options and its whole verdict.
+    loaded_plan, recorded, plant, loaded = load_artifact(path)
     assert loaded_plan == plan
-    assert loaded_slo == slo
-    assert recorded["ok"] is True
+    assert loaded == dict(options, shards=1, config_overrides=None)
+    assert recorded is None and plant is None
+    assert SoakReport.of(small_run).ok
+    assert json.loads(path.read_text())["outcome"] == small_run.to_dict()
 
     # Replaying from the decoded artifact reproduces the run exactly.
-    replayed = run_soak(loaded_plan, slo=loaded_slo)
-    assert replayed.to_dict() == report.to_dict()
+    replayed = run_plan(loaded_plan, **loaded)
+    assert replayed.to_dict() == small_run.to_dict()
 
 
 def test_beyond_assumption_outage_is_excluded_from_slo():
@@ -136,40 +146,75 @@ def test_aging_under_view_change_churn_stays_safe():
     assert report.counters["aging_stalls"] > 0
 
 
-def test_soak_cli_writes_replayable_artifact(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = soak_main(
-        ["--seed", "9", "--hours", "0.02", "--out", str(out), "--quiet"]
-    )
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """One logged ``repro soak`` run (no --quiet): its exit code, what it
+    printed, and its artifact."""
+    out = tmp_path_factory.mktemp("soak-cli") / "report.json"
+    printed = io.StringIO()
+    with redirect_stdout(printed):
+        code = soak_main(["--seed", "9", "--hours", "0.02", "--window", "30", "--out", str(out)])
+    return code, printed.getvalue(), out
+
+
+def test_soak_cli_writes_replayable_artifact(cli_run):
+    """The artifact is an explore artifact with the run's whole verdict (the
+    next test replays it)."""
+    code, printed, out = cli_run
     assert code == 0
-    assert capsys.readouterr().out.count("SLO held") == 1
-    plan, slo, recorded = load_soak_artifact(out)
+    assert printed.count("SLO held") == 1
+    plan, recorded, _plant, options = load_artifact(out)
     assert plan.topology == "wan3"
-    assert recorded["ok"] is True
-
-    # `repro replay` understands the soak format and re-executes it.
-    code = replay_main([str(out)])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "reproduces the recorded soak run exactly" in captured.out
+    assert options["slo"] == SoakSLO(window=30.0)
+    assert recorded is None  # the run held: no violation
+    assert json.loads(out.read_text())["outcome"]["violation"] is None
 
 
-def test_logged_soak_cli_run_replays_exactly_and_a_mismatch_fails(tmp_path, capsys):
+def test_logged_soak_cli_run_replays_exactly_and_a_mismatch_fails(cli_run, tmp_path, capsys):
     """Without --quiet the run logs progress; logging must not change the
-    run, so its artifact replays exactly.  A replay that does not reproduce
-    the recording exits 1 even though its own SLO held."""
-    out = tmp_path / "report.json"
-    argv = ["--seed", "9", "--hours", "0.02", "--window", "30", "--out", str(out)]
-    assert soak_main(argv) == 0
-    assert "t=" in capsys.readouterr().out  # progress lines were printed
+    run, so its artifact replays (quietly) exactly.  A replay that does not
+    reproduce the recording exits 1 even though its own SLO held."""
+    _code, printed, out = cli_run
+    assert "t=" in printed  # progress lines were printed
     assert replay_main([str(out)]) == 0
     assert "reproduces the recorded soak run exactly" in capsys.readouterr().out
 
     data = json.loads(out.read_text())
-    data["report"]["events"] += 1
-    out.write_text(json.dumps(data))
-    assert replay_main([str(out)]) == 1
+    data["outcome"]["events"] += 1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    assert replay_main([str(edited)]) == 1
     assert "WARNING - soak verdict differs" in capsys.readouterr().out
+
+
+def test_an_slo_violation_shrinks_and_replays(tmp_path, capsys):
+    """Under a tight SLO (every probe op must succeed) a short campaign fails
+    the ``availability`` row.  It shrinks as ``repro soak`` shrinks one (CI's
+    soak-smoke job runs that end to end), to fewer steps with the same
+    oracle, and the shrunk plan's artifact replays to its recorded verdict."""
+    tight = SoakSLO(window=30.0, availability_floor=1.0, max_outage_span=0.0)
+    options = {"check_interval": CHECK_INTERVAL, "slo": tight}
+    plan = replace(small_campaign(), seed=13, steps=(
+        FaultStep(at=10.0, kind="partition_storm", count=3, duration=40.0),
+        FaultStep(at=20.0, kind="flash_crowd", rate=8.0, clients=2, duration=30.0),
+    ))
+    found = run_plan(plan, **options).violation
+    assert found.oracle == "availability"
+    shrunk = shrink_plan(plan, found, lambda p: run_plan(p, **options).violation)
+    assert len(shrunk.plan.steps) < len(plan.steps)
+    assert shrunk.violation.oracle == "availability"
+    outcome = run_plan(shrunk.plan, **options)
+    report = SoakReport.of(outcome)
+    assert report.slo_violations == [shrunk.violation.to_dict()] and not report.safety_violations
+
+    out = tmp_path / "violation.json"
+    write_artifact(
+        out, shrunk.plan, shrunk.violation, original_plan=plan, outcome=outcome.to_dict(), **options
+    )
+    assert replay_main([str(out)]) == 1
+    captured = capsys.readouterr().out
+    assert "VIOLATION [availability]" in captured
+    assert "reproduces the recorded soak run exactly" in captured
 
 
 def test_soak_cli_rejects_bad_usage(capsys):

@@ -205,9 +205,9 @@ def _artifact(*steps, topology=""):
         ),
         pytest.param(
             # Used to replay "SLO held": a zero-width window judges nothing.
-            {"format": "soak", "version": 1, "plan": {"seed": 1, "requests": 0, "steps": []},
-             "slo": {"window": 0, "availability_floor": 0.99, "max_outage_span": 90,
-                     "assumption_margin": 30}, "report": {}},
+            dict(_artifact(), slo={"window": 0, "availability_floor": 0.99,
+                                   "max_outage_span": 90, "assumption_margin": 30},
+                 op_timeout=8.0, gap=1.0, outcome={}),
             "SLO needs window > 0",
             id="soak-zero-window",
         ),
