@@ -6,7 +6,10 @@ the gap: its new-view proof, its stable checkpoint certificate, the
 pre-prepares still being ordered, or — in one
 :class:`~repro.bft.messages.RetransmitCommitted` — committed batches with
 their commit certificates, which the laggard verifies by signature and feeds
-to the core as if it had heard the original messages.
+to the core as if it had heard the original messages.  Both the certificate
+and the retransmission are self-certifying (every vote in them is signed), so
+they travel without an authenticator, and a laggard whose session keys a
+reboot refreshed can still use them.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class CatchUpManager:
             replica.view_changes.retransmit_view_proof(src)
         # Peer's checkpoint lags ours: hand it our stable certificate.
         if status.stable_seqno < replica.stable_seqno and replica.stable_cert is not None:
-            replica.auth_send(src, replica.stable_cert)
+            replica.send(src, replica.stable_cert)
         # We are the primary and the peer may have missed pre-prepares for
         # slots still being ordered (e.g. it was mid-view-change when they
         # were multicast): resend them.
@@ -93,13 +96,11 @@ class CatchUpManager:
                     entries.append((pre_prepare, slot.matching_prepares(), commits))
             if entries:
                 replica.counters.add("retransmissions")
-                replica.auth_send(
-                    src, RetransmitCommitted(replica_id=replica.node_id, entries=entries)
-                )
+                replica.send(src, RetransmitCommitted(replica_id=replica.node_id, entries=entries))
 
     def on_retransmit(self, message: RetransmitCommitted, src: str) -> None:
         replica = self.replica
-        if not replica.check_auth(message) or src != message.replica_id:
+        if src != message.replica_id:
             return
         for pre_prepare, prepares, commits in message.entries:
             if pre_prepare.seqno <= replica.last_executed:
@@ -133,8 +134,8 @@ class CatchUpManager:
             for commit in commits:
                 if commit.digest != digest or commit.replica_id not in replica.config.replica_ids:
                     continue
-                # Relayed commits are verified by signature: MAC tags made
-                # for our pre-recovery key epoch would no longer check.
+                # Relayed commits are verified by signature, as on_commit
+                # verifies a commit heard first hand.
                 if not replica.sigs.verify(
                     commit.replica_id, commit.signable_bytes(), commit.sig
                 ):

@@ -2,12 +2,16 @@
 
 Every message has a canonical byte encoding (:meth:`Message.signable_bytes`)
 used for MACs, signatures, and digests, and a :meth:`Message.wire_size` used
-by the network layer for byte accounting.  Normal-case messages (request,
-pre-prepare, prepare, commit, reply, checkpoint) travel with MAC
-*authenticators*; pre-prepares, prepares, and checkpoints additionally carry a
-signature so they can be embedded as third-party-verifiable proofs inside
-view-change messages (the OSDI'99 signature variant of the view-change
-protocol).
+by the network layer for byte accounting.  A message is authenticated once, by
+a signature or by a MAC *authenticator*, never both.  Pre-prepares, prepares,
+commits and checkpoints are signed so they can be embedded as
+third-party-verifiable proofs inside view-change messages (the OSDI'99
+signature variant of the view-change protocol) and relayed across key-epoch
+refreshes; that signature is all they carry, like view-changes and new-views.
+Client traffic, status gossip, leases and the transaction and fusion messages
+travel with an authenticator (``Replica.auth_multicast`` decides which;
+docs/protocol.md); state-transfer replies are checked against certified
+digests instead.
 
 A class declares its wire format once, ``WIRE = Wire(...)`` beside its fields;
 encoder, size, tag registry and decoder derive from it (docs/protocol.md).
@@ -80,7 +84,6 @@ class Wire(NamedTuple):
     #: Attribute expressions travelling *outside* the signed prefix: they count
     #: toward ``wire_size`` only (messages at theirs, bytes at their length).
     carried: Tuple[str, ...] = ()
-    auth_counted: bool = True  #: False on two catch-up messages; see CheckpointCert
 
 
 #: Wire tag -> the one message class that declared it.
@@ -200,7 +203,7 @@ class Message:
                 carried = state["_carried_size"] = _carried_size(self._carried())
             size += carried
         auth = state.get("auth")
-        if auth is not None and self.WIRE.auth_counted:
+        if auth is not None:
             size += auth.size_bytes()
         sig = state.get("sig")
         if sig:
@@ -329,7 +332,6 @@ class PrePrepare(Message):
     nondet: bytes
     primary_id: str
     sig: bytes = b""
-    auth: Optional[Authenticator] = None
 
     WIRE = Wire("PRE-PREPARE", {"view": U64, "seqno": U64, "batch_digest()": DIGEST,
                                 "primary_id": STRING}, carried=("requests", "nondet"))
@@ -354,7 +356,6 @@ class Prepare(Message):
     digest: bytes
     replica_id: str
     sig: bytes = b""
-    auth: Optional[Authenticator] = None
 
     WIRE = Wire("PREPARE", {"view": U64, "seqno": U64, "digest": DIGEST, "replica_id": STRING})
 
@@ -363,7 +364,7 @@ class Prepare(Message):
 class Commit(Message):
     """Second-phase vote: sender has a prepared certificate.
 
-    Signed as well as MAC'd so that commit certificates can be relayed to a
+    Signed, not MAC'd, so that commit certificates can be relayed to a
     replica whose session keys have been refreshed by proactive recovery
     (MAC tags die with the old epoch; signatures do not)."""
 
@@ -372,7 +373,6 @@ class Commit(Message):
     digest: bytes
     replica_id: str
     sig: bytes = b""
-    auth: Optional[Authenticator] = None
 
     WIRE = Wire("COMMIT", {"view": U64, "seqno": U64, "digest": DIGEST, "replica_id": STRING})
 
@@ -385,7 +385,6 @@ class Checkpoint(Message):
     state_digest: bytes
     replica_id: str
     sig: bytes = b""
-    auth: Optional[Authenticator] = None
 
     WIRE = Wire("CHECKPOINT", {"seqno": U64, "state_digest": DIGEST, "replica_id": STRING})
 
@@ -472,13 +471,8 @@ class CheckpointCert(Message):
     state_digest: bytes
     proof: List[Checkpoint] = field(default_factory=list)
 
-    # ``auth_counted=False``: catchup.py sends this and :class:`RetransmitCommitted`
-    # through ``Replica.auth_send``, yet their size leaves the authenticator out.
-    # Counting it is not byte-neutral — twelve bytes on a catch-up message tip
-    # the capped ``overload_200`` rung into two view changes and halve its goodput
-    # — so that fix is its own change, baselines re-recorded (ROADMAP, open items).
     WIRE = Wire("CHECKPOINT-CERT", {"seqno": U64, "state_digest": DIGEST, "proof": array(EMBEDDED)},
-                carried=("proof_signatures()",), auth_counted=False)
+                carried=("proof_signatures()",))
 
     def proof_signatures(self) -> List[bytes]:
         """Carried: the signed prefix embeds each checkpoint's prefix only."""
@@ -487,10 +481,9 @@ class CheckpointCert(Message):
 
 @message
 class RetransmitCommitted(Message):
-    """Catch-up help for a lagging replica: committed pre-prepares plus the
-    prepare certificates (signed, so they survive key-epoch refreshes) and
-    commit votes (multicast authenticators, re-MAC'd for the sender's own
-    votes)."""
+    """Catch-up help for a lagging replica: committed pre-prepares plus their
+    prepare and commit certificates.  Every entry is signed, so the message
+    needs no authenticator and survives the receiver's key-epoch refreshes."""
 
     replica_id: str
     entries: List[Tuple[PrePrepare, List[Prepare], List[Commit]]] = field(
@@ -499,7 +492,7 @@ class RetransmitCommitted(Message):
 
     WIRE = Wire("RETRANSMIT", {"replica_id": STRING,
                                "entries": array(tuple_of(EMBEDDED, UNSIGNED, UNSIGNED))},
-                carried=("entries",), auth_counted=False)  # as on CheckpointCert
+                carried=("entries",))
 
 
 # --- state transfer -----------------------------------------------------------

@@ -173,12 +173,14 @@ class Replica(Node):
     # -- authenticated send helpers --------------------------------------------------
 
     def auth_multicast(self, message: Message) -> None:
-        # signable_bytes() caches on first call, so the whole MAC vector and
-        # every per-recipient send below reuse one serialization.
-        payload = message.signable_bytes()
-        message.auth = self.keys.make_authenticator(  # type: ignore[attr-defined]
-            self.node_id, self.config.replica_ids, payload
-        )
+        """Multicast to every replica, authenticated once: a signed message
+        by its signature alone, any other by a MAC vector."""
+        if not hasattr(message, "sig"):
+            # signable_bytes() caches on first call, so the whole MAC vector
+            # and every per-recipient send below reuse one serialization.
+            message.auth = self.keys.make_authenticator(  # type: ignore[attr-defined]
+                self.node_id, self.config.replica_ids, message.signable_bytes()
+            )
         self.counters.add("auth_broadcasts")
         self.multicast(self.config.replica_ids, message)  # the network skips the sender
 
@@ -407,8 +409,6 @@ class Replica(Node):
     # -- backups: three-phase ordering ----------------------------------------------------------
 
     def on_pre_prepare(self, pre_prepare: PrePrepare, src: str) -> None:
-        if not self.check_auth(pre_prepare):
-            return
         if pre_prepare.view != self.view or self.view_changes.in_view_change:
             self.counters.add("pre_prepare_wrong_view")
             return
@@ -477,8 +477,6 @@ class Replica(Node):
         self._maybe_commit(slot)
 
     def on_prepare(self, prepare: Prepare, src: str) -> None:
-        if not self.check_auth(prepare):
-            return
         if src != prepare.replica_id or prepare.replica_id not in self.config.replica_ids:
             return
         if prepare.replica_id == self.config.primary(prepare.view):
@@ -534,8 +532,6 @@ class Replica(Node):
             self.try_send_pre_prepare()
 
     def on_commit(self, commit: Commit, src: str) -> None:
-        if not self.check_auth(commit):
-            return
         if src != commit.replica_id or commit.replica_id not in self.config.replica_ids:
             return
         if (
@@ -547,6 +543,9 @@ class Replica(Node):
             self.counters.add("commit_during_view_change")
             return
         if not self.in_window(commit.seqno):
+            return
+        if not self.sigs.verify(commit.replica_id, commit.signable_bytes(), commit.sig):
+            self.counters.add("commit_bad_sig")
             return
         slot = self.log.slot(commit.view, commit.seqno)
         slot.commits.setdefault(commit.replica_id, commit)
@@ -665,8 +664,6 @@ class Replica(Node):
         self.auth_multicast(checkpoint)
 
     def on_checkpoint(self, checkpoint: Checkpoint, src: str) -> None:
-        if not self.check_auth(checkpoint):
-            return
         if src != checkpoint.replica_id or checkpoint.replica_id not in self.config.replica_ids:
             return
         if checkpoint.seqno <= self.stable_seqno:

@@ -5,7 +5,10 @@ PBFT replaces public-key signatures on normal-case messages with
 MAC per receiver, each computed under the pairwise session key it shares with
 that receiver.  Receivers verify only their own entry.  Proactive recovery
 refreshes session keys so that an attacker who steals old keys cannot forge
-messages after the refresh (the `epoch` field models this).
+messages after the refresh (the `epoch` field models this).  A message is
+authenticated once: the ordering and checkpoint messages, which this repo
+signs (:mod:`repro.crypto.sign`) so they can serve as proofs, carry no
+authenticator; requests, replies and the other messages carry one.
 
 Every tag on the message path -- each authenticator entry, each signature --
 is HMAC-SHA256 computed from a key's *pad states*: the SHA-256 states after

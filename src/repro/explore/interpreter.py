@@ -1133,7 +1133,7 @@ class Cell:
 #: Runnable cells CI skips, each with its open violation's artifact (which
 #: tests/explore/test_open_violations.py replays as a strict xfail).
 KEPT_OUT = {
-    (SINGLE, "speculation", OVERLOAD): "tests/explore/artifacts/speculation-overload.json",
+    (SINGLE, "baseline", OVERLOAD): "tests/explore/artifacts/baseline-overload.json",
     (SINGLE, "fast-path", OVERLOAD): "tests/explore/artifacts/fast-path-overload.json",
 }
 

@@ -3,7 +3,8 @@
 Each injector rewires one replica's honest code path into a scripted attack.
 The attacks only ever use the faulty replica's own signing/MAC capabilities —
 the protocol's guarantees are about what f such replicas can do, not about
-forged cryptography.
+forged cryptography.  The equivocator and the vote corruptor hook
+``Replica.auth_multicast``, the one send path of every ordering message.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ def make_equivocating_primary(replica: Replica) -> None:
         others = replica.other_replicas()
         half = len(others) // 2
         first, second = others[:half], others[half:]
-        # Honest version to the first half.
-        message.auth = replica.keys.make_authenticator(
-            replica.node_id, replica.config.replica_ids, message.signable_bytes()
-        )
+        # Honest version to the first half; a pre-prepare travels on its
+        # signature alone.
         replica.multicast(first, message)
         # Conflicting (empty) batch, properly signed with our own key, to the
         # second half.
@@ -44,9 +43,6 @@ def make_equivocating_primary(replica: Replica) -> None:
             primary_id=replica.node_id,
         )
         alt.sig = replica.signer.sign(alt.signable_bytes())
-        alt.auth = replica.keys.make_authenticator(
-            replica.node_id, replica.config.replica_ids, alt.signable_bytes()
-        )
         replica.multicast(second, alt)
         replica.counters.add("byzantine_equivocations")
 

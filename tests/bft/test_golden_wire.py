@@ -247,7 +247,7 @@ def edge_messages():
     and byte strings, an id whose UTF-8 length is not a multiple of four, and
     what ``wire_size`` does with an authenticator or without a certificate."""
     base = golden_messages()
-    ckpt, pp = base["checkpoint"], base["pre_prepare"]
+    pp = base["pre_prepare"]
     one_tag = {"R3": (0, b"m" * 8)}
 
     return {
@@ -279,11 +279,8 @@ def edge_messages():
             replica_id="R2", shard=1, seqno=16, slot_width=96, num_leaves=20
         ),
         # An authenticator attached the way ``Replica.auth_send`` attaches it.
-        # The two catch-up messages do not count it; every other class does,
-        # declared ``auth`` field or not.
-        "checkpoint_cert_auth": _with_auth(
-            CheckpointCert(seqno=16, state_digest=D2, proof=[ckpt]), one_tag
-        ),
+        # Every class counts it, declared ``auth`` field or not, a catch-up
+        # message (which is sent without one) included.
         "retransmit_auth": _with_auth(
             RetransmitCommitted(
                 replica_id="R0", entries=[(pp, [base["prepare"]], [base["commit"]])]
@@ -314,7 +311,6 @@ EDGE_SIGNABLE_HEX = {
     "meta_reply_empty": "0000000a4d4554412d5245504c5900000000000252300000000000000000001000000001000000000000000200000000",
     "parity_update_bare": "0000000d5041524954592d5550444154450000000000000100000000000000100000000000000020000000600000001400000000",
     "fusion_block_bare": "0000000c465553494f4e2d424c4f434b0000000252320000000000010000000000000010000000600000001400000000",
-    "checkpoint_cert_auth": "0000000f434845434b504f494e542d434552540000000000000000104f3bfe01724e115a39f3cc70cff5c7a341d938ad8e821c0ea57df2411766d6b600000001000000400000000a434845434b504f494e54000000000000000000104f3bfe01724e115a39f3cc70cff5c7a341d938ad8e821c0ea57df2411766d6b60000000252300000",
     "retransmit_auth": "0000000a52455452414e534d49540000000000025230000000000001000000480000000b5052452d50524550415245000000000000000002000000000000000b9b0272ae6e391ff404e816f33ed75948333e7e6d8140953b4a5cdae9ff36ac2f0000000252320000",
     "fetch_root_auth": "0000000a46455443482d524f4f54000000000002523300000000000000000010",
 }
@@ -333,8 +329,7 @@ EDGE_WIRE_SIZES = {
     "meta_reply_empty": 48,
     "parity_update_bare": 52,
     "fusion_block_bare": 48,
-    "checkpoint_cert_auth": 164,
-    "retransmit_auth": 504,
+    "retransmit_auth": 516,
     "fetch_root_auth": 44,
 }
 
@@ -495,8 +490,7 @@ def test_edge_encodings_and_sizes_golden():
     for name, msg in messages.items():
         assert msg.signable_bytes().hex() == EDGE_SIGNABLE_HEX[name], name
         assert msg.wire_size() == EDGE_WIRE_SIZES[name], name
-    assert EDGE_WIRE_SIZES["checkpoint_cert_auth"] == WIRE_SIZES["checkpoint_cert"]
-    assert EDGE_WIRE_SIZES["retransmit_auth"] == WIRE_SIZES["retransmit"]
+    assert EDGE_WIRE_SIZES["retransmit_auth"] == WIRE_SIZES["retransmit"] + 12
     assert EDGE_WIRE_SIZES["fetch_root_auth"] == WIRE_SIZES["fetch_root"] + 12
 
 

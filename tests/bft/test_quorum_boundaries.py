@@ -63,7 +63,7 @@ def checkpoint_stabilises(config, votes):
     cluster = kv_cluster(config=config)
     replica = cluster.replica("R0")
     for rid in config.replica_ids[1 : votes + 1]:
-        replica.on_checkpoint(mac(cluster, rid, "R0", signed_checkpoint(cluster, rid)), rid)
+        replica.on_checkpoint(signed_checkpoint(cluster, rid), rid)
     return replica.stable_seqno == 16
 
 

@@ -3,7 +3,7 @@ on the normal-case path gets dropped with the right counter."""
 
 import pytest
 
-from repro.bft.messages import Commit, Prepare, PrePrepare, Request
+from repro.bft.messages import Commit, Prepare, PrePrepare, Request, Status
 from repro.bft.testing import encode_set, kv_cluster
 
 
@@ -32,9 +32,8 @@ def signed_pre_prepare(cluster, view, seqno, primary="R0", signer=None, requests
 
 
 def deliver(cluster, dst, src, message):
-    message.auth = cluster.keys.make_authenticator(
-        src, cluster.config.replica_ids, message.signable_bytes()
-    )
+    """Hand a signed message to ``dst`` as if ``src`` had multicast it: its
+    signature is all it carries."""
     cluster.replica(dst).on_message(message, src)
 
 
@@ -107,11 +106,22 @@ def test_prepare_relayed_under_wrong_identity_rejected(rig):
 
 
 def test_unauthenticated_message_dropped(rig):
+    """Each message is authenticated once: a signed one by its signature, any
+    other by its MAC vector.  Either one missing or bad, it is dropped."""
     cluster = rig
-    pp = signed_pre_prepare(cluster, view=0, seqno=5)
-    pp.auth = None
-    cluster.replica("R1").on_message(pp, "R0")
-    assert cluster.replica("R1").counters.get("auth_missing") == 1
+    replica = cluster.replica("R1")
+    forged = signed_pre_prepare(cluster, view=0, seqno=5, signer="R3")
+    unsigned = signed_pre_prepare(cluster, view=0, seqno=6)
+    unsigned.sig = b""
+    for pp in (forged, unsigned):
+        replica.on_message(pp, "R0")
+    assert replica.counters.get("pre_prepare_bad_sig") == 2
+    assert replica.log.get(0, 5) is None and replica.log.get(0, 6) is None
+
+    status = Status(replica_id="R0", view=0, stable_seqno=0, last_executed=0)
+    assert status.auth is None
+    replica.on_message(status, "R0")
+    assert replica.counters.get("auth_missing") == 1
 
 
 def test_request_with_forged_client_auth_dropped(rig):
@@ -154,3 +164,18 @@ def test_checkpoint_with_bad_signature_ignored(rig):
     deliver(cluster, "R1", "R2", ckpt)
     assert cluster.replica("R1").counters.get("checkpoint_bad_sig") == 1
     assert "R2" not in cluster.replica("R1").checkpoint_votes.get(8, {})
+
+
+def test_votes_with_forged_signatures_ignored(rig):
+    """A prepare or commit is authenticated by its signature alone, so one
+    signed under another replica's key never counts."""
+    cluster = rig
+    replica = cluster.replica("R1")
+    for cls in (Prepare, Commit):
+        vote = cls(view=0, seqno=5, digest=b"\x00" * 32, replica_id="R2")
+        vote.sig = cluster.sigs.keygen("R3").sign(vote.signable_bytes())
+        deliver(cluster, "R1", "R2", vote)
+    assert replica.counters.get("prepare_bad_sig") == 1
+    assert replica.counters.get("commit_bad_sig") == 1
+    slot = replica.log.get(0, 5)
+    assert slot is None or ("R2" not in slot.prepares and "R2" not in slot.commits)

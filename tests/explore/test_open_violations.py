@@ -3,24 +3,22 @@ artifact each (``tests/explore/artifacts``), replayed as strict xfails: a
 change that fixes one makes its replay pass, which fails here until the
 entry (and, for a kept-out cell, its ``KEPT_OUT`` row) is removed.
 
-- ``speculation-overload`` / ``fast-path-overload``: `--family overload`
-  at ``--budget 25 --requests 16 --seed 0``, plans 24 and 10.  A view change
+- ``baseline-overload`` / ``fast-path-overload``: `--family overload` at
+  ``--budget 25 --requests 16 --seed 0``, plans 23 and 5.  A view change
   starts during a fault-free overload episode; these two cells are kept out
   of CI.
-- ``pipelined-overload``: the same oracle at ``--requests 8 --budget 300
-  --seed 3``, plan 40.
 - ``baseline-implementation`` / ``speculation-implementation``:
   ``--family implementation --budget 300 --seed 3``, plans 233 and 246;
   ``fast-path-implementation``: the same at ``--seed 0``, plan 100.  No reply
   quorum after the heal.
 
-The last four cells stay in CI: its budget does not reach these plans.
+The last three cells stay in CI: its budget does not reach these plans.
 
 The rest are the acceptance sweep of the support matrix: every cell CI runs,
 at ``--budget 300 --requests 16`` and seeds 0-3 (docs/simulation.md,
 "Acceptance sweep"), one artifact ``<variant>-<family or none>-s<seed>`` per
-violating seed; ``pipelined-overload`` is the sweep's seed 3 too.  The
-earliest is plan 42 at seed 0, so these cells stay in CI as well.
+violating seed.  The earliest is plan 26 at seed 0, so these cells stay in
+CI as well.
 """
 
 from pathlib import Path
@@ -33,9 +31,8 @@ from repro.explore.shrink import load_artifact
 
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts"
 OPEN = {
-    "speculation-overload": "overload-goodput",
+    "baseline-overload": "overload-goodput",
     "fast-path-overload": "overload-goodput",
-    "pipelined-overload": "overload-goodput",
     "baseline-implementation": "liveness",
     "speculation-implementation": "liveness",
     "fast-path-implementation": "liveness",
@@ -43,10 +40,6 @@ OPEN = {
     "baseline-implementation-s1": "liveness",
     "baseline-implementation-s2": "liveness",
     "baseline-implementation-s3": "liveness",
-    "baseline-overload-s0": "overload-goodput",
-    "baseline-overload-s1": "overload-goodput",
-    "baseline-overload-s2": "overload-goodput",
-    "baseline-overload-s3": "overload-goodput",
     "pipelined-none-s1": "liveness",
     "pipelined-implementation-s0": "liveness",
     "pipelined-implementation-s1": "liveness",
@@ -55,9 +48,14 @@ OPEN = {
     "pipelined-overload-s0": "overload-goodput",
     "pipelined-overload-s1": "overload-goodput",
     "pipelined-overload-s2": "overload-goodput",
+    "pipelined-overload-s3": "overload-goodput",
     "speculation-implementation-s1": "liveness",
     "speculation-implementation-s2": "liveness",
     "speculation-implementation-s3": "liveness",
+    "speculation-overload-s0": "overload-goodput",
+    "speculation-overload-s1": "overload-goodput",
+    "speculation-overload-s2": "overload-goodput",
+    "speculation-overload-s3": "overload-goodput",
     "fast-path-implementation-s0": "liveness",
     "fast-path-implementation-s1": "liveness",
     "fast-path-implementation-s2": "liveness",

@@ -69,6 +69,63 @@ def test_vote_corruptor_is_harmless():
     assert correct_states_agree(cluster, exclude="R1")
 
 
+# -- each injector fires, and the correct replicas refuse what it sends --------
+#
+# The safety tests above pass just as well when an injector never fires, so a
+# send path that routes around the hook it installs goes unnoticed.  These
+# count the attacks and check where the correct replicas turned them down.
+
+
+def run_sets(cluster, count=10):
+    client = cluster.client("C0")
+    for i in range(count):
+        assert client.invoke(encode_set(i % 4, bytes([i])), timeout=60) == b"OK"
+    cluster.settle(1.0)
+
+
+def test_equivocating_primary_fires_and_is_deposed():
+    cluster = kv_cluster()
+    make_equivocating_primary(cluster.replica("R0"))
+    run_sets(cluster)
+    assert cluster.replica("R0").counters.get("byzantine_equivocations") > 0
+    # No correct replica executes R0's split first batch in R0's view: the
+    # instance stalls, and all three vote R0 out.
+    for rid in ("R1", "R2", "R3"):
+        replica = cluster.replica(rid)
+        split = replica.log.get(0, 1)
+        assert split is not None and split.pre_prepare is not None and not split.executed
+        assert replica.view >= 1 and replica.counters.get("view_changes_completed") >= 1
+        assert replica.config.primary(replica.view) != "R0"
+    assert correct_states_agree(cluster, exclude="R0")
+
+
+def test_vote_corruptor_fires_and_its_votes_never_count():
+    cluster = kv_cluster()
+    make_vote_corruptor(cluster.replica("R1"))
+    run_sets(cluster)
+    assert cluster.replica("R1").counters.get("byzantine_corrupt_votes") > 0
+    for rid in ("R0", "R2", "R3"):
+        slots = [slot for slot in cluster.replica(rid).log.slots_for_view(0) if slot.executed]
+        assert slots
+        for slot in slots:
+            # R1's votes arrive (validly signed) but name no batch anyone proposed.
+            assert "R1" in slot.commits
+            assert "R1" not in {p.replica_id for p in slot.matching_prepares()}
+            assert "R1" not in {c.replica_id for c in slot.matching_commits()}
+
+
+def test_lying_checkpointer_fires_and_is_left_out_of_every_certificate():
+    cluster = kv_cluster(config=BFTConfig(checkpoint_interval=8, log_window=16))
+    # R0 sorts first, so an honest R0 would be in every certificate's proof.
+    make_lying_checkpointer(cluster.replica("R0"))
+    run_sets(cluster)
+    assert cluster.replica("R0").counters.get("byzantine_checkpoint_lies") > 0
+    for rid in ("R1", "R2", "R3"):
+        cert = cluster.replica(rid).stable_cert
+        assert cert is not None and cert.seqno >= 8
+        assert [c.replica_id for c in cert.proof] == ["R1", "R2", "R3"]
+
+
 def test_flaky_network_from_one_replica():
     cluster = kv_cluster(seed=5)
     remove = drop_fraction_from(cluster.network, "R2", 0.7)
