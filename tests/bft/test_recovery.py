@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bft.client import InvocationTimeout
 from repro.bft.config import BFTConfig
 from repro.bft.messages import ViewChange
 from repro.bft.recovery import REBOOT_TIME
@@ -191,3 +192,21 @@ def test_primary_rebooted_in_place_proposes_past_what_it_replayed():
     assert [replica.view for replica in cluster.replicas] == [0, 0, 0, 0]
     totals = cluster.total_counters()
     assert totals.get("request_timeouts") == 0 and totals.get("new_views_sent") == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InvocationTimeout,
+    reason="ROADMAP item 1 stage C: a group that reboots whole never resumes from its disks",
+)
+def test_a_group_that_reboots_whole_resumes_from_its_disks():
+    """All four replicas recover at one instant with their disks intact.
+    Today each asks the others for a certificate that none can serve while
+    recovering, and the group stays down."""
+    cluster = kv_cluster()
+    client = cluster.client("C0")
+    run_ops(cluster, client, 20)
+    for replica_id in cluster.hosts:
+        assert cluster.recover(replica_id)
+    cluster.settle(10.0)
+    assert client.invoke(encode_get(3), timeout=10) == bytes([19])

@@ -215,6 +215,42 @@ def test_crash_during_state_install_is_re_repaired():
     assert_order_consistent(recorder)
 
 
+def test_a_repair_refused_mid_reboot_polls_until_the_recovery_ends(monkeypatch):
+    """An operator's recovery of a crashed replica starts before the
+    supervisor's repair fires: ``Cluster.recover`` refuses the repair while
+    the host reboots and while it recovers, and the supervisor polls until
+    the replica is healthy, starting no recovery of its own."""
+    cluster, _recorder, _poisoned = poisoned_cluster()
+    warm_up(cluster)
+    answers = []
+    recover = cluster.recover
+
+    def record(replica_id, **kwargs):
+        answers.append(recover(replica_id, **kwargs))
+        return answers[-1]
+
+    monkeypatch.setattr(cluster, "recover", record)
+    host = cluster.host("R2")
+    attempts = []
+    start_repair = host.supervisor._start_repair
+
+    def attempt():
+        attempts.append(cluster.sim.now())
+        start_repair()
+
+    monkeypatch.setattr(host.supervisor, "_start_repair", attempt)
+    host.replica.crash_self("test crash")
+    assert cluster.recover("R2")
+    cluster.settle(2.0)
+    assert answers[0] and len(answers) >= 2 and not any(answers[1:])
+    assert len(attempts) == len(answers)  # the last poll found R2 healthy
+    assert host.supervisor.counters.get("supervisor_repairs_scheduled") == 1
+    assert host.supervisor.counters.get("supervisor_repairs_started") == 0
+    assert not host.supervisor._repair_scheduled
+    assert host.replica.counters.get("recoveries_started") == 1
+    assert host.replica.counters.get("recoveries_completed") == 1
+
+
 def test_repair_path_clears_stale_retry_counts():
     """Regression: the corrupt-state repair branch of
     ``_verify_current_and_finish`` must start with a clean retry slate —
