@@ -84,23 +84,18 @@ class ReplicaHost:
         self.keys = cluster.keys
         self.sigs = cluster.sigs
         self.tracer = cluster.tracer
-
-        self.service = self.service_factory(self.disk)
-        self.replica = Replica(
-            replica_id, self.sim, self.network, self.config, self.service, self.keys, self.sigs
-        )
-        self.replica.tracer = self.tracer
         self.recovery_log: List[Tuple[float, float]] = []
         self._recovery_epoch = 0
         self._recovery_started_at: Optional[float] = None
         self._mid_reboot = False
         # Fused-backup feeder (repro.bft.fusion): host-resident so ack state
-        # and the checkpoint GC pin survive reboots; relinked in _reboot.
+        # and the checkpoint GC pin survive reboots; relinked by _boot.
         self.fusion_feeder = None
         self.supervisor: Optional[FaultContainmentSupervisor] = None
         if repair is not None:
             self.supervisor = FaultContainmentSupervisor(self, repair)
-            self.supervisor.attach(self.replica)
+        self._boot()
+        if self.supervisor is not None:
             self.supervisor.start_scrubbing()
 
     @property
@@ -207,6 +202,17 @@ class ReplicaHost:
         self.keys.refresh(self.replica_id)
         # Fresh implementation instance built from persistent storage only;
         # in-memory corruption and aging do not survive this line.
+        replica = self._boot(takeover=True)
+        replica.counters.merge(saved_counters)
+        replica.view = saved_view
+        replica.recovering = True
+        restore(replica)
+
+    def _boot(self, takeover: bool = False) -> Replica:
+        """Build the current implementation's service over the disk and a
+        replica around it, and wire the host's hooks into the replica: the
+        one place this slot's replica comes up, at the first build and at
+        every reboot (``takeover``)."""
         self.service = self.service_factory(self.disk)
         replica = Replica(
             self.replica_id,
@@ -216,18 +222,15 @@ class ReplicaHost:
             self.service,
             self.keys,
             self.sigs,
-            takeover=True,
+            takeover=takeover,
         )
-        replica.counters.merge(saved_counters)
-        replica.view = saved_view
-        replica.recovering = True
-        replica.on_recovered = self._record_recovered
         replica.tracer = self.tracer
+        replica.on_recovered = self._record_recovered
         replica.fusion_feeder = self.fusion_feeder
-        self.replica = replica
         if self.supervisor is not None:
             self.supervisor.attach(replica)
-        restore(replica)
+        self.replica = replica
+        return replica
 
     def _record_recovered(self) -> None:
         if self._recovery_started_at is not None:
