@@ -40,9 +40,10 @@ def test_fast_path_reads_never_fall_back_and_beats_the_slow_path_on_both_counts(
     """On mixed traffic a read the fast path cannot answer on arrival is
     parked at the replica, so none times out into an ordered request; and
     with the primary batching what arrives while two instances are forming
-    (ROADMAP item 4(c)) the fast path is ahead of the slow path in virtual
-    throughput *and* in messages for the same 800 ops (committed figures:
-    7337 against 5061 ops/vsec, 7874 against 11103 messages)."""
+    (docs/performance.md, "Batching under pipelining") the fast path is
+    ahead of the slow path in virtual throughput *and* in messages for the
+    same 800 ops (committed figures: 7337 against 5061 ops/vsec, 7874
+    against 11103 messages)."""
     slow = SCENARIOS["kv_mixed"]()
     fast = SCENARIOS["kv_mixed_fast"]()
     assert fast["read_only_fallbacks"] == 0

@@ -9,9 +9,9 @@ replica can verify any metadata reply against the root digest it learned from
 a stable-checkpoint certificate, and can skip subtrees whose lm shows they
 have not changed since its own checkpoint.
 
-lm values are deterministic across correct replicas (same execution history
-=> objects are modified at the same sequence numbers), so they may safely be
-part of the digested metadata.
+lm values may be digested because they agree across correct replicas: every
+correct replica takes every checkpoint, so a leaf's lm is the checkpoint at
+or above the batch that last wrote it.
 
 The tree is *persistent*: nodes are immutable tuples, updates path-copy the
 O(log n) spine from the touched leaf to the root, and :meth:`snapshot` is an

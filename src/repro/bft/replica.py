@@ -643,12 +643,6 @@ class Replica(Node):
     # -- checkpoints -----------------------------------------------------------------------------------
 
     def _take_checkpoint(self, seqno: int) -> None:
-        if self.transfer.active:
-            # A transfer session is patching the live tree toward its anchor
-            # certificate; a checkpoint taken mid-install would mix the two
-            # states and certify a digest no correct replica ever held.
-            self.counters.add("checkpoints_skipped_mid_transfer")
-            return
         try:
             state_digest = self.service.manager.take_checkpoint(seqno)
         except FaultInjected as fault:
@@ -662,6 +656,7 @@ class Replica(Node):
         self.counters.add("checkpoints_sent")
         self._record_checkpoint_vote(checkpoint)
         self.auth_multicast(checkpoint)
+        self.transfer.reached(seqno)
 
     def on_checkpoint(self, checkpoint: Checkpoint, src: str) -> None:
         if src != checkpoint.replica_id or checkpoint.replica_id not in self.config.replica_ids:

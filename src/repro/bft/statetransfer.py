@@ -13,7 +13,10 @@ When every missing object has arrived, the whole set is installed atomically
 through the service's ``put_objs`` upcall — the paper's guarantee that
 ``put_objs`` always sees a consistent checkpoint value.  ``install`` is that
 step and the only way certified state gets into a replica; the fused tier
-hands it the objects it rebuilt from parity instead of fetching them.
+hands it the objects it rebuilt from parity instead of fetching them.  A
+full session ends there, or when execution takes its anchor's checkpoint
+first (``reached``): no checkpoint is skipped for a session, so every correct
+replica stamps a leaf with the same lm.
 
 There is one session at a time: the scrubber's targeted repair
 (``begin_scrub``) is the same session started at the leaves it names, ending
@@ -26,7 +29,7 @@ fetcher's retry timer moves on to the next donor).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.bft.messages import (
     CheckpointCert,
@@ -54,10 +57,10 @@ class StateTransferManager:
     def __init__(self, replica: "Replica") -> None:
         self.replica = replica
         # One fetch session at a time, anchored at ``session``.  ``active``: a
-        # full transfer is patching the live tree toward the certificate
-        # (checkpoints and the fast path stand aside).  ``scrub_active``: the
-        # same session started at the leaves — a targeted partial transfer
-        # that repairs corrupt objects in place, no reboot, no rollback.
+        # full transfer is fetching toward the certificate (the fast path
+        # stands aside).  ``scrub_active``: the same session started at the
+        # leaves — a targeted partial transfer that repairs corrupt objects in
+        # place, no reboot, no rollback.
         self.active = False
         self.scrub_active = False
         self.session: Optional[CheckpointCert] = None
@@ -66,7 +69,8 @@ class StateTransferManager:
         self._pending: Dict[tuple, object] = {}
         self._fetched: Dict[int, Tuple[bytes, int]] = {}
         self._donor_cursor = 0
-        self._awaiting_root = False
+        # The retry of the newest root-fetch chain; None: no root is awaited.
+        self._awaiting_root: Optional[Callable[[], None]] = None
         self._retries: Dict[object, int] = {}
         self._max_retries = 6
 
@@ -75,17 +79,17 @@ class StateTransferManager:
     def begin_from_root(self, min_seqno: int = 1) -> None:
         """Ask a donor for its stable checkpoint certificate, then transfer.
 
-        Used by proactive recovery and by replicas that notice they lag via
-        gossip without holding a certificate."""
-        self._awaiting_root = True
+        Used by proactive recovery and by a lagging replica that holds no
+        certificate.  A call stops the retry chain of any earlier call."""
         replica = self.replica
         replica.counters.add("fetch_root_sent")
         replica.send(self._next_donor(), FetchRoot(requester=replica.node_id, min_seqno=min_seqno))
 
         def retry() -> None:
-            if self._awaiting_root and not self.active:
+            if self._awaiting_root is retry and not self.active:
                 self.begin_from_root(min_seqno)
 
+        self._awaiting_root = retry
         replica.set_timer(_RETRY * 3, retry)
 
     def start(self, cert: CheckpointCert) -> None:
@@ -101,7 +105,7 @@ class StateTransferManager:
         if not replica._verify_checkpoint_cert(cert):
             replica.counters.add("bad_checkpoint_cert")
             return
-        self._awaiting_root = False
+        self._awaiting_root = None
         if replica.last_executed >= cert.seqno:
             if replica.recovering and not self.active:
                 self._verify_current_and_finish(cert)
@@ -138,19 +142,24 @@ class StateTransferManager:
         self._fetched.clear()
         self._retries.clear()
 
+    def reached(self, seqno: int) -> None:
+        """Execution took checkpoint ``seqno``: a full session anchored at or
+        below it is over, and a recovering replica settles at its anchor."""
+        cert = self.session
+        if self.active and cert.seqno <= seqno:
+            self._close()
+            if self.replica.recovering:
+                self._verify_current_and_finish(cert)
+
     def _in_session(self, seqno: int) -> bool:
         return (self.active or self.scrub_active) and self.session.seqno == seqno
 
     def _verify_current_and_finish(self, cert: CheckpointCert) -> None:
-        """Recovery completion when already caught up: confirm our state
-        digest matches the certificate before declaring ourselves recovered.
-
-        The comparison must use a digest that corresponds to the cert's
-        seqno: our recorded checkpoint root when we hold one, else the live
-        root — valid only while no local checkpoint postdates the cert (the
-        live tree always reflects the newest checkpoint's digests).  When we
-        checkpointed past a cert we no longer hold, we cannot verify against
-        it; re-anchor at a fresher one instead of comparing garbage."""
+        """Finish a recovery that executed to or past ``cert`` once our state
+        at ``cert.seqno`` is the certified one: our checkpoint there, else
+        the live root (which holds the newest checkpoint's digests) while no
+        local checkpoint postdates ``cert``.  Checkpointed past a ``cert``
+        we no longer hold, we cannot compare: re-anchor at a fresher one."""
         replica = self.replica
         manager = replica.service.manager
         recorded = manager.root_digest(cert.seqno)
@@ -247,9 +256,8 @@ class StateTransferManager:
                 self.replica.crash_self(str(fault))
 
     def on_transfer_root(self, message: TransferRoot, src: str) -> None:
-        if not self._awaiting_root and not self.active:
-            return
-        self.start(message.cert)
+        if self._awaiting_root is not None or self.active:
+            self.start(message.cert)
 
     def on_meta_reply(self, message: MetaReply, src: str) -> None:
         if not self.active or message.seqno != self.session.seqno:
@@ -319,13 +327,10 @@ class StateTransferManager:
         cert = self.session
         fetched = dict(self._fetched)
         self._close()
-        if replica.last_executed >= cert.seqno and not replica.recovering:
-            return  # ordinary execution overtook the transfer
         if replica.last_executed > cert.seqno:
-            # Recovering, and execution honestly advanced past the anchor
-            # while we fetched: installing now would roll live state back
-            # while last_executed stays put, silently losing those
-            # operations.  Abandon and re-anchor at our execution point.
+            # A repair walk that execution carried past its anchor: installing
+            # would roll state back while last_executed stays put, losing the
+            # operations between.  Abandon, and re-anchor at our execution point.
             replica.counters.add("state_transfer_stale_anchors")
             self.begin_from_root(min_seqno=replica.last_executed)
             return
@@ -361,7 +366,7 @@ class StateTransferManager:
         a root mismatch: objects installed, nothing adopted.  A root fetch
         or session still in flight is retired: its anchor is moot."""
         replica = self.replica
-        self._awaiting_root = False
+        self._awaiting_root = None
         self._close()
         service = replica.service
         root = service.manager.install_fetched(objects, cert.seqno, service.put_objs)
